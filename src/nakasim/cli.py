@@ -151,10 +151,25 @@ def cmd_simulate(args) -> int:
     return 0 if summary["audits_clean"] else 2
 
 
+def _flag_or_meta(value, meta: dict, flag: str, *path: str):
+    """An analyze flag's value, defaulting to the trace's Meta record."""
+    if value is not None:
+        return value
+    value = meta
+    for key in path:
+        value = value.get(key) if isinstance(value, dict) else None
+    if value is None:
+        raise ValueError(f"trace Meta has no {'.'.join(path)}; pass {flag}")
+    return value
+
+
 def cmd_analyze(args) -> int:
     run_trace = tr.read_jsonl(args.trace)
-    report, series = pivots.analyze_trace(run_trace, args.nu, args.c_tilde,
-                                          args.kcp)
+    meta = run_trace.meta
+    nu = _flag_or_meta(args.nu, meta, "--nu", "nu")
+    c_tilde = _flag_or_meta(args.c_tilde, meta, "--c-tilde", "c_tilde")
+    kcp = _flag_or_meta(args.kcp, meta, "--kcp", "scenario", "sapos", "k_cp")
+    report, series = pivots.analyze_trace(run_trace, nu, c_tilde, kcp)
     out = args.out or os.path.dirname(os.path.abspath(args.trace))
     os.makedirs(out, exist_ok=True)
     pivots.write_report(report, series,
@@ -249,9 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="pivot/audit report for a trace")
     a.add_argument("--trace", required=True, help="trace JSONL path")
-    a.add_argument("--nu", type=int, required=True)
-    a.add_argument("--c-tilde", type=float, required=True)
-    a.add_argument("--kcp", type=int, required=True)
+    a.add_argument("--nu", type=int, default=None,
+                   help="default: the trace's Meta nu")
+    a.add_argument("--c-tilde", type=float, default=None,
+                   help="default: the trace's Meta c_tilde")
+    a.add_argument("--kcp", type=int, default=None,
+                   help="default: the trace's Meta scenario.sapos.k_cp")
     a.add_argument("--out", default=None, help="report directory")
     a.set_defaults(func=cmd_analyze)
 

@@ -261,49 +261,85 @@ def audit_chain_growth(run_trace: tr.Trace, series: IndexSeries) -> AuditResult:
     return result
 
 
+def _common_ancestor(table: dict[int, dict], a: int, b: int) -> Optional[int]:
+    """Deepest common ancestor of headers a and b, or None when the walk
+    leaves the header table before the two meet."""
+    ha, hb = table.get(a), table.get(b)
+    while a != b:
+        if ha is None or hb is None:
+            return None
+        if ha["height"] >= hb["height"]:
+            a = ha["parent"]
+            ha = table.get(a)
+        else:
+            b = hb["parent"]
+            hb = table.get(b)
+    return a
+
+
 def audit_stabilization(run_trace: tr.Trace, series: IndexSeries,
                         cp_flags: np.ndarray) -> AuditResult:
     """Every combinatorial pivot's block must sit on every honest dChain from
-    the end of its window onward."""
-    meta = run_trace.meta
-    honest = list(meta["honest_nodes"])
-    table = _header_table(run_trace)
-    timelines = _tip_timelines(run_trace)
+    the end of its window onward.
 
+    Cost: per node, linear in its tip changes and in the pivots, plus the
+    fork depths walked.  A block is an ancestor of every later tip iff it is
+    an ancestor of their deepest common ancestor.  One backward pass over a
+    node's tips therefore gives common[j] for each suffix of tips j, j+1, ...,
+    and a pivot passes if its block is common[j] or below it, for the tip j
+    in force at the end of the pivot's window.  This only ever declares a
+    pass: anything it cannot prove (a failure, a walk that leaves the header
+    table, a node without tips) goes through the per-tip walk, which also
+    finds the witness slot."""
     result = AuditResult("cp-stabilization", True)
     cps = [(int(series.slots[k]) + series.nu, int(series.block[k]), k + 1)
            for k in range(len(series)) if cp_flags[k]]
     if not cps:
         result.inconclusive = True
         return result
+    honest = list(run_trace.meta["honest_nodes"])
+    table = _header_table(run_trace)
+    timelines = _tip_timelines(run_trace)
 
     for p in honest:
         line = timelines.get(p, [])
+        slots = [s for s, _, _ in line]
+        # common[j]: deepest common ancestor of tips j, j+1, ... (None once a
+        # walk leaves the table); min_height[j]: their lowest recorded height
+        common: list[Optional[int]] = [None] * len(line)
+        min_height = [0] * len(line)
+        cur = line[-1][1] if line else None
+        low = math.inf
+        for j in range(len(line) - 1, -1, -1):
+            _, tip, tip_height = line[j]
+            if cur is not None:
+                cur = _common_ancestor(table, tip, cur)
+            low = min(low, tip_height)
+            common[j], min_height[j] = cur, low
         for start_slot, block, k in cps:
             height = table[block]["height"]
-            ok = True
-            witness_slot = None
-            # tip in force at start_slot, then every later change
-            pos = bisect.bisect_right([s for s, _, _ in line], start_slot) - 1
-            to_check = []
-            if pos >= 0:
-                to_check.append(line[pos])
-            to_check.extend(line[pos + 1:])
-            if not to_check:
-                ok = False
-                witness_slot = start_slot
-            for slot, tip, tip_height in to_check:
-                if tip_height < height or _ancestor_at(table, tip, height) != block:
-                    ok = False
-                    witness_slot = slot
-                    break
             result.checked += 1
-            if not ok:
-                result.passed = False
-                if len(result.violations) < _MAX_WITNESSES:
-                    result.violations.append(
-                        {"index": k, "block": block, "node": p,
-                         "slot": witness_slot})
+            if not line:
+                witness_slot = start_slot
+            else:
+                # the tip in force at start_slot (the first one if none was
+                # yet), then every later change; a None common[j] matches no
+                # block
+                j = max(bisect.bisect_right(slots, start_slot) - 1, 0)
+                if (min_height[j] >= height
+                        and _ancestor_at(table, common[j], height) == block):
+                    continue
+                witness_slot = next(
+                    (slot for slot, tip, tip_height in line[j:]
+                     if tip_height < height
+                     or _ancestor_at(table, tip, height) != block), None)
+                if witness_slot is None:
+                    continue
+            result.passed = False
+            if len(result.violations) < _MAX_WITNESSES:
+                result.violations.append(
+                    {"index": k, "block": block, "node": p,
+                     "slot": witness_slot})
     return result
 
 
@@ -311,7 +347,10 @@ def audit_budget(run_trace: tr.Trace, series: IndexSeries,
                  cp_flags: np.ndarray, c_tilde: float) -> AuditResult:
     """A good-but-undownloaded index shows where the bandwidth went: every
     honest node that missed the block must have completed at least c_tilde
-    fetches of blocks produced after the latest prior combinatorial pivot."""
+    fetches of blocks produced after the latest prior combinatorial pivot.
+
+    Cost: one pass over the events, then per miss a bisection into the
+    node's fetch slots and a scan of the fetches inside [t, t + nu] only."""
     result = AuditResult("download-budget", True)
     if c_tilde is None or c_tilde <= 0.0:
         result.inconclusive = True
@@ -323,19 +362,23 @@ def audit_budget(run_trace: tr.Trace, series: IndexSeries,
         return result
     table = _header_table(run_trace)
 
-    fetches: dict[int, list[tuple[int, int]]] = {p: [] for p in honest}
+    # per node, requested fetches in slot order (the trace is slot-ordered)
+    fetch_slots: dict[int, list[int]] = {p: [] for p in honest}
+    fetch_headers: dict[int, list[int]] = {p: [] for p in honest}
     processed: dict[tuple[int, int], int] = {}
     for ev in run_trace.events:
         if ev.kind == tr.CONTENT_FETCHED:
             node, header = ev.data["node"], ev.data["header"]
-            if node in fetches and ev.data.get("via", "request") == "request":
-                fetches[node].append((ev.slot, header))
+            if node in fetch_slots and ev.data.get("via", "request") == "request":
+                fetch_slots[node].append(ev.slot)
+                fetch_headers[node].append(header)
             processed.setdefault((node, header), ev.slot)
         elif ev.kind == tr.PRETEND_EMPTY:
             processed.setdefault((ev.data["node"], ev.data["header"]), ev.slot)
         elif ev.kind == tr.BLOCK_PRODUCED and ev.data["cls"] == "honest":
             processed.setdefault((ev.data["producer"], ev.data["header"]), ev.slot)
 
+    required = math.floor(c_tilde - 1e-9)
     last_cp_slot = 0
     for k in range(len(series)):
         t = int(series.slots[k])
@@ -345,14 +388,16 @@ def audit_budget(run_trace: tr.Trace, series: IndexSeries,
             for p in honest:
                 if processed.get((p, b), deadline + 1) <= deadline:
                     continue
+                slots = fetch_slots[p]
+                lo = bisect.bisect_left(slots, t)
+                hi = bisect.bisect_right(slots, deadline, lo)
                 count = 0
-                for slot, header in fetches[p]:
-                    if t <= slot <= deadline:
-                        info = table.get(header)
-                        if info is not None and last_cp_slot < info["bpo_slot"] <= t:
-                            count += 1
+                for header in fetch_headers[p][lo:hi]:
+                    info = table.get(header)
+                    if info is not None and last_cp_slot < info["bpo_slot"] <= t:
+                        count += 1
                 result.checked += 1
-                if count < math.floor(c_tilde - 1e-9):
+                if count < required:
                     result.passed = False
                     if len(result.violations) < _MAX_WITNESSES:
                         result.violations.append(

@@ -68,16 +68,6 @@ def equivocated_in_view(node: "Node", header: BlockHeader) -> bool:
     return len(node.bpo_seen.get(header.bpo.key(), ())) >= 2
 
 
-def ledger_with_blanking(chain_entries: Iterable, proofed: set) -> list:
-    blanked = []
-    for entry in chain_entries:
-        if entry.header_id in proofed:
-            entry.blanked = True
-            entry.txs = ()
-        blanked.append(entry)
-    return blanked
-
-
 @dataclass(frozen=True)
 class AppTx:
     """Abstract application payload: the state keys it reads or writes, the

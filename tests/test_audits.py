@@ -1,8 +1,13 @@
 """Trace audits on hand-built histories: each one has a clean pass case and
 a doctored counterpart that must fail."""
+import bisect
+import math
+
 import numpy as np
 import pytest
 from conftest import MiniRun
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nakasim import pivots as pv
 from nakasim import trace as tr
@@ -239,3 +244,431 @@ def test_blanking_fails_without_timely_proof():
 def test_blanking_inconclusive_without_blanks():
     run, _ = linear_run()
     assert pv.audit_blanking(run.trace, k_epf=4).inconclusive
+
+
+# ---------------------------------------------------------------------------
+# slow reference oracles: the per-tip and per-fetch forms of the two audits
+
+def stabilization_oracle(run_trace, series, cp_flags):
+    """Per (node, pivot): walk every tip from the one in force at the end of
+    the pivot's window onward down to the pivot's height."""
+    honest = list(run_trace.meta["honest_nodes"])
+    table = pv._header_table(run_trace)
+    timelines = pv._tip_timelines(run_trace)
+    result = pv.AuditResult("cp-stabilization", True)
+    cps = [(int(series.slots[k]) + series.nu, int(series.block[k]), k + 1)
+           for k in range(len(series)) if cp_flags[k]]
+    if not cps:
+        result.inconclusive = True
+        return result
+    for p in honest:
+        line = timelines.get(p, [])
+        for start_slot, block, k in cps:
+            height = table[block]["height"]
+            ok = True
+            witness_slot = None
+            pos = bisect.bisect_right([s for s, _, _ in line], start_slot) - 1
+            to_check = []
+            if pos >= 0:
+                to_check.append(line[pos])
+            to_check.extend(line[pos + 1:])
+            if not to_check:
+                ok = False
+                witness_slot = start_slot
+            for slot, tip, tip_height in to_check:
+                if tip_height < height or pv._ancestor_at(table, tip, height) != block:
+                    ok = False
+                    witness_slot = slot
+                    break
+            result.checked += 1
+            if not ok:
+                result.passed = False
+                if len(result.violations) < pv._MAX_WITNESSES:
+                    result.violations.append(
+                        {"index": k, "block": block, "node": p,
+                         "slot": witness_slot})
+    return result
+
+
+def budget_oracle(run_trace, series, cp_flags, c_tilde):
+    """Per miss: scan every fetch of the node for those inside [t, t + nu]."""
+    result = pv.AuditResult("download-budget", True)
+    if c_tilde is None or c_tilde <= 0.0:
+        result.inconclusive = True
+        return result
+    meta = run_trace.meta
+    honest = list(meta["honest_nodes"])
+    if meta.get("policy") != "longest-header-chain":
+        result.inconclusive = True
+        return result
+    table = pv._header_table(run_trace)
+    fetches = {p: [] for p in honest}
+    processed = {}
+    for ev in run_trace.events:
+        if ev.kind == tr.CONTENT_FETCHED:
+            node, header = ev.data["node"], ev.data["header"]
+            if node in fetches and ev.data.get("via", "request") == "request":
+                fetches[node].append((ev.slot, header))
+            processed.setdefault((node, header), ev.slot)
+        elif ev.kind == tr.PRETEND_EMPTY:
+            processed.setdefault((ev.data["node"], ev.data["header"]), ev.slot)
+        elif ev.kind == tr.BLOCK_PRODUCED and ev.data["cls"] == "honest":
+            processed.setdefault((ev.data["producer"], ev.data["header"]), ev.slot)
+    last_cp_slot = 0
+    for k in range(len(series)):
+        t = int(series.slots[k])
+        if series.good[k] and not series.downloaded[k]:
+            deadline = t + series.nu
+            b = int(series.block[k])
+            for p in honest:
+                if processed.get((p, b), deadline + 1) <= deadline:
+                    continue
+                count = 0
+                for slot, header in fetches[p]:
+                    if t <= slot <= deadline:
+                        info = table.get(header)
+                        if info is not None and last_cp_slot < info["bpo_slot"] <= t:
+                            count += 1
+                result.checked += 1
+                if count < math.floor(c_tilde - 1e-9):
+                    result.passed = False
+                    if len(result.violations) < pv._MAX_WITNESSES:
+                        result.violations.append(
+                            {"index": k + 1, "slot": t, "node": p,
+                             "fetched": count, "required": c_tilde})
+        if cp_flags[k]:
+            last_cp_slot = t
+    if result.checked == 0:
+        result.inconclusive = True
+    return result
+
+
+def assert_matches_oracles(run):
+    series, cp = series_and_cp(run)
+    fast = pv.audit_stabilization(run.trace, series, cp)
+    assert fast == stabilization_oracle(run.trace, series, cp)
+    for c_tilde in (0.5, 1.0, 2.0, 3.0):
+        assert pv.audit_budget(run.trace, series, cp, c_tilde) == \
+            budget_oracle(run.trace, series, cp, c_tilde)
+    return fast
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the linear audits against the oracles
+
+@st.composite
+def histories(draw):
+    """Random block trees with fetches and tip switches: honest blocks on
+    the tallest tip (sometimes on an older one), adversary forks that nodes
+    may fetch and adopt, late defections, busy slots, a node that may never
+    switch and nodes whose first switch comes late."""
+    nodes = tuple(range(draw(st.integers(1, 3))))
+    run = MiniRun(nodes=nodes, horizon=400)
+    silent = draw(st.sampled_from((None,) * 3 + nodes))
+    wake = {p: draw(st.sampled_from((0, 0, 20, 60))) for p in nodes}
+    lags = st.sampled_from((0, 1, 1, 2, 3, 4, 5, 7))
+    actions = []            # (slot, method, args, kwargs), stably sorted
+    height = {0: 0}
+    blocks = [0]
+
+    def switch_later(p, slot, tip):
+        if p != silent and slot >= wake[p]:
+            actions.append((slot, run.switch, (slot, p, tip), {}))
+
+    slot = 0
+    for _ in range(draw(st.integers(0, 30))):
+        slot += draw(st.sampled_from((1, 3, 5, 6, 6, 8, 12)))
+        kind = draw(st.sampled_from(("honest",) * 8 + ("adversary", "defect",
+                                                       "busy")))
+        if kind == "busy":
+            actions.append((slot, run.busy, (slot,), {}))
+            continue
+        if kind == "defect":
+            p = draw(st.sampled_from(nodes))
+            switch_later(p, slot, draw(st.sampled_from(blocks)))
+            continue
+        honest = kind == "honest"
+        if honest and draw(st.integers(0, 4)):
+            parent = max(blocks, key=lambda b: (height[b], b))
+        else:
+            parent = draw(st.sampled_from(blocks))
+        hid = len(blocks)
+        blocks.append(hid)
+        height[hid] = height[parent] + 1
+        producer = draw(st.sampled_from(nodes)) if honest else 9
+        kw = {} if honest else {"cls": "adversary", "h": 0, "a": 1}
+        actions.append((slot, run.produce, (slot, parent),
+                        {"producer": producer, **kw}))
+        for p in nodes:
+            if p != producer and draw(st.integers(0, 9)):
+                fetch_slot = slot + draw(lags)
+                actions.append((fetch_slot, run.fetch, (fetch_slot, p, hid), {}))
+            adopt = (draw(st.integers(0, 5)) > 0 if honest
+                     else draw(st.integers(0, 3)) == 0)
+            if adopt:
+                switch_later(p, slot + draw(lags), hid)
+    actions.sort(key=lambda a: a[0])
+    for _, method, args, kwargs in actions:
+        method(*args, **kwargs)
+    return run
+
+
+@given(histories())
+@settings(max_examples=200, deadline=None)
+def test_linear_audits_match_oracles(run):
+    assert_matches_oracles(run)
+
+
+def reorg_run():
+    """A node adopts an adversary fork off the second block, then returns."""
+    run, blocks = linear_run(n_blocks=5)
+    fork = run.produce(45, parent=blocks[1], cls="adversary", producer=9,
+                       h=0, a=1)
+    run.switch(46, 1, fork)
+    tip = run.produce(60, producer=0, parent=blocks[-1])
+    run.switch(61, 0, tip)
+    run.switch(61, 1, tip)
+    return run
+
+
+def late_defection_run():
+    run, blocks = linear_run(n_blocks=4)
+    fork = run.produce(40, parent=0, cls="adversary", producer=9, h=0, a=1)
+    run.switch(70, 1, fork)
+    return run
+
+
+def silent_node_run():
+    """Node 2 fetches every block in time but never records a switch."""
+    run = MiniRun(nodes=(0, 1, 2), horizon=80)
+    for i in range(3):
+        slot = 2 + 8 * i
+        hid = run.produce(slot, producer=0)
+        for p in (1, 2):
+            run.fetch(slot + 1, p, hid)
+        run.switch(slot + 1, 0, hid)
+        run.switch(slot + 1, 1, hid)
+    return run
+
+
+def late_first_switch_run(tips):
+    """Node 1 records its first switch long after the pivots' windows, to
+    each of `tips` in turn: "chain" extends the pivots, "fork" leaves them
+    for a fork off genesis."""
+    run = MiniRun(nodes=(0, 1), horizon=80)
+    blocks = []
+    for i in range(3):
+        slot = 2 + 8 * i
+        blocks.append(run.produce(slot, producer=0))
+        run.fetch(slot + 1, 1, blocks[-1])
+        run.switch(slot + 1, 0, blocks[-1])
+    for i, kind in enumerate(tips):
+        parent = 0 if kind == "fork" else blocks[-1]
+        tip = run.produce(50 + 2 * i, parent=parent, cls="adversary",
+                          producer=9, h=0, a=1)
+        run.switch(51 + 2 * i, 1, tip)
+    return run
+
+
+def late_adoption_run():
+    """Node 1 fetches the second block in time but adopts it only after its
+    window closed: the tip in force at the window's end fails."""
+    run = MiniRun(nodes=(0, 1), horizon=60)
+    for i in range(3):
+        slot = 2 + 8 * i
+        hid = run.produce(slot, producer=0)
+        run.fetch(slot + 1, 1, hid)
+        run.switch(slot + 1, 0, hid)
+        run.switch(slot + (6 if i == 1 else 1), 1, hid)
+    return run
+
+
+def misreported_height_run():
+    """Node 1 records a switch to the latest block with a doctored height
+    of 1: tips are judged by the height their switch recorded."""
+    run, blocks = linear_run(n_blocks=3)
+    run.trace.emit(30, tr.CHAIN_SWITCHED, node=1, new=blocks[-1], height=1)
+    return run
+
+
+def mass_defection_run():
+    """Both nodes leave seven pivots for a fork off genesis: 14 failures."""
+    run, blocks = linear_run(n_blocks=8)
+    fork = run.produce(70, parent=0, cls="adversary", producer=9, h=0, a=1)
+    run.switch(71, 0, fork)
+    run.switch(71, 1, fork)
+    return run
+
+
+@pytest.mark.parametrize("build, passed, n_violations", [
+    (reorg_run, False, 1),
+    (late_defection_run, False, 3),
+    (silent_node_run, False, 3),
+    (lambda: late_first_switch_run(["chain"]), True, 0),
+    (lambda: late_first_switch_run(["fork"]), False, 2),
+    (lambda: late_first_switch_run(["fork", "chain"]), False, 1),
+    (late_adoption_run, False, 1),
+    (misreported_height_run, False, 2),
+    (mass_defection_run, False, 10),
+])
+def test_linear_audits_match_oracles_on_named_histories(build, passed,
+                                                        n_violations):
+    res = assert_matches_oracles(build())
+    assert not res.inconclusive
+    assert res.passed is passed and len(res.violations) == n_violations
+
+
+def test_stabilization_witnesses_when_no_switch_was_recorded():
+    res = assert_matches_oracles(silent_node_run())
+    # node 2 has no timeline: the witness is the end of each pivot's window
+    assert [(v["node"], v["slot"]) for v in res.violations] == \
+        [(2, 6), (2, 14), (2, 22)]
+
+
+def test_stabilization_reports_the_first_defecting_tip():
+    res = assert_matches_oracles(mass_defection_run())
+    assert res.checked == 14
+    assert {v["slot"] for v in res.violations} == {71}
+
+
+# ---------------------------------------------------------------------------
+# download-budget window edges
+
+def edge_run(fetches):
+    """Pivot block at slot 2, a downloaded block at 10, then node 1 misses
+    the good block at t = 20 (nu = 4) while fetching `fetches`, a list of
+    (slot, name, via) with name one of: "pivot" (bpo_slot 2, the latest
+    prior pivot), "young" (bpo_slot 12), "twin" (bpo_slot 20 = t)."""
+    run = MiniRun(nodes=(0, 1), horizon=60)
+    named = {"pivot": run.produce(2, producer=0)}
+    run.fetch(3, 1, named["pivot"])
+    second = run.produce(10, producer=0)
+    run.fetch(11, 1, second)
+    named["young"] = run.produce(12, parent=0, cls="adversary", producer=9,
+                                 emit_bpo=False)
+
+    def emit(upto):
+        while fetches and fetches[0][0] < upto:
+            slot, name, via = fetches.pop(0)
+            run.trace.emit(slot, tr.CONTENT_FETCHED, node=1,
+                           header=named[name], via=via, paid=1.0)
+
+    fetches = sorted(fetches)
+    emit(20)
+    run.produce(20, producer=0, parent=second)
+    named["twin"] = run.produce(20, parent=second, cls="adversary",
+                                producer=9, emit_bpo=False)
+    emit(math.inf)
+    return run
+
+
+@pytest.mark.parametrize("fetches, counted", [
+    ([(20, "young", "request")], 1),             # at t
+    ([(24, "young", "request")], 1),             # at t + nu
+    ([(19, "young", "request")], 0),             # at t - 1
+    ([(25, "young", "request")], 0),             # at t + nu + 1
+    ([(21, "pivot", "request")], 0),             # bpo_slot == last_cp_slot
+    ([(21, "twin", "request")], 1),              # bpo_slot == t
+    ([(21, "young", "push")], 0),                # pushed, not requested
+    ([(19, "young", "request"), (20, "young", "request"),
+      (24, "twin", "request"), (24, "pivot", "request"),
+      (25, "young", "request")], 2),
+])
+def test_budget_window_edges(fetches, counted):
+    run = edge_run(fetches)
+    series, cp = series_and_cp(run)
+    assert series.good.tolist() == [True, True, True]
+    assert series.downloaded.tolist() == [True, True, False]
+    assert cp.tolist() == [True, False, False]
+    res = pv.audit_budget(run.trace, series, cp, c_tilde=100.0)
+    assert res == budget_oracle(run.trace, series, cp, c_tilde=100.0)
+    assert res.checked == 1
+    assert res.violations[0]["fetched"] == counted
+
+
+# ---------------------------------------------------------------------------
+# cost guards: operation counts, not times
+
+class CountingTable(dict):
+    """Header table that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        CountingTable.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        CountingTable.lookups += 1
+        return super().get(key, default)
+
+
+class CountingSlot(int):
+    """Slot number that counts the comparisons made against it."""
+
+    compares = 0
+
+    def _count(op):
+        def compare(self, other):
+            CountingSlot.compares += 1
+            return op(int(self), other)
+        return compare
+
+    __lt__ = _count(int.__lt__)
+    __le__ = _count(int.__le__)
+    __gt__ = _count(int.__gt__)
+    __ge__ = _count(int.__ge__)
+    del _count
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    real = pv._header_table
+    monkeypatch.setattr(pv, "_header_table",
+                        lambda run_trace: CountingTable(real(run_trace)))
+
+    def count(audit, run, *args):
+        series, cp = series_and_cp(run)
+        CountingTable.lookups = CountingSlot.compares = 0
+        audit(run.trace, series, cp, *args)
+        return CountingTable.lookups + CountingSlot.compares
+    return count
+
+
+def pivot_chain(n):
+    """n blocks, 8 slots apart, all of them combinatorial pivots."""
+    run = MiniRun(nodes=(0, 1), horizon=8 * n + 10)
+    for i in range(n):
+        slot = 2 + 8 * i
+        hid = run.produce(slot, producer=0)
+        run.fetch(slot + 1, 1, hid)
+        run.switch(slot + 1, 0, hid)
+        run.switch(slot + 1, 1, hid)
+    return run
+
+
+def missed_chain(n):
+    """n good blocks, each fetched by node 1 one slot after its window."""
+    run = MiniRun(nodes=(0, 1), horizon=8 * n + 10)
+    for i in range(n):
+        slot = 2 + 8 * i
+        hid = run.produce(slot, producer=0)
+        run.fetch(CountingSlot(slot + 5), 1, hid)
+    return run
+
+
+def growth(count, audit, build, n, *args):
+    return count(audit, build(2 * n), *args) / count(audit, build(n), *args)
+
+
+def test_stabilization_cost_is_linear(counted):
+    assert growth(counted, pv.audit_stabilization, pivot_chain, 60) <= 2.5
+    # the per-tip oracle grows faster than the guard allows
+    assert growth(counted, stabilization_oracle, pivot_chain, 60) > 3.0
+
+
+def test_budget_cost_is_linear(counted):
+    # the quadratic scan makes no table lookups outside the window, so the
+    # guard also counts comparisons against fetch slots
+    assert growth(counted, pv.audit_budget, missed_chain, 200, 1.0) <= 2.5
+    assert growth(counted, budget_oracle, missed_chain, 200, 1.0) > 3.0

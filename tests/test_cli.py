@@ -94,6 +94,44 @@ def test_analyze_reports_and_exits_clean(tmp_path):
     assert len(rows) == 1 + report["indices"]
 
 
+def test_analyze_defaults_from_meta(tmp_path):
+    cfg = write_config(tmp_path, repeat=1)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    trace = str(out / "trace_seed7.jsonl")
+    meta = tr.read_jsonl(trace).meta
+    explicit, defaulted, override = (tmp_path / d for d in ("e", "d", "o"))
+    assert cli.main(["analyze", "--trace", trace, "--nu", str(meta["nu"]),
+                     "--c-tilde", str(meta["c_tilde"]), "--kcp", "3",
+                     "--out", str(explicit)]) == 0
+    assert cli.main(["analyze", "--trace", trace, "--out", str(defaulted)]) == 0
+    assert (defaulted / "report.json").read_bytes() == \
+        (explicit / "report.json").read_bytes()
+    # an explicit flag still wins over its default
+    assert cli.main(["analyze", "--trace", trace, "--kcp", "5",
+                     "--out", str(override)]) == 0
+    report = json.loads((override / "report.json").read_text())
+    assert (report["nu"], report["c_tilde"], report["k_cp"]) == \
+        (meta["nu"], meta["c_tilde"], 5)
+
+
+def test_analyze_exits_one_when_meta_lacks_a_default(tmp_path, capsys):
+    run = MiniRun(nodes=(0, 1), horizon=40)   # Meta: nu 4, no c_tilde/k_cp
+    run.produce(2, producer=0)
+    path = str(tmp_path / "mini.jsonl")
+    tr.write_jsonl(run.trace, path)
+    out = ["--out", str(tmp_path)]
+    assert cli.main(["analyze", "--trace", path, *out]) == 1
+    assert "c_tilde; pass --c-tilde" in capsys.readouterr().err
+    assert cli.main(["analyze", "--trace", path, "--c-tilde", "2", *out]) == 1
+    assert "scenario.sapos.k_cp; pass --kcp" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    # node 1 missed the block without spending its budget elsewhere
+    assert cli.main(["analyze", "--trace", path, "--c-tilde", "2",
+                     "--kcp", "1", *out]) == 2
+    assert json.loads((tmp_path / "report.json").read_text())["nu"] == 4
+
+
 def test_analyze_flags_doctored_trace(tmp_path):
     run = MiniRun(nodes=(0, 1), horizon=40)
     hid = run.produce(2, producer=0)
