@@ -111,7 +111,7 @@ _METRIC_FIELDS = [
     "lambda_grwth", "growth_normalized", "honest_blocks", "adversary_blocks",
     "spv_blocks", "max_tip_height", "agreed_height", "final_lead", "max_lead",
     "releases", "giveups", "fetches", "scheduler_blanked", "invalid_headers",
-    "utilization_mean",
+    "tip_evictions", "utilization_mean",
 ]
 
 

@@ -150,11 +150,6 @@ class Environment:
         self._notify(content.commitment)
         return True
 
-    def push_content(self, content: Content, node: int, slot: int) -> Content:
-        """Adversary hands content to one node directly, bypassing the queue
-        and the node's budget. The cloud is not touched."""
-        return content
-
     def _notify(self, commitment: int) -> None:
         if self.on_upload is None:
             return

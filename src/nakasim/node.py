@@ -3,14 +3,20 @@
 A node keeps every valid header it has seen, downloads content for one block
 at a time according to its scheduling policy, and extends the longest fully
 processed chain when it wins a production opportunity.  Processing one block
-costs one unit of download budget; blanked or adversary-pushed content is
-free.  Partially paid downloads survive preemption in a small LRU cache.
+costs one unit of download budget; blanked content is free.  Partially paid
+downloads survive preemption in a small LRU cache.
+
+The scheduler keeps at most MAX_SCHEDULER_TIPS tips, each under its policy's
+key.  Keys end in the tip's seen order, so no two are equal, and the
+(key, tip) pairs are kept in ascending order: the scheduler walks them from
+the top and eviction drops the bottom one.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import params as pm
 from . import sapos as sp
@@ -52,19 +58,13 @@ class Node:
         self._seen_counter = 1
         self.processed: set[int] = {g}
         self.blanked: set[int] = set()
-        self.content_known: dict[int, Content] = {}
         self.invalid: set[int] = set()
         self.bpo_seen: dict[tuple, list[int]] = {}
 
-        self.tips: dict[int, None] = OrderedDict()
-        self._tip_key: dict[int, tuple] = {}
+        self.tips: dict[int, tuple] = {}            # tip id -> policy key
+        self._order: list[tuple[tuple, int]] = []   # (key, tip id), ascending
         self._pending: dict[int, Optional[deque]] = {}
-        # greedy keys stay valid until another block is processed or blanked;
-        # the scheduler's tip ordering additionally depends on membership
-        self._done_version = 0
-        self._greedy_cache: dict[int, tuple[int, tuple]] = {}
-        self._tips_version = 0
-        self._sorted_cache: tuple[int, int, list[int]] = (-1, -1, [])
+        self.tip_evictions = 0
         self.partial: OrderedDict[int, float] = OrderedDict()
         self.unavailable: set[int] = set()
         self._unavailable_by_commitment: dict[int, set[int]] = {}
@@ -141,26 +141,24 @@ class Node:
 
         # tip bookkeeping: the parent stops being a tip, the new header
         # inherits its pending queue when it extends one.
-        self._tips_version += 1
+        dq = None
         if h.parent_id in self.tips:
-            del self.tips[h.parent_id]
-            self._tip_key.pop(h.parent_id, None)
-            self._greedy_cache.pop(h.parent_id, None)
-            dq = self._pending.pop(h.parent_id, None)
+            dq = self._drop_tip(h.parent_id)
             if dq is not None:
                 dq.append(h.id)
-            self._pending[h.id] = dq
-        else:
-            self._pending[h.id] = None   # built lazily on first consideration
-        self.tips[h.id] = None
-        order = -self.seen_order[h.id]
-        if self.policy == pm.POLICY_FRESHEST_BLOCK:
-            self._tip_key[h.id] = (h.bpo.slot, h.height, order)
-        else:
-            self._tip_key[h.id] = (h.height, order)
+        self._pending[h.id] = dq   # None: built on first consideration
+        key = self._key(h.id)
+        self.tips[h.id] = key
+        insort(self._order, (key, h.id))
         if len(self.tips) > MAX_SCHEDULER_TIPS:
-            worst = min(self.tips, key=self._policy_key)
-            self._drop_tips([worst])
+            self.tip_evictions += 1
+            self._drop_tip(self._order[0][1])
+
+    def _drop_tip(self, tip_id: int) -> Optional[deque]:
+        """Remove a tip from the scheduler; returns its pending queue."""
+        key = self.tips.pop(tip_id)
+        del self._order[bisect_left(self._order, (key, tip_id))]
+        return self._pending.pop(tip_id)
 
     def content_uploaded(self, commitment: int) -> None:
         """Clear the known-unavailable memo for headers waiting on this
@@ -189,36 +187,42 @@ class Node:
             dq.popleft()
         return dq
 
-    def _policy_key(self, tip_id: int) -> tuple:
-        base = self._tip_key[tip_id]
+    def _key(self, tip_id: int) -> tuple:
+        """The tip's priority under the policy; the highest is served first."""
+        h = self.store.get(tip_id)
+        order = -self.seen_order[tip_id]
+        if self.policy == pm.POLICY_FRESHEST_BLOCK:
+            return (h.bpo.slot, h.height, order)
         if self.policy == pm.POLICY_GREEDY:
-            # processed prefix length first, then the cached (height, order)
-            hit = self._greedy_cache.get(tip_id)
-            if hit is not None and hit[0] == self._done_version:
-                return hit[1]
-            dq = self._pending_for(tip_id)
-            full = (base[0] - len(dq),) + base
-            self._greedy_cache[tip_id] = (self._done_version, full)
-            return full
-        return base
+            # height of the processed prefix first
+            return (h.height - len(self._pending_for(tip_id)), h.height, order)
+        return (h.height, order)
+
+    def _rekey_greedy(self) -> None:
+        """Greedy keys lead with the processed prefix, which grows when a
+        block is processed or blanked: move the tips whose key changed."""
+        if self.policy != pm.POLICY_GREEDY:
+            return
+        for tip_id, key in list(self.tips.items()):
+            new = self._key(tip_id)
+            if new != key:
+                self.tips[tip_id] = new
+                del self._order[bisect_left(self._order, (key, tip_id))]
+                insort(self._order, (new, tip_id))
 
     def schedule_target(self, slot: int) -> Optional[BlockHeader]:
         """Pick the next block to download under the configured policy,
-        performing any zero-cost processing (blanking, pushed content)
-        encountered on the chains as they are considered.  Fully processed
-        tips are dropped from the scheduler; they need no further work and
-        a later child rebuilds its queue lazily."""
-        key = (self._tip_key.__getitem__
-               if self.policy != pm.POLICY_GREEDY else self._policy_key)
+        blanking for free (under SaPoS) the equivocated blocks met on the
+        chains as they are considered.  One pass walks the tips from the
+        highest key down in the order they had when it began; a pass that
+        blanked something and found no target is followed by another.
+        Fully processed tips are dropped from the scheduler; they need no
+        further work and a later child rebuilds its queue lazily."""
         while True:
             acted = False
             finished: list[int] = []
-            done_v, tips_v, ordered = self._sorted_cache
-            if done_v != self._done_version or tips_v != self._tips_version:
-                ordered = sorted(self.tips, key=key, reverse=True)
-                self._sorted_cache = (self._done_version, self._tips_version,
-                                      ordered)
-            for tip_id in ordered:
+            target = None
+            for _, tip_id in reversed(self._order):
                 dq = self._pending_for(tip_id)
                 while dq:
                     front = dq[0]
@@ -229,31 +233,19 @@ class Node:
                         self._mark_blanked(front, slot)
                         dq.popleft()
                         acted = True
-                    elif front in self.content_known:
-                        self._mark_processed(front, slot, via="push")
-                        dq.popleft()
-                        acted = True
                     else:
                         break
                 if not dq:
                     finished.append(tip_id)
-                    continue
-                if dq[0] in self.unavailable:
-                    continue
-                self._drop_tips(finished)
-                return self.store.get(dq[0])
-            self._drop_tips(finished)
-            if not acted:
-                return None
-
-    def _drop_tips(self, tip_ids: list[int]) -> None:
-        if tip_ids:
-            self._tips_version += 1
-        for t in tip_ids:
-            self.tips.pop(t, None)
-            self._pending.pop(t, None)
-            self._tip_key.pop(t, None)
-            self._greedy_cache.pop(t, None)
+                elif dq[0] not in self.unavailable:
+                    target = self.store.get(dq[0])
+                    break
+            for tip_id in finished:
+                self._drop_tip(tip_id)
+            if acted:
+                self._rekey_greedy()
+            if target is not None or not acted:
+                return target
 
     def process_step(self, slot: int) -> None:
         """Spend this slot's remaining budget on scheduled downloads; called
@@ -274,7 +266,7 @@ class Node:
                 self.partial.pop(target.id, None)
                 self.trace.emit(slot, tr.CONTENT_FETCHED, node=self.id,
                                 header=target.id, via="request", paid=newly)
-                self._mark_processed(target.id, slot, via="request")
+                self._mark_processed(target.id, slot)
                 continue
             # throttled: bank the partial payment, keep the task warm
             if newly > 0.0:
@@ -284,25 +276,16 @@ class Node:
                     self.partial.popitem(last=False)   # oldest work is lost
             return
 
-    def receive_pushed_content(self, header: BlockHeader, content: Content) -> None:
-        if content.commitment == header.commitment:
-            self.content_known[header.id] = content
-            self.active = True
-
     # -- processing and chain selection ------------------------------------
 
     def _mark_blanked(self, header_id: int, slot: int) -> None:
         self.blanked.add(header_id)
-        self._done_version += 1
         self.trace.emit(slot, tr.PRETEND_EMPTY, node=self.id, header=header_id)
         self._after_processed(header_id, slot)
 
-    def _mark_processed(self, header_id: int, slot: int, via: str) -> None:
+    def _mark_processed(self, header_id: int, slot: int) -> None:
         self.processed.add(header_id)
-        self._done_version += 1
-        if via == "push":
-            self.trace.emit(slot, tr.CONTENT_FETCHED, node=self.id,
-                            header=header_id, via="push")
+        self._rekey_greedy()
         self._after_processed(header_id, slot)
 
     def _after_processed(self, header_id: int, slot: int) -> None:
@@ -342,11 +325,9 @@ class Node:
                     self.included_txids.update(t[0] for t in content.txs)
 
     def _content_of(self, h: BlockHeader) -> Optional[Content]:
-        c = self.content_known.get(h.id)
-        if c is not None:
-            return c
-        return self.store.contents.get(h.commitment) \
-            if h.commitment in self.env.cloud or h.id in self.processed else None
+        if h.commitment in self.env.cloud or h.id in self.processed:
+            return self.store.contents.get(h.commitment)
+        return None
 
     def _update_ledger(self, slot: int) -> None:
         new_len = max(0, self.dchain_height - self.k_conf)
@@ -392,9 +373,14 @@ class Node:
             self.trace.emit(slot, tr.PROOF_INCLUDED, node=self.id,
                             carrier=header.id, target=proof.target,
                             other=proof.header_b)
-        self.content_known[header.id] = content
+        evictions = self.tip_evictions
         self._insert(header, slot)
         self.processed.add(header.id)
+        # an insert that evicted keyed the new block while it was still
+        # unprocessed; greedy keeps that key until the next block is
+        # processed or blanked, and recorded traces depend on it
+        if self.tip_evictions == evictions:
+            self._rekey_greedy()
         self._after_processed(header.id, slot)
         return header, content
 

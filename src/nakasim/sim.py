@@ -86,6 +86,7 @@ class RunMetrics:
     fetches: int = 0
     scheduler_blanked: int = 0
     invalid_headers: int = 0
+    tip_evictions: int = 0
     utilization_mean: float = 0.0
     audits: dict = field(default_factory=dict)
 
@@ -348,6 +349,8 @@ class Simulation:
                                   for n in self.honest_ids),
             invalid_headers=sum(self.nodes[n].invalid_header_count
                                 for n in self.honest_ids),
+            tip_evictions=sum(self.nodes[n].tip_evictions
+                              for n in self.honest_ids),
             utilization_mean=float(np.mean(util)) if util else 0.0,
             audits=self.sink.to_dict(),
         )

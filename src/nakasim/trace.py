@@ -22,14 +22,13 @@ EQUIVOCATION_SEEN = "EquivocationSeen"
 PROOF_INCLUDED = "ProofIncluded"
 BLANKED = "Blanked"
 ADVERSARY_RELEASE = "AdversaryRelease"
-ADVERSARY_PUSH = "AdversaryPush"
 LEAD_SAMPLE = "LeadSample"
 LEDGER_OUTPUT = "LedgerOutput"
 
 KINDS = (META, BPO, BLOCK_PRODUCED, HEADER_DELIVERED, CONTENT_UPLOADED,
          CONTENT_FETCHED, PRETEND_EMPTY, CHAIN_SWITCHED, EQUIVOCATION_SEEN,
-         PROOF_INCLUDED, BLANKED, ADVERSARY_RELEASE, ADVERSARY_PUSH,
-         LEAD_SAMPLE, LEDGER_OUTPUT)
+         PROOF_INCLUDED, BLANKED, ADVERSARY_RELEASE, LEAD_SAMPLE,
+         LEDGER_OUTPUT)
 
 
 @dataclass

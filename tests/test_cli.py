@@ -62,6 +62,7 @@ def test_simulate_writes_artifacts_and_replays_bit_identically(tmp_path):
     assert len(rows) == 2
     assert [r["seed"] for r in rows] == ["7", "8"]
     assert all(r["audits_clean"] == "True" for r in rows)
+    assert all(r["tip_evictions"].isdigit() for r in rows)
 
     summary = json.loads((out1 / "summary.json").read_text())
     assert summary["audits_clean"] is True

@@ -119,18 +119,31 @@ def test_freshest_block_chases_the_newest_tip():
 
 def test_partial_cache_keeps_ten_newest_tasks():
     rig = Rig(rate=0.45)
-    firsts = []
+    firsts, chains = [], []
     for k in range(1, 12):
         chain = rig.chain(k, node_id=10 + k, upload=False)
         first = rig.store.contents[chain[0].commitment]
         rig.env.upload_content(chain[0], first, origin=9, slot=k - 1)
         firsts.append(chain[0])
+        chains.append(chain)
         rig.deliver(chain, k - 1)
         rig.step(k - 1)
     assert len(rig.node.partial) == 10
     assert firsts[0].id not in rig.node.partial
     assert firsts[1].id in rig.node.partial
     assert rig.node.partial[firsts[10].id] == pytest.approx(0.45)
+
+    # once its chain leads again, the dropped task pays from zero while a
+    # kept one pays only its remainder
+    for k, slot in ((1, 14), (0, 18)):
+        lead = rig.chain(40 - 10 * k, start_slot=slot, parent=chains[k][-1],
+                         node_id=40 + k, upload=False)
+        rig.deliver(lead[-1], slot)
+        rig.step(slot)
+    paid = {e.data["header"]: e.data["paid"]
+            for e in rig.trace.of_kind(tr.CONTENT_FETCHED)}
+    assert paid[firsts[1].id] == pytest.approx(0.55)
+    assert paid[firsts[0].id] == pytest.approx(1.0)
 
 
 def test_sapos_intake_rejects_late_proof():
@@ -196,4 +209,4 @@ def test_produce_extends_the_processed_chain():
     assert header.parent_id == chain[-1].id
     assert header.height == 3
     assert rig.node.dchain[-1] == header.id
-    assert rig.node.content_known[header.id] == content
+    assert rig.store.contents[header.commitment] == content

@@ -1,0 +1,64 @@
+"""Byte-identity of short attacked runs: the sha256 of each JSONL trace over
+protocol x policy is pinned, so a change to the simulator's internals that
+claims to keep its behaviour must reproduce these traces exactly."""
+import hashlib
+
+import pytest
+
+from nakasim import params as pm
+from nakasim.sim import Simulation
+
+
+def matrix_scenario(protocol: str, policy: str) -> dict:
+    """8 nodes, 2,000 slots: the PoW teaser, or equivocation spam on PoS,
+    fast enough that the 100-tip scheduler cap is reached."""
+    if protocol == pm.PROTOCOL_POW:
+        attack, beta, rho = pm.ATTACK_TEASER, 0.45, 0.1
+    else:
+        attack, beta, rho = pm.ATTACK_POS_TEASER, 0.4, 0.2
+    return {"sim": {"n_nodes": 8, "tau": 0.1, "delta_h": 0.2, "c_tilde": 0.5,
+                    "beta": beta, "rho": rho, "capacity": 1.0,
+                    "horizon_slots": 2000, "seed": 1},
+            "attack": {"strategy": attack},
+            "protocol": protocol, "policy": policy}
+
+
+def trace_digest(sim: Simulation) -> str:
+    """sha256 of the trace as `write_jsonl` writes it."""
+    body = "".join(ev.to_json() + "\n" for ev in sim.trace)
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+# (protocol, policy) -> (trace sha256, tip evictions summed over nodes)
+PINNED = {
+    ("pow", "longest-header-chain"):
+        ("f3f02809a2a2c00d0f3703978da5112b2ef9f0781b4281cd0d36424feae512d9", 0),
+    ("pow", "greedy"):
+        ("c4aaeb1000091a4a774cb2238f89992ae656ee5bd426931b72a9cec46c6bd847", 0),
+    ("pow", "freshest-block"):
+        ("c833714cff112c570730409b280abef1be0502431c808166ea665de8d11d4b96", 0),
+    ("pos", "longest-header-chain"):
+        ("a5187ed1235b33b0e6dab12d935cc359e9f4ff2bc5d0e5c76e457c395c630885", 0),
+    ("pos", "greedy"):
+        ("3fe9952b5797a88664bdabfa382e83fc7ee0082a5da454f1032d2b2537c31b18", 660),
+    ("pos", "freshest-block"):
+        ("f0cd28cbc0b5584b170fbfbc425f056db5c84b301fe2145cc1b20c61641b4ffd", 139),
+    ("sapos", "longest-header-chain"):
+        ("9fec24da29929f12699e1f6d61bdb7e7ff193138790e90e9fca3eb1f4f25dba4", 0),
+    ("sapos", "greedy"):
+        ("0e6764bdf268dba1de25a060de4aac5bdad8123d5ec5a5ea9add3930358ea9af", 0),
+    ("sapos", "freshest-block"):
+        ("7893aa6bd1b13c340cc2085bb3ec89162c23c809366414e5f7003e78524e1f14", 0),
+}
+
+
+@pytest.mark.parametrize("protocol,policy", sorted(PINNED))
+def test_trace_digest_is_pinned(protocol, policy):
+    sim = Simulation(pm.scenario_from_dict(matrix_scenario(protocol, policy)))
+    metrics = sim.run()
+    assert metrics.audits["clean"]
+    assert (trace_digest(sim), metrics.tip_evictions) == PINNED[protocol, policy]
+
+
+def test_the_matrix_reaches_the_tip_cap():
+    assert any(evictions for _, evictions in PINNED.values())
