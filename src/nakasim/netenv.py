@@ -28,9 +28,16 @@ class CommitmentMismatch(Exception):
     """Uploaded content does not match the header commitment it claims."""
 
 
+FETCH_SLACK = 1e-9   # a request fetches when tokens + FETCH_SLACK >= remaining
+
+
 class CapacityMeter:
     """Token bucket in units of blocks. Unspent tokens carry across slots up
-    to a one-block cap, on top of the current slot's refill."""
+    to a one-block cap, on top of the current slot's refill.
+
+    A node throttled on one download is not polled in the slots it sleeps
+    through; `spend_refills` pays those slots afterwards, in the same float
+    steps as polling would have."""
 
     CARRY_CAP = 1.0
 
@@ -51,6 +58,30 @@ class CapacityMeter:
                 self.tokens = min(self.tokens + elapsed * self.rate, cap)
             self._slot = slot
         return self.tokens
+
+    def spend_refills(self, through: int) -> int:
+        """Spend the whole refill of every slot after the last sync up to
+        `through`, as a download throttled in each of them does, starting
+        from an empty bucket. Returns the number of slots paid."""
+        slots = through - self._slot
+        if slots <= 0:
+            return 0
+        for _ in range(slots):
+            self.spent_total += self.rate
+        self.tokens = 0.0
+        self._slot = through
+        return slots
+
+    def completion_slot(self, paid: float, slot: int) -> int:
+        """The slot in which a download left throttled at `slot`, with
+        `paid` banked, is fetched when every later slot spends its whole
+        refill on it. The sums are replayed slot by slot, so they match
+        the ones a per-slot poll banks bit for bit."""
+        done = slot + 1
+        while self.rate + FETCH_SLACK < 1.0 - paid:
+            paid += self.rate
+            done += 1
+        return done
 
     def spend(self, amount: float) -> None:
         self.tokens -= amount
@@ -187,7 +218,7 @@ class Environment:
         meter = self.meters[node]
         tokens = meter.sync(slot)
         remaining = 1.0 - already_paid
-        if tokens + 1e-9 >= remaining:
+        if tokens + FETCH_SLACK >= remaining:
             meter.spend(min(remaining, tokens))
             self.fetch_count[node] += 1
             return RequestOutcome.FETCHED, remaining

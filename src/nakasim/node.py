@@ -6,6 +6,13 @@ processed chain when it wins a production opportunity.  Processing one block
 costs one unit of download budget; blanked content is free.  Partially paid
 downloads survive preemption in a small LRU cache.
 
+A node is stepped only when it is due: `wake` is the slot at which its
+throttled download completes, or the slot in which a new header or an
+upload reached it or it produced while busy, whichever comes first; IDLE
+when nothing is fetchable.  The slots a throttled node sleeps through are
+paid by `settle` before it is stepped again, in the same float steps as a
+per-slot poll.
+
 The scheduler keeps at most MAX_SCHEDULER_TIPS tips, each under its policy's
 key.  Keys end in the tip's seen order, so no two are equal, and the
 (key, tip) pairs are kept in ascending order: the scheduler walks them from
@@ -13,6 +20,7 @@ the top and eviction drops the bottom one.
 """
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -26,6 +34,7 @@ from .netenv import Environment, RequestOutcome
 
 MAX_SCHEDULER_TIPS = 100
 MAX_PARTIAL_TASKS = 10
+IDLE = sys.maxsize   # wake slot of a node with nothing to download
 
 
 @dataclass
@@ -66,20 +75,30 @@ class Node:
         self._pending: dict[int, Optional[deque]] = {}
         self.tip_evictions = 0
         self.partial: OrderedDict[int, float] = OrderedDict()
+        # the download the last step ended throttled on, None if it idled
+        self.throttled: Optional[int] = None
+        self._resorted = False
         self.unavailable: set[int] = set()
         self._unavailable_by_commitment: dict[int, set[int]] = {}
 
         self.dchain: list[int] = []           # header ids, height 1..len
-        self.proofed_targets: set[int] = set()  # proof targets on current dchain
+        # id -> number of dchain blocks carrying it: proof targets, and the
+        # transactions of processed blocks
+        self.proofed_targets: dict[int, int] = {}
+        self.included_txids: dict[str, int] = {}
         self.confirmed_len = 0
         self.confirmed_tip = g
         self._ledger_blanked: dict[int, bool] = {}
 
-        self.pool: deque = deque()
-        self.included_txids: set = set()
+        self.tx_log: list[tuple[int, tuple]] = []   # shared (slot, tx) feed
+        self.tx_cursor = 0
 
-        self.active = False
+        self.wake = IDLE
         self.invalid_header_count = 0
+
+    @property
+    def active(self) -> bool:
+        return self.wake != IDLE
 
     # -- header intake --------------------------------------------------
 
@@ -114,7 +133,7 @@ class Node:
             self._insert(h, slot)
             inserted.append(h.id)
         if inserted:
-            self.active = True
+            self.wake = slot
         return inserted
 
     def _validate(self, h: BlockHeader) -> bool:
@@ -160,13 +179,13 @@ class Node:
         del self._order[bisect_left(self._order, (key, tip_id))]
         return self._pending.pop(tip_id)
 
-    def content_uploaded(self, commitment: int) -> None:
+    def content_uploaded(self, commitment: int, slot: int) -> None:
         """Clear the known-unavailable memo for headers waiting on this
         commitment; the scheduler may retry them this slot."""
         ids = self._unavailable_by_commitment.pop(commitment, None)
         if ids:
             self.unavailable.difference_update(ids)
-            self.active = True
+            self.wake = slot
 
     # -- scheduling -------------------------------------------------------
 
@@ -198,17 +217,21 @@ class Node:
             return (h.height - len(self._pending_for(tip_id)), h.height, order)
         return (h.height, order)
 
-    def _rekey_greedy(self) -> None:
+    def _rekey_greedy(self) -> bool:
         """Greedy keys lead with the processed prefix, which grows when a
-        block is processed or blanked: move the tips whose key changed."""
+        block is processed or blanked: move the tips whose key changed.
+        Returns whether any tip moved."""
+        moved = False
         if self.policy != pm.POLICY_GREEDY:
-            return
+            return moved
         for tip_id, key in list(self.tips.items()):
             new = self._key(tip_id)
             if new != key:
                 self.tips[tip_id] = new
                 del self._order[bisect_left(self._order, (key, tip_id))]
                 insort(self._order, (new, tip_id))
+                moved = True
+        return moved
 
     def schedule_target(self, slot: int) -> Optional[BlockHeader]:
         """Pick the next block to download under the configured policy,
@@ -242,18 +265,24 @@ class Node:
                     break
             for tip_id in finished:
                 self._drop_tip(tip_id)
-            if acted:
-                self._rekey_greedy()
+            # a pass that blanked re-keys after choosing: the next pass may
+            # then walk the tips in another order and choose another target
+            self._resorted = acted and self._rekey_greedy()
             if target is not None or not acted:
                 return target
 
     def process_step(self, slot: int) -> None:
         """Spend this slot's remaining budget on scheduled downloads; called
-        once per slot after deliveries and production."""
+        after deliveries and production, in slots where the node is due.
+        Ends by setting `wake`: IDLE when nothing is fetchable, else the
+        slot at which the throttled download completes if nothing reaches
+        the node before.  Slots skipped in between are not paid here: the
+        caller settles them before the next step."""
         while True:
             target = self.schedule_target(slot)
             if target is None:
-                self.active = False
+                self.wake = IDLE
+                self.throttled = None
                 return
             paid = self.partial.get(target.id, 0.0)
             outcome, newly = self.env.request_content(self.id, target, paid, slot)
@@ -270,11 +299,34 @@ class Node:
                 continue
             # throttled: bank the partial payment, keep the task warm
             if newly > 0.0:
-                self.partial[target.id] = paid + newly
-                self.partial.move_to_end(target.id)
-                if len(self.partial) > MAX_PARTIAL_TASKS:
-                    self.partial.popitem(last=False)   # oldest work is lost
+                self._bank(target.id, paid + newly)
+            self.throttled = target.id
+            if self._resorted:
+                self.wake = slot + 1
+            else:
+                self.wake = self.env.meters[self.id].completion_slot(
+                    self.partial.get(target.id, 0.0), slot)
             return
+
+    def settle(self, slot: int) -> None:
+        """Pay the throttled download for every slot the node slept through
+        before `slot`, as a step in each of them would have: the slot's
+        whole refill, banked one float add at a time."""
+        if self.throttled is None:
+            return
+        meter = self.env.meters[self.id]
+        slept = meter.spend_refills(slot - 1)
+        if slept:
+            paid = self.partial.get(self.throttled, 0.0)
+            for _ in range(slept):
+                paid += meter.rate
+            self._bank(self.throttled, paid)
+
+    def _bank(self, header_id: int, paid: float) -> None:
+        self.partial[header_id] = paid
+        self.partial.move_to_end(header_id)
+        if len(self.partial) > MAX_PARTIAL_TASKS:
+            self.partial.popitem(last=False)   # oldest work is lost
 
     # -- processing and chain selection ------------------------------------
 
@@ -293,36 +345,41 @@ class Node:
         if h.height <= self.dchain_height:
             return
         old_tip = self.dchain_tip
-        extension = h.parent_id == old_tip
-        if extension:
-            self.dchain.append(h.id)
-            self._on_chain_extended(h)
-        else:
-            self.dchain = self.store.chain_to(h.id)
-            self._rebuild_chain_state()
+        chain = self.dchain
+        # walk down to the current chain: the cost is the depth of the reorg
+        suffix = []
+        cur = h
+        while cur.height and not (cur.height <= len(chain)
+                                  and chain[cur.height - 1] == cur.id):
+            suffix.append(cur)
+            cur = self.store.get(cur.parent_id)
+        for hid in chain[cur.height:]:
+            self._count_chain_block(self.store.get(hid), -1)
+        del chain[cur.height:]
+        for blk in reversed(suffix):
+            chain.append(blk.id)
+            self._count_chain_block(blk, 1)
         self.trace.emit(slot, tr.CHAIN_SWITCHED, node=self.id, old=old_tip,
-                        new=h.id, height=h.height, switch=not extension)
+                        new=h.id, height=h.height,
+                        switch=h.parent_id != old_tip)
         self._update_ledger(slot)
 
-    def _on_chain_extended(self, h: BlockHeader) -> None:
-        for proof in h.proofs:
-            self.proofed_targets.add(proof.target)
+    def _count_chain_block(self, h: BlockHeader, step: int) -> None:
+        """Add (step 1) or remove (step -1) a dchain block's proof targets
+        and, if it was processed, its transactions.  Whether a block is
+        processed or blanked never changes once it is done, so leaving the
+        chain removes exactly what joining added."""
+        marks = [(self.proofed_targets, proof.target) for proof in h.proofs]
         if h.id in self.processed:
             content = self._content_of(h)
             if content is not None:
-                self.included_txids.update(t[0] for t in content.txs)
-
-    def _rebuild_chain_state(self) -> None:
-        self.proofed_targets = set()
-        self.included_txids = set()
-        for hid in self.dchain:
-            h = self.store.get(hid)
-            for proof in h.proofs:
-                self.proofed_targets.add(proof.target)
-            if hid in self.processed:
-                content = self._content_of(h)
-                if content is not None:
-                    self.included_txids.update(t[0] for t in content.txs)
+                marks += [(self.included_txids, t[0]) for t in content.txs]
+        for counts, key in marks:
+            n = counts.get(key, 0) + step
+            if n:
+                counts[key] = n
+            else:
+                del counts[key]
 
     def _content_of(self, h: BlockHeader) -> Optional[Content]:
         if h.commitment in self.env.cloud or h.id in self.processed:
@@ -361,9 +418,9 @@ class Node:
     # -- production ---------------------------------------------------------
 
     def try_produce(self, bpo: BpoId, slot: int) -> tuple[BlockHeader, Content]:
-        """Extend the longest processed chain with a new block; empty pool
-        still yields an (empty) block."""
-        txs = self._take_txs()
+        """Extend the longest processed chain with a new block; an empty
+        feed still yields an (empty) block."""
+        txs = self._take_txs(slot)
         proofs = sp.attach_proofs(self, slot) if self.sapos else ()
         content = self.store.make_content(txs, producer=self.id)
         extend = (self.store.pow_extend if self.protocol == pm.PROTOCOL_POW
@@ -382,25 +439,28 @@ class Node:
         if self.tip_evictions == evictions:
             self._rekey_greedy()
         self._after_processed(header.id, slot)
+        if self.active:
+            self.wake = slot   # its target's tip may be evicted or re-keyed
         return header, content
 
-    def _take_txs(self) -> tuple:
+    def _take_txs(self, slot: int) -> tuple:
+        """Fill a block, oldest first, from the feed's transactions generated
+        before `slot`, skipping those the chain already includes; the cursor
+        moves past everything taken or skipped."""
+        log = self.tx_log
+        i = self.tx_cursor
         taken = []
         size = 0.0
-        while self.pool:
-            tx = self.pool[0]
-            if tx[0] in self.included_txids:
-                self.pool.popleft()
-                continue
-            if size + tx[1] > 1.0 + 1e-9:
-                break
-            taken.append(tx)
-            size += tx[1]
-            self.pool.popleft()
+        while i < len(log) and log[i][0] < slot:
+            tx = log[i][1]
+            if tx[0] not in self.included_txids:
+                if size + tx[1] > 1.0 + 1e-9:
+                    break
+                taken.append(tx)
+                size += tx[1]
+            i += 1
+        self.tx_cursor = i
         return tuple(taken)
-
-    def receive_tx(self, tx: tuple) -> None:
-        self.pool.append(tx)
 
     # -- output ---------------------------------------------------------
 

@@ -3,8 +3,13 @@ adversary together.
 
 Slot order: due header deliveries, lottery draws and block production,
 adversary reactions, then node processing against this slot's budget.
-Runs skip silent stretches: when every node is idle the loop jumps to the
-next lottery win, queued delivery, or partition heal.
+The loop visits only slots where something happens: a lottery win, a queued
+delivery, the partition heal, or a node's wake slot.  A node is stepped
+only in slots where it is due (see `Node.wake`); a throttled node sleeps
+until its download completes or something reaches it, and the slots it
+slept through are settled just before its next step and at the horizon.
+Transactions come from one feed shared by every node, so they do not pin
+the loop to every slot either.
 """
 from __future__ import annotations
 
@@ -144,6 +149,7 @@ class Simulation:
         self._lead_series: list[tuple[int, int]] = []
         self._last_lead = 0
         self._tx_counts = None
+        self.slot = 0
         self._precompute_lottery()
 
     # -- strategy/miner facade ------------------------------------------
@@ -214,14 +220,32 @@ class Simulation:
     # -- event loop -------------------------------------------------------
 
     def _on_upload(self, node: int, commitment: int) -> None:
-        self.nodes[node].content_uploaded(commitment)
+        self.nodes[node].content_uploaded(commitment, self.slot)
+
+    def _tx_log(self) -> list[tuple[int, tuple]]:
+        """The transaction feed as (slot generated, (txid, size)), in order.
+        Generation stops at the first slot that begins with at least
+        `horizon_slots` transactions generated."""
+        log: list[tuple[int, tuple]] = []
+        if self._tx_counts is None:
+            return log
+        horizon = self.params.horizon_slots
+        size = self.scenario.txgen.tx_size
+        for slot in np.nonzero(self._tx_counts)[0].tolist():
+            if len(log) >= horizon:
+                break
+            for _ in range(int(self._tx_counts[slot])):
+                log.append((slot, (f"tx{slot}_{len(log)}", size)))
+        return log
 
     def run(self) -> RunMetrics:
-        p = self.params
-        horizon = p.horizon_slots
+        horizon = self.params.horizon_slots
+        tx_log = self._tx_log()
+        for node in self.nodes.values():
+            node.tx_log = tx_log
         slot = 0
-        tx_seq = 0
         while slot < horizon:
+            self.slot = slot
             if self._heal_slot is not None and slot >= self._heal_slot:
                 self.env.heal_notify_all()
                 self._heal_slot = None
@@ -248,16 +272,12 @@ class Simulation:
                             BpoId(slot, adv.SPV_NODE, False,
                                   h_cnt + a_cnt + k), slot)
 
-            if self._tx_counts is not None and tx_seq < horizon:
-                for _ in range(int(self._tx_counts[slot])):
-                    tx = (f"tx{slot}_{tx_seq}", self.scenario.txgen.tx_size)
-                    tx_seq += 1
-                    for n in self.honest_ids:
-                        self.nodes[n].receive_tx(tx)
-
+            # in honest_ids order: the order of a slot's events in the trace
+            # depends on it
             for n in self.honest_ids:
                 node = self.nodes[n]
-                if node.active:
+                if node.wake <= slot:
+                    node.settle(slot)
                     node.process_step(slot)
                     self._check_non_idleness(node, slot)
 
@@ -269,6 +289,8 @@ class Simulation:
 
             slot = self._advance(slot)
 
+        for node in self.nodes.values():
+            node.settle(horizon)
         return self._finalize()
 
     def _honest_produce(self, bpo: BpoId, slot: int) -> None:
@@ -292,10 +314,8 @@ class Simulation:
 
     def _advance(self, slot: int) -> int:
         nxt = slot + 1
-        if any(self.nodes[n].active for n in self.honest_ids) \
-                or self._tx_counts is not None:
-            return nxt
-        candidates = [self.params.horizon_slots, self._next_busy_slot(nxt)]
+        candidates = [self.params.horizon_slots, self._next_busy_slot(nxt),
+                      min(node.wake for node in self.nodes.values())]
         nd = self.env.next_delivery_slot()
         if nd is not None:
             candidates.append(nd)

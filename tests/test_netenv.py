@@ -148,3 +148,33 @@ def test_heal_notify_wakes_cross_half_waiters():
     assert outcome is RequestOutcome.UNAVAILABLE
     env.heal_notify_all()
     assert woken == [1]
+
+
+
+# rates a hair under 1/n put the fetch test right at its 1e-9 tolerance,
+# where a closed form drifts from the per-slot float sums
+@pytest.mark.parametrize("rate", [(1 - 1e-9) / n for n in range(3, 13)]
+                         + [0.07, 0.1, 0.33])
+@pytest.mark.parametrize("paid", [0.0, 0.05])
+def test_throttled_slots_paid_late_match_per_slot_requests(rate, paid):
+    store = HeaderStore()
+    h, c = mk_header(store)
+    polled, lazy = (Environment([0], rate, delay_slots=0) for _ in range(2))
+    for env in (polled, lazy):
+        env.upload_content(h, c, origin=0, slot=0)
+        outcome, newly = env.request_content(0, h, paid, 1)
+        assert outcome is RequestOutcome.THROTTLED
+    paid += newly
+    done = polled.meters[0].completion_slot(paid, 1)
+    lazy_paid = paid
+    for slot in range(2, done):
+        outcome, newly = polled.request_content(0, h, paid, slot)
+        assert outcome is RequestOutcome.THROTTLED
+        paid += newly
+    assert lazy.meters[0].spend_refills(done - 1) == done - 2
+    for _ in range(done - 2):
+        lazy_paid += rate
+    assert lazy_paid == paid
+    assert lazy.meters[0].spent_total == polled.meters[0].spent_total
+    for env, p in ((polled, paid), (lazy, lazy_paid)):
+        assert env.request_content(0, h, p, done)[0] is RequestOutcome.FETCHED

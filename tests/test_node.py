@@ -86,7 +86,7 @@ def test_greedy_prefers_the_longer_processed_prefix():
     for h in (fork_a[5], fork_b[3]):
         content = rig.store.contents[h.commitment]
         rig.env.upload_content(h, content, origin=9, slot=11)
-        rig.node.content_uploaded(content.commitment)
+        rig.node.content_uploaded(content.commitment, 11)
     target = rig.node.schedule_target(11)
     assert target.id == fork_a[5].id   # prefix 5 over height 9
 
@@ -104,7 +104,7 @@ def test_longest_header_chain_prefers_height_in_the_same_spot():
     for h in (fork_a[5], fork_b[3]):
         content = rig.store.contents[h.commitment]
         rig.env.upload_content(h, content, origin=9, slot=11)
-        rig.node.content_uploaded(content.commitment)
+        rig.node.content_uploaded(content.commitment, 11)
     target = rig.node.schedule_target(11)
     assert target.id == fork_b[3].id   # height 9 over height 6
 
@@ -144,6 +144,32 @@ def test_partial_cache_keeps_ten_newest_tasks():
             for e in rig.trace.of_kind(tr.CONTENT_FETCHED)}
     assert paid[firsts[1].id] == pytest.approx(0.55)
     assert paid[firsts[0].id] == pytest.approx(1.0)
+
+
+def test_reorg_releases_only_the_orphaned_transactions():
+    """A switch drops the orphaned blocks' transactions from the included
+    set, so the node may take them again, but keeps a transaction that a
+    block still on the chain carries as well."""
+    rig = Rig(rate=50.0)
+    g = rig.store.genesis
+    a1, _ = rig.grow(g, 1, txs=(("t1", 0.25),))
+    a2, _ = rig.grow(a1, 2, txs=(("t1", 0.25), ("t2", 0.25)))
+    rig.deliver(a2, 3)
+    rig.step(3)
+    assert rig.node.dchain == [a1.id, a2.id]
+    assert set(rig.node.included_txids) == {"t1", "t2"}
+    b2, _ = rig.grow(a1, 4, node_id=2)
+    b3, _ = rig.grow(b2, 5, node_id=2)
+    rig.deliver(b3, 6)
+    rig.step(6)
+    assert rig.node.dchain == [a1.id, b2.id, b3.id]
+    assert set(rig.node.included_txids) == {"t1"}
+    c3, _ = rig.grow(a2, 7, node_id=3)
+    c4, _ = rig.grow(c3, 8, node_id=3)
+    rig.deliver(c4, 9)
+    rig.step(9)
+    assert rig.node.dchain == [a1.id, a2.id, c3.id, c4.id]
+    assert set(rig.node.included_txids) == {"t1", "t2"}
 
 
 def test_sapos_intake_rejects_late_proof():

@@ -133,7 +133,7 @@ class ReferenceNode(nd.Node):
         self._after_processed(header_id, slot)
 
     def try_produce(self, bpo, slot):
-        txs = self._take_txs()
+        txs = self._take_txs(slot)
         proofs = sp.attach_proofs(self, slot) if self.sapos else ()
         content = self.store.make_content(txs, producer=self.id)
         extend = (self.store.pow_extend if self.protocol == pm.PROTOCOL_POW
@@ -244,7 +244,7 @@ class TreeDriver:
             if content is not None:
                 self.rig.env.upload_content(h, content, origin=7,
                                             slot=self.slot)
-                node.content_uploaded(content.commitment)
+                node.content_uploaded(content.commitment, self.slot)
         elif kind == "produce":
             self.slot += 1
             header, content = node.try_produce(
