@@ -110,6 +110,23 @@ class IndexSeries:
         return len(self.slots)
 
 
+def _processed_slots(run_trace: tr.Trace) -> dict[tuple[int, int], int]:
+    """(node, header) -> the earliest slot at which the node had the block:
+    its own honest production, a fetch, or a blank."""
+    seen = [((ev.data["producer"], ev.data["header"]), ev.slot)
+            for ev in run_trace.of_kind(tr.BLOCK_PRODUCED)
+            if ev.data["cls"] == "honest"]
+    seen += [((ev.data["node"], ev.data["header"]), ev.slot)
+             for kind in (tr.CONTENT_FETCHED, tr.PRETEND_EMPTY)
+             for ev in run_trace.of_kind(kind)]
+    # the kinds come one after the other, so keep the minimum explicitly
+    processed: dict[tuple[int, int], int] = {}
+    for key, slot in seen:
+        if slot < processed.get(key, slot + 1):
+            processed[key] = slot
+    return processed
+
+
 def classify(run_trace: tr.Trace, nu: int) -> IndexSeries:
     """Build the index series from a trace: slot classes from production
     counts, download success from per-node processing completions."""
@@ -126,19 +143,7 @@ def classify(run_trace: tr.Trace, nu: int) -> IndexSeries:
         if ev.data["cls"] == "honest":
             produced_at.setdefault(ev.data["bpo_slot"], []).append(ev.data)
 
-    processed: dict[tuple[int, int], int] = {}
-
-    def note(node: int, header: int, slot: int) -> None:
-        key = (node, header)
-        if key not in processed or slot < processed[key]:
-            processed[key] = slot
-
-    for ev in run_trace.events:
-        if ev.kind == tr.BLOCK_PRODUCED and ev.data["cls"] == "honest":
-            note(ev.data["producer"], ev.data["header"], ev.slot)
-        elif ev.kind in (tr.CONTENT_FETCHED, tr.PRETEND_EMPTY):
-            note(ev.data["node"], ev.data["header"], ev.slot)
-
+    processed = _processed_slots(run_trace)
     slots = sorted(counts)
     n = len(slots)
     good = np.zeros(n, dtype=bool)
@@ -349,8 +354,9 @@ def audit_budget(run_trace: tr.Trace, series: IndexSeries,
     honest node that missed the block must have completed at least c_tilde
     fetches of blocks produced after the latest prior combinatorial pivot.
 
-    Cost: one pass over the events, then per miss a bisection into the
-    node's fetch slots and a scan of the fetches inside [t, t + nu] only."""
+    Cost: one pass over the productions, fetches and blanks, then per miss
+    a bisection into the node's fetch slots and a scan of the fetches
+    inside [t, t + nu] only."""
     result = AuditResult("download-budget", True)
     if c_tilde is None or c_tilde <= 0.0:
         result.inconclusive = True
@@ -362,21 +368,16 @@ def audit_budget(run_trace: tr.Trace, series: IndexSeries,
         return result
     table = _header_table(run_trace)
 
-    # per node, requested fetches in slot order (the trace is slot-ordered)
+    # per node, requested fetches in slot order (the kind's list is in trace
+    # order, and the trace is slot-ordered)
     fetch_slots: dict[int, list[int]] = {p: [] for p in honest}
     fetch_headers: dict[int, list[int]] = {p: [] for p in honest}
-    processed: dict[tuple[int, int], int] = {}
-    for ev in run_trace.events:
-        if ev.kind == tr.CONTENT_FETCHED:
-            node, header = ev.data["node"], ev.data["header"]
-            if node in fetch_slots and ev.data.get("via", "request") == "request":
-                fetch_slots[node].append(ev.slot)
-                fetch_headers[node].append(header)
-            processed.setdefault((node, header), ev.slot)
-        elif ev.kind == tr.PRETEND_EMPTY:
-            processed.setdefault((ev.data["node"], ev.data["header"]), ev.slot)
-        elif ev.kind == tr.BLOCK_PRODUCED and ev.data["cls"] == "honest":
-            processed.setdefault((ev.data["producer"], ev.data["header"]), ev.slot)
+    for ev in run_trace.of_kind(tr.CONTENT_FETCHED):
+        node = ev.data["node"]
+        if node in fetch_slots and ev.data.get("via", "request") == "request":
+            fetch_slots[node].append(ev.slot)
+            fetch_headers[node].append(ev.data["header"])
+    processed = _processed_slots(run_trace)
 
     required = math.floor(c_tilde - 1e-9)
     last_cp_slot = 0

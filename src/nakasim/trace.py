@@ -1,13 +1,26 @@
 """Run traces: an ordered list of per-slot events plus a metadata record.
 
-Events serialize to JSON Lines with sorted keys, so identical runs produce
-byte-identical files.  The first record of a file is always the Meta record
-describing the scenario that produced the trace.
+Events serialize to JSON Lines with sorted keys through one module-level
+encoder, so identical runs produce byte-identical files.  The first record
+of a file is always the Meta record describing the scenario that produced
+the trace.
+
+`read_jsonl` parses a file 4,096 lines at a time: the non-blank lines of a
+batch are joined into one JSON array and decoded by a single `json.loads`
+(a JSON string cannot hold a raw newline, so a line boundary never falls
+inside a value).  A batch that does not decode to one record per line is
+parsed again line by line, which names the bad line.
+
+Besides the event list, a `Trace` keeps one list per kind, filled by `emit`
+and by `read_jsonl`; `of_kind` returns a copy of that list and never scans
+the events.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Iterable, Iterator
 
 META = "Meta"
@@ -30,16 +43,18 @@ KINDS = (META, BPO, BLOCK_PRODUCED, HEADER_DELIVERED, CONTENT_UPLOADED,
          PROOF_INCLUDED, BLANKED, ADVERSARY_RELEASE, LEAD_SAMPLE,
          LEDGER_OUTPUT)
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_BATCH_LINES = 4096
 
-@dataclass
+
+@dataclass(slots=True)
 class TraceEvent:
     slot: int
     kind: str
     data: dict
 
     def to_json(self) -> str:
-        return json.dumps({"slot": self.slot, "kind": self.kind, **self.data},
-                          sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode({"slot": self.slot, "kind": self.kind, **self.data})
 
 
 class Trace:
@@ -48,6 +63,7 @@ class Trace:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.events: list[TraceEvent] = []
+        self._by_kind: dict[str, list[TraceEvent]] = {k: [] for k in KINDS}
         self._last_slot = -(1 << 60)
 
     def emit(self, slot: int, kind: str, **data: Any) -> None:
@@ -55,8 +71,14 @@ class Trace:
             return
         if slot < self._last_slot:
             raise AssertionError(f"trace slot went backwards: {slot} after {self._last_slot}")
+        try:
+            of_kind = self._by_kind[kind]
+        except KeyError:
+            raise ValueError(f"unknown event kind {kind!r}") from None
         self._last_slot = slot
-        self.events.append(TraceEvent(slot, kind, data))
+        ev = TraceEvent(slot, kind, data)
+        self.events.append(ev)
+        of_kind.append(ev)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
@@ -65,7 +87,8 @@ class Trace:
         return len(self.events)
 
     def of_kind(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
+        """The events of one kind in trace order, as a new list."""
+        return list(self._by_kind.get(kind, ()))
 
     @property
     def meta(self) -> dict:
@@ -76,7 +99,6 @@ class Trace:
 
 def write_jsonl(trace: Iterable[TraceEvent], path: str) -> None:
     """Write events atomically (temp file + rename)."""
-    import os
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         for ev in trace:
@@ -86,19 +108,66 @@ def write_jsonl(trace: Iterable[TraceEvent], path: str) -> None:
 
 
 def read_jsonl(path: str) -> Trace:
+    """Read a trace written by `write_jsonl`. A bad record raises with the
+    file and line: invalid JSON or an unknown kind as `ValueError`, a
+    missing `slot` or `kind` as `KeyError`, a slot that goes backwards as
+    `AssertionError`."""
     trace = Trace()
+    events, by_kind = trace.events, trace._by_kind
+    last_slot = trace._last_slot
+    line_no = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+        while batch := list(islice(fh, _BATCH_LINES)):
+            first, line_no = line_no + 1, line_no + len(batch)
+            lines = [s for s in map(str.strip, batch) if s]
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            slot = rec.pop("slot")
-            kind = rec.pop("kind")
-            if kind not in KINDS:
-                raise ValueError(f"{path}:{line_no}: unknown event kind {kind!r}")
-            trace.emit(slot, kind, **rec)
+                recs = json.loads("[" + ",".join(lines) + "]")
+            except json.JSONDecodeError:
+                recs = None
+            if recs is None or len(recs) != len(lines):
+                recs = _parse_lines(path, batch, first)
+            done = len(events)
+            try:
+                for rec in recs:
+                    slot = rec.pop("slot")
+                    kind = rec.pop("kind")
+                    of_kind = by_kind.get(kind)
+                    if of_kind is None:
+                        raise ValueError(f"unknown event kind {kind!r}")
+                    if slot < last_slot:
+                        raise AssertionError(
+                            f"trace slot went backwards: {slot} after {last_slot}")
+                    last_slot = slot
+                    ev = TraceEvent(slot, kind, rec)
+                    events.append(ev)
+                    of_kind.append(ev)
+            except (KeyError, ValueError, AssertionError) as exc:
+                where = _line_of(batch, first, len(events) - done)
+                what = f"missing {exc}" if isinstance(exc, KeyError) else exc
+                raise type(exc)(f"{path}:{where}: {what}") from None
+    trace._last_slot = last_slot
     return trace
+
+
+def _parse_lines(path: str, batch: list[str], first: int) -> list:
+    """Decode a batch one line at a time; the first bad line raises."""
+    recs = []
+    for line_no, line in enumerate(batch, first):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            recs.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+    return recs
+
+
+def _line_of(batch: list[str], first: int, index: int) -> int:
+    """Line number of the batch's `index`-th non-blank line (from 0)."""
+    for line_no, line in enumerate(batch, first):
+        if line.strip():
+            if index == 0:
+                return line_no
+            index -= 1
+    raise IndexError(index)

@@ -100,6 +100,9 @@ class MiniRun:
         self.trace.emit(slot, tr.CONTENT_FETCHED, node=node, header=header,
                         via="request", paid=paid)
 
+    def blank(self, slot, node, header):
+        self.trace.emit(slot, tr.PRETEND_EMPTY, node=node, header=header)
+
     def switch(self, slot, node, tip):
         self.trace.emit(slot, tr.CHAIN_SWITCHED, node=node, new=tip,
                         height=self.height[tip])

@@ -343,7 +343,24 @@ def budget_oracle(run_trace, series, cp_flags, c_tilde):
     return result
 
 
+def processed_oracle(run_trace):
+    """classify's old pass: the earliest slot per (node, header) at which a
+    node produced, fetched or blanked a block, over every event."""
+    processed = {}
+    for ev in run_trace.events:
+        if ev.kind == tr.BLOCK_PRODUCED and ev.data["cls"] == "honest":
+            key = (ev.data["producer"], ev.data["header"])
+        elif ev.kind in (tr.CONTENT_FETCHED, tr.PRETEND_EMPTY):
+            key = (ev.data["node"], ev.data["header"])
+        else:
+            continue
+        if key not in processed or ev.slot < processed[key]:
+            processed[key] = ev.slot
+    return processed
+
+
 def assert_matches_oracles(run):
+    assert pv._processed_slots(run.trace) == processed_oracle(run.trace)
     series, cp = series_and_cp(run)
     fast = pv.audit_stabilization(run.trace, series, cp)
     assert fast == stabilization_oracle(run.trace, series, cp)
@@ -358,10 +375,10 @@ def assert_matches_oracles(run):
 
 @st.composite
 def histories(draw):
-    """Random block trees with fetches and tip switches: honest blocks on
-    the tallest tip (sometimes on an older one), adversary forks that nodes
-    may fetch and adopt, late defections, busy slots, a node that may never
-    switch and nodes whose first switch comes late."""
+    """Random block trees with fetches, blanks and tip switches: honest
+    blocks on the tallest tip (sometimes on an older one), adversary forks
+    that nodes may fetch and adopt, late defections, busy slots, a node
+    that may never switch and nodes whose first switch comes late."""
     nodes = tuple(range(draw(st.integers(1, 3))))
     run = MiniRun(nodes=nodes, horizon=400)
     silent = draw(st.sampled_from((None,) * 3 + nodes))
@@ -403,6 +420,9 @@ def histories(draw):
             if p != producer and draw(st.integers(0, 9)):
                 fetch_slot = slot + draw(lags)
                 actions.append((fetch_slot, run.fetch, (fetch_slot, p, hid), {}))
+            if p != producer and draw(st.integers(0, 5)) == 0:
+                blank_slot = slot + draw(lags)
+                actions.append((blank_slot, run.blank, (blank_slot, p, hid), {}))
             adopt = (draw(st.integers(0, 5)) > 0 if honest
                      else draw(st.integers(0, 3)) == 0)
             if adopt:
@@ -411,6 +431,23 @@ def histories(draw):
     for _, method, args, kwargs in actions:
         method(*args, **kwargs)
     return run
+
+
+@pytest.mark.parametrize("first,second", [("blank", "fetch"),
+                                           ("fetch", "blank")])
+def test_a_block_counts_as_processed_at_its_earliest_slot(first, second):
+    """Node 1 has the good block at slot 3 by one kind of event and at
+    slot 9, past the deadline, by the other; the audits read the kinds'
+    lists one after the other and must still take slot 3."""
+    run = MiniRun(nodes=(0, 1), horizon=60, protocol="sapos")
+    b1 = run.produce(2, producer=0)
+    getattr(run, first)(3, 1, b1)
+    run.produce(8, producer=0, parent=b1)
+    getattr(run, second)(9, 1, b1)
+    series, cp = series_and_cp(run)
+    assert series.downloaded.tolist()[0]
+    assert pv._processed_slots(run.trace)[1, b1] == 3
+    assert_matches_oracles(run)
 
 
 @given(histories())

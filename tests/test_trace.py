@@ -1,7 +1,15 @@
-"""Trace log ordering and JSON Lines round-trips."""
-import pytest
+"""Trace log ordering, the per-kind index and JSON Lines round-trips."""
+import json
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_trace_digests import matrix_scenario
+
+from nakasim import params as pm
 from nakasim import trace as tr
+from nakasim.sim import Simulation
 
 
 def small_trace():
@@ -69,3 +77,248 @@ def test_of_kind_filters():
     t = small_trace()
     assert len(t.of_kind(tr.BPO)) == 1
     assert t.of_kind(tr.BLANKED) == []
+
+
+# -- simulated traces ------------------------------------------------------
+
+def simulated(protocol, strategy, policy=pm.POLICY_LONGEST_HEADER_CHAIN,
+              **extra):
+    """A 600-slot run of the pinned digest matrix's 8-node scenario."""
+    cfg = matrix_scenario(protocol, policy)
+    cfg["sim"]["horizon_slots"] = 600
+    cfg["attack"] = {"strategy": strategy, **extra.pop("attack", {})}
+    cfg.update(extra)
+    sim = Simulation(pm.scenario_from_dict(cfg))
+    sim.run()
+    return sim.trace
+
+
+SIMULATED = {
+    "pow-teaser": lambda: simulated(pm.PROTOCOL_POW, pm.ATTACK_TEASER),
+    "pos-pos-teaser": lambda: simulated(pm.PROTOCOL_POS, pm.ATTACK_POS_TEASER),
+    # a planted equivocation after every release: blanks and proofs
+    "sapos-pos-teaser": lambda: simulated(
+        pm.PROTOCOL_SAPOS, pm.ATTACK_POS_TEASER, pm.POLICY_GREEDY,
+        attack={"sacrifice_every": 1}),
+    "partition": lambda: simulated(pm.PROTOCOL_POW, pm.ATTACK_PARTITION),
+    "txgen": lambda: simulated(pm.PROTOCOL_POW, pm.ATTACK_NONE,
+                               txgen={"sigma": 3.0, "tx_size": 0.01}),
+}
+
+
+def records(t):
+    return [(e.slot, e.kind, e.data) for e in t]
+
+
+def assert_index_matches_events(t):
+    for kind in tr.KINDS:
+        assert t.of_kind(kind) == [e for e in t.events if e.kind == kind]
+
+
+def assert_round_trips(t, tmp_path):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    tr.write_jsonl(t, str(first))
+    back = tr.read_jsonl(str(first))
+    tr.write_jsonl(back, str(second))
+    assert first.read_bytes() == second.read_bytes()
+    assert records(back) == records(t)
+    assert_index_matches_events(back)
+    return back
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATED))
+def test_simulated_traces_round_trip(name, tmp_path):
+    t = SIMULATED[name]()
+    assert_index_matches_events(t)
+    if name == "sapos-pos-teaser":
+        assert all(t.of_kind(k) for k in (tr.PRETEND_EMPTY, tr.BLANKED,
+                                          tr.PROOF_INCLUDED))
+    back = assert_round_trips(t, tmp_path)
+
+    # a trace read back keeps its index and its slot order as it grows
+    last = back.events[-1].slot
+    with pytest.raises(AssertionError):
+        back.emit(last - 1, tr.BPO, h=1, a=0)
+    for trace in (t, back):
+        trace.emit(last, tr.LEAD_SAMPLE, lead=3)
+        trace.emit(last + 5, tr.BPO, h=0, a=1, s=0, winners=[[9, False]])
+        trace.emit(last + 5, tr.BLANKED, node=0, block=1)
+    assert records(back) == records(t)
+    assert_index_matches_events(back)
+    assert_round_trips(back, tmp_path)
+
+
+def test_of_kind_returns_a_copy():
+    t = small_trace()
+    t.of_kind(tr.BPO).clear()
+    assert len(t.of_kind(tr.BPO)) == 1
+    assert t.of_kind("NoSuchKind") == []
+
+
+def test_emit_rejects_an_unknown_kind():
+    t = tr.Trace()
+    with pytest.raises(ValueError, match="unknown event kind 'Nonsense'"):
+        t.emit(0, "Nonsense")
+    assert len(t) == 0
+
+
+# -- reading in batches ----------------------------------------------------
+
+def bpo_lines(n, start_slot=0):
+    return [f'{{"a":0,"h":1,"kind":"Bpo","slot":{start_slot + i}}}\n'
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("bad_line", [1, 4096, 4097, 8193, 9000])
+def test_bad_json_names_its_line_across_batches(tmp_path, bad_line):
+    lines = bpo_lines(9000)
+    lines[bad_line - 1] = '{"slot":5,"kind":"Bpo",\n'
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=rf"bad\.jsonl:{bad_line}: invalid JSON"):
+        tr.read_jsonl(str(path))
+
+
+def test_a_line_holding_two_records_is_invalid(tmp_path):
+    """The joined batch would parse; the line alone does not."""
+    lines = bpo_lines(10)
+    lines[6] = '{"kind":"Bpo","slot":6},{"kind":"Bpo","slot":6}\n'
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"t\.jsonl:7: invalid JSON"):
+        tr.read_jsonl(str(path))
+
+
+def test_a_record_split_over_two_lines_is_invalid(tmp_path):
+    lines = bpo_lines(10)
+    lines[3:5] = ['{"kind":"Bpo","slot":3,"w":[{"x":1}\n', '{"y":2}]}\n']
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"t\.jsonl:4: invalid JSON"):
+        tr.read_jsonl(str(path))
+
+
+def test_unknown_kind_names_its_line(tmp_path):
+    lines = bpo_lines(5000)
+    lines[4099] = '{"kind":"Nonsense","slot":4099}\n'
+    lines[4000:4000] = ["\n", "   \n"]     # blank lines count as lines
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError,
+                       match=r"t\.jsonl:4102: unknown event kind 'Nonsense'"):
+        tr.read_jsonl(str(path))
+
+
+@pytest.mark.parametrize("missing", ["slot", "kind"])
+def test_missing_slot_or_kind_is_a_key_error_with_its_line(tmp_path, missing):
+    lines = bpo_lines(4100)
+    rec = {"slot": 4098, "kind": "Bpo"}
+    del rec[missing]
+    lines[4097] = json.dumps(rec) + "\n"
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(KeyError, match=rf"t\.jsonl:4098: missing '{missing}'"):
+        tr.read_jsonl(str(path))
+
+
+def test_blank_lines_inside_and_between_batches_are_skipped(tmp_path):
+    lines = bpo_lines(8500)
+    blank = ["\n", "  \t \n", "\r\n"]
+    # a run of blanks that straddles the first batch boundary, scattered
+    # blanks inside the second, and a batch that holds only blank lines
+    with_blanks = (lines[:4094] + blank + lines[4094:5000] + ["\n"]
+                   + lines[5000:6000] + blank + lines[6000:]
+                   + ["\n"] * 4096 + ["  \n"])
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(with_blanks))
+    back = tr.read_jsonl(str(path))
+    assert [e.slot for e in back] == list(range(8500))
+    assert len(back.of_kind(tr.BPO)) == 8500
+    assert all(e.data == {"a": 0, "h": 1} for e in back)
+
+
+@pytest.mark.parametrize("at", [5, 4096, 4097])
+def test_slots_going_backwards_fail_as_before(tmp_path, at):
+    lines = bpo_lines(5000)
+    lines[at - 1] = '{"kind":"Bpo","slot":0}\n'
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(AssertionError,
+                       match=rf"t\.jsonl:{at}: trace slot went backwards"):
+        tr.read_jsonl(str(path))
+
+
+def test_reading_parses_once_per_batch(tmp_path, monkeypatch):
+    """10,000 good records cost ceil(10000 / 4096) = 3 parse calls; blank
+    lines among them do not make a batch fall back to one call a line."""
+    lines = bpo_lines(10_000)
+    for i in range(0, 10_000, 500):
+        lines[i] += "\n"
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(lines))
+    calls = []
+    loads = tr.json.loads
+
+    def counting(text, *args, **kw):
+        calls.append(len(text))
+        return loads(text, *args, **kw)
+
+    monkeypatch.setattr(tr.json, "loads", counting)
+    back = tr.read_jsonl(str(path))
+    assert len(back) == 10_000
+    assert len(calls) <= math.ceil(10_000 / 4096)
+
+
+class Untouchable(list):
+    def __iter__(self):
+        raise AssertionError("events scanned")
+
+    def __getitem__(self, item):
+        raise AssertionError("events indexed")
+
+    def __len__(self):
+        raise AssertionError("events counted")
+
+
+def test_of_kind_does_not_scan_the_events():
+    t = small_trace()
+    expected = {k: [e for e in t.events if e.kind == k] for k in tr.KINDS}
+    t.events = Untouchable()
+    for kind in tr.KINDS:
+        assert t.of_kind(kind) == expected[kind]
+
+
+# -- the shared encoder against json.dumps ---------------------------------
+
+def dumps_oracle(ev):
+    """`to_json` as it was: a new encoder per call."""
+    return json.dumps({"slot": ev.slot, "kind": ev.kind, **ev.data},
+                      sort_keys=True, separators=(",", ":"))
+
+
+scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=2**63, max_value=2**200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.1 + 0.2, -0.0, 1e-300, 5e-324, 1e300,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.text(), st.sampled_from(["ü", "日本語", " ", "\x00", '"\\']))
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=4)),
+    max_leaves=20)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(tr.KINDS),
+       st.dictionaries(st.text(max_size=8), values, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_to_json_matches_json_dumps(slot, kind, data):
+    ev = tr.TraceEvent(slot, kind, data)
+    assert ev.to_json() == dumps_oracle(ev)
+
+
+def test_events_are_slotted():
+    ev = tr.TraceEvent(1, tr.BPO, {})
+    assert not hasattr(ev, "__dict__")
