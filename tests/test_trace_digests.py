@@ -6,6 +6,7 @@ import hashlib
 import pytest
 
 from nakasim import params as pm
+from nakasim import trace as tr
 from nakasim.sim import Simulation
 
 
@@ -62,3 +63,45 @@ def test_trace_digest_is_pinned(protocol, policy):
 
 def test_the_matrix_reaches_the_tip_cap():
     assert any(evictions for _, evictions in PINNED.values())
+
+
+def attack_scenario(protocol: str, **attack) -> dict:
+    """`matrix_scenario`'s run under longest-header-chain with another
+    attack block."""
+    out = matrix_scenario(protocol, pm.POLICY_LONGEST_HEADER_CHAIN)
+    out["attack"] = attack
+    return out
+
+
+# Adversary paths the matrix above never takes: the sacrifice plant and its
+# equivocated twin, header-only (SPV) miners grafting onto the teaser's
+# private chain, and the pure private attack.
+# name -> (scenario, trace sha256, tip evictions, sacrifices, SPV blocks)
+PINNED_ATTACKS = {
+    "sapos-sacrifice": (
+        attack_scenario(pm.PROTOCOL_SAPOS, strategy=pm.ATTACK_POS_TEASER,
+                        sacrifice_every=1),
+        "412f60a85c20e6c647c4fa7f312fe4dcad842efd324b38aede1f275c5931e6bf",
+        97, 39, 0),
+    "pow-teaser-spv": (
+        attack_scenario(pm.PROTOCOL_POW, strategy=pm.ATTACK_TEASER,
+                        spv_rate=0.2),
+        "0936ad63651ecd1666982fa991fbdd71790e0f09008059f1b5da89379d6149a9",
+        0, 0, 48),
+    "pos-private": (
+        attack_scenario(pm.PROTOCOL_POS, strategy=pm.ATTACK_PRIVATE),
+        "1f24b97d531b1119482bf25167b51b623289eb3ab82a679ee4e298f3a6733d0d",
+        0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ATTACKS))
+def test_attack_trace_digest_is_pinned(name):
+    config, digest, evictions, sacrifices, spv = PINNED_ATTACKS[name]
+    sim = Simulation(pm.scenario_from_dict(config))
+    metrics = sim.run()
+    assert metrics.audits["clean"]
+    planted = sum(1 for ev in sim.trace.of_kind(tr.ADVERSARY_RELEASE)
+                  if ev.data.get("sacrifice"))
+    assert (trace_digest(sim), metrics.tip_evictions, planted,
+            metrics.spv_blocks) == (digest, evictions, sacrifices, spv)
