@@ -24,9 +24,7 @@ from .lottery import (
     EquivocationProof,
     HeaderStore,
     ReusedBpo,
-    SlotOutcome,
     SlotSampler,
-    sample_slot,
 )
 from .sim import RunMetrics, Simulation, run_scenario
 from .security import (
@@ -44,7 +42,7 @@ __all__ = [
     "SimParams", "TxGenConfig", "scenario_from_dict", "scenario_from_json",
     "scenario_to_dict",
     "BlockHeader", "BpoId", "Content", "EquivocationProof", "HeaderStore",
-    "ReusedBpo", "SlotOutcome", "SlotSampler", "sample_slot",
+    "ReusedBpo", "SlotSampler",
     "RunMetrics", "Simulation", "run_scenario",
     "InsecureRegime", "MaxRateResult", "beta_threshold", "max_rate",
     "p_good", "security_region",

@@ -89,10 +89,7 @@ class Strategy:
         header = extend(bpo, parent, content.commitment, ())
         self._priv_ids[header.id] = len(self.priv)
         self.priv.append((bpo, header, content))
-        self.trace.emit(slot, tr.BLOCK_PRODUCED, producer=bpo.node,
-                        header=header.id, parent=parent, height=header.height,
-                        bpo_slot=bpo.slot, bpo_node=bpo.node, bpo_seq=bpo.seq,
-                        cls="adversary", private=True)
+        self.sim.record_block(header, slot, "adversary", private=True)
 
     def _refork(self, slot: int) -> None:
         self.fork_id = self.sim.honest_tip()
@@ -152,10 +149,13 @@ class TeaserAttack(Strategy):
         if self.lead() >= RELEASE_LEAD:
             self._release(h, slot)
 
-    def _release(self, honest_height: int, slot: int) -> None:
+    def _release(self, honest_height: int, slot: int, **tags) -> bool:
+        """Announce the private chain up to one block above the honest
+        front; returns whether anything new was announced.  `tags` are
+        added to the release record."""
         want = min(honest_height + 1 - self.fork_height, len(self.priv))
         if want <= self.released_h:
-            return
+            return False
         new_headers = [self.priv[i][1] for i in range(self.released_h, want)]
         self.released_h = want
         content_id = None
@@ -172,7 +172,9 @@ class TeaserAttack(Strategy):
         self.sim.push_to_honest(new_headers[-1], slot)
         self.releases += 1
         self.trace.emit(slot, tr.ADVERSARY_RELEASE, headers=[x.id for x in new_headers],
-                        content=content_id, tip_height=self.priv[want - 1][1].height)
+                        content=content_id, tip_height=self.priv[want - 1][1].height,
+                        **tags)
+        return True
 
     def _give_up(self, slot: int) -> None:
         self._refork(slot)
@@ -180,7 +182,7 @@ class TeaserAttack(Strategy):
         self.released_c = 0
 
 
-class PosTeaserAttack(Strategy):
+class PosTeaserAttack(TeaserAttack):
     """Teaser on a proof-of-stake lottery.  Against plain PoS every
     release re-mints the withheld prefix as a fresh equivocated copy:
     contents already revealed ripple one position up the copy, so honest
@@ -195,12 +197,8 @@ class PosTeaserAttack(Strategy):
         super().__init__(sim)
         self.vs_blanking = sim.protocol == pm.PROTOCOL_SAPOS
         self.sacrifice_every = sacrifice_every
-        self.best_seen_height = sim.honest_height()
         self.round = 0
         self.revealed: list[Content] = []   # round r first-block contents
-        # single-chain mode state (vs blanking)
-        self.released_h = 0
-        self.released_c = 0
         # plant-and-equivocate state
         self._plant_due = False
         self._plant: Optional[BlockHeader] = None
@@ -208,49 +206,24 @@ class PosTeaserAttack(Strategy):
     def on_adversary_bpo(self, bpo: BpoId, slot: int) -> None:
         if self._plant_due and self._plant is None:
             self._plant_block(bpo, slot)
-            return
-        self._mint(bpo, slot)
+        else:
+            self._mint(bpo, slot)
 
     def on_honest_block(self, header: BlockHeader, slot: int) -> None:
-        h = self.sim.honest_height()
-        if h <= self.best_seen_height:
-            return
-        self.best_seen_height = h
-        if self._plant is not None and h > self._plant.height:
+        # a rise of the honest front past the plant equivocates it before
+        # the lead test
+        if (self._plant is not None and self.sim.honest_height()
+                > max(self.best_seen_height, self._plant.height)):
             self._equivocate_plant(slot)
-        if self.lead() <= 0:
-            self._give_up(slot)
-            return
-        if self.lead() < RELEASE_LEAD:
-            return
-        if self.vs_blanking:
-            self._release_single(h, slot)
-        else:
-            self._release_copy(h, slot)
+        super().on_honest_block(header, slot)
 
-    # plain tease, same discipline as the PoW attack
-    def _release_single(self, honest_height: int, slot: int) -> None:
-        want = min(honest_height + 1 - self.fork_height, len(self.priv))
-        if want <= self.released_h:
-            return
-        new_headers = [self.priv[i][1] for i in range(self.released_h, want)]
-        self.released_h = want
-        content_id = None
-        # same reveal discipline as the single-chain tease
-        if (self.released_c < self.released_h - 1
-                and self._reveal_frontier(self.released_c) <= self.sim.min_honest_height()):
-            _, hdr, content = self.priv[self.released_c]
-            self.sim.upload(hdr, content, slot)
-            content_id = hdr.id
-            self.released_c += 1
-        self.sim.push_to_honest(new_headers[-1], slot)
-        self.releases += 1
-        if (self.sacrifice_every > 0
-                and self.releases % self.sacrifice_every == 0):
+    def _release(self, honest_height: int, slot: int) -> None:
+        if not self.vs_blanking:
+            self._release_copy(honest_height, slot)
+        elif (super()._release(honest_height, slot, copy=False)
+              and self.sacrifice_every > 0
+              and self.releases % self.sacrifice_every == 0):
             self._plant_due = True
-        self.trace.emit(slot, tr.ADVERSARY_RELEASE, headers=[x.id for x in new_headers],
-                        content=content_id, tip_height=self.priv[want - 1][1].height,
-                        copy=False)
 
     # fresh equivocated copy: position j of round r carries the content
     # revealed in round r+1-j, so every already-revealed content reappears
@@ -274,11 +247,7 @@ class PosTeaserAttack(Strategy):
             hdr = self.store.pos_extend(bpo, parent, commitment, ())
             headers.append(hdr)
             parent = hdr.id
-            self.trace.emit(slot, tr.BLOCK_PRODUCED, producer=bpo.node,
-                            header=hdr.id, parent=hdr.parent_id,
-                            height=hdr.height, bpo_slot=bpo.slot,
-                            bpo_node=bpo.node, bpo_seq=bpo.seq,
-                            cls="adversary", private=False)
+            self.sim.record_block(hdr, slot, "adversary")
         self.sim.upload(headers[0], fresh, slot)
         self.sim.push_to_honest(headers[-1], slot)
         self.releases += 1
@@ -288,11 +257,9 @@ class PosTeaserAttack(Strategy):
                         copy=True)
 
     def _give_up(self, slot: int) -> None:
-        self._refork(slot)
+        super()._give_up(slot)
         self.round = 0
         self.revealed = []
-        self.released_h = 0
-        self.released_c = 0
 
     def _plant_block(self, bpo: BpoId, slot: int) -> None:
         """Spend this opportunity on an openly published block on the honest
@@ -300,10 +267,7 @@ class PosTeaserAttack(Strategy):
         parent = self.sim.honest_tip()
         content = self.store.make_content((), producer=bpo.node)
         header = self.store.pos_extend(bpo, parent, content.commitment, ())
-        self.trace.emit(slot, tr.BLOCK_PRODUCED, producer=bpo.node,
-                        header=header.id, parent=parent, height=header.height,
-                        bpo_slot=bpo.slot, bpo_node=bpo.node, bpo_seq=bpo.seq,
-                        cls="adversary", private=False)
+        self.sim.record_block(header, slot, "adversary")
         self.sim.upload(header, content, slot)
         self.sim.push_to_honest(header, slot)
         self._plant = header
@@ -317,11 +281,7 @@ class PosTeaserAttack(Strategy):
                                      twin_content.commitment, ())
         if twin.id == plant.id:
             return
-        self.trace.emit(slot, tr.BLOCK_PRODUCED, producer=plant.bpo.node,
-                        header=twin.id, parent=twin.parent_id,
-                        height=twin.height, bpo_slot=plant.bpo.slot,
-                        bpo_node=plant.bpo.node, bpo_seq=plant.bpo.seq,
-                        cls="adversary", private=False)
+        self.sim.record_block(twin, slot, "adversary")
         self.sim.push_to_honest(twin, slot)
         self.trace.emit(slot, tr.ADVERSARY_RELEASE, headers=[twin.id],
                         content=None, tip_height=twin.height, sacrifice=True)
@@ -342,10 +302,7 @@ class SpvMiner:
         extend = (self.store.pow_extend if self.sim.protocol == pm.PROTOCOL_POW
                   else self.store.pos_extend)
         header = extend(bpo, tip, content.commitment, ())
-        self.sim.trace.emit(slot, tr.BLOCK_PRODUCED, producer=SPV_NODE,
-                            header=header.id, parent=tip, height=header.height,
-                            bpo_slot=slot, bpo_node=bpo.node, bpo_seq=bpo.seq,
-                            cls="spv", private=False)
+        self.sim.record_block(header, slot, "spv")
         self.sim.upload(header, content, slot)
         self.sim.broadcast(header, slot)
         self.sim.strategy.on_external_block(header)

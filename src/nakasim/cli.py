@@ -116,7 +116,7 @@ _METRIC_FIELDS = [
 
 
 def cmd_simulate(args) -> int:
-    scenario = pm.scenario_from_json(args.config).resolved()
+    scenario = pm.scenario_from_json(args.config)
     base = scenario.sim.seed if args.seed is None else args.seed
     seeds = [base + i * scenario.seed_stride for i in range(scenario.repeat)]
     os.makedirs(args.out, exist_ok=True)

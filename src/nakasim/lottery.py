@@ -7,7 +7,7 @@ counter-based generator, so the outcome of any slot is a pure function of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -53,14 +53,6 @@ class BpoId:
 
     def key(self) -> tuple:
         return (self.slot, self.node, self.honest, self.seq)
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    slot: int
-    h_count: int
-    a_count: int
-    bpos: tuple[BpoId, ...] = ()
 
 
 class SlotSampler:
@@ -121,17 +113,6 @@ class SlotSampler:
                         if self.adversary_nodes else -1)
                 bpos.append(BpoId(slot, node, False, h_count + k))
         return tuple(bpos)
-
-    def sample_slot(self, slot: int) -> SlotOutcome:
-        h, a, _ = self.counts(slot, slot + 1)
-        h_count, a_count = int(h[0]), int(a[0])
-        return SlotOutcome(slot, h_count, a_count,
-                           self.assign(slot, h_count, a_count))
-
-
-def sample_slot(sampler: SlotSampler, slot: int) -> SlotOutcome:
-    """Module-level convenience wrapper around SlotSampler.sample_slot."""
-    return sampler.sample_slot(slot)
 
 
 class ReusedBpo(Exception):
@@ -225,29 +206,11 @@ class HeaderStore:
         self._pos_identity[ident] = header.id
         return header
 
-    def equivocators(self, bpo: BpoId) -> list[int]:
-        return self.by_bpo.get(bpo.key(), [])
-
-    def chain_to(self, header_id: int) -> list[int]:
-        """Header ids from the first block after genesis up to header_id."""
-        out = []
-        h = self.headers[header_id]
-        while h.parent_id is not None:
-            out.append(h.id)
-            h = self.headers[h.parent_id]
-        out.reverse()
-        return out
-
     def ancestor_at(self, header_id: int, height: int) -> int:
         h = self.headers[header_id]
         while h.height > height:
             h = self.headers[h.parent_id]
         return h.id
-
-    def is_ancestor(self, anc_id: int, desc_id: int) -> bool:
-        anc = self.headers[anc_id]
-        return self.ancestor_at(desc_id, anc.height) == anc_id if \
-            self.headers[desc_id].height >= anc.height else False
 
     def common_ancestor(self, a_id: int, b_id: int) -> int:
         a, b = self.headers[a_id], self.headers[b_id]

@@ -1,8 +1,9 @@
 """Network environment: header delivery queues, the content cloud, and
 per-node download budgets.
 
-Headers travel free of charge but may be delayed up to the forced deadline
-(enqueue slot + ceil(delta_h / tau)); the adversary may deliver earlier.
+Headers travel free of charge and are delivered at the forced deadline
+(enqueue slot + ceil(delta_h / tau)); the adversary's rushing pushes
+bypass the queue (`Simulation.push_to_honest`).
 Content is pulled from a shared insert-only cloud and every fetched block
 costs one unit of the requesting node's token budget, refilled at
 capacity * tau per slot with at most one block of carry-over.
@@ -10,8 +11,7 @@ capacity * tau per slot with at most one block of carry-over.
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
@@ -128,8 +128,8 @@ class Environment:
 
     def broadcast_header(self, header: BlockHeader, origin: int, slot: int) -> None:
         """Enqueue for every node; at most one queue entry per (header, node).
-        Delivery happens at the forced deadline unless the adversary pulls it
-        forward."""
+        Delivery happens at the forced deadline, or at the partition heal
+        when the split withholds it."""
         for p in self.node_ids:
             if p == origin:
                 continue
@@ -143,22 +143,10 @@ class Environment:
             heapq.heappush(self._queue, (deliver, self._seq, p, header))
             self._seq += 1
 
-    def push_header(self, header: BlockHeader, node: int, slot: int) -> None:
-        """Adversary-triggered immediate delivery (also consumes any pending
-        queue entry for this pair)."""
-        self._enqueued.add((header.id, node))
-        heapq.heappush(self._queue, (slot, self._seq, node, header))
-        self._seq += 1
-
     def deliveries_due(self, slot: int) -> list[tuple[int, BlockHeader]]:
         out = []
-        delivered: set[tuple[int, int]] = set()
         while self._queue and self._queue[0][0] <= slot:
             _, _, node, header = heapq.heappop(self._queue)
-            key = (header.id, node)
-            if key in delivered:
-                continue
-            delivered.add(key)
             out.append((node, header))
         return out
 

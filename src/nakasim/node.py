@@ -23,7 +23,6 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
-from dataclasses import dataclass
 from typing import Optional
 
 from . import params as pm
@@ -35,14 +34,6 @@ from .netenv import Environment, RequestOutcome
 MAX_SCHEDULER_TIPS = 100
 MAX_PARTIAL_TASKS = 10
 IDLE = sys.maxsize   # wake slot of a node with nothing to download
-
-
-@dataclass
-class LedgerEntry:
-    header_id: int
-    height: int
-    blanked: bool
-    txs: tuple
 
 
 class Node:
@@ -461,19 +452,3 @@ class Node:
             i += 1
         self.tx_cursor = i
         return tuple(taken)
-
-    # -- output ---------------------------------------------------------
-
-    def output_ledger(self) -> list[LedgerEntry]:
-        """Confirmed prefix with blanking applied (content of blocks whose
-        equivocation is proven on-chain is dropped)."""
-        out = []
-        for hid in self.dchain[:self.confirmed_len]:
-            h = self.store.get(hid)
-            blanked = self.sapos and hid in self.proofed_targets
-            txs: tuple = ()
-            if not blanked:
-                content = self._content_of(h)
-                txs = content.txs if content is not None else ()
-            out.append(LedgerEntry(hid, h.height, blanked, txs))
-        return out

@@ -61,11 +61,6 @@ class SimParams:
     seed: int = 0
 
     @property
-    def lambda_rate(self) -> float:
-        """Total block production rate in blocks per second (rho / tau)."""
-        return self.rho / self.tau
-
-    @property
     def n_adversary(self) -> int:
         if self.beta <= 0.0:
             return 0

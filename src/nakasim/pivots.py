@@ -66,21 +66,6 @@ def pivot_flags_interval(indicator) -> list[bool]:
     return flags
 
 
-def is_pp_walk(good: np.ndarray, k: int) -> bool:
-    """Probabilistic pivot test for 1-based index k (fast path)."""
-    return bool(pivot_flags_walk(np.asarray(good))[k - 1])
-
-
-def is_pp_interval(good, k: int) -> bool:
-    """Probabilistic pivot test for 1-based index k (interval oracle)."""
-    return pivot_flags_interval(good)[k - 1]
-
-
-def is_cp(downloaded, k: int) -> bool:
-    """Combinatorial pivot test on the downloaded indicator (1-based k)."""
-    return bool(pivot_flags_walk(np.asarray(downloaded))[k - 1])
-
-
 def margin_check(good: np.ndarray, i: int, j: int) -> tuple[int, int]:
     """For the index interval (i, j], return (good - bad, pivot count); the
     honest margin must cover the pivots whenever any pivot lies inside."""
@@ -515,7 +500,9 @@ def audit_blanking(run_trace: tr.Trace, k_epf: Optional[int]) -> AuditResult:
         result.checked += 1
         if info is not None and info["cls"] == "honest":
             result.passed = False
-            result.violations.append({"block": block, "reason": "honest block blanked"})
+            if len(result.violations) < _MAX_WITNESSES:
+                result.violations.append({"block": block,
+                                          "reason": "honest block blanked"})
         if k_epf is not None:
             depth = proof_depth.get(block)
             if depth is None or depth > k_epf:

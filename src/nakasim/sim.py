@@ -104,7 +104,6 @@ class Simulation:
                  record_trace: bool = True):
         self.scenario = scenario = scenario.resolved()
         self.params = scenario.sim
-        self.params.validate()
         self.seed = self.params.seed if seed is None else seed
         self.protocol = scenario.protocol
         p = self.params
@@ -180,6 +179,17 @@ class Simulation:
     def broadcast(self, header, slot: int, origin: int = -1) -> None:
         self.env.broadcast_header(header, origin, slot)
         self._update_announced(header)
+
+    def record_block(self, header, slot: int, cls: str,
+                     private: bool = False) -> None:
+        """Trace one production: every field but the producer's class and
+        whether the block is withheld is read from the header."""
+        bpo = header.bpo
+        self.trace.emit(slot, tr.BLOCK_PRODUCED, producer=bpo.node,
+                        header=header.id, parent=header.parent_id,
+                        height=header.height, bpo_slot=bpo.slot,
+                        bpo_node=bpo.node, bpo_seq=bpo.seq, cls=cls,
+                        private=private)
 
     def push_to_honest(self, header, slot: int) -> None:
         for n in self.honest_ids:
@@ -296,11 +306,7 @@ class Simulation:
     def _honest_produce(self, bpo: BpoId, slot: int) -> None:
         node = self.nodes[bpo.node]
         header, content = node.try_produce(bpo, slot)
-        self.trace.emit(slot, tr.BLOCK_PRODUCED, producer=bpo.node,
-                        header=header.id, parent=header.parent_id,
-                        height=header.height, bpo_slot=slot,
-                        bpo_node=bpo.node, bpo_seq=bpo.seq, cls="honest",
-                        private=False)
+        self.record_block(header, slot, "honest")
         self.upload(header, content, slot, origin=bpo.node)
         self.broadcast(header, slot, origin=bpo.node)
         self.strategy.on_honest_block(header, slot)
@@ -362,8 +368,8 @@ class Simulation:
             agreed_height=self.agreed_height(),
             final_lead=leads[-1],
             max_lead=max(leads),
-            releases=getattr(self.strategy, "releases", 0),
-            giveups=getattr(self.strategy, "giveups", 0),
+            releases=self.strategy.releases,
+            giveups=self.strategy.giveups,
             fetches=sum(self.env.fetch_count.values()),
             scheduler_blanked=sum(len(self.nodes[n].blanked)
                                   for n in self.honest_ids),

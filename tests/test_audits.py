@@ -241,6 +241,22 @@ def test_blanking_fails_without_timely_proof():
     assert not pv.audit_blanking(bare.trace, k_epf=2).passed
 
 
+def test_blanking_keeps_at_most_ten_witnesses():
+    """Twelve honest blocks blanked, each with a timely proof in its child:
+    every one is checked and fails, and the witness list stays capped."""
+    run = MiniRun(protocol="sapos", k_epf=4)
+    blocks = [run.produce(2 + 2 * i, producer=0) for i in range(13)]
+    for carrier, victim in zip(blocks[1:], blocks):
+        run.trace.emit(30, tr.PROOF_INCLUDED, node=0, carrier=carrier,
+                       target=victim, other=99)
+    for victim in blocks[:-1]:
+        run.trace.emit(31, tr.BLANKED, node=0, block=victim)
+    res = pv.audit_blanking(run.trace, k_epf=4)
+    assert not res.passed and res.checked == 12
+    assert len(res.violations) == 10
+    assert {v["reason"] for v in res.violations} == {"honest block blanked"}
+
+
 def test_blanking_inconclusive_without_blanks():
     run, _ = linear_run()
     assert pv.audit_blanking(run.trace, k_epf=4).inconclusive

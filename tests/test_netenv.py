@@ -47,16 +47,6 @@ def test_zero_delay_delivers_same_slot():
     assert env.deliveries_due(3) == [(0, h)]
 
 
-def test_push_beats_deadline_and_dedups():
-    store = HeaderStore()
-    env = Environment([0, 1], 1.0, delay_slots=4)
-    h, _ = mk_header(store)
-    env.push_header(h, node=1, slot=2)
-    env.broadcast_header(h, origin=0, slot=2)  # pair already enqueued
-    assert env.deliveries_due(2) == [(1, h)]
-    assert env.deliveries_due(6) == []
-
-
 def test_broadcast_once_per_pair():
     store = HeaderStore()
     env = Environment([0, 1], 1.0, delay_slots=1)

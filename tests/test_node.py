@@ -212,18 +212,16 @@ def test_ledger_confirms_at_depth():
     chain = rig.chain(4)
     rig.deliver(chain, 0)
     rig.step(0)
-    ledger = rig.node.output_ledger()
-    assert [e.header_id for e in ledger] == [h.id for h in chain[:2]]
-    assert [e.height for e in ledger] == [1, 2]
     outputs = rig.trace.of_kind(tr.LEDGER_OUTPUT)
     assert outputs[-1].data == {"node": 0, "len": 2, "tip": chain[1].id}
+    assert rig.node.dchain[:rig.node.confirmed_len] == [h.id for h in chain[:2]]
 
     more = rig.chain(2, start_slot=9, parent=chain[-1])
     rig.deliver(more, 9)
     rig.step(9)
-    longer = rig.node.output_ledger()
-    assert [e.header_id for e in longer[:2]] == [e.header_id for e in ledger]
-    assert len(longer) == 4
+    outputs = rig.trace.of_kind(tr.LEDGER_OUTPUT)
+    assert outputs[-1].data == {"node": 0, "len": 4, "tip": chain[3].id}
+    assert rig.node.dchain[:rig.node.confirmed_len] == [h.id for h in chain]
 
 
 def test_produce_extends_the_processed_chain():

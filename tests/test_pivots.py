@@ -19,10 +19,8 @@ def test_walk_flags_examples():
 
 def test_single_index_forms_agree():
     good = [1, 1, 0, 1]
-    for k in range(1, 5):
-        assert pv.is_pp_walk(good, k) == pv.is_pp_interval(good, k)
-    assert pv.is_pp_walk(good, 1) is True
-    assert pv.is_pp_interval(good, 2) is False
+    assert pv.pivot_flags_walk(good).tolist() == pv.pivot_flags_interval(good)
+    assert pv.pivot_flags_interval(good) == [True, False, False, False]
 
 
 def test_interval_oracle_matches_walk_exhaustively():
@@ -34,7 +32,6 @@ def test_interval_oracle_matches_walk_exhaustively():
 
 def test_download_failure_clears_pivots():
     # both indices good, but the second download failed: no pivot survives
-    assert pv.is_cp([1, 0], 1) is False
     assert not pv.pivot_flags_walk([1, 0]).any()
 
 

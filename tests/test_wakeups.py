@@ -10,6 +10,7 @@ whole matrix (288 configurations) runs with
 
     PYTHONPATH=src python tests/test_wakeups.py
 """
+import heapq
 import sys
 
 import pytest
@@ -254,6 +255,13 @@ def mint(sim, parent, slot, origin=9, bpo=None):
     return header
 
 
+def push(sim, header, node, slot):
+    """Queue `header` for delivery to `node` at `slot`."""
+    env = sim.env
+    heapq.heappush(env._queue, (slot, env._seq, node, header))
+    env._seq += 1
+
+
 def chain(sim, length, slot, origin=9):
     out, parent = [], sim.store.genesis
     for k in range(length):
@@ -283,7 +291,7 @@ def run_both(script, **kw):
 def test_a_node_throttled_at_the_horizon_pays_every_slot():
     def script(sim):
         block = chain(sim, 1, slot=0)[0]
-        sim.env.push_header(block, 0, 1)
+        push(sim, block, 0, 1)
 
     (sim, ref), (steps, ref_steps) = run_both(script, rate=0.1, horizon=6)
     node = sim.nodes[0]
@@ -297,8 +305,8 @@ def test_a_header_mid_stretch_preempts_with_the_polled_payment():
     def script(sim):
         first = chain(sim, 1, slot=0)[0]
         longer = chain(sim, 2, slot=0, origin=8)
-        sim.env.push_header(first, 0, 1)
-        sim.env.push_header(longer[-1], 0, 8)
+        push(sim, first, 0, 1)
+        push(sim, longer[-1], 0, 8)
         script.first = first.id
 
     (sim, ref), (steps, _) = run_both(script, rate=0.1, horizon=12)
@@ -319,8 +327,8 @@ def test_partition_heal_wakes_a_sleeping_waiter():
         # the longer chain's content was uploaded across the split
         far = chain(sim, 2, slot=0, origin=3)
         near = chain(sim, 1, slot=0, origin=0)[0]
-        sim.env.push_header(far[-1], 0, 1)
-        sim.env.push_header(near, 0, 1)
+        push(sim, far[-1], 0, 1)
+        push(sim, near, 0, 1)
         script.far, script.near = far, near
 
     (sim, ref), (steps, _) = run_both(script, rate=0.04, horizon=20,
@@ -337,7 +345,7 @@ def test_partition_heal_wakes_a_sleeping_waiter():
 def test_a_throttle_above_one_block_per_slot_wakes_next_slot():
     def script(sim):
         blocks = chain(sim, 4, slot=0)
-        sim.env.push_header(blocks[-1], 0, 1)
+        push(sim, blocks[-1], 0, 1)
         node = sim.nodes[0]
         inner = node.process_step
         sim.wakes = []
@@ -364,7 +372,7 @@ def test_a_pass_that_blanks_and_reorders_tips_replans_next_slot():
         a = chain(sim, 3, slot=0, origin=8)
         c = mint(sim, top[0], 5, origin=7)
         for h in [top[-1], *twins, a[-1], c]:
-            sim.env.push_header(h, 0, 1)
+            push(sim, h, 0, 1)
         script.a1, script.c = a[0], c
 
     (sim, _), (steps, _) = run_both(script, rate=0.1, horizon=8,
