@@ -34,11 +34,16 @@ def _poisson_cdf_table(mu: float) -> np.ndarray:
     return np.minimum(np.cumsum(pmf), 1.0)
 
 
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _stream_key(seed: int, stream: int) -> int:
+    return (seed ^ (stream * 0x9E3779B97F4A7C15)) & _U64
+
+
 def _slot_gen(seed: int, stream: int, slot: int) -> np.random.Generator:
-    """Fresh generator keyed on (seed, stream, slot) for per-slot draws whose
-    count varies (node assignment); cheap because only non-empty slots need it."""
-    key = np.array([(seed ^ (stream * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF,
-                    slot & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    """Fresh generator keyed on (seed, stream, slot)."""
+    key = np.array([_stream_key(seed, stream), slot & _U64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -72,6 +77,8 @@ class SlotSampler:
         self._cdf_h = _poisson_cdf_table(self.mu_h)
         self._cdf_a = _poisson_cdf_table(self.mu_a)
         self._cdf_s = _poisson_cdf_table(self.mu_s)
+        # (generator, Philox state it is reset to), made on first use
+        self._assign: Optional[tuple[np.random.Generator, dict]] = None
 
     def counts(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorised (honest, adversary, spv) win counts for slots
@@ -97,7 +104,7 @@ class SlotSampler:
         """Attach winners to node indices; seq orders same-class wins."""
         if h_count == 0 and a_count == 0:
             return ()
-        gen = _slot_gen(self.seed, STREAM_ASSIGN, slot)
+        gen = self._assign_gen(slot)
         bpos = []
         if h_count:
             picks = gen.integers(0, len(self.honest_nodes), size=h_count)
@@ -113,6 +120,22 @@ class SlotSampler:
                         if self.adversary_nodes else -1)
                 bpos.append(BpoId(slot, node, False, h_count + k))
         return tuple(bpos)
+
+    def _assign_gen(self, slot: int) -> np.random.Generator:
+        """The generator `_slot_gen(seed, STREAM_ASSIGN, slot)` returns, got
+        by resetting one Philox rather than building a new one: key
+        (stream key, slot), counter 0, empty buffer, no cached uint32."""
+        if self._assign is None:
+            state = {"bit_generator": "Philox",
+                     "state": {"counter": (0, 0, 0, 0),
+                               "key": [_stream_key(self.seed, STREAM_ASSIGN), 0]},
+                     "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                     "has_uint32": 0, "uinteger": 0}
+            self._assign = (np.random.Generator(np.random.Philox(key=0)), state)
+        gen, state = self._assign
+        state["state"]["key"][1] = slot & _U64
+        gen.bit_generator.state = state
+        return gen
 
 
 class ReusedBpo(Exception):

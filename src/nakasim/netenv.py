@@ -119,7 +119,6 @@ class Environment:
         # (deliver_slot, seq, node, header) kept in a heap for skip-ahead
         self._queue: list[tuple[int, int, int, BlockHeader]] = []
         self._seq = 0
-        self._enqueued: set[tuple[int, int]] = set()
         self._waiters: dict[int, set[int]] = {}
         self.on_upload: Optional[Callable[[int, int], None]] = None
         self.fetch_count = {p: 0 for p in self.node_ids}
@@ -127,16 +126,12 @@ class Environment:
     # -- headers ------------------------------------------------------------
 
     def broadcast_header(self, header: BlockHeader, origin: int, slot: int) -> None:
-        """Enqueue for every node; at most one queue entry per (header, node).
-        Delivery happens at the forced deadline, or at the partition heal
-        when the split withholds it."""
+        """Enqueue for every node but the origin; each header is broadcast
+        once, when it is minted.  Delivery happens at the forced deadline,
+        or at the partition heal when the split withholds it."""
         for p in self.node_ids:
             if p == origin:
                 continue
-            key = (header.id, p)
-            if key in self._enqueued:
-                continue
-            self._enqueued.add(key)
             deliver = slot + self.delay_slots
             if self.partition is not None and self.partition.blocks(origin, p, slot):
                 deliver = max(deliver, self.partition.heal_slot)

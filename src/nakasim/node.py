@@ -36,11 +36,24 @@ MAX_PARTIAL_TASKS = 10
 IDLE = sys.maxsize   # wake slot of a node with nothing to download
 
 
+class HonestFront:
+    """The height of the longest dchain among the nodes that share it.  A
+    node's dchain never gets shorter (a switch needs a strictly higher
+    block), so this is a running max that each node raises as its own
+    dchain grows."""
+
+    __slots__ = ("height",)
+
+    def __init__(self) -> None:
+        self.height = 0
+
+
 class Node:
     def __init__(self, node_id: int, store: HeaderStore, env: Environment,
                  run_trace: tr.Trace, policy: str, protocol: str,
                  k_conf: int, k_epf: int = 0,
-                 audit_sink: Optional["object"] = None):
+                 audit_sink: Optional["object"] = None,
+                 front: Optional[HonestFront] = None):
         self.id = node_id
         self.store = store
         self.env = env
@@ -51,6 +64,7 @@ class Node:
         self.k_conf = k_conf
         self.k_epf = k_epf
         self.audit_sink = audit_sink
+        self.front = front if front is not None else HonestFront()
 
         g = store.genesis.id
         self.known: set[int] = {g}
@@ -350,6 +364,8 @@ class Node:
         for blk in reversed(suffix):
             chain.append(blk.id)
             self._count_chain_block(blk, 1)
+        if h.height > self.front.height:
+            self.front.height = h.height
         self.trace.emit(slot, tr.CHAIN_SWITCHED, node=self.id, old=old_tip,
                         new=h.id, height=h.height,
                         switch=h.parent_id != old_tip)

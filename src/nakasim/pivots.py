@@ -596,6 +596,7 @@ class PivotReport:
         }
 
 
+@tr.collector_paused()
 def analyze_trace(run_trace: tr.Trace, nu: int, c_tilde: Optional[float],
                   k_cp: int) -> tuple[PivotReport, IndexSeries]:
     series = classify(run_trace, nu)

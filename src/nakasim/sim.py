@@ -23,7 +23,7 @@ from . import params as pm
 from . import trace as tr
 from .lottery import BpoId, HeaderStore, SlotSampler, _slot_gen, STREAM_ANALYSIS
 from .netenv import Environment, Partition
-from .node import Node
+from .node import HonestFront, Node
 
 
 class AuditSink:
@@ -132,9 +132,11 @@ class Simulation:
         k_conf = scenario.k_conf
         k_epf = scenario.sapos.k_epf
         self.sink = AuditSink(self.store)
+        self.front = HonestFront()
         self.nodes = {
             n: Node(n, self.store, self.env, self.trace, scenario.policy,
-                    scenario.protocol, k_conf, k_epf, audit_sink=self.sink)
+                    scenario.protocol, k_conf, k_epf, audit_sink=self.sink,
+                    front=self.front)
             for n in self.honest_ids}
         self.env.on_upload = self._on_upload
 
@@ -154,7 +156,7 @@ class Simulation:
     # -- strategy/miner facade ------------------------------------------
 
     def honest_height(self) -> int:
-        return max(n.dchain_height for n in self.nodes.values())
+        return self.front.height
 
     def honest_tip(self) -> int:
         best = max(self.nodes.values(), key=lambda n: n.dchain_height)

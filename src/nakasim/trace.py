@@ -1,9 +1,14 @@
 """Run traces: an ordered list of per-slot events plus a metadata record.
 
-Events serialize to JSON Lines with sorted keys through one module-level
-encoder, so identical runs produce byte-identical files.  The first record
-of a file is always the Meta record describing the scenario that produced
-the trace.
+Events serialize to JSON Lines with sorted keys, so identical runs produce
+byte-identical files.  The first record of a file is always the Meta record
+describing the scenario that produced the trace.  `TraceEvent.to_json`
+encodes one event through the module-level `_ENCODER`; `write_jsonl` makes
+one C encoder with the same settings per file (`json.encoder`'s
+`c_make_encoder`, with its own markers dict, so a circular value still
+raises `ValueError`) and writes 4,096 lines per `write` call.  Without the
+`_json` accelerator it encodes each event with `_ENCODER.encode`; the
+choice is made once, at import.
 
 `read_jsonl` parses a file 4,096 lines at a time: the non-blank lines of a
 batch are joined into one JSON array and decoded by a single `json.loads`
@@ -14,14 +19,24 @@ parsed again line by line, which names the bad line.
 Besides the event list, a `Trace` keeps one list per kind, filled by `emit`
 and by `read_jsonl`; `of_kind` returns a copy of that list and never scans
 the events.
+
+Reading a file and auditing it allocate hundreds of thousands of dicts and
+events, none of which can form a reference cycle, so `read_jsonl` (and
+`pivots.analyze_trace`) run under `collector_paused`: the cyclic garbage
+collector makes no passes inside them, and its prior state is restored on
+the way out, also on an exception.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import os
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Iterable, Iterator
+from json.encoder import (c_make_encoder, encode_basestring,
+                          encode_basestring_ascii)
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 META = "Meta"
 BPO = "Bpo"
@@ -45,6 +60,39 @@ KINDS = (META, BPO, BLOCK_PRODUCED, HEADER_DELIVERED, CONTENT_UPLOADED,
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _BATCH_LINES = 4096
+
+
+def _encoder_maker(make_c: Optional[Callable]) -> Callable[[], Callable]:
+    """How `write_jsonl` makes the encoder it uses for one file: called as
+    `encode(record, 0)`, the encoder returns the record's JSON in chunks.
+    With the C accelerator `make_c`, one C encoder with `_ENCODER`'s
+    settings and a fresh markers dict; without it, `_ENCODER.encode`."""
+    if make_c is None:
+        def encode(rec: dict, _level: int) -> tuple[str]:
+            return (_ENCODER.encode(rec),)
+        return lambda: encode
+    e = _ENCODER
+    strings = encode_basestring_ascii if e.ensure_ascii else encode_basestring
+    return lambda: make_c({}, e.default, strings, e.indent, e.key_separator,
+                          e.item_separator, e.sort_keys, e.skipkeys,
+                          e.allow_nan)
+
+
+_new_file_encoder = _encoder_maker(c_make_encoder)
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector disabled, then put
+    back the state it had, also when the block raises.  Nests: an inner
+    pause leaves the collector as the outer one set it."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass(slots=True)
@@ -98,15 +146,22 @@ class Trace:
 
 
 def write_jsonl(trace: Iterable[TraceEvent], path: str) -> None:
-    """Write events atomically (temp file + rename)."""
+    """Write events atomically (temp file + rename), each line the bytes of
+    `TraceEvent.to_json`, one `write` per `_BATCH_LINES` events."""
+    encode = _new_file_encoder()
+    events = iter(trace)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        for ev in trace:
-            fh.write(ev.to_json())
-            fh.write("\n")
+        while batch := list(islice(events, _BATCH_LINES)):
+            chunks: list[str] = []
+            for ev in batch:
+                chunks += encode({"slot": ev.slot, "kind": ev.kind, **ev.data}, 0)
+                chunks.append("\n")
+            fh.write("".join(chunks))
     os.replace(tmp, path)
 
 
+@collector_paused()
 def read_jsonl(path: str) -> Trace:
     """Read a trace written by `write_jsonl`. A bad record raises with the
     file and line: invalid JSON or an unknown kind as `ValueError`, a

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used in it.
+"""Source hygiene: every name a module of the package imports is used in it,
+and one module owns switching the cyclic garbage collector.
 
 A re-export counts as a use when the module lists the name in `__all__`."""
 import ast
@@ -66,3 +67,36 @@ def test_the_check_sees_unused_imports():
               "x: Optional[int] = math.pi\n"
               "def f(a: 'Iterable[int]') -> \"list[Sequence]\": pass\n")
     assert unused_imports(source) == ["line 4: C", "line 2: os"]
+
+
+# trace.collector_paused is the one place that switches the collector
+GC_SWITCHES = {"enable", "disable"}
+
+
+def gc_switches(source: str) -> list[str]:
+    """Lines that turn the cyclic collector on or off: `gc.enable`,
+    `gc.disable`, or either imported from `gc`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in GC_SWITCHES
+                and isinstance(node.value, ast.Name) and node.value.id == "gc"):
+            out.append(f"line {node.lineno}: gc.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            out += [f"line {node.lineno}: from gc import {alias.name}"
+                    for alias in node.names if alias.name in GC_SWITCHES]
+    return out
+
+
+def test_only_the_trace_module_switches_the_collector():
+    switching = {path.name for path in MODULES
+                 if gc_switches(path.read_text(encoding="utf-8"))}
+    assert switching == {"trace.py"}
+
+
+def test_the_check_sees_collector_switches():
+    source = ("import gc\n"
+              "from gc import disable as off, collect\n"
+              "gc.isenabled()\n"
+              "gc.enable()\n")
+    assert gc_switches(source) == ["line 2: from gc import disable",
+                                   "line 4: gc.enable"]

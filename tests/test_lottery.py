@@ -1,8 +1,11 @@
 """Lottery determinism and the header store's minting discipline."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nakasim.lottery import BpoId, HeaderStore, ReusedBpo, SlotSampler
+from nakasim.lottery import (STREAM_ASSIGN, BpoId, HeaderStore, ReusedBpo,
+                             SlotSampler)
 
 
 def make_sampler(seed=7, beta=0.25, rho=0.1, spv=0.0):
@@ -85,6 +88,55 @@ def test_assignment_without_adversary_nodes_uses_sentinel():
                 assert b.node == -1
                 return
     pytest.fail("no adversary win in 100 slots at mu_a = 1.0")
+
+
+def assign_oracle(sampler, slot, h_count, a_count):
+    """`assign` as it was: a new Philox and Generator for every slot."""
+    if h_count == 0 and a_count == 0:
+        return ()
+    mask = 0xFFFFFFFFFFFFFFFF
+    key = np.array([(sampler.seed ^ (STREAM_ASSIGN * 0x9E3779B97F4A7C15)) & mask,
+                    slot & mask], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    bpos = []
+    if h_count:
+        picks = gen.integers(0, len(sampler.honest_nodes), size=h_count)
+        for seq, p in enumerate(picks):
+            bpos.append(BpoId(slot, sampler.honest_nodes[int(p)], True, seq))
+    if a_count:
+        adv = sampler.adversary_nodes
+        picks = gen.integers(0, max(1, len(adv)), size=a_count)
+        for k, p in enumerate(picks):
+            bpos.append(BpoId(slot, adv[int(p)] if adv else -1, False,
+                              h_count + k))
+    return tuple(bpos)
+
+
+@given(seed=st.integers(0, 2**64 - 1), n_honest=st.integers(1, 300),
+       n_adv=st.integers(0, 5),
+       calls=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 9),
+                                st.integers(0, 9)), min_size=1, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_assign_matches_a_fresh_generator_per_slot(seed, n_honest, n_adv,
+                                                   calls):
+    """One reused generator, reset per call, draws what a new one keyed on
+    the slot draws: slots out of order and repeated, odd draw counts that
+    leave a 32-bit half cached, and both classes in one slot."""
+    sampler = SlotSampler(seed, 0.3, 0.1, honest_nodes=range(n_honest),
+                          adversary_nodes=range(n_honest, n_honest + n_adv))
+    for slot, h, a in calls + calls[::-1]:
+        assert sampler.assign(slot, h, a) == assign_oracle(sampler, slot, h, a)
+
+
+def test_the_assignment_generator_is_made_on_first_use():
+    sampler = make_sampler()
+    assert sampler._assign is None
+    assert sampler.assign(4, 0, 0) == ()
+    assert sampler._assign is None
+    sampler.assign(4, 1, 0)
+    gen = sampler._assign[0]
+    sampler.assign(5, 2, 1)
+    assert sampler._assign[0] is gen
 
 
 def test_pow_single_spend():

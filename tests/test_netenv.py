@@ -1,10 +1,15 @@
 """Delivery deadlines, the content cloud, and token-bucket budgets."""
+from collections import Counter
+
 import pytest
 
 from nakasim import netenv
+from nakasim import params as pm
 from nakasim.lottery import BpoId, Content, HeaderStore
 from nakasim.netenv import (CapacityMeter, CommitmentMismatch, Environment,
                             Partition, RequestOutcome)
+from nakasim.sim import Simulation
+from test_trace_digests import attack_scenario
 
 
 def mk_header(store, slot=1, parent=None):
@@ -47,13 +52,45 @@ def test_zero_delay_delivers_same_slot():
     assert env.deliveries_due(3) == [(0, h)]
 
 
-def test_broadcast_once_per_pair():
-    store = HeaderStore()
-    env = Environment([0, 1], 1.0, delay_slots=1)
-    h, _ = mk_header(store)
-    env.broadcast_header(h, origin=0, slot=1)
-    env.broadcast_header(h, origin=0, slot=1)
-    assert env.deliveries_due(2) == [(1, h)]
+EVERY_SENDER = {
+    # honest producers and header-only (SPV) miners both broadcast
+    "pow-teaser-spv": attack_scenario(pm.PROTOCOL_POW,
+                                      strategy=pm.ATTACK_TEASER, spv_rate=0.2),
+    # the split delays cross-half deliveries to the heal slot
+    "pow-partition": attack_scenario(pm.PROTOCOL_POW,
+                                     strategy=pm.ATTACK_PARTITION,
+                                     partition_duration=50.0),
+    "sapos-pos-teaser": attack_scenario(pm.PROTOCOL_SAPOS,
+                                        strategy=pm.ATTACK_POS_TEASER),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_SENDER))
+def test_each_broadcast_header_reaches_each_node_once(name):
+    """Every broadcast enqueues a freshly minted header, so the queue needs
+    no de-duplication: each (header, node) pair other than the origin's is
+    delivered exactly once, or is still queued at the horizon."""
+    sim = Simulation(pm.scenario_from_dict(EVERY_SENDER[name]))
+    env = sim.env
+    sent, delivered = Counter(), Counter()
+    broadcast, due = env.broadcast_header, env.deliveries_due
+
+    def broadcast_header(header, origin, slot):
+        sent.update((header.id, p) for p in env.node_ids if p != origin)
+        broadcast(header, origin, slot)
+
+    def deliveries_due(slot):
+        out = due(slot)
+        delivered.update((header.id, p) for p, header in out)
+        return out
+    env.broadcast_header = broadcast_header
+    env.deliveries_due = deliveries_due
+    sim.run()
+
+    queued = Counter((header.id, p) for _, _, p, header in env._queue)
+    assert sent and delivered
+    assert max(sent.values()) == 1
+    assert delivered + queued == sent
 
 
 def test_upload_rejects_mismatched_content():

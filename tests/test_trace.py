@@ -1,13 +1,17 @@
 """Trace log ordering, the per-kind index and JSON Lines round-trips."""
+import gc
+import inspect
 import json
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_trace_digests import matrix_scenario
 
 from nakasim import params as pm
+from nakasim import pivots as pv
 from nakasim import trace as tr
 from nakasim.sim import Simulation
 
@@ -322,3 +326,202 @@ def test_to_json_matches_json_dumps(slot, kind, data):
 def test_events_are_slotted():
     ev = tr.TraceEvent(1, tr.BPO, {})
     assert not hasattr(ev, "__dict__")
+
+
+# -- the per-file writer against to_json --------------------------------------
+
+PY_ENCODER = tr._encoder_maker(None)   # the writer without the C accelerator
+
+
+def joined(events):
+    return "".join(ev.to_json() + "\n" for ev in events).encode("utf-8")
+
+
+class CountingFile:
+    """A file whose `write` calls are counted."""
+
+    def __init__(self, fh, writes):
+        self.fh, self.writes = fh, writes
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+def written(events, path, monkeypatch, maker=None):
+    """The bytes `write_jsonl` writes for a one-shot iterator over `events`,
+    and the sizes of its `write` calls."""
+    writes = []
+    with monkeypatch.context() as m:
+        if maker is not None:
+            m.setattr(tr, "_new_file_encoder", maker)
+        m.setattr(tr, "open", lambda *a, **kw: CountingFile(open(*a, **kw),
+                                                            writes),
+                  raising=False)
+        tr.write_jsonl(iter(events), str(path))
+    return path.read_bytes(), writes
+
+
+def test_the_writer_uses_one_c_encoder_per_file():
+    assert json.encoder.c_make_encoder is not None
+    assert isinstance(tr._new_file_encoder(), json.encoder.c_make_encoder)
+    assert tr._new_file_encoder() is not tr._new_file_encoder()
+
+
+@pytest.mark.parametrize("maker", [None, PY_ENCODER], ids=["c", "python"])
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+def test_the_writer_matches_to_json_across_batches(tmp_path, monkeypatch,
+                                                   maker, n):
+    events = [tr.TraceEvent(i // 3, tr.KINDS[i % len(tr.KINDS)],
+                            {"i": i, "paid": i / 7, "nested": [[i, True]],
+                             "text": "ü" * (i % 3)})
+              for i in range(n)]
+    body, writes = written(events, tmp_path / "t.jsonl", monkeypatch, maker)
+    assert body == joined(events)
+    assert len(writes) == math.ceil(n / tr._BATCH_LINES)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(tr.KINDS),
+                          st.dictionaries(st.text(max_size=8), values,
+                                          max_size=6)),
+                max_size=5))
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_writer_matches_to_json(tmp_path, monkeypatch, records):
+    events = [tr.TraceEvent(*rec) for rec in records]
+    for maker in (None, PY_ENCODER):
+        body, _ = written(events, tmp_path / "t.jsonl", monkeypatch, maker)
+        assert body == joined(events)
+
+
+@pytest.mark.parametrize("maker", [None, PY_ENCODER], ids=["c", "python"])
+def test_circular_data_still_raises(tmp_path, monkeypatch, maker):
+    loop = [1]
+    loop.append(loop)
+    nest = {"a": {}}
+    nest["a"]["b"] = nest
+    for value in (loop, nest):
+        events = [tr.TraceEvent(0, tr.BPO, {"ok": 1}),
+                  tr.TraceEvent(1, tr.BPO, {"bad": value})]
+        with pytest.raises(ValueError, match="Circular reference"):
+            written(events, tmp_path / "t.jsonl", monkeypatch, maker)
+    # the failed writes leave the next file's encoder unaffected
+    events = [tr.TraceEvent(0, tr.BPO, {"x": [1, [2]]})] * 2
+    assert written(events, tmp_path / "t.jsonl", monkeypatch,
+                   maker)[0] == joined(events)
+
+
+# -- the collector is paused while reading and auditing ------------------------
+
+@pytest.fixture
+def collector():
+    """Leave the collector as the test found it.  Inside the test, a pass
+    starts after every 100 net allocations, so short bodies that do not
+    pause the collector still see one."""
+    was, threshold = gc.isenabled(), gc.get_threshold()
+    gc.set_threshold(100, *threshold[1:])
+    yield
+    gc.set_threshold(*threshold)
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def pow_teaser_file(tmp_path):
+    t = simulated(pm.PROTOCOL_POW, pm.ATTACK_TEASER)
+    path = tmp_path / "t.jsonl"
+    tr.write_jsonl(t, str(path))
+    return path
+
+
+def analyze(path):
+    t = tr.read_jsonl(str(path))
+    return pv.analyze_trace(t, t.meta["nu"], t.meta["c_tilde"], 50)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_reading_and_auditing_restore_the_collector(tmp_path, collector,
+                                                    enabled):
+    path = pow_teaser_file(tmp_path)
+    (gc.enable if enabled else gc.disable)()
+    seen = []
+    with tr.collector_paused():
+        seen.append(gc.isenabled())
+    t = tr.read_jsonl(str(path))
+    seen.append(gc.isenabled())
+    pv.analyze_trace(t, t.meta["nu"], t.meta["c_tilde"], 50)
+    seen.append(gc.isenabled())
+    assert seen == [False, enabled, enabled]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_read_that_raises_restores_the_collector(tmp_path, collector,
+                                                   enabled):
+    lines = bpo_lines(5000)
+    lines[4500] = "{bad\n"
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(lines))
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(ValueError, match="t.jsonl:4501: invalid JSON"):
+        tr.read_jsonl(str(path))
+    assert gc.isenabled() is enabled
+
+
+def test_pauses_nest(collector):
+    gc.enable()
+    with tr.collector_paused():
+        with tr.collector_paused():
+            pass
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+
+def passes_inside(fn, *args):
+    """Call `fn` and return the cyclic-collector passes that started while
+    the body of `fn` (the function it wraps, if any) was on the stack.
+    Starts from a full collection, so that allocations made before the
+    call do not set off a pass inside it."""
+    code = inspect.unwrap(fn).__code__
+    passes = []
+    gc.collect()
+
+    def count(phase, info):
+        if phase != "start":
+            return
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code is code:
+                passes.append(info["generation"])
+                return
+            frame = frame.f_back
+    gc.callbacks.append(count)
+    try:
+        result = fn(*args)
+    finally:
+        gc.callbacks.remove(count)
+    return result, passes
+
+
+def test_reading_and_auditing_run_no_collector_pass(tmp_path, collector):
+    gc.enable()
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(bpo_lines(10_000)))
+    # the guard sees the passes the unpaused read makes
+    _, passes = passes_inside(inspect.unwrap(tr.read_jsonl), str(path))
+    assert passes
+    _, passes = passes_inside(tr.read_jsonl, str(path))
+    assert passes == []
+
+    t = tr.read_jsonl(str(pow_teaser_file(tmp_path)))
+    args = (t, t.meta["nu"], t.meta["c_tilde"], 50)
+    _, passes = passes_inside(inspect.unwrap(pv.analyze_trace), *args)
+    assert passes
+    _, passes = passes_inside(pv.analyze_trace, *args)
+    assert passes == []

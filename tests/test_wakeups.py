@@ -434,3 +434,32 @@ if __name__ == "__main__":
         assert_same_run(matrix_config(*config))
         print(f"{i + 1}/{len(MATRIX)} {config} same", flush=True)
     sys.exit(0)
+
+
+@pytest.mark.parametrize("protocol,attack,policy,rate,txgen",
+                         covering_subset())
+def test_honest_height_is_the_max_over_the_nodes(protocol, attack, policy,
+                                                 rate, txgen):
+    """The running height the nodes raise as their dchains grow equals the
+    max over the nodes at the end of every visited slot and at every call
+    the adversary makes.  (The polling loop reads the same height through
+    the adversary's lead, which the tests above compare.)"""
+    sim = Simulation(matrix_config(protocol, attack, policy, rate, txgen))
+    checks = []
+
+    def check():
+        highest = max(n.dchain_height for n in sim.nodes.values())
+        assert sim.front.height == highest
+        checks.append(highest)
+
+    def honest_height(inner=sim.honest_height):
+        check()
+        return inner()
+
+    def advance(slot, inner=sim._advance):
+        check()
+        return inner(slot)
+    sim.honest_height = honest_height
+    sim._advance = advance
+    sim.run()
+    assert checks and checks[-1] > 0
