@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from . import params as pm
 from . import pivots
 from . import security
 from . import trace as tr
-from .sim import run_scenario
+from .sim import RunMetrics, run_scenario
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,13 +107,10 @@ def _run_jobs(jobs: list[tuple]) -> list[dict]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-_METRIC_FIELDS = [
-    "seed", "horizon_slots", "tau", "lambda_honest", "growth_blocks",
-    "lambda_grwth", "growth_normalized", "honest_blocks", "adversary_blocks",
-    "spv_blocks", "max_tip_height", "agreed_height", "final_lead", "max_lead",
-    "releases", "giveups", "fetches", "scheduler_blanked", "invalid_headers",
-    "tip_evictions", "utilization_mean",
-]
+# metrics.csv columns: RunMetrics in field order, with the audits dict
+# reported as its `clean` flag in a last column
+_METRIC_FIELDS = [f.name for f in dataclasses.fields(RunMetrics)
+                  if f.name != "audits"]
 
 
 def cmd_simulate(args) -> int:

@@ -7,13 +7,16 @@ bypass the queue (`Simulation.push_to_honest`).
 Content is pulled from a shared insert-only cloud and every fetched block
 costs one unit of the requesting node's token budget, refilled at
 capacity * tau per slot with at most one block of carry-over.
+A request for content the node cannot see is free.  The environment keeps
+no record of who asked: each node memoises what it found unavailable, and
+the simulation tells every node of each accepted upload and of the heal.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .lottery import BlockHeader, Content
 
@@ -114,13 +117,10 @@ class Environment:
         self.delay_slots = delay_slots
         self.partition = partition
         self.meters = {p: CapacityMeter(rate_per_slot) for p in self.node_ids}
-        self.cloud: dict[int, Content] = {}
-        self.uploader: dict[int, int] = {}
+        self.cloud: dict[int, int] = {}   # commitment -> origin node
         # (deliver_slot, seq, node, header) kept in a heap for skip-ahead
         self._queue: list[tuple[int, int, int, BlockHeader]] = []
         self._seq = 0
-        self._waiters: dict[int, set[int]] = {}
-        self.on_upload: Optional[Callable[[int, int], None]] = None
         self.fetch_count = {p: 0 for p in self.node_ids}
 
     # -- headers ------------------------------------------------------------
@@ -159,35 +159,14 @@ class Environment:
                 f"content {content.commitment} vs header commitment {header.commitment}")
         if content.commitment in self.cloud:
             return False
-        self.cloud[content.commitment] = content
-        self.uploader[content.commitment] = origin
-        self._notify(content.commitment)
+        self.cloud[content.commitment] = origin
         return True
-
-    def _notify(self, commitment: int) -> None:
-        if self.on_upload is None:
-            return
-        for node in self._waiters.pop(commitment, ()):  # wake reservations
-            self.on_upload(node, commitment)
-
-    def heal_notify_all(self) -> None:
-        """On partition heal, every memoised unavailability may be stale."""
-        if self.on_upload is None:
-            return
-        for commitment, nodes in list(self._waiters.items()):
-            if commitment in self.cloud:
-                for node in nodes:
-                    self.on_upload(node, commitment)
-                del self._waiters[commitment]
 
     def content_visible(self, node: int, commitment: int, slot: int) -> bool:
         if commitment not in self.cloud:
             return False
-        if self.partition is not None:
-            origin = self.uploader.get(commitment, node)
-            if self.partition.blocks(origin, node, slot):
-                return False
-        return True
+        return self.partition is None or not self.partition.blocks(
+            self.cloud[commitment], node, slot)
 
     def request_content(self, node: int, header: BlockHeader,
                         already_paid: float, slot: int
@@ -196,7 +175,6 @@ class Environment:
         paid fraction). Unavailable requests cost nothing; a throttled
         request pays out the remaining budget as partial progress."""
         if not self.content_visible(node, header.commitment, slot):
-            self._waiters.setdefault(header.commitment, set()).add(node)
             return RequestOutcome.UNAVAILABLE, 0.0
         meter = self.meters[node]
         tokens = meter.sync(slot)

@@ -67,9 +67,7 @@ class Node:
         self.front = front if front is not None else HonestFront()
 
         g = store.genesis.id
-        self.known: set[int] = {g}
-        self.seen_order: dict[int, int] = {g: 0}
-        self._seen_counter = 1
+        self.seen_order: dict[int, int] = {g: 0}   # every kept header, in order
         self.processed: set[int] = {g}
         self.blanked: set[int] = set()
         self.invalid: set[int] = set()
@@ -99,7 +97,6 @@ class Node:
         self.tx_cursor = 0
 
         self.wake = IDLE
-        self.invalid_header_count = 0
 
     @property
     def active(self) -> bool:
@@ -124,7 +121,7 @@ class Node:
         headers and their descendants are dropped."""
         chain: list[BlockHeader] = []
         h = header
-        while h.id not in self.known:
+        while h.id not in self.seen_order:
             if h.id in self.invalid:
                 return []
             chain.append(h)
@@ -133,7 +130,6 @@ class Node:
         for h in reversed(chain):
             if not self._validate(h):
                 self.invalid.add(h.id)
-                self.invalid_header_count += 1
                 break
             self._insert(h, slot)
             inserted.append(h.id)
@@ -152,9 +148,7 @@ class Node:
         return True
 
     def _insert(self, h: BlockHeader, slot: int) -> None:
-        self.known.add(h.id)
-        self.seen_order[h.id] = self._seen_counter
-        self._seen_counter += 1
+        self.seen_order[h.id] = len(self.seen_order)
 
         seen = self.bpo_seen.setdefault(h.bpo.key(), [])
         seen.append(h.id)
@@ -185,12 +179,23 @@ class Node:
         return self._pending.pop(tip_id)
 
     def content_uploaded(self, commitment: int, slot: int) -> None:
-        """Clear the known-unavailable memo for headers waiting on this
-        commitment; the scheduler may retry them this slot."""
+        """The simulation calls this on every node for each upload the
+        cloud accepts.  The node's memo is the only record of what it
+        waits for: if it holds this commitment, the headers found
+        unavailable under it are cleared and the node is due this slot."""
         ids = self._unavailable_by_commitment.pop(commitment, None)
         if ids:
             self.unavailable.difference_update(ids)
             self.wake = slot
+
+    def partition_healed(self, slot: int) -> None:
+        """At the partition heal, content uploaded across the split becomes
+        visible: clear the memo of every commitment already in the cloud,
+        as its upload would have.  Memos of content not yet uploaded stay."""
+        cloud = self.env.cloud
+        for commitment in [c for c in self._unavailable_by_commitment
+                           if c in cloud]:
+            self.content_uploaded(commitment, slot)
 
     # -- scheduling -------------------------------------------------------
 

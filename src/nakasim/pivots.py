@@ -158,6 +158,9 @@ def classify(run_trace: tr.Trace, nu: int) -> IndexSeries:
 # ---------------------------------------------------------------------------
 # audits
 
+_MAX_WITNESSES = 10
+
+
 @dataclass
 class AuditResult:
     name: str
@@ -166,13 +169,16 @@ class AuditResult:
     checked: int = 0
     violations: list = field(default_factory=list)
 
+    def fail(self, witness: dict) -> None:
+        """Record a violation; the first _MAX_WITNESSES keep their witness."""
+        self.passed = False
+        if len(self.violations) < _MAX_WITNESSES:
+            self.violations.append(witness)
+
     def summary(self) -> str:
         state = ("inconclusive" if self.inconclusive
                  else "pass" if self.passed else "FAIL")
         return f"{self.name}: {state} ({self.checked} checked, {len(self.violations)} violations)"
-
-
-_MAX_WITNESSES = 10
 
 
 def _header_table(run_trace: tr.Trace) -> dict[int, dict]:
@@ -243,11 +249,8 @@ def audit_chain_growth(run_trace: tr.Trace, series: IndexSeries) -> AuditResult:
             result.checked += 1
             after = lmin_at(slot)
             if after < before[k] + 1:
-                result.passed = False
-                if len(result.violations) < _MAX_WITNESSES:
-                    result.violations.append(
-                        {"index": k + 1, "slot": int(series.slots[k]),
-                         "lmin_before": before[k], "lmin_after": after})
+                result.fail({"index": k + 1, "slot": int(series.slots[k]),
+                             "lmin_before": before[k], "lmin_after": after})
     return result
 
 
@@ -325,11 +328,8 @@ def audit_stabilization(run_trace: tr.Trace, series: IndexSeries,
                      or _ancestor_at(table, tip, height) != block), None)
                 if witness_slot is None:
                     continue
-            result.passed = False
-            if len(result.violations) < _MAX_WITNESSES:
-                result.violations.append(
-                    {"index": k, "block": block, "node": p,
-                     "slot": witness_slot})
+            result.fail({"index": k, "block": block, "node": p,
+                         "slot": witness_slot})
     return result
 
 
@@ -353,13 +353,13 @@ def audit_budget(run_trace: tr.Trace, series: IndexSeries,
         return result
     table = _header_table(run_trace)
 
-    # per node, requested fetches in slot order (the kind's list is in trace
-    # order, and the trace is slot-ordered)
+    # per node, fetches in slot order (the kind's list is in trace order,
+    # and the trace is slot-ordered)
     fetch_slots: dict[int, list[int]] = {p: [] for p in honest}
     fetch_headers: dict[int, list[int]] = {p: [] for p in honest}
     for ev in run_trace.of_kind(tr.CONTENT_FETCHED):
         node = ev.data["node"]
-        if node in fetch_slots and ev.data.get("via", "request") == "request":
+        if node in fetch_slots:
             fetch_slots[node].append(ev.slot)
             fetch_headers[node].append(ev.data["header"])
     processed = _processed_slots(run_trace)
@@ -384,11 +384,8 @@ def audit_budget(run_trace: tr.Trace, series: IndexSeries,
                         count += 1
                 result.checked += 1
                 if count < required:
-                    result.passed = False
-                    if len(result.violations) < _MAX_WITNESSES:
-                        result.violations.append(
-                            {"index": k + 1, "slot": t, "node": p,
-                             "fetched": count, "required": c_tilde})
+                    result.fail({"index": k + 1, "slot": t, "node": p,
+                                 "fetched": count, "required": c_tilde})
         if cp_flags[k]:
             last_cp_slot = t
     if result.checked == 0:
@@ -405,8 +402,6 @@ def audit_single_fetch(run_trace: tr.Trace) -> AuditResult:
     seen: set = set()
     result = AuditResult("single-fetch", True)
     for ev in run_trace.of_kind(tr.CONTENT_FETCHED):
-        if ev.data.get("via", "request") != "request":
-            continue
         node, header = ev.data["node"], ev.data["header"]
         if per_bpo:
             info = table.get(header)
@@ -416,10 +411,7 @@ def audit_single_fetch(run_trace: tr.Trace) -> AuditResult:
             key = (node, header)
         result.checked += 1
         if key in seen:
-            result.passed = False
-            if len(result.violations) < _MAX_WITNESSES:
-                result.violations.append({"node": node, "header": header,
-                                          "slot": ev.slot})
+            result.fail({"node": node, "header": header, "slot": ev.slot})
         seen.add(key)
     return result
 
@@ -434,9 +426,8 @@ def audit_capacity(run_trace: tr.Trace) -> AuditResult:
     result = AuditResult("capacity", True)
     per_node: dict[int, list[tuple[int, float]]] = {}
     for ev in run_trace.of_kind(tr.CONTENT_FETCHED):
-        if ev.data.get("via", "request") == "request":
-            per_node.setdefault(ev.data["node"], []).append(
-                (ev.slot, float(ev.data.get("paid", 1.0))))
+        per_node.setdefault(ev.data["node"], []).append(
+            (ev.slot, float(ev.data.get("paid", 1.0))))
     for node, payments in sorted(per_node.items()):
         # paid(i..j) <= rate*(slot_j - slot_i + 1) + 1 for all i<=j reduces
         # to a running-minimum check on b_k = cum_before_k - rate*slot_k.
@@ -450,10 +441,7 @@ def audit_capacity(run_trace: tr.Trace) -> AuditResult:
                 min_at = s
             cum += w
             if (cum - rate * s) - run_min > rate + 1.0 + 1e-9:
-                result.passed = False
-                if len(result.violations) < _MAX_WITNESSES:
-                    result.violations.append({"node": node, "slot": s,
-                                              "window_start": min_at})
+                result.fail({"node": node, "slot": s, "window_start": min_at})
             result.checked += 1
     return result
 
@@ -473,10 +461,7 @@ def audit_ledger_safety(run_trace: tr.Trace) -> AuditResult:
             if ok:
                 max_len, max_tip = ln, tip
         if not ok:
-            result.passed = False
-            if len(result.violations) < _MAX_WITNESSES:
-                result.violations.append({"node": ev.data["node"],
-                                          "slot": ev.slot, "len": ln})
+            result.fail({"node": ev.data["node"], "slot": ev.slot, "len": ln})
     return result
 
 
@@ -499,17 +484,12 @@ def audit_blanking(run_trace: tr.Trace, k_epf: Optional[int]) -> AuditResult:
         info = table.get(block)
         result.checked += 1
         if info is not None and info["cls"] == "honest":
-            result.passed = False
-            if len(result.violations) < _MAX_WITNESSES:
-                result.violations.append({"block": block,
-                                          "reason": "honest block blanked"})
+            result.fail({"block": block, "reason": "honest block blanked"})
         if k_epf is not None:
             depth = proof_depth.get(block)
             if depth is None or depth > k_epf:
-                result.passed = False
-                if len(result.violations) < _MAX_WITNESSES:
-                    result.violations.append({"block": block, "reason": "no timely proof",
-                                              "depth": depth})
+                result.fail({"block": block, "reason": "no timely proof",
+                             "depth": depth})
     if not blanked:
         result.inconclusive = True
     return result

@@ -138,7 +138,6 @@ class Simulation:
                     scenario.protocol, k_conf, k_epf, audit_sink=self.sink,
                     front=self.front)
             for n in self.honest_ids}
-        self.env.on_upload = self._on_upload
 
         spv_rate_slot = attack.spv_rate * p.tau
         self.sampler = SlotSampler(self.seed, p.beta, p.rho, p.honest_nodes,
@@ -150,7 +149,6 @@ class Simulation:
         self._lead_series: list[tuple[int, int]] = []
         self._last_lead = 0
         self._tx_counts = None
-        self.slot = 0
         self._precompute_lottery()
 
     # -- strategy/miner facade ------------------------------------------
@@ -174,6 +172,8 @@ class Simulation:
 
     def upload(self, header, content, slot: int, origin: int = -1) -> None:
         if self.env.upload_content(header, content, origin=origin, slot=slot):
+            for node in self.nodes.values():
+                node.content_uploaded(content.commitment, slot)
             self.trace.emit(slot, tr.CONTENT_UPLOADED,
                             commitment=content.commitment,
                             header=None if header is None else header.id)
@@ -231,9 +231,6 @@ class Simulation:
 
     # -- event loop -------------------------------------------------------
 
-    def _on_upload(self, node: int, commitment: int) -> None:
-        self.nodes[node].content_uploaded(commitment, self.slot)
-
     def _tx_log(self) -> list[tuple[int, tuple]]:
         """The transaction feed as (slot generated, (txid, size)), in order.
         Generation stops at the first slot that begins with at least
@@ -257,9 +254,9 @@ class Simulation:
             node.tx_log = tx_log
         slot = 0
         while slot < horizon:
-            self.slot = slot
             if self._heal_slot is not None and slot >= self._heal_slot:
-                self.env.heal_notify_all()
+                for node in self.nodes.values():
+                    node.partition_healed(slot)
                 self._heal_slot = None
 
             for node_id, header in self.env.deliveries_due(slot):
@@ -375,7 +372,7 @@ class Simulation:
             fetches=sum(self.env.fetch_count.values()),
             scheduler_blanked=sum(len(self.nodes[n].blanked)
                                   for n in self.honest_ids),
-            invalid_headers=sum(self.nodes[n].invalid_header_count
+            invalid_headers=sum(len(self.nodes[n].invalid)
                                 for n in self.honest_ids),
             tip_evictions=sum(self.nodes[n].tip_evictions
                               for n in self.honest_ids),

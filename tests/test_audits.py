@@ -323,7 +323,7 @@ def budget_oracle(run_trace, series, cp_flags, c_tilde):
     for ev in run_trace.events:
         if ev.kind == tr.CONTENT_FETCHED:
             node, header = ev.data["node"], ev.data["header"]
-            if node in fetches and ev.data.get("via", "request") == "request":
+            if node in fetches:
                 fetches[node].append((ev.slot, header))
             processed.setdefault((node, header), ev.slot)
         elif ev.kind == tr.PRETEND_EMPTY:
@@ -622,7 +622,6 @@ def edge_run(fetches):
     ([(25, "young", "request")], 0),             # at t + nu + 1
     ([(21, "pivot", "request")], 0),             # bpo_slot == last_cp_slot
     ([(21, "twin", "request")], 1),              # bpo_slot == t
-    ([(21, "young", "push")], 0),                # pushed, not requested
     ([(19, "young", "request"), (20, "young", "request"),
       (24, "twin", "request"), (24, "pivot", "request"),
       (25, "young", "request")], 2),

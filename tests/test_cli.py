@@ -1,12 +1,15 @@
 """Command-line behaviors: exit codes, artifact layout, and determinism."""
 import csv
+import dataclasses
 import json
 
 import pytest
 from conftest import MiniRun
 
 from nakasim import cli
+from nakasim import params as pm
 from nakasim import trace as tr
+from nakasim.sim import RunMetrics, run_scenario
 
 
 BASE_CONFIG = {
@@ -78,6 +81,23 @@ def test_simulate_no_trace(tmp_path):
                      "--no-trace"]) == 0
     assert not list(out.glob("trace_*.jsonl"))
     assert (out / "metrics.csv").exists()
+
+
+def test_metrics_csv_has_a_column_per_run_metric(tmp_path):
+    """The header is RunMetrics' fields in order, with the audits dict
+    reported as audits_clean, and the row holds the seed's metrics."""
+    cfg = write_config(tmp_path, repeat=1)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out),
+                     "--no-trace"]) == 0
+    with open(out / "metrics.csv") as fh:
+        header, row = list(csv.reader(fh))
+    names = [f.name for f in dataclasses.fields(RunMetrics)
+             if f.name != "audits"]
+    assert header == names + ["audits_clean"]
+    metrics, _ = run_scenario(pm.scenario_from_json(cfg), record_trace=False)
+    assert row == ([str(getattr(metrics, n)) for n in names]
+                   + [str(metrics.audits["clean"])])
 
 
 def test_analyze_reports_and_exits_clean(tmp_path):

@@ -109,20 +109,19 @@ def test_upload_is_insert_only():
     h, c = mk_header(store)
     assert env.upload_content(h, c, origin=0, slot=0) is True
     assert env.upload_content(h, c, origin=0, slot=1) is False
-    assert env.uploader[c.commitment] == 0
+    assert env.cloud[c.commitment] == 0
 
 
-def test_unavailable_request_is_free_and_registers_waiter():
+def test_unavailable_request_is_free():
     store = HeaderStore()
     env = Environment([0], 1.0, 0)
     h, c = mk_header(store)
-    woken = []
-    env.on_upload = lambda node, commitment: woken.append((node, commitment))
     outcome, paid = env.request_content(0, h, 0.0, slot=0)
     assert outcome is RequestOutcome.UNAVAILABLE and paid == 0.0
     assert env.meters[0].spent_total == 0.0
+    assert env.fetch_count[0] == 0
     env.upload_content(h, c, origin=0, slot=1)
-    assert woken == [(0, c.commitment)]
+    assert env.request_content(0, h, 0.0, slot=1)[0] is RequestOutcome.FETCHED
 
 
 def test_half_rate_fetch_completes_over_two_slots():
@@ -163,19 +162,70 @@ def test_partition_withholds_until_heal():
     assert env.content_visible(1, c.commitment, 10)
 
 
-def test_heal_notify_wakes_cross_half_waiters():
-    store = HeaderStore()
-    part = Partition(half_of={0: 0, 1: 1}, heal_slot=4)
-    env = Environment([0, 1], 1.0, 0, partition=part)
-    h, c = mk_header(store)
-    env.upload_content(h, c, origin=0, slot=1)
-    woken = []
-    env.on_upload = lambda node, commitment: woken.append(node)
-    outcome, _ = env.request_content(1, h, 0.0, slot=1)
-    assert outcome is RequestOutcome.UNAVAILABLE
-    env.heal_notify_all()
-    assert woken == [1]
+def small_sim(**attack):
+    """Four honest nodes, not run: the tests below mint headers by hand
+    and deliver them straight to the nodes."""
+    return Simulation(pm.scenario_from_dict({
+        "sim": {"n_nodes": 6, "tau": 0.1, "delta_h": 0.2, "c_tilde": 0.5,
+                "beta": 0.3, "rho": 0.1, "capacity": 1.0,
+                "horizon_slots": 100, "seed": 1},
+        "attack": attack}))
 
+
+def memoise_unavailable(sim, node_ids, header, slot):
+    """Deliver `header` to each node and step it: the request finds the
+    content unavailable, and the node memoises that."""
+    for n in node_ids:
+        node = sim.nodes[n]
+        node.on_header(header, slot)
+        node.process_step(slot)
+        assert header.id in node.unavailable
+        assert not node.active
+
+
+def test_an_upload_wakes_exactly_the_nodes_that_memoised_it():
+    sim = small_sim()
+    assert sim.honest_ids == [0, 1, 2, 3]
+    a, content_a = mk_header(sim.store, slot=1)
+    b, _ = mk_header(sim.store, slot=2)
+    memoise_unavailable(sim, [0, 1], a, 3)
+    memoise_unavailable(sim, [2], b, 3)
+    sim.upload(a, content_a, slot=5, origin=-1)
+    for n in (0, 1):
+        node = sim.nodes[n]
+        assert node.wake == 5
+        assert a.commitment not in node._unavailable_by_commitment
+        assert a.id not in node.unavailable
+    for n in (2, 3):
+        assert not sim.nodes[n].active
+    assert sim.nodes[2]._unavailable_by_commitment == {b.commitment: {b.id}}
+    assert sim.nodes[2].unavailable == {b.id}
+    # a second upload of the same content is rejected and wakes nobody
+    sim.nodes[0].wake = 9
+    sim.upload(a, content_a, slot=6, origin=-1)
+    assert sim.nodes[0].wake == 9 and not sim.nodes[3].active
+
+
+def test_the_heal_clears_only_memos_of_content_in_the_cloud():
+    sim = small_sim(strategy=pm.ATTACK_PARTITION, partition_duration=3.0)
+    heal = sim._heal_slot
+    far, near = sim.honest_ids[-1], sim.honest_ids[0]
+    assert sim.env.partition.blocks(near, far, heal - 1)
+    across, content_across = mk_header(sim.store, slot=1)
+    withheld, _ = mk_header(sim.store, slot=2)
+    sim.upload(across, content_across, slot=2, origin=near)
+    memoise_unavailable(sim, [far], across, 3)
+    memoise_unavailable(sim, [far], withheld, 3)
+    assert not sim.env.content_visible(far, across.commitment, heal - 1)
+    for node in sim.nodes.values():
+        node.partition_healed(heal)
+    node = sim.nodes[far]
+    assert node.wake == heal
+    assert node._unavailable_by_commitment == {withheld.commitment: {withheld.id}}
+    assert node.unavailable == {withheld.id}
+    assert not any(sim.nodes[n].active for n in sim.honest_ids if n != far)
+    node.process_step(heal)
+    assert across.id in node.processed
 
 
 # rates a hair under 1/n put the fetch test right at its 1e-9 tolerance,

@@ -46,13 +46,13 @@ def test_rogue_header_with_stale_opportunity_rejected():
     rig.store.headers[999] = rogue  # bypasses the store's mint checks
     # the valid ancestor is kept, the rogue header is not
     assert rig.node.on_header(rogue, 6) == [parent.id]
-    assert rig.node.invalid_header_count == 1
-    assert 999 not in rig.node.known
+    assert rig.node.invalid == {999}
+    assert 999 not in rig.node.seen_order
     # descendants of an invalid header fall with it
     child = rig.store.pow_extend(BpoId(7, 3, True, 0), 999,
                                  rig.store.make_content().commitment)
     assert rig.node.on_header(child, 7) == []
-    assert child.id not in rig.node.known
+    assert child.id not in rig.node.seen_order
 
 
 def test_longest_header_chain_falls_back_when_content_dries_up():
@@ -186,8 +186,8 @@ def test_sapos_intake_rejects_late_proof():
     late, _ = rig.grow(chain[-1], 8, node_id=1, pos=True, proofs=(proof,))
     inserted = rig.node.on_header(late, 8)
     assert late.id not in inserted          # ancestors land, the carrier not
-    assert late.id not in rig.node.known
-    assert rig.node.invalid_header_count == 1
+    assert late.id not in rig.node.seen_order
+    assert rig.node.invalid == {late.id}
     timely, _ = rig.grow(chain[2], 9, node_id=2, pos=True, proofs=(proof,))
     assert timely.id in rig.node.on_header(timely, 9)
 

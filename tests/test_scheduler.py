@@ -32,9 +32,7 @@ class ReferenceNode(nd.Node):
         self._sorted_cache = (-1, -1, [])
 
     def _insert(self, h, slot):
-        self.known.add(h.id)
-        self.seen_order[h.id] = self._seen_counter
-        self._seen_counter += 1
+        self.seen_order[h.id] = len(self.seen_order)
 
         seen = self.bpo_seen.setdefault(h.bpo.key(), [])
         seen.append(h.id)

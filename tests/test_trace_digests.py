@@ -75,7 +75,8 @@ def attack_scenario(protocol: str, **attack) -> dict:
 
 # Adversary paths the matrix above never takes: the sacrifice plant and its
 # equivocated twin, header-only (SPV) miners grafting onto the teaser's
-# private chain, and the pure private attack.
+# private chain, the pure private attack, and the partition with SPV miners,
+# whose heal clears the memos of content uploaded across the split.
 # name -> (scenario, trace sha256, tip evictions, sacrifices, SPV blocks)
 PINNED_ATTACKS = {
     "sapos-sacrifice": (
@@ -92,6 +93,11 @@ PINNED_ATTACKS = {
         attack_scenario(pm.PROTOCOL_POS, strategy=pm.ATTACK_PRIVATE),
         "1f24b97d531b1119482bf25167b51b623289eb3ab82a679ee4e298f3a6733d0d",
         0, 0, 0),
+    "pos-partition-spv": (
+        attack_scenario(pm.PROTOCOL_POS, strategy=pm.ATTACK_PARTITION,
+                        partition_duration=30.0, spv_rate=0.3),
+        "45f46d0fd2ebad8b024836068ac7f24cc29d34392ef4efd1ab9dbd13e2c8f42d",
+        0, 0, 71),
 }
 
 
@@ -105,3 +111,25 @@ def test_attack_trace_digest_is_pinned(name):
                   if ev.data.get("sacrifice"))
     assert (trace_digest(sim), metrics.tip_evictions, planted,
             metrics.spv_blocks) == (digest, evictions, sacrifices, spv)
+
+
+def test_the_partition_heal_clears_memos():
+    """The pinned partition run reaches its heal with nodes that memoised
+    content uploaded across the split as unavailable: the heal clears
+    those memos, once per node, and keeps only memos of content not yet
+    in the cloud."""
+    sim = Simulation(pm.scenario_from_dict(PINNED_ATTACKS["pos-partition-spv"][0]))
+    heal = sim._heal_slot
+    healed, cleared = [], []
+    for node in sim.nodes.values():
+        def partition_healed(slot, node=node, inner=node.partition_healed):
+            before = set(node._unavailable_by_commitment)
+            inner(slot)
+            after = set(node._unavailable_by_commitment)
+            assert not after & sim.env.cloud.keys()
+            healed.append((slot, node.id))
+            cleared.extend((node.id, c) for c in before - after)
+        node.partition_healed = partition_healed
+    sim.run()
+    assert sorted(healed) == [(heal, n) for n in sim.honest_ids]
+    assert cleared

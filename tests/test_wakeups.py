@@ -37,9 +37,9 @@ class PollingSimulation(Simulation):
         slot = 0
         tx_seq = 0
         while slot < horizon:
-            self.slot = slot
             if self._heal_slot is not None and slot >= self._heal_slot:
-                self.env.heal_notify_all()
+                for node in self.nodes.values():
+                    node.partition_healed(slot)
                 self._heal_slot = None
 
             for node_id, header in self.env.deliveries_due(slot):
