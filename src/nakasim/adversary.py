@@ -16,6 +16,7 @@ beaten blocks on equivocations instead.
 """
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from . import params as pm
@@ -31,7 +32,7 @@ class Strategy:
     """Base: track private chain state against the honest front."""
 
     def __init__(self, sim) -> None:
-        self.sim = sim
+        self.sim = weakref.proxy(sim)   # the simulation owns the strategy
         self.store: HeaderStore = sim.store
         self.trace: tr.Trace = sim.trace
         self.fork_id: int = sim.honest_tip()
@@ -293,7 +294,7 @@ class SpvMiner:
     stream and never count as honest."""
 
     def __init__(self, sim) -> None:
-        self.sim = sim
+        self.sim = weakref.proxy(sim)   # the simulation owns the miner
         self.store: HeaderStore = sim.store
 
     def on_spv_bpo(self, bpo: BpoId, slot: int) -> None:

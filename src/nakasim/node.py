@@ -7,11 +7,18 @@ costs one unit of download budget; blanked content is free.  Partially paid
 downloads survive preemption in a small LRU cache.
 
 A node is stepped only when it is due: `wake` is the slot at which its
-throttled download completes, or the slot in which a new header or an
-upload reached it or it produced while busy, whichever comes first; IDLE
-when nothing is fetchable.  The slots a throttled node sleeps through are
-paid by `settle` before it is stepped again, in the same float steps as a
-per-slot poll.
+throttled download completes, or the first slot in which an event can
+change its plan, whichever comes first; IDLE when nothing is fetchable.
+A throttled node keeps its plan, the target and the tip it serves, and
+only these events wake it:
+  - a header insert (delivered, or its own block) that drops or evicts the
+    served tip, leaves a tip whose key ranks above the served tip's, or,
+    under SaPoS, makes a block's production opportunity seen twice;
+  - an upload or the partition heal that clears an unavailability memo.
+Any other insert leaves every tip above the served one as it was, so a
+step would walk them to the same target.  The slots a throttled node
+sleeps through are paid by `settle` before it is stepped again, in the
+same float steps as a per-slot poll.
 
 The scheduler keeps at most MAX_SCHEDULER_TIPS tips, each under its policy's
 key.  Keys end in the tip's seen order, so no two are equal, and the
@@ -81,6 +88,10 @@ class Node:
         # the download the last step ended throttled on, None if it idled
         self.throttled: Optional[int] = None
         self._resorted = False
+        # the tip the last walk took its target from, and the target a
+        # throttled step keeps until an event can change it
+        self._served: Optional[int] = None
+        self._kept: Optional[BlockHeader] = None
         self.unavailable: set[int] = set()
         self._unavailable_by_commitment: dict[int, set[int]] = {}
 
@@ -118,7 +129,9 @@ class Node:
     def on_header(self, header: BlockHeader, slot: int) -> list[int]:
         """Insert a delivered header together with any unknown ancestors
         (a header implies its chain). Returns newly inserted ids; invalid
-        headers and their descendants are dropped."""
+        headers and their descendants are dropped.  The node is due this
+        slot if it has no kept plan or the inserts can change it (see
+        `_replans`)."""
         chain: list[BlockHeader] = []
         h = header
         while h.id not in self.seen_order:
@@ -133,9 +146,33 @@ class Node:
                 break
             self._insert(h, slot)
             inserted.append(h.id)
-        if inserted:
-            self.wake = slot
+        if inserted and self._replans(inserted):
+            self._wake_now(slot)
         return inserted
+
+    def _replans(self, inserted: list[int]) -> bool:
+        """Whether a walk after inserting these headers can end elsewhere
+        than the kept plan: there is none, its tip was dropped or evicted,
+        an inserted tip's key ranks above it (the walk meets that tip
+        first), or under SaPoS an inserted header made its production
+        opportunity equivocated, which may blank a queued block."""
+        if self._kept is None:
+            return True
+        served = self.tips.get(self._served)
+        if served is None:
+            return True
+        for hid in inserted:
+            key = self.tips.get(hid)
+            if key is not None and key > served:
+                return True
+            if self.sapos and len(
+                    self.bpo_seen[self.store.get(hid).bpo.key()]) == 2:
+                return True
+        return False
+
+    def _wake_now(self, slot: int) -> None:
+        self.wake = slot
+        self._kept = None
 
     def _validate(self, h: BlockHeader) -> bool:
         parent = self.store.get(h.parent_id)
@@ -186,7 +223,7 @@ class Node:
         ids = self._unavailable_by_commitment.pop(commitment, None)
         if ids:
             self.unavailable.difference_update(ids)
-            self.wake = slot
+            self._wake_now(slot)
 
     def partition_healed(self, slot: int) -> None:
         """At the partition heal, content uploaded across the split becomes
@@ -250,7 +287,14 @@ class Node:
         highest key down in the order they had when it began; a pass that
         blanked something and found no target is followed by another.
         Fully processed tips are dropped from the scheduler; they need no
-        further work and a later child rebuilds its queue lazily."""
+        further work and a later child rebuilds its queue lazily.
+
+        The plan kept by the last throttled step is returned without a
+        walk: until an event drops it (a wake, a processed or blanked
+        block, a new memo), the tips above the served one and the served
+        queue's front are as that step's walk left them."""
+        if self._kept is not None:
+            return self._kept
         while True:
             acted = False
             finished: list[int] = []
@@ -272,6 +316,7 @@ class Node:
                     finished.append(tip_id)
                 elif dq[0] not in self.unavailable:
                     target = self.store.get(dq[0])
+                    self._served = tip_id
                     break
             for tip_id in finished:
                 self._drop_tip(tip_id)
@@ -285,9 +330,12 @@ class Node:
         """Spend this slot's remaining budget on scheduled downloads; called
         after deliveries and production, in slots where the node is due.
         Ends by setting `wake`: IDLE when nothing is fetchable, else the
-        slot at which the throttled download completes if nothing reaches
-        the node before.  Slots skipped in between are not paid here: the
-        caller settles them before the next step."""
+        slot at which the throttled download completes unless an event
+        that can change the plan reaches the node before (see the module
+        docstring).  A step that ends throttled keeps its target for the
+        next one, except after a pass that re-sorted the tips, which wakes
+        the node next slot to walk them again.  Slots skipped in between
+        are not paid here: the caller settles them before the next step."""
         while True:
             target = self.schedule_target(slot)
             if target is None:
@@ -297,6 +345,7 @@ class Node:
             paid = self.partial.get(target.id, 0.0)
             outcome, newly = self.env.request_content(self.id, target, paid, slot)
             if outcome is RequestOutcome.UNAVAILABLE:
+                self._kept = None
                 self.unavailable.add(target.id)
                 self._unavailable_by_commitment.setdefault(
                     target.commitment, set()).add(target.id)
@@ -314,6 +363,7 @@ class Node:
             if self._resorted:
                 self.wake = slot + 1
             else:
+                self._kept = target
                 self.wake = self.env.meters[self.id].completion_slot(
                     self.partial.get(target.id, 0.0), slot)
             return
@@ -341,11 +391,13 @@ class Node:
     # -- processing and chain selection ------------------------------------
 
     def _mark_blanked(self, header_id: int, slot: int) -> None:
+        self._kept = None
         self.blanked.add(header_id)
         self.trace.emit(slot, tr.PRETEND_EMPTY, node=self.id, header=header_id)
         self._after_processed(header_id, slot)
 
     def _mark_processed(self, header_id: int, slot: int) -> None:
+        self._kept = None
         self.processed.add(header_id)
         self._rekey_greedy()
         self._after_processed(header_id, slot)
@@ -451,8 +503,10 @@ class Node:
         if self.tip_evictions == evictions:
             self._rekey_greedy()
         self._after_processed(header.id, slot)
-        if self.active:
-            self.wake = slot   # its target's tip may be evicted or re-keyed
+        # the block is done, but its insert may evict the served tip or
+        # rank above it, and a walk would drop it when it meets it
+        if self.active and self._replans([header.id]):
+            self._wake_now(slot)
         return header, content
 
     def _take_txs(self, slot: int) -> tuple:

@@ -4,12 +4,20 @@ adversary together.
 Slot order: due header deliveries, lottery draws and block production,
 adversary reactions, then node processing against this slot's budget.
 The loop visits only slots where something happens: a lottery win, a queued
-delivery, the partition heal, or a node's wake slot.  A node is stepped
-only in slots where it is due (see `Node.wake`); a throttled node sleeps
-until its download completes or something reaches it, and the slots it
-slept through are settled just before its next step and at the horizon.
-Transactions come from one feed shared by every node, so they do not pin
-the loop to every slot either.
+delivery, the partition heal, or a node's wake slot.  The lottery is drawn
+before the run, which walks its busy slots with a cursor.  A node is
+stepped only in slots where it is due (see `Node.wake`); a throttled node
+keeps its plan and sleeps until its download completes or an event that
+can change the plan reaches it: a header that drops, evicts or outranks
+the tip it serves, a twin of a queued block under SaPoS, or the upload
+of content it found unavailable.  The slots it slept through are settled
+just before its next step and at the horizon.  Transactions come from one
+feed shared by every node, so they do not pin the loop to every slot
+either.
+
+The simulation's object graph holds no reference cycle (the adversary
+reaches the simulation through a weak proxy), so a dropped simulation is
+freed by reference counting, and `run` makes no cyclic collector pass.
 """
 from __future__ import annotations
 
@@ -217,18 +225,6 @@ class Simulation:
             gen = _slot_gen(self.seed, STREAM_ANALYSIS, 0)
             self._tx_counts = gen.poisson(mu, size=p.horizon_slots)
 
-    def _counts_at(self, slot: int) -> tuple[int, int, int]:
-        i = np.searchsorted(self._busy_slots, slot)
-        if i < len(self._busy_slots) and self._busy_slots[i] == slot:
-            return int(self._h[i]), int(self._a[i]), int(self._s[i])
-        return 0, 0, 0
-
-    def _next_busy_slot(self, after: int) -> int:
-        i = np.searchsorted(self._busy_slots, after)
-        if i < len(self._busy_slots):
-            return int(self._busy_slots[i])
-        return self.params.horizon_slots
-
     # -- event loop -------------------------------------------------------
 
     def _tx_log(self) -> list[tuple[int, tuple]]:
@@ -247,8 +243,15 @@ class Simulation:
                 log.append((slot, (f"tx{slot}_{len(log)}", size)))
         return log
 
+    @tr.collector_paused()
     def run(self) -> RunMetrics:
         horizon = self.params.horizon_slots
+        # the busy slots as a list ending with the horizon, and each one's
+        # counts; `_cursor` indexes the first busy slot not yet visited
+        self._busy = busy = self._busy_slots.tolist() + [horizon]
+        counts = list(zip(self._h.tolist(), self._a.tolist(),
+                          self._s.tolist()))
+        self._cursor = 0
         tx_log = self._tx_log()
         for node in self.nodes.values():
             node.tx_log = tx_log
@@ -265,8 +268,11 @@ class Simulation:
                     self.trace.emit(slot, tr.HEADER_DELIVERED, node=node_id,
                                     header=header.id, pushed=False)
 
-            h_cnt, a_cnt, s_cnt = self._counts_at(slot)
-            if h_cnt or a_cnt or s_cnt:
+            # `_advance` never passes a busy slot, so the cursor's slot is
+            # this one or a later one
+            if busy[self._cursor] == slot:
+                h_cnt, a_cnt, s_cnt = counts[self._cursor]
+                self._cursor += 1
                 bpos = self.sampler.assign(slot, h_cnt, a_cnt)
                 self.trace.emit(slot, tr.BPO, h=h_cnt, a=a_cnt, s=s_cnt,
                                 winners=[[b.node, b.honest] for b in bpos])
@@ -319,7 +325,7 @@ class Simulation:
 
     def _advance(self, slot: int) -> int:
         nxt = slot + 1
-        candidates = [self.params.horizon_slots, self._next_busy_slot(nxt),
+        candidates = [self._busy[self._cursor],
                       min(node.wake for node in self.nodes.values())]
         nd = self.env.next_delivery_slot()
         if nd is not None:

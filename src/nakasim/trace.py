@@ -20,9 +20,10 @@ Besides the event list, a `Trace` keeps one list per kind, filled by `emit`
 and by `read_jsonl`; `of_kind` returns a copy of that list and never scans
 the events.
 
-Reading a file and auditing it allocate hundreds of thousands of dicts and
-events, none of which can form a reference cycle, so `read_jsonl` (and
-`pivots.analyze_trace`) run under `collector_paused`: the cyclic garbage
+Simulating, writing a file, reading it and auditing it allocate hundreds
+of thousands of dicts and events, none of which can form a reference
+cycle, so `sim.Simulation.run`, `write_jsonl`, `read_jsonl` and
+`pivots.analyze_trace` run under `collector_paused`: the cyclic garbage
 collector makes no passes inside them, and its prior state is restored on
 the way out, also on an exception.
 """
@@ -145,6 +146,7 @@ class Trace:
         raise ValueError("trace has no Meta record")
 
 
+@collector_paused()
 def write_jsonl(trace: Iterable[TraceEvent], path: str) -> None:
     """Write events atomically (temp file + rename), each line the bytes of
     `TraceEvent.to_json`, one `write` per `_BATCH_LINES` events."""

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_trace_digests import matrix_scenario
+from test_trace_digests import PINNED_ATTACKS, matrix_scenario
 
 from nakasim import params as pm
 from nakasim import pivots as pv
@@ -509,7 +509,8 @@ def passes_inside(fn, *args):
     return result, passes
 
 
-def test_reading_and_auditing_run_no_collector_pass(tmp_path, collector):
+def test_reading_and_auditing_run_no_collector_pass(tmp_path, collector,
+                                                    monkeypatch):
     gc.enable()
     path = tmp_path / "t.jsonl"
     path.write_text("".join(bpo_lines(10_000)))
@@ -525,3 +526,38 @@ def test_reading_and_auditing_run_no_collector_pass(tmp_path, collector):
     assert passes
     _, passes = passes_inside(pv.analyze_trace, *args)
     assert passes == []
+
+    # simulating, likewise
+    cfg = matrix_scenario(pm.PROTOCOL_POW, pm.POLICY_LONGEST_HEADER_CHAIN)
+    cfg["sim"]["horizon_slots"] = 600
+    scenario = pm.scenario_from_dict(cfg)
+    _, passes = passes_inside(inspect.unwrap(Simulation.run),
+                              Simulation(scenario))
+    assert passes
+    sim = Simulation(scenario)
+    _, passes = passes_inside(sim.run)
+    assert passes == []
+
+    # writing keeps nothing alive past one event, so even an unpaused
+    # write makes no pass: check that the collector is off inside it
+    enabled = []
+    make = tr._new_file_encoder
+
+    def new_file_encoder():
+        enabled.append(gc.isenabled())
+        return make()
+    monkeypatch.setattr(tr, "_new_file_encoder", new_file_encoder)
+    _, passes = passes_inside(tr.write_jsonl, sim.trace, str(path))
+    assert passes == [] and enabled == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("name", ["pow-teaser-spv", "pos-partition-spv"])
+def test_a_dropped_simulation_is_freed_without_the_collector(collector, name):
+    """No reference cycle keeps a finished simulation alive, so the garbage
+    a paused run leaves does not wait for a collection."""
+    sim = Simulation(pm.scenario_from_dict(PINNED_ATTACKS[name][0]))
+    sim.run()
+    gc.collect()
+    del sim
+    assert gc.collect() == 0

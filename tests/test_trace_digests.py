@@ -2,6 +2,7 @@
 protocol x policy is pinned, so a change to the simulator's internals that
 claims to keep its behaviour must reproduce these traces exactly."""
 import hashlib
+import json
 
 import pytest
 
@@ -133,3 +134,45 @@ def test_the_partition_heal_clears_memos():
     sim.run()
     assert sorted(healed) == [(heal, n) for n in sim.honest_ids]
     assert cleared
+
+
+def feed_scenario(protocol: str, strategy: str) -> dict:
+    """`attack_scenario` with a transaction feed of 0.5 transactions per
+    slot, each 0.15 of a block, so that some blocks fill up."""
+    out = attack_scenario(protocol, strategy=strategy)
+    out["txgen"] = {"sigma": 5.0, "tx_size": 0.15}
+    return out
+
+
+def contents_digest(sim: Simulation) -> str:
+    """sha256 of every block's (commitment, producer, txs), which the trace
+    does not record."""
+    body = json.dumps([[c.commitment, c.producer, [list(tx) for tx in c.txs]]
+                       for c in sim.store.contents.values()],
+                      separators=(",", ":"))
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+# Runs with the transaction feed: producing blocks while a download sleeps.
+# name -> (scenario, trace sha256, contents sha256)
+PINNED_FEEDS = {
+    "pow-teaser-txgen": (
+        feed_scenario(pm.PROTOCOL_POW, pm.ATTACK_TEASER),
+        "78d4637f81593f97883745917b02d714f01052df49ab4384210cf1c13dcbef25",
+        "6f2259555c638fa4692e78c3483e4236fc3ee87aa19f735ace0329e52ac1b21f"),
+    "sapos-pos-teaser-txgen": (
+        feed_scenario(pm.PROTOCOL_SAPOS, pm.ATTACK_POS_TEASER),
+        "d78bca14ddc1b6b18c77953cde75bfbe06afbbd83d19cb96820735d8ab209855",
+        "26d82fee816e9e76995d70bf3e433eb9330124af971b7cfcc0b00c2ba2243de9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FEEDS))
+def test_feed_trace_and_contents_digests_are_pinned(name):
+    config, digest, contents = PINNED_FEEDS[name]
+    sim = Simulation(pm.scenario_from_dict(config))
+    metrics = sim.run()
+    assert metrics.audits["clean"]
+    assert (trace_digest(sim), contents_digest(sim)) == (digest, contents)
+    # the feed fills some blocks to the size cap
+    assert any(len(c.txs) >= 6 for c in sim.store.contents.values())
