@@ -58,18 +58,24 @@ def parse_grid(spec: str) -> list[float]:
         raise ValueError(f"grid {spec!r}: {exc}") from exc
 
 
-def bootstrap_ci(values, n_boot: int = 2000, level: float = 0.95,
-                 seed: int = 0) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean of `values`."""
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_LEVEL = 0.95
+BOOTSTRAP_SEED = 0
+
+
+def bootstrap_ci(values) -> tuple[float, float]:
+    """Percentile bootstrap interval for the mean of `values`: the central
+    BOOTSTRAP_LEVEL of the means of BOOTSTRAP_RESAMPLES resamples, drawn
+    from a generator seeded with BOOTSTRAP_SEED."""
     arr = np.asarray(list(values), dtype=float)
     if len(arr) == 0:
         return (float("nan"), float("nan"))
     if len(arr) == 1:
         return (float(arr[0]), float(arr[0]))
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(arr), size=(n_boot, len(arr)))
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    idx = rng.integers(0, len(arr), size=(BOOTSTRAP_RESAMPLES, len(arr)))
     means = arr[idx].mean(axis=1)
-    tail = (1.0 - level) / 2.0
+    tail = (1.0 - BOOTSTRAP_LEVEL) / 2.0
     return (float(np.quantile(means, tail)),
             float(np.quantile(means, 1.0 - tail)))
 

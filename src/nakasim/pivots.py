@@ -14,7 +14,7 @@ import bisect
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -43,39 +43,6 @@ def pivot_flags_walk(indicator: np.ndarray) -> np.ndarray:
     return (ind == 1) & (sufmin[..., 1:] > prefmax[..., :-1])
 
 
-def pivot_flags_interval(indicator) -> list[bool]:
-    """Direct interval-form pivot test, O(n^3); kept as the slow oracle the
-    walk form is cross-checked against."""
-    ind = list(indicator)
-    n = len(ind)
-    s = [0]
-    for v in ind:
-        s.append(s[-1] + (1 if v else -1))
-    flags = []
-    for k in range(1, n + 1):
-        ok = ind[k - 1] == 1
-        if ok:
-            for i in range(0, k):
-                for j in range(k, n + 1):
-                    if s[j] - s[i] <= 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        flags.append(ok)
-    return flags
-
-
-def margin_check(good: np.ndarray, i: int, j: int) -> tuple[int, int]:
-    """For the index interval (i, j], return (good - bad, pivot count); the
-    honest margin must cover the pivots whenever any pivot lies inside."""
-    g = np.asarray(good, dtype=np.int64)
-    flags = pivot_flags_walk(g)
-    gsum = int(g[i:j].sum())
-    bad = (j - i) - gsum
-    return gsum - bad, int(flags[i:j].sum())
-
-
 # ---------------------------------------------------------------------------
 # index series extracted from a trace
 
@@ -89,7 +56,8 @@ class IndexSeries:
     downloaded: np.ndarray     # D_k (bool), zero wherever not good
     block: np.ndarray          # header id of the good slot's block, -1 otherwise
     nu: int
-    horizon: int
+    pp: np.ndarray             # probabilistic pivot flags, from good
+    cp: np.ndarray             # combinatorial pivot flags, from downloaded
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -114,7 +82,8 @@ def _processed_slots(run_trace: tr.Trace) -> dict[tuple[int, int], int]:
 
 def classify(run_trace: tr.Trace, nu: int) -> IndexSeries:
     """Build the index series from a trace: slot classes from production
-    counts, download success from per-node processing completions."""
+    counts, download success from per-node processing completions, and the
+    pivot flags of both."""
     meta = run_trace.meta
     horizon = meta["horizon_slots"]
     honest = list(meta["honest_nodes"])
@@ -152,7 +121,8 @@ def classify(run_trace: tr.Trace, nu: int) -> IndexSeries:
         downloaded[k] = all(processed.get((p, b), horizon + nu + 1) <= deadline
                             for p in honest)
     return IndexSeries(np.asarray(slots, dtype=np.int64), good, downloaded,
-                       block, nu, horizon)
+                       block, nu, pivot_flags_walk(good.astype(np.int64)),
+                       pivot_flags_walk(downloaded.astype(np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +144,6 @@ class AuditResult:
         self.passed = False
         if len(self.violations) < _MAX_WITNESSES:
             self.violations.append(witness)
-
-    def summary(self) -> str:
-        state = ("inconclusive" if self.inconclusive
-                 else "pass" if self.passed else "FAIL")
-        return f"{self.name}: {state} ({self.checked} checked, {len(self.violations)} violations)"
 
 
 def _header_table(run_trace: tr.Trace) -> dict[int, dict]:
@@ -503,19 +468,13 @@ class WindowStats:
     sliding_total: int
     sliding_hit: int
 
-    @property
-    def sliding_fraction(self) -> float:
-        return self.sliding_hit / self.sliding_total if self.sliding_total else float("nan")
 
-
-def cp_recurrence(cp_flags: np.ndarray, k_cp: int,
-                  edge_margin: Optional[int] = None) -> WindowStats:
+def cp_recurrence(cp_flags: np.ndarray, k_cp: int) -> WindowStats:
     """Count tumbling k_cp windows and sliding 2*k_cp windows that contain a
-    combinatorial pivot, excluding an edge margin at both ends."""
+    combinatorial pivot, excluding k_cp indices at both ends."""
     flags = np.asarray(cp_flags, dtype=bool)
     n = len(flags)
-    margin = k_cp if edge_margin is None else edge_margin
-    lo, hi = margin, n - margin
+    lo, hi = k_cp, n - k_cp
     stats = WindowStats(k_cp, 0, 0, 0, 0)
     if hi - lo < k_cp:
         return stats
@@ -562,16 +521,8 @@ class PivotReport:
             "pp_count": len(self.pp_indices), "cp_count": len(self.cp_indices),
             "pp_indices": self.pp_indices[:1000],
             "cp_indices": self.cp_indices[:1000],
-            "windows": {
-                "k_cp": self.windows.k_cp,
-                "tumbling_total": self.windows.tumbling_total,
-                "tumbling_hit": self.windows.tumbling_hit,
-                "sliding_total": self.windows.sliding_total,
-                "sliding_hit": self.windows.sliding_hit,
-            },
-            "audits": [{"name": a.name, "passed": a.passed,
-                        "inconclusive": a.inconclusive, "checked": a.checked,
-                        "violations": a.violations} for a in self.audits],
+            "windows": asdict(self.windows),
+            "audits": [asdict(a) for a in self.audits],
             "passed": self.passed,
         }
 
@@ -580,8 +531,7 @@ class PivotReport:
 def analyze_trace(run_trace: tr.Trace, nu: int, c_tilde: Optional[float],
                   k_cp: int) -> tuple[PivotReport, IndexSeries]:
     series = classify(run_trace, nu)
-    pp = pivot_flags_walk(series.good.astype(np.int64))
-    cp = pivot_flags_walk(series.downloaded.astype(np.int64))
+    pp, cp = series.pp, series.cp
     audits = [
         audit_chain_growth(run_trace, series),
         audit_stabilization(run_trace, series, cp),
@@ -611,8 +561,6 @@ def write_report(report: PivotReport, series: IndexSeries, json_path: str,
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    pp = pivot_flags_walk(series.good.astype(np.int64))
-    cp = pivot_flags_walk(series.downloaded.astype(np.int64))
     x_prefix = np.cumsum(2 * series.good.astype(np.int64) - 1)
     y_prefix = np.cumsum(2 * series.downloaded.astype(np.int64) - 1)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -622,4 +570,5 @@ def write_report(report: PivotReport, series: IndexSeries, json_path: str,
         for k in range(len(series)):
             w.writerow([k + 1, int(series.slots[k]), int(series.good[k]),
                         int(series.downloaded[k]), int(x_prefix[k]),
-                        int(y_prefix[k]), int(pp[k]), int(cp[k])])
+                        int(y_prefix[k]), int(series.pp[k]),
+                        int(series.cp[k])])

@@ -5,15 +5,17 @@ seen two headers for one production opportunity treats the block as empty
 and skips its download; at the ledger, a produced block may carry an
 equivocation proof that retroactively blanks the offender's content.
 Proofs must land within a bounded number of blocks of the offense or the
-content stands.  Application payloads face two further restrictions that
-keep pretend-empty safe: no transaction may condition on block content
-that a producer could grind, and every call carries a gas deposit large
-enough to pay for what it could consume.
+content stands.
+
+The model assumes two rules on application payloads that keep
+pretend-empty safe: no transaction may condition on block content that a
+producer could grind, and every call carries a gas deposit large enough
+to pay for what it could consume.  The simulator does not exercise them:
+its transactions are `(txid, size)` tuples with no payload.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from .lottery import BlockHeader, EquivocationProof, HeaderStore
 
@@ -66,49 +68,3 @@ def equivocated_in_view(node: "Node", header: BlockHeader) -> bool:
     """Scheduler-level blanking predicate: the node has seen two headers
     for this block's production opportunity."""
     return len(node.bpo_seen.get(header.bpo.key(), ())) >= 2
-
-
-@dataclass(frozen=True)
-class AppTx:
-    """Abstract application payload: the state keys it reads or writes, the
-    deposit account that pays for it, and its worst-case gas."""
-
-    txid: str
-    keys: frozenset = frozenset()
-    account: str = ""
-    max_gas: float = 0.0
-
-
-def predictable_tx_filter(pending: Iterable[AppTx],
-                          chain_blocks: Sequence[Iterable[AppTx]],
-                          k_epf: int) -> tuple:
-    """Admit only transactions whose key sets are untouched by the last
-    k_epf blocks; their effect is then the same whether or not any of those
-    blocks ends up blanked."""
-    recent: set = set()
-    if k_epf > 0:
-        for block_txs in chain_blocks[max(0, len(chain_blocks) - k_epf):]:
-            for tx in block_txs:
-                recent.update(tx.keys)
-    return tuple(tx for tx in pending if recent.isdisjoint(tx.keys))
-
-
-def gas_deposit_check(tx: AppTx, chain_blocks: Sequence[dict],
-                      k_epf: int) -> bool:
-    """Fundability under blanking: only deposits at least k_epf blocks old
-    count (younger ones could still be blanked away), withdrawals bind
-    immediately, and every transaction already included in the last k_epf
-    blocks reserves its worst-case gas.  chain_blocks entries are dicts with
-    optional keys 'deposits', 'withdrawals' (account -> amount) and 'txs'."""
-    n = len(chain_blocks)
-    matured = 0.0
-    for block in chain_blocks[:max(0, n - k_epf)]:
-        matured += block.get("deposits", {}).get(tx.account, 0.0)
-    for block in chain_blocks:
-        matured -= block.get("withdrawals", {}).get(tx.account, 0.0)
-    reserved = 0.0
-    for block in chain_blocks[max(0, n - k_epf):]:
-        for other in block.get("txs", ()):
-            if other.account == tx.account:
-                reserved += other.max_gas
-    return matured - reserved + 1e-12 >= tx.max_gas

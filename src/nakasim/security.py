@@ -26,12 +26,6 @@ def p_good(beta: float, rho: float, nu: int) -> float:
         raise ValueError("rho must be positive")
     return (1.0 - beta) * rho * math.exp(-rho * (nu + 1)) / -math.expm1(-rho)
 
-def p_good_limit(beta: float, lam: float, delta_h: float, c_tilde: float,
-                 capacity: float) -> float:
-    """Small-slot limit of p_good with the window tied to physical time:
-    (1 - beta) * exp(-lam * (delta_h + c_tilde / capacity))."""
-    return (1.0 - beta) * math.exp(-lam * (delta_h + c_tilde / capacity))
-
 
 def p_pp(p_g: float) -> float:
     """Lower bound on the per-index probability of a probabilistic pivot,
@@ -50,11 +44,6 @@ def alpha_walk(p_g: float) -> float:
 def alpha_pivot(p_g: float) -> float:
     """Hoeffding rate for pivot counts in disjoint groups: 2 * p_pp^2."""
     return 2.0 * p_pp(p_g) ** 2
-
-
-def hoeffding_tail_x(p_g: float, delta: float, length: int) -> float:
-    """Bound on P[walk increment sum <= (1-delta) * 2 * (p_g - 1/2) * length]."""
-    return math.exp(-alpha_walk(p_g) * delta ** 2 * length)
 
 
 def pp_tail(p_g: float, k1: int, k2: int, delta: float, k_horizon: int) -> float:
@@ -96,25 +85,27 @@ class MaxRateResult:
 
 C_TILDE_LO = 1.0
 C_TILDE_HI = 1e5
+GRID_POINTS = 512
+REFINE_TOL = 1e-10
 
 
-def max_rate(beta: float, capacity: float, delta_h: float,
-             grid_points: int = 512, refine_tol: float = 1e-10) -> MaxRateResult:
+def max_rate(beta: float, capacity: float, delta_h: float) -> MaxRateResult:
     """Maximise the secure rate over the window budget c_tilde in
-    [1, 1e5], treated as continuous: coarse log-spaced scan, then
-    golden-section refinement around the best grid point.
+    [1, 1e5], treated as continuous: a scan of GRID_POINTS log-spaced
+    values, then golden-section refinement around the best grid point
+    until the bracket is narrower than REFINE_TOL relative to its top.
 
     Raises InsecureRegime when the log argument stays <= 1 everywhere.
     """
     if not (0.0 <= beta < 1.0):
         raise ValueError("beta must lie in [0, 1)")
-    grid = np.logspace(math.log10(C_TILDE_LO), math.log10(C_TILDE_HI), grid_points)
+    grid = np.logspace(math.log10(C_TILDE_LO), math.log10(C_TILDE_HI), GRID_POINTS)
     vals = rate_at(beta, capacity, delta_h, grid)
     best = int(np.argmax(vals))
     if not np.isfinite(vals[best]) or vals[best] <= 0.0:
         raise InsecureRegime(f"no secure rate at beta={beta:g}")
     lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid_points - 1)]
+    hi = grid[min(best + 1, GRID_POINTS - 1)]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     f = lambda c: float(rate_at(beta, capacity, delta_h, c))
@@ -122,7 +113,7 @@ def max_rate(beta: float, capacity: float, delta_h: float,
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > refine_tol * max(1.0, b):
+    while b - a > REFINE_TOL * max(1.0, b):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -141,17 +132,6 @@ def beta_threshold(lambda_growth: float, lambda_honest: float) -> float:
     if lambda_growth < 0.0 or lambda_honest <= 0.0:
         raise ValueError("rates must be non-negative, honest rate positive")
     return lambda_growth / (lambda_growth + lambda_honest)
-
-
-def index_time_tail(k: int, delta: float) -> float:
-    """Bound on the probability that k production indices stretch over more
-    than k / (lam * (1 - delta)) seconds."""
-    return math.exp(-k * delta ** 2 / (2.0 * (1.0 + delta)))
-
-
-def liveness_latency_simple(k_cp: int, rho: float) -> float:
-    """Confirmation latency estimate in slots: (6 k_cp + 2) / rho."""
-    return (6.0 * k_cp + 2.0) / rho
 
 
 def liveness_latency_refined(k_cp: int, rho: float, t_tput_slots: float,

@@ -154,8 +154,8 @@ class Simulation:
         self.spv = adv.SpvMiner(self) if attack.spv_rate > 0 else None
 
         self._announced = (0, self.store.genesis.id)
-        self._lead_series: list[tuple[int, int]] = []
         self._last_lead = 0
+        self._max_lead: int | None = None   # None until a lead is recorded
         self._tx_counts = None
         self._precompute_lottery()
 
@@ -299,7 +299,8 @@ class Simulation:
             lead = self.strategy.lead()
             if lead != self._last_lead:
                 self._last_lead = lead
-                self._lead_series.append((slot, lead))
+                if self._max_lead is None or lead > self._max_lead:
+                    self._max_lead = lead
                 self.trace.emit(slot, tr.LEAD_SAMPLE, lead=lead)
 
             slot = self._advance(slot)
@@ -349,7 +350,6 @@ class Simulation:
         lam_hon = (1.0 - p.beta) * p.rho / p.tau
         l_min = min(self.nodes[n].dchain_height for n in self.honest_ids)
         growth = l_min / elapsed
-        leads = [x[1] for x in self._lead_series] or [0]
         honest_blocks = sum(1 for hdr in self.store.headers.values()
                             if hdr.bpo.honest)
         adv_blocks = sum(1 for hdr in self.store.headers.values()
@@ -371,8 +371,8 @@ class Simulation:
             spv_blocks=spv_blocks,
             max_tip_height=self._announced[0],
             agreed_height=self.agreed_height(),
-            final_lead=leads[-1],
-            max_lead=max(leads),
+            final_lead=self._last_lead,
+            max_lead=0 if self._max_lead is None else self._max_lead,
             releases=self.strategy.releases,
             giveups=self.strategy.giveups,
             fetches=sum(self.env.fetch_count.values()),

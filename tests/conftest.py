@@ -1,12 +1,16 @@
 """Shared builders: a single honest node wired to its own store, network
-environment, and trace, plus small header-tree helpers."""
+environment, and trace, plus small header-tree helpers; and the slow pivot
+oracles that the walk form is checked against."""
 from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from nakasim import netenv
 from nakasim import node as nd
 from nakasim import params as pm
+from nakasim import pivots as pv
 from nakasim import trace as tr
 from nakasim.lottery import BpoId, HeaderStore
 
@@ -109,3 +113,36 @@ class MiniRun:
 
     def ledger(self, slot, node, length, tip):
         self.trace.emit(slot, tr.LEDGER_OUTPUT, node=node, len=length, tip=tip)
+
+
+def pivot_flags_interval(indicator) -> list[bool]:
+    """Direct interval-form pivot test, O(n^3): the slow oracle that
+    `pivots.pivot_flags_walk` is cross-checked against."""
+    ind = list(indicator)
+    n = len(ind)
+    s = [0]
+    for v in ind:
+        s.append(s[-1] + (1 if v else -1))
+    flags = []
+    for k in range(1, n + 1):
+        ok = ind[k - 1] == 1
+        if ok:
+            for i in range(0, k):
+                for j in range(k, n + 1):
+                    if s[j] - s[i] <= 0:
+                        ok = False
+                        break
+                if not ok:
+                    break
+        flags.append(ok)
+    return flags
+
+
+def margin_check(good, i: int, j: int) -> tuple[int, int]:
+    """For the index interval (i, j], return (good - bad, pivot count); the
+    honest margin must cover the pivots whenever any pivot lies inside."""
+    g = np.asarray(good, dtype=np.int64)
+    flags = pv.pivot_flags_walk(g)
+    gsum = int(g[i:j].sum())
+    bad = (j - i) - gsum
+    return gsum - bad, int(flags[i:j].sum())

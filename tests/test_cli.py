@@ -45,9 +45,9 @@ def test_bootstrap_ci():
     assert math.isnan(lo) and math.isnan(hi)
     assert cli.bootstrap_ci([3.5]) == (3.5, 3.5)
     values = [1.0, 2.0, 3.0, 4.0, 5.0]
-    lo, hi = cli.bootstrap_ci(values, seed=1)
+    lo, hi = cli.bootstrap_ci(values)
     assert lo < 3.0 < hi
-    assert cli.bootstrap_ci(values, seed=1) == (lo, hi)
+    assert cli.bootstrap_ci(values) == (lo, hi)
 
 
 def test_simulate_writes_artifacts_and_replays_bit_identically(tmp_path):

@@ -1,9 +1,11 @@
 """Source hygiene: every name a module of the package imports is used in it,
-and one module owns switching the cyclic garbage collector.
+every function, class and method it defines is named elsewhere in it, and
+one module owns switching the cyclic garbage collector.
 
 A re-export counts as a use when the module lists the name in `__all__`."""
 import ast
 import pathlib
+from collections import defaultdict
 
 import pytest
 
@@ -67,6 +69,106 @@ def test_the_check_sees_unused_imports():
               "x: Optional[int] = math.pi\n"
               "def f(a: 'Iterable[int]') -> \"list[Sequence]\": pass\n")
     assert unused_imports(source) == ["line 4: C", "line 2: os"]
+
+
+# Definitions that nothing else in the package names, each kept for a reason.
+KEPT_UNREACHED = {
+    "pp_tail": "pivot-count tail bound, for checking recurrence at the "
+               "proof's operating point",
+    "cp_condition": "recurrence condition that picks the proof's operating "
+                    "point",
+    "choose_k_cp": "recurrence distance k_cp at the proof's operating point",
+    "liveness_latency_refined": "latency bound that a measured confirmation "
+                                "latency is to be set against",
+    "error": "argparse calls `_Parser.error` on a usage error",
+    "to_json": "the line form of an event: `write_jsonl` writes its bytes "
+               "and the trace tests hash runs through it",
+}
+
+
+def dead_names(sources: dict[str, str], kept=frozenset()) -> list[str]:
+    """Functions, classes and methods of the modules in `sources` (name ->
+    source) that nothing names: not `__all__`, and no use outside their own
+    body and the bodies of other dead definitions.  A method is named only
+    by an attribute (`x.name`).  Dunder methods and `kept` are exempt."""
+    defs = []                   # (definition, module, is a method)
+    uses = defaultdict(list)    # name -> [(is an attribute, enclosing defs)]
+
+    def visit(node, module, enclosing, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                is_class = isinstance(child, ast.ClassDef)
+                defs.append((child, module, in_class and not is_class))
+                visit(child, module, enclosing + (child,), is_class)
+                continue
+            if isinstance(child, ast.Name):
+                uses[child.id].append((False, enclosing))
+            elif isinstance(child, ast.Attribute):
+                uses[child.attr].append((True, enclosing))
+            elif isinstance(child, ast.alias):
+                uses[child.asname or child.name].append((False, enclosing))
+            visit(child, module, enclosing, in_class)
+
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        visit(tree, module, (), False)
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                for name in ast.literal_eval(node.value):
+                    uses[name].append((False, ()))
+
+    # a use inside a dead definition does not count, so repeat until no
+    # more definitions die
+    dead: set = set()
+    while True:
+        now = {d for d, _, is_method in defs
+               if not (d.name.startswith("__") and d.name.endswith("__"))
+               and d.name not in kept
+               and not any((attr or not is_method) and d not in enclosing
+                           and dead.isdisjoint(enclosing)
+                           for attr, enclosing in uses[d.name])}
+        if now == dead:
+            return [f"{module}:{d.lineno} {d.name}"
+                    for d, module, _ in defs if d in dead]
+        dead = now
+
+
+def package_sources() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+
+
+def test_every_definition_is_named():
+    assert dead_names(package_sources(), KEPT_UNREACHED.keys()) == []
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_UNREACHED))
+def test_a_kept_name_is_still_unreached(name):
+    """Once a command reaches a kept name, it comes off the list."""
+    dead = dead_names(package_sources(), KEPT_UNREACHED.keys() - {name})
+    assert any(entry.endswith(f" {name}") for entry in dead)
+
+
+def test_the_check_sees_dead_names():
+    sources = {
+        "a.py": ("__all__ = ['exported']\n"
+                 "def exported(): return helper()\n"
+                 "def helper(): pass\n"
+                 "def recursive(n): return recursive(n - 1)\n"
+                 "def orphan(): return only_for_orphan()\n"
+                 "def only_for_orphan(): pass\n"
+                 "def kept(): pass\n"
+                 "class C:\n"
+                 "    def __init__(self): self.used()\n"
+                 "    def used(self): pass\n"
+                 "    def unused(self): pass\n"),
+        "b.py": "from a import C\nunused = C()\n",
+    }
+    assert dead_names(sources, {"kept"}) == [
+        "a.py:4 recursive", "a.py:5 orphan", "a.py:6 only_for_orphan",
+        "a.py:11 unused"]
 
 
 # trace.collector_paused is the one place that switches the collector

@@ -2,6 +2,7 @@
 negative controls that the audits must catch."""
 import numpy as np
 import pytest
+from conftest import margin_check, pivot_flags_interval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ indicators = st.lists(st.integers(0, 1), min_size=1, max_size=60)
 @given(indicators)
 @settings(max_examples=300)
 def test_walk_and_interval_pivots_agree(good):
-    assert pv.pivot_flags_walk(good).tolist() == pv.pivot_flags_interval(good)
+    assert pv.pivot_flags_walk(good).tolist() == pivot_flags_interval(good)
 
 
 @given(indicators, st.randoms(use_true_random=False))
@@ -36,7 +37,7 @@ def test_pivot_intervals_have_honest_margin(good):
     n = len(good)
     for i in range(n):
         for j in range(i + 1, n + 1):
-            margin, pivots = pv.margin_check(np.array(good), i, j)
+            margin, pivots = margin_check(np.array(good), i, j)
             if pivots > 0:
                 assert margin >= pivots
 
@@ -111,8 +112,23 @@ def run_and_analyze(scenario, seed):
 def test_secure_runs_pass_all_audits(attack, beta):
     metrics, _, report = run_and_analyze(secure_scenario(attack, beta), seed=3)
     assert metrics.audits["clean"], metrics.audits
-    assert report.passed, [a.summary() for a in report.audits]
+    assert report.passed, report.to_dict()["audits"]
     assert metrics.growth_blocks > 0
+
+
+@pytest.mark.parametrize("attack,beta", [
+    (pm.ATTACK_NONE, 0.0),
+    (pm.ATTACK_TEASER, 0.2),
+])
+def test_lead_metrics_are_the_last_and_largest_sample(attack, beta):
+    """A lead that is never recorded does not count: with no attack every
+    recorded lead is negative, and so is max_lead."""
+    metrics, run_trace = sim.run_scenario(secure_scenario(attack, beta), seed=3)
+    leads = [ev.data["lead"] for ev in run_trace.of_kind(tr.LEAD_SAMPLE)]
+    assert leads
+    assert (metrics.final_lead, metrics.max_lead) == (leads[-1], max(leads))
+    if attack == pm.ATTACK_NONE:
+        assert metrics.max_lead < 0
 
 
 def test_half_horizon_is_a_prefix():

@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import MiniRun
+from conftest import MiniRun, margin_check, pivot_flags_interval
 
 from nakasim import pivots as pv
 from nakasim import trace as tr
@@ -19,15 +19,15 @@ def test_walk_flags_examples():
 
 def test_single_index_forms_agree():
     good = [1, 1, 0, 1]
-    assert pv.pivot_flags_walk(good).tolist() == pv.pivot_flags_interval(good)
-    assert pv.pivot_flags_interval(good) == [True, False, False, False]
+    assert pv.pivot_flags_walk(good).tolist() == pivot_flags_interval(good)
+    assert pivot_flags_interval(good) == [True, False, False, False]
 
 
 def test_interval_oracle_matches_walk_exhaustively():
     for n in range(1, 11):
         for bits in product((0, 1), repeat=n):
             assert pv.pivot_flags_walk(bits).tolist() == \
-                pv.pivot_flags_interval(bits), bits
+                pivot_flags_interval(bits), bits
 
 
 def test_download_failure_clears_pivots():
@@ -56,12 +56,12 @@ def test_margin_covers_pivots():
     found = 0
     for i in range(n):
         for j in range(i + 1, n + 1):
-            margin, pivots = pv.margin_check(good, i, j)
+            margin, pivots = margin_check(good, i, j)
             if pivots > 0:
                 found += 1
                 assert margin >= pivots
     assert found > 0
-    margin, pivots = pv.margin_check(good, 0, 5)
+    margin, pivots = margin_check(good, 0, 5)
     assert (margin, pivots) == (3, pv.pivot_flags_walk(good).sum())
 
 
@@ -71,24 +71,18 @@ def test_cp_recurrence_window_counts():
     # interior is [3, 17): four tumbling windows of 3, nine sliding of 6
     assert (stats.tumbling_total, stats.tumbling_hit) == (4, 0)
     assert (stats.sliding_total, stats.sliding_hit) == (9, 0)
-    assert np.isnan(pv.cp_recurrence(np.zeros(4, dtype=bool), 3).sliding_fraction)
+    assert pv.cp_recurrence(np.zeros(4, dtype=bool), 3).sliding_total == 0
 
     dense = np.ones(20, dtype=bool)
     stats = pv.cp_recurrence(dense, k_cp=3)
     assert stats.tumbling_hit == stats.tumbling_total == 4
-    assert stats.sliding_fraction == 1.0
+    assert stats.sliding_hit == stats.sliding_total > 0
 
     one = np.zeros(20, dtype=bool)
     one[8] = True
     stats = pv.cp_recurrence(one, k_cp=3)
     assert stats.tumbling_hit == 1
     assert 0 < stats.sliding_hit < stats.sliding_total
-
-
-def test_cp_recurrence_edge_margin_override():
-    flags = np.ones(12, dtype=bool)
-    assert pv.cp_recurrence(flags, 3, edge_margin=0).tumbling_total == 4
-    assert pv.cp_recurrence(flags, 3, edge_margin=3).tumbling_total == 2
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +119,9 @@ def test_classify_download_deadline_is_nu_slots():
     series = pv.classify(run.trace, nu=4)
     assert series.good.tolist() == [True, True]
     assert series.downloaded.tolist() == [True, False]
+    # the pivot flags of both come with the series
+    assert series.pp.tolist() == [True, True]
+    assert series.cp.tolist() == [False, False]
 
 
 def test_classify_pretend_empty_counts_as_processed():

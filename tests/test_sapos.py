@@ -1,9 +1,4 @@
-"""Equivocation proofs, scheduler blanking, and the application-layer
-predictability rules."""
-from itertools import combinations
-
-import pytest
-
+"""Equivocation proofs: the deadline and validity rules of `sapos`."""
 from nakasim import sapos as sp
 from nakasim.lottery import BpoId, EquivocationProof, HeaderStore
 
@@ -62,84 +57,3 @@ def test_proof_needs_real_equivocation():
     off_target = EquivocationProof(offender.bpo.key(), offender.id, twin.id,
                                    target=other_block.id)
     assert not sp.validate_proof_deadline(store, carrier, off_target, 3)
-
-
-def test_predictable_filter_blocks_recent_keys():
-    t_a = sp.AppTx("a", keys=frozenset({"x"}))
-    t_b = sp.AppTx("b", keys=frozenset({"y"}))
-    t_c = sp.AppTx("c", keys=frozenset({"x", "z"}))
-    chain = [
-        [sp.AppTx("old", keys=frozenset({"x"}))],   # beyond the window
-        [sp.AppTx("r1", keys=frozenset({"z"}))],
-        [sp.AppTx("r2", keys=frozenset({"w"}))],
-    ]
-    admitted = sp.predictable_tx_filter([t_a, t_b, t_c], chain, k_epf=2)
-    assert [t.txid for t in admitted] == ["a", "b"]
-    # a zero window admits everything; an over-long window sees all blocks
-    assert len(sp.predictable_tx_filter([t_a, t_b, t_c], chain, 0)) == 3
-    assert [t.txid for t in
-            sp.predictable_tx_filter([t_a, t_b, t_c], chain, 99)] == ["b"]
-
-
-def test_predictable_filter_is_blanking_invariant():
-    """An admitted transaction reads the same state no matter which subset
-    of the last k_epf blocks gets blanked."""
-    k_epf = 2
-    window = [
-        [sp.AppTx("r1", keys=frozenset({"p"}))],
-        [sp.AppTx("r2", keys=frozenset({"q"}))],
-    ]
-    pending = [sp.AppTx("t", keys=frozenset({"u", "v"}))]
-    admitted = sp.predictable_tx_filter(pending, window, k_epf)
-    assert admitted
-    touched_outside = {"p", "q"}
-    for r in range(len(window) + 1):
-        for blank in combinations(range(len(window)), r):
-            surviving = {k for i, blk in enumerate(window) if i not in blank
-                         for tx in blk for k in tx.keys}
-            assert surviving <= touched_outside
-            assert admitted[0].keys.isdisjoint(surviving)
-
-
-def test_gas_deposit_exact_funding():
-    # old balance 10, one reserved max-gas 7 in the window: 3 still fits
-    blocks = [
-        {"deposits": {"acct": 10.0}},
-        {},
-        {"txs": [sp.AppTx("r", account="acct", max_gas=7.0)]},
-        {},
-    ]
-    ok = sp.AppTx("q", account="acct", max_gas=3.0)
-    too_big = sp.AppTx("q2", account="acct", max_gas=3.5)
-    assert sp.gas_deposit_check(ok, blocks, k_epf=3)
-    assert not sp.gas_deposit_check(too_big, blocks, k_epf=3)
-
-
-def test_gas_deposit_maturity_and_withdrawals():
-    tx = sp.AppTx("q", account="acct", max_gas=3.0)
-    fresh = [{"deposits": {"acct": 10.0}}]
-    assert not sp.gas_deposit_check(tx, fresh, k_epf=3)   # could be blanked
-    assert sp.gas_deposit_check(tx, fresh, k_epf=0)
-    drained = [{"deposits": {"acct": 10.0}}, {}, {}, {},
-               {"withdrawals": {"acct": 8.0}}]
-    assert not sp.gas_deposit_check(tx, drained, k_epf=3)
-
-
-def test_gas_deposit_survives_any_blanking_subset():
-    """A fundable transaction stays fee-paying when any subset of the
-    window is blanked: blanking can only cancel same-window reservations,
-    never the matured deposit."""
-    k_epf = 2
-    blocks = [
-        {"deposits": {"acct": 6.0}},
-        {},
-        {"txs": [sp.AppTx("r1", account="acct", max_gas=2.0)]},
-        {"txs": [sp.AppTx("r2", account="acct", max_gas=1.0)]},
-    ]
-    tx = sp.AppTx("q", account="acct", max_gas=3.0)
-    assert sp.gas_deposit_check(tx, blocks, k_epf)
-    window = blocks[-k_epf:]
-    for r in range(k_epf + 1):
-        for blank in combinations(range(k_epf), r):
-            kept = [({} if i in blank else blk) for i, blk in enumerate(window)]
-            assert sp.gas_deposit_check(tx, blocks[:-k_epf] + kept, k_epf)

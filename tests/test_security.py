@@ -43,13 +43,19 @@ def test_p_good_matches_lottery():
     assert abs(freq - p) < 4 * se
 
 
+def p_good_limit(beta, lam, delta_h, c_tilde, capacity):
+    """Small-slot limit of p_good with the window tied to physical time:
+    (1 - beta) * exp(-lam * (delta_h + c_tilde / capacity))."""
+    return (1.0 - beta) * math.exp(-lam * (delta_h + c_tilde / capacity))
+
+
 def test_p_good_limit_is_the_small_slot_limit():
     beta, lam, delta_h, c_tilde, capacity = 0.2, 0.8, 0.2, 2.0, 4.0
-    limit = sec.p_good_limit(beta, lam, delta_h, c_tilde, capacity)
+    limit = p_good_limit(beta, lam, delta_h, c_tilde, capacity)
     tau = 1e-4
     nu = round((delta_h + c_tilde / capacity) / tau) - 1
     assert sec.p_good(beta, lam * tau, nu) == pytest.approx(limit, abs=1e-3)
-    assert sec.p_good_limit(0.3, 0.0, 1.0, 1.0, 1.0) == pytest.approx(0.7)
+    assert p_good_limit(0.3, 0.0, 1.0, 1.0, 1.0) == pytest.approx(0.7)
 
 
 def test_p_pp_values():
@@ -65,11 +71,6 @@ def test_concentration_rates():
     assert sec.alpha_pivot(0.75) == pytest.approx(2.0 / 9.0)
 
 
-def test_hoeffding_tail_frozen_value():
-    assert sec.hoeffding_tail_x(0.75, 1.0, 100) == pytest.approx(math.exp(-12.5))
-    assert sec.hoeffding_tail_x(0.75, 0.0, 100) == 1.0
-
-
 def test_hoeffding_tail_bounds_the_walk():
     p_g, delta, length, trials = 0.7, 0.5, 200, 100_000
     rng = np.random.Generator(np.random.Philox(17))
@@ -77,7 +78,9 @@ def test_hoeffding_tail_bounds_the_walk():
     x_sum = 2 * wins - length
     threshold = (1 - delta) * 2 * (p_g - 0.5) * length
     freq = float((x_sum <= threshold).mean())
-    assert freq <= sec.hoeffding_tail_x(p_g, delta, length) + 3e-3
+    # Hoeffding: P[sum <= (1 - delta) E[sum]] <= exp(-alpha_walk delta^2 n)
+    bound = math.exp(-sec.alpha_walk(p_g) * delta ** 2 * length)
+    assert freq <= bound + 3e-3
 
 
 def test_pp_tail_shrinks_with_window():
@@ -136,7 +139,7 @@ def test_frontier_sits_on_the_pivot_root():
             lam = float(sec.rate_at(beta, 1.0, 0.0, c_tilde))
             if not math.isfinite(lam):
                 continue
-            p = sec.p_good_limit(beta, lam, 0.0, c_tilde, 1.0)
+            p = p_good_limit(beta, lam, 0.0, c_tilde, 1.0)
             assert abs((2 * p - 1) ** 2 / p - 16.0 / c_tilde) < 1e-9
             checked += 1
     assert checked >= 7
@@ -149,11 +152,6 @@ def test_beta_threshold():
         sec.beta_threshold(1.0, 0.0)
 
 
-def test_index_time_tail():
-    assert sec.index_time_tail(100, 0.0) == 1.0
-    assert sec.index_time_tail(100, 0.5) == pytest.approx(math.exp(-25.0 / 3.0))
-
-
 def test_index_time_tail_bounds_production_gaps():
     """k non-empty slots should rarely stretch past k / (rho (1 - delta)) slots."""
     rho, k, delta, trials = 0.01, 200, 0.3, 20_000
@@ -161,11 +159,12 @@ def test_index_time_tail_bounds_production_gaps():
     rng = np.random.Generator(np.random.Philox(23))
     slots_needed = rng.negative_binomial(k, p_nonempty, size=trials) + k
     freq = float((slots_needed >= k / (rho * (1 - delta))).mean())
-    assert freq <= sec.index_time_tail(k, delta) + 3e-3
+    # Chernoff bound on the index-to-time stretch
+    assert freq <= math.exp(-k * delta ** 2 / (2.0 * (1.0 + delta))) + 3e-3
 
 
 def test_liveness_latencies():
-    assert sec.liveness_latency_simple(10, 0.01) == pytest.approx(6200.0)
+    # with no slack and no queue to drain: (6 k_cp + 2) / rho slots
     refined = sec.liveness_latency_refined(10, 0.01, 0.0, delta=1e-12)
     assert refined == pytest.approx(6200.0, rel=1e-9)
     # a dominant throughput drain adds on top of the index-count term

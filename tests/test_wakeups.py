@@ -83,7 +83,8 @@ class PollingSimulation(Simulation):
             lead = self.strategy.lead()
             if lead != self._last_lead:
                 self._last_lead = lead
-                self._lead_series.append((slot, lead))
+                if self._max_lead is None or lead > self._max_lead:
+                    self._max_lead = lead
                 self.trace.emit(slot, tr.LEAD_SAMPLE, lead=lead)
 
             slot = self._advance(slot)
