@@ -13,6 +13,11 @@ the wasted work under plain proof of stake; scheduler-level blanking
 voids exactly that multiplier, so against a blanking protocol the
 strategy falls back to the single-chain tease and spends occasional
 beaten blocks on equivocations instead.
+
+Every adversary block is minted by `Strategy._block` under the
+simulation's opportunity rule, and every announcement goes through
+`Strategy._announce`.  The simulation produces header-only (SPV) blocks;
+a strategy only tracks those that graft onto its private chain.
 """
 from __future__ import annotations
 
@@ -23,13 +28,12 @@ from . import params as pm
 from . import trace as tr
 from .lottery import BlockHeader, BpoId, Content, HeaderStore
 
-SPV_NODE = -2
-
 RELEASE_LEAD = 2   # minimum private lead before a tease makes sense
 
 
 class Strategy:
-    """Base: track private chain state against the honest front."""
+    """Base: track private chain state against the honest front.  Its hooks
+    spend no opportunity, so runs without an attack use it as it is."""
 
     def __init__(self, sim) -> None:
         self.sim = weakref.proxy(sim)   # the simulation owns the strategy
@@ -42,8 +46,9 @@ class Strategy:
         # available chains grafted onto the private chain by header-only
         # miners: private index of the graft point -> top height reached
         self._ladders: dict[int, int] = {}
-        self._graft_member: dict[int, int] = {}
-        self._priv_ids: dict[int, int] = {}
+        # private header -> its own index; grafted header -> the index of
+        # its graft point
+        self._root: dict[int, int] = {}
 
     # -- views ---------------------------------------------------------
 
@@ -70,35 +75,47 @@ class Strategy:
         """Track header-only blocks that extend the private chain: once the
         prefix below such a graft is revealed, the grafted run becomes a
         processable extension, so reveals must stay clear of its top."""
-        root = None
-        if header.parent_id in self._graft_member:
-            root = self._graft_member[header.parent_id]
-        elif header.parent_id in self._priv_ids:
-            root = self._priv_ids[header.parent_id]
+        root = self._root.get(header.parent_id)
         if root is None:
             return
-        self._graft_member[header.id] = root
+        self._root[header.id] = root
         self._ladders[root] = max(self._ladders.get(root, 0), header.height)
 
     # -- shared helpers --------------------------------------------------
 
+    def _block(self, bpo: BpoId, parent: int, slot: int,
+               content: Optional[Content] = None,
+               private: bool = False) -> tuple[BlockHeader, Content]:
+        """Mint and record one adversary block on `parent` for `bpo`, under
+        the simulation's opportunity rule.  It carries `content`, or else a
+        fresh empty content of the opportunity's node."""
+        if content is None:
+            content = self.store.make_content((), producer=bpo.node)
+        header = self.sim.extend(bpo, parent, content.commitment, ())
+        self.sim.record_block(header, slot, "adversary", private=private)
+        return header, content
+
+    def _announce(self, headers: list[BlockHeader], content: Optional[int],
+                  slot: int, **tags) -> None:
+        """Push the top of `headers` to every honest node and record their
+        release, naming in `content` what it revealed, if anything; `tags`
+        are added to the record."""
+        self.sim.push_to_honest(headers[-1], slot)
+        self.trace.emit(slot, tr.ADVERSARY_RELEASE, headers=[x.id for x in headers],
+                        content=content, tip_height=headers[-1].height, **tags)
+
     def _mint(self, bpo: BpoId, slot: int) -> None:
         parent = self.priv[-1][1].id if self.priv else self.fork_id
-        content = self.store.make_content((), producer=bpo.node)
-        extend = (self.store.pow_extend if self.sim.protocol == pm.PROTOCOL_POW
-                  else self.store.pos_extend)
-        header = extend(bpo, parent, content.commitment, ())
-        self._priv_ids[header.id] = len(self.priv)
+        header, content = self._block(bpo, parent, slot, private=True)
+        self._root[header.id] = len(self.priv)
         self.priv.append((bpo, header, content))
-        self.sim.record_block(header, slot, "adversary", private=True)
 
     def _refork(self, slot: int) -> None:
         self.fork_id = self.sim.honest_tip()
         self.priv = []
         self.giveups += 1
         self._ladders = {}
-        self._graft_member = {}
-        self._priv_ids = {}
+        self._root = {}
 
     def _reveal_frontier(self, index: int) -> int:
         """Top height of the chain that would become fully available if the
@@ -108,10 +125,6 @@ class Strategy:
             if root <= index and height > top:
                 top = height
         return top
-
-
-class NullStrategy(Strategy):
-    """Adversary opportunities are simply wasted."""
 
 
 class PrivateAttack(Strategy):
@@ -170,11 +183,8 @@ class TeaserAttack(Strategy):
             self.sim.upload(hdr, content, slot)
             content_id = hdr.id
             self.released_c += 1
-        self.sim.push_to_honest(new_headers[-1], slot)
+        self._announce(new_headers, content_id, slot, **tags)
         self.releases += 1
-        self.trace.emit(slot, tr.ADVERSARY_RELEASE, headers=[x.id for x in new_headers],
-                        content=content_id, tip_height=self.priv[want - 1][1].height,
-                        **tags)
         return True
 
     def _give_up(self, slot: int) -> None:
@@ -242,20 +252,15 @@ class PosTeaserAttack(TeaserAttack):
         for j in range(1, m + 1):
             bpo = self.priv[j - 1][0]
             if j <= self.round:
-                commitment = self.revealed[self.round - j].commitment
+                content = self.revealed[self.round - j]
             else:
-                commitment = self.priv[j - 1][2].commitment   # withheld
-            hdr = self.store.pos_extend(bpo, parent, commitment, ())
+                content = self.priv[j - 1][2]   # withheld
+            hdr, _ = self._block(bpo, parent, slot, content)
             headers.append(hdr)
             parent = hdr.id
-            self.sim.record_block(hdr, slot, "adversary")
         self.sim.upload(headers[0], fresh, slot)
-        self.sim.push_to_honest(headers[-1], slot)
+        self._announce(headers, fresh.commitment, slot, copy=True)
         self.releases += 1
-        self.trace.emit(slot, tr.ADVERSARY_RELEASE,
-                        headers=[x.id for x in headers],
-                        content=fresh.commitment, tip_height=headers[-1].height,
-                        copy=True)
 
     def _give_up(self, slot: int) -> None:
         super()._give_up(slot)
@@ -265,10 +270,7 @@ class PosTeaserAttack(TeaserAttack):
     def _plant_block(self, bpo: BpoId, slot: int) -> None:
         """Spend this opportunity on an openly published block on the honest
         tip so it gets adopted before its twin surfaces."""
-        parent = self.sim.honest_tip()
-        content = self.store.make_content((), producer=bpo.node)
-        header = self.store.pos_extend(bpo, parent, content.commitment, ())
-        self.sim.record_block(header, slot, "adversary")
+        header, content = self._block(bpo, self.sim.honest_tip(), slot)
         self.sim.upload(header, content, slot)
         self.sim.push_to_honest(header, slot)
         self._plant = header
@@ -277,36 +279,8 @@ class PosTeaserAttack(TeaserAttack):
     def _equivocate_plant(self, slot: int) -> None:
         plant = self._plant
         self._plant = None
-        twin_content = self.store.make_content((), producer=plant.bpo.node)
-        twin = self.store.pos_extend(plant.bpo, plant.parent_id,
-                                     twin_content.commitment, ())
-        if twin.id == plant.id:
-            return
-        self.sim.record_block(twin, slot, "adversary")
-        self.sim.push_to_honest(twin, slot)
-        self.trace.emit(slot, tr.ADVERSARY_RELEASE, headers=[twin.id],
-                        content=None, tip_height=twin.height, sacrifice=True)
-
-
-class SpvMiner:
-    """Header-only miners extend the longest announced header chain with
-    empty blocks, available immediately; they are a separate lottery
-    stream and never count as honest."""
-
-    def __init__(self, sim) -> None:
-        self.sim = weakref.proxy(sim)   # the simulation owns the miner
-        self.store: HeaderStore = sim.store
-
-    def on_spv_bpo(self, bpo: BpoId, slot: int) -> None:
-        tip = self.sim.announced_tip()
-        content = self.store.make_content((), producer=SPV_NODE)
-        extend = (self.store.pow_extend if self.sim.protocol == pm.PROTOCOL_POW
-                  else self.store.pos_extend)
-        header = extend(bpo, tip, content.commitment, ())
-        self.sim.record_block(header, slot, "spv")
-        self.sim.upload(header, content, slot)
-        self.sim.broadcast(header, slot)
-        self.sim.strategy.on_external_block(header)
+        twin, _ = self._block(plant.bpo, plant.parent_id, slot)
+        self._announce([twin], None, slot, sacrifice=True)
 
 
 def make_strategy(sim, attack: pm.AttackConfig) -> Strategy:
@@ -317,4 +291,4 @@ def make_strategy(sim, attack: pm.AttackConfig) -> Strategy:
         return TeaserAttack(sim)
     if name == pm.ATTACK_POS_TEASER:
         return PosTeaserAttack(sim, attack.sacrifice_every)
-    return NullStrategy(sim)
+    return Strategy(sim)

@@ -8,6 +8,7 @@ NAKASIM_THREADS caps the pool size.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -80,13 +81,17 @@ def bootstrap_ci(values) -> tuple[float, float]:
             float(np.quantile(means, 1.0 - tail)))
 
 
-def _atomic_csv(path: str, header: list[str], rows: list[list]) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+def _write_csv(out: str | None, header: list[str], rows: list[list]) -> None:
+    """Write `header` and `rows` to the file `out`, replaced atomically, or
+    to stdout when `out` is not given."""
+    tmp = f"{out}.tmp"
+    with (open(tmp, "w", encoding="utf-8", newline="") if out
+          else contextlib.nullcontext(sys.stdout)) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-    os.replace(tmp, path)
+    if out:
+        os.replace(tmp, out)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +138,8 @@ def cmd_simulate(args) -> int:
 
     rows = [[m[f] for f in _METRIC_FIELDS] + [m["audits"]["clean"]]
             for m in results]
-    _atomic_csv(os.path.join(args.out, "metrics.csv"),
-                _METRIC_FIELDS + ["audits_clean"], rows)
+    _write_csv(os.path.join(args.out, "metrics.csv"),
+               _METRIC_FIELDS + ["audits_clean"], rows)
 
     growth = [m["lambda_grwth"] for m in results]
     lo, hi = bootstrap_ci(growth)
@@ -197,12 +202,7 @@ def cmd_region(args) -> int:
     out_rows = [[r.beta, r.lambda_max, r.c_tilde_star, r.model,
                  r.lambda_max > 0.0] for r in rows]
     header = ["beta", "lambda_max", "c_tilde_star", "model", "secure"]
-    if args.out:
-        _atomic_csv(args.out, header, out_rows)
-    else:
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        w.writerows(out_rows)
+    _write_csv(args.out, header, out_rows)
     return 0
 
 
@@ -241,12 +241,7 @@ def cmd_attack_frontier(args) -> int:
         lo, hi = bootstrap_ci(growth)
         rows.append([cap, args.attack, args.spv_rate, args.seeds, mean, lo,
                      hi, security.beta_threshold(mean, args.lam_hon)])
-    if args.out:
-        _atomic_csv(args.out, header, rows)
-    else:
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        w.writerows(rows)
+    _write_csv(args.out, header, rows)
     return 0 if clean else 2
 
 

@@ -92,8 +92,8 @@ class Node:
         # throttled step keeps until an event can change it
         self._served: Optional[int] = None
         self._kept: Optional[BlockHeader] = None
+        # commitments of content found unavailable and not uploaded since
         self.unavailable: set[int] = set()
-        self._unavailable_by_commitment: dict[int, set[int]] = {}
 
         self.dchain: list[int] = []           # header ids, height 1..len
         # id -> number of dchain blocks carrying it: proof targets, and the
@@ -218,11 +218,10 @@ class Node:
     def content_uploaded(self, commitment: int, slot: int) -> None:
         """The simulation calls this on every node for each upload the
         cloud accepts.  The node's memo is the only record of what it
-        waits for: if it holds this commitment, the headers found
-        unavailable under it are cleared and the node is due this slot."""
-        ids = self._unavailable_by_commitment.pop(commitment, None)
-        if ids:
-            self.unavailable.difference_update(ids)
+        waits for: if it holds this commitment, the commitment is cleared
+        and the node is due this slot."""
+        if commitment in self.unavailable:
+            self.unavailable.remove(commitment)
             self._wake_now(slot)
 
     def partition_healed(self, slot: int) -> None:
@@ -230,8 +229,7 @@ class Node:
         visible: clear the memo of every commitment already in the cloud,
         as its upload would have.  Memos of content not yet uploaded stay."""
         cloud = self.env.cloud
-        for commitment in [c for c in self._unavailable_by_commitment
-                           if c in cloud]:
+        for commitment in [c for c in self.unavailable if c in cloud]:
             self.content_uploaded(commitment, slot)
 
     # -- scheduling -------------------------------------------------------
@@ -314,7 +312,7 @@ class Node:
                         break
                 if not dq:
                     finished.append(tip_id)
-                elif dq[0] not in self.unavailable:
+                elif self.store.get(dq[0]).commitment not in self.unavailable:
                     target = self.store.get(dq[0])
                     self._served = tip_id
                     break
@@ -346,9 +344,7 @@ class Node:
             outcome, newly = self.env.request_content(self.id, target, paid, slot)
             if outcome is RequestOutcome.UNAVAILABLE:
                 self._kept = None
-                self.unavailable.add(target.id)
-                self._unavailable_by_commitment.setdefault(
-                    target.commitment, set()).add(target.id)
+                self.unavailable.add(target.commitment)
                 continue
             if outcome is RequestOutcome.FETCHED:
                 self.partial.pop(target.id, None)
@@ -435,20 +431,14 @@ class Node:
         chain removes exactly what joining added."""
         marks = [(self.proofed_targets, proof.target) for proof in h.proofs]
         if h.id in self.processed:
-            content = self._content_of(h)
-            if content is not None:
-                marks += [(self.included_txids, t[0]) for t in content.txs]
+            marks += [(self.included_txids, t[0])
+                      for t in self.store.contents[h.commitment].txs]
         for counts, key in marks:
             n = counts.get(key, 0) + step
             if n:
                 counts[key] = n
             else:
                 del counts[key]
-
-    def _content_of(self, h: BlockHeader) -> Optional[Content]:
-        if h.commitment in self.env.cloud or h.id in self.processed:
-            return self.store.contents.get(h.commitment)
-        return None
 
     def _update_ledger(self, slot: int) -> None:
         new_len = max(0, self.dchain_height - self.k_conf)

@@ -212,6 +212,8 @@ class ScenarioConfig:
             raise ConfigError("policy", f"unknown policy {self.policy!r}")
         if self.protocol not in PROTOCOLS:
             raise ConfigError("protocol", f"unknown protocol {self.protocol!r}")
+        if self.attack.strategy == ATTACK_POS_TEASER and self.protocol == PROTOCOL_POW:
+            raise ConfigError("attack.strategy", "pos-teaser needs a PoS protocol")
         if self.repeat < 1:
             raise ConfigError("repeat", "must be >= 1")
         if self.seed_stride < 1:

@@ -235,8 +235,7 @@ def _common_ancestor(table: dict[int, dict], a: int, b: int) -> Optional[int]:
     return a
 
 
-def audit_stabilization(run_trace: tr.Trace, series: IndexSeries,
-                        cp_flags: np.ndarray) -> AuditResult:
+def audit_stabilization(run_trace: tr.Trace, series: IndexSeries) -> AuditResult:
     """Every combinatorial pivot's block must sit on every honest dChain from
     the end of its window onward.
 
@@ -251,7 +250,7 @@ def audit_stabilization(run_trace: tr.Trace, series: IndexSeries,
     finds the witness slot."""
     result = AuditResult("cp-stabilization", True)
     cps = [(int(series.slots[k]) + series.nu, int(series.block[k]), k + 1)
-           for k in range(len(series)) if cp_flags[k]]
+           for k in range(len(series)) if series.cp[k]]
     if not cps:
         result.inconclusive = True
         return result
@@ -299,7 +298,7 @@ def audit_stabilization(run_trace: tr.Trace, series: IndexSeries,
 
 
 def audit_budget(run_trace: tr.Trace, series: IndexSeries,
-                 cp_flags: np.ndarray, c_tilde: float) -> AuditResult:
+                 c_tilde: float) -> AuditResult:
     """A good-but-undownloaded index shows where the bandwidth went: every
     honest node that missed the block must have completed at least c_tilde
     fetches of blocks produced after the latest prior combinatorial pivot.
@@ -351,7 +350,7 @@ def audit_budget(run_trace: tr.Trace, series: IndexSeries,
                 if count < required:
                     result.fail({"index": k + 1, "slot": t, "node": p,
                                  "fetched": count, "required": c_tilde})
-        if cp_flags[k]:
+        if series.cp[k]:
             last_cp_slot = t
     if result.checked == 0:
         result.inconclusive = True
@@ -534,8 +533,8 @@ def analyze_trace(run_trace: tr.Trace, nu: int, c_tilde: Optional[float],
     pp, cp = series.pp, series.cp
     audits = [
         audit_chain_growth(run_trace, series),
-        audit_stabilization(run_trace, series, cp),
-        audit_budget(run_trace, series, cp, c_tilde),
+        audit_stabilization(run_trace, series),
+        audit_budget(run_trace, series, c_tilde),
         audit_single_fetch(run_trace),
         audit_capacity(run_trace),
         audit_ledger_safety(run_trace),

@@ -3,6 +3,10 @@ adversary together.
 
 Slot order: due header deliveries, lottery draws and block production,
 adversary reactions, then node processing against this slot's budget.
+A slot's wins go to three producers: honest nodes (`_honest_produce`),
+the adversary strategy (`Strategy.on_adversary_bpo`) and header-only SPV
+miners (`_spv_produce`); the last two mint under the opportunity rule
+bound once as `extend`.
 The loop visits only slots where something happens: a lottery win, a queued
 delivery, the partition heal, or a node's wake slot.  The lottery is drawn
 before the run, which walks its busy slots with a cursor.  A node is
@@ -32,6 +36,8 @@ from . import trace as tr
 from .lottery import BpoId, HeaderStore, SlotSampler, _slot_gen, STREAM_ANALYSIS
 from .netenv import Environment, Partition
 from .node import HonestFront, Node
+
+SPV_NODE = -2   # the producer of header-only blocks
 
 
 class AuditSink:
@@ -117,6 +123,8 @@ class Simulation:
         p = self.params
 
         self.store = HeaderStore()
+        self.extend = (self.store.pow_extend if self.protocol == pm.PROTOCOL_POW
+                       else self.store.pos_extend)
         self.trace = tr.Trace(enabled=record_trace)
         self.trace.emit(0, tr.META, scenario=pm.scenario_to_dict(scenario),
                         seed=self.seed, nu=p.nu, c_tilde=p.c_tilde, tau=p.tau,
@@ -151,7 +159,6 @@ class Simulation:
         self.sampler = SlotSampler(self.seed, p.beta, p.rho, p.honest_nodes,
                                    p.adversary_nodes, spv_rate_slot)
         self.strategy = adv.make_strategy(self, attack)
-        self.spv = adv.SpvMiner(self) if attack.spv_rate > 0 else None
 
         self._announced = (0, self.store.genesis.id)
         self._last_lead = 0
@@ -159,7 +166,7 @@ class Simulation:
         self._tx_counts = None
         self._precompute_lottery()
 
-    # -- strategy/miner facade ------------------------------------------
+    # -- strategy facade -------------------------------------------------
 
     def honest_height(self) -> int:
         return self.front.height
@@ -170,9 +177,6 @@ class Simulation:
 
     def min_honest_height(self) -> int:
         return min(n.dchain_height for n in self.nodes.values())
-
-    def announced_tip(self) -> int:
-        return self._announced[1]
 
     def _update_announced(self, header) -> None:
         if header.height > self._announced[0]:
@@ -203,11 +207,15 @@ class Simulation:
 
     def push_to_honest(self, header, slot: int) -> None:
         for n in self.honest_ids:
-            inserted = self.nodes[n].on_header(header, slot)
-            if header.id in inserted:
-                self.trace.emit(slot, tr.HEADER_DELIVERED, node=n,
-                                header=header.id, pushed=True)
+            self._deliver(n, header, slot, True)
         self._update_announced(header)
+
+    def _deliver(self, node_id: int, header, slot: int, pushed: bool) -> None:
+        """Hand `header` to one honest node, and trace the delivery if the
+        node inserted it."""
+        if header.id in self.nodes[node_id].on_header(header, slot):
+            self.trace.emit(slot, tr.HEADER_DELIVERED, node=node_id,
+                            header=header.id, pushed=pushed)
 
     # -- lottery precomputation -------------------------------------------
 
@@ -263,10 +271,7 @@ class Simulation:
                 self._heal_slot = None
 
             for node_id, header in self.env.deliveries_due(slot):
-                inserted = self.nodes[node_id].on_header(header, slot)
-                if header.id in inserted:
-                    self.trace.emit(slot, tr.HEADER_DELIVERED, node=node_id,
-                                    header=header.id, pushed=False)
+                self._deliver(node_id, header, slot, False)
 
             # `_advance` never passes a busy slot, so the cursor's slot is
             # this one or a later one
@@ -281,11 +286,9 @@ class Simulation:
                         self._honest_produce(bpo, slot)
                     else:
                         self.strategy.on_adversary_bpo(bpo, slot)
-                if self.spv is not None:
-                    for k in range(s_cnt):
-                        self.spv.on_spv_bpo(
-                            BpoId(slot, adv.SPV_NODE, False,
-                                  h_cnt + a_cnt + k), slot)
+                for k in range(s_cnt):
+                    self._spv_produce(
+                        BpoId(slot, SPV_NODE, False, h_cnt + a_cnt + k), slot)
 
             # in honest_ids order: the order of a slot's events in the trace
             # depends on it
@@ -316,6 +319,17 @@ class Simulation:
         self.upload(header, content, slot, origin=bpo.node)
         self.broadcast(header, slot, origin=bpo.node)
         self.strategy.on_honest_block(header, slot)
+
+    def _spv_produce(self, bpo: BpoId, slot: int) -> None:
+        """A header-only miner extends the longest announced header chain
+        with an empty block, available at once; SPV wins never count as
+        honest, and the strategy sees them graft onto its private chain."""
+        content = self.store.make_content((), producer=SPV_NODE)
+        header = self.extend(bpo, self._announced[1], content.commitment, ())
+        self.record_block(header, slot, "spv")
+        self.upload(header, content, slot)
+        self.broadcast(header, slot)
+        self.strategy.on_external_block(header)
 
     def _check_non_idleness(self, node: Node, slot: int) -> None:
         meter = self.env.meters[node.id]
@@ -353,9 +367,9 @@ class Simulation:
         honest_blocks = sum(1 for hdr in self.store.headers.values()
                             if hdr.bpo.honest)
         adv_blocks = sum(1 for hdr in self.store.headers.values()
-                         if not hdr.bpo.honest and hdr.bpo.node != adv.SPV_NODE)
+                         if not hdr.bpo.honest and hdr.bpo.node != SPV_NODE)
         spv_blocks = sum(1 for hdr in self.store.headers.values()
-                         if hdr.bpo.node == adv.SPV_NODE)
+                         if hdr.bpo.node == SPV_NODE)
         util = [m.spent_total / (m.rate * p.horizon_slots)
                 for m in self.env.meters.values() if m.rate > 0]
         return RunMetrics(

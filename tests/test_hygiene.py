@@ -171,6 +171,49 @@ def test_the_check_sees_dead_names():
         "a.py:11 unused"]
 
 
+# The opportunity rule (PoW refuses a second header per opportunity, PoS
+# dedupes identical ones) is chosen where blocks are minted: once by the
+# simulation, for the adversary and the SPV miners, and once by a node, which
+# tests also build without a simulation.  lottery.py defines both rules.
+RULES = {"pow_extend", "pos_extend"}
+
+
+def rule_sites(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, rule) of every name, attribute or import of a rule in
+    the modules of `sources` (name -> source) other than lottery.py."""
+    out = []
+    for module, source in sources.items():
+        if module == "lottery.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in RULES:
+                out.append((module, node.lineno, name))
+    return sorted(out)
+
+
+def test_the_opportunity_rule_is_chosen_once_per_producer():
+    sites = rule_sites(package_sources())
+    assert sorted((module, rule) for module, _, rule in sites) == [
+        ("node.py", "pos_extend"), ("node.py", "pow_extend"),
+        ("sim.py", "pos_extend"), ("sim.py", "pow_extend")]
+
+
+def test_the_check_sees_opportunity_rules():
+    sources = {
+        "lottery.py": "def pow_extend(): pass\ndef pos_extend(): pass\n",
+        "a.py": ("from lottery import pos_extend\n"
+                 "extend = store.pow_extend\n"
+                 "pos_extend(1)\n"
+                 "store.extend(2)\n"),
+    }
+    assert rule_sites(sources) == [("a.py", 1, "pos_extend"),
+                                   ("a.py", 2, "pow_extend"),
+                                   ("a.py", 3, "pos_extend")]
+
+
 # trace.collector_paused is the one place that switches the collector
 GC_SWITCHES = {"enable", "disable"}
 

@@ -179,7 +179,7 @@ def memoise_unavailable(sim, node_ids, header, slot):
         node = sim.nodes[n]
         node.on_header(header, slot)
         node.process_step(slot)
-        assert header.id in node.unavailable
+        assert header.commitment in node.unavailable
         assert not node.active
 
 
@@ -194,16 +194,31 @@ def test_an_upload_wakes_exactly_the_nodes_that_memoised_it():
     for n in (0, 1):
         node = sim.nodes[n]
         assert node.wake == 5
-        assert a.commitment not in node._unavailable_by_commitment
-        assert a.id not in node.unavailable
+        assert a.commitment not in node.unavailable
     for n in (2, 3):
         assert not sim.nodes[n].active
-    assert sim.nodes[2]._unavailable_by_commitment == {b.commitment: {b.id}}
-    assert sim.nodes[2].unavailable == {b.id}
+    assert sim.nodes[2].unavailable == {b.commitment}
     # a second upload of the same content is rejected and wakes nobody
     sim.nodes[0].wake = 9
     sim.upload(a, content_a, slot=6, origin=-1)
     assert sim.nodes[0].wake == 9 and not sim.nodes[3].active
+
+
+def test_a_memoised_commitment_is_not_requested_again():
+    """Availability depends on the commitment alone: once a node found it
+    unavailable, another header carrying it is skipped without a request."""
+    sim = small_sim()
+    a, _ = mk_header(sim.store, slot=1)
+    memoise_unavailable(sim, [0], a, 3)
+    b = sim.store.pow_extend(BpoId(4, 4, True, 0), a.parent_id, a.commitment)
+    requests = []
+    real = sim.env.request_content
+    sim.env.request_content = lambda *args: requests.append(args) or real(*args)
+    node = sim.nodes[0]
+    node.on_header(b, 4)
+    node.process_step(4)
+    assert requests == [] and not node.active
+    assert node.unavailable == {a.commitment}
 
 
 def test_the_heal_clears_only_memos_of_content_in_the_cloud():
@@ -221,8 +236,7 @@ def test_the_heal_clears_only_memos_of_content_in_the_cloud():
         node.partition_healed(heal)
     node = sim.nodes[far]
     assert node.wake == heal
-    assert node._unavailable_by_commitment == {withheld.commitment: {withheld.id}}
-    assert node.unavailable == {withheld.id}
+    assert node.unavailable == {withheld.commitment}
     assert not any(sim.nodes[n].active for n in sim.honest_ids if n != far)
     node.process_step(heal)
     assert across.id in node.processed

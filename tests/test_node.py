@@ -67,7 +67,7 @@ def test_longest_header_chain_falls_back_when_content_dries_up():
     assert adv[0].id in rig.node.processed
     rig.step(1)
     assert honest.id in rig.node.processed
-    assert adv[1].id in rig.node.unavailable
+    assert adv[1].commitment in rig.node.unavailable
     assert rig.node.dchain == [adv[0].id]
 
 

@@ -87,6 +87,16 @@ def test_unknown_field_path_reported():
         pm.scenario_from_dict({"sim": {"c_tilde": 1.0}, "policy": "tallest"})
 
 
+def test_the_pos_teaser_needs_a_pos_lottery():
+    """Its copies re-spend opportunities, which the PoW rule refuses."""
+    with pytest.raises(pm.ConfigError, match="attack.strategy"):
+        pm.scenario_from_dict({"sim": {"c_tilde": 1.0},
+                               "attack": {"strategy": "pos-teaser"}})
+    for protocol in (pm.PROTOCOL_POS, pm.PROTOCOL_SAPOS):
+        pm.scenario_from_dict({"sim": {"c_tilde": 1.0}, "protocol": protocol,
+                               "attack": {"strategy": "pos-teaser"}})
+
+
 def test_dict_round_trip(tmp_path):
     cfg = pm.scenario_from_dict({
         "sim": {"n_nodes": 5, "beta": 0.2, "rho": 0.05, "tau": 0.1,

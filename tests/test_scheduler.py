@@ -102,7 +102,7 @@ class ReferenceNode(nd.Node):
                 if not dq:
                     finished.append(tip_id)
                     continue
-                if dq[0] in self.unavailable:
+                if self.store.get(dq[0]).commitment in self.unavailable:
                     continue
                 self._drop_tips(finished)
                 return self.store.get(dq[0])

@@ -124,9 +124,9 @@ def test_the_partition_heal_clears_memos():
     healed, cleared = [], []
     for node in sim.nodes.values():
         def partition_healed(slot, node=node, inner=node.partition_healed):
-            before = set(node._unavailable_by_commitment)
+            before = set(node.unavailable)
             inner(slot)
-            after = set(node._unavailable_by_commitment)
+            after = set(node.unavailable)
             assert not after & sim.env.cloud.keys()
             healed.append((slot, node.id))
             cleared.extend((node.id, c) for c in before - after)

@@ -47,10 +47,7 @@ class PollingSimulation(Simulation):
                 self._heal_slot = None
 
             for node_id, header in self.env.deliveries_due(slot):
-                inserted = self.nodes[node_id].on_header(header, slot)
-                if header.id in inserted:
-                    self.trace.emit(slot, tr.HEADER_DELIVERED, node=node_id,
-                                    header=header.id, pushed=False)
+                self._deliver(node_id, header, slot, False)
 
             h_cnt, a_cnt, s_cnt = self._counts_at(slot)
             if h_cnt or a_cnt or s_cnt:
@@ -62,10 +59,9 @@ class PollingSimulation(Simulation):
                         self._honest_produce(bpo, slot)
                     else:
                         self.strategy.on_adversary_bpo(bpo, slot)
-                if self.spv is not None:
-                    for k in range(s_cnt):
-                        self.spv.on_spv_bpo(
-                            BpoId(slot, -2, False, h_cnt + a_cnt + k), slot)
+                for k in range(s_cnt):
+                    self._spv_produce(
+                        BpoId(slot, -2, False, h_cnt + a_cnt + k), slot)
 
             if self._tx_counts is not None and tx_seq < horizon:
                 for _ in range(int(self._tx_counts[slot])):
@@ -613,9 +609,7 @@ def rebuilt_chain_state(node):
         h = node.store.get(hid)
         proofed.update(proof.target for proof in h.proofs)
         if hid in node.processed:
-            content = node._content_of(h)
-            if content is not None:
-                txids.update(t[0] for t in content.txs)
+            txids.update(t[0] for t in node.store.contents[h.commitment].txs)
     return proofed, txids
 
 
