@@ -16,7 +16,10 @@ only these events wake it:
     under SaPoS, makes a block's production opportunity seen twice;
   - an upload or the partition heal that clears an unavailability memo.
 Any other insert leaves every tip above the served one as it was, so a
-step would walk them to the same target.  The slots a throttled node
+step would walk them to the same target.  A header that extends the served
+tip becomes the served tip: it inherits the served queue and ranks above
+its parent, and the tips it passes had no fetchable front, so a walk would
+still end on the same target.  The slots a throttled node
 sleeps through are paid by `settle` before it is stepped again, in the
 same float steps as a per-slot poll.
 
@@ -195,12 +198,15 @@ class Node:
                             bpo_seq=h.bpo.seq, headers=list(seen))
 
         # tip bookkeeping: the parent stops being a tip, the new header
-        # inherits its pending queue when it extends one.
+        # inherits its pending queue when it extends one, and the kept plan
+        # when the parent was the tip it served.
         dq = None
         if h.parent_id in self.tips:
             dq = self._drop_tip(h.parent_id)
             if dq is not None:
                 dq.append(h.id)
+            if self._served == h.parent_id:
+                self._served = h.id
         self._pending[h.id] = dq   # None: built on first consideration
         key = self._key(h.id)
         self.tips[h.id] = key

@@ -7,6 +7,13 @@ X_k = +-1 (good vs bad) and, once download success is known, the walk
 Y_k = +-1 (downloaded-in-time vs not).  A *probabilistic pivot* at k means
 every index interval containing k has more good than bad slots; a
 *combinatorial pivot* means the same for downloaded vs not.
+
+`classify` reads the trace once per analysis.  Besides the index series it
+builds the tables that every audit reads, and keeps them on the
+`IndexSeries` it returns: the Meta record, the honest nodes, the header
+table, the processed map, the per-node tip timelines, the fetches in trace
+order and per node, and the ledger outputs, proofs and blanks.  The audits
+take the series and read no trace.
 """
 from __future__ import annotations
 
@@ -27,29 +34,28 @@ from . import trace as tr
 
 def pivot_flags_walk(indicator: np.ndarray) -> np.ndarray:
     """O(n) pivot test from the walk form: index k (1-based position in the
-    array) is a pivot iff indicator[k]==1, every suffix sum from k stays
+    1-D array) is a pivot iff indicator[k]==1, every suffix sum from k stays
     positive, and every prefix sum up to k-1 stays non-negative.  Implemented
     via prefix extrema of the +-1 walk."""
     ind = np.asarray(indicator, dtype=np.int64)
-    n = ind.shape[-1]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    x = 2 * ind - 1
-    s = np.concatenate([np.zeros(ind.shape[:-1] + (1,), dtype=np.int64),
-                        np.cumsum(x, axis=-1)], axis=-1)
-    prefmax = np.maximum.accumulate(s, axis=-1)
-    sufmin = np.flip(np.minimum.accumulate(np.flip(s, axis=-1), axis=-1), axis=-1)
+    s = np.concatenate(([0], np.cumsum(2 * ind - 1)))
+    prefmax = np.maximum.accumulate(s)
+    sufmin = np.minimum.accumulate(s[::-1])[::-1]
     # pivot at k  <=>  min_{j>=k} S_j > max_{i<=k-1} S_i
-    return (ind == 1) & (sufmin[..., 1:] > prefmax[..., :-1])
+    return (ind == 1) & (sufmin[1:] > prefmax[:-1])
 
 
 # ---------------------------------------------------------------------------
-# index series extracted from a trace
+# index series and trace tables, read from a trace
 
 @dataclass
 class IndexSeries:
     """Per-index arrays over the non-empty slots of a run (1-based index k
-    corresponds to array position k-1)."""
+    corresponds to array position k-1), and the trace tables `classify`
+    built them from, which every audit reads: the Meta record, the honest
+    nodes, the header table, the processed map, the per-node tip timelines,
+    the fetches in trace order and per node, and the ledger outputs, proofs
+    and blanks.  The tables hold the trace's own records and events."""
 
     slots: np.ndarray          # t_k
     good: np.ndarray           # G_k (bool)
@@ -58,32 +64,28 @@ class IndexSeries:
     nu: int
     pp: np.ndarray             # probabilistic pivot flags, from good
     cp: np.ndarray             # combinatorial pivot flags, from downloaded
+    meta: dict
+    honest: list[int]
+    headers: dict[int, dict]   # header id -> its BlockProduced record
+    # (node, header) -> the earliest slot at which the node had the block:
+    # its own honest production, a fetch, or a blank
+    processed: dict[tuple[int, int], int]
+    tips: dict[int, list[tuple[int, int, int]]]   # node -> (slot, tip, height)
+    fetches: list[tr.TraceEvent]                  # ContentFetched, in order
+    # node -> the slots, headers and paid fractions of its fetches, in order
+    node_fetches: dict[int, tuple[list[int], list[int], list[float]]]
+    ledger: list[tr.TraceEvent]                   # LedgerOutput
+    proofs: list[tr.TraceEvent]                   # ProofIncluded
+    blanks: list[tr.TraceEvent]                   # Blanked
 
     def __len__(self) -> int:
         return len(self.slots)
 
 
-def _processed_slots(run_trace: tr.Trace) -> dict[tuple[int, int], int]:
-    """(node, header) -> the earliest slot at which the node had the block:
-    its own honest production, a fetch, or a blank."""
-    seen = [((ev.data["producer"], ev.data["header"]), ev.slot)
-            for ev in run_trace.of_kind(tr.BLOCK_PRODUCED)
-            if ev.data["cls"] == "honest"]
-    seen += [((ev.data["node"], ev.data["header"]), ev.slot)
-             for kind in (tr.CONTENT_FETCHED, tr.PRETEND_EMPTY)
-             for ev in run_trace.of_kind(kind)]
-    # the kinds come one after the other, so keep the minimum explicitly
-    processed: dict[tuple[int, int], int] = {}
-    for key, slot in seen:
-        if slot < processed.get(key, slot + 1):
-            processed[key] = slot
-    return processed
-
-
 def classify(run_trace: tr.Trace, nu: int) -> IndexSeries:
-    """Build the index series from a trace: slot classes from production
-    counts, download success from per-node processing completions, and the
-    pivot flags of both."""
+    """Read the trace into the tables the audits share, once per kind, and
+    build the index series: slot classes from production counts, download
+    success from the processed map, and the pivot flags of both."""
     meta = run_trace.meta
     horizon = meta["horizon_slots"]
     honest = list(meta["honest_nodes"])
@@ -92,12 +94,37 @@ def classify(run_trace: tr.Trace, nu: int) -> IndexSeries:
     for ev in run_trace.of_kind(tr.BPO):
         counts[ev.slot] = [ev.data["h"], ev.data["a"] + ev.data.get("s", 0)]
 
+    processed: dict[tuple[int, int], int] = {}
+
+    def held(key: tuple[int, int], slot: int) -> None:
+        # the kinds are read one after the other: keep the earliest slot
+        if slot < processed.get(key, slot + 1):
+            processed[key] = slot
+
+    headers: dict[int, dict] = {}
     produced_at: dict[int, list[dict]] = {}
     for ev in run_trace.of_kind(tr.BLOCK_PRODUCED):
-        if ev.data["cls"] == "honest":
-            produced_at.setdefault(ev.data["bpo_slot"], []).append(ev.data)
+        d = ev.data
+        headers[d["header"]] = d
+        if d["cls"] == "honest":
+            produced_at.setdefault(d["bpo_slot"], []).append(d)
+            held((d["producer"], d["header"]), ev.slot)
+    fetches = run_trace.of_kind(tr.CONTENT_FETCHED)
+    node_fetches: dict[int, tuple[list[int], list[int], list[float]]] = {}
+    for ev in fetches:
+        d = ev.data
+        at, heads, paid = node_fetches.setdefault(d["node"], ([], [], []))
+        at.append(ev.slot)
+        heads.append(d["header"])
+        paid.append(float(d.get("paid", 1.0)))
+        held((d["node"], d["header"]), ev.slot)
+    for ev in run_trace.of_kind(tr.PRETEND_EMPTY):
+        held((ev.data["node"], ev.data["header"]), ev.slot)
+    tips: dict[int, list[tuple[int, int, int]]] = {}
+    for ev in run_trace.of_kind(tr.CHAIN_SWITCHED):
+        d = ev.data
+        tips.setdefault(d["node"], []).append((ev.slot, d["new"], d["height"]))
 
-    processed = _processed_slots(run_trace)
     slots = sorted(counts)
     n = len(slots)
     good = np.zeros(n, dtype=bool)
@@ -121,8 +148,12 @@ def classify(run_trace: tr.Trace, nu: int) -> IndexSeries:
         downloaded[k] = all(processed.get((p, b), horizon + nu + 1) <= deadline
                             for p in honest)
     return IndexSeries(np.asarray(slots, dtype=np.int64), good, downloaded,
-                       block, nu, pivot_flags_walk(good.astype(np.int64)),
-                       pivot_flags_walk(downloaded.astype(np.int64)))
+                       block, nu, pivot_flags_walk(good),
+                       pivot_flags_walk(downloaded), meta, honest, headers,
+                       processed, tips, fetches, node_fetches,
+                       run_trace.of_kind(tr.LEDGER_OUTPUT),
+                       run_trace.of_kind(tr.PROOF_INCLUDED),
+                       run_trace.of_kind(tr.BLANKED))
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +177,6 @@ class AuditResult:
             self.violations.append(witness)
 
 
-def _header_table(run_trace: tr.Trace) -> dict[int, dict]:
-    table: dict[int, dict] = {}
-    for ev in run_trace.of_kind(tr.BLOCK_PRODUCED):
-        table[ev.data["header"]] = ev.data
-    return table
-
-
 def _ancestor_at(table: dict[int, dict], header: int, height: int) -> int:
     h = table.get(header)
     cur = header
@@ -164,30 +188,14 @@ def _ancestor_at(table: dict[int, dict], header: int, height: int) -> int:
     return cur
 
 
-def _tip_timelines(run_trace: tr.Trace) -> dict[int, list[tuple[int, int, int]]]:
-    """Per node: list of (slot, tip, height) dChain tip changes, in order."""
-    timelines: dict[int, list[tuple[int, int, int]]] = {}
-    for ev in run_trace.of_kind(tr.CHAIN_SWITCHED):
-        d = ev.data
-        timelines.setdefault(d["node"], []).append((ev.slot, d["new"], d["height"]))
-    return timelines
-
-
-def audit_chain_growth(run_trace: tr.Trace, series: IndexSeries) -> AuditResult:
+def audit_chain_growth(series: IndexSeries) -> AuditResult:
     """Every downloaded index lifts the minimum honest chain height:
     L_min(t_k + nu) >= L_min(t_k - 1) + D(i,k] along the run."""
-    meta = run_trace.meta
-    honest = list(meta["honest_nodes"])
-    timelines = _tip_timelines(run_trace)
-
     # minimum honest dChain height at end of each relevant slot, via merge
-    changes: list[tuple[int, int, int]] = []   # (slot, node, height)
-    for p in honest:
-        for slot, _tip, height in timelines.get(p, []):
-            changes.append((slot, p, height))
-    changes.sort()
+    changes = sorted((slot, p, height) for p in series.honest
+                     for slot, _tip, height in series.tips.get(p, []))
 
-    heights = {p: 0 for p in honest}
+    heights = {p: 0 for p in series.honest}
     idx = 0
 
     def lmin_at(slot: int) -> int:
@@ -235,7 +243,7 @@ def _common_ancestor(table: dict[int, dict], a: int, b: int) -> Optional[int]:
     return a
 
 
-def audit_stabilization(run_trace: tr.Trace, series: IndexSeries) -> AuditResult:
+def audit_stabilization(series: IndexSeries) -> AuditResult:
     """Every combinatorial pivot's block must sit on every honest dChain from
     the end of its window onward.
 
@@ -254,12 +262,10 @@ def audit_stabilization(run_trace: tr.Trace, series: IndexSeries) -> AuditResult
     if not cps:
         result.inconclusive = True
         return result
-    honest = list(run_trace.meta["honest_nodes"])
-    table = _header_table(run_trace)
-    timelines = _tip_timelines(run_trace)
+    table = series.headers
 
-    for p in honest:
-        line = timelines.get(p, [])
+    for p in series.honest:
+        line = series.tips.get(p, [])
         slots = [s for s, _, _ in line]
         # common[j]: deepest common ancestor of tips j, j+1, ... (None once a
         # walk leaves the table); min_height[j]: their lowest recorded height
@@ -297,36 +303,19 @@ def audit_stabilization(run_trace: tr.Trace, series: IndexSeries) -> AuditResult
     return result
 
 
-def audit_budget(run_trace: tr.Trace, series: IndexSeries,
-                 c_tilde: float) -> AuditResult:
+def audit_budget(series: IndexSeries, c_tilde: float) -> AuditResult:
     """A good-but-undownloaded index shows where the bandwidth went: every
     honest node that missed the block must have completed at least c_tilde
     fetches of blocks produced after the latest prior combinatorial pivot.
 
-    Cost: one pass over the productions, fetches and blanks, then per miss
-    a bisection into the node's fetch slots and a scan of the fetches
-    inside [t, t + nu] only."""
+    Cost: per miss, a bisection into the node's fetches (in slot order, as
+    the trace is) and a scan of the fetches inside [t, t + nu] only."""
     result = AuditResult("download-budget", True)
-    if c_tilde is None or c_tilde <= 0.0:
+    if (c_tilde is None or c_tilde <= 0.0
+            or series.meta.get("policy") != "longest-header-chain"):
         result.inconclusive = True
         return result
-    meta = run_trace.meta
-    honest = list(meta["honest_nodes"])
-    if meta.get("policy") != "longest-header-chain":
-        result.inconclusive = True
-        return result
-    table = _header_table(run_trace)
-
-    # per node, fetches in slot order (the kind's list is in trace order,
-    # and the trace is slot-ordered)
-    fetch_slots: dict[int, list[int]] = {p: [] for p in honest}
-    fetch_headers: dict[int, list[int]] = {p: [] for p in honest}
-    for ev in run_trace.of_kind(tr.CONTENT_FETCHED):
-        node = ev.data["node"]
-        if node in fetch_slots:
-            fetch_slots[node].append(ev.slot)
-            fetch_headers[node].append(ev.data["header"])
-    processed = _processed_slots(run_trace)
+    table, processed = series.headers, series.processed
 
     required = math.floor(c_tilde - 1e-9)
     last_cp_slot = 0
@@ -335,14 +324,14 @@ def audit_budget(run_trace: tr.Trace, series: IndexSeries,
         if series.good[k] and not series.downloaded[k]:
             deadline = t + series.nu
             b = int(series.block[k])
-            for p in honest:
+            for p in series.honest:
                 if processed.get((p, b), deadline + 1) <= deadline:
                     continue
-                slots = fetch_slots[p]
+                slots, heads, _ = series.node_fetches.get(p, ([], [], []))
                 lo = bisect.bisect_left(slots, t)
                 hi = bisect.bisect_right(slots, deadline, lo)
                 count = 0
-                for header in fetch_headers[p][lo:hi]:
+                for header in heads[lo:hi]:
                     info = table.get(header)
                     if info is not None and last_cp_slot < info["bpo_slot"] <= t:
                         count += 1
@@ -357,15 +346,14 @@ def audit_budget(run_trace: tr.Trace, series: IndexSeries,
     return result
 
 
-def audit_single_fetch(run_trace: tr.Trace) -> AuditResult:
+def audit_single_fetch(series: IndexSeries) -> AuditResult:
     """Each production opportunity's content is fetched at most once per node
     (per header on plain PoS, where equivocating copies are distinct)."""
-    meta = run_trace.meta
-    per_bpo = meta.get("protocol") != "pos"
-    table = _header_table(run_trace)
+    per_bpo = series.meta.get("protocol") != "pos"
+    table = series.headers
     seen: set = set()
     result = AuditResult("single-fetch", True)
-    for ev in run_trace.of_kind(tr.CONTENT_FETCHED):
+    for ev in series.fetches:
         node, header = ev.data["node"], ev.data["header"]
         if per_bpo:
             info = table.get(header)
@@ -380,25 +368,20 @@ def audit_single_fetch(run_trace: tr.Trace) -> AuditResult:
     return result
 
 
-def audit_capacity(run_trace: tr.Trace) -> AuditResult:
+def audit_capacity(series: IndexSeries) -> AuditResult:
     """Tokens paid out at fetch completions over any window of w slots stay
     within capacity * tau * w + 1 (one block of carry-over).  Partially paid
     downloads settle the remainder at completion, so the paid fraction is
     what the window bound constrains, not the completion count."""
-    meta = run_trace.meta
-    rate = meta["capacity"] * meta["tau"]
+    rate = series.meta["capacity"] * series.meta["tau"]
     result = AuditResult("capacity", True)
-    per_node: dict[int, list[tuple[int, float]]] = {}
-    for ev in run_trace.of_kind(tr.CONTENT_FETCHED):
-        per_node.setdefault(ev.data["node"], []).append(
-            (ev.slot, float(ev.data.get("paid", 1.0))))
-    for node, payments in sorted(per_node.items()):
+    for node, (slots, _, paid) in sorted(series.node_fetches.items()):
         # paid(i..j) <= rate*(slot_j - slot_i + 1) + 1 for all i<=j reduces
         # to a running-minimum check on b_k = cum_before_k - rate*slot_k.
         run_min = math.inf
         min_at = None
         cum = 0.0
-        for s, w in payments:
+        for s, w in zip(slots, paid):
             b = cum - rate * s
             if b < run_min:
                 run_min = b
@@ -410,12 +393,12 @@ def audit_capacity(run_trace: tr.Trace) -> AuditResult:
     return result
 
 
-def audit_ledger_safety(run_trace: tr.Trace) -> AuditResult:
+def audit_ledger_safety(series: IndexSeries) -> AuditResult:
     """All confirmed prefixes (across nodes and time) are consistent."""
-    table = _header_table(run_trace)
+    table = series.headers
     result = AuditResult("ledger-safety", True)
     max_len, max_tip = 0, 0
-    for ev in run_trace.of_kind(tr.LEDGER_OUTPUT):
+    for ev in series.ledger:
         ln, tip = ev.data["len"], ev.data["tip"]
         result.checked += 1
         if ln <= max_len:
@@ -429,13 +412,14 @@ def audit_ledger_safety(run_trace: tr.Trace) -> AuditResult:
     return result
 
 
-def audit_blanking(run_trace: tr.Trace, k_epf: Optional[int]) -> AuditResult:
+def audit_blanking(series: IndexSeries) -> AuditResult:
     """Blanked blocks are never honest, and each has an on-chain proof within
-    k_epf blocks above it."""
-    table = _header_table(run_trace)
+    the trace's k_epf blocks above it."""
+    table = series.headers
+    k_epf = series.meta.get("k_epf")
     result = AuditResult("blanking", True)
     proof_depth: dict[int, int] = {}
-    for ev in run_trace.of_kind(tr.PROOF_INCLUDED):
+    for ev in series.proofs:
         carrier = table.get(ev.data["carrier"])
         target = table.get(ev.data["target"])
         if carrier and target:
@@ -443,7 +427,7 @@ def audit_blanking(run_trace: tr.Trace, k_epf: Optional[int]) -> AuditResult:
             prev = proof_depth.get(ev.data["target"])
             if prev is None or depth < prev:
                 proof_depth[ev.data["target"]] = depth
-    blanked = {ev.data["block"] for ev in run_trace.of_kind(tr.BLANKED)}
+    blanked = {ev.data["block"] for ev in series.blanks}
     for block in sorted(blanked):
         info = table.get(block)
         result.checked += 1
@@ -532,16 +516,15 @@ def analyze_trace(run_trace: tr.Trace, nu: int, c_tilde: Optional[float],
     series = classify(run_trace, nu)
     pp, cp = series.pp, series.cp
     audits = [
-        audit_chain_growth(run_trace, series),
-        audit_stabilization(run_trace, series),
-        audit_budget(run_trace, series, c_tilde),
-        audit_single_fetch(run_trace),
-        audit_capacity(run_trace),
-        audit_ledger_safety(run_trace),
+        audit_chain_growth(series),
+        audit_stabilization(series),
+        audit_budget(series, c_tilde),
+        audit_single_fetch(series),
+        audit_capacity(series),
+        audit_ledger_safety(series),
     ]
-    meta = run_trace.meta
-    if meta.get("protocol") == "sapos":
-        audits.append(audit_blanking(run_trace, meta.get("k_epf")))
+    if series.meta.get("protocol") == "sapos":
+        audits.append(audit_blanking(series))
     report = PivotReport(
         nu=nu, c_tilde=c_tilde, k_cp=k_cp,
         n_indices=len(series),

@@ -34,7 +34,7 @@ from . import adversary as adv
 from . import params as pm
 from . import trace as tr
 from .lottery import BpoId, HeaderStore, SlotSampler, _slot_gen, STREAM_ANALYSIS
-from .netenv import Environment, Partition
+from .netenv import FETCH_SLACK, Environment, Partition
 from .node import HonestFront, Node
 
 SPV_NODE = -2   # the producer of header-only blocks
@@ -332,8 +332,9 @@ class Simulation:
         self.strategy.on_external_block(header)
 
     def _check_non_idleness(self, node: Node, slot: int) -> None:
-        meter = self.env.meters[node.id]
-        if meter.sync(slot) < 1.0 - 1e-9:
+        # a step that leaves tokens for a whole block, by the test
+        # `request_content` makes, must also leave no target
+        if self.env.meters[node.id].sync(slot) + FETCH_SLACK < 1.0:
             return
         if node.schedule_target(slot) is not None:
             self.sink.note_idle(node.id, slot)

@@ -28,10 +28,15 @@ def linear_run(n_blocks=3, fetch_lag=1, switch_both=True):
     return run, blocks
 
 
+def tables(run):
+    """The run's series with the trace tables the audits read."""
+    return pv.classify(run.trace, nu=4)
+
+
 def series_and_cp(run):
     """The run's series, and its combinatorial pivot flags recomputed by
     the walk, for the oracles; the audits read the flags `classify` kept."""
-    series = pv.classify(run.trace, nu=4)
+    series = tables(run)
     cp = pv.pivot_flags_walk(series.downloaded.astype(np.int64))
     assert series.cp.tolist() == cp.tolist()
     return series, cp
@@ -41,14 +46,14 @@ def test_chain_growth_pass():
     run, _ = linear_run()
     series, _ = series_and_cp(run)
     assert series.downloaded.all()
-    res = pv.audit_chain_growth(run.trace, series)
+    res = pv.audit_chain_growth(series)
     assert res.passed and res.checked == 3
 
 
 def test_chain_growth_fails_without_the_lift():
     run, _ = linear_run(switch_both=False)  # node 1 never adopts anything
     series, _ = series_and_cp(run)
-    res = pv.audit_chain_growth(run.trace, series)
+    res = pv.audit_chain_growth(series)
     assert not res.passed
     assert res.violations[0]["lmin_after"] < res.violations[0]["lmin_before"] + 1
 
@@ -57,7 +62,7 @@ def test_stabilization_pass():
     run, _ = linear_run()
     series, cp = series_and_cp(run)
     assert cp.all()
-    res = pv.audit_stabilization(run.trace, series)
+    res = pv.audit_stabilization(series)
     assert res.passed and res.checked == 2 * 3
 
 
@@ -66,7 +71,7 @@ def test_stabilization_fails_on_late_defection():
     fork = run.produce(40, parent=0, cls="adversary", producer=9, h=0, a=1)
     run.switch(41, 1, fork)  # node 1 abandons every pivot block
     series, _ = series_and_cp(run)
-    res = pv.audit_stabilization(run.trace, series)
+    res = pv.audit_stabilization(series)
     assert not res.passed
     assert any(v["node"] == 1 for v in res.violations)
 
@@ -75,7 +80,7 @@ def test_stabilization_inconclusive_without_pivots():
     run = MiniRun(nodes=(0,), horizon=20)
     run.busy(2)
     series, _ = series_and_cp(run)
-    res = pv.audit_stabilization(run.trace, series)
+    res = pv.audit_stabilization(series)
     assert res.inconclusive
 
 
@@ -98,14 +103,14 @@ def test_budget_pass_when_bandwidth_is_accounted_for():
     # the demand is floor(c_tilde) less one block of slack for partial work
     run = budget_run(2)
     series, _ = series_and_cp(run)
-    res = pv.audit_budget(run.trace, series, c_tilde=3.0)
+    res = pv.audit_budget(series, c_tilde=3.0)
     assert res.passed and res.checked == 1
 
 
 def test_budget_fails_on_unexplained_miss():
     run = budget_run(1)
     series, _ = series_and_cp(run)
-    res = pv.audit_budget(run.trace, series, c_tilde=3.0)
+    res = pv.audit_budget(series, c_tilde=3.0)
     assert not res.passed
     assert res.violations[0]["fetched"] == 1
 
@@ -113,20 +118,20 @@ def test_budget_fails_on_unexplained_miss():
 def test_budget_inconclusive_cases():
     run = budget_run(2)
     series, _ = series_and_cp(run)
-    assert pv.audit_budget(run.trace, series, c_tilde=None).inconclusive
-    assert pv.audit_budget(run.trace, series, c_tilde=0.0).inconclusive
+    assert pv.audit_budget(series, c_tilde=None).inconclusive
+    assert pv.audit_budget(series, c_tilde=0.0).inconclusive
     greedy = MiniRun(policy="greedy")
     greedy.produce(2, producer=0)
     s2, _ = series_and_cp(greedy)
-    assert pv.audit_budget(greedy.trace, s2, c_tilde=2.0).inconclusive
+    assert pv.audit_budget(s2, c_tilde=2.0).inconclusive
     clean, _ = linear_run()  # nothing ever missed
     s3, _ = series_and_cp(clean)
-    assert pv.audit_budget(clean.trace, s3, c_tilde=2.0).inconclusive
+    assert pv.audit_budget(s3, c_tilde=2.0).inconclusive
 
 
 def test_single_fetch_pass_and_per_bpo_key():
     run, blocks = linear_run()
-    res = pv.audit_single_fetch(run.trace)
+    res = pv.audit_single_fetch(tables(run))
     assert res.passed and res.checked == 3
 
     # two headers spending the same opportunity: one download only
@@ -135,7 +140,7 @@ def test_single_fetch_pass_and_per_bpo_key():
                          emit_bpo=False)
     run.fetch(41, 1, twin_a)
     run.fetch(42, 1, twin_b)
-    assert not pv.audit_single_fetch(run.trace).passed
+    assert not pv.audit_single_fetch(tables(run)).passed
 
 
 def test_single_fetch_is_per_header_on_pos():
@@ -144,9 +149,9 @@ def test_single_fetch_is_per_header_on_pos():
     twin_b = run.produce(5, parent=0, producer=2, emit_bpo=False)
     run.fetch(6, 1, twin_a)
     run.fetch(7, 1, twin_b)
-    assert pv.audit_single_fetch(run.trace).passed
+    assert pv.audit_single_fetch(tables(run)).passed
     run.fetch(8, 1, twin_b)  # literal re-download still flagged
-    assert not pv.audit_single_fetch(run.trace).passed
+    assert not pv.audit_single_fetch(tables(run)).passed
 
 
 def test_capacity_pass_at_the_carry_limit():
@@ -156,7 +161,7 @@ def test_capacity_pass_at_the_carry_limit():
          for i in range(5)]
     run.fetch(10, 1, b[0])
     run.fetch(10, 1, b[1])
-    res = pv.audit_capacity(run.trace)
+    res = pv.audit_capacity(tables(run))
     assert res.passed and res.checked == 2
 
 
@@ -166,7 +171,7 @@ def test_capacity_fails_past_the_carry_limit():
          for i in range(5)]
     for i in range(3):
         run.fetch(10, 1, b[i])
-    res = pv.audit_capacity(run.trace)
+    res = pv.audit_capacity(tables(run))
     assert not res.passed
     assert res.violations[0]["node"] == 1
 
@@ -178,7 +183,7 @@ def test_capacity_charges_paid_fractions_not_completions():
          for i in range(5)]
     for i in range(5):
         run.fetch(10, 1, b[i], paid=0.2)
-    assert pv.audit_capacity(run.trace).passed
+    assert pv.audit_capacity(tables(run)).passed
 
 
 def test_ledger_safety_pass_including_shorter_reannouncement():
@@ -187,7 +192,7 @@ def test_ledger_safety_pass_including_shorter_reannouncement():
     run.ledger(31, 0, 2, blocks[1])
     run.ledger(32, 1, 1, blocks[0])   # shorter but consistent
     run.ledger(33, 1, 3, blocks[2])
-    res = pv.audit_ledger_safety(run.trace)
+    res = pv.audit_ledger_safety(tables(run))
     assert res.passed and res.checked == 4
 
 
@@ -197,7 +202,7 @@ def test_ledger_safety_fails_on_conflicting_prefix():
                        h=0, a=1)
     run.ledger(41, 0, 2, blocks[1])
     run.ledger(42, 1, 2, fork)        # same length, different block
-    res = pv.audit_ledger_safety(run.trace)
+    res = pv.audit_ledger_safety(tables(run))
     assert not res.passed
 
 
@@ -208,7 +213,7 @@ def test_blanking_pass():
     run.trace.emit(10, tr.PROOF_INCLUDED, node=0, carrier=carrier, target=bad,
                    other=99)
     run.trace.emit(12, tr.BLANKED, node=0, block=bad)
-    res = pv.audit_blanking(run.trace, k_epf=4)
+    res = pv.audit_blanking(tables(run))
     assert res.passed and res.checked == 1
 
 
@@ -219,7 +224,7 @@ def test_blanking_fails_on_honest_victim():
     run.trace.emit(10, tr.PROOF_INCLUDED, node=0, carrier=carrier,
                    target=victim, other=99)
     run.trace.emit(12, tr.BLANKED, node=0, block=victim)
-    res = pv.audit_blanking(run.trace, k_epf=4)
+    res = pv.audit_blanking(tables(run))
     assert not res.passed
     assert res.violations[0]["reason"] == "honest block blanked"
 
@@ -234,14 +239,14 @@ def test_blanking_fails_without_timely_proof():
     run.trace.emit(20, tr.PROOF_INCLUDED, node=0, carrier=chain, target=bad,
                    other=99)
     run.trace.emit(21, tr.BLANKED, node=0, block=bad)
-    res = pv.audit_blanking(run.trace, k_epf=2)
+    res = pv.audit_blanking(tables(run))
     assert not res.passed
     assert res.violations[0]["reason"] == "no timely proof"
     # and entirely missing proofs are no better
     bare = MiniRun(protocol="sapos", k_epf=2)
     b2 = bare.produce(5, parent=0, cls="adversary", producer=9, h=0, a=1)
     bare.trace.emit(6, tr.BLANKED, node=0, block=b2)
-    assert not pv.audit_blanking(bare.trace, k_epf=2).passed
+    assert not pv.audit_blanking(tables(bare)).passed
 
 
 def test_blanking_keeps_at_most_ten_witnesses():
@@ -254,7 +259,7 @@ def test_blanking_keeps_at_most_ten_witnesses():
                        target=victim, other=99)
     for victim in blocks[:-1]:
         run.trace.emit(31, tr.BLANKED, node=0, block=victim)
-    res = pv.audit_blanking(run.trace, k_epf=4)
+    res = pv.audit_blanking(tables(run))
     assert not res.passed and res.checked == 12
     assert len(res.violations) == 10
     assert {v["reason"] for v in res.violations} == {"honest block blanked"}
@@ -262,18 +267,30 @@ def test_blanking_keeps_at_most_ten_witnesses():
 
 def test_blanking_inconclusive_without_blanks():
     run, _ = linear_run()
-    assert pv.audit_blanking(run.trace, k_epf=4).inconclusive
+    assert pv.audit_blanking(tables(run)).inconclusive
 
 
 # ---------------------------------------------------------------------------
-# slow reference oracles: the per-tip and per-fetch forms of the two audits
+# slow reference oracles: the per-tip and per-fetch forms of the two audits,
+# on tables of their own built from every event
+
+def header_table(run_trace):
+    """Header id -> its BlockProduced record; the table counts its lookups
+    for the cost guards below."""
+    return CountingTable((ev.data["header"], ev.data) for ev in run_trace.events
+                         if ev.kind == tr.BLOCK_PRODUCED)
+
 
 def stabilization_oracle(run_trace, series, cp_flags):
     """Per (node, pivot): walk every tip from the one in force at the end of
     the pivot's window onward down to the pivot's height."""
     honest = list(run_trace.meta["honest_nodes"])
-    table = pv._header_table(run_trace)
-    timelines = pv._tip_timelines(run_trace)
+    table = header_table(run_trace)
+    timelines = {}
+    for ev in run_trace.events:
+        if ev.kind == tr.CHAIN_SWITCHED:
+            timelines.setdefault(ev.data["node"], []).append(
+                (ev.slot, ev.data["new"], ev.data["height"]))
     result = pv.AuditResult("cp-stabilization", True)
     cps = [(int(series.slots[k]) + series.nu, int(series.block[k]), k + 1)
            for k in range(len(series)) if cp_flags[k]]
@@ -320,7 +337,7 @@ def budget_oracle(run_trace, series, cp_flags, c_tilde):
     if meta.get("policy") != "longest-header-chain":
         result.inconclusive = True
         return result
-    table = pv._header_table(run_trace)
+    table = header_table(run_trace)
     fetches = {p: [] for p in honest}
     processed = {}
     for ev in run_trace.events:
@@ -379,12 +396,12 @@ def processed_oracle(run_trace):
 
 
 def assert_matches_oracles(run):
-    assert pv._processed_slots(run.trace) == processed_oracle(run.trace)
     series, cp = series_and_cp(run)
-    fast = pv.audit_stabilization(run.trace, series)
+    assert series.processed == processed_oracle(run.trace)
+    fast = pv.audit_stabilization(series)
     assert fast == stabilization_oracle(run.trace, series, cp)
     for c_tilde in (0.5, 1.0, 2.0, 3.0):
-        assert pv.audit_budget(run.trace, series, c_tilde) == \
+        assert pv.audit_budget(series, c_tilde) == \
             budget_oracle(run.trace, series, cp, c_tilde)
     return fast
 
@@ -456,7 +473,7 @@ def histories(draw):
                                            ("fetch", "blank")])
 def test_a_block_counts_as_processed_at_its_earliest_slot(first, second):
     """Node 1 has the good block at slot 3 by one kind of event and at
-    slot 9, past the deadline, by the other; the audits read the kinds'
+    slot 9, past the deadline, by the other; classify reads the kinds'
     lists one after the other and must still take slot 3."""
     run = MiniRun(nodes=(0, 1), horizon=60, protocol="sapos")
     b1 = run.produce(2, producer=0)
@@ -465,7 +482,7 @@ def test_a_block_counts_as_processed_at_its_earliest_slot(first, second):
     getattr(run, second)(9, 1, b1)
     series, cp = series_and_cp(run)
     assert series.downloaded.tolist()[0]
-    assert pv._processed_slots(run.trace)[1, b1] == 3
+    assert series.processed[1, b1] == 3
     assert_matches_oracles(run)
 
 
@@ -635,7 +652,7 @@ def test_budget_window_edges(fetches, counted):
     assert series.good.tolist() == [True, True, True]
     assert series.downloaded.tolist() == [True, True, False]
     assert cp.tolist() == [True, False, False]
-    res = pv.audit_budget(run.trace, series, c_tilde=100.0)
+    res = pv.audit_budget(series, c_tilde=100.0)
     assert res == budget_oracle(run.trace, series, cp, c_tilde=100.0)
     assert res.checked == 1
     assert res.violations[0]["fetched"] == counted
@@ -677,20 +694,18 @@ class CountingSlot(int):
 
 
 @pytest.fixture
-def counted(monkeypatch):
-    real = pv._header_table
-    monkeypatch.setattr(pv, "_header_table",
-                        lambda run_trace: CountingTable(real(run_trace)))
-
+def counted():
     def count(audit, run, *args):
-        """Table lookups and slot compares of one audit call; an oracle
-        also takes the recomputed pivot flags."""
+        """Table lookups and slot compares of one audit call: an audit's on
+        the header table `classify` shares, an oracle's on its own table.
+        An oracle also takes the recomputed pivot flags."""
         series, cp = series_and_cp(run)
+        series.headers = CountingTable(series.headers)
         CountingTable.lookups = CountingSlot.compares = 0
         if audit in (stabilization_oracle, budget_oracle):
             audit(run.trace, series, cp, *args)
         else:
-            audit(run.trace, series, *args)
+            audit(series, *args)
         return CountingTable.lookups + CountingSlot.compares
     return count
 

@@ -186,6 +186,9 @@ def memoise_unavailable(sim, node_ids, header, slot):
 def test_an_upload_wakes_exactly_the_nodes_that_memoised_it():
     sim = small_sim()
     assert sim.honest_ids == [0, 1, 2, 3]
+    # a spare content first: header ids and commitments then differ, so a
+    # memo keyed by header id would wake node 2 on a's upload
+    sim.store.make_content()
     a, content_a = mk_header(sim.store, slot=1)
     b, _ = mk_header(sim.store, slot=2)
     memoise_unavailable(sim, [0, 1], a, 3)
@@ -226,6 +229,7 @@ def test_the_heal_clears_only_memos_of_content_in_the_cloud():
     heal = sim._heal_slot
     far, near = sim.honest_ids[-1], sim.honest_ids[0]
     assert sim.env.partition.blocks(near, far, heal - 1)
+    sim.store.make_content()   # header ids and commitments differ
     across, content_across = mk_header(sim.store, slot=1)
     withheld, _ = mk_header(sim.store, slot=2)
     sim.upload(across, content_across, slot=2, origin=near)

@@ -1,12 +1,16 @@
 """Pivot detection on indicator series and slot classification from traces."""
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
 from conftest import MiniRun, margin_check, pivot_flags_interval
+from test_trace_digests import attack_scenario, matrix_scenario
 
+from nakasim import params as pm
 from nakasim import pivots as pv
 from nakasim import trace as tr
+from nakasim.sim import Simulation
 
 
 def test_walk_flags_examples():
@@ -158,3 +162,30 @@ def test_report_round_trip(tmp_path):
         rows = list(csvmod.reader(fh))
     assert len(rows) == 1 + len(series)
     assert rows[0][:4] == ["k", "slot", "good", "downloaded"]
+
+
+@pytest.mark.parametrize("config", [
+    matrix_scenario(pm.PROTOCOL_POW, pm.POLICY_LONGEST_HEADER_CHAIN),
+    attack_scenario(pm.PROTOCOL_SAPOS, strategy=pm.ATTACK_POS_TEASER,
+                    sacrifice_every=1),
+], ids=["pow-teaser", "sapos-sacrifice"])
+def test_an_analysis_reads_each_kind_once(monkeypatch, config):
+    """`classify` reads each kind's events once, and every audit reads the
+    tables it built: on a teaser run, and on a SaPoS sacrifice run, whose
+    analysis includes the blanking audit."""
+    sim = Simulation(pm.scenario_from_dict(config))
+    sim.run()
+    reads = Counter()
+    real = tr.Trace.of_kind
+
+    def of_kind(self, kind):
+        reads[kind] += 1
+        return real(self, kind)
+    monkeypatch.setattr(tr.Trace, "of_kind", of_kind)
+    meta = sim.trace.meta
+    report, _ = pv.analyze_trace(sim.trace, meta["nu"], meta["c_tilde"], 50)
+    if meta["protocol"] == pm.PROTOCOL_SAPOS:
+        blanking = next(a for a in report.audits if a.name == "blanking")
+        assert blanking.checked > 0
+    assert reads[tr.BLOCK_PRODUCED] == 1
+    assert max(reads.values()) == 1
