@@ -40,7 +40,7 @@ class Strategy:
         self.store: HeaderStore = sim.store
         self.trace: tr.Trace = sim.trace
         self.fork_id: int = sim.honest_tip()
-        self.priv: list[tuple[BpoId, BlockHeader, Content]] = []
+        self.priv: list[BlockHeader] = []   # withheld chain, from the fork up
         self.releases = 0
         self.giveups = 0
         # available chains grafted onto the private chain by header-only
@@ -85,32 +85,35 @@ class Strategy:
 
     def _block(self, bpo: BpoId, parent: int, slot: int,
                content: Optional[Content] = None,
-               private: bool = False) -> tuple[BlockHeader, Content]:
+               private: bool = False) -> BlockHeader:
         """Mint and record one adversary block on `parent` for `bpo`, under
         the simulation's opportunity rule.  It carries `content`, or else a
-        fresh empty content of the opportunity's node."""
+        fresh empty content of the opportunity's node, kept in the store."""
         if content is None:
             content = self.store.make_content((), producer=bpo.node)
         header = self.sim.extend(bpo, parent, content.commitment, ())
         self.sim.record_block(header, slot, "adversary", private=private)
-        return header, content
+        return header
 
     def _announce(self, headers: list[BlockHeader], content: Optional[int],
                   slot: int, **tags) -> None:
         """Push the top of `headers` to every honest node and record their
-        release, naming in `content` what it revealed, if anything; `tags`
-        are added to the record."""
+        release; `tags` are added to the record.  `content` names what the
+        release revealed, and what it holds depends on the kind of release:
+        the header id of the block whose content the single-chain tease
+        uploaded (None when it uploaded nothing), the commitment a PoS copy
+        uploaded, and None for a sacrifice."""
         self.sim.push_to_honest(headers[-1], slot)
         self.trace.emit(slot, tr.ADVERSARY_RELEASE, headers=[x.id for x in headers],
                         content=content, tip_height=headers[-1].height, **tags)
 
     def _mint(self, bpo: BpoId, slot: int) -> None:
-        parent = self.priv[-1][1].id if self.priv else self.fork_id
-        header, content = self._block(bpo, parent, slot, private=True)
+        parent = self.priv[-1].id if self.priv else self.fork_id
+        header = self._block(bpo, parent, slot, private=True)
         self._root[header.id] = len(self.priv)
-        self.priv.append((bpo, header, content))
+        self.priv.append(header)
 
-    def _refork(self, slot: int) -> None:
+    def _refork(self) -> None:
         self.fork_id = self.sim.honest_tip()
         self.priv = []
         self.giveups += 1
@@ -158,7 +161,7 @@ class TeaserAttack(Strategy):
             return
         self.best_seen_height = h
         if self.lead() <= 0:
-            self._give_up(slot)
+            self._give_up()
             return
         if self.lead() >= RELEASE_LEAD:
             self._release(h, slot)
@@ -170,7 +173,7 @@ class TeaserAttack(Strategy):
         want = min(honest_height + 1 - self.fork_height, len(self.priv))
         if want <= self.released_h:
             return False
-        new_headers = [self.priv[i][1] for i in range(self.released_h, want)]
+        new_headers = self.priv[self.released_h:want]
         self.released_h = want
         content_id = None
         # Reveal the next content only while everything it unlocks (the
@@ -179,16 +182,16 @@ class TeaserAttack(Strategy):
         # instead of wasting honest work.
         if (self.released_c < self.released_h - 1
                 and self._reveal_frontier(self.released_c) <= self.sim.min_honest_height()):
-            _, hdr, content = self.priv[self.released_c]
-            self.sim.upload(hdr, content, slot)
+            hdr = self.priv[self.released_c]
+            self.sim.upload(hdr, self.store.contents[hdr.commitment], slot)
             content_id = hdr.id
             self.released_c += 1
         self._announce(new_headers, content_id, slot, **tags)
         self.releases += 1
         return True
 
-    def _give_up(self, slot: int) -> None:
-        self._refork(slot)
+    def _give_up(self) -> None:
+        self._refork()
         self.released_h = 0
         self.released_c = 0
 
@@ -245,33 +248,33 @@ class PosTeaserAttack(TeaserAttack):
         if m <= 0:
             return
         self.round += 1
-        fresh = self.store.make_content((), producer=self.priv[0][0].node)
+        fresh = self.store.make_content((), producer=self.priv[0].bpo.node)
         self.revealed.append(fresh)
         parent = self.fork_id
         headers = []
         for j in range(1, m + 1):
-            bpo = self.priv[j - 1][0]
+            withheld = self.priv[j - 1]
             if j <= self.round:
                 content = self.revealed[self.round - j]
             else:
-                content = self.priv[j - 1][2]   # withheld
-            hdr, _ = self._block(bpo, parent, slot, content)
+                content = self.store.contents[withheld.commitment]
+            hdr = self._block(withheld.bpo, parent, slot, content)
             headers.append(hdr)
             parent = hdr.id
         self.sim.upload(headers[0], fresh, slot)
         self._announce(headers, fresh.commitment, slot, copy=True)
         self.releases += 1
 
-    def _give_up(self, slot: int) -> None:
-        super()._give_up(slot)
+    def _give_up(self) -> None:
+        super()._give_up()
         self.round = 0
         self.revealed = []
 
     def _plant_block(self, bpo: BpoId, slot: int) -> None:
         """Spend this opportunity on an openly published block on the honest
         tip so it gets adopted before its twin surfaces."""
-        header, content = self._block(bpo, self.sim.honest_tip(), slot)
-        self.sim.upload(header, content, slot)
+        header = self._block(bpo, self.sim.honest_tip(), slot)
+        self.sim.upload(header, self.store.contents[header.commitment], slot)
         self.sim.push_to_honest(header, slot)
         self._plant = header
         self._plant_due = False
@@ -279,7 +282,7 @@ class PosTeaserAttack(TeaserAttack):
     def _equivocate_plant(self, slot: int) -> None:
         plant = self._plant
         self._plant = None
-        twin, _ = self._block(plant.bpo, plant.parent_id, slot)
+        twin = self._block(plant.bpo, plant.parent_id, slot)
         self._announce([twin], None, slot, sacrifice=True)
 
 

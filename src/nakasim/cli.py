@@ -124,10 +124,16 @@ _METRIC_FIELDS = [f.name for f in dataclasses.fields(RunMetrics)
                   if f.name != "audits"]
 
 
+def _seeds(scenario: pm.ScenarioConfig, base: int | None) -> list[int]:
+    """A scenario's `repeat` seeds, `seed_stride` apart from `base`, or from
+    its `sim.seed` when `base` is None."""
+    base = scenario.sim.seed if base is None else base
+    return [base + i * scenario.seed_stride for i in range(scenario.repeat)]
+
+
 def cmd_simulate(args) -> int:
     scenario = pm.scenario_from_json(args.config)
-    base = scenario.sim.seed if args.seed is None else args.seed
-    seeds = [base + i * scenario.seed_stride for i in range(scenario.repeat)]
+    seeds = _seeds(scenario, args.seed)
     os.makedirs(args.out, exist_ok=True)
     cfg_dict = pm.scenario_to_dict(scenario)
     jobs = [(cfg_dict, s,
@@ -206,41 +212,36 @@ def cmd_region(args) -> int:
     return 0
 
 
-def _frontier_scenario(attack: str, capacity: float, spv_rate: float,
-                       args) -> pm.ScenarioConfig:
-    beta = args.beta if attack != pm.ATTACK_NONE else 0.0
-    rho = args.lam_hon * args.tau / (1.0 - beta)
-    return pm.ScenarioConfig(
-        sim=pm.SimParams(n_nodes=args.nodes, beta=beta, rho=rho, tau=args.tau,
-                         delta_h=args.delta_h, capacity=capacity,
-                         c_tilde=args.c_tilde,
-                         horizon_slots=args.horizon_slots),
-        attack=pm.AttackConfig(strategy=attack, spv_rate=spv_rate),
-    )
+def _at_capacity(data: dict, capacity: float) -> pm.ScenarioConfig:
+    """The scenario of the config object `data` with `sim.capacity` set to
+    `capacity`; whichever of `nu` and `c_tilde` it fixes stays fixed."""
+    sim = data.get("sim", {})
+    if not isinstance(sim, dict):
+        raise pm.ConfigError("sim", "expected a JSON object")
+    return pm.scenario_from_dict({**data, "sim": {**sim, "capacity": capacity}})
 
 
 def cmd_attack_frontier(args) -> int:
-    caps = parse_grid(args.capacity_grid)
-    jobs = []
-    for cap in caps:
-        scenario = _frontier_scenario(args.attack, cap, args.spv_rate, args)
-        cfg_dict = pm.scenario_to_dict(scenario.resolved())
-        for s in range(args.seeds):
-            jobs.append((cfg_dict, s, None))
-    results = _run_jobs(jobs)
+    data = pm.read_config(args.config)
+    scenarios = [_at_capacity(data, cap)
+                 for cap in parse_grid(args.capacity_grid)]
+    jobs = [(pm.scenario_to_dict(scenario), s, None)
+            for scenario in scenarios for s in _seeds(scenario, None)]
+    runs = iter(_run_jobs(jobs))
 
     header = ["capacity", "attack", "spv_rate", "seeds", "lambda_grwth",
               "ci_lo", "ci_hi", "beta_threshold"]
     rows = []
     clean = True
-    for i, cap in enumerate(caps):
-        chunk = results[i * args.seeds:(i + 1) * args.seeds]
+    for scenario in scenarios:
+        chunk = [next(runs) for _ in range(scenario.repeat)]
         growth = [m["lambda_grwth"] for m in chunk]
         clean = clean and all(m["audits"]["clean"] for m in chunk)
         mean = float(np.mean(growth))
         lo, hi = bootstrap_ci(growth)
-        rows.append([cap, args.attack, args.spv_rate, args.seeds, mean, lo,
-                     hi, security.beta_threshold(mean, args.lam_hon)])
+        rows.append([scenario.sim.capacity, scenario.attack.strategy,
+                     scenario.attack.spv_rate, scenario.repeat, mean, lo, hi,
+                     security.beta_threshold(mean, chunk[0]["lambda_honest"])])
     _write_csv(args.out, header, rows)
     return 0 if clean else 2
 
@@ -282,20 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("attack-frontier",
                        help="measured growth and implied threshold per capacity")
-    f.add_argument("--attack", required=True,
-                   choices=[pm.ATTACK_NONE, pm.ATTACK_PRIVATE,
-                            pm.ATTACK_TEASER])
+    f.add_argument("--config", required=True,
+                   help="scenario JSON path; its sim.capacity is replaced "
+                        "by each grid value")
     f.add_argument("--capacity-grid", required=True,
                    help="comma list or lo:hi:step")
-    f.add_argument("--seeds", type=int, default=10)
-    f.add_argument("--beta", type=float, default=0.45)
-    f.add_argument("--lam-hon", type=float, default=1.0)
-    f.add_argument("--nodes", type=int, default=20)
-    f.add_argument("--tau", type=float, default=0.1)
-    f.add_argument("--delta-h", type=float, default=0.2)
-    f.add_argument("--c-tilde", type=float, default=0.5)
-    f.add_argument("--horizon-slots", type=int, default=20_000)
-    f.add_argument("--spv-rate", type=float, default=0.0)
     f.add_argument("--out", default=None, help="CSV path (default stdout)")
     f.set_defaults(func=cmd_attack_frontier)
     return p

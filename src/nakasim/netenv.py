@@ -150,11 +150,11 @@ class Environment:
 
     # -- content ------------------------------------------------------------
 
-    def upload_content(self, header: Optional[BlockHeader], content: Content,
-                       origin: int, slot: int) -> bool:
+    def upload_content(self, header: BlockHeader, content: Content,
+                       origin: int) -> bool:
         """Insert-only: returns False when the commitment was already stored.
         Raises CommitmentMismatch when content does not match the header."""
-        if header is not None and content.commitment != header.commitment:
+        if content.commitment != header.commitment:
             raise CommitmentMismatch(
                 f"content {content.commitment} vs header commitment {header.commitment}")
         if content.commitment in self.cloud:

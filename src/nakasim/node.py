@@ -481,7 +481,7 @@ class Node:
         """Extend the longest processed chain with a new block; an empty
         feed still yields an (empty) block."""
         txs = self._take_txs(slot)
-        proofs = sp.attach_proofs(self, slot) if self.sapos else ()
+        proofs = sp.attach_proofs(self) if self.sapos else ()
         content = self.store.make_content(txs, producer=self.id)
         extend = (self.store.pow_extend if self.protocol == pm.PROTOCOL_POW
                   else self.store.pos_extend)

@@ -256,13 +256,20 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     return _build(ScenarioConfig, data, "").resolved()
 
 
-def scenario_from_json(path: str) -> ScenarioConfig:
+def read_config(path: str) -> dict:
+    """The JSON object of the scenario config file at `path`, unparsed."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(path, f"invalid JSON: {exc}") from exc
-    return scenario_from_dict(data)
+    if not isinstance(data, dict):
+        raise ConfigError(path, "expected a JSON object")
+    return data
+
+
+def scenario_from_json(path: str) -> ScenarioConfig:
+    return scenario_from_dict(read_config(path))
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:

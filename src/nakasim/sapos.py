@@ -43,7 +43,7 @@ def validate_proof_deadline(store: HeaderStore, carrier: BlockHeader,
     return store.ancestor_at(carrier.parent_id, target.height) == target.id
 
 
-def attach_proofs(node: "Node", slot: int) -> tuple:
+def attach_proofs(node: "Node") -> tuple:
     """Collect proofs a producer can still include: equivocations it has
     seen whose on-chain copy lies within the proof window of the new block
     and is not already proven.  The caller emits the trace record once the

@@ -10,14 +10,11 @@ bound once as `extend`.
 The loop visits only slots where something happens: a lottery win, a queued
 delivery, the partition heal, or a node's wake slot.  The lottery is drawn
 before the run, which walks its busy slots with a cursor.  A node is
-stepped only in slots where it is due (see `Node.wake`); a throttled node
-keeps its plan and sleeps until its download completes or an event that
-can change the plan reaches it: a header that drops, evicts or outranks
-the tip it serves, a twin of a queued block under SaPoS, or the upload
-of content it found unavailable.  The slots it slept through are settled
-just before its next step and at the horizon.  Transactions come from one
-feed shared by every node, so they do not pin the loop to every slot
-either.
+stepped only in slots where it is due; the `node` module docstring gives
+the events that make it due (`Node.wake`).  The slots a throttled node
+slept through are settled just before its next step and at the horizon.
+Transactions come from one feed shared by every node, so they do not pin
+the loop to every slot either.
 
 The simulation's object graph holds no reference cycle (the adversary
 reaches the simulation through a weak proxy), so a dropped simulation is
@@ -183,12 +180,11 @@ class Simulation:
             self._announced = (header.height, header.id)
 
     def upload(self, header, content, slot: int, origin: int = -1) -> None:
-        if self.env.upload_content(header, content, origin=origin, slot=slot):
+        if self.env.upload_content(header, content, origin=origin):
             for node in self.nodes.values():
                 node.content_uploaded(content.commitment, slot)
             self.trace.emit(slot, tr.CONTENT_UPLOADED,
-                            commitment=content.commitment,
-                            header=None if header is None else header.id)
+                            commitment=content.commitment, header=header.id)
 
     def broadcast(self, header, slot: int, origin: int = -1) -> None:
         self.env.broadcast_header(header, origin, slot)

@@ -13,6 +13,7 @@ from nakasim import params as pm
 from nakasim import pivots as pv
 from nakasim import trace as tr
 from nakasim.lottery import BpoId, HeaderStore
+from nakasim.sim import AuditSink
 
 # keep worker pools out of unit tests regardless of the host machine
 os.environ.setdefault("NAKASIM_THREADS", "1")
@@ -23,8 +24,9 @@ def bpo(slot: int, node: int = 1, honest: bool = True, seq: int = 0) -> BpoId:
 
 
 class Rig:
-    """One honest node under test. Headers are minted straight into the
-    shared store; tests deliver them and drive process_step by hand."""
+    """One honest node under test, reporting to its own audit sink. Headers
+    are minted straight into the shared store; tests deliver them and drive
+    process_step by hand."""
 
     def __init__(self, rate=1.0, delay_slots=0,
                  policy=pm.POLICY_LONGEST_HEADER_CHAIN,
@@ -32,8 +34,10 @@ class Rig:
         self.store = HeaderStore()
         self.env = netenv.Environment([0], rate, delay_slots, partition)
         self.trace = tr.Trace()
+        self.sink = AuditSink(self.store)
         self.node = nd.Node(0, self.store, self.env, self.trace,
-                            policy, protocol, k_conf, k_epf)
+                            policy, protocol, k_conf, k_epf,
+                            audit_sink=self.sink)
 
     def grow(self, parent, slot, node_id=1, seq=0, txs=(), upload=True,
              honest=True, proofs=(), pos=False):
@@ -43,7 +47,7 @@ class Rig:
         header = mint(BpoId(slot, node_id, honest, seq), parent.id,
                       content.commitment, proofs)
         if upload:
-            self.env.upload_content(header, content, origin=node_id, slot=slot)
+            self.env.upload_content(header, content, origin=node_id)
         return header, content
 
     def chain(self, length, start_slot=1, parent=None, slot_step=1, **kw):

@@ -1,6 +1,7 @@
 """Command-line behaviors: exit codes, artifact layout, and determinism."""
 import csv
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -186,15 +187,84 @@ def test_region_csv(tmp_path, capsys):
 
 
 def test_attack_frontier_smoke(tmp_path):
+    cfg = write_config(tmp_path, attack={"strategy": "private"},
+                       sim={**BASE_CONFIG["sim"], "beta": 0.3,
+                            "horizon_slots": 600})
     out = tmp_path / "frontier.csv"
-    rc = cli.main(["attack-frontier", "--attack", "private",
-                   "--capacity-grid", "1", "--seeds", "2",
-                   "--horizon-slots", "600", "--out", str(out)])
+    rc = cli.main(["attack-frontier", "--config", cfg,
+                   "--capacity-grid", "1", "--out", str(out)])
     assert rc == 0
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
+    assert (rows[0]["capacity"], rows[0]["attack"], rows[0]["seeds"]) == \
+        ("1.0", "private", "2")
     assert float(rows[0]["beta_threshold"]) > 0.0
+
+
+# The frontier's scenario before it was read from a config: PoW,
+# longest-header-chain, lambda_h = 1 (rho = lambda_h * tau / (1 - beta)),
+# seeds 0, 1 and 2.
+FRONTIER_DEFAULTS = {
+    "sim": {"n_nodes": 20, "beta": 0.45, "rho": 0.18181818181818182,
+            "tau": 0.1, "delta_h": 0.2, "c_tilde": 0.5,
+            "horizon_slots": 2000, "seed": 0},
+    "attack": {"strategy": "teaser", "spv_rate": 0.0},
+    "repeat": 3,
+}
+
+
+def test_attack_frontier_output_is_pinned(tmp_path):
+    """The teaser frontier of the former defaults, as the command wrote it
+    when it took the scenario as flags."""
+    path = tmp_path / "frontier.json"
+    path.write_text(json.dumps(FRONTIER_DEFAULTS))
+    out = tmp_path / "frontier.csv"
+    assert cli.main(["attack-frontier", "--config", str(path),
+                     "--capacity-grid", "0.5,1,2", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "0.5,teaser,0.0,3,0.21,0.205,0.215,0.17355371900826447"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6a31851beaff45a58906a979be176e72c9fc89de95a20d892a69b3e0f4b8d49a")
+
+
+def test_equivocating_teases_slow_plain_pos_more_than_sapos(tmp_path):
+    """Half of the paper's PoS claim: at C = 2 the equivocating tease
+    holds plain PoS to a lower mean growth than the blanking protocol."""
+    growth = {}
+    for protocol in (pm.PROTOCOL_POS, pm.PROTOCOL_SAPOS):
+        cfg = write_config(
+            tmp_path, protocol=protocol, repeat=3,
+            attack={"strategy": pm.ATTACK_POS_TEASER},
+            sim={"n_nodes": 20, "beta": 0.3, "rho": 0.1, "tau": 0.1,
+                 "delta_h": 0.2, "c_tilde": 0.5, "horizon_slots": 3000,
+                 "seed": 1})
+        out = tmp_path / f"{protocol}.csv"
+        assert cli.main(["attack-frontier", "--config", cfg,
+                         "--capacity-grid", "2", "--out", str(out)]) == 0
+        with open(out) as fh:
+            growth[protocol] = float(next(csv.DictReader(fh))["lambda_grwth"])
+    assert growth[pm.PROTOCOL_POS] < growth[pm.PROTOCOL_SAPOS]
+
+
+def test_attack_frontier_config_errors_exit_one(tmp_path, capsys):
+    # nu and c_tilde both fixed agree at C = 1 but not at C = 0.1
+    cfg = write_config(tmp_path, sim={"tau": 0.1, "delta_h": 0.2, "nu": 5,
+                                      "c_tilde": 0.5})
+    assert cli.main(["attack-frontier", "--config", cfg,
+                     "--capacity-grid", "1,0.1"]) == 1
+    assert "sim.nu" in capsys.readouterr().err
+    cfg = write_config(tmp_path, attack={"strategy": pm.ATTACK_POS_TEASER})
+    assert cli.main(["attack-frontier", "--config", cfg,
+                     "--capacity-grid", "1"]) == 1
+    assert "attack.strategy" in capsys.readouterr().err
+    # the capacity is set on the file's objects, so both must be objects
+    path = tmp_path / "scenario.json"
+    for data, name in (([1], str(path)), ({"sim": 3}, "sim")):
+        path.write_text(json.dumps(data))
+        assert cli.main(["attack-frontier", "--config", str(path),
+                         "--capacity-grid", "1"]) == 1
+        assert f"{name}: expected a JSON object" in capsys.readouterr().err
 
 
 def test_usage_and_config_errors_exit_one(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Source hygiene: every name a module of the package imports is used in it,
-every function, class and method it defines is named elsewhere in it, and
-one module owns switching the cyclic garbage collector.
+every function, class and method it defines is named elsewhere in it, every
+parameter is read, and one module owns switching the cyclic garbage
+collector.
 
 A re-export counts as a use when the module lists the name in `__all__`."""
 import ast
 import pathlib
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -169,6 +170,51 @@ def test_the_check_sees_dead_names():
     assert dead_names(sources, {"kept"}) == [
         "a.py:4 recursive", "a.py:5 orphan", "a.py:6 only_for_orphan",
         "a.py:11 unused"]
+
+
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """Parameters that their function's body never reads, in the modules of
+    `sources` (name -> source).  A read in a nested function counts.
+    Methods whose name more than one class defines are exempt, since one
+    override may read what another ignores, and so are `_`-prefixed
+    parameters."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = Counter(child.name for tree in trees.values()
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.ClassDef)
+                      for child in node.body if isinstance(child, functions))
+    out = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, functions) or defined[node.name] > 1:
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            read = set().union(*map(names_in, node.body))
+            out += [f"{module}:{node.lineno} {node.name}({p.arg})"
+                    for p in params
+                    if not p.arg.startswith("_") and p.arg not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(package_sources()) == []
+
+
+def test_the_check_sees_unread_parameters():
+    sources = {
+        "a.py": ("def f(a, b, *args, c, _d, **kw): return a + c\n"
+                 "def g(x): return lambda: x\n"
+                 "class Base:\n"
+                 "    def hook(self, slot): pass\n"
+                 "class Child(Base):\n"
+                 "    def hook(self, slot): return slot\n"
+                 "    def own(self, slot): return self\n"),
+    }
+    assert unread_parameters(sources) == [
+        "a.py:1 f(b)", "a.py:1 f(args)", "a.py:1 f(kw)", "a.py:7 own(slot)"]
 
 
 # The opportunity rule (PoW refuses a second header per opportunity, PoS

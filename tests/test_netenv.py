@@ -99,7 +99,7 @@ def test_upload_rejects_mismatched_content():
     h, _ = mk_header(store)
     wrong = store.make_content()
     with pytest.raises(CommitmentMismatch):
-        env.upload_content(h, wrong, origin=0, slot=0)
+        env.upload_content(h, wrong, origin=0)
     assert env.cloud == {}
 
 
@@ -107,8 +107,8 @@ def test_upload_is_insert_only():
     store = HeaderStore()
     env = Environment([0], 1.0, 0)
     h, c = mk_header(store)
-    assert env.upload_content(h, c, origin=0, slot=0) is True
-    assert env.upload_content(h, c, origin=0, slot=1) is False
+    assert env.upload_content(h, c, origin=0) is True
+    assert env.upload_content(h, c, origin=0) is False
     assert env.cloud[c.commitment] == 0
 
 
@@ -120,7 +120,7 @@ def test_unavailable_request_is_free():
     assert outcome is RequestOutcome.UNAVAILABLE and paid == 0.0
     assert env.meters[0].spent_total == 0.0
     assert env.fetch_count[0] == 0
-    env.upload_content(h, c, origin=0, slot=1)
+    env.upload_content(h, c, origin=0)
     assert env.request_content(0, h, 0.0, slot=1)[0] is RequestOutcome.FETCHED
 
 
@@ -129,7 +129,7 @@ def test_half_rate_fetch_completes_over_two_slots():
     store = HeaderStore()
     env = Environment([0], 0.5, 0)
     h, c = mk_header(store)
-    env.upload_content(h, c, origin=0, slot=0)
+    env.upload_content(h, c, origin=0)
     env.meters[0].tokens = 0.5  # start without the initial carry-over
     outcome, paid = env.request_content(0, h, 0.0, slot=0)
     assert outcome is RequestOutcome.THROTTLED and paid == pytest.approx(0.5)
@@ -142,7 +142,7 @@ def test_throttled_at_zero_budget_pays_nothing():
     store = HeaderStore()
     env = Environment([0], 0.5, 0)
     h, c = mk_header(store)
-    env.upload_content(h, c, origin=0, slot=0)
+    env.upload_content(h, c, origin=0)
     env.meters[0].tokens = 0.0
     outcome, paid = env.request_content(0, h, 0.0, slot=0)
     assert outcome is RequestOutcome.THROTTLED and paid == 0.0
@@ -156,7 +156,7 @@ def test_partition_withholds_until_heal():
     env.broadcast_header(h, origin=0, slot=2)
     assert env.deliveries_due(5) == []
     assert env.deliveries_due(10) == [(1, h)]
-    env.upload_content(h, c, origin=0, slot=2)
+    env.upload_content(h, c, origin=0)
     assert not env.content_visible(1, c.commitment, 5)
     assert env.content_visible(0, c.commitment, 5)
     assert env.content_visible(1, c.commitment, 10)
@@ -256,7 +256,7 @@ def test_throttled_slots_paid_late_match_per_slot_requests(rate, paid):
     h, c = mk_header(store)
     polled, lazy = (Environment([0], rate, delay_slots=0) for _ in range(2))
     for env in (polled, lazy):
-        env.upload_content(h, c, origin=0, slot=0)
+        env.upload_content(h, c, origin=0)
         outcome, newly = env.request_content(0, h, paid, 1)
         assert outcome is RequestOutcome.THROTTLED
     paid += newly

@@ -132,7 +132,7 @@ class ReferenceNode(nd.Node):
 
     def try_produce(self, bpo, slot):
         txs = self._take_txs(slot)
-        proofs = sp.attach_proofs(self, slot) if self.sapos else ()
+        proofs = sp.attach_proofs(self) if self.sapos else ()
         content = self.store.make_content(txs, producer=self.id)
         extend = (self.store.pow_extend if self.protocol == pm.PROTOCOL_POW
                   else self.store.pos_extend)
@@ -207,8 +207,7 @@ class TreeDriver:
         if withhold:
             self.withheld[header.id] = content
         else:
-            self.rig.env.upload_content(header, content, origin=7,
-                                        slot=self.slot)
+            self.rig.env.upload_content(header, content, origin=7)
         self.minted.append(header)
         return header
 
@@ -240,16 +239,14 @@ class TreeDriver:
             h = self._pick(sel)
             content = self.withheld.pop(h.id, None)
             if content is not None:
-                self.rig.env.upload_content(h, content, origin=7,
-                                            slot=self.slot)
+                self.rig.env.upload_content(h, content, origin=7)
                 node.content_uploaded(content.commitment, self.slot)
         elif kind == "produce":
             self.slot += 1
             header, content = node.try_produce(
                 BpoId(self.slot, 0, True, 0), self.slot)
             self.minted.append(header)
-            self.rig.env.upload_content(header, content, origin=0,
-                                        slot=self.slot)
+            self.rig.env.upload_content(header, content, origin=0)
         elif kind == "step":
             for _ in range(n):
                 self.slot += 1

@@ -326,7 +326,7 @@ def mint(sim, parent, slot, origin=9, bpo=None, upload=True):
     header = extend(bpo or BpoId(slot, 100 + origin, False, 0), parent.id,
                     content.commitment)
     if upload:
-        sim.env.upload_content(header, content, origin=origin, slot=0)
+        sim.env.upload_content(header, content, origin=origin)
     return header
 
 
