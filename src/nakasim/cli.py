@@ -98,8 +98,7 @@ def _write_csv(out: str | None, header: list[str], rows: list[list]) -> None:
 # workers (top level so they pickle)
 
 def _run_job(job: tuple) -> dict:
-    cfg_dict, seed, trace_path = job
-    scenario = pm.scenario_from_dict(cfg_dict)
+    scenario, seed, trace_path = job
     metrics, run_trace = run_scenario(scenario, seed=seed,
                                       record_trace=trace_path is not None)
     if trace_path is not None:
@@ -132,11 +131,11 @@ def _seeds(scenario: pm.ScenarioConfig, base: int | None) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
-    scenario = pm.scenario_from_json(args.config)
+    data = pm.read_config(args.config)
+    scenario = pm.scenario_from_dict(data)
     seeds = _seeds(scenario, args.seed)
     os.makedirs(args.out, exist_ok=True)
-    cfg_dict = pm.scenario_to_dict(scenario)
-    jobs = [(cfg_dict, s,
+    jobs = [(scenario, s,
              os.path.join(args.out, f"trace_seed{s}.jsonl")
              if not args.no_trace else None)
             for s in seeds]
@@ -150,7 +149,7 @@ def cmd_simulate(args) -> int:
     growth = [m["lambda_grwth"] for m in results]
     lo, hi = bootstrap_ci(growth)
     summary = {
-        "config": cfg_dict,
+        "config": data,
         "seeds": seeds,
         "lambda_grwth_mean": float(np.mean(growth)),
         "lambda_grwth_ci95": [lo, hi],
@@ -225,7 +224,7 @@ def cmd_attack_frontier(args) -> int:
     data = pm.read_config(args.config)
     scenarios = [_at_capacity(data, cap)
                  for cap in parse_grid(args.capacity_grid)]
-    jobs = [(pm.scenario_to_dict(scenario), s, None)
+    jobs = [(scenario, s, None)
             for scenario in scenarios for s in _seeds(scenario, None)]
     runs = iter(_run_jobs(jobs))
 

@@ -33,13 +33,16 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import params as pm
 from . import sapos as sp
 from . import trace as tr
 from .lottery import BlockHeader, BpoId, Content, HeaderStore
 from .netenv import Environment, RequestOutcome
+
+if TYPE_CHECKING:
+    from .sim import AuditSink
 
 MAX_SCHEDULER_TIPS = 100
 MAX_PARTIAL_TASKS = 10
@@ -61,9 +64,8 @@ class HonestFront:
 class Node:
     def __init__(self, node_id: int, store: HeaderStore, env: Environment,
                  run_trace: tr.Trace, policy: str, protocol: str,
-                 k_conf: int, k_epf: int = 0,
-                 audit_sink: Optional["object"] = None,
-                 front: Optional[HonestFront] = None):
+                 k_conf: int, k_epf: int, audit_sink: AuditSink,
+                 front: HonestFront):
         self.id = node_id
         self.store = store
         self.env = env
@@ -74,7 +76,7 @@ class Node:
         self.k_conf = k_conf
         self.k_epf = k_epf
         self.audit_sink = audit_sink
-        self.front = front if front is not None else HonestFront()
+        self.front = front
 
         g = store.genesis.id
         self.seen_order: dict[int, int] = {g: 0}   # every kept header, in order
@@ -470,10 +472,9 @@ class Node:
         if blanked and not self._ledger_blanked.get(header_id, False):
             self.trace.emit(slot, tr.BLANKED, node=self.id, block=header_id)
         self._ledger_blanked[header_id] = blanked
-        if self.audit_sink is not None:
-            self.audit_sink.note_blank_status(self.id, header_id, blanked, slot)
-            if not blanked and header_id not in self.processed:
-                self.audit_sink.note_missing_content(self.id, header_id, slot)
+        self.audit_sink.note_blank_status(self.id, header_id, blanked, slot)
+        if not blanked and header_id not in self.processed:
+            self.audit_sink.note_missing_content(self.id, header_id, slot)
 
     # -- production ---------------------------------------------------------
 

@@ -1,7 +1,11 @@
 """Configuration dataclasses for simulation scenarios and analysis runs.
 
 All scenario inputs are plain dataclasses so configs can round-trip through
-JSON.  Validation errors carry the path of the offending field.
+JSON.  A config is checked and completed when it is built: `__post_init__`
+rejects a bad field with a ConfigError that carries the field's path, and
+fills in the values derived from the others (`nu` or `c_tilde`, the SaPoS
+depths, `k_conf`).  A built config is therefore always valid and complete;
+`dataclasses.replace` carries its derived values over as given.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ class SimParams:
     Rates are in blocks per second; the slot clock has period `tau` seconds.
     `nu` and `c_tilde` are the analysis companions tied to the network
     parameters by (nu + 1) * tau == delta_h + c_tilde / capacity; either may
-    be omitted and is then derived from the other.
+    be omitted and is then derived from the other.  Neither may be negative.
     """
 
     n_nodes: int = 20
@@ -79,21 +83,7 @@ class SimParams:
         """Forced header delivery delay, in whole slots."""
         return math.ceil(self.delta_h / self.tau - 1e-12)
 
-    def resolved(self) -> "SimParams":
-        """Return a copy with nu and c_tilde both filled in and validated."""
-        self.validate()  # field ranges first, the derivation divides by them
-        nu, c_tilde = self.nu, self.c_tilde
-        if nu is None and c_tilde is None:
-            raise ConfigError("sim.nu", "one of nu or c_tilde is required")
-        if nu is None:
-            nu = round((self.delta_h + c_tilde / self.capacity) / self.tau) - 1
-        if c_tilde is None:
-            c_tilde = ((nu + 1) * self.tau - self.delta_h) * self.capacity
-        out = dataclasses.replace(self, nu=nu, c_tilde=c_tilde)
-        out.validate()
-        return out
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ConfigError("sim.n_nodes", "must be >= 1")
         if not (0.0 <= self.beta < 0.5):
@@ -108,18 +98,33 @@ class SimParams:
             raise ConfigError("sim.capacity", "must be positive")
         if self.horizon_slots < 1:
             raise ConfigError("sim.horizon_slots", "must be >= 1")
+        # a negative nu given is named as such, before it derives a c_tilde
         if self.nu is not None and self.nu < 0:
             raise ConfigError("sim.nu", "must be >= 0")
-        if self.nu is not None and self.c_tilde is not None:
+        nu, c_tilde = self.nu, self.c_tilde
+        if nu is None and c_tilde is None:
+            raise ConfigError("sim.nu", "one of nu or c_tilde is required")
+        if nu is None:
+            nu = round((self.delta_h + c_tilde / self.capacity) / self.tau) - 1
+        if c_tilde is None:
+            c_tilde = ((nu + 1) * self.tau - self.delta_h) * self.capacity
+        else:
             # The analysis window and the bandwidth budget must describe the
             # same physical interval, up to one slot of rounding.
-            lhs = (self.nu + 1) * self.tau
-            rhs = self.delta_h + self.c_tilde / self.capacity
+            lhs = (nu + 1) * self.tau
+            rhs = self.delta_h + c_tilde / self.capacity
             if abs(lhs - rhs) > self.tau + 1e-9:
                 raise ConfigError(
                     "sim.nu",
                     f"(nu+1)*tau = {lhs:g} disagrees with "
                     f"delta_h + c_tilde/capacity = {rhs:g} by more than one slot")
+        if c_tilde < 0.0:
+            raise ConfigError("sim.c_tilde", "must be non-negative: the window "
+                              "(nu+1)*tau must cover delta_h")
+        if nu < 0:
+            raise ConfigError("sim.nu", "must be >= 0")
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "c_tilde", c_tilde)
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ class AttackConfig:
     sacrifice_every: int = 0           # SaPoS runs: plant an equivocation pair
                                        # after every n-th content release
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.strategy not in ATTACKS:
             raise ConfigError("attack.strategy", f"unknown strategy {self.strategy!r}")
         if self.spv_rate < 0.0:
@@ -155,19 +160,16 @@ class SaPoSParams:
     k_conf: Optional[int] = None
     k_epf: Optional[int] = None
 
-    def resolved(self) -> "SaPoSParams":
-        k_conf = self.k_conf if self.k_conf is not None else 6 * self.k_cp + 1
-        k_epf = self.k_epf if self.k_epf is not None else 4 * self.k_cp
-        out = dataclasses.replace(self, k_conf=k_conf, k_epf=k_epf)
-        out.validate()
-        return out
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.k_cp < 1:
             raise ConfigError("sapos.k_cp", "must be >= 1")
-        if self.k_conf is not None and self.k_conf != 6 * self.k_cp + 1:
+        if self.k_conf is None:
+            object.__setattr__(self, "k_conf", 6 * self.k_cp + 1)
+        elif self.k_conf != 6 * self.k_cp + 1:
             raise ConfigError("sapos.k_conf", "must equal 6*k_cp + 1")
-        if self.k_epf is not None and self.k_epf != 4 * self.k_cp:
+        if self.k_epf is None:
+            object.__setattr__(self, "k_epf", 4 * self.k_cp)
+        elif self.k_epf != 4 * self.k_cp:
             raise ConfigError("sapos.k_epf", "must equal 4*k_cp")
 
 
@@ -180,7 +182,7 @@ class TxGenConfig:
     burst_window: float = 0.0   # seconds over which arrivals may bunch
     tx_size: float = 0.25       # fraction of one block
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.sigma < 0.0:
             raise ConfigError("txgen.sigma", "must be non-negative")
         if not (0.0 < self.tx_size <= 1.0):
@@ -203,11 +205,7 @@ class ScenarioConfig:
     repeat: int = 1
     seed_stride: int = 1
 
-    def resolved(self) -> "ScenarioConfig":
-        sim = self.sim.resolved()
-        sapos = self.sapos.resolved()
-        self.attack.validate()
-        self.txgen.validate()
+    def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ConfigError("policy", f"unknown policy {self.policy!r}")
         if self.protocol not in PROTOCOLS:
@@ -218,13 +216,12 @@ class ScenarioConfig:
             raise ConfigError("repeat", "must be >= 1")
         if self.seed_stride < 1:
             raise ConfigError("seed_stride", "must be >= 1")
-        k_conf = self.k_conf
-        if k_conf is None:
-            k_conf = (sapos.k_conf if self.protocol == PROTOCOL_SAPOS
-                      else 2 * sapos.k_cp + 1)
-        if k_conf < 0:
+        if self.k_conf is None:
+            object.__setattr__(self, "k_conf",
+                               self.sapos.k_conf if self.protocol == PROTOCOL_SAPOS
+                               else 2 * self.sapos.k_cp + 1)
+        if self.k_conf < 0:
             raise ConfigError("k_conf", "must be >= 0")
-        return dataclasses.replace(self, sim=sim, sapos=sapos, k_conf=k_conf)
 
 
 def _build(cls, data: Any, path: str):
@@ -252,8 +249,8 @@ _NESTED = {
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Parse and validate a ScenarioConfig from JSON-shaped data."""
-    return _build(ScenarioConfig, data, "").resolved()
+    """Parse a ScenarioConfig from JSON-shaped data."""
+    return _build(ScenarioConfig, data, "")
 
 
 def read_config(path: str) -> dict:

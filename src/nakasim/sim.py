@@ -113,7 +113,7 @@ class RunMetrics:
 class Simulation:
     def __init__(self, scenario: pm.ScenarioConfig, seed: int | None = None,
                  record_trace: bool = True):
-        self.scenario = scenario = scenario.resolved()
+        self.scenario = scenario
         self.params = scenario.sim
         self.seed = self.params.seed if seed is None else seed
         self.protocol = scenario.protocol
@@ -142,14 +142,12 @@ class Simulation:
 
         self.env = Environment(self.honest_ids, p.capacity * p.tau,
                                p.delay_slots, partition)
-        k_conf = scenario.k_conf
-        k_epf = scenario.sapos.k_epf
         self.sink = AuditSink(self.store)
         self.front = HonestFront()
         self.nodes = {
             n: Node(n, self.store, self.env, self.trace, scenario.policy,
-                    scenario.protocol, k_conf, k_epf, audit_sink=self.sink,
-                    front=self.front)
+                    scenario.protocol, scenario.k_conf, scenario.sapos.k_epf,
+                    self.sink, self.front)
             for n in self.honest_ids}
 
         spv_rate_slot = attack.spv_rate * p.tau
@@ -359,14 +357,16 @@ class Simulation:
         p = self.params
         elapsed = p.horizon_slots * p.tau
         lam_hon = (1.0 - p.beta) * p.rho / p.tau
-        l_min = min(self.nodes[n].dchain_height for n in self.honest_ids)
+        l_min = self.min_honest_height()
         growth = l_min / elapsed
-        honest_blocks = sum(1 for hdr in self.store.headers.values()
-                            if hdr.bpo.honest)
-        adv_blocks = sum(1 for hdr in self.store.headers.values()
-                         if not hdr.bpo.honest and hdr.bpo.node != SPV_NODE)
-        spv_blocks = sum(1 for hdr in self.store.headers.values()
-                         if hdr.bpo.node == SPV_NODE)
+        honest_blocks = adv_blocks = spv_blocks = 0
+        for hdr in self.store.headers.values():
+            if hdr.bpo.honest:
+                honest_blocks += 1
+            elif hdr.bpo.node == SPV_NODE:
+                spv_blocks += 1
+            else:
+                adv_blocks += 1
         util = [m.spent_total / (m.rate * p.horizon_slots)
                 for m in self.env.meters.values() if m.rate > 0]
         return RunMetrics(

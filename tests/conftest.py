@@ -36,8 +36,8 @@ class Rig:
         self.trace = tr.Trace()
         self.sink = AuditSink(self.store)
         self.node = nd.Node(0, self.store, self.env, self.trace,
-                            policy, protocol, k_conf, k_epf,
-                            audit_sink=self.sink)
+                            policy, protocol, k_conf, k_epf, self.sink,
+                            nd.HonestFront())
 
     def grow(self, parent, slot, node_id=1, seq=0, txs=(), upload=True,
              honest=True, proofs=(), pos=False):

@@ -75,6 +75,55 @@ def test_simulate_writes_artifacts_and_replays_bit_identically(tmp_path):
     assert lo <= summary["lambda_grwth_mean"] <= hi
 
 
+def test_summary_holds_the_config_as_written(tmp_path):
+    """The summary's config, fed back to a command that sets the capacity,
+    describes the same runs as the file: only the fields the file fixes."""
+    written = {"sim": {"n_nodes": 8, "tau": 0.1, "delta_h": 0.2,
+                       "c_tilde": 0.5, "beta": 0.45, "rho": 0.1,
+                       "capacity": 1.0, "horizon_slots": 400, "seed": 1},
+               "attack": {"strategy": "teaser"},
+               "protocol": "pow", "policy": "longest-header-chain"}
+    original = tmp_path / "scenario.json"
+    original.write_text(json.dumps(written))
+    run = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(original), "--out", str(run),
+                     "--no-trace"]) == 0
+    summary = json.loads((run / "summary.json").read_text())
+    assert summary["config"] == written
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps(summary["config"]))
+    outputs = []
+    for cfg in (original, again):
+        out = tmp_path / f"{cfg.stem}.csv"
+        assert cli.main(["attack-frontier", "--config", str(cfg),
+                         "--capacity-grid", "1,2", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 3
+
+
+def test_worker_pool_writes_what_one_process_writes(tmp_path, monkeypatch):
+    """Jobs carry their scenario to the worker processes: two workers write
+    the bytes that one writes, for both commands that fan out."""
+    cfg = write_config(tmp_path, attack={"strategy": "teaser"},
+                       sim={**BASE_CONFIG["sim"], "beta": 0.3})
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NAKASIM_THREADS", threads)
+        run = tmp_path / f"run{threads}"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(run)]) == 0
+        frontier = run / "frontier.csv"
+        assert cli.main(["attack-frontier", "--config", cfg,
+                         "--capacity-grid", "0.5,1,2",
+                         "--out", str(frontier)]) == 0
+        outputs[threads] = {p.name: p.read_bytes()
+                            for p in sorted(run.iterdir())}
+    assert sorted(outputs["1"]) == [
+        "frontier.csv", "metrics.csv", "summary.json",
+        "trace_seed7.jsonl", "trace_seed8.jsonl"]
+    assert outputs["1"] == outputs["2"]
+
+
 def test_simulate_no_trace(tmp_path):
     cfg = write_config(tmp_path, repeat=1)
     out = tmp_path / "run"

@@ -98,9 +98,8 @@ def secure_scenario(attack=pm.ATTACK_NONE, beta=0.0, horizon=2500):
 
 def run_and_analyze(scenario, seed):
     metrics, run_trace = sim.run_scenario(scenario, seed=seed)
-    resolved = scenario.resolved()
-    report, _ = pv.analyze_trace(run_trace, resolved.sim.nu,
-                                 resolved.sim.c_tilde, resolved.sapos.k_cp)
+    report, _ = pv.analyze_trace(run_trace, scenario.sim.nu,
+                                 scenario.sim.c_tilde, scenario.sapos.k_cp)
     return metrics, run_trace, report
 
 
@@ -161,7 +160,6 @@ def _audit_by_name(report, name):
 
 def test_doctored_traces_fail_their_audits():
     scenario = secure_scenario()
-    resolved = scenario.resolved()
     _, clean_trace = sim.run_scenario(scenario, seed=9)
     last = clean_trace.events[-1].slot
     fetches = [e for e in clean_trace.events if e.kind == tr.CONTENT_FETCHED
@@ -169,9 +167,9 @@ def test_doctored_traces_fail_their_audits():
     assert fetches
 
     def analyzed(trace):
-        report, _ = pv.analyze_trace(trace, resolved.sim.nu,
-                                     resolved.sim.c_tilde,
-                                     resolved.sapos.k_cp)
+        report, _ = pv.analyze_trace(trace, scenario.sim.nu,
+                                     scenario.sim.c_tilde,
+                                     scenario.sapos.k_cp)
         return report
 
     assert analyzed(clean_trace).passed
@@ -192,7 +190,7 @@ def test_doctored_traces_fail_their_audits():
     assert not _audit_by_name(report, "capacity").passed
 
     # erasing one node's adoptions breaks chain growth
-    victim = resolved.sim.honest_nodes[-1]
+    victim = scenario.sim.honest_nodes[-1]
     pruned = _rebuilt(e for e in clean_trace.events
                       if not (e.kind == tr.CHAIN_SWITCHED
                               and e.data["node"] == victim))

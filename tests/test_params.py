@@ -7,42 +7,60 @@ from nakasim import params as pm
 
 
 def test_nu_derived_from_c_tilde():
-    p = pm.SimParams(tau=0.1, delta_h=0.2, capacity=10.0, c_tilde=2.0).resolved()
+    p = pm.SimParams(tau=0.1, delta_h=0.2, capacity=10.0, c_tilde=2.0)
     # (nu+1) * 0.1 == 0.2 + 2/10
     assert p.nu == 3
     assert p.c_tilde == pytest.approx(2.0)
 
 
 def test_c_tilde_derived_from_nu():
-    p = pm.SimParams(tau=0.1, delta_h=0.2, capacity=1.0, nu=6).resolved()
+    p = pm.SimParams(tau=0.1, delta_h=0.2, capacity=1.0, nu=6)
     assert p.c_tilde == pytest.approx((6 + 1) * 0.1 - 0.2)
 
 
 def test_nu_c_tilde_disagreement_rejected():
-    p = pm.SimParams(tau=0.1, delta_h=0.0, capacity=1.0, nu=2, c_tilde=5.0)
     with pytest.raises(pm.ConfigError, match="sim.nu"):
-        p.resolved()
+        pm.SimParams(tau=0.1, delta_h=0.0, capacity=1.0, nu=2, c_tilde=5.0)
 
 
 def test_one_of_nu_c_tilde_required():
     with pytest.raises(pm.ConfigError, match="sim.nu"):
-        pm.SimParams().resolved()
+        pm.SimParams()
+
+
+def test_negative_nu_rejected_given_or_derived():
+    # given: named as nu, though the c_tilde it derives is negative too
+    with pytest.raises(pm.ConfigError, match="sim.nu: must be >= 0"):
+        pm.SimParams(tau=0.1, delta_h=0.2, nu=-1)
+    # derived: (delta_h + c_tilde/capacity) / tau rounds to 0
+    with pytest.raises(pm.ConfigError, match="sim.nu: must be >= 0"):
+        pm.SimParams(tau=0.1, delta_h=0.0, c_tilde=0.01)
+
+
+def test_negative_c_tilde_rejected_given_or_derived():
+    # derived: the window (nu+1)*tau = 0.1 is shorter than delta_h
+    with pytest.raises(pm.ConfigError, match="sim.c_tilde"):
+        pm.scenario_from_dict({"sim": {"nu": 0, "delta_h": 0.2, "tau": 0.1}})
+    with pytest.raises(pm.ConfigError, match="sim.c_tilde"):
+        pm.scenario_from_dict({"sim": {"c_tilde": -0.05, "delta_h": 0.5}})
+    # a window that just covers delta_h leaves a zero budget
+    assert pm.SimParams(nu=1, delta_h=0.2, tau=0.1).c_tilde == 0.0
 
 
 def test_delay_slots_rounds_up_in_whole_slots():
-    assert pm.SimParams(tau=0.1, delta_h=0.0).delay_slots == 0
-    assert pm.SimParams(tau=0.1, delta_h=0.05).delay_slots == 1
-    assert pm.SimParams(tau=0.1, delta_h=0.2).delay_slots == 2
-    assert pm.SimParams(tau=0.1, delta_h=0.21).delay_slots == 3
+    assert pm.SimParams(tau=0.1, delta_h=0.0, c_tilde=1.0).delay_slots == 0
+    assert pm.SimParams(tau=0.1, delta_h=0.05, c_tilde=1.0).delay_slots == 1
+    assert pm.SimParams(tau=0.1, delta_h=0.2, c_tilde=1.0).delay_slots == 2
+    assert pm.SimParams(tau=0.1, delta_h=0.21, c_tilde=1.0).delay_slots == 3
 
 
 def test_adversary_node_split():
-    p = pm.SimParams(n_nodes=20, beta=0.25)
+    p = pm.SimParams(n_nodes=20, beta=0.25, c_tilde=1.0)
     assert p.n_adversary == 5
     assert p.honest_nodes == tuple(range(15))
     assert p.adversary_nodes == tuple(range(15, 20))
-    assert pm.SimParams(n_nodes=20, beta=0.01).n_adversary == 1
-    assert pm.SimParams(n_nodes=20, beta=0.0).n_adversary == 0
+    assert pm.SimParams(n_nodes=20, beta=0.01, c_tilde=1.0).n_adversary == 1
+    assert pm.SimParams(n_nodes=20, beta=0.0, c_tilde=1.0).n_adversary == 0
 
 
 @pytest.mark.parametrize("field,value,path", [
@@ -53,20 +71,20 @@ def test_adversary_node_split():
     ("capacity", 0.0, "sim.capacity"),
     ("horizon_slots", 0, "sim.horizon_slots"),
     ("n_nodes", 0, "sim.n_nodes"),
+    ("delta_h", -0.1, "sim.delta_h"),
 ])
 def test_sim_validation_names_the_field(field, value, path):
-    p = dataclasses.replace(pm.SimParams(c_tilde=1.0), **{field: value})
     with pytest.raises(pm.ConfigError, match=path):
-        p.resolved()
+        pm.SimParams(c_tilde=1.0, **{field: value})
 
 
 def test_sapos_depths_follow_k_cp():
-    s = pm.SaPoSParams(k_cp=3).resolved()
+    s = pm.SaPoSParams(k_cp=3)
     assert (s.k_conf, s.k_epf) == (19, 12)
     with pytest.raises(pm.ConfigError, match="sapos.k_conf"):
-        pm.SaPoSParams(k_cp=3, k_conf=10).resolved()
+        pm.SaPoSParams(k_cp=3, k_conf=10)
     with pytest.raises(pm.ConfigError, match="sapos.k_epf"):
-        pm.SaPoSParams(k_cp=3, k_epf=11).resolved()
+        pm.SaPoSParams(k_cp=3, k_epf=11)
 
 
 def test_scenario_defaults_k_conf_by_protocol():
@@ -119,3 +137,79 @@ def test_json_error_carries_path(tmp_path):
     path.write_text("{not json")
     with pytest.raises(pm.ConfigError, match="invalid JSON"):
         pm.scenario_from_json(str(path))
+
+
+BASE = {"sim": {"c_tilde": 1.0}}
+
+
+@pytest.mark.parametrize("data,path", [
+    ({**BASE, "sapos": {"k_cp": 0}}, "sapos.k_cp"),
+    ({**BASE, "attack": {"spv_rate": -1.0}}, "attack.spv_rate"),
+    ({**BASE, "attack": {"partition_duration": -1.0}},
+     "attack.partition_duration"),
+    ({**BASE, "attack": {"run_after": -1.0}}, "attack.run_after"),
+    ({**BASE, "attack": {"sacrifice_every": -1}}, "attack.sacrifice_every"),
+    ({**BASE, "txgen": {"sigma": -0.5}}, "txgen.sigma"),
+    ({**BASE, "txgen": {"tx_size": 0.0}}, "txgen.tx_size"),
+    ({**BASE, "txgen": {"tx_size": 1.5}}, "txgen.tx_size"),
+    ({**BASE, "txgen": {"burst_window": -1.0}}, "txgen.burst_window"),
+    ({**BASE, "protocol": "pop"}, "protocol"),
+    ({**BASE, "repeat": 0}, "repeat"),
+    ({**BASE, "seed_stride": 0}, "seed_stride"),
+    ({**BASE, "k_conf": -1}, "k_conf"),
+    ({**BASE, "bogus": 1}, "bogus"),
+    ({"sim": []}, "sim"),
+    ({}, "sim.nu"),
+])
+def test_each_config_error_is_raised_while_parsing(data, path):
+    """Every check runs as the config is built, and names its field."""
+    with pytest.raises(pm.ConfigError) as info:
+        pm.scenario_from_dict(data)
+    assert info.value.path == path
+
+
+def test_a_config_built_directly_is_checked_and_complete():
+    cfg = pm.ScenarioConfig(sim=pm.SimParams(nu=9, capacity=2.0),
+                            protocol=pm.PROTOCOL_SAPOS,
+                            sapos=pm.SaPoSParams(k_cp=2))
+    assert (cfg.sim.c_tilde, cfg.sapos.k_conf, cfg.sapos.k_epf,
+            cfg.k_conf) == (2.0, 13, 8, 13)
+    for build, path in (
+            (lambda: pm.AttackConfig(spv_rate=-1.0), "attack.spv_rate"),
+            (lambda: pm.TxGenConfig(sigma=-1.0), "txgen.sigma"),
+            (lambda: pm.ScenarioConfig(sim=cfg.sim, repeat=0), "repeat")):
+        with pytest.raises(pm.ConfigError) as info:
+            build()
+        assert info.value.path == path
+
+
+def test_parse_and_setup_check_the_scenario_once(monkeypatch):
+    """A bench-shaped config is checked as it is parsed, and the simulation
+    takes it as it is: one SimParams check, and no copy of any config."""
+    from nakasim.sim import Simulation
+    config = {
+        "sim": {"n_nodes": 20, "tau": 0.1, "delta_h": 0.2, "c_tilde": 0.5,
+                "beta": 0.45, "rho": 0.1, "capacity": 1.0,
+                "horizon_slots": 200},
+        "attack": {"strategy": "teaser"},
+        "protocol": "pow",
+        "policy": "longest-header-chain",
+    }
+    calls = {"check": 0, "replace": 0}
+    check, replace = pm.SimParams.__post_init__, dataclasses.replace
+
+    def counted_check(self):
+        calls["check"] += 1
+        check(self)
+
+    def counted_replace(*args, **kwargs):
+        calls["replace"] += 1
+        return replace(*args, **kwargs)
+
+    monkeypatch.setattr(pm.SimParams, "__post_init__", counted_check)
+    monkeypatch.setattr(dataclasses, "replace", counted_replace)
+    scenario = pm.scenario_from_dict(config)
+    simulation = Simulation(scenario, seed=1)
+    assert calls == {"check": 1, "replace": 0}
+    assert simulation.scenario is scenario
+    assert (scenario.sim.nu, scenario.k_conf) == (6, 7)

@@ -131,7 +131,7 @@ def test_nodes_that_disagree_on_a_blank_are_a_conflict():
     env.cloud = rig.env.cloud
     other = nd.Node(1, rig.store, env, rig.trace,
                     pm.POLICY_LONGEST_HEADER_CHAIN, pm.PROTOCOL_SAPOS, 2, 4,
-                    audit_sink=rig.sink)
+                    rig.sink, nd.HonestFront())
     run_node(rig.node, [offender, twin] + proven(rig, offender, twin))
     run_node(other, [offender] + rig.chain(2, 20, offender, pos=True))
     assert offender.id in other.processed

@@ -158,7 +158,7 @@ class Driven:
                              k_conf=3, k_epf=4)
         if node_cls is not nd.Node:
             rig.node = node_cls(0, rig.store, rig.env, rig.trace, policy,
-                                protocol, 3, 4)
+                                protocol, 3, 4, rig.sink, nd.HonestFront())
         self.node = node = rig.node
         self.picks: list = []
         self.victims: list = []
