@@ -3,12 +3,23 @@
 Events serialize to JSON Lines with sorted keys, so identical runs produce
 byte-identical files.  The first record of a file is always the Meta record
 describing the scenario that produced the trace.  `TraceEvent.to_json`
-encodes one event through the module-level `_ENCODER`; `write_jsonl` makes
-one C encoder with the same settings per file (`json.encoder`'s
-`c_make_encoder`, with its own markers dict, so a circular value still
-raises `ValueError`) and writes 4,096 lines per `write` call.  Without the
-`_json` accelerator it encodes each event with `_ENCODER.encode`; the
-choice is made once, at import.
+encodes one event through the module-level `_ENCODER`: it is the reference
+line form, whose bytes `write_jsonl` reproduces.
+
+`LAYOUTS` declares the fields of every kind but Meta and AdversaryRelease,
+each with its JSON type, and at import one line encoder is compiled per
+laid-out kind from generated source, as `dataclasses` builds `__init__`:
+its keys are sorted in advance, and it returns the whole line as one
+f-string.  An event whose slot and data do not fit its kind's layout
+exactly (a missing or extra key, a value of another type, a bool for an
+int, a non-finite float), and every Meta and AdversaryRelease event, is
+encoded instead by one C encoder with `_ENCODER`'s settings made per file
+(`json.encoder`'s `c_make_encoder`, with its own markers dict, so a
+circular value still raises `ValueError`).  That encoder also writes the
+`json` fields of laid-out kinds.  Without the `_json` accelerator it is
+`_ENCODER.encode`; the choice is made once, at import.  `write_jsonl`
+writes 4,096 lines per `write` call, to a temporary file that it renames
+into place, or removes if the write fails.
 
 `read_jsonl` parses a file 4,096 lines at a time: the non-blank lines of a
 batch are joined into one JSON array and decoded by a single `json.loads`
@@ -32,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import islice
@@ -59,27 +71,106 @@ KINDS = (META, BPO, BLOCK_PRODUCED, HEADER_DELIVERED, CONTENT_UPLOADED,
          PROOF_INCLUDED, BLANKED, ADVERSARY_RELEASE, LEAD_SAMPLE,
          LEDGER_OUTPUT)
 
+# kind -> {field: JSON type}: "int", "bool", "str", a finite "float", or
+# "json" for the lists, which the file's encoder writes.  Meta (the nested
+# scenario) and AdversaryRelease (free-form tags, a content that is None or
+# an int) have no fixed layout.
+LAYOUTS: dict[str, dict[str, str]] = {
+    BPO: {"h": "int", "a": "int", "s": "int", "winners": "json"},
+    BLOCK_PRODUCED: {"producer": "int", "header": "int", "parent": "int",
+                     "height": "int", "bpo_slot": "int", "bpo_node": "int",
+                     "bpo_seq": "int", "cls": "str", "private": "bool"},
+    HEADER_DELIVERED: {"node": "int", "header": "int", "pushed": "bool"},
+    CONTENT_UPLOADED: {"commitment": "int", "header": "int"},
+    CONTENT_FETCHED: {"node": "int", "header": "int", "via": "str",
+                      "paid": "float"},
+    PRETEND_EMPTY: {"node": "int", "header": "int"},
+    CHAIN_SWITCHED: {"node": "int", "old": "int", "new": "int",
+                     "height": "int", "switch": "bool"},
+    EQUIVOCATION_SEEN: {"node": "int", "bpo_slot": "int", "bpo_node": "int",
+                        "bpo_seq": "int", "headers": "json"},
+    PROOF_INCLUDED: {"node": "int", "carrier": "int", "target": "int",
+                     "other": "int"},
+    BLANKED: {"node": "int", "block": "int"},
+    LEAD_SAMPLE: {"lead": "int"},
+    LEDGER_OUTPUT: {"node": "int", "len": "int", "tip": "int"},
+}
+
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_STRING = (encode_basestring_ascii if _ENCODER.ensure_ascii
+           else encode_basestring)
 _BATCH_LINES = 4096
 
 
 def _encoder_maker(make_c: Optional[Callable]) -> Callable[[], Callable]:
     """How `write_jsonl` makes the encoder it uses for one file: called as
-    `encode(record, 0)`, the encoder returns the record's JSON in chunks.
+    `encode(value, 0)`, the encoder returns the value's JSON in chunks.
     With the C accelerator `make_c`, one C encoder with `_ENCODER`'s
     settings and a fresh markers dict; without it, `_ENCODER.encode`."""
     if make_c is None:
-        def encode(rec: dict, _level: int) -> tuple[str]:
-            return (_ENCODER.encode(rec),)
+        def encode(value: Any, _level: int) -> tuple[str]:
+            return (_ENCODER.encode(value),)
         return lambda: encode
     e = _ENCODER
-    strings = encode_basestring_ascii if e.ensure_ascii else encode_basestring
-    return lambda: make_c({}, e.default, strings, e.indent, e.key_separator,
+    return lambda: make_c({}, e.default, _STRING, e.indent, e.key_separator,
                           e.item_separator, e.sort_keys, e.skipkeys,
                           e.allow_nan)
 
 
 _new_file_encoder = _encoder_maker(c_make_encoder)
+
+# layout type -> (the test that local `v` does not hold a value of it, the
+# f-string replacement field that writes the value as `_ENCODER` does)
+_FIELD_CODE = {
+    "int": ("type(%(v)s) is not int", "{%(v)s}"),
+    "bool": ("type(%(v)s) is not bool", '{"true" if %(v)s else "false"}'),
+    "str": ("type(%(v)s) is not str", "{_string(%(v)s)}"),
+    "float": ("type(%(v)s) is not float or not _isfinite(%(v)s)",
+              "{%(v)s!r}"),
+    "json": (None, '{"".join(encode(%(v)s, 0))}'),
+}
+
+
+def _compile_line_encoder(kind: str, layout: dict[str, str]) -> Callable:
+    """The line encoder of one laid-out kind, compiled from generated
+    source: `line(slot, data, encode)` returns the event's JSON line,
+    newline included, with the bytes of `TraceEvent.to_json`, or None when
+    `slot` is not an int or `data` does not fit `layout` exactly.  `encode`
+    is the file's encoder, which writes the `json` fields."""
+    if not (kind.isidentifier() and all(map(str.isidentifier, layout))):
+        raise ValueError(f"{kind}: kinds and fields must be identifiers")
+    reads, misfits = [], []
+    values = {"slot": "{slot}", "kind": _STRING(kind)}
+    for i, (field, of) in enumerate(layout.items()):
+        misfit, write = _FIELD_CODE[of]
+        local = {"v": f"v{i}"}
+        reads.append(f"        v{i} = data[{field!r}]\n")
+        if misfit is not None:
+            misfits.append(misfit % local)
+        values[field] = write % local
+    body = ",".join(f"{_STRING(key)}:{values[key]}" for key in sorted(values))
+    src = (f"def line_{kind}(slot, data, encode):\n"
+           f"    if type(slot) is not int or len(data) != {len(layout)}:\n"
+           f"        return None\n"
+           f"    try:\n{''.join(reads)}"
+           f"    except KeyError:\n"
+           f"        return None\n"
+           f"    if {' or '.join(misfits) or 'False'}:\n"
+           f"        return None\n"
+           f"    return f'{{{{{body}}}}}\\n'\n")
+    namespace = {"_string": _STRING, "_isfinite": math.isfinite}
+    exec(src, namespace)
+    return namespace[f"line_{kind}"]
+
+
+_LINE_ENCODERS = {kind: _compile_line_encoder(kind, layout)
+                  for kind, layout in LAYOUTS.items()}
+
+
+def _no_line(_slot: int, _data: dict, _encode: Callable) -> None:
+    """The line encoder of a free-form kind: the file's encoder writes
+    every such event."""
+    return None
 
 
 @contextlib.contextmanager
@@ -149,18 +240,29 @@ class Trace:
 @collector_paused()
 def write_jsonl(trace: Iterable[TraceEvent], path: str) -> None:
     """Write events atomically (temp file + rename), each line the bytes of
-    `TraceEvent.to_json`, one `write` per `_BATCH_LINES` events."""
+    `TraceEvent.to_json`, one `write` per `_BATCH_LINES` events.  If the
+    write fails, the temp file is removed and the exception re-raised."""
     encode = _new_file_encoder()
+    line_of = _LINE_ENCODERS.get
     events = iter(trace)
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        while batch := list(islice(events, _BATCH_LINES)):
-            chunks: list[str] = []
-            for ev in batch:
-                chunks += encode({"slot": ev.slot, "kind": ev.kind, **ev.data}, 0)
-                chunks.append("\n")
-            fh.write("".join(chunks))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            while batch := list(islice(events, _BATCH_LINES)):
+                chunks: list[str] = []
+                for ev in batch:
+                    line = line_of(ev.kind, _no_line)(ev.slot, ev.data, encode)
+                    if line is None:
+                        chunks += encode({"slot": ev.slot, "kind": ev.kind,
+                                          **ev.data}, 0)
+                        line = "\n"
+                    chunks.append(line)
+                fh.write("".join(chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 @collector_paused()

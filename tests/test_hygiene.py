@@ -82,8 +82,7 @@ KEPT_UNREACHED = {
     "liveness_latency_refined": "latency bound that a measured confirmation "
                                 "latency is to be set against",
     "error": "argparse calls `_Parser.error` on a usage error",
-    "to_json": "the line form of an event: `write_jsonl` writes its bytes "
-               "and the trace tests hash runs through it",
+    "to_json": "the reference line form `write_jsonl` must reproduce",
 }
 
 

@@ -406,15 +406,105 @@ def test_circular_data_still_raises(tmp_path, monkeypatch, maker):
     loop.append(loop)
     nest = {"a": {}}
     nest["a"]["b"] = nest
-    for value in (loop, nest):
-        events = [tr.TraceEvent(0, tr.BPO, {"ok": 1}),
-                  tr.TraceEvent(1, tr.BPO, {"bad": value})]
+    bpo = {"h": 1, "a": 0, "s": 0}
+    for bad in ({"bad": loop}, {"bad": nest}, {**bpo, "winners": loop}):
+        events = [tr.TraceEvent(0, tr.BPO, {**bpo, "winners": [[1, True]]}),
+                  tr.TraceEvent(1, tr.BPO, bad)]
         with pytest.raises(ValueError, match="Circular reference"):
             written(events, tmp_path / "t.jsonl", monkeypatch, maker)
+        # the failed write leaves neither the file nor its temp file
+        assert list(tmp_path.iterdir()) == []
     # the failed writes leave the next file's encoder unaffected
     events = [tr.TraceEvent(0, tr.BPO, {"x": [1, [2]]})] * 2
     assert written(events, tmp_path / "t.jsonl", monkeypatch,
                    maker)[0] == joined(events)
+
+
+# -- the compiled line encoders against json.dumps -----------------------------
+
+# layout type -> values of it, extreme ones included
+FITTING = {
+    "int": st.one_of(st.integers(), st.integers(2**63, 2**200)),
+    "bool": st.booleans(),
+    "str": st.one_of(st.text(max_size=8),
+                     st.sampled_from(["request", "ü", "日本語", "\x00\x1f\x7f",
+                                      '"\\', "\u2028", "\ud800"])),
+    "float": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.1 + 0.2, -0.0, 5e-324, 1e300,
+                                        float(2**200)])),
+    "json": st.one_of(st.lists(st.lists(st.one_of(st.integers(),
+                                                  st.booleans()),
+                                        max_size=2), max_size=4),
+                      values),
+}
+# layout type -> values that do not fit it: a bool for an int, an int for a
+# float, non-finite floats ("json" takes any value)
+MISFITTING = {
+    "int": st.one_of(st.booleans(), st.floats(), st.none()),
+    "bool": st.one_of(st.integers(0, 1), st.none()),
+    "str": st.one_of(st.integers(), st.none()),
+    "float": st.one_of(st.integers(-3, 3),
+                       st.sampled_from([float("nan"), float("inf"),
+                                        float("-inf")])),
+}
+
+
+@st.composite
+def laid_out_events(draw, kind):
+    """An event of a laid-out kind with the layout's keys and fitting
+    values, or with one change that makes it misfit: a key missing, a key
+    extra, a value of another type, or a slot that is not an int."""
+    layout = tr.LAYOUTS[kind]
+    data = {field: draw(FITTING[of]) for field, of in layout.items()}
+    slot = draw(st.integers(0, 10**6))
+    change = draw(st.sampled_from([None, None, "missing", "extra", "value",
+                                   "slot"]))
+    typed = sorted(f for f, of in layout.items() if of in MISFITTING)
+    if change == "missing":
+        del data[draw(st.sampled_from(sorted(layout)))]
+    elif change == "extra":
+        extra = st.text(max_size=8).filter(
+            lambda k: k not in layout and k not in ("slot", "kind"))
+        data[draw(extra)] = draw(values)
+    elif change == "value" and typed:
+        field = draw(st.sampled_from(typed))
+        data[field] = draw(MISFITTING[layout[field]])
+    elif change == "slot":
+        slot = draw(st.sampled_from([True, 1.5, None, "3"]))
+    return tr.TraceEvent(slot, kind, data)
+
+
+@pytest.mark.parametrize("kind", sorted(tr.LAYOUTS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_line_encoders_match_json_dumps(tmp_path, monkeypatch, kind,
+                                            data):
+    events = data.draw(st.lists(laid_out_events(kind), min_size=1,
+                                max_size=4))
+    expected = "".join(dumps_oracle(ev) + "\n" for ev in events)
+    for maker in (None, PY_ENCODER):
+        body, _ = written(events, tmp_path / "t.jsonl", monkeypatch, maker)
+        assert body == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", sorted(tr.LAYOUTS))
+def test_a_fitting_event_takes_its_line_encoder(kind):
+    """Events whose data fit the layout are written without the file's
+    encoder, except for their `json` fields."""
+    filler = {"int": 7, "bool": True, "str": "ü\"", "float": 0.1 + 0.2,
+              "json": [[1, False]]}
+    data = {field: filler[of] for field, of in tr.LAYOUTS[kind].items()}
+    ev = tr.TraceEvent(3, kind, data)
+    calls = []
+
+    def encode(value, level):
+        calls.append(value)
+        return (tr._ENCODER.encode(value),)
+    line = tr._LINE_ENCODERS[kind](ev.slot, ev.data, encode)
+    assert line == dumps_oracle(ev) + "\n"
+    assert calls == [[[1, False]]] * list(tr.LAYOUTS[kind].values()).count(
+        "json")
 
 
 # -- the collector is paused while reading and auditing ------------------------

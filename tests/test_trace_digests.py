@@ -1,8 +1,16 @@
 """Byte-identity of short attacked runs: the sha256 of each JSONL trace over
 protocol x policy is pinned, so a change to the simulator's internals that
-claims to keep its behaviour must reproduce these traces exactly."""
+claims to keep its behaviour must reproduce these traces exactly.  Every
+trace is hashed as `write_jsonl` writes it, and every event of a kind with
+a layout must take that kind's compiled line encoder."""
 import hashlib
+import importlib.util
 import json
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -25,10 +33,50 @@ def matrix_scenario(protocol: str, policy: str) -> dict:
             "protocol": protocol, "policy": policy}
 
 
+# Kinds without a layout, whose events `write_jsonl` writes through the
+# file's encoder: kind -> why it has no fixed layout.
+FREE_FORM = {
+    tr.META: "holds the nested scenario config",
+    tr.ADVERSARY_RELEASE: "carries free-form tags, and a content that is "
+                          "None or an int",
+}
+
+
+def test_every_kind_has_a_layout_or_is_free_form():
+    assert sorted([*tr.LAYOUTS, *FREE_FORM]) == sorted(tr.KINDS)
+    assert not tr.LAYOUTS.keys() & FREE_FORM.keys()
+
+
+def write_counting_fallbacks(trace, path) -> Counter:
+    """Write `trace` to `path` with `write_jsonl`; return the kinds of the
+    events it wrote through the file's encoder instead of a compiled line
+    encoder, with their counts."""
+    fallbacks = Counter()
+    make = tr._new_file_encoder
+
+    def new_file_encoder():
+        encode = make()
+
+        def counting(value, level):
+            if type(value) is dict:     # a whole record, not a json field
+                fallbacks[value["kind"]] += 1
+            return encode(value, level)
+        return counting
+    with mock.patch.object(tr, "_new_file_encoder", new_file_encoder):
+        tr.write_jsonl(trace, str(path))
+    return fallbacks
+
+
 def trace_digest(sim: Simulation) -> str:
-    """sha256 of the trace as `write_jsonl` writes it."""
-    body = "".join(ev.to_json() + "\n" for ev in sim.trace)
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    """sha256 of the trace as `write_jsonl` writes it.  Only free-form
+    events may take the file's encoder."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        fallbacks = write_counting_fallbacks(sim.trace, path)
+        body = path.read_bytes()
+    assert fallbacks.keys() <= FREE_FORM.keys(), fallbacks
+    assert fallbacks[tr.META] == 1
+    return hashlib.sha256(body).hexdigest()
 
 
 # (protocol, policy) -> (trace sha256, tip evictions summed over nodes)
@@ -176,3 +224,26 @@ def test_feed_trace_and_contents_digests_are_pinned(name):
     assert (trace_digest(sim), contents_digest(sim)) == (digest, contents)
     # the feed fills some blocks to the size cap
     assert any(len(c.txs) >= 6 for c in sim.store.contents.values())
+
+
+def bench_workloads() -> dict:
+    """The benchmark's named workloads (bench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # for its dataclasses
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["tease", "posspam", "secure-tx"])
+def test_only_free_form_events_take_the_files_encoder(name, tmp_path):
+    """The benchmark's workloads at a short horizon: every event but Meta
+    and AdversaryRelease is written by its kind's compiled line encoder."""
+    config = bench_workloads()[name].config
+    config["sim"].update(horizon_slots=1500, seed=1)
+    sim = Simulation(pm.scenario_from_dict(config))
+    sim.run()
+    fallbacks = write_counting_fallbacks(sim.trace, tmp_path / "t.jsonl")
+    assert fallbacks == Counter(ev.kind for ev in sim.trace
+                                if ev.kind in FREE_FORM)
