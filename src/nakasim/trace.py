@@ -21,11 +21,20 @@ circular value still raises `ValueError`).  That encoder also writes the
 writes 4,096 lines per `write` call, to a temporary file that it renames
 into place, or removes if the write fails.
 
-`read_jsonl` parses a file 4,096 lines at a time: the non-blank lines of a
-batch are joined into one JSON array and decoded by a single `json.loads`
-(a JSON string cannot hold a raw newline, so a line boundary never falls
-inside a value).  A batch that does not decode to one record per line is
-parsed again line by line, which names the bad line.
+`read_jsonl` parses a file 1,024 lines at a time: the non-blank lines of a
+batch are joined into one JSON array and decoded in one call (a JSON
+string cannot hold a raw newline, so a line boundary never falls inside a
+value).  `json.loads` is the reference decoder, and orjson decodes a batch
+only where it returns the same values and types.  It does not for an int
+outside [-2**63, 2**64), which it makes a float, so a batch that holds a
+run of 19 or more digits goes to `json.loads`; so does a batch that orjson
+rejects (NaN, ±Infinity, a number that overflows a double, a lone
+surrogate escape, invalid JSON).  One difference is kept: orjson 3.8 has
+no nesting limit, so a record nested deeper than the interpreter's
+recursion limit, on which `json.loads` raises `RecursionError`, decodes.
+A batch that does not decode to one record per line is parsed again line
+by line by `json.loads`, which names the bad line.  Each event gets the
+module's constant for its kind, not the decoder's copy of the string.
 
 Besides the event list, a `Trace` keeps one list per kind, filled by `emit`
 and by `read_jsonl`; `of_kind` returns a copy of that list and never scans
@@ -50,6 +59,8 @@ from itertools import islice
 from json.encoder import (c_make_encoder, encode_basestring,
                           encode_basestring_ascii)
 from typing import Any, Callable, Iterable, Iterator, Optional
+
+import orjson
 
 META = "Meta"
 BPO = "Bpo"
@@ -100,6 +111,12 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _STRING = (encode_basestring_ascii if _ENCODER.ensure_ascii
            else encode_basestring)
 _BATCH_LINES = 4096
+_READ_LINES = 1024
+_CANON = {kind: kind for kind in KINDS}
+# a run of 19 digits in a batch, which may be an int that orjson turns into
+# a float, is a run of 19 zeros once every digit is mapped to "0"
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+_LONG_DIGITS = b"0" * 19
 
 
 def _encoder_maker(make_c: Optional[Callable]) -> Callable[[], Callable]:
@@ -268,19 +285,20 @@ def write_jsonl(trace: Iterable[TraceEvent], path: str) -> None:
 @collector_paused()
 def read_jsonl(path: str) -> Trace:
     """Read a trace written by `write_jsonl`. A bad record raises with the
-    file and line: invalid JSON or an unknown kind as `ValueError`, a
-    missing `slot` or `kind` as `KeyError`, a slot that goes backwards as
+    file and line: invalid JSON, a record that is not an object, an unknown
+    kind or a slot that is not a number as `ValueError`, a missing `slot`
+    or `kind` as `KeyError`, a slot that goes backwards as
     `AssertionError`."""
     trace = Trace()
     events, by_kind = trace.events, trace._by_kind
     last_slot = trace._last_slot
     line_no = 0
     with open(path, "r", encoding="utf-8") as fh:
-        while batch := list(islice(fh, _BATCH_LINES)):
+        while batch := list(islice(fh, _READ_LINES)):
             first, line_no = line_no + 1, line_no + len(batch)
             lines = [s for s in map(str.strip, batch) if s]
             try:
-                recs = json.loads("[" + ",".join(lines) + "]")
+                recs = _decode("[" + ",".join(lines) + "]")
             except json.JSONDecodeError:
                 recs = None
             if recs is None or len(recs) != len(lines):
@@ -297,15 +315,34 @@ def read_jsonl(path: str) -> Trace:
                         raise AssertionError(
                             f"trace slot went backwards: {slot} after {last_slot}")
                     last_slot = slot
-                    ev = TraceEvent(slot, kind, rec)
+                    ev = TraceEvent(slot, _CANON[kind], rec)
                     events.append(ev)
                     of_kind.append(ev)
             except (KeyError, ValueError, AssertionError) as exc:
                 where = _line_of(batch, first, len(events) - done)
                 what = f"missing {exc}" if isinstance(exc, KeyError) else exc
                 raise type(exc)(f"{path}:{where}: {what}") from None
+            except (TypeError, AttributeError):
+                where = _line_of(batch, first, len(events) - done)
+                what = _not_an_event(json.loads(batch[where - first]))
+                raise ValueError(f"{path}:{where}: {what}") from None
     trace._last_slot = last_slot
     return trace
+
+
+def _decode(text: str) -> Any:
+    """`json.loads(text)`, by orjson where it returns the same value: not
+    when `text` holds a run of 19 digits, which may be an int outside
+    [-2**63, 2**64) that orjson makes a float, nor when orjson rejects
+    `text` (NaN, Infinity, a number that overflows a double, a lone
+    surrogate escape, or invalid JSON)."""
+    raw = text.encode()
+    if _LONG_DIGITS not in raw.translate(_DIGITS_TO_ZERO):
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(text)
 
 
 def _parse_lines(path: str, batch: list[str], first: int) -> list:
@@ -320,6 +357,16 @@ def _parse_lines(path: str, batch: list[str], first: int) -> list:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
     return recs
+
+
+def _not_an_event(rec: Any) -> str:
+    """Why a decoded record on which the reader raised `TypeError` or
+    `AttributeError` is not an event."""
+    if not isinstance(rec, dict):
+        return f"record is not a JSON object: {rec!r:.60}"
+    if isinstance(rec["kind"], (list, dict)):
+        return f"unknown event kind {rec['kind']!r:.60}"
+    return f"slot is not a number: {rec['slot']!r:.60}"
 
 
 def _line_of(batch: list[str], first: int, index: int) -> int:

@@ -1,11 +1,14 @@
 """Source hygiene: every name a module of the package imports is used in it,
 every function, class and method it defines is named elsewhere in it, every
-parameter is read, and one module owns switching the cyclic garbage
-collector.
+parameter is read, one module owns switching the cyclic garbage
+collector, and the third-party packages it imports are its declared
+dependencies.
 
 A re-export counts as a use when the module lists the name in `__all__`."""
 import ast
 import pathlib
+import re
+import sys
 from collections import Counter, defaultdict
 
 import pytest
@@ -290,3 +293,41 @@ def test_the_check_sees_collector_switches():
               "gc.enable()\n")
     assert gc_switches(source) == ["line 2: from gc import disable",
                                    "line 4: gc.enable"]
+
+
+def third_party_imports(sources: dict[str, str]) -> set[str]:
+    """Top-level names of the packages that the modules of `sources` (name
+    -> source) import, leaving out the standard library, relative imports
+    and the package itself."""
+    out = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                out.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                out.add(node.module.split(".")[0])
+    return out - set(sys.stdlib_module_names) - {"nakasim"}
+
+
+def declared_dependencies() -> set[str]:
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = PACKAGE.parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec)[0].lower().replace("-", "_")
+            for spec in project["dependencies"]}
+
+
+def test_the_package_imports_exactly_its_dependencies():
+    assert third_party_imports(package_sources()) == declared_dependencies()
+
+
+def test_the_check_sees_third_party_imports():
+    sources = {
+        "a.py": ("from __future__ import annotations\n"
+                 "import os.path, numpy as np\n"
+                 "from . import trace\n"
+                 "from nakasim.params import Sim\n"
+                 "from orjson import loads\n"
+                 "import yaml.loader\n"),
+    }
+    assert third_party_imports(sources) == {"numpy", "orjson", "yaml"}

@@ -173,7 +173,8 @@ def bpo_lines(n, start_slot=0):
             for i in range(n)]
 
 
-@pytest.mark.parametrize("bad_line", [1, 4096, 4097, 8193, 9000])
+@pytest.mark.parametrize("bad_line", [1, 1024, 1025, 4096, 4097, 8193,
+                                      9000])
 def test_bad_json_names_its_line_across_batches(tmp_path, bad_line):
     lines = bpo_lines(9000)
     lines[bad_line - 1] = '{"slot":5,"kind":"Bpo",\n'
@@ -241,7 +242,7 @@ def test_blank_lines_inside_and_between_batches_are_skipped(tmp_path):
     assert all(e.data == {"a": 0, "h": 1} for e in back)
 
 
-@pytest.mark.parametrize("at", [5, 4096, 4097])
+@pytest.mark.parametrize("at", [5, 1024, 1025, 4096, 4097])
 def test_slots_going_backwards_fail_as_before(tmp_path, at):
     lines = bpo_lines(5000)
     lines[at - 1] = '{"kind":"Bpo","slot":0}\n'
@@ -252,25 +253,209 @@ def test_slots_going_backwards_fail_as_before(tmp_path, at):
         tr.read_jsonl(str(path))
 
 
-def test_reading_parses_once_per_batch(tmp_path, monkeypatch):
-    """10,000 good records cost ceil(10000 / 4096) = 3 parse calls; blank
-    lines among them do not make a batch fall back to one call a line."""
+@pytest.mark.parametrize("line", [2, 4098])
+@pytest.mark.parametrize("record, what", [
+    ("[1,2]", "record is not a JSON object: [1, 2]"),
+    ("5", "record is not a JSON object: 5"),
+    ('"Bpo"', "record is not a JSON object: 'Bpo'"),
+    ('{"kind":"Bpo","slot":"5"}', "slot is not a number: '5'"),
+    ('{"kind":"Bpo","slot":null}', "slot is not a number: None"),
+    ('{"kind":"Bpo","slot":[5]}', "slot is not a number: [5]"),
+    ('{"kind":["Bpo"],"slot":5}', "unknown event kind ['Bpo']"),
+], ids=["list", "int", "str", "str-slot", "null-slot", "list-slot",
+        "list-kind"])
+def test_a_record_that_is_no_event_names_its_line(tmp_path, line, record,
+                                                   what):
+    lines = bpo_lines(5000)
+    lines[line - 1] = record + "\n"
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as raised:
+        tr.read_jsonl(str(path))
+    assert str(raised.value) == f"{path}:{line}: {what}"
+
+
+def counted_decoders(monkeypatch):
+    """Patch both batch decoders to count their calls: orjson's and the
+    reference `json.loads`.  Returns {"orjson": [...], "json": [...]}, the
+    length of each decoded text."""
+    calls = {"orjson": [], "json": []}
+    for name, module in (("orjson", tr.orjson), ("json", tr.json)):
+        def counting(text, _loads=module.loads, _calls=calls[name]):
+            _calls.append(len(text))
+            return _loads(text)
+        monkeypatch.setattr(module, "loads", counting)
+    return calls
+
+
+def lines_with_blanks():
+    """10,000 Bpo records and 20 blank lines: 10 batches."""
     lines = bpo_lines(10_000)
     for i in range(0, 10_000, 500):
         lines[i] += "\n"
+    assert math.ceil(10_020 / tr._READ_LINES) == 10
+    return lines
+
+
+def test_reading_parses_once_per_batch(tmp_path, monkeypatch):
+    """Good records cost one orjson call per batch of `_READ_LINES` lines;
+    blank lines do not make a batch fall back to one call a line."""
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(lines_with_blanks()))
+    calls = counted_decoders(monkeypatch)
+    assert len(tr.read_jsonl(str(path))) == 10_000
+    assert len(calls["orjson"]) == 10 and calls["json"] == []
+
+
+@pytest.mark.parametrize("odd", ["NaN", "18446744073709551616"])
+def test_a_record_orjson_gets_wrong_sends_its_batch_to_json(tmp_path,
+                                                            monkeypatch, odd):
+    """NaN, which orjson rejects, and an int past 2**64, which it makes a
+    float, send their batch, and only that one, to one `json.loads`."""
+    lines = lines_with_blanks()
+    lines[3000] = f'{{"a":{odd},"h":1,"kind":"Bpo","slot":3000}}\n'
     path = tmp_path / "t.jsonl"
     path.write_text("".join(lines))
-    calls = []
-    loads = tr.json.loads
-
-    def counting(text, *args, **kw):
-        calls.append(len(text))
-        return loads(text, *args, **kw)
-
-    monkeypatch.setattr(tr.json, "loads", counting)
+    calls = counted_decoders(monkeypatch)
     back = tr.read_jsonl(str(path))
     assert len(back) == 10_000
-    assert len(calls) <= math.ceil(10_000 / 4096)
+    # the one json call decodes the odd record's whole batch, not its line
+    assert len(calls["json"]) == 1
+    assert calls["json"][0] > 1000 * len(lines[1])
+    # a batch with a long run of digits does not try orjson first
+    assert len(calls["orjson"]) == (10 if odd == "NaN" else 9)
+    assert repr(back.events[3000].data["a"]) == repr(json.loads(odd))
+
+
+def test_a_read_event_holds_the_constant_kind(tmp_path):
+    t = tr.Trace()
+    for slot, kind in enumerate(tr.KINDS):
+        t.emit(slot, kind, i=slot)
+    path = tmp_path / "t.jsonl"
+    tr.write_jsonl(t, str(path))
+    back = tr.read_jsonl(str(path))
+    assert [e.kind for e in back] == list(tr.KINDS)
+    assert all(e.kind is kind for e, kind in zip(back, tr.KINDS))
+    assert all(e.kind is kind for kind in tr.KINDS
+               for e in back.of_kind(kind))
+
+
+# -- the batch decoder against json.loads ------------------------------------
+
+# JSON number texts at the edges of orjson's ints and doubles
+EDGE_INTS = [2**63 - 1, 2**63, 2**63 + 1, -2**63, -2**63 - 1, 2**64 - 1,
+             2**64, 2**64 + 1, -2**64]
+EDGE_FLOATS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400",
+               "-0.0", "5e-324", "1.7976931348623157e308", "1E5", "-0"]
+int_texts = st.one_of(
+    st.integers(), st.sampled_from(EDGE_INTS),
+    st.integers(10**19, 10**40), st.integers(-10**40, -10**19)).map(str)
+float_texts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(EDGE_FLOATS))
+string_texts = st.one_of(
+    st.text(max_size=6).map(json.dumps),
+    st.text(max_size=6).map(lambda v: json.dumps(v, ensure_ascii=False)),
+    st.sampled_from(['"\\ud800"', '"\\udc00x"', '"\\ud83d\\ude00"', '"é日"',
+                     '"\\u0000"']))
+scalar_texts = st.one_of(int_texts, float_texts, string_texts,
+                         st.sampled_from(["true", "false", "null"]))
+# few keys, so that objects often repeat one
+KEYS = ["a", "b", "é", "slot"]
+
+
+def object_text(pairs):
+    return "{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in pairs) + "}"
+
+
+value_texts = st.recursive(
+    scalar_texts,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(lambda vs: "[" + ",".join(vs) + "]"),
+        st.lists(st.tuples(st.sampled_from(KEYS), inner),
+                 max_size=4).map(object_text)),
+    max_leaves=12)
+deep_texts = st.integers(1, 300).map(lambda d: "[" * d + "1" + "]" * d)
+
+
+@st.composite
+def record_lines(draw):
+    """Lines of records in slot order, each with a known kind, the fields of
+    its layout (for a laid-out kind) or free keys, and values drawn from the
+    texts above; now and then an invalid line."""
+    slots = sorted(draw(st.lists(
+        st.one_of(st.integers(0, 10**6),
+                  st.sampled_from([i for i in EDGE_INTS if i > 0])),
+        min_size=1, max_size=12)))
+    lines = []
+    for slot in slots:
+        kind = draw(st.sampled_from(tr.KINDS))
+        keys = list(tr.LAYOUTS.get(kind, ())) or draw(
+            st.lists(st.sampled_from(KEYS[:3]), max_size=4))
+        pairs = [(k, draw(st.one_of(value_texts, deep_texts))) for k in keys]
+        pairs += [("slot", str(slot)), ("kind", json.dumps(kind))]
+        line = object_text(draw(st.permutations(pairs)))
+        if draw(st.integers(0, 30)) == 0:
+            line = line[:-1]                    # invalid JSON
+        lines.append(line)
+    return lines
+
+
+def typed(value):
+    """`value` with the type of every part spelled out, floats by `repr` (so
+    that NaN equals NaN and -0.0 differs from 0.0) and dicts in key order."""
+    if isinstance(value, dict):
+        return ("dict", [(k, typed(v)) for k, v in value.items()])
+    if isinstance(value, list):
+        return ("list", [typed(v) for v in value])
+    return (type(value).__name__, repr(value))
+
+
+def decoded_by_json(lines):
+    """The events `read_jsonl` must return, decoding line by line with
+    `json.loads`, or the number of the first line that is invalid JSON."""
+    events = []
+    for line_no, line in enumerate(lines, 1):
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            return line_no
+        events.append(typed((rec.pop("slot"), rec.pop("kind"), rec)))
+    return events
+
+
+@given(lines=record_lines(), batch=st.integers(1, 5))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_reader_decodes_as_json_loads(tmp_path, monkeypatch, lines,
+                                          batch):
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    expected = decoded_by_json(lines)
+    with monkeypatch.context() as m:
+        m.setattr(tr, "_READ_LINES", batch)
+        if isinstance(expected, int):
+            with pytest.raises(ValueError,
+                               match=rf"t\.jsonl:{expected}: invalid JSON"):
+                tr.read_jsonl(str(path))
+            return
+        back = tr.read_jsonl(str(path))
+    assert [typed((e.slot, e.kind, e.data)) for e in back] == expected
+
+
+def test_a_record_nested_past_the_recursion_limit_reads(tmp_path):
+    """The one kept difference from `json.loads`, which raises
+    `RecursionError` on this record."""
+    depth = sys.getrecursionlimit() + 10
+    deep = "[" * depth + "]" * depth
+    with pytest.raises(RecursionError):
+        json.loads(deep)
+    path = tmp_path / "t.jsonl"
+    path.write_text(f'{{"kind":"Meta","slot":0,"x":{deep}}}\n')
+    value = tr.read_jsonl(str(path)).meta["x"]
+    for _ in range(depth - 1):
+        value, = value
+    assert value == []
 
 
 class Untouchable(list):
