@@ -27,6 +27,25 @@ The scheduler keeps at most MAX_SCHEDULER_TIPS tips, each under its policy's
 key.  Keys end in the tip's seen order, so no two are equal, and the
 (key, tip) pairs are kept in ascending order: the scheduler walks them from
 the top and eviction drops the bottom one.
+
+Headers enter as chains: a delivered header brings its unknown ancestors,
+and the valid prefix of them is inserted in one `_insert_chain`, as is a
+node's own block, a chain of one.  Each header of the chain is given its
+seen order and its production opportunity's record (and an
+EquivocationSeen on the second header of one) in chain order, but the tip
+index changes once: only the top of the chain can remain a tip, since
+every other member is the parent of the next.  If the chain's parent is a
+tip, the top replaces it and inherits its queue and the served mark, with
+no eviction.  Otherwise the top is a new tip, and at the cap
+`_admit_at_cap` gives the outcome of inserting the members one at a time,
+each evicting the lowest tip.  Keys rise along a chain under every
+policy: heights rise, validation keeps a child's production opportunity
+slot from falling below its parent's, and greedy's processed prefix ends
+below the chain, so it is the same for every member.  The members that
+rank below the lowest tip therefore lead the chain, and each evicts itself
+in turn.  The first member that ranks above it evicts the lowest tip
+instead, and its descendants replace it up to the top.  If none does, the
+tips are left as they were.
 """
 from __future__ import annotations
 
@@ -144,35 +163,38 @@ class Node:
                 return []
             chain.append(h)
             h = self.store.get(h.parent_id)
-        inserted: list[int] = []
-        for h in reversed(chain):
+        chain.reverse()
+        for i, h in enumerate(chain):
             if not self._validate(h):
                 self.invalid.add(h.id)
+                del chain[i:]
                 break
-            self._insert(h, slot)
-            inserted.append(h.id)
-        if inserted and self._replans(inserted):
+        if not chain:
+            return []
+        inserted = self._insert_chain(chain, slot)
+        if self._replans(inserted):
             self._wake_now(slot)
         return inserted
 
     def _replans(self, inserted: list[int]) -> bool:
-        """Whether a walk after inserting these headers can end elsewhere
-        than the kept plan: there is none, its tip was dropped or evicted,
-        an inserted tip's key ranks above it (the walk meets that tip
-        first), or under SaPoS an inserted header made its production
-        opportunity equivocated, which may blank a queued block."""
+        """Whether a walk after inserting this chain can end elsewhere than
+        the kept plan: there is none, its tip was dropped or evicted, the
+        chain's top (no other member stays a tip) ranks above it, so the
+        walk meets it first, or under SaPoS an inserted header made its
+        production opportunity equivocated, which may blank a queued
+        block."""
         if self._kept is None:
             return True
         served = self.tips.get(self._served)
         if served is None:
             return True
-        for hid in inserted:
-            key = self.tips.get(hid)
-            if key is not None and key > served:
-                return True
-            if self.sapos and len(
-                    self.bpo_seen[self.store.get(hid).bpo.key()]) == 2:
-                return True
+        key = self.tips.get(inserted[-1])
+        if key is not None and key > served:
+            return True
+        if self.sapos:
+            for hid in inserted:
+                if len(self.bpo_seen[self.store.get(hid).bpo.key()]) == 2:
+                    return True
         return False
 
     def _wake_now(self, slot: int) -> None:
@@ -189,33 +211,63 @@ class Node:
                     return False
         return True
 
-    def _insert(self, h: BlockHeader, slot: int) -> None:
-        self.seen_order[h.id] = len(self.seen_order)
+    def _insert_chain(self, chain: list[BlockHeader], slot: int) -> list[int]:
+        """Insert valid headers, each the parent of the next, the first a
+        child of a known header; returns their ids.  The tip index changes
+        once, for the top (see the module docstring)."""
+        seen_order, bpo_seen = self.seen_order, self.bpo_seen
+        ids = []
+        for h in chain:
+            seen_order[h.id] = len(seen_order)
+            seen = bpo_seen.setdefault(h.bpo.key(), [])
+            seen.append(h.id)
+            if len(seen) == 2:
+                self.trace.emit(slot, tr.EQUIVOCATION_SEEN, node=self.id,
+                                bpo_slot=h.bpo.slot, bpo_node=h.bpo.node,
+                                bpo_seq=h.bpo.seq, headers=list(seen))
+            ids.append(h.id)
 
-        seen = self.bpo_seen.setdefault(h.bpo.key(), [])
-        seen.append(h.id)
-        if len(seen) == 2:
-            self.trace.emit(slot, tr.EQUIVOCATION_SEEN, node=self.id,
-                            bpo_slot=h.bpo.slot, bpo_node=h.bpo.node,
-                            bpo_seq=h.bpo.seq, headers=list(seen))
-
-        # tip bookkeeping: the parent stops being a tip, the new header
-        # inherits its pending queue when it extends one, and the kept plan
-        # when the parent was the tip it served.
+        # the top inherits the parent tip's pending queue and the kept plan
+        # when the parent was the tip it served
+        top = ids[-1]
+        parent = chain[0].parent_id
         dq = None
-        if h.parent_id in self.tips:
-            dq = self._drop_tip(h.parent_id)
+        at_cap = False
+        if parent in self.tips:
+            dq = self._drop_tip(parent)
             if dq is not None:
-                dq.append(h.id)
-            if self._served == h.parent_id:
-                self._served = h.id
-        self._pending[h.id] = dq   # None: built on first consideration
-        key = self._key(h.id)
-        self.tips[h.id] = key
-        insort(self._order, (key, h.id))
-        if len(self.tips) > MAX_SCHEDULER_TIPS:
-            self.tip_evictions += 1
-            self._drop_tip(self._order[0][1])
+                dq.extend(ids)
+            if self._served == parent:
+                self._served = top
+        else:
+            at_cap = len(self.tips) >= MAX_SCHEDULER_TIPS
+        self._pending[top] = dq   # None: built on first consideration
+        key = self._key(top)
+        if at_cap and not self._admit_at_cap(chain, key):
+            del self._pending[top]
+            return ids
+        self.tips[top] = key
+        insort(self._order, (key, top))
+        return ids
+
+    def _admit_at_cap(self, chain: list[BlockHeader], key: tuple) -> bool:
+        """The eviction rule, for a chain whose parent is not a tip, met
+        with MAX_SCHEDULER_TIPS tips: count the evictions that inserting
+        the members one at a time makes, evict the lowest tip if a member
+        ranks above it, and return whether the top (whose key is `key`)
+        becomes a tip.  Keys rise along the chain, so the members below
+        the lowest tip lead it and each evicts itself."""
+        low_key, low = self._order[0]
+        if key < low_key:
+            self.tip_evictions += len(chain)
+            return False
+        # members below the top, keyed as the top is: greedy's processed
+        # prefix is the chain's
+        below = bisect_left(chain, low_key, hi=len(chain) - 1,
+                            key=lambda h: self._key(h.id, key[0]))
+        self.tip_evictions += below + 1
+        self._drop_tip(low)
+        return True
 
     def _drop_tip(self, tip_id: int) -> Optional[deque]:
         """Remove a tip from the scheduler; returns its pending queue."""
@@ -259,15 +311,18 @@ class Node:
             dq.popleft()
         return dq
 
-    def _key(self, tip_id: int) -> tuple:
-        """The tip's priority under the policy; the highest is served first."""
+    def _key(self, tip_id: int, done: Optional[int] = None) -> tuple:
+        """The tip's priority under the policy; the highest is served first.
+        Greedy's leads with `done`, the height of the processed prefix,
+        which is read from the tip's pending queue when not given."""
         h = self.store.get(tip_id)
         order = -self.seen_order[tip_id]
         if self.policy == pm.POLICY_FRESHEST_BLOCK:
             return (h.bpo.slot, h.height, order)
         if self.policy == pm.POLICY_GREEDY:
-            # height of the processed prefix first
-            return (h.height - len(self._pending_for(tip_id)), h.height, order)
+            if done is None:
+                done = h.height - len(self._pending_for(tip_id))
+            return (done, h.height, order)
         return (h.height, order)
 
     def _rekey_greedy(self) -> bool:
@@ -492,7 +547,7 @@ class Node:
                             carrier=header.id, target=proof.target,
                             other=proof.header_b)
         evictions = self.tip_evictions
-        self._insert(header, slot)
+        self._insert_chain([header], slot)
         self.processed.add(header.id)
         # an insert that evicted keyed the new block while it was still
         # unprocessed; greedy keeps that key until the next block is

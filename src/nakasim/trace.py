@@ -35,6 +35,8 @@ recursion limit, on which `json.loads` raises `RecursionError`, decodes.
 A batch that does not decode to one record per line is parsed again line
 by line by `json.loads`, which names the bad line.  Each event gets the
 module's constant for its kind, not the decoder's copy of the string.
+orjson is imported on the first decode, not with this module, so a command
+that reads no trace does not pay for loading it.
 
 Besides the event list, a `Trace` keeps one list per kind, filled by `emit`
 and by `read_jsonl`; `of_kind` returns a copy of that list and never scans
@@ -59,8 +61,6 @@ from itertools import islice
 from json.encoder import (c_make_encoder, encode_basestring,
                           encode_basestring_ascii)
 from typing import Any, Callable, Iterable, Iterator, Optional
-
-import orjson
 
 META = "Meta"
 BPO = "Bpo"
@@ -226,7 +226,7 @@ class Trace:
     def emit(self, slot: int, kind: str, **data: Any) -> None:
         if not self.enabled:
             return
-        if slot < self._last_slot:
+        if not slot >= self._last_slot:     # also true for a NaN slot
             raise AssertionError(f"trace slot went backwards: {slot} after {self._last_slot}")
         try:
             of_kind = self._by_kind[kind]
@@ -286,8 +286,8 @@ def write_jsonl(trace: Iterable[TraceEvent], path: str) -> None:
 def read_jsonl(path: str) -> Trace:
     """Read a trace written by `write_jsonl`. A bad record raises with the
     file and line: invalid JSON, a record that is not an object, an unknown
-    kind or a slot that is not a number as `ValueError`, a missing `slot`
-    or `kind` as `KeyError`, a slot that goes backwards as
+    kind or a slot that is not a number (NaN included) as `ValueError`, a
+    missing `slot` or `kind` as `KeyError`, a slot that goes backwards as
     `AssertionError`."""
     trace = Trace()
     events, by_kind = trace.events, trace._by_kind
@@ -311,7 +311,10 @@ def read_jsonl(path: str) -> Trace:
                     of_kind = by_kind.get(kind)
                     if of_kind is None:
                         raise ValueError(f"unknown event kind {kind!r}")
-                    if slot < last_slot:
+                    if not slot >= last_slot:   # also true for a NaN slot
+                        if slot != slot:
+                            raise ValueError(
+                                f"slot is not a number: {slot!r}")
                         raise AssertionError(
                             f"trace slot went backwards: {slot} after {last_slot}")
                     last_slot = slot
@@ -336,6 +339,7 @@ def _decode(text: str) -> Any:
     [-2**63, 2**64) that orjson makes a float, nor when orjson rejects
     `text` (NaN, Infinity, a number that overflows a double, a lone
     surrogate escape, or invalid JSON)."""
+    import orjson
     raw = text.encode()
     if _LONG_DIGITS not in raw.translate(_DIGITS_TO_ZERO):
         try:

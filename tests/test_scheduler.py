@@ -1,6 +1,7 @@
-"""The download scheduler's sorted tip index: equal to the sorted()/min()
-scheduler it replaced on generated header trees, its cost per poll and per
-insert, and its behaviour at the 100-tip cap."""
+"""The download scheduler's sorted tip index and chain intake: equal to the
+sorted()/min() scheduler with per-header inserts that they replaced on
+generated header trees, their cost per poll and per delivered chain, and
+their behaviour at the 100-tip cap."""
 import math
 from collections import OrderedDict
 
@@ -17,10 +18,12 @@ from nakasim.lottery import BpoId
 
 
 class ReferenceNode(nd.Node):
-    """The scheduler before the sorted tip index: a static key per tip, a
-    full sorted() whenever the tips or the processed blocks change, greedy
-    keys cached per processed-block version, and a min() over every tip for
-    each eviction at the cap.  Kept as the reference the index must equal."""
+    """The scheduler before the sorted tip index and chain intake: a static
+    key per tip, a full sorted() whenever the tips or the processed blocks
+    change, greedy keys cached per processed-block version, one insert per
+    header of a chain, and a min() over every tip for each eviction at the
+    cap.  Kept as the reference the index and the chain insert must
+    equal."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -30,6 +33,11 @@ class ReferenceNode(nd.Node):
         self._greedy_cache = {}
         self._tips_version = 0
         self._sorted_cache = (-1, -1, [])
+
+    def _insert_chain(self, chain, slot):
+        for h in chain:
+            self._insert(h, slot)
+        return [h.id for h in chain]
 
     def _insert(self, h, slot):
         self.seen_order[h.id] = len(self.seen_order)
@@ -141,7 +149,7 @@ class ReferenceNode(nd.Node):
             self.trace.emit(slot, tr.PROOF_INCLUDED, node=self.id,
                             carrier=header.id, target=proof.target,
                             other=proof.header_b)
-        self._insert(header, slot)
+        self._insert_chain([header], slot)
         self.processed.add(header.id)
         self._after_processed(header.id, slot)
         return header, content
@@ -151,7 +159,10 @@ class ReferenceNode(nd.Node):
 
 class Driven:
     """A Rig whose node records every schedule_target pick and every tip
-    evicted by an insert."""
+    evicted by a chain insert: the tips it found that it evicted, and the
+    members that evicted themselves.  Since keys rise along a chain, those
+    members lead it, and the node's eviction count says how many there
+    are."""
 
     def __init__(self, node_cls, rate, policy, protocol):
         self.rig = rig = Rig(rate=rate, policy=policy, protocol=protocol,
@@ -163,23 +174,27 @@ class Driven:
         self.picks: list = []
         self.victims: list = []
         self.on_evict = None
-        pick, insert = node.schedule_target, node._insert
+        pick, insert = node.schedule_target, node._insert_chain
 
         def schedule_target(slot):
             target = pick(slot)
             self.picks.append(None if target is None else target.id)
             return target
 
-        def _insert(h, slot):
-            before = set(node.tips)
-            insert(h, slot)
-            gone = sorted((before | {h.id}) - set(node.tips) - {h.parent_id})
+        def _insert_chain(chain, slot):
+            before, evictions = set(node.tips), node.tip_evictions
+            ids = insert(chain, slot)
+            parent = chain[0].parent_id
+            evicted = before - set(node.tips) - {parent}
+            selves = node.tip_evictions - evictions - len(evicted)
+            gone = sorted(evicted) + ids[:selves]
             self.victims += gone
             if gone and self.on_evict is not None:
-                self.on_evict(before | {h.id}, h)
+                self.on_evict(before | {ids[-1]}, parent)
+            return ids
 
         node.schedule_target = schedule_target
-        node._insert = _insert
+        node._insert_chain = _insert_chain
 
 
 class TreeDriver:
@@ -288,6 +303,17 @@ POLICY_PROTOCOLS = [(policy, protocol) for policy in pm.POLICIES
 @example(ops=[("fan", 0, 101, 0), ("fan", 0, 1, 0), ("fan", 1, 1, 0),
               ("step", 0, 1, 0), ("produce", 0, 1, 0), ("step", 0, 1, 0)],
          rate=0.3)
+# a three-header chain forking at genesis, delivered at the cap below 100
+# tips of height 6 minted after it: every member evicts itself
+@example(ops=[("chain", 0, 3, 0), ("chain", 0, 5, 16), ("fan", 8, 100, 0),
+              ("deliver", 3, 1, 0), ("step", 0, 2, 0)],
+         rate=1.0)
+# a chain forking at genesis, delivered at the cap among 100 tips of height
+# 1: its first member, minted before them, evicts itself, and the second
+# outranks the lowest tip, which it evicts
+@example(ops=[("chain", 0, 1, 0), ("fan", 0, 100, 0), ("chain", 1, 2, 16),
+              ("step", 0, 2, 0)],
+         rate=1.0)
 @settings(max_examples=25, deadline=None)
 def test_index_matches_the_reference_scheduler(policy, protocol, ops, rate):
     pos = protocol != pm.PROTOCOL_POW
@@ -298,8 +324,16 @@ def test_index_matches_the_reference_scheduler(policy, protocol, ops, rate):
         new_tree.apply(op)
         ref_tree.apply(op)
         assert new.picks == ref.picks
-        assert new.victims == ref.victims
+        assert sorted(new.victims) == sorted(ref.victims)
+        new.victims.clear()
+        ref.victims.clear()
         assert set(new.node.tips) == set(ref.node.tips)
+        assert new.node._pending.keys() == new.node.tips.keys()
+        if policy == pm.POLICY_GREEDY:
+            # greedy keys read the queues' lengths
+            assert ({t: list(new.node._pending_for(t)) for t in new.node.tips}
+                    == {t: list(ref.node._pending_for(t))
+                        for t in ref.node.tips})
     assert ref.node.tip_evictions > 0
     assert new.node.tip_evictions == ref.node.tip_evictions
     assert new.node.dchain == ref.node.dchain
@@ -362,6 +396,20 @@ def test_polls_and_inserts_compute_no_more_than_they_must(monkeypatch):
     d.node.schedule_target(tree.slot)
     assert calls["sorted"] == 0
 
+    # a delivered chain that extends a tip keys only its top, drops the
+    # parent with one bisect and adds the top with one insort, however long
+    for length in (2, 12):
+        extended = next(i for i, h in enumerate(tree.minted)
+                        if h.id in d.node.tips)
+        calls["key"] = CountingKey.lt = 0
+        tree.apply(("chain", extended, length, 16))
+        assert tree.minted[-1].id in d.node.tips
+        assert len(d.node.tips) == nd.MAX_SCHEDULER_TIPS
+        assert d.node.tip_evictions == 2
+        assert calls == {"key": 1, "sorted": 0}
+        assert CountingKey.lt <= 2 * math.ceil(
+            math.log2(nd.MAX_SCHEDULER_TIPS + 2))
+
 
 def test_reference_scans_every_tip_per_insert_at_the_cap(monkeypatch):
     """The cost the index removes: the reference keys every tip for the
@@ -411,8 +459,8 @@ def test_tip_cap_keeps_the_best_processable_tip(policy, ops, rate):
     d = Driven(nd.Node, rate, policy, pm.PROTOCOL_POS)
     node, cloud = d.node, d.rig.env.cloud
 
-    def check(candidates, h):
-        processable = [t for t in candidates - {h.parent_id}
+    def check(candidates, parent):
+        processable = [t for t in candidates - {parent}
                        if (f := _front(node, t)) is not None
                        and node.store.get(f).commitment in cloud]
         if len(processable) >= 2:

@@ -3,8 +3,12 @@ import gc
 import inspect
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -261,9 +265,10 @@ def test_slots_going_backwards_fail_as_before(tmp_path, at):
     ('{"kind":"Bpo","slot":"5"}', "slot is not a number: '5'"),
     ('{"kind":"Bpo","slot":null}', "slot is not a number: None"),
     ('{"kind":"Bpo","slot":[5]}', "slot is not a number: [5]"),
+    ('{"kind":"Bpo","slot":NaN}', "slot is not a number: nan"),
     ('{"kind":["Bpo"],"slot":5}', "unknown event kind ['Bpo']"),
 ], ids=["list", "int", "str", "str-slot", "null-slot", "list-slot",
-        "list-kind"])
+        "nan-slot", "list-kind"])
 def test_a_record_that_is_no_event_names_its_line(tmp_path, line, record,
                                                    what):
     lines = bpo_lines(5000)
@@ -275,12 +280,40 @@ def test_a_record_that_is_no_event_names_its_line(tmp_path, line, record,
     assert str(raised.value) == f"{path}:{line}: {what}"
 
 
+def test_a_nan_slot_does_not_switch_the_order_check_off(tmp_path):
+    """Every comparison with NaN is false, so a NaN slot read as in order
+    would let every later slot through: 1 after 5, say."""
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(f'{{"kind":"Bpo","slot":{slot}}}\n'
+                            for slot in ("5", "NaN", "1", "true", "2.5")))
+    with pytest.raises(ValueError) as raised:
+        tr.read_jsonl(str(path))
+    assert str(raised.value) == f"{path}:2: slot is not a number: nan"
+    t = tr.Trace()
+    t.emit(5, tr.BPO)
+    with pytest.raises(AssertionError, match="went backwards: nan after 5"):
+        t.emit(math.nan, tr.BPO)
+
+
+def test_importing_the_cli_leaves_orjson_unloaded():
+    """orjson is imported on the first trace decode, so commands that read
+    no trace (`simulate`, `region`) do not pay for loading it."""
+    package = Path(tr.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(package), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, nakasim.cli; "
+            "print(sorted(set(sys.modules) & {'nakasim.trace', 'orjson'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "['nakasim.trace']"
+
+
 def counted_decoders(monkeypatch):
     """Patch both batch decoders to count their calls: orjson's and the
     reference `json.loads`.  Returns {"orjson": [...], "json": [...]}, the
     length of each decoded text."""
     calls = {"orjson": [], "json": []}
-    for name, module in (("orjson", tr.orjson), ("json", tr.json)):
+    for name, module in (("orjson", orjson), ("json", tr.json)):
         def counting(text, _loads=module.loads, _calls=calls[name]):
             _calls.append(len(text))
             return _loads(text)
