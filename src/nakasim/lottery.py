@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,17 +47,14 @@ def _slot_gen(seed: int, stream: int, slot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class BpoId:
-    """Identity of one block-production opportunity."""
+class BpoId(NamedTuple):
+    """Identity of one block-production opportunity.  It is its own key:
+    it hashes and compares as the tuple (slot, node, honest, seq)."""
 
     slot: int
     node: int
     honest: bool
     seq: int = 0
-
-    def key(self) -> tuple:
-        return (self.slot, self.node, self.honest, self.seq)
 
 
 class SlotSampler:
@@ -147,7 +144,7 @@ class EquivocationProof:
     """Two distinct headers minted from the same production opportunity,
     plus the on-chain header they discredit."""
 
-    bpo_key: tuple
+    bpo_key: BpoId
     header_a: int
     header_b: int
     target: int
@@ -186,8 +183,12 @@ class HeaderStore:
         self.genesis = BlockHeader(GENESIS_ID, None, genesis_bpo, 0, 0)
         self.headers: dict[int, BlockHeader] = {GENESIS_ID: self.genesis}
         self.contents: dict[int, Content] = {0: Content(0, (), -1)}
-        self.by_bpo: dict[tuple, list[int]] = {}
+        self.by_bpo: dict[BpoId, list[int]] = {}
         self._pos_identity: dict[tuple, int] = {}
+        # header id -> whether it may follow its parent (`Node._validate`),
+        # one table per k_epf of the SaPoS nodes, and None for the nodes
+        # that check no proofs
+        self.verdicts: dict[Optional[int], dict[int, bool]] = {}
         self._next_header = 1
         self._next_commitment = 1
 
@@ -210,18 +211,18 @@ class HeaderStore:
                              parent.height + 1, commitment, proofs)
         self._next_header += 1
         self.headers[header.id] = header
-        self.by_bpo.setdefault(bpo.key(), []).append(header.id)
+        self.by_bpo.setdefault(bpo, []).append(header.id)
         return header
 
     def pow_extend(self, bpo: BpoId, parent_id: int, commitment: int,
                    proofs: tuple = ()) -> BlockHeader:
-        if bpo.key() in self.by_bpo:
-            raise ReusedBpo(f"bpo {bpo.key()} already spent")
+        if bpo in self.by_bpo:
+            raise ReusedBpo(f"bpo {tuple(bpo)} already spent")
         return self._mint(bpo, parent_id, commitment, proofs)
 
     def pos_extend(self, bpo: BpoId, parent_id: int, commitment: int,
                    proofs: tuple = ()) -> BlockHeader:
-        ident = (bpo.key(), parent_id, commitment)
+        ident = (bpo, parent_id, commitment)
         existing = self._pos_identity.get(ident)
         if existing is not None:
             return self.headers[existing]

@@ -3,13 +3,16 @@ per-node download budgets.
 
 Headers travel free of charge and are delivered at the forced deadline
 (enqueue slot + ceil(delta_h / tau)); the adversary's rushing pushes
-bypass the queue (`Simulation.push_to_honest`).
+bypass the queue (`Simulation.push_to_honest`).  The queue holds one entry
+per broadcast and delivery slot, naming its recipients in node order: one
+entry, or two while a partition withholds the header from half the nodes.
 Content is pulled from a shared insert-only cloud and every fetched block
 costs one unit of the requesting node's token budget, refilled at
 capacity * tau per slot with at most one block of carry-over.
 A request for content the node cannot see is free.  The environment keeps
 no record of who asked: each node memoises what it found unavailable, and
-the simulation tells every node of each accepted upload and of the heal.
+the simulation tells the nodes that memoised it of each accepted upload,
+and every node of the heal.
 """
 from __future__ import annotations
 
@@ -40,7 +43,14 @@ class CapacityMeter:
 
     A node throttled on one download is not polled in the slots it sleeps
     through; `spend_refills` pays those slots afterwards, in the same float
-    steps as polling would have."""
+    steps as polling would have.
+
+    `completion_slot` and `refilled` replay those steps for a download's
+    banked payment, and their results depend only on their inputs and the
+    rate, so each is memoized by its inputs: the same float additions in
+    the same order, done once per distinct input.  `spend_refills` keeps
+    its per-slot loop, because the running `spent_total` it adds to never
+    repeats."""
 
     CARRY_CAP = 1.0
 
@@ -49,6 +59,10 @@ class CapacityMeter:
         self.tokens = rate_per_slot
         self.spent_total = 0.0
         self._slot = 0
+        # memos: paid -> completion_slot(paid, s) - (s + 1), and
+        # (paid, slots) -> refilled(paid, slots)
+        self._steps: dict[float, int] = {}
+        self._refills: dict[tuple[float, int], float] = {}
 
     def sync(self, slot: int) -> float:
         """Advance the refill clock to `slot` and return available tokens."""
@@ -80,11 +94,25 @@ class CapacityMeter:
         `paid` banked, is fetched when every later slot spends its whole
         refill on it. The sums are replayed slot by slot, so they match
         the ones a per-slot poll banks bit for bit."""
-        done = slot + 1
-        while self.rate + FETCH_SLACK < 1.0 - paid:
-            paid += self.rate
-            done += 1
-        return done
+        steps = self._steps.get(paid)
+        if steps is None:
+            steps, total = 0, paid
+            while self.rate + FETCH_SLACK < 1.0 - total:
+                total += self.rate
+                steps += 1
+            self._steps[paid] = steps
+        return slot + 1 + steps
+
+    def refilled(self, paid: float, slots: int) -> float:
+        """`paid` plus the whole refill of `slots` slots, added one slot at
+        a time as a per-slot poll banks them."""
+        total = self._refills.get((paid, slots))
+        if total is None:
+            total = paid
+            for _ in range(slots):
+                total += self.rate
+            self._refills[(paid, slots)] = total
+        return total
 
     def spend(self, amount: float) -> None:
         self.tokens -= amount
@@ -118,8 +146,9 @@ class Environment:
         self.partition = partition
         self.meters = {p: CapacityMeter(rate_per_slot) for p in self.node_ids}
         self.cloud: dict[int, int] = {}   # commitment -> origin node
-        # (deliver_slot, seq, node, header) kept in a heap for skip-ahead
-        self._queue: list[tuple[int, int, int, BlockHeader]] = []
+        # (deliver_slot, seq, recipients, header) kept in a heap for
+        # skip-ahead; seq keeps entries of one slot in the order queued
+        self._queue: list[tuple[int, int, tuple[int, ...], BlockHeader]] = []
         self._seq = 0
         self.fetch_count = {p: 0 for p in self.node_ids}
 
@@ -128,21 +157,35 @@ class Environment:
     def broadcast_header(self, header: BlockHeader, origin: int, slot: int) -> None:
         """Enqueue for every node but the origin; each header is broadcast
         once, when it is minted.  Delivery happens at the forced deadline,
-        or at the partition heal when the split withholds it."""
-        for p in self.node_ids:
-            if p == origin:
-                continue
-            deliver = slot + self.delay_slots
-            if self.partition is not None and self.partition.blocks(origin, p, slot):
-                deliver = max(deliver, self.partition.heal_slot)
-            heapq.heappush(self._queue, (deliver, self._seq, p, header))
-            self._seq += 1
+        or at the partition heal when the split withholds it: one queue
+        entry per delivery slot, its recipients in node order."""
+        deliver = slot + self.delay_slots
+        others = tuple(p for p in self.node_ids if p != origin)
+        part = self.partition
+        if part is None or deliver >= part.heal_slot:
+            groups = ((deliver, others),)
+        else:
+            late = {p for p in others if part.blocks(origin, p, slot)}
+            groups = ((deliver, tuple(p for p in others if p not in late)),
+                      (part.heal_slot, tuple(p for p in others if p in late)))
+        for at, recipients in groups:
+            if recipients:
+                self.queue_header(header, recipients, at)
+
+    def queue_header(self, header: BlockHeader, recipients: tuple[int, ...],
+                     slot: int) -> None:
+        """Deliver `header` to `recipients`, in that order, at `slot`, after
+        every entry already queued for that slot."""
+        heapq.heappush(self._queue, (slot, self._seq, recipients, header))
+        self._seq += 1
 
     def deliveries_due(self, slot: int) -> list[tuple[int, BlockHeader]]:
+        """The (node, header) deliveries due by `slot`, in the order queued."""
         out = []
-        while self._queue and self._queue[0][0] <= slot:
-            _, _, node, header = heapq.heappop(self._queue)
-            out.append((node, header))
+        queue = self._queue
+        while queue and queue[0][0] <= slot:
+            _, _, recipients, header = heapq.heappop(queue)
+            out.extend((p, header) for p in recipients)
         return out
 
     def next_delivery_slot(self) -> Optional[int]:

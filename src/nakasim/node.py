@@ -46,6 +46,14 @@ rank below the lowest tip therefore lead the chain, and each evicts itself
 in turn.  The first member that ranks above it evicts the lowest tip
 instead, and its descendants replace it up to the top.  If none does, the
 tips are left as they were.
+
+Whether a header may be inserted (`_validate`: its production opportunity
+comes after its parent's and, under SaPoS, its proofs meet the deadline)
+depends only on the header, the append-only store and k_epf.  So the first
+node that meets a header computes its verdict once, and every node of the
+store that checks the same rules reads it from `HeaderStore.verdicts`; each
+node still keeps its own `invalid` set.  `bpo_seen` lists the headers seen
+for each production opportunity, keyed by the `BpoId` itself.
 """
 from __future__ import annotations
 
@@ -87,11 +95,13 @@ class Node:
                  front: HonestFront):
         self.id = node_id
         self.store = store
+        self.headers = store.headers
         self.env = env
         self.trace = run_trace
         self.policy = policy
         self.protocol = protocol
         self.sapos = protocol == pm.PROTOCOL_SAPOS
+        self.greedy = policy == pm.POLICY_GREEDY
         self.k_conf = k_conf
         self.k_epf = k_epf
         self.audit_sink = audit_sink
@@ -102,7 +112,11 @@ class Node:
         self.processed: set[int] = {g}
         self.blanked: set[int] = set()
         self.invalid: set[int] = set()
-        self.bpo_seen: dict[tuple, list[int]] = {}
+        self.bpo_seen: dict[BpoId, list[int]] = {}
+        # header id -> verdict of `_validate`, shared by every node of the
+        # store that checks the same rules: no proofs, or one k_epf
+        self._verdicts = store.verdicts.setdefault(
+            k_epf if self.sapos else None, {})
 
         self.tips: dict[int, tuple] = {}            # tip id -> policy key
         self._order: list[tuple[tuple, int]] = []   # (key, tip id), ascending
@@ -156,17 +170,22 @@ class Node:
         headers and their descendants are dropped.  The node is due this
         slot if it has no kept plan or the inserts can change it (see
         `_replans`)."""
+        seen_order, invalid, headers = self.seen_order, self.invalid, self.headers
         chain: list[BlockHeader] = []
         h = header
-        while h.id not in self.seen_order:
-            if h.id in self.invalid:
+        while h.id not in seen_order:
+            if h.id in invalid:
                 return []
             chain.append(h)
-            h = self.store.get(h.parent_id)
+            h = headers[h.parent_id]
         chain.reverse()
+        verdicts = self._verdicts
         for i, h in enumerate(chain):
-            if not self._validate(h):
-                self.invalid.add(h.id)
+            valid = verdicts.get(h.id)
+            if valid is None:
+                valid = verdicts[h.id] = self._validate(h)
+            if not valid:
+                invalid.add(h.id)
                 del chain[i:]
                 break
         if not chain:
@@ -193,7 +212,7 @@ class Node:
             return True
         if self.sapos:
             for hid in inserted:
-                if len(self.bpo_seen[self.store.get(hid).bpo.key()]) == 2:
+                if len(self.bpo_seen[self.headers[hid].bpo]) == 2:
                     return True
         return False
 
@@ -202,7 +221,12 @@ class Node:
         self._kept = None
 
     def _validate(self, h: BlockHeader) -> bool:
-        parent = self.store.get(h.parent_id)
+        """Whether `h` may follow its parent: its production opportunity
+        comes after the parent's, and under SaPoS each of its proofs is
+        within the deadline.  It reads only the header, the append-only
+        store and k_epf, so `on_header` computes it once per header and
+        shares it (`_verdicts`)."""
+        parent = self.headers[h.parent_id]
         if (h.bpo.slot, h.bpo.seq) <= (parent.bpo.slot, parent.bpo.seq):
             return False
         if self.sapos:
@@ -219,12 +243,15 @@ class Node:
         ids = []
         for h in chain:
             seen_order[h.id] = len(seen_order)
-            seen = bpo_seen.setdefault(h.bpo.key(), [])
-            seen.append(h.id)
-            if len(seen) == 2:
-                self.trace.emit(slot, tr.EQUIVOCATION_SEEN, node=self.id,
-                                bpo_slot=h.bpo.slot, bpo_node=h.bpo.node,
-                                bpo_seq=h.bpo.seq, headers=list(seen))
+            seen = bpo_seen.get(h.bpo)
+            if seen is None:
+                bpo_seen[h.bpo] = [h.id]
+            else:
+                seen.append(h.id)
+                if len(seen) == 2:
+                    self.trace.emit(slot, tr.EQUIVOCATION_SEEN, node=self.id,
+                                    bpo_slot=h.bpo.slot, bpo_node=h.bpo.node,
+                                    bpo_seq=h.bpo.seq, headers=list(seen))
             ids.append(h.id)
 
         # the top inherits the parent tip's pending queue and the kept plan
@@ -276,10 +303,10 @@ class Node:
         return self._pending.pop(tip_id)
 
     def content_uploaded(self, commitment: int, slot: int) -> None:
-        """The simulation calls this on every node for each upload the
-        cloud accepts.  The node's memo is the only record of what it
-        waits for: if it holds this commitment, the commitment is cleared
-        and the node is due this slot."""
+        """The simulation calls this for each upload the cloud accepts, on
+        the nodes whose memo holds its commitment.  The node's memo is the
+        only record of what it waits for: if it holds this commitment, the
+        commitment is cleared and the node is due this slot."""
         if commitment in self.unavailable:
             self.unavailable.remove(commitment)
             self._wake_now(slot)
@@ -299,7 +326,7 @@ class Node:
         cur = tip_id
         while not self.is_done(cur):
             stack.append(cur)
-            cur = self.store.get(cur).parent_id
+            cur = self.headers[cur].parent_id
         return deque(reversed(stack))
 
     def _pending_for(self, tip_id: int) -> deque:
@@ -315,11 +342,11 @@ class Node:
         """The tip's priority under the policy; the highest is served first.
         Greedy's leads with `done`, the height of the processed prefix,
         which is read from the tip's pending queue when not given."""
-        h = self.store.get(tip_id)
+        h = self.headers[tip_id]
         order = -self.seen_order[tip_id]
         if self.policy == pm.POLICY_FRESHEST_BLOCK:
             return (h.bpo.slot, h.height, order)
-        if self.policy == pm.POLICY_GREEDY:
+        if self.greedy:
             if done is None:
                 done = h.height - len(self._pending_for(tip_id))
             return (done, h.height, order)
@@ -330,7 +357,7 @@ class Node:
         block is processed or blanked: move the tips whose key changed.
         Returns whether any tip moved."""
         moved = False
-        if self.policy != pm.POLICY_GREEDY:
+        if not self.greedy:
             return moved
         for tip_id, key in list(self.tips.items()):
             new = self._key(tip_id)
@@ -356,6 +383,7 @@ class Node:
         queue's front are as that step's walk left them."""
         if self._kept is not None:
             return self._kept
+        headers = self.headers
         while True:
             acted = False
             finished: list[int] = []
@@ -367,7 +395,7 @@ class Node:
                     if self.is_done(front):
                         dq.popleft()
                     elif self.sapos and sp.equivocated_in_view(
-                            self, self.store.get(front)):
+                            self, headers[front]):
                         self._mark_blanked(front, slot)
                         dq.popleft()
                         acted = True
@@ -375,10 +403,12 @@ class Node:
                         break
                 if not dq:
                     finished.append(tip_id)
-                elif self.store.get(dq[0]).commitment not in self.unavailable:
-                    target = self.store.get(dq[0])
-                    self._served = tip_id
-                    break
+                else:
+                    front = headers[dq[0]]
+                    if front.commitment not in self.unavailable:
+                        target = front
+                        self._served = tip_id
+                        break
             for tip_id in finished:
                 self._drop_tip(tip_id)
             # a pass that blanked re-keys after choosing: the next pass may
@@ -436,10 +466,8 @@ class Node:
         meter = self.env.meters[self.id]
         slept = meter.spend_refills(slot - 1)
         if slept:
-            paid = self.partial.get(self.throttled, 0.0)
-            for _ in range(slept):
-                paid += meter.rate
-            self._bank(self.throttled, paid)
+            self._bank(self.throttled, meter.refilled(
+                self.partial.get(self.throttled, 0.0), slept))
 
     def _bank(self, header_id: int, paid: float) -> None:
         self.partial[header_id] = paid
@@ -458,11 +486,12 @@ class Node:
     def _mark_processed(self, header_id: int, slot: int) -> None:
         self._kept = None
         self.processed.add(header_id)
-        self._rekey_greedy()
+        if self.greedy:
+            self._rekey_greedy()
         self._after_processed(header_id, slot)
 
     def _after_processed(self, header_id: int, slot: int) -> None:
-        h = self.store.get(header_id)
+        h = self.headers[header_id]
         if h.height <= self.dchain_height:
             return
         old_tip = self.dchain_tip
@@ -473,9 +502,9 @@ class Node:
         while cur.height and not (cur.height <= len(chain)
                                   and chain[cur.height - 1] == cur.id):
             suffix.append(cur)
-            cur = self.store.get(cur.parent_id)
+            cur = self.headers[cur.parent_id]
         for hid in chain[cur.height:]:
-            self._count_chain_block(self.store.get(hid), -1)
+            self._count_chain_block(self.headers[hid], -1)
         del chain[cur.height:]
         for blk in reversed(suffix):
             chain.append(blk.id)
@@ -492,10 +521,12 @@ class Node:
         and, if it was processed, its transactions.  Whether a block is
         processed or blanked never changes once it is done, so leaving the
         chain removes exactly what joining added."""
+        txs = (self.store.contents[h.commitment].txs
+               if h.id in self.processed else ())
+        if not (h.proofs or txs):
+            return
         marks = [(self.proofed_targets, proof.target) for proof in h.proofs]
-        if h.id in self.processed:
-            marks += [(self.included_txids, t[0])
-                      for t in self.store.contents[h.commitment].txs]
+        marks += [(self.included_txids, t[0]) for t in txs]
         for counts, key in marks:
             n = counts.get(key, 0) + step
             if n:

@@ -32,7 +32,7 @@ def validate_proof_deadline(store: HeaderStore, carrier: BlockHeader,
     b = store.headers.get(proof.header_b)
     if a is None or b is None or a.id == b.id:
         return False
-    if a.bpo.key() != b.bpo.key():
+    if a.bpo != b.bpo:
         return False
     if proof.target not in (a.id, b.id):
         return False
@@ -56,15 +56,15 @@ def attach_proofs(node: "Node") -> tuple:
         if hid in node.proofed_targets:
             continue
         h = node.store.get(hid)
-        seen = node.bpo_seen.get(h.bpo.key(), ())
+        seen = node.bpo_seen.get(h.bpo, ())
         if len(seen) >= 2:
             other = next(x for x in seen if x != hid)
             proofs.append(EquivocationProof(
-                bpo_key=h.bpo.key(), header_a=hid, header_b=other, target=hid))
+                bpo_key=h.bpo, header_a=hid, header_b=other, target=hid))
     return tuple(proofs)
 
 
 def equivocated_in_view(node: "Node", header: BlockHeader) -> bool:
     """Scheduler-level blanking predicate: the node has seen two headers
     for this block's production opportunity."""
-    return len(node.bpo_seen.get(header.bpo.key(), ())) >= 2
+    return len(node.bpo_seen.get(header.bpo, ())) >= 2

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -149,6 +150,8 @@ class Simulation:
                     scenario.protocol, scenario.k_conf, scenario.sapos.k_epf,
                     self.sink, self.front)
             for n in self.honest_ids}
+        # the nodes in honest_ids order, for the loops over all of them
+        self._node_list = list(self.nodes.values())
 
         spv_rate_slot = attack.spv_rate * p.tau
         self.sampler = SlotSampler(self.seed, p.beta, p.rho, p.honest_nodes,
@@ -167,22 +170,26 @@ class Simulation:
         return self.front.height
 
     def honest_tip(self) -> int:
-        best = max(self.nodes.values(), key=lambda n: n.dchain_height)
+        best = max(self._node_list, key=lambda n: n.dchain_height)
         return best.dchain_tip
 
     def min_honest_height(self) -> int:
-        return min(n.dchain_height for n in self.nodes.values())
+        return min(n.dchain_height for n in self._node_list)
 
     def _update_announced(self, header) -> None:
         if header.height > self._announced[0]:
             self._announced = (header.height, header.id)
 
     def upload(self, header, content, slot: int, origin: int = -1) -> None:
+        """Store the content in the cloud and, if it was new, tell the nodes
+        whose memo holds its commitment: no other node waits for it."""
+        commitment = content.commitment
         if self.env.upload_content(header, content, origin=origin):
-            for node in self.nodes.values():
-                node.content_uploaded(content.commitment, slot)
+            for node in self._node_list:
+                if commitment in node.unavailable:
+                    node.content_uploaded(commitment, slot)
             self.trace.emit(slot, tr.CONTENT_UPLOADED,
-                            commitment=content.commitment, header=header.id)
+                            commitment=commitment, header=header.id)
 
     def broadcast(self, header, slot: int, origin: int = -1) -> None:
         self.env.broadcast_header(header, origin, slot)
@@ -255,12 +262,13 @@ class Simulation:
                           self._s.tolist()))
         self._cursor = 0
         tx_log = self._tx_log()
-        for node in self.nodes.values():
+        nodes = self._node_list
+        for node in nodes:
             node.tx_log = tx_log
         slot = 0
         while slot < horizon:
             if self._heal_slot is not None and slot >= self._heal_slot:
-                for node in self.nodes.values():
+                for node in nodes:
                     node.partition_healed(slot)
                 self._heal_slot = None
 
@@ -286,8 +294,7 @@ class Simulation:
 
             # in honest_ids order: the order of a slot's events in the trace
             # depends on it
-            for n in self.honest_ids:
-                node = self.nodes[n]
+            for node in nodes:
                 if node.wake <= slot:
                     node.settle(slot)
                     node.process_step(slot)
@@ -302,7 +309,7 @@ class Simulation:
 
             slot = self._advance(slot)
 
-        for node in self.nodes.values():
+        for node in nodes:
             node.settle(horizon)
         return self._finalize()
 
@@ -336,7 +343,7 @@ class Simulation:
     def _advance(self, slot: int) -> int:
         nxt = slot + 1
         candidates = [self._busy[self._cursor],
-                      min(node.wake for node in self.nodes.values())]
+                      min(map(attrgetter("wake"), self._node_list))]
         nd = self.env.next_delivery_slot()
         if nd is not None:
             candidates.append(nd)

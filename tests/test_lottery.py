@@ -1,11 +1,14 @@
 """Lottery determinism and the header store's minting discipline."""
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nakasim.lottery import (STREAM_ASSIGN, BpoId, HeaderStore, ReusedBpo,
-                             SlotSampler)
+from nakasim import sapos as sp
+from nakasim.lottery import (STREAM_ASSIGN, BpoId, EquivocationProof,
+                             HeaderStore, ReusedBpo, SlotSampler)
 
 
 def make_sampler(seed=7, beta=0.25, rho=0.1, spv=0.0):
@@ -148,6 +151,41 @@ def test_pow_single_spend():
         store.pow_extend(b, store.genesis.id, store.make_content().commitment)
 
 
+def test_an_opportunity_is_its_own_key():
+    """A BpoId hashes and compares as the tuple (slot, node, honest, seq),
+    so the store, the nodes and the proofs key on it directly: an equal
+    opportunity built apart is the same key everywhere."""
+    b = BpoId(3, 1, True, 0)
+    assert b == (3, 1, True, 0) and hash(b) == hash((3, 1, True, 0))
+    assert b == BpoId(slot=3, node=1, honest=True)
+    assert b != BpoId(3, 1, True, 1) and b != BpoId(3, 1, False, 0)
+    assert b != BpoId(3, 2, True, 0) and b != BpoId(4, 1, True, 0)
+    copy = pickle.loads(pickle.dumps(b))      # as a worker process gets it
+    assert type(copy) is BpoId and copy == b
+
+    pow_store = HeaderStore()
+    pow_store.pow_extend(b, 0, pow_store.make_content().commitment)
+    assert pow_store.by_bpo[(3, 1, True, 0)] == [1]
+    with pytest.raises(ReusedBpo, match=r"bpo \(3, 1, True, 0\) already"):
+        pow_store.pow_extend(BpoId(3, 1, True, 0), 0,
+                             pow_store.make_content().commitment)
+
+    store = HeaderStore()
+    commitment = store.make_content().commitment
+    a = store.pos_extend(b, 0, commitment)
+    assert store.pos_extend(BpoId(3, 1, True, 0), 0, commitment) is a
+    twin = store.pos_extend(BpoId(3, 1, True, 0), 0,
+                            store.make_content().commitment)
+    other = store.pos_extend(BpoId(3, 1, True, 1), 0,
+                             store.make_content().commitment)
+    assert store.by_bpo[b] == [a.id, twin.id]
+    carrier = store.pos_extend(BpoId(5, 2, True, 0), a.id,
+                               store.make_content().commitment)
+    for header_b, valid in ((twin, True), (other, False)):
+        proof = EquivocationProof(a.bpo, a.id, header_b.id, target=a.id)
+        assert sp.validate_proof_deadline(store, carrier, proof, 3) is valid
+
+
 def test_pos_equivocation_and_idempotence():
     store = HeaderStore()
     b = BpoId(3, 1, True, 0)
@@ -155,7 +193,7 @@ def test_pos_equivocation_and_idempotence():
     h1 = store.pos_extend(b, store.genesis.id, c1.commitment)
     h2 = store.pos_extend(b, store.genesis.id, c2.commitment)
     assert h1.id != h2.id
-    assert store.by_bpo[b.key()] == [h1.id, h2.id]
+    assert store.by_bpo[b] == [h1.id, h2.id]
     again = store.pos_extend(b, store.genesis.id, c1.commitment)
     assert again.id == h1.id
 

@@ -1,13 +1,17 @@
 """Delivery deadlines, the content cloud, and token-bucket budgets."""
+import heapq
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nakasim import netenv
 from nakasim import params as pm
 from nakasim.lottery import BpoId, Content, HeaderStore
-from nakasim.netenv import (CapacityMeter, CommitmentMismatch, Environment,
-                            Partition, RequestOutcome)
+from nakasim.netenv import (FETCH_SLACK, CapacityMeter, CommitmentMismatch,
+                            Environment, Partition, RequestOutcome)
 from nakasim.sim import Simulation
 from test_trace_digests import attack_scenario
 
@@ -87,7 +91,7 @@ def test_each_broadcast_header_reaches_each_node_once(name):
     env.deliveries_due = deliveries_due
     sim.run()
 
-    queued = Counter((header.id, p) for _, _, p, header in env._queue)
+    queued = Counter((header.id, p) for p, header in due(sys.maxsize))
     assert sent and delivered
     assert max(sent.values()) == 1
     assert delivered + queued == sent
@@ -273,3 +277,126 @@ def test_throttled_slots_paid_late_match_per_slot_requests(rate, paid):
     assert lazy.meters[0].spent_total == polled.meters[0].spent_total
     for env, p in ((polled, paid), (lazy, lazy_paid)):
         assert env.request_content(0, h, p, done)[0] is RequestOutcome.FETCHED
+
+
+# -- the grouped delivery queue -----------------------------------------------
+
+class PerRecipientQueue:
+    """The delivery queue before broadcasts were grouped: one heap entry
+    per (recipient, header), in node order.  Kept as the reference."""
+
+    def __init__(self, node_ids, delay_slots, partition):
+        self.node_ids = tuple(node_ids)
+        self.delay_slots = delay_slots
+        self.partition = partition
+        self._queue = []
+        self._seq = 0
+
+    def broadcast_header(self, header, origin, slot):
+        for p in self.node_ids:
+            if p == origin:
+                continue
+            deliver = slot + self.delay_slots
+            if self.partition is not None and self.partition.blocks(
+                    origin, p, slot):
+                deliver = max(deliver, self.partition.heal_slot)
+            heapq.heappush(self._queue, (deliver, self._seq, p, header))
+            self._seq += 1
+
+    def deliveries_due(self, slot):
+        out = []
+        while self._queue and self._queue[0][0] <= slot:
+            _, _, node, header = heapq.heappop(self._queue)
+            out.append((node, header))
+        return out
+
+    def next_delivery_slot(self):
+        return self._queue[0][0] if self._queue else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_nodes=st.integers(1, 6), delay=st.integers(0, 4),
+       halves=st.none() | st.tuples(st.lists(st.integers(0, 1), min_size=6,
+                                             max_size=6),
+                                    st.integers(0, 25)),
+       sends=st.lists(st.tuples(st.integers(0, 30), st.integers(-1, 5)),
+                      max_size=25))
+def test_grouped_queue_delivers_as_per_recipient_entries(n_nodes, delay,
+                                                         halves, sends):
+    """Random broadcasts from random origins (-1 is the adversary or an SPV
+    miner, and origins may be outside the node set), with or without a
+    partition and its heal: at every slot the grouped queue returns the
+    deliveries and the next delivery slot of a per-recipient heap, and
+    each broadcast adds one entry per delivery slot."""
+    node_ids = [2 * i + 1 for i in range(n_nodes)]    # not 0..n-1
+    partition = None
+    if halves is not None:
+        half_of = {p: halves[0][i] for i, p in enumerate(node_ids)}
+        partition = Partition(half_of, heal_slot=halves[1])
+    env = Environment(node_ids, 1.0, delay, partition)
+    ref = PerRecipientQueue(node_ids, delay, partition)
+    by_slot = {}
+    for k, (slot, origin) in enumerate(sends):
+        by_slot.setdefault(slot, []).append((f"h{k}", 2 * origin + 1))
+    for slot in range(31 + delay + 26):
+        assert env.deliveries_due(slot) == ref.deliveries_due(slot)
+        for header, origin in by_slot.get(slot, ()):
+            before = len(env._queue)
+            env.broadcast_header(header, origin, slot)
+            ref.broadcast_header(header, origin, slot)
+            slots = {deliver for deliver, _, _, h in ref._queue
+                     if h == header}
+            assert len(env._queue) - before == len(slots)
+        assert env.next_delivery_slot() == ref.next_delivery_slot()
+    assert env.next_delivery_slot() is None and not ref._queue
+
+
+# -- the meter's memoized replays ---------------------------------------------
+
+def replayed_completion(rate, paid, slot):
+    done = slot + 1
+    while rate + FETCH_SLACK < 1.0 - paid:
+        paid += rate
+        done += 1
+    return done
+
+
+def replayed_refill(rate, paid, slots):
+    for _ in range(slots):
+        paid += rate
+    return paid
+
+
+def throttled_paid(rate, slots):
+    """What a download banks after `slots` throttled slots from nothing."""
+    return replayed_refill(rate, 0.0, slots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rate=st.sampled_from([0.1, 0.2, 0.3, 0.07, 1.0, 2.0, 1 / 3])
+       | st.integers(3, 12).map(lambda n: (1 - 1e-9) / n)
+       | st.floats(0.01, 2.0),
+       data=st.data())
+def test_memoized_replays_equal_slot_by_slot_replays(rate, data):
+    """`completion_slot` and `refilled` on one meter, asked in turn about
+    paid values that real throttles leave (sums of whole refills from 0.0,
+    the partial of a request) and others, each input asked again after
+    other inputs: every answer equals a slot-by-slot replay bit for bit.
+    0.1 and 0.2 are rates whose sums round, and rates a hair under 1/n put
+    the fetch test at its tolerance."""
+    meter = CapacityMeter(rate)
+    whole = max(1, int(1.0 / rate))
+    paids = data.draw(st.lists(
+        st.just(0.0)
+        | st.integers(0, whole).map(lambda k: throttled_paid(rate, k))
+        | st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=5))
+    asks = data.draw(st.lists(st.tuples(
+        st.integers(0, len(paids) - 1), st.integers(0, 40),
+        st.integers(0, 30)), min_size=1, max_size=30))
+    for i, slot, slots in asks + asks:
+        paid = paids[i]
+        assert meter.completion_slot(paid, slot) == replayed_completion(
+            rate, paid, slot)
+        got, want = meter.refilled(paid, slots), replayed_refill(
+            rate, paid, slots)
+        assert got.hex() == want.hex()

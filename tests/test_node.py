@@ -1,11 +1,17 @@
 """Scheduler policies, budget spending, equivocation blanking, and the
 confirmed ledger of a single honest node."""
+from collections import Counter
+
 import pytest
 from conftest import Rig
 
+from nakasim import netenv
+from nakasim import node as nd
 from nakasim import params as pm
 from nakasim import trace as tr
-from nakasim.lottery import BlockHeader, BpoId
+from nakasim.lottery import BlockHeader, BpoId, EquivocationProof
+from nakasim.sim import Simulation
+from test_trace_digests import matrix_scenario
 
 
 def test_prefix_first_processing():
@@ -53,6 +59,100 @@ def test_rogue_header_with_stale_opportunity_rejected():
                                  rig.store.make_content().commitment)
     assert rig.node.on_header(child, 7) == []
     assert child.id not in rig.node.seen_order
+
+
+def counted_validations(monkeypatch) -> Counter:
+    """Count `Node._validate` calls per header id, on every node."""
+    checked = Counter()
+    validate = nd.Node._validate
+
+    def counting(node, h):
+        checked[h.id] += 1
+        return validate(node, h)
+    monkeypatch.setattr(nd.Node, "_validate", counting)
+    return checked
+
+
+def test_a_header_verdict_is_computed_once_per_simulation(monkeypatch):
+    """On a PoS teaser run every honest node receives the same headers, and
+    each header is validated once: the nodes share its verdict."""
+    checked = counted_validations(monkeypatch)
+    sim = Simulation(pm.scenario_from_dict(
+        matrix_scenario(pm.PROTOCOL_POS, pm.POLICY_LONGEST_HEADER_CHAIN)))
+    sim.run()
+    delivered = Counter(ev.data["header"]
+                        for ev in sim.trace.of_kind(tr.HEADER_DELIVERED))
+    assert max(delivered.values()) == len(sim.honest_ids)
+    assert delivered.keys() <= checked.keys()
+    assert set(checked.values()) == {1}
+    assert sim.store.verdicts == {None: dict.fromkeys(checked, True)}
+
+
+def test_rogue_headers_are_rejected_by_every_node_of_a_simulation(monkeypatch):
+    """Two headers that only the intake checks catch reach every node of one
+    SaPoS simulation: one with a stale production opportunity, placed in
+    the store without being minted, and one whose proof targets a block
+    more than k_epf blocks below it.  Each is validated once, and every
+    node rejects both and records them in its own invalid set."""
+    checked = counted_validations(monkeypatch)
+    sim = Simulation(pm.scenario_from_dict({
+        "sim": {"n_nodes": 4, "tau": 0.1, "delta_h": 0.2, "c_tilde": 0.5,
+                "beta": 0.0, "rho": 1e-9, "capacity": 1.0,
+                "horizon_slots": 100, "seed": 1},
+        "protocol": pm.PROTOCOL_SAPOS}))
+    store, k_epf = sim.store, sim.scenario.sapos.k_epf
+
+    def mint(parent, slot, node=1, proofs=()):
+        return store.pos_extend(BpoId(slot, node, True, 0), parent.id,
+                                store.make_content().commitment, proofs)
+
+    offender = mint(store.genesis, 1, node=5)
+    twin = mint(store.genesis, 1, node=5)
+    proof = EquivocationProof(offender.bpo, offender.id, twin.id,
+                              target=offender.id)
+    chain = [offender]
+    for i in range(k_epf + 1):
+        chain.append(mint(chain[-1], 2 + i))
+    late = mint(chain[-1], 30, proofs=(proof,))
+    stale = BlockHeader(id=999, parent_id=chain[1].id,
+                        bpo=BpoId(2, 2, True, 0), height=chain[1].height + 1,
+                        commitment=store.make_content().commitment)
+    store.headers[stale.id] = stale   # bypasses the store's mint checks
+    for header in (stale, late):
+        sim.push_to_honest(header, 40)
+    for node in sim.nodes.values():
+        assert node.invalid == {stale.id, late.id}
+        assert node.dchain_tip not in node.invalid
+        assert not node.invalid & node.seen_order.keys()
+        assert chain[-1].id in node.seen_order
+    assert checked[stale.id] == checked[late.id] == 1
+    assert set(checked.values()) == {1}
+
+
+def test_nodes_checking_other_rules_do_not_share_a_verdict():
+    """A proof 3 blocks above its target is late for k_epf 2 and timely for
+    k_epf 4; a PoS node checks no proofs.  Each node of one store reaches
+    its own verdict, whichever of them meets the header first."""
+    for first in range(3):
+        rig = Rig(protocol=pm.PROTOCOL_SAPOS, k_epf=2)
+        nodes = [rig.node] + [
+            nd.Node(n, rig.store, netenv.Environment([n], 1.0, 0), rig.trace,
+                    pm.POLICY_LONGEST_HEADER_CHAIN, protocol, 2, 4, rig.sink,
+                    nd.HonestFront())
+            for n, protocol in ((1, pm.PROTOCOL_SAPOS),
+                                (2, pm.PROTOCOL_POS))]
+        off_a, _ = rig.grow(rig.store.genesis, 1, node_id=5, pos=True)
+        off_b, _ = rig.grow(rig.store.genesis, 1, node_id=5, pos=True)
+        proof = EquivocationProof(off_a.bpo, off_a.id, off_b.id,
+                                  target=off_a.id)
+        chain = rig.chain(3, start_slot=2, parent=off_a, pos=True)
+        carrier, _ = rig.grow(chain[-1], 8, pos=True, proofs=(proof,))
+        for node in nodes[first:] + nodes[:first]:
+            node.on_header(carrier, 9)
+        assert [carrier.id in node.invalid for node in nodes] == [
+            True, False, False]
+        assert [carrier.id in node.seen_order for node in nodes] == [
+            False, True, True]
 
 
 def test_longest_header_chain_falls_back_when_content_dries_up():
@@ -173,11 +273,10 @@ def test_reorg_releases_only_the_orphaned_transactions():
 
 
 def test_sapos_intake_rejects_late_proof():
-    from nakasim.lottery import EquivocationProof
     rig = Rig(protocol=pm.PROTOCOL_SAPOS, k_epf=2, k_conf=7)
     off_a, _ = rig.grow(rig.store.genesis, 1, node_id=5, pos=True)
     off_b, _ = rig.grow(rig.store.genesis, 1, node_id=5, pos=True)
-    proof = EquivocationProof(off_a.bpo.key(), off_a.id, off_b.id,
+    proof = EquivocationProof(off_a.bpo, off_a.id, off_b.id,
                               target=off_a.id)
     chain = [off_a]
     for i in range(4):

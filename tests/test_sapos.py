@@ -29,7 +29,7 @@ def chain_on(store, parent, length, start_slot):
 def test_proof_deadline_boundary():
     store = HeaderStore()
     offender, twin = equivocating_pair(store)
-    proof = EquivocationProof(offender.bpo.key(), offender.id, twin.id,
+    proof = EquivocationProof(offender.bpo, offender.id, twin.id,
                               target=offender.id)
     k_epf = 3
     # carriers at depth 0..k_epf above the target are valid, one more is not
@@ -42,7 +42,7 @@ def test_proof_deadline_boundary():
 def test_proof_target_must_be_on_carrier_chain():
     store = HeaderStore()
     offender, twin = equivocating_pair(store)
-    proof = EquivocationProof(offender.bpo.key(), offender.id, twin.id,
+    proof = EquivocationProof(offender.bpo, offender.id, twin.id,
                               target=offender.id)
     # carrier extends the twin, not the offender
     side = chain_on(store, twin, 1, start_slot=10)[0]
@@ -54,13 +54,13 @@ def test_proof_needs_real_equivocation():
     offender, twin = equivocating_pair(store)
     other_block = chain_on(store, store.genesis, 1, start_slot=5)[0]
     carrier = chain_on(store, offender, 1, start_slot=10)[0]
-    same = EquivocationProof(offender.bpo.key(), offender.id, offender.id,
+    same = EquivocationProof(offender.bpo, offender.id, offender.id,
                              target=offender.id)
     assert not sp.validate_proof_deadline(store, carrier, same, 3)
-    unrelated = EquivocationProof(offender.bpo.key(), offender.id,
+    unrelated = EquivocationProof(offender.bpo, offender.id,
                                   other_block.id, target=offender.id)
     assert not sp.validate_proof_deadline(store, carrier, unrelated, 3)
-    off_target = EquivocationProof(offender.bpo.key(), offender.id, twin.id,
+    off_target = EquivocationProof(offender.bpo, offender.id, twin.id,
                                    target=other_block.id)
     assert not sp.validate_proof_deadline(store, carrier, off_target, 3)
 
@@ -79,7 +79,7 @@ def twins(rig, honest):
 
 def proven(rig, offender, twin):
     """Two blocks on `offender`, the first carrying the proof against it."""
-    proof = EquivocationProof(offender.bpo.key(), offender.id, twin.id,
+    proof = EquivocationProof(offender.bpo, offender.id, twin.id,
                               target=offender.id)
     carrier, _ = rig.grow(offender, 10, pos=True, proofs=(proof,))
     return [carrier, rig.grow(carrier, 11, pos=True)[0]]

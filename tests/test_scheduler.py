@@ -42,7 +42,7 @@ class ReferenceNode(nd.Node):
     def _insert(self, h, slot):
         self.seen_order[h.id] = len(self.seen_order)
 
-        seen = self.bpo_seen.setdefault(h.bpo.key(), [])
+        seen = self.bpo_seen.setdefault(h.bpo, [])
         seen.append(h.id)
         if len(seen) == 2:
             self.trace.emit(slot, tr.EQUIVOCATION_SEEN, node=self.id,

@@ -258,14 +258,19 @@ def test_feed_trace_and_contents_digests_are_pinned(name):
     assert any(len(c.txs) >= 6 for c in sim.store.contents.values())
 
 
-def bench_workloads() -> dict:
-    """The benchmark's named workloads (bench/workloads.py)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def load_bench(name: str):
+    """The benchmark's module bench/<name>.py, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module     # for its dataclasses
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
+
+
+def bench_workloads() -> dict:
+    """The benchmark's named workloads (bench/workloads.py)."""
+    return load_bench("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("name", ["tease", "posspam", "secure-tx"])

@@ -12,7 +12,6 @@ whole matrix (288 configurations) runs with
 
     PYTHONPATH=src python tests/test_wakeups.py
 """
-import heapq
 import sys
 
 import numpy as np
@@ -332,9 +331,7 @@ def mint(sim, parent, slot, origin=9, bpo=None, upload=True):
 
 def push(sim, header, node, slot):
     """Queue `header` for delivery to `node` at `slot`."""
-    env = sim.env
-    heapq.heappush(env._queue, (slot, env._seq, node, header))
-    env._seq += 1
+    sim.env.queue_header(header, (node,), slot)
 
 
 def chain(sim, length, slot, origin=9, upload=True):
