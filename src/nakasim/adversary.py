@@ -14,10 +14,10 @@ voids exactly that multiplier, so against a blanking protocol the
 strategy falls back to the single-chain tease and spends occasional
 beaten blocks on equivocations instead.
 
-Every adversary block is minted by `Strategy._block` under the
-simulation's opportunity rule, and every announcement goes through
-`Strategy._announce`.  The simulation produces header-only (SPV) blocks;
-a strategy only tracks those that graft onto its private chain.
+Every adversary block is minted by `Strategy._block` under the run's
+opportunity rule (`HeaderStore.extend`), and every announcement goes
+through `Strategy._announce`.  The simulation produces header-only (SPV)
+blocks; a strategy only tracks those that graft onto its private chain.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ class Strategy:
 
     @property
     def fork_height(self) -> int:
-        return self.store.get(self.fork_id).height
+        return self.store.headers[self.fork_id].height
 
     @property
     def priv_height(self) -> int:
@@ -87,11 +87,11 @@ class Strategy:
                content: Optional[Content] = None,
                private: bool = False) -> BlockHeader:
         """Mint and record one adversary block on `parent` for `bpo`, under
-        the simulation's opportunity rule.  It carries `content`, or else a
-        fresh empty content of the opportunity's node, kept in the store."""
+        the run's opportunity rule.  It carries `content`, or else a fresh
+        empty content of the opportunity's node, kept in the store."""
         if content is None:
             content = self.store.make_content((), producer=bpo.node)
-        header = self.sim.extend(bpo, parent, content.commitment, ())
+        header = self.store.extend(bpo, parent, content.commitment)
         self.sim.record_block(header, slot, "adversary", private=private)
         return header
 
@@ -209,7 +209,7 @@ class PosTeaserAttack(TeaserAttack):
 
     def __init__(self, sim, sacrifice_every: int = 0) -> None:
         super().__init__(sim)
-        self.vs_blanking = sim.protocol == pm.PROTOCOL_SAPOS
+        self.vs_blanking = self.store.protocol == pm.PROTOCOL_SAPOS
         self.sacrifice_every = sacrifice_every
         self.round = 0
         self.revealed: list[Content] = []   # round r first-block contents

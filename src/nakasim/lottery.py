@@ -12,6 +12,8 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
+from .params import PROTOCOL_POW, PROTOCOL_SAPOS
+
 # Stream identifiers for the counter-based generator.  Values are arbitrary
 # but fixed: changing them changes every sampled execution.
 STREAM_HONEST = 0x68
@@ -170,30 +172,34 @@ class Content:
 GENESIS_ID = 0
 
 
-class HeaderStore:
-    """Global append-only registry of headers and contents.
+def _follows(bpo: BpoId, parent: BlockHeader) -> bool:
+    # same-slot chaining is legal when the later win has a higher seq
+    return (bpo.slot, bpo.seq) > (parent.bpo.slot, parent.bpo.seq)
 
-    The store enforces the lottery discipline: PoW spends each opportunity on
-    at most one header, PoS permits equivocation but deduplicates identical
-    (bpo, parent, commitment) triples.
+
+class HeaderStore:
+    """Global append-only registry of headers and contents, and the owner of
+    the run's header rules: it is built with the run's protocol and k_epf.
+
+    `extend` mints every header under the protocol's opportunity rule: PoW
+    spends each opportunity on at most one header, PoS and SaPoS permit
+    equivocation but deduplicate identical (bpo, parent, commitment)
+    triples.  `valid` decides once per header whether it may follow its
+    parent, and every node of the run reads that verdict.
     """
 
-    def __init__(self):
+    def __init__(self, protocol: str = PROTOCOL_POW, k_epf: int = 0):
+        self.protocol = protocol
+        self.k_epf = k_epf
         genesis_bpo = BpoId(slot=-1, node=-1, honest=True, seq=0)
         self.genesis = BlockHeader(GENESIS_ID, None, genesis_bpo, 0, 0)
         self.headers: dict[int, BlockHeader] = {GENESIS_ID: self.genesis}
         self.contents: dict[int, Content] = {0: Content(0, (), -1)}
         self.by_bpo: dict[BpoId, list[int]] = {}
         self._pos_identity: dict[tuple, int] = {}
-        # header id -> whether it may follow its parent (`Node._validate`),
-        # one table per k_epf of the SaPoS nodes, and None for the nodes
-        # that check no proofs
-        self.verdicts: dict[Optional[int], dict[int, bool]] = {}
+        self.verdicts: dict[int, bool] = {}   # header id -> `valid`
         self._next_header = 1
         self._next_commitment = 1
-
-    def get(self, header_id: int) -> BlockHeader:
-        return self.headers[header_id]
 
     def make_content(self, txs: tuple = (), producer: int = -1) -> Content:
         c = Content(self._next_commitment, tuple(txs), producer)
@@ -204,8 +210,7 @@ class HeaderStore:
     def _mint(self, bpo: BpoId, parent_id: int, commitment: int,
               proofs: tuple) -> BlockHeader:
         parent = self.headers[parent_id]
-        # same-slot chaining is legal when the later win has a higher seq
-        if (bpo.slot, bpo.seq) <= (parent.bpo.slot, parent.bpo.seq):
+        if not _follows(bpo, parent):
             raise ValueError("header opportunity must come after its parent's")
         header = BlockHeader(self._next_header, parent_id, bpo,
                              parent.height + 1, commitment, proofs)
@@ -213,6 +218,13 @@ class HeaderStore:
         self.headers[header.id] = header
         self.by_bpo.setdefault(bpo, []).append(header.id)
         return header
+
+    def extend(self, bpo: BpoId, parent_id: int, commitment: int,
+               proofs: tuple = ()) -> BlockHeader:
+        """Mint a header under the run's opportunity rule."""
+        if self.protocol == PROTOCOL_POW:
+            return self.pow_extend(bpo, parent_id, commitment, proofs)
+        return self.pos_extend(bpo, parent_id, commitment, proofs)
 
     def pow_extend(self, bpo: BpoId, parent_id: int, commitment: int,
                    proofs: tuple = ()) -> BlockHeader:
@@ -229,6 +241,40 @@ class HeaderStore:
         header = self._mint(bpo, parent_id, commitment, proofs)
         self._pos_identity[ident] = header.id
         return header
+
+    def valid(self, h: BlockHeader) -> bool:
+        """Whether `h` may follow its parent, decided on the first call for
+        `h` and read from `verdicts` after."""
+        verdict = self.verdicts.get(h.id)
+        if verdict is None:
+            verdict = self.verdicts[h.id] = self._verdict(h)
+        return verdict
+
+    def _verdict(self, h: BlockHeader) -> bool:
+        """Its opportunity comes after its parent's (a header put into
+        `headers` without `_mint` may break the order) and, under SaPoS,
+        each of its proofs meets the deadline."""
+        return _follows(h.bpo, self.headers[h.parent_id]) and (
+            self.protocol != PROTOCOL_SAPOS
+            or all(self.proof_meets_deadline(h, p) for p in h.proofs))
+
+    def proof_meets_deadline(self, carrier: BlockHeader,
+                             proof: EquivocationProof) -> bool:
+        """A proof is valid only if its target sits on the carrier's own
+        chain with at most k_epf blocks strictly between them, and the two
+        evidence headers really are distinct blocks for one production
+        opportunity."""
+        a = self.headers.get(proof.header_a)
+        b = self.headers.get(proof.header_b)
+        if a is None or b is None or a.id == b.id or a.bpo != b.bpo:
+            return False
+        if proof.target not in (a.id, b.id):
+            return False
+        target = self.headers[proof.target]
+        between = carrier.height - target.height - 1
+        if between < 0 or between > self.k_epf:
+            return False
+        return self.ancestor_at(carrier.parent_id, target.height) == target.id
 
     def ancestor_at(self, header_id: int, height: int) -> int:
         h = self.headers[header_id]

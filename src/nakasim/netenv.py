@@ -76,6 +76,11 @@ class CapacityMeter:
             self._slot = slot
         return self.tokens
 
+    def affords(self, remaining: float, slot: int) -> bool:
+        """Whether the tokens available at `slot` pay for `remaining` of a
+        block: the test by which a request fetches."""
+        return self.sync(slot) + FETCH_SLACK >= remaining
+
     def spend_refills(self, through: int) -> int:
         """Spend the whole refill of every slot after the last sync up to
         `through`, as a download throttled in each of them does, starting
@@ -220,12 +225,12 @@ class Environment:
         if not self.content_visible(node, header.commitment, slot):
             return RequestOutcome.UNAVAILABLE, 0.0
         meter = self.meters[node]
-        tokens = meter.sync(slot)
         remaining = 1.0 - already_paid
-        if tokens + FETCH_SLACK >= remaining:
-            meter.spend(min(remaining, tokens))
+        if meter.affords(remaining, slot):
+            meter.spend(min(remaining, meter.tokens))
             self.fetch_count[node] += 1
             return RequestOutcome.FETCHED, remaining
+        tokens = meter.tokens
         if tokens > 0.0:
             meter.spend(tokens)
             return RequestOutcome.THROTTLED, tokens

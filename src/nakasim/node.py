@@ -47,13 +47,13 @@ in turn.  The first member that ranks above it evicts the lowest tip
 instead, and its descendants replace it up to the top.  If none does, the
 tips are left as they were.
 
-Whether a header may be inserted (`_validate`: its production opportunity
-comes after its parent's and, under SaPoS, its proofs meet the deadline)
-depends only on the header, the append-only store and k_epf.  So the first
-node that meets a header computes its verdict once, and every node of the
-store that checks the same rules reads it from `HeaderStore.verdicts`; each
-node still keeps its own `invalid` set.  `bpo_seen` lists the headers seen
-for each production opportunity, keyed by the `BpoId` itself.
+A node asks the store whether a header may be inserted
+(`HeaderStore.valid`): the store owns the run's header rules, decides each
+header once, and every node of the run reads the same verdict.  Each node
+keeps its own `invalid` set, and mints its blocks through the store's
+`extend`.  Its protocol, and so whether it blanks equivocations and
+attaches proofs, is the store's.  `bpo_seen` lists the headers seen for
+each production opportunity, keyed by the `BpoId` itself.
 """
 from __future__ import annotations
 
@@ -90,20 +90,17 @@ class HonestFront:
 
 class Node:
     def __init__(self, node_id: int, store: HeaderStore, env: Environment,
-                 run_trace: tr.Trace, policy: str, protocol: str,
-                 k_conf: int, k_epf: int, audit_sink: AuditSink,
-                 front: HonestFront):
+                 run_trace: tr.Trace, policy: str, k_conf: int,
+                 audit_sink: AuditSink, front: HonestFront):
         self.id = node_id
         self.store = store
         self.headers = store.headers
         self.env = env
         self.trace = run_trace
         self.policy = policy
-        self.protocol = protocol
-        self.sapos = protocol == pm.PROTOCOL_SAPOS
+        self.sapos = store.protocol == pm.PROTOCOL_SAPOS
         self.greedy = policy == pm.POLICY_GREEDY
         self.k_conf = k_conf
-        self.k_epf = k_epf
         self.audit_sink = audit_sink
         self.front = front
 
@@ -113,10 +110,6 @@ class Node:
         self.blanked: set[int] = set()
         self.invalid: set[int] = set()
         self.bpo_seen: dict[BpoId, list[int]] = {}
-        # header id -> verdict of `_validate`, shared by every node of the
-        # store that checks the same rules: no proofs, or one k_epf
-        self._verdicts = store.verdicts.setdefault(
-            k_epf if self.sapos else None, {})
 
         self.tips: dict[int, tuple] = {}            # tip id -> policy key
         self._order: list[tuple[tuple, int]] = []   # (key, tip id), ascending
@@ -179,12 +172,11 @@ class Node:
             chain.append(h)
             h = headers[h.parent_id]
         chain.reverse()
-        verdicts = self._verdicts
+        # `valid` returns a verdict the store holds; reading it here saves
+        # a call per header
+        verdicts, valid = self.store.verdicts, self.store.valid
         for i, h in enumerate(chain):
-            valid = verdicts.get(h.id)
-            if valid is None:
-                valid = verdicts[h.id] = self._validate(h)
-            if not valid:
+            if not (verdicts.get(h.id) or valid(h)):
                 invalid.add(h.id)
                 del chain[i:]
                 break
@@ -219,21 +211,6 @@ class Node:
     def _wake_now(self, slot: int) -> None:
         self.wake = slot
         self._kept = None
-
-    def _validate(self, h: BlockHeader) -> bool:
-        """Whether `h` may follow its parent: its production opportunity
-        comes after the parent's, and under SaPoS each of its proofs is
-        within the deadline.  It reads only the header, the append-only
-        store and k_epf, so `on_header` computes it once per header and
-        shares it (`_verdicts`)."""
-        parent = self.headers[h.parent_id]
-        if (h.bpo.slot, h.bpo.seq) <= (parent.bpo.slot, parent.bpo.seq):
-            return False
-        if self.sapos:
-            for proof in h.proofs:
-                if not sp.validate_proof_deadline(self.store, h, proof, self.k_epf):
-                    return False
-        return True
 
     def _insert_chain(self, chain: list[BlockHeader], slot: int) -> list[int]:
         """Insert valid headers, each the parent of the next, the first a
@@ -570,9 +547,8 @@ class Node:
         txs = self._take_txs(slot)
         proofs = sp.attach_proofs(self) if self.sapos else ()
         content = self.store.make_content(txs, producer=self.id)
-        extend = (self.store.pow_extend if self.protocol == pm.PROTOCOL_POW
-                  else self.store.pos_extend)
-        header = extend(bpo, self.dchain_tip, content.commitment, proofs)
+        header = self.store.extend(bpo, self.dchain_tip, content.commitment,
+                                   proofs)
         for proof in proofs:
             self.trace.emit(slot, tr.PROOF_INCLUDED, node=self.id,
                             carrier=header.id, target=proof.target,

@@ -4,8 +4,10 @@ Equivocation handling has two layers: at the scheduler, a node that has
 seen two headers for one production opportunity treats the block as empty
 and skips its download; at the ledger, a produced block may carry an
 equivocation proof that retroactively blanks the offender's content.
-Proofs must land within a bounded number of blocks of the offense or the
-content stands.
+Proofs must land within k_epf blocks of the offense or the content
+stands; the deadline is one of the header rules the store owns
+(`HeaderStore.proof_meets_deadline`), and a carrier whose proof misses it
+is invalid.
 
 The model assumes two rules on application payloads that keep
 pretend-empty safe: no transaction may condition on block content that a
@@ -17,30 +19,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .lottery import BlockHeader, EquivocationProof, HeaderStore
+from .lottery import BlockHeader, EquivocationProof
 
 if TYPE_CHECKING:
     from .node import Node
-
-
-def validate_proof_deadline(store: HeaderStore, carrier: BlockHeader,
-                            proof: EquivocationProof, k_epf: int) -> bool:
-    """A proof is valid only if its target sits on the carrier's own chain
-    with at most k_epf blocks strictly between them, and the two evidence
-    headers really are distinct blocks for one production opportunity."""
-    a = store.headers.get(proof.header_a)
-    b = store.headers.get(proof.header_b)
-    if a is None or b is None or a.id == b.id:
-        return False
-    if a.bpo != b.bpo:
-        return False
-    if proof.target not in (a.id, b.id):
-        return False
-    target = store.get(proof.target)
-    between = carrier.height - target.height - 1
-    if between < 0 or between > k_epf:
-        return False
-    return store.ancestor_at(carrier.parent_id, target.height) == target.id
 
 
 def attach_proofs(node: "Node") -> tuple:
@@ -50,12 +32,12 @@ def attach_proofs(node: "Node") -> tuple:
     carrying header exists."""
     chain = node.dchain
     height = len(chain)
-    window = chain[max(0, height - node.k_epf - 1):]
+    window = chain[max(0, height - node.store.k_epf - 1):]
     proofs = []
     for hid in window:
         if hid in node.proofed_targets:
             continue
-        h = node.store.get(hid)
+        h = node.headers[hid]
         seen = node.bpo_seen.get(h.bpo, ())
         if len(seen) >= 2:
             other = next(x for x in seen if x != hid)

@@ -87,6 +87,8 @@ C_TILDE_LO = 1.0
 C_TILDE_HI = 1e5
 GRID_POINTS = 512
 REFINE_TOL = 1e-10
+K_CP_TAIL_TOL = 1e-3    # the pivot-count tail `choose_k_cp` stays below
+LIVENESS_DELTA = 0.1    # index-to-slot slack of `liveness_latency_refined`
 
 
 def max_rate(beta: float, capacity: float, delta_h: float) -> MaxRateResult:
@@ -134,21 +136,22 @@ def beta_threshold(lambda_growth: float, lambda_honest: float) -> float:
     return lambda_growth / (lambda_growth + lambda_honest)
 
 
-def liveness_latency_refined(k_cp: int, rho: float, t_tput_slots: float,
-                             delta: float = 0.1) -> float:
-    """Latency in slots accounting for queue drain and index-to-time slack:
+def liveness_latency_refined(k_cp: int, rho: float,
+                             t_tput_slots: float) -> float:
+    """Latency in slots accounting for queue drain and index-to-time slack
+    (delta = LIVENESS_DELTA):
     max(T_tput, 2 k_cp / (rho (1 - delta))) + (4 k_cp + 2) / (rho (1 - delta))."""
-    stretch = rho * (1.0 - delta)
+    stretch = rho * (1.0 - LIVENESS_DELTA)
     return (max(t_tput_slots, 2.0 * k_cp / stretch)
             + (4.0 * k_cp + 2.0) / stretch)
 
 
-def choose_k_cp(p_g: float, tol: float = 1e-3) -> int:
+def choose_k_cp(p_g: float) -> int:
     """Desk-scale recurrence distance: the smallest k with
-    exp(-alpha_pivot * k) < tol, i.e. the dominant concentration factor of
-    the pivot-count tail at full depletion, without union-bound terms.
-    The full two-term bound needs horizons far beyond desk runs."""
-    return max(1, math.ceil(math.log(1.0 / tol) / alpha_pivot(p_g)))
+    exp(-alpha_pivot * k) < K_CP_TAIL_TOL, i.e. the dominant concentration
+    factor of the pivot-count tail at full depletion, without union-bound
+    terms.  The full two-term bound needs horizons far beyond desk runs."""
+    return max(1, math.ceil(math.log(1.0 / K_CP_TAIL_TOL) / alpha_pivot(p_g)))
 
 
 def bounded_delay_reference_rate(beta: float, delay: float) -> float:

@@ -5,8 +5,9 @@ Slot order: due header deliveries, lottery draws and block production,
 adversary reactions, then node processing against this slot's budget.
 A slot's wins go to three producers: honest nodes (`_honest_produce`),
 the adversary strategy (`Strategy.on_adversary_bpo`) and header-only SPV
-miners (`_spv_produce`); the last two mint under the opportunity rule
-bound once as `extend`.
+miners (`_spv_produce`).  All three mint through `HeaderStore.extend`: the
+store is built with the run's protocol and k_epf, and owns its header
+rules.
 The loop visits only slots where something happens: a lottery win, a queued
 delivery, the partition heal, or a node's wake slot.  The lottery is drawn
 before the run, which walks its busy slots with a cursor.  A node is
@@ -32,7 +33,7 @@ from . import adversary as adv
 from . import params as pm
 from . import trace as tr
 from .lottery import BpoId, HeaderStore, SlotSampler, _slot_gen, STREAM_ANALYSIS
-from .netenv import FETCH_SLACK, Environment, Partition
+from .netenv import Environment, Partition
 from .node import HonestFront, Node
 
 SPV_NODE = -2   # the producer of header-only blocks
@@ -58,7 +59,7 @@ class AuditSink:
             self.blank_status[block] = blanked
         elif prev != blanked:
             self.blank_conflicts.append((block, node, slot))
-        if blanked and self.store.get(block).bpo.honest:
+        if blanked and self.store.headers[block].bpo.honest:
             self.honest_blanked.append((block, node, slot))
 
     def note_missing_content(self, node: int, block: int, slot: int) -> None:
@@ -117,12 +118,9 @@ class Simulation:
         self.scenario = scenario
         self.params = scenario.sim
         self.seed = self.params.seed if seed is None else seed
-        self.protocol = scenario.protocol
         p = self.params
 
-        self.store = HeaderStore()
-        self.extend = (self.store.pow_extend if self.protocol == pm.PROTOCOL_POW
-                       else self.store.pos_extend)
+        self.store = HeaderStore(scenario.protocol, scenario.sapos.k_epf)
         self.trace = tr.Trace(enabled=record_trace)
         self.trace.emit(0, tr.META, scenario=pm.scenario_to_dict(scenario),
                         seed=self.seed, nu=p.nu, c_tilde=p.c_tilde, tau=p.tau,
@@ -147,8 +145,7 @@ class Simulation:
         self.front = HonestFront()
         self.nodes = {
             n: Node(n, self.store, self.env, self.trace, scenario.policy,
-                    scenario.protocol, scenario.k_conf, scenario.sapos.k_epf,
-                    self.sink, self.front)
+                    scenario.k_conf, self.sink, self.front)
             for n in self.honest_ids}
         # the nodes in honest_ids order, for the loops over all of them
         self._node_list = list(self.nodes.values())
@@ -326,7 +323,7 @@ class Simulation:
         with an empty block, available at once; SPV wins never count as
         honest, and the strategy sees them graft onto its private chain."""
         content = self.store.make_content((), producer=SPV_NODE)
-        header = self.extend(bpo, self._announced[1], content.commitment, ())
+        header = self.store.extend(bpo, self._announced[1], content.commitment)
         self.record_block(header, slot, "spv")
         self.upload(header, content, slot)
         self.broadcast(header, slot)
@@ -335,7 +332,7 @@ class Simulation:
     def _check_non_idleness(self, node: Node, slot: int) -> None:
         # a step that leaves tokens for a whole block, by the test
         # `request_content` makes, must also leave no target
-        if self.env.meters[node.id].sync(slot) + FETCH_SLACK < 1.0:
+        if not self.env.meters[node.id].affords(1.0, slot):
             return
         if node.schedule_target(slot) is not None:
             self.sink.note_idle(node.id, slot)
@@ -358,7 +355,7 @@ class Simulation:
         common = tips[0]
         for t in tips[1:]:
             common = self.store.common_ancestor(common, t)
-        return self.store.get(common).height
+        return self.store.headers[common].height
 
     def _finalize(self) -> RunMetrics:
         p = self.params

@@ -31,13 +31,12 @@ class Rig:
     def __init__(self, rate=1.0, delay_slots=0,
                  policy=pm.POLICY_LONGEST_HEADER_CHAIN,
                  protocol=pm.PROTOCOL_POW, k_conf=2, k_epf=4, partition=None):
-        self.store = HeaderStore()
+        self.store = HeaderStore(protocol, k_epf)
         self.env = netenv.Environment([0], rate, delay_slots, partition)
         self.trace = tr.Trace()
         self.sink = AuditSink(self.store)
         self.node = nd.Node(0, self.store, self.env, self.trace,
-                            policy, protocol, k_conf, k_epf, self.sink,
-                            nd.HonestFront())
+                            policy, k_conf, self.sink, nd.HonestFront())
 
     def grow(self, parent, slot, node_id=1, seq=0, txs=(), upload=True,
              honest=True, proofs=(), pos=False):

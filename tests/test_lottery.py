@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nakasim import sapos as sp
 from nakasim.lottery import (STREAM_ASSIGN, BpoId, EquivocationProof,
                              HeaderStore, ReusedBpo, SlotSampler)
+from nakasim.params import PROTOCOL_POW, PROTOCOL_SAPOS, PROTOCOLS
 
 
 def make_sampler(seed=7, beta=0.25, rho=0.1, spv=0.0):
@@ -151,6 +151,25 @@ def test_pow_single_spend():
         store.pow_extend(b, store.genesis.id, store.make_content().commitment)
 
 
+def test_extend_applies_the_stores_opportunity_rule():
+    """`extend` spends a PoW opportunity once, and under PoS and SaPoS mints
+    an equivocation and returns an identical header as it is."""
+    b = BpoId(3, 1, True, 0)
+    for protocol in PROTOCOLS:
+        store = HeaderStore(protocol)
+        commitment = store.make_content().commitment
+        a = store.extend(b, store.genesis.id, commitment)
+        twin_commitment = store.make_content().commitment
+        if protocol == PROTOCOL_POW:
+            with pytest.raises(ReusedBpo):
+                store.extend(b, store.genesis.id, twin_commitment)
+            assert store.by_bpo[b] == [a.id]
+            continue
+        assert store.extend(b, store.genesis.id, commitment) is a
+        twin = store.extend(b, store.genesis.id, twin_commitment)
+        assert store.by_bpo[b] == [a.id, twin.id]
+
+
 def test_an_opportunity_is_its_own_key():
     """A BpoId hashes and compares as the tuple (slot, node, honest, seq),
     so the store, the nodes and the proofs key on it directly: an equal
@@ -170,7 +189,7 @@ def test_an_opportunity_is_its_own_key():
         pow_store.pow_extend(BpoId(3, 1, True, 0), 0,
                              pow_store.make_content().commitment)
 
-    store = HeaderStore()
+    store = HeaderStore(PROTOCOL_SAPOS, k_epf=3)
     commitment = store.make_content().commitment
     a = store.pos_extend(b, 0, commitment)
     assert store.pos_extend(BpoId(3, 1, True, 0), 0, commitment) is a
@@ -183,7 +202,7 @@ def test_an_opportunity_is_its_own_key():
                                store.make_content().commitment)
     for header_b, valid in ((twin, True), (other, False)):
         proof = EquivocationProof(a.bpo, a.id, header_b.id, target=a.id)
-        assert sp.validate_proof_deadline(store, carrier, proof, 3) is valid
+        assert store.proof_meets_deadline(carrier, proof) is valid
 
 
 def test_pos_equivocation_and_idempotence():

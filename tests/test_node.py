@@ -5,11 +5,9 @@ from collections import Counter
 import pytest
 from conftest import Rig
 
-from nakasim import netenv
-from nakasim import node as nd
 from nakasim import params as pm
 from nakasim import trace as tr
-from nakasim.lottery import BlockHeader, BpoId, EquivocationProof
+from nakasim.lottery import BlockHeader, BpoId, EquivocationProof, HeaderStore
 from nakasim.sim import Simulation
 from test_trace_digests import matrix_scenario
 
@@ -61,22 +59,23 @@ def test_rogue_header_with_stale_opportunity_rejected():
     assert child.id not in rig.node.seen_order
 
 
-def counted_validations(monkeypatch) -> Counter:
-    """Count `Node._validate` calls per header id, on every node."""
+def counted_verdicts(monkeypatch) -> Counter:
+    """Count the store's verdict computations (`HeaderStore._verdict`) per
+    header id."""
     checked = Counter()
-    validate = nd.Node._validate
+    verdict = HeaderStore._verdict
 
-    def counting(node, h):
+    def counting(store, h):
         checked[h.id] += 1
-        return validate(node, h)
-    monkeypatch.setattr(nd.Node, "_validate", counting)
+        return verdict(store, h)
+    monkeypatch.setattr(HeaderStore, "_verdict", counting)
     return checked
 
 
 def test_a_header_verdict_is_computed_once_per_simulation(monkeypatch):
     """On a PoS teaser run every honest node receives the same headers, and
-    each header is validated once: the nodes share its verdict."""
-    checked = counted_validations(monkeypatch)
+    the store computes each header's verdict once: the nodes share it."""
+    checked = counted_verdicts(monkeypatch)
     sim = Simulation(pm.scenario_from_dict(
         matrix_scenario(pm.PROTOCOL_POS, pm.POLICY_LONGEST_HEADER_CHAIN)))
     sim.run()
@@ -85,16 +84,16 @@ def test_a_header_verdict_is_computed_once_per_simulation(monkeypatch):
     assert max(delivered.values()) == len(sim.honest_ids)
     assert delivered.keys() <= checked.keys()
     assert set(checked.values()) == {1}
-    assert sim.store.verdicts == {None: dict.fromkeys(checked, True)}
+    assert sim.store.verdicts == dict.fromkeys(checked, True)
 
 
 def test_rogue_headers_are_rejected_by_every_node_of_a_simulation(monkeypatch):
     """Two headers that only the intake checks catch reach every node of one
     SaPoS simulation: one with a stale production opportunity, placed in
     the store without being minted, and one whose proof targets a block
-    more than k_epf blocks below it.  Each is validated once, and every
-    node rejects both and records them in its own invalid set."""
-    checked = counted_validations(monkeypatch)
+    more than k_epf blocks below it.  The store judges each once, and
+    every node rejects both and records them in its own invalid set."""
+    checked = counted_verdicts(monkeypatch)
     sim = Simulation(pm.scenario_from_dict({
         "sim": {"n_nodes": 4, "tau": 0.1, "delta_h": 0.2, "c_tilde": 0.5,
                 "beta": 0.0, "rho": 1e-9, "capacity": 1.0,
@@ -129,30 +128,30 @@ def test_rogue_headers_are_rejected_by_every_node_of_a_simulation(monkeypatch):
     assert set(checked.values()) == {1}
 
 
-def test_nodes_checking_other_rules_do_not_share_a_verdict():
-    """A proof 3 blocks above its target is late for k_epf 2 and timely for
-    k_epf 4; a PoS node checks no proofs.  Each node of one store reaches
-    its own verdict, whichever of them meets the header first."""
-    for first in range(3):
-        rig = Rig(protocol=pm.PROTOCOL_SAPOS, k_epf=2)
-        nodes = [rig.node] + [
-            nd.Node(n, rig.store, netenv.Environment([n], 1.0, 0), rig.trace,
-                    pm.POLICY_LONGEST_HEADER_CHAIN, protocol, 2, 4, rig.sink,
-                    nd.HonestFront())
-            for n, protocol in ((1, pm.PROTOCOL_SAPOS),
-                                (2, pm.PROTOCOL_POS))]
-        off_a, _ = rig.grow(rig.store.genesis, 1, node_id=5, pos=True)
-        off_b, _ = rig.grow(rig.store.genesis, 1, node_id=5, pos=True)
+def test_a_carriers_verdict_follows_its_stores_rules():
+    """One carrier, whose proof sits 3 blocks above its target, is late for
+    a SaPoS store with k_epf 2, timely with k_epf 4, and valid on a PoS
+    store, which checks no proofs."""
+    for protocol, k_epf, valid in ((pm.PROTOCOL_SAPOS, 2, False),
+                                   (pm.PROTOCOL_SAPOS, 4, True),
+                                   (pm.PROTOCOL_POS, 2, True)):
+        store = HeaderStore(protocol, k_epf)
+
+        def mint(parent, slot, node=1, proofs=()):
+            return store.extend(BpoId(slot, node, True, 0), parent.id,
+                                store.make_content().commitment, proofs)
+
+        off_a = mint(store.genesis, 1, node=5)
+        off_b = mint(store.genesis, 1, node=5)
         proof = EquivocationProof(off_a.bpo, off_a.id, off_b.id,
                                   target=off_a.id)
-        chain = rig.chain(3, start_slot=2, parent=off_a, pos=True)
-        carrier, _ = rig.grow(chain[-1], 8, pos=True, proofs=(proof,))
-        for node in nodes[first:] + nodes[:first]:
-            node.on_header(carrier, 9)
-        assert [carrier.id in node.invalid for node in nodes] == [
-            True, False, False]
-        assert [carrier.id in node.seen_order for node in nodes] == [
-            False, True, True]
+        chain = [off_a]
+        for slot in (2, 3, 4):
+            chain.append(mint(chain[-1], slot))
+        carrier = mint(chain[-1], 8, proofs=(proof,))
+        assert carrier.height - off_a.height - 1 == 3
+        assert store.valid(carrier) is valid
+        assert store.verdicts == {carrier.id: valid}
 
 
 def test_longest_header_chain_falls_back_when_content_dries_up():

@@ -1,11 +1,11 @@
-"""Equivocation proofs: the deadline and validity rules of `sapos`, and the
-ledger checks of the in-run audit sink on a node that blanks."""
+"""Equivocation proofs: the deadline and validity rules of a SaPoS header
+store, and the ledger checks of the in-run audit sink on a node that
+blanks."""
 from conftest import Rig
 
 from nakasim import netenv
 from nakasim import node as nd
 from nakasim import params as pm
-from nakasim import sapos as sp
 from nakasim.lottery import BpoId, EquivocationProof, HeaderStore
 
 
@@ -26,43 +26,47 @@ def chain_on(store, parent, length, start_slot):
     return out
 
 
+def sapos_store(k_epf=3):
+    return HeaderStore(pm.PROTOCOL_SAPOS, k_epf)
+
+
 def test_proof_deadline_boundary():
-    store = HeaderStore()
+    k_epf = 3
+    store = sapos_store(k_epf)
     offender, twin = equivocating_pair(store)
     proof = EquivocationProof(offender.bpo, offender.id, twin.id,
                               target=offender.id)
-    k_epf = 3
     # carriers at depth 0..k_epf above the target are valid, one more is not
     chain = chain_on(store, offender, k_epf + 2, start_slot=10)
     for carrier in chain[:k_epf + 1]:
-        assert sp.validate_proof_deadline(store, carrier, proof, k_epf)
-    assert not sp.validate_proof_deadline(store, chain[k_epf + 1], proof, k_epf)
+        assert store.proof_meets_deadline(carrier, proof)
+    assert not store.proof_meets_deadline(chain[k_epf + 1], proof)
 
 
 def test_proof_target_must_be_on_carrier_chain():
-    store = HeaderStore()
+    store = sapos_store()
     offender, twin = equivocating_pair(store)
     proof = EquivocationProof(offender.bpo, offender.id, twin.id,
                               target=offender.id)
     # carrier extends the twin, not the offender
     side = chain_on(store, twin, 1, start_slot=10)[0]
-    assert not sp.validate_proof_deadline(store, side, proof, k_epf=3)
+    assert not store.proof_meets_deadline(side, proof)
 
 
 def test_proof_needs_real_equivocation():
-    store = HeaderStore()
+    store = sapos_store()
     offender, twin = equivocating_pair(store)
     other_block = chain_on(store, store.genesis, 1, start_slot=5)[0]
     carrier = chain_on(store, offender, 1, start_slot=10)[0]
     same = EquivocationProof(offender.bpo, offender.id, offender.id,
                              target=offender.id)
-    assert not sp.validate_proof_deadline(store, carrier, same, 3)
+    assert not store.proof_meets_deadline(carrier, same)
     unrelated = EquivocationProof(offender.bpo, offender.id,
                                   other_block.id, target=offender.id)
-    assert not sp.validate_proof_deadline(store, carrier, unrelated, 3)
+    assert not store.proof_meets_deadline(carrier, unrelated)
     off_target = EquivocationProof(offender.bpo, offender.id, twin.id,
                                    target=other_block.id)
-    assert not sp.validate_proof_deadline(store, carrier, off_target, 3)
+    assert not store.proof_meets_deadline(carrier, off_target)
 
 
 # -- the audit sink's ledger checks -----------------------------------------
@@ -130,8 +134,8 @@ def test_nodes_that_disagree_on_a_blank_are_a_conflict():
     env = netenv.Environment([1], 1.0, 0)
     env.cloud = rig.env.cloud
     other = nd.Node(1, rig.store, env, rig.trace,
-                    pm.POLICY_LONGEST_HEADER_CHAIN, pm.PROTOCOL_SAPOS, 2, 4,
-                    rig.sink, nd.HonestFront())
+                    pm.POLICY_LONGEST_HEADER_CHAIN, 2, rig.sink,
+                    nd.HonestFront())
     run_node(rig.node, [offender, twin] + proven(rig, offender, twin))
     run_node(other, [offender] + rig.chain(2, 20, offender, pos=True))
     assert offender.id in other.processed

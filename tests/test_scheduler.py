@@ -101,7 +101,7 @@ class ReferenceNode(nd.Node):
                     if self.is_done(front):
                         dq.popleft()
                     elif self.sapos and sp.equivocated_in_view(
-                            self, self.store.get(front)):
+                            self, self.store.headers[front]):
                         self._mark_blanked(front, slot)
                         dq.popleft()
                         acted = True
@@ -110,10 +110,10 @@ class ReferenceNode(nd.Node):
                 if not dq:
                     finished.append(tip_id)
                     continue
-                if self.store.get(dq[0]).commitment in self.unavailable:
+                if self.store.headers[dq[0]].commitment in self.unavailable:
                     continue
                 self._drop_tips(finished)
-                return self.store.get(dq[0])
+                return self.store.headers[dq[0]]
             self._drop_tips(finished)
             if not acted:
                 return None
@@ -142,9 +142,8 @@ class ReferenceNode(nd.Node):
         txs = self._take_txs(slot)
         proofs = sp.attach_proofs(self) if self.sapos else ()
         content = self.store.make_content(txs, producer=self.id)
-        extend = (self.store.pow_extend if self.protocol == pm.PROTOCOL_POW
-                  else self.store.pos_extend)
-        header = extend(bpo, self.dchain_tip, content.commitment, proofs)
+        header = self.store.extend(bpo, self.dchain_tip, content.commitment,
+                                   proofs)
         for proof in proofs:
             self.trace.emit(slot, tr.PROOF_INCLUDED, node=self.id,
                             carrier=header.id, target=proof.target,
@@ -169,7 +168,7 @@ class Driven:
                              k_conf=3, k_epf=4)
         if node_cls is not nd.Node:
             rig.node = node_cls(0, rig.store, rig.env, rig.trace, policy,
-                                protocol, 3, 4, rig.sink, nd.HonestFront())
+                                3, rig.sink, nd.HonestFront())
         self.node = node = rig.node
         self.picks: list = []
         self.victims: list = []
@@ -243,7 +242,7 @@ class TreeDriver:
         elif kind == "twin" and self.pos:
             orig = self._pick(sel)
             if orig.parent_id is not None:
-                twin = self._mint(self.rig.store.get(orig.parent_id),
+                twin = self._mint(self.rig.store.headers[orig.parent_id],
                                   withhold=bits & 1, bpo=orig.bpo)
                 node.on_header(twin, self.slot)
                 if bits & 2:
@@ -435,19 +434,20 @@ def _front(node, tip_id):
     blanked, or None when the whole chain is done."""
     front, cur = None, tip_id
     while not node.is_done(cur):
-        front, cur = cur, node.store.get(cur).parent_id
+        front, cur = cur, node.store.headers[cur].parent_id
     return front
 
 
 def _policy_rank(node, tip_id):
     """The policy's priority, recomputed from the node's state."""
-    h = node.store.get(tip_id)
+    h = node.store.headers[tip_id]
     order = -node.seen_order[tip_id]
     if node.policy == pm.POLICY_FRESHEST_BLOCK:
         return (h.bpo.slot, h.height, order)
     if node.policy == pm.POLICY_GREEDY:
         front = _front(node, tip_id)
-        done = h.height if front is None else node.store.get(front).height - 1
+        done = (h.height if front is None
+                else node.store.headers[front].height - 1)
         return (done, h.height, order)
     return (h.height, order)
 
@@ -462,7 +462,7 @@ def test_tip_cap_keeps_the_best_processable_tip(policy, ops, rate):
     def check(candidates, parent):
         processable = [t for t in candidates - {parent}
                        if (f := _front(node, t)) is not None
-                       and node.store.get(f).commitment in cloud]
+                       and node.store.headers[f].commitment in cloud]
         if len(processable) >= 2:
             best = max(processable, key=lambda t: _policy_rank(node, t))
             assert best in node.tips

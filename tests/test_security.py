@@ -100,8 +100,12 @@ def test_cp_condition_boundary():
 
 def test_choose_k_cp():
     assert sec.choose_k_cp(sec.p_good(0.0, 0.005, 3)) == 4
-    assert sec.choose_k_cp(0.99) >= 1
-    assert sec.choose_k_cp(0.9, tol=1e-6) >= sec.choose_k_cp(0.9, tol=1e-3)
+    # the smallest k with exp(-alpha_pivot * k) at most K_CP_TAIL_TOL
+    for p_g in (sec.p_good(0.0, 0.005, 3), 0.6, 0.9, 0.99):
+        k, a = sec.choose_k_cp(p_g), sec.alpha_pivot(p_g)
+        assert k >= 1
+        assert math.exp(-a * k) <= sec.K_CP_TAIL_TOL
+        assert k == 1 or math.exp(-a * (k - 1)) > sec.K_CP_TAIL_TOL
 
 
 def test_max_rate_agrees_with_fine_grid():
@@ -164,11 +168,15 @@ def test_index_time_tail_bounds_production_gaps():
 
 
 def test_liveness_latencies():
-    # with no slack and no queue to drain: (6 k_cp + 2) / rho slots
-    refined = sec.liveness_latency_refined(10, 0.01, 0.0, delta=1e-12)
-    assert refined == pytest.approx(6200.0, rel=1e-9)
+    # max(T_tput, 2 k_cp / s) + (4 k_cp + 2) / s, s = rho (1 - LIVENESS_DELTA)
+    stretch = 0.01 * (1.0 - sec.LIVENESS_DELTA)
+    # no queue to drain: (6 k_cp + 2) / s slots
+    assert sec.liveness_latency_refined(10, 0.01, 0.0) == pytest.approx(
+        62.0 / stretch, rel=1e-12)
     # a dominant throughput drain adds on top of the index-count term
-    assert sec.liveness_latency_refined(10, 0.01, 10_000.0) > 10_000.0
+    assert 20.0 / stretch < 10_000.0
+    assert sec.liveness_latency_refined(10, 0.01, 10_000.0) == pytest.approx(
+        10_000.0 + 42.0 / stretch, rel=1e-12)
 
 
 def test_bounded_delay_reference():

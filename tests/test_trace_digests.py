@@ -6,6 +6,7 @@ a layout must take that kind's compiled line encoder."""
 import hashlib
 import importlib.util
 import json
+import os
 import sys
 import tempfile
 from collections import Counter
@@ -271,6 +272,21 @@ def load_bench(name: str):
 def bench_workloads() -> dict:
     """The benchmark's named workloads (bench/workloads.py)."""
     return load_bench("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["tease", "posspam", "secure-tx"])
+def test_seed_one_of_each_workload_writes_its_recorded_outputs(
+        name, tmp_path, monkeypatch):
+    """The benchmark's oracle, run here: seed 1 of each workload goes
+    through bench/run.py's `run_seed`, as the benchmark runs it, and its
+    trace and report sha256, audit verdicts and sink state equal those
+    recorded in bench/expected.json.  Loading run.py sets up its search
+    path and environment, which are put back afterwards."""
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    run = load_bench("run")
+    got = run.run_seed(bench_workloads()[name], 1, tmp_path)
+    assert got.outputs() == run.load_expected()[name]["seeds"]["1"]
 
 
 @pytest.mark.parametrize("name", ["tease", "posspam", "secure-tx"])

@@ -320,10 +320,8 @@ def mint(sim, parent, slot, origin=9, bpo=None, upload=True):
     `upload` is False; under proof of stake, passing another header's
     `bpo` mints its twin."""
     content = sim.store.make_content(producer=origin)
-    extend = (sim.store.pow_extend if sim.protocol == pm.PROTOCOL_POW
-              else sim.store.pos_extend)
-    header = extend(bpo or BpoId(slot, 100 + origin, False, 0), parent.id,
-                    content.commitment)
+    header = sim.store.extend(bpo or BpoId(slot, 100 + origin, False, 0),
+                              parent.id, content.commitment)
     if upload:
         sim.env.upload_content(header, content, origin=origin)
     return header
@@ -463,7 +461,7 @@ def test_a_pass_that_blanks_and_reorders_tips_replans_next_slot():
     the node must not sleep until a1's download completes."""
     def script(sim):
         top = chain(sim, 4, slot=0)
-        twins = [mint(sim, sim.store.get(h.parent_id), 0, bpo=h.bpo)
+        twins = [mint(sim, sim.store.headers[h.parent_id], 0, bpo=h.bpo)
                  for h in top]
         a = chain(sim, 3, slot=0, origin=8)
         c = mint(sim, top[0], 5, origin=7)
@@ -603,7 +601,7 @@ def rebuilt_chain_state(node):
     chain, as every chain switch used to."""
     proofed, txids = set(), set()
     for hid in node.dchain:
-        h = node.store.get(hid)
+        h = node.store.headers[hid]
         proofed.update(proof.target for proof in h.proofs)
         if hid in node.processed:
             txids.update(t[0] for t in node.store.contents[h.commitment].txs)
@@ -627,7 +625,7 @@ def test_chain_counts_match_a_rebuild_after_every_switch(protocol, attack,
             tip = node.dchain_tip
             inner(header_id, slot)
             if node.dchain_tip != tip:
-                switches += node.store.get(header_id).parent_id != tip
+                switches += node.store.headers[header_id].parent_id != tip
                 assert (set(node.proofed_targets),
                         set(node.included_txids)) == rebuilt_chain_state(node)
         node._after_processed = after
