@@ -103,21 +103,19 @@ class SlotSampler:
         """Attach winners to node indices; seq orders same-class wins."""
         if h_count == 0 and a_count == 0:
             return ()
-        gen = self._assign_gen(slot)
-        bpos = []
-        if h_count:
-            picks = gen.integers(0, len(self.honest_nodes), size=h_count)
-            for seq, p in enumerate(picks):
-                bpos.append(BpoId(slot, self.honest_nodes[int(p)], True, seq))
-        if a_count:
-            n_adv = max(1, len(self.adversary_nodes))
-            picks = gen.integers(0, n_adv, size=a_count)
-            # adversary seqs continue after honest ones so same-slot chains
-            # across classes keep a strict (slot, seq) order
-            for k, p in enumerate(picks):
-                node = (self.adversary_nodes[int(p)]
-                        if self.adversary_nodes else -1)
-                bpos.append(BpoId(slot, node, False, h_count + k))
+        # one scalar draw per winner picks what one `size=count` draw
+        # would (a bound below 2**32 takes one 32-bit output either way),
+        # without numpy's cost of handling a size
+        draw = self._assign_gen(slot).integers
+        honest, adversary = self.honest_nodes, self.adversary_nodes
+        bpos = [BpoId(slot, honest[draw(0, len(honest))], True, seq)
+                for seq in range(h_count)]
+        # adversary seqs continue after honest ones so same-slot chains
+        # across classes keep a strict (slot, seq) order; without adversary
+        # nodes the sentinel -1 skips a draw below 1, which takes no output
+        bpos += [BpoId(slot, adversary[draw(0, len(adversary))]
+                       if adversary else -1, False, seq)
+                 for seq in range(h_count, h_count + a_count)]
         return tuple(bpos)
 
     def _assign_gen(self, slot: int) -> np.random.Generator:

@@ -226,9 +226,9 @@ class Node:
             else:
                 seen.append(h.id)
                 if len(seen) == 2:
-                    self.trace.emit(slot, tr.EQUIVOCATION_SEEN, node=self.id,
-                                    bpo_slot=h.bpo.slot, bpo_node=h.bpo.node,
-                                    bpo_seq=h.bpo.seq, headers=list(seen))
+                    self.trace.emit(slot, tr.EQUIVOCATION_SEEN, self.id,
+                                    h.bpo.slot, h.bpo.node, h.bpo.seq,
+                                    list(seen))
             ids.append(h.id)
 
         # the top inherits the parent tip's pending queue and the kept plan
@@ -418,8 +418,8 @@ class Node:
                 continue
             if outcome is RequestOutcome.FETCHED:
                 self.partial.pop(target.id, None)
-                self.trace.emit(slot, tr.CONTENT_FETCHED, node=self.id,
-                                header=target.id, via="request", paid=newly)
+                self.trace.emit(slot, tr.CONTENT_FETCHED, self.id,
+                                target.id, "request", newly)
                 self._mark_processed(target.id, slot)
                 continue
             # throttled: bank the partial payment, keep the task warm
@@ -457,7 +457,7 @@ class Node:
     def _mark_blanked(self, header_id: int, slot: int) -> None:
         self._kept = None
         self.blanked.add(header_id)
-        self.trace.emit(slot, tr.PRETEND_EMPTY, node=self.id, header=header_id)
+        self.trace.emit(slot, tr.PRETEND_EMPTY, self.id, header_id)
         self._after_processed(header_id, slot)
 
     def _mark_processed(self, header_id: int, slot: int) -> None:
@@ -488,9 +488,8 @@ class Node:
             self._count_chain_block(blk, 1)
         if h.height > self.front.height:
             self.front.height = h.height
-        self.trace.emit(slot, tr.CHAIN_SWITCHED, node=self.id, old=old_tip,
-                        new=h.id, height=h.height,
-                        switch=h.parent_id != old_tip)
+        self.trace.emit(slot, tr.CHAIN_SWITCHED, self.id, old_tip, h.id,
+                        h.height, h.parent_id != old_tip)
         self._update_ledger(slot)
 
     def _count_chain_block(self, h: BlockHeader, step: int) -> None:
@@ -521,8 +520,7 @@ class Node:
         start = self.confirmed_len if new_len > self.confirmed_len else 0
         self.confirmed_len = new_len
         self.confirmed_tip = new_tip
-        self.trace.emit(slot, tr.LEDGER_OUTPUT, node=self.id, len=new_len,
-                        tip=new_tip)
+        self.trace.emit(slot, tr.LEDGER_OUTPUT, self.id, new_len, new_tip)
         for idx in range(start, new_len):
             self._check_confirmed(self.dchain[idx], slot)
 
@@ -533,7 +531,7 @@ class Node:
             return
         blanked = header_id in self.proofed_targets
         if blanked and not self._ledger_blanked.get(header_id, False):
-            self.trace.emit(slot, tr.BLANKED, node=self.id, block=header_id)
+            self.trace.emit(slot, tr.BLANKED, self.id, header_id)
         self._ledger_blanked[header_id] = blanked
         self.audit_sink.note_blank_status(self.id, header_id, blanked, slot)
         if not blanked and header_id not in self.processed:
@@ -550,9 +548,8 @@ class Node:
         header = self.store.extend(bpo, self.dchain_tip, content.commitment,
                                    proofs)
         for proof in proofs:
-            self.trace.emit(slot, tr.PROOF_INCLUDED, node=self.id,
-                            carrier=header.id, target=proof.target,
-                            other=proof.header_b)
+            self.trace.emit(slot, tr.PROOF_INCLUDED, self.id, header.id,
+                            proof.target, proof.header_b)
         evictions = self.tip_evictions
         self._insert_chain([header], slot)
         self.processed.add(header.id)

@@ -185,8 +185,7 @@ class Simulation:
             for node in self._node_list:
                 if commitment in node.unavailable:
                     node.content_uploaded(commitment, slot)
-            self.trace.emit(slot, tr.CONTENT_UPLOADED,
-                            commitment=commitment, header=header.id)
+            self.trace.emit(slot, tr.CONTENT_UPLOADED, commitment, header.id)
 
     def broadcast(self, header, slot: int, origin: int = -1) -> None:
         self.env.broadcast_header(header, origin, slot)
@@ -197,11 +196,9 @@ class Simulation:
         """Trace one production: every field but the producer's class and
         whether the block is withheld is read from the header."""
         bpo = header.bpo
-        self.trace.emit(slot, tr.BLOCK_PRODUCED, producer=bpo.node,
-                        header=header.id, parent=header.parent_id,
-                        height=header.height, bpo_slot=bpo.slot,
-                        bpo_node=bpo.node, bpo_seq=bpo.seq, cls=cls,
-                        private=private)
+        self.trace.emit(slot, tr.BLOCK_PRODUCED, bpo.node, header.id,
+                        header.parent_id, header.height, bpo.slot, bpo.node,
+                        bpo.seq, cls, private)
 
     def push_to_honest(self, header, slot: int) -> None:
         for n in self.honest_ids:
@@ -212,8 +209,8 @@ class Simulation:
         """Hand `header` to one honest node, and trace the delivery if the
         node inserted it."""
         if header.id in self.nodes[node_id].on_header(header, slot):
-            self.trace.emit(slot, tr.HEADER_DELIVERED, node=node_id,
-                            header=header.id, pushed=pushed)
+            self.trace.emit(slot, tr.HEADER_DELIVERED, node_id, header.id,
+                            pushed)
 
     # -- lottery precomputation -------------------------------------------
 
@@ -278,8 +275,8 @@ class Simulation:
                 h_cnt, a_cnt, s_cnt = counts[self._cursor]
                 self._cursor += 1
                 bpos = self.sampler.assign(slot, h_cnt, a_cnt)
-                self.trace.emit(slot, tr.BPO, h=h_cnt, a=a_cnt, s=s_cnt,
-                                winners=[[b.node, b.honest] for b in bpos])
+                self.trace.emit(slot, tr.BPO, h_cnt, a_cnt, s_cnt,
+                                [[b.node, b.honest] for b in bpos])
                 for bpo in bpos:
                     if bpo.honest:
                         self._honest_produce(bpo, slot)
@@ -302,7 +299,7 @@ class Simulation:
                 self._last_lead = lead
                 if self._max_lead is None or lead > self._max_lead:
                     self._max_lead = lead
-                self.trace.emit(slot, tr.LEAD_SAMPLE, lead=lead)
+                self.trace.emit(slot, tr.LEAD_SAMPLE, lead)
 
             slot = self._advance(slot)
 

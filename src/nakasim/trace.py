@@ -7,19 +7,29 @@ encodes one event through the module-level `_ENCODER`: it is the reference
 line form, whose bytes `write_jsonl` reproduces.
 
 `LAYOUTS` declares the fields of every kind but Meta and AdversaryRelease,
-each with its JSON type, and at import one line encoder is compiled per
-laid-out kind from generated source, as `dataclasses` builds `__init__`:
-its keys are sorted in advance, and it returns the whole line as one
-f-string.  An event whose slot and data do not fit its kind's layout
-exactly (a missing or extra key, a value of another type, a bool for an
-int, a non-finite float), and every Meta and AdversaryRelease event, is
-encoded instead by one C encoder with `_ENCODER`'s settings made per file
-(`json.encoder`'s `c_make_encoder`, with its own markers dict, so a
-circular value still raises `ValueError`).  That encoder also writes the
-`json` fields of laid-out kinds.  Without the `_json` accelerator it is
-`_ENCODER.encode`; the choice is made once, at import.  `write_jsonl`
-writes 4,096 lines per `write` call, to a temporary file that it renames
-into place, or removes if the write fails.
+each with its JSON type.  `Trace.emit` records each event as one row
+`(slot, kind, values)`.  A laid-out kind's values come positionally, in
+its `LAYOUTS` order, and are kept as that tuple; so is a keyword emit whose
+keys are exactly the layout's.  Any other keyword emit (every Meta and
+AdversaryRelease event among them) keeps its data dict.  No dict and no
+`TraceEvent` is made while simulating: a `Trace` builds its rows into
+events, each row once, the first time `events`, iteration or `of_kind`
+asks for them.
+
+At import one line encoder is compiled per laid-out kind from generated
+source, as `dataclasses` builds `__init__`: `line(slot, values, encode)`
+takes a row's values in layout order, its keys are sorted in advance, and
+it returns the whole line as one f-string.  `write_jsonl` writes a `Trace`
+from its rows, building no events, and turns other events into rows the
+way `emit` does.  A row whose slot or values do not fit its kind's layout
+(a dict row, a value of another type, a bool for an int, a non-finite
+float, a slot that is not an int) is encoded instead by one C encoder with
+`_ENCODER`'s settings made per file (`json.encoder`'s `c_make_encoder`,
+with its own markers dict, so a circular value still raises `ValueError`).
+That encoder also writes the `json` fields of laid-out kinds.  Without the
+`_json` accelerator it is `_ENCODER.encode`; the choice is made once, at
+import.  `write_jsonl` writes 4,096 lines per `write` call, to a temporary
+file that it renames into place, or removes if the write fails.
 
 `read_jsonl` parses a file 1,024 lines at a time: the non-blank lines of a
 batch are joined into one JSON array and decoded in one call (a JSON
@@ -38,9 +48,9 @@ module's constant for its kind, not the decoder's copy of the string.
 orjson is imported on the first decode, not with this module, so a command
 that reads no trace does not pay for loading it.
 
-Besides the event list, a `Trace` keeps one list per kind, filled by `emit`
-and by `read_jsonl`; `of_kind` returns a copy of that list and never scans
-the events.
+Besides the event list, a `Trace` keeps one list per kind, filled as its
+rows are built and by `read_jsonl`, which builds events directly;
+`of_kind` returns a copy of that list and never scans the events.
 
 Simulating, writing a file, reading it and auditing it allocate hundreds
 of thousands of dicts and events, none of which can form a reference
@@ -57,7 +67,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import (c_make_encoder, encode_basestring,
                           encode_basestring_ascii)
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -136,6 +146,13 @@ def _encoder_maker(make_c: Optional[Callable]) -> Callable[[], Callable]:
 
 _new_file_encoder = _encoder_maker(c_make_encoder)
 
+# kind -> the fields of its layout, in the order `emit` takes their values
+_FIELDS = {kind: tuple(layout) for kind, layout in LAYOUTS.items()}
+# kind -> the number of values `emit` takes positionally: its layout's
+# width, or None for a free-form kind, which takes keyword data only
+_WIDTH = {kind: len(_FIELDS[kind]) if kind in LAYOUTS else None
+          for kind in KINDS}
+
 # layout type -> (the test that local `v` does not hold a value of it, the
 # f-string replacement field that writes the value as `_ENCODER` does)
 _FIELD_CODE = {
@@ -150,29 +167,27 @@ _FIELD_CODE = {
 
 def _compile_line_encoder(kind: str, layout: dict[str, str]) -> Callable:
     """The line encoder of one laid-out kind, compiled from generated
-    source: `line(slot, data, encode)` returns the event's JSON line,
-    newline included, with the bytes of `TraceEvent.to_json`, or None when
-    `slot` is not an int or `data` does not fit `layout` exactly.  `encode`
-    is the file's encoder, which writes the `json` fields."""
+    source: `line(slot, values, encode)` returns the JSON line of the row
+    `(slot, kind, values)`, newline included, with the bytes of
+    `TraceEvent.to_json`, or None when `slot` is not an int or a value does
+    not fit its field's type.  `values` holds one value per field of
+    `layout`, in its order.  `encode` is the file's encoder, which writes
+    the `json` fields."""
     if not (kind.isidentifier() and all(map(str.isidentifier, layout))):
         raise ValueError(f"{kind}: kinds and fields must be identifiers")
-    reads, misfits = [], []
+    names, misfits = [], []
     values = {"slot": "{slot}", "kind": _STRING(kind)}
     for i, (field, of) in enumerate(layout.items()):
         misfit, write = _FIELD_CODE[of]
         local = {"v": f"v{i}"}
-        reads.append(f"        v{i} = data[{field!r}]\n")
+        names.append(f"v{i},")
         if misfit is not None:
             misfits.append(misfit % local)
         values[field] = write % local
     body = ",".join(f"{_STRING(key)}:{values[key]}" for key in sorted(values))
-    src = (f"def line_{kind}(slot, data, encode):\n"
-           f"    if type(slot) is not int or len(data) != {len(layout)}:\n"
-           f"        return None\n"
-           f"    try:\n{''.join(reads)}"
-           f"    except KeyError:\n"
-           f"        return None\n"
-           f"    if {' or '.join(misfits) or 'False'}:\n"
+    src = (f"def line_{kind}(slot, values, encode):\n"
+           f"    {''.join(names)} = values\n"
+           f"    if type(slot) is not int or {' or '.join(misfits) or 'False'}:\n"
            f"        return None\n"
            f"    return f'{{{{{body}}}}}\\n'\n")
     namespace = {"_string": _STRING, "_isfinite": math.isfinite}
@@ -184,10 +199,36 @@ _LINE_ENCODERS = {kind: _compile_line_encoder(kind, layout)
                   for kind, layout in LAYOUTS.items()}
 
 
-def _no_line(_slot: int, _data: dict, _encode: Callable) -> None:
-    """The line encoder of a free-form kind: the file's encoder writes
-    every such event."""
-    return None
+def _values(kind: str, data: dict) -> tuple | dict:
+    """The values of an event given by keyword, as its row holds them: a
+    tuple in layout order when `kind` is laid out and `data` has exactly
+    its layout's keys, else `data` itself."""
+    fields = _FIELDS.get(kind)
+    if fields is not None and len(data) == len(fields):
+        try:
+            return tuple(map(data.__getitem__, fields))
+        except KeyError:
+            pass
+    return data
+
+
+def _data(kind: str, values: tuple | dict) -> dict:
+    """A row's values as its event's data dict."""
+    if type(values) is tuple:
+        return dict(zip(_FIELDS[kind], values))
+    return values
+
+
+def _misuse(kind: str, values: tuple, data: dict) -> TypeError:
+    """Why `emit` refuses positional `values` for `kind`."""
+    width = _WIDTH[kind]
+    if width is None:
+        return TypeError(f"{kind} takes keyword data, not positional values")
+    if data:
+        return TypeError(f"{kind} takes its values positionally or by "
+                         f"keyword, not both")
+    return TypeError(f"{kind} takes {width} values "
+                     f"({', '.join(_FIELDS[kind])}), got {len(values)}")
 
 
 @contextlib.contextmanager
@@ -215,63 +256,114 @@ class TraceEvent:
 
 
 class Trace:
-    """Slot-ordered event log. Appending out of slot order is a bug."""
+    """Slot-ordered event log. Appending out of slot order is a bug.
+
+    `emit` records each event as one row `(slot, kind, values)`: a tuple of
+    values in `LAYOUTS` order for a laid-out kind given positionally or by
+    exactly its layout's keywords, else the keyword data dict.  The rows
+    still pending become `TraceEvent`s, filed by kind as well, when
+    `events`, iteration or `of_kind` first asks for them, each row once.
+    `len`, `meta` and `write_jsonl` read the rows as they are."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.events: list[TraceEvent] = []
+        self._rows: list[tuple] = []            # emitted, not yet events
+        self._events: list[TraceEvent] = []
         self._by_kind: dict[str, list[TraceEvent]] = {k: [] for k in KINDS}
         self._last_slot = -(1 << 60)
 
-    def emit(self, slot: int, kind: str, **data: Any) -> None:
+    def emit(self, slot: int, kind: str, *values: Any, **data: Any) -> None:
+        """Record one event: a laid-out kind's values positionally, in its
+        `LAYOUTS` order, or any kind's data by keyword.  Positional values
+        with keywords, a count other than the layout's width, or any for a
+        free-form kind raise `TypeError`."""
         if not self.enabled:
             return
         if not slot >= self._last_slot:     # also true for a NaN slot
             raise AssertionError(f"trace slot went backwards: {slot} after {self._last_slot}")
         try:
-            of_kind = self._by_kind[kind]
+            width = _WIDTH[kind]
         except KeyError:
             raise ValueError(f"unknown event kind {kind!r}") from None
+        if values:
+            if data or len(values) != width:
+                raise _misuse(kind, values, data)
+        else:
+            values = _values(kind, data)
         self._last_slot = slot
-        ev = TraceEvent(slot, kind, data)
-        self.events.append(ev)
-        of_kind.append(ev)
+        self._rows.append((slot, kind, values))
+
+    @collector_paused()
+    def _build(self) -> None:
+        """Turn the pending rows into events, filed by kind as well."""
+        rows, self._rows = self._rows, []
+        events, by_kind = self._events, self._by_kind
+        for slot, kind, values in rows:
+            ev = TraceEvent(slot, kind, _data(kind, values))
+            events.append(ev)
+            by_kind[kind].append(ev)
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """Every event in trace order, the pending rows built first."""
+        if self._rows:
+            self._build()
+        return self._events
+
+    @events.setter
+    def events(self, events: list[TraceEvent]) -> None:
+        if self._rows:
+            self._build()
+        self._events = events
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._events) + len(self._rows)
 
     def of_kind(self, kind: str) -> list[TraceEvent]:
         """The events of one kind in trace order, as a new list."""
+        if self._rows:
+            self._build()
         return list(self._by_kind.get(kind, ()))
 
     @property
     def meta(self) -> dict:
-        if self.events and self.events[0].kind == META:
-            return self.events[0].data
+        if self._events:
+            kind, data = self._events[0].kind, self._events[0].data
+        elif self._rows:
+            _, kind, data = self._rows[0]
+        else:
+            kind = None
+        if kind == META:
+            return data
         raise ValueError("trace has no Meta record")
 
 
 @collector_paused()
 def write_jsonl(trace: Iterable[TraceEvent], path: str) -> None:
     """Write events atomically (temp file + rename), each line the bytes of
-    `TraceEvent.to_json`, one `write` per `_BATCH_LINES` events.  If the
-    write fails, the temp file is removed and the exception re-raised."""
+    `TraceEvent.to_json`, one `write` per `_BATCH_LINES` events.  A `Trace`
+    is written from its rows, and builds no events; other events are
+    turned into rows first.  If the write fails, the temp file is removed
+    and the exception re-raised."""
     encode = _new_file_encoder()
-    line_of = _LINE_ENCODERS.get
-    events = iter(trace)
+    line_of = _LINE_ENCODERS
+    built, pending = ((trace._events, trace._rows) if isinstance(trace, Trace)
+                      else (trace, ()))
+    rows = chain(((ev.slot, ev.kind, _values(ev.kind, ev.data))
+                  for ev in built), pending)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            while batch := list(islice(events, _BATCH_LINES)):
+            while batch := list(islice(rows, _BATCH_LINES)):
                 chunks: list[str] = []
-                for ev in batch:
-                    line = line_of(ev.kind, _no_line)(ev.slot, ev.data, encode)
-                    if line is None:
-                        chunks += encode({"slot": ev.slot, "kind": ev.kind,
-                                          **ev.data}, 0)
+                for slot, kind, values in batch:
+                    if (type(values) is not tuple or (
+                            line := line_of[kind](slot, values, encode)) is None):
+                        chunks += encode({"slot": slot, "kind": kind,
+                                          **_data(kind, values)}, 0)
                         line = "\n"
                     chunks.append(line)
                 fh.write("".join(chunks))
@@ -290,7 +382,7 @@ def read_jsonl(path: str) -> Trace:
     missing `slot` or `kind` as `KeyError`, a slot that goes backwards as
     `AssertionError`."""
     trace = Trace()
-    events, by_kind = trace.events, trace._by_kind
+    events, by_kind = trace._events, trace._by_kind
     last_slot = trace._last_slot
     line_no = 0
     with open(path, "r", encoding="utf-8") as fh:

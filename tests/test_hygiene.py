@@ -14,6 +14,7 @@ from collections import Counter, defaultdict
 import pytest
 
 import nakasim
+from nakasim import trace as tr
 
 PACKAGE = pathlib.Path(nakasim.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -328,3 +329,65 @@ def test_the_check_sees_third_party_imports():
                  "import yaml.loader\n"),
     }
     assert third_party_imports(sources) == {"numpy", "orjson", "yaml"}
+
+
+# An event of a `trace.LAYOUTS` kind is emitted with its values given
+# positionally, so that `Trace.emit` keeps it as a row of values and builds
+# no dict for it; a free-form kind (Meta, AdversaryRelease) takes keyword
+# data only.
+KIND_CONSTANTS = {name: value for name, value in vars(tr).items()
+                  if isinstance(value, str) and value in tr.KINDS}
+
+
+def emit_misuses(sources: dict[str, str]) -> list[str]:
+    """`module:line kind: what` of every `.emit(slot, kind, ...)` call in
+    the modules of `sources` (name -> source) that gives a laid-out kind by
+    keyword or with another number of values than its layout's, a
+    free-form kind positionally, or a kind that is not a constant of
+    `trace` (`tr.BPO`)."""
+    out = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "emit"):
+                continue
+            where = f"{module}:{node.lineno}"
+            arg = node.args[1] if len(node.args) > 1 else None
+            kind = (KIND_CONSTANTS.get(arg.attr)
+                    if isinstance(arg, ast.Attribute) else None)
+            values = node.args[2:]
+            if kind is None:
+                out.append(f"{where} ?: kind is not a trace constant")
+            elif any(isinstance(v, ast.Starred) for v in values):
+                out.append(f"{where} {kind}: values unpacked")
+            elif kind in tr.LAYOUTS:
+                if node.keywords:
+                    out.append(f"{where} {kind}: by keyword")
+                elif len(values) != len(tr.LAYOUTS[kind]):
+                    out.append(f"{where} {kind}: {len(values)} values")
+            elif values:
+                out.append(f"{where} {kind}: positionally")
+    return sorted(out)
+
+
+def test_laid_out_kinds_are_emitted_positionally():
+    assert emit_misuses(package_sources()) == []
+
+
+def test_the_check_sees_emit_misuses():
+    sources = {
+        "a.py": ("trace.emit(0, tr.BPO, 1, 0, 0, [])\n"
+                 "trace.emit(0, tr.BPO, h=1, a=0, s=0, winners=[])\n"
+                 "trace.emit(0, tr.LEAD_SAMPLE, 2, 3)\n"
+                 "trace.emit(0, tr.META, seed=1)\n"
+                 "trace.emit(0, tr.ADVERSARY_RELEASE, [1])\n"
+                 "trace.emit(0, tr.BLANKED, *row)\n"
+                 "trace.emit(0, kind, 1)\n"
+                 "mailer.send(0, tr.BPO, h=1)\n"),
+    }
+    assert emit_misuses(sources) == [
+        "a.py:2 Bpo: by keyword", "a.py:3 LeadSample: 2 values",
+        "a.py:5 AdversaryRelease: positionally",
+        "a.py:6 Blanked: values unpacked",
+        "a.py:7 ?: kind is not a trace constant"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nakasim.lottery import (STREAM_ASSIGN, BpoId, EquivocationProof,
-                             HeaderStore, ReusedBpo, SlotSampler)
+                             HeaderStore, ReusedBpo, SlotSampler, _slot_gen)
 from nakasim.params import PROTOCOL_POW, PROTOCOL_SAPOS, PROTOCOLS
 
 
@@ -129,6 +129,30 @@ def test_assign_matches_a_fresh_generator_per_slot(seed, n_honest, n_adv,
                           adversary_nodes=range(n_honest, n_honest + n_adv))
     for slot, h, a in calls + calls[::-1]:
         assert sampler.assign(slot, h, a) == assign_oracle(sampler, slot, h, a)
+
+
+@pytest.mark.parametrize("n_honest, n_adv", [(1, 2), (2, 1), (3, 7),
+                                              (7, 3), (14, 20), (20, 14)])
+def test_scalar_winner_draws_pick_what_one_sized_draw_picks(n_honest, n_adv):
+    """`assign` draws each winner with `integers(0, n)`; it must pick what
+    `integers(0, n, size=k)` picks on the slot's generator, honest winners
+    first and adversary ones after on the same generator.  With one node
+    (n = 1) neither form consumes a draw, so the other class's draws that
+    follow still line up."""
+    sampler = SlotSampler(11, 0.3, 0.1, honest_nodes=range(n_honest),
+                          adversary_nodes=range(100, 100 + n_adv))
+    counts = [1, 2, 3, 5]
+    for slot in range(500):
+        h = counts[slot % 4]
+        a = counts[slot // 4 % 4] if slot % 3 else 0
+        gen = _slot_gen(sampler.seed, STREAM_ASSIGN, slot)
+        honest = gen.integers(0, n_honest, size=h)
+        adversary = gen.integers(0, n_adv, size=a)
+        got = sampler.assign(slot, h, a)
+        assert [b.node for b in got] == ([int(p) for p in honest]
+                                         + [100 + int(p) for p in adversary])
+        assert [b.seq for b in got] == list(range(h + a))
+        assert all(type(b.node) is int for b in got)
 
 
 def test_the_assignment_generator_is_made_on_first_use():

@@ -12,7 +12,8 @@ import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_trace_digests import PINNED_ATTACKS, matrix_scenario
+from test_trace_digests import (PINNED_ATTACKS, bench_workloads,
+                                matrix_scenario)
 
 from nakasim import params as pm
 from nakasim import pivots as pv
@@ -510,6 +511,114 @@ def test_of_kind_does_not_scan_the_events():
         assert t.of_kind(kind) == expected[kind]
 
 
+# -- rows, and the events built from them -----------------------------------
+
+def test_emit_refuses_values_that_do_not_fit_the_kind():
+    t = tr.Trace()
+    t.emit(2, tr.BLANKED, 0, 1)
+    for kind, values, data, what in [
+            (tr.BLANKED, (0, 1), {"node": 0}, "positionally or by keyword"),
+            (tr.BLANKED, (0,), {},
+             r"^Blanked takes 2 values \(node, block\), got 1$"),
+            (tr.BLANKED, (0, 1, 2), {}, "got 3"),
+            (tr.META, (1,), {}, "^Meta takes keyword data"),
+            (tr.ADVERSARY_RELEASE, ([1],), {"content": None},
+             "^AdversaryRelease takes keyword data")]:
+        with pytest.raises(TypeError, match=what):
+            t.emit(5, kind, *values, **data)
+    with pytest.raises(ValueError, match="unknown event kind 'Nonsense'"):
+        t.emit(5, "Nonsense", 1)
+    with pytest.raises(AssertionError, match="went backwards: 1 after 2"):
+        t.emit(1, tr.BLANKED, 0, 1)
+    # nothing refused was recorded, and slots still run on from 2
+    assert len(t) == 1
+    t.emit(2, tr.BLANKED, 0, 2)
+    assert records(t) == [(2, tr.BLANKED, {"node": 0, "block": 1}),
+                          (2, tr.BLANKED, {"node": 0, "block": 2})]
+
+
+def test_a_keyword_emit_with_the_layouts_keys_becomes_a_row():
+    t = tr.Trace()
+    t.emit(1, tr.BLANKED, block=4, node=3)
+    t.emit(1, tr.BLANKED, node=3)
+    t.emit(1, tr.BLANKED, node=3, block=4, extra=0)
+    t.emit(1, tr.META, seed=1)
+    assert t._rows == [(1, tr.BLANKED, (3, 4)),
+                       (1, tr.BLANKED, {"node": 3}),
+                       (1, tr.BLANKED, {"node": 3, "block": 4, "extra": 0}),
+                       (1, tr.META, {"seed": 1})]
+
+
+@pytest.mark.parametrize("name", ["tease", "posspam", "secure-tx"])
+def test_an_emitted_trace_equals_its_read_back(name, tmp_path):
+    """Seed 1 of each benchmark workload at a short horizon: the events
+    built from the emitted rows, in order and by kind, and the length
+    equal those of the trace read back from its file."""
+    config = bench_workloads()[name].config
+    config["sim"].update(horizon_slots=800, seed=1)
+    sim = Simulation(pm.scenario_from_dict(config))
+    sim.run()
+    t = sim.trace
+    path = tmp_path / "t.jsonl"
+    tr.write_jsonl(t, str(path))
+    back = tr.read_jsonl(str(path))
+    assert len(t) == len(back) > 1000
+    assert t.meta == back.meta
+    assert [e.to_json() for e in t] == [e.to_json() for e in back]
+    for kind in tr.KINDS:
+        assert records(t.of_kind(kind)) == records(back.of_kind(kind))
+    assert len(t) == len(back)
+
+
+def test_an_emit_after_the_events_are_built_shows_everywhere(tmp_path,
+                                                             monkeypatch):
+    t = small_trace()
+    t.emit(8, tr.BLANKED, 1, 2)
+    built = list(t.events)
+    t.emit(9, tr.BLANKED, 3, 4)
+    t.emit(9, tr.ADVERSARY_RELEASE, headers=[5])
+    assert len(t) == len(built) + 2
+    assert t.events[:-2] == built
+    assert records(t.events[-2:]) == [(9, tr.BLANKED, {"node": 3, "block": 4}),
+                                      (9, tr.ADVERSARY_RELEASE,
+                                       {"headers": [5]})]
+    assert records(t.of_kind(tr.BLANKED)) == [
+        (8, tr.BLANKED, {"node": 1, "block": 2}),
+        (9, tr.BLANKED, {"node": 3, "block": 4})]
+    # the same events again, not built anew
+    assert all(a is b for a, b in zip(t.events, built))
+    t.emit(10, tr.LEAD_SAMPLE, 1)
+    body, _ = written(t, tmp_path / "t.jsonl", monkeypatch)
+    assert body == joined(t.events)
+    assert body.decode().splitlines()[-3:] == [
+        '{"block":4,"kind":"Blanked","node":3,"slot":9}',
+        '{"headers":[5],"kind":"AdversaryRelease","slot":9}',
+        '{"kind":"LeadSample","lead":1,"slot":10}']
+
+
+def test_simulating_and_writing_build_no_events(tmp_path, monkeypatch):
+    """Events are built only when asked for: not by a run, `len`, `meta`
+    or `write_jsonl`, and once for all rows when `events` is read."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return event(*args)
+    event = tr.TraceEvent
+    monkeypatch.setattr(tr, "TraceEvent", counted)
+    sim = Simulation(pm.scenario_from_dict(PINNED_ATTACKS["pow-teaser-spv"][0]))
+    sim.run()
+    n, meta = len(sim.trace), sim.trace.meta
+    tr.write_jsonl(sim.trace, str(tmp_path / "t.jsonl"))
+    assert built == [] and len(sim.trace) == n and sim.trace.meta is meta
+    # the guard sees the build when it happens
+    assert len(sim.trace.events) == len(built) == n
+    assert sim.trace.events[0].data is meta
+    list(sim.trace)
+    sim.trace.of_kind(tr.BPO)
+    assert len(built) == n
+
+
 # -- the shared encoder against json.dumps ---------------------------------
 
 def dumps_oracle(ev):
@@ -573,8 +682,8 @@ class CountingFile:
 
 
 def written(events, path, monkeypatch, maker=None):
-    """The bytes `write_jsonl` writes for a one-shot iterator over `events`,
-    and the sizes of its `write` calls."""
+    """The bytes `write_jsonl` writes for a `Trace`, or for a one-shot
+    iterator over other `events`, and the sizes of its `write` calls."""
     writes = []
     with monkeypatch.context() as m:
         if maker is not None:
@@ -582,7 +691,8 @@ def written(events, path, monkeypatch, maker=None):
         m.setattr(tr, "open", lambda *a, **kw: CountingFile(open(*a, **kw),
                                                             writes),
                   raising=False)
-        tr.write_jsonl(iter(events), str(path))
+        tr.write_jsonl(events if isinstance(events, tr.Trace)
+                       else iter(events), str(path))
     return path.read_bytes(), writes
 
 
@@ -681,8 +791,9 @@ def laid_out_events(draw, kind):
     if change == "missing":
         del data[draw(st.sampled_from(sorted(layout)))]
     elif change == "extra":
+        # `self`, `slot` and `kind` name parameters of `Trace.emit`
         extra = st.text(max_size=8).filter(
-            lambda k: k not in layout and k not in ("slot", "kind"))
+            lambda k: k not in layout and k not in ("self", "slot", "kind"))
         data[draw(extra)] = draw(values)
     elif change == "value" and typed:
         field = draw(st.sampled_from(typed))
@@ -698,17 +809,41 @@ def laid_out_events(draw, kind):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_the_line_encoders_match_json_dumps(tmp_path, monkeypatch, kind,
                                             data):
+    """Each drawn event is written three ways: as a `TraceEvent`, through a
+    `Trace` filled positionally and through one filled by keyword.  An
+    event whose keys are not the layout's can only be emitted by keyword,
+    and one whose slot does not compare with a number (None, "3") is
+    refused by `emit`, so the traces leave it out."""
     events = data.draw(st.lists(laid_out_events(kind), min_size=1,
                                 max_size=4))
+    events.sort(key=lambda ev: ev.slot if isinstance(ev.slot, (int, float))
+                else -1)
+    emitted = [ev for ev in events if isinstance(ev.slot, (int, float))]
+    layout = tr.LAYOUTS[kind]
+    by_position, by_keyword = tr.Trace(), tr.Trace()
+    for ev in emitted:
+        by_keyword.emit(ev.slot, kind, **ev.data)
+        if ev.data.keys() == layout.keys():
+            by_position.emit(ev.slot, kind, *map(ev.data.get, layout))
+        else:
+            if ev.data:
+                with pytest.raises(TypeError, match=f"{kind} takes"):
+                    by_position.emit(ev.slot, kind, *ev.data.values())
+            by_position.emit(ev.slot, kind, **ev.data)
     expected = "".join(dumps_oracle(ev) + "\n" for ev in events)
+    expected_emitted = "".join(dumps_oracle(ev) + "\n" for ev in emitted)
     for maker in (None, PY_ENCODER):
         body, _ = written(events, tmp_path / "t.jsonl", monkeypatch, maker)
         assert body == expected.encode("utf-8")
+        for trace in (by_position, by_keyword):
+            body, _ = written(trace, tmp_path / "t.jsonl", monkeypatch, maker)
+            assert body == expected_emitted.encode("utf-8")
+    assert len(by_position._events) == len(by_keyword._events) == 0
 
 
 @pytest.mark.parametrize("kind", sorted(tr.LAYOUTS))
 def test_a_fitting_event_takes_its_line_encoder(kind):
-    """Events whose data fit the layout are written without the file's
+    """Rows whose values fit the layout are written without the file's
     encoder, except for their `json` fields."""
     filler = {"int": 7, "bool": True, "str": "ü\"", "float": 0.1 + 0.2,
               "json": [[1, False]]}
@@ -719,7 +854,7 @@ def test_a_fitting_event_takes_its_line_encoder(kind):
     def encode(value, level):
         calls.append(value)
         return (tr._ENCODER.encode(value),)
-    line = tr._LINE_ENCODERS[kind](ev.slot, ev.data, encode)
+    line = tr._LINE_ENCODERS[kind](ev.slot, tuple(data.values()), encode)
     assert line == dumps_oracle(ev) + "\n"
     assert calls == [[[1, False]]] * list(tr.LAYOUTS[kind].values()).count(
         "json")
