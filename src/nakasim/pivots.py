@@ -13,7 +13,8 @@ builds the tables that every audit reads, and keeps them on the
 `IndexSeries` it returns: the Meta record, the honest nodes, the header
 table, the processed map, the per-node tip timelines, the fetches in trace
 order and per node, and the ledger outputs, proofs and blanks.  The audits
-take the series and read no trace.
+take the series and read no trace.  They read a row's values by position,
+and take the positions from `trace.LAYOUTS` by field name.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from operator import itemgetter
+from typing import Any, Optional
 
 import numpy as np
 
@@ -48,6 +50,33 @@ def pivot_flags_walk(indicator: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # index series and trace tables, read from a trace
 
+def _at(kind: str, *fields: str) -> tuple[int, ...]:
+    """The positions of `fields` in the values of a `kind` row."""
+    return tuple(map(list(tr.LAYOUTS[kind]).index, fields))
+
+
+# the fields of a BlockProduced row that the header table is read by
+(_PRODUCER, _HEADER, _PARENT, _HEIGHT, _BPO_SLOT, _BPO_NODE, _BPO_SEQ,
+ _CLS) = _at(tr.BLOCK_PRODUCED, "producer", "header", "parent", "height",
+             "bpo_slot", "bpo_node", "bpo_seq", "cls")
+# getters of the fields read from the values of the other kinds' rows
+_bpo_counts = itemgetter(*_at(tr.BPO, "h", "a", "s"))
+_fetched = itemgetter(*_at(tr.CONTENT_FETCHED, "node", "header", "paid"))
+_pretended = itemgetter(*_at(tr.PRETEND_EMPTY, "node", "header"))
+_switched = itemgetter(*_at(tr.CHAIN_SWITCHED, "node", "new", "height"))
+_output = itemgetter(*_at(tr.LEDGER_OUTPUT, "node", "len", "tip"))
+_proved = itemgetter(*_at(tr.PROOF_INCLUDED, "carrier", "target"))
+_BLOCK, = _at(tr.BLANKED, "block")
+
+
+def _meta_field(meta: dict, name: str) -> Any:
+    """A field of the trace's Meta record that the analysis needs."""
+    try:
+        return meta[name]
+    except KeyError:
+        raise ValueError(f"trace Meta has no {name}") from None
+
+
 @dataclass
 class IndexSeries:
     """Per-index arrays over the non-empty slots of a run (1-based index k
@@ -55,7 +84,8 @@ class IndexSeries:
     built them from, which every audit reads: the Meta record, the honest
     nodes, the header table, the processed map, the per-node tip timelines,
     the fetches in trace order and per node, and the ledger outputs, proofs
-    and blanks.  The tables hold the trace's own records and events."""
+    and blanks.  The header table and the row lists hold the trace's own
+    rows and their values tuples, which are read by position."""
 
     slots: np.ndarray          # t_k
     good: np.ndarray           # G_k (bool)
@@ -66,17 +96,17 @@ class IndexSeries:
     cp: np.ndarray             # combinatorial pivot flags, from downloaded
     meta: dict
     honest: list[int]
-    headers: dict[int, dict]   # header id -> its BlockProduced record
+    headers: dict[int, tuple]  # header id -> its BlockProduced values
     # (node, header) -> the earliest slot at which the node had the block:
     # its own honest production, a fetch, or a blank
     processed: dict[tuple[int, int], int]
     tips: dict[int, list[tuple[int, int, int]]]   # node -> (slot, tip, height)
-    fetches: list[tr.TraceEvent]                  # ContentFetched, in order
+    fetches: list[tuple]                          # ContentFetched, in order
     # node -> the slots, headers and paid fractions of its fetches, in order
     node_fetches: dict[int, tuple[list[int], list[int], list[float]]]
-    ledger: list[tr.TraceEvent]                   # LedgerOutput
-    proofs: list[tr.TraceEvent]                   # ProofIncluded
-    blanks: list[tr.TraceEvent]                   # Blanked
+    ledger: list[tuple]                           # LedgerOutput rows
+    proofs: list[tuple]                           # ProofIncluded rows
+    blanks: list[tuple]                           # Blanked rows
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -87,12 +117,13 @@ def classify(run_trace: tr.Trace, nu: int) -> IndexSeries:
     build the index series: slot classes from production counts, download
     success from the processed map, and the pivot flags of both."""
     meta = run_trace.meta
-    horizon = meta["horizon_slots"]
-    honest = list(meta["honest_nodes"])
+    horizon = _meta_field(meta, "horizon_slots")
+    honest = list(_meta_field(meta, "honest_nodes"))
 
-    counts: dict[int, list[int]] = {}
-    for ev in run_trace.of_kind(tr.BPO):
-        counts[ev.slot] = [ev.data["h"], ev.data["a"] + ev.data.get("s", 0)]
+    counts: dict[int, tuple[int, int]] = {}
+    for slot, _, values in run_trace.of_kind(tr.BPO):
+        h, a, s = _bpo_counts(values)
+        counts[slot] = (h, a + s)
 
     processed: dict[tuple[int, int], int] = {}
 
@@ -101,29 +132,28 @@ def classify(run_trace: tr.Trace, nu: int) -> IndexSeries:
         if slot < processed.get(key, slot + 1):
             processed[key] = slot
 
-    headers: dict[int, dict] = {}
-    produced_at: dict[int, list[dict]] = {}
-    for ev in run_trace.of_kind(tr.BLOCK_PRODUCED):
-        d = ev.data
-        headers[d["header"]] = d
-        if d["cls"] == "honest":
-            produced_at.setdefault(d["bpo_slot"], []).append(d)
-            held((d["producer"], d["header"]), ev.slot)
+    headers: dict[int, tuple] = {}
+    produced_at: dict[int, list[int]] = {}
+    for slot, _, b in run_trace.of_kind(tr.BLOCK_PRODUCED):
+        headers[b[_HEADER]] = b
+        if b[_CLS] == "honest":
+            produced_at.setdefault(b[_BPO_SLOT], []).append(b[_HEADER])
+            held((b[_PRODUCER], b[_HEADER]), slot)
     fetches = run_trace.of_kind(tr.CONTENT_FETCHED)
     node_fetches: dict[int, tuple[list[int], list[int], list[float]]] = {}
-    for ev in fetches:
-        d = ev.data
-        at, heads, paid = node_fetches.setdefault(d["node"], ([], [], []))
-        at.append(ev.slot)
-        heads.append(d["header"])
-        paid.append(float(d.get("paid", 1.0)))
-        held((d["node"], d["header"]), ev.slot)
-    for ev in run_trace.of_kind(tr.PRETEND_EMPTY):
-        held((ev.data["node"], ev.data["header"]), ev.slot)
+    for slot, _, values in fetches:
+        node, header, paid = _fetched(values)
+        at, heads, paids = node_fetches.setdefault(node, ([], [], []))
+        at.append(slot)
+        heads.append(header)
+        paids.append(float(paid))
+        held((node, header), slot)
+    for slot, _, values in run_trace.of_kind(tr.PRETEND_EMPTY):
+        held(_pretended(values), slot)
     tips: dict[int, list[tuple[int, int, int]]] = {}
-    for ev in run_trace.of_kind(tr.CHAIN_SWITCHED):
-        d = ev.data
-        tips.setdefault(d["node"], []).append((ev.slot, d["new"], d["height"]))
+    for slot, _, values in run_trace.of_kind(tr.CHAIN_SWITCHED):
+        node, new, height = _switched(values)
+        tips.setdefault(node, []).append((slot, new, height))
 
     slots = sorted(counts)
     n = len(slots)
@@ -142,7 +172,7 @@ def classify(run_trace: tr.Trace, nu: int) -> IndexSeries:
         if len(blocks) != 1:
             continue
         good[k] = True
-        b = blocks[0]["header"]
+        b = blocks[0]
         block[k] = b
         deadline = t + nu
         downloaded[k] = all(processed.get((p, b), horizon + nu + 1) <= deadline
@@ -177,11 +207,11 @@ class AuditResult:
             self.violations.append(witness)
 
 
-def _ancestor_at(table: dict[int, dict], header: int, height: int) -> int:
+def _ancestor_at(table: dict[int, tuple], header: int, height: int) -> int:
     h = table.get(header)
     cur = header
-    while h is not None and h["height"] > height:
-        cur = h["parent"]
+    while h is not None and h[_HEIGHT] > height:
+        cur = h[_PARENT]
         h = table.get(cur)
     if height == 0:
         return 0
@@ -227,18 +257,18 @@ def audit_chain_growth(series: IndexSeries) -> AuditResult:
     return result
 
 
-def _common_ancestor(table: dict[int, dict], a: int, b: int) -> Optional[int]:
+def _common_ancestor(table: dict[int, tuple], a: int, b: int) -> Optional[int]:
     """Deepest common ancestor of headers a and b, or None when the walk
     leaves the header table before the two meet."""
     ha, hb = table.get(a), table.get(b)
     while a != b:
         if ha is None or hb is None:
             return None
-        if ha["height"] >= hb["height"]:
-            a = ha["parent"]
+        if ha[_HEIGHT] >= hb[_HEIGHT]:
+            a = ha[_PARENT]
             ha = table.get(a)
         else:
-            b = hb["parent"]
+            b = hb[_PARENT]
             hb = table.get(b)
     return a
 
@@ -280,7 +310,7 @@ def audit_stabilization(series: IndexSeries) -> AuditResult:
             low = min(low, tip_height)
             common[j], min_height[j] = cur, low
         for start_slot, block, k in cps:
-            height = table[block]["height"]
+            height = table[block][_HEIGHT]
             result.checked += 1
             if not line:
                 witness_slot = start_slot
@@ -333,7 +363,7 @@ def audit_budget(series: IndexSeries, c_tilde: float) -> AuditResult:
                 count = 0
                 for header in heads[lo:hi]:
                     info = table.get(header)
-                    if info is not None and last_cp_slot < info["bpo_slot"] <= t:
+                    if info is not None and last_cp_slot < info[_BPO_SLOT] <= t:
                         count += 1
                 result.checked += 1
                 if count < required:
@@ -353,17 +383,17 @@ def audit_single_fetch(series: IndexSeries) -> AuditResult:
     table = series.headers
     seen: set = set()
     result = AuditResult("single-fetch", True)
-    for ev in series.fetches:
-        node, header = ev.data["node"], ev.data["header"]
+    for slot, _, values in series.fetches:
+        node, header, _ = _fetched(values)
         if per_bpo:
             info = table.get(header)
-            key = (node, info["bpo_slot"], info["bpo_node"], info["bpo_seq"]) \
+            key = (node, info[_BPO_SLOT], info[_BPO_NODE], info[_BPO_SEQ]) \
                 if info else (node, header)
         else:
             key = (node, header)
         result.checked += 1
         if key in seen:
-            result.fail({"node": node, "header": header, "slot": ev.slot})
+            result.fail({"node": node, "header": header, "slot": slot})
         seen.add(key)
     return result
 
@@ -373,7 +403,8 @@ def audit_capacity(series: IndexSeries) -> AuditResult:
     within capacity * tau * w + 1 (one block of carry-over).  Partially paid
     downloads settle the remainder at completion, so the paid fraction is
     what the window bound constrains, not the completion count."""
-    rate = series.meta["capacity"] * series.meta["tau"]
+    rate = (_meta_field(series.meta, "capacity")
+            * _meta_field(series.meta, "tau"))
     result = AuditResult("capacity", True)
     for node, (slots, _, paid) in sorted(series.node_fetches.items()):
         # paid(i..j) <= rate*(slot_j - slot_i + 1) + 1 for all i<=j reduces
@@ -398,8 +429,8 @@ def audit_ledger_safety(series: IndexSeries) -> AuditResult:
     table = series.headers
     result = AuditResult("ledger-safety", True)
     max_len, max_tip = 0, 0
-    for ev in series.ledger:
-        ln, tip = ev.data["len"], ev.data["tip"]
+    for slot, _, values in series.ledger:
+        node, ln, tip = _output(values)
         result.checked += 1
         if ln <= max_len:
             ok = _ancestor_at(table, max_tip, ln) == tip
@@ -408,7 +439,7 @@ def audit_ledger_safety(series: IndexSeries) -> AuditResult:
             if ok:
                 max_len, max_tip = ln, tip
         if not ok:
-            result.fail({"node": ev.data["node"], "slot": ev.slot, "len": ln})
+            result.fail({"node": node, "slot": slot, "len": ln})
     return result
 
 
@@ -419,19 +450,19 @@ def audit_blanking(series: IndexSeries) -> AuditResult:
     k_epf = series.meta.get("k_epf")
     result = AuditResult("blanking", True)
     proof_depth: dict[int, int] = {}
-    for ev in series.proofs:
-        carrier = table.get(ev.data["carrier"])
-        target = table.get(ev.data["target"])
+    for _, _, values in series.proofs:
+        carrier_id, target_id = _proved(values)
+        carrier, target = table.get(carrier_id), table.get(target_id)
         if carrier and target:
-            depth = carrier["height"] - target["height"] - 1
-            prev = proof_depth.get(ev.data["target"])
+            depth = carrier[_HEIGHT] - target[_HEIGHT] - 1
+            prev = proof_depth.get(target_id)
             if prev is None or depth < prev:
-                proof_depth[ev.data["target"]] = depth
-    blanked = {ev.data["block"] for ev in series.blanks}
+                proof_depth[target_id] = depth
+    blanked = {values[_BLOCK] for _, _, values in series.blanks}
     for block in sorted(blanked):
         info = table.get(block)
         result.checked += 1
-        if info is not None and info["cls"] == "honest":
+        if info is not None and info[_CLS] == "honest":
             result.fail({"block": block, "reason": "honest block blanked"})
         if k_epf is not None:
             depth = proof_depth.get(block)

@@ -1,35 +1,26 @@
 """Run traces: an ordered list of per-slot events plus a metadata record.
 
-Events serialize to JSON Lines with sorted keys, so identical runs produce
-byte-identical files.  The first record of a file is always the Meta record
-describing the scenario that produced the trace.  `TraceEvent.to_json`
-encodes one event through the module-level `_ENCODER`: it is the reference
-line form, whose bytes `write_jsonl` reproduces.
+A trace has one record form, the row `(slot, kind, values)`.  `LAYOUTS`
+declares the typed fields of every kind but Meta and AdversaryRelease, and
+a laid-out kind's `values` is a tuple in that order; Meta and
+AdversaryRelease keep their keyword data dict.  A keyword emit and
+`read_jsonl` make a keyed record's tuple with its kind's one getter
+(`operator.itemgetter` over the layout's fields), and both refuse a record
+whose keys are not exactly its layout's, so no laid-out event keeps a dict.
 
-`LAYOUTS` declares the fields of every kind but Meta and AdversaryRelease,
-each with its JSON type.  `Trace.emit` records each event as one row
-`(slot, kind, values)`.  A laid-out kind's values come positionally, in
-its `LAYOUTS` order, and are kept as that tuple; so is a keyword emit whose
-keys are exactly the layout's.  Any other keyword emit (every Meta and
-AdversaryRelease event among them) keeps its data dict.  No dict and no
-`TraceEvent` is made while simulating: a `Trace` builds its rows into
-events, each row once, the first time `events`, iteration or `of_kind`
-asks for them.
-
-At import one line encoder is compiled per laid-out kind from generated
-source, as `dataclasses` builds `__init__`: `line(slot, values, encode)`
-takes a row's values in layout order, its keys are sorted in advance, and
-it returns the whole line as one f-string.  `write_jsonl` writes a `Trace`
-from its rows, building no events, and turns other events into rows the
-way `emit` does.  A row whose slot or values do not fit its kind's layout
-(a dict row, a value of another type, a bool for an int, a non-finite
-float, a slot that is not an int) is encoded instead by one C encoder with
-`_ENCODER`'s settings made per file (`json.encoder`'s `c_make_encoder`,
-with its own markers dict, so a circular value still raises `ValueError`).
-That encoder also writes the `json` fields of laid-out kinds.  Without the
-`_json` accelerator it is `_ENCODER.encode`; the choice is made once, at
-import.  `write_jsonl` writes 4,096 lines per `write` call, to a temporary
-file that it renames into place, or removes if the write fails.
+Rows serialize to JSON Lines with sorted keys, so identical runs produce
+byte-identical files; the first record is always the Meta record of the
+scenario that produced the trace.  At import one line encoder is compiled
+per laid-out kind from generated source, as `dataclasses` builds
+`__init__`: `line(slot, values, encode)` returns the whole line as one
+f-string, with the bytes `_ENCODER` gives the record.  A row whose slot or
+values do not fit its layout (a value of another type, a bool for an int,
+a non-finite float, a slot that is not an int), the `json` fields and the
+free-form kinds are encoded by one C encoder with `_ENCODER`'s settings
+made per file (`json.encoder`'s `c_make_encoder`, with its own markers
+dict, so a circular value still raises `ValueError`).  `write_jsonl`
+writes 4,096 lines per `write` call, to a temporary file that it renames
+into place, or removes if the write fails.
 
 `read_jsonl` parses a file 1,024 lines at a time: the non-blank lines of a
 batch are joined into one JSON array and decoded in one call (a JSON
@@ -43,18 +34,14 @@ surrogate escape, invalid JSON).  One difference is kept: orjson 3.8 has
 no nesting limit, so a record nested deeper than the interpreter's
 recursion limit, on which `json.loads` raises `RecursionError`, decodes.
 A batch that does not decode to one record per line is parsed again line
-by line by `json.loads`, which names the bad line.  Each event gets the
+by line by `json.loads`, which names the bad line.  Each row gets the
 module's constant for its kind, not the decoder's copy of the string.
 orjson is imported on the first decode, not with this module, so a command
 that reads no trace does not pay for loading it.
 
-Besides the event list, a `Trace` keeps one list per kind, filled as its
-rows are built and by `read_jsonl`, which builds events directly;
-`of_kind` returns a copy of that list and never scans the events.
-
 Simulating, writing a file, reading it and auditing it allocate hundreds
-of thousands of dicts and events, none of which can form a reference
-cycle, so `sim.Simulation.run`, `write_jsonl`, `read_jsonl` and
+of thousands of objects, none of which can form a reference cycle, so
+`sim.Simulation.run`, `write_jsonl`, `read_jsonl` and
 `pivots.analyze_trace` run under `collector_paused`: the cyclic garbage
 collector makes no passes inside them, and its prior state is restored on
 the way out, also on an exception.
@@ -66,11 +53,11 @@ import gc
 import json
 import math
 import os
-from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from json.encoder import (c_make_encoder, encode_basestring,
                           encode_basestring_ascii)
-from typing import Any, Callable, Iterable, Iterator, Optional
+from operator import itemgetter
+from typing import Any, Callable, Iterator
 
 META = "Meta"
 BPO = "Bpo"
@@ -122,36 +109,45 @@ _STRING = (encode_basestring_ascii if _ENCODER.ensure_ascii
            else encode_basestring)
 _BATCH_LINES = 4096
 _READ_LINES = 1024
-_CANON = {kind: kind for kind in KINDS}
 # a run of 19 digits in a batch, which may be an int that orjson turns into
 # a float, is a run of 19 zeros once every digit is mapped to "0"
 _DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
 _LONG_DIGITS = b"0" * 19
 
 
-def _encoder_maker(make_c: Optional[Callable]) -> Callable[[], Callable]:
-    """How `write_jsonl` makes the encoder it uses for one file: called as
-    `encode(value, 0)`, the encoder returns the value's JSON in chunks.
-    With the C accelerator `make_c`, one C encoder with `_ENCODER`'s
-    settings and a fresh markers dict; without it, `_ENCODER.encode`."""
-    if make_c is None:
-        def encode(value: Any, _level: int) -> tuple[str]:
-            return (_ENCODER.encode(value),)
-        return lambda: encode
+def _new_file_encoder() -> Callable:
+    """The encoder `write_jsonl` uses for one file: a C encoder with
+    `_ENCODER`'s settings and a fresh markers dict.  Called as
+    `encode(value, 0)`, it returns the value's JSON in chunks."""
     e = _ENCODER
-    return lambda: make_c({}, e.default, _STRING, e.indent, e.key_separator,
+    return c_make_encoder({}, e.default, _STRING, e.indent, e.key_separator,
                           e.item_separator, e.sort_keys, e.skipkeys,
                           e.allow_nan)
 
 
-_new_file_encoder = _encoder_maker(c_make_encoder)
-
-# kind -> the fields of its layout, in the order `emit` takes their values
+# kind -> the fields of its layout, in the order of its rows' values
 _FIELDS = {kind: tuple(layout) for kind, layout in LAYOUTS.items()}
 # kind -> the number of values `emit` takes positionally: its layout's
 # width, or None for a free-form kind, which takes keyword data only
 _WIDTH = {kind: len(_FIELDS[kind]) if kind in LAYOUTS else None
           for kind in KINDS}
+
+
+def _getter(fields: tuple[str, ...]) -> Callable[[dict], tuple]:
+    """`record -> the tuple of its values of fields`, by `itemgetter`, which
+    returns a bare value for one field; a missing field raises KeyError."""
+    get = itemgetter(*fields)
+    return get if len(fields) > 1 else lambda record: (get(record),)
+
+
+# laid-out kind -> the getter of a keyed record's values, in layout order
+_GET = {kind: _getter(fields) for kind, fields in _FIELDS.items()}
+# kind -> how `read_jsonl` makes a row of a decoded record: the module's
+# constant for the kind, the getter of its values (None for a free-form
+# kind, which keeps the record) and the record's number of keys, with
+# `slot` and `kind`
+_READ_AS = {kind: (kind, _GET.get(kind), (_WIDTH[kind] or 0) + 2)
+            for kind in KINDS}
 
 # layout type -> (the test that local `v` does not hold a value of it, the
 # f-string replacement field that writes the value as `_ENCODER` does)
@@ -168,8 +164,8 @@ _FIELD_CODE = {
 def _compile_line_encoder(kind: str, layout: dict[str, str]) -> Callable:
     """The line encoder of one laid-out kind, compiled from generated
     source: `line(slot, values, encode)` returns the JSON line of the row
-    `(slot, kind, values)`, newline included, with the bytes of
-    `TraceEvent.to_json`, or None when `slot` is not an int or a value does
+    `(slot, kind, values)`, newline included, with the bytes `_ENCODER`
+    gives its record, or None when `slot` is not an int or a value does
     not fit its field's type.  `values` holds one value per field of
     `layout`, in its order.  `encode` is the file's encoder, which writes
     the `json` fields."""
@@ -199,24 +195,14 @@ _LINE_ENCODERS = {kind: _compile_line_encoder(kind, layout)
                   for kind, layout in LAYOUTS.items()}
 
 
-def _values(kind: str, data: dict) -> tuple | dict:
-    """The values of an event given by keyword, as its row holds them: a
-    tuple in layout order when `kind` is laid out and `data` has exactly
-    its layout's keys, else `data` itself."""
-    fields = _FIELDS.get(kind)
-    if fields is not None and len(data) == len(fields):
-        try:
-            return tuple(map(data.__getitem__, fields))
-        except KeyError:
-            pass
-    return data
-
-
-def _data(kind: str, values: tuple | dict) -> dict:
-    """A row's values as its event's data dict."""
-    if type(values) is tuple:
-        return dict(zip(_FIELDS[kind], values))
-    return values
+def _misfit(kind: str, record: dict) -> str:
+    """Why the keys of a keyed `record` of a laid-out kind, besides `slot`
+    and `kind`, are not its layout's fields."""
+    fields = _FIELDS[kind]
+    wrong = [f"missing {f}" for f in fields if f not in record]
+    wrong += [f"extra {f}" for f in sorted(record)
+              if f not in fields and f not in ("slot", "kind")]
+    return f"{kind} takes the fields {', '.join(fields)}: {', '.join(wrong)}"
 
 
 def _misuse(kind: str, values: tuple, data: dict) -> TypeError:
@@ -245,38 +231,29 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-@dataclass(slots=True)
-class TraceEvent:
-    slot: int
-    kind: str
-    data: dict
-
-    def to_json(self) -> str:
-        return _ENCODER.encode({"slot": self.slot, "kind": self.kind, **self.data})
-
-
 class Trace:
-    """Slot-ordered event log. Appending out of slot order is a bug.
+    """Slot-ordered event log: one list of rows `(slot, kind, values)`.
+    Appending out of slot order is a bug.
 
-    `emit` records each event as one row `(slot, kind, values)`: a tuple of
-    values in `LAYOUTS` order for a laid-out kind given positionally or by
-    exactly its layout's keywords, else the keyword data dict.  The rows
-    still pending become `TraceEvent`s, filed by kind as well, when
-    `events`, iteration or `of_kind` first asks for them, each row once.
-    `len`, `meta` and `write_jsonl` read the rows as they are."""
+    `values` is a tuple in `LAYOUTS` order for a laid-out kind, and the
+    keyword data dict for Meta and AdversaryRelease.  `emit` and
+    `read_jsonl` append to the rows; `len`, `meta` and iteration read them,
+    and `of_kind` files them by kind, each row once."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._rows: list[tuple] = []            # emitted, not yet events
-        self._events: list[TraceEvent] = []
-        self._by_kind: dict[str, list[TraceEvent]] = {k: [] for k in KINDS}
+        self._rows: list[tuple] = []
+        self._by_kind: dict[str, list[tuple]] = {k: [] for k in KINDS}
+        self._filed = 0                 # rows filed in _by_kind so far
         self._last_slot = -(1 << 60)
 
     def emit(self, slot: int, kind: str, *values: Any, **data: Any) -> None:
         """Record one event: a laid-out kind's values positionally, in its
-        `LAYOUTS` order, or any kind's data by keyword.  Positional values
-        with keywords, a count other than the layout's width, or any for a
-        free-form kind raise `TypeError`."""
+        `LAYOUTS` order, or any kind's data by keyword, turned into a
+        laid-out kind's values by its getter.  Positional values with
+        keywords, a count other than the layout's width, any for a
+        free-form kind, and keywords that are not exactly a laid-out
+        kind's fields raise `TypeError`."""
         if not self.enabled:
             return
         if not slot >= self._last_slot:     # also true for a NaN slot
@@ -288,84 +265,60 @@ class Trace:
         if values:
             if data or len(values) != width:
                 raise _misuse(kind, values, data)
+        elif width is None:
+            values = data
+        elif data.keys() == LAYOUTS[kind].keys():
+            values = _GET[kind](data)
         else:
-            values = _values(kind, data)
+            raise TypeError(_misfit(kind, data))
         self._last_slot = slot
         self._rows.append((slot, kind, values))
 
-    @collector_paused()
-    def _build(self) -> None:
-        """Turn the pending rows into events, filed by kind as well."""
-        rows, self._rows = self._rows, []
-        events, by_kind = self._events, self._by_kind
-        for slot, kind, values in rows:
-            ev = TraceEvent(slot, kind, _data(kind, values))
-            events.append(ev)
-            by_kind[kind].append(ev)
-
-    @property
-    def events(self) -> list[TraceEvent]:
-        """Every event in trace order, the pending rows built first."""
-        if self._rows:
-            self._build()
-        return self._events
-
-    @events.setter
-    def events(self, events: list[TraceEvent]) -> None:
-        if self._rows:
-            self._build()
-        self._events = events
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self._rows)
 
     def __len__(self) -> int:
-        return len(self._events) + len(self._rows)
+        return len(self._rows)
 
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        """The events of one kind in trace order, as a new list."""
-        if self._rows:
-            self._build()
-        return list(self._by_kind.get(kind, ()))
+    def of_kind(self, kind: str) -> list[tuple]:
+        """The rows of one kind in trace order, as a new list."""
+        rows, by_kind = self._rows, self._by_kind
+        if self._filed < len(rows):
+            for row in islice(rows, self._filed, None):
+                by_kind[row[1]].append(row)
+            self._filed = len(rows)
+        return list(by_kind.get(kind, ()))
 
     @property
     def meta(self) -> dict:
-        if self._events:
-            kind, data = self._events[0].kind, self._events[0].data
-        elif self._rows:
-            _, kind, data = self._rows[0]
-        else:
-            kind = None
-        if kind == META:
-            return data
+        if self._rows and self._rows[0][1] == META:
+            return self._rows[0][2]
         raise ValueError("trace has no Meta record")
 
 
 @collector_paused()
-def write_jsonl(trace: Iterable[TraceEvent], path: str) -> None:
-    """Write events atomically (temp file + rename), each line the bytes of
-    `TraceEvent.to_json`, one `write` per `_BATCH_LINES` events.  A `Trace`
-    is written from its rows, and builds no events; other events are
-    turned into rows first.  If the write fails, the temp file is removed
-    and the exception re-raised."""
+def write_jsonl(trace: Trace, path: str) -> None:
+    """Write a trace's rows atomically (temp file + rename), each line the
+    bytes of `_ENCODER.encode` of its record, one `write` per
+    `_BATCH_LINES` rows.  If the write fails, the temp file is removed and
+    the exception re-raised."""
     encode = _new_file_encoder()
     line_of = _LINE_ENCODERS
-    built, pending = ((trace._events, trace._rows) if isinstance(trace, Trace)
-                      else (trace, ()))
-    rows = chain(((ev.slot, ev.kind, _values(ev.kind, ev.data))
-                  for ev in built), pending)
+    rows = iter(trace._rows)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             while batch := list(islice(rows, _BATCH_LINES)):
                 chunks: list[str] = []
                 for slot, kind, values in batch:
-                    if (type(values) is not tuple or (
-                            line := line_of[kind](slot, values, encode)) is None):
-                        chunks += encode({"slot": slot, "kind": kind,
-                                          **_data(kind, values)}, 0)
-                        line = "\n"
-                    chunks.append(line)
+                    if type(values) is tuple:
+                        line = line_of[kind](slot, values, encode)
+                        if line is not None:
+                            chunks.append(line)
+                            continue
+                        values = dict(zip(_FIELDS[kind], values))
+                    chunks += encode({"slot": slot, "kind": kind, **values}, 0)
+                    chunks.append("\n")
                 fh.write("".join(chunks))
         os.replace(tmp, path)
     except BaseException:
@@ -378,11 +331,12 @@ def write_jsonl(trace: Iterable[TraceEvent], path: str) -> None:
 def read_jsonl(path: str) -> Trace:
     """Read a trace written by `write_jsonl`. A bad record raises with the
     file and line: invalid JSON, a record that is not an object, an unknown
-    kind or a slot that is not a number (NaN included) as `ValueError`, a
-    missing `slot` or `kind` as `KeyError`, a slot that goes backwards as
+    kind, a slot that is not a number (NaN included) or a laid-out record
+    whose keys are not exactly its layout's as `ValueError`, a missing
+    `slot` or `kind` as `KeyError`, a slot that goes backwards as
     `AssertionError`."""
     trace = Trace()
-    events, by_kind = trace._events, trace._by_kind
+    rows, read_as = trace._rows, _READ_AS
     last_slot = trace._last_slot
     line_no = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -395,14 +349,14 @@ def read_jsonl(path: str) -> Trace:
                 recs = None
             if recs is None or len(recs) != len(lines):
                 recs = _parse_lines(path, batch, first)
-            done = len(events)
+            done = len(rows)
             try:
                 for rec in recs:
-                    slot = rec.pop("slot")
-                    kind = rec.pop("kind")
-                    of_kind = by_kind.get(kind)
-                    if of_kind is None:
-                        raise ValueError(f"unknown event kind {kind!r}")
+                    slot = rec["slot"]
+                    how = read_as.get(rec["kind"])
+                    if how is None:
+                        raise ValueError(
+                            f"unknown event kind {rec['kind']!r}")
                     if not slot >= last_slot:   # also true for a NaN slot
                         if slot != slot:
                             raise ValueError(
@@ -410,15 +364,26 @@ def read_jsonl(path: str) -> Trace:
                         raise AssertionError(
                             f"trace slot went backwards: {slot} after {last_slot}")
                     last_slot = slot
-                    ev = TraceEvent(slot, _CANON[kind], rec)
-                    events.append(ev)
-                    of_kind.append(ev)
-            except (KeyError, ValueError, AssertionError) as exc:
-                where = _line_of(batch, first, len(events) - done)
-                what = f"missing {exc}" if isinstance(exc, KeyError) else exc
-                raise type(exc)(f"{path}:{where}: {what}") from None
-            except (TypeError, AttributeError):
-                where = _line_of(batch, first, len(events) - done)
+                    kind, get, width = how
+                    if get is None:
+                        del rec["slot"], rec["kind"]
+                        values = rec
+                    elif len(rec) == width:
+                        values = get(rec)   # KeyError for a wrong field
+                    else:
+                        raise ValueError(_misfit(kind, rec))
+                    rows.append((slot, kind, values))
+            except KeyError as exc:
+                where = _line_of(batch, first, len(rows) - done)
+                if "slot" in rec and "kind" in rec:     # a field is wrong
+                    raise ValueError(
+                        f"{path}:{where}: {_misfit(kind, rec)}") from None
+                raise KeyError(f"{path}:{where}: missing {exc}") from None
+            except (ValueError, AssertionError) as exc:
+                where = _line_of(batch, first, len(rows) - done)
+                raise type(exc)(f"{path}:{where}: {exc}") from None
+            except TypeError:
+                where = _line_of(batch, first, len(rows) - done)
                 what = _not_an_event(json.loads(batch[where - first]))
                 raise ValueError(f"{path}:{where}: {what}") from None
     trace._last_slot = last_slot
@@ -456,8 +421,8 @@ def _parse_lines(path: str, batch: list[str], first: int) -> list:
 
 
 def _not_an_event(rec: Any) -> str:
-    """Why a decoded record on which the reader raised `TypeError` or
-    `AttributeError` is not an event."""
+    """Why a decoded record on which the reader raised `TypeError` is not
+    an event."""
     if not isinstance(rec, dict):
         return f"record is not a JSON object: {rec!r:.60}"
     if isinstance(rec["kind"], (list, dict)):

@@ -1,8 +1,10 @@
 """Shared builders: a single honest node wired to its own store, network
-environment, and trace, plus small header-tree helpers; and the slow pivot
-oracles that the walk form is checked against."""
+environment, and trace, plus small header-tree helpers; a trace row's
+record and JSON line; and the slow pivot oracles that the walk form is
+checked against."""
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -17,6 +19,31 @@ from nakasim.sim import AuditSink
 
 # keep worker pools out of unit tests regardless of the host machine
 os.environ.setdefault("NAKASIM_THREADS", "1")
+
+
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def record(row) -> dict:
+    """A trace row `(slot, kind, values)` as the record its JSON line
+    holds: its fields by name, with its slot and kind."""
+    slot, kind, values = row
+    if type(values) is tuple:
+        values = dict(zip(tr.LAYOUTS[kind], values))
+    return {"slot": slot, "kind": kind, **values}
+
+
+def fields(row) -> dict:
+    """A trace row's fields by name, without its slot and kind."""
+    data = record(row)
+    del data["slot"], data["kind"]
+    return data
+
+
+def line(row) -> str:
+    """A trace row's JSON line, without the newline: its record with
+    sorted keys and no spaces, the form `trace.write_jsonl` writes."""
+    return _LINE_ENCODER.encode(record(row))
 
 
 def bpo(slot: int, node: int = 1, honest: bool = True, seq: int = 0) -> BpoId:
@@ -72,7 +99,8 @@ class Rig:
 
 class MiniRun:
     """Hand-built trace with full control over productions and fetches; used
-    to exercise the audits on known-good and doctored histories."""
+    to exercise the audits on known-good and doctored histories.  Every
+    record it emits has all the fields of its kind's layout."""
 
     def __init__(self, nodes=(0, 1), horizon=60, capacity=10.0, tau=0.1,
                  policy=pm.POLICY_LONGEST_HEADER_CHAIN, protocol=pm.PROTOCOL_POW,
@@ -84,6 +112,7 @@ class MiniRun:
                         policy=policy, k_epf=k_epf)
         self.next_id = 1
         self.height = {0: 0}
+        self.tip: dict[int, int] = {}      # node -> its last recorded tip
 
     def produce(self, slot, parent=None, cls="honest", producer=0, h=1, a=0,
                 bpo_seq=0, emit_bpo=True):
@@ -91,17 +120,18 @@ class MiniRun:
         if parent is None:
             parent = self.next_id - 1 if self.next_id > 1 else 0
         if emit_bpo:
-            self.trace.emit(slot, tr.BPO, h=h, a=a)
+            self.busy(slot, h, a)
         hid = self.next_id
         self.next_id += 1
         self.height[hid] = self.height[parent] + 1
         self.trace.emit(slot, tr.BLOCK_PRODUCED, cls=cls, producer=producer,
                         header=hid, parent=parent, height=self.height[hid],
-                        bpo_slot=slot, bpo_node=producer, bpo_seq=bpo_seq)
+                        bpo_slot=slot, bpo_node=producer, bpo_seq=bpo_seq,
+                        private=False)
         return hid
 
     def busy(self, slot, h=0, a=1):
-        self.trace.emit(slot, tr.BPO, h=h, a=a)
+        self.trace.emit(slot, tr.BPO, h=h, a=a, s=0, winners=[])
 
     def fetch(self, slot, node, header, paid=1.0):
         self.trace.emit(slot, tr.CONTENT_FETCHED, node=node, header=header,
@@ -110,9 +140,13 @@ class MiniRun:
     def blank(self, slot, node, header):
         self.trace.emit(slot, tr.PRETEND_EMPTY, node=node, header=header)
 
-    def switch(self, slot, node, tip):
-        self.trace.emit(slot, tr.CHAIN_SWITCHED, node=node, new=tip,
-                        height=self.height[tip])
+    def switch(self, slot, node, tip, height=None):
+        """Node `node` adopts `tip`, recorded at `height` (the tip's own
+        height by default)."""
+        old, self.tip[node] = self.tip.get(node, 0), tip
+        self.trace.emit(slot, tr.CHAIN_SWITCHED, node=node, old=old, new=tip,
+                        height=self.height[tip] if height is None else height,
+                        switch=False)
 
     def ledger(self, slot, node, length, tip):
         self.trace.emit(slot, tr.LEDGER_OUTPUT, node=node, len=length, tip=tip)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import MiniRun
+from conftest import MiniRun, fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -275,10 +275,10 @@ def test_blanking_inconclusive_without_blanks():
 # on tables of their own built from every event
 
 def header_table(run_trace):
-    """Header id -> its BlockProduced record; the table counts its lookups
-    for the cost guards below."""
-    return CountingTable((ev.data["header"], ev.data) for ev in run_trace.events
-                         if ev.kind == tr.BLOCK_PRODUCED)
+    """Header id -> its BlockProduced values, as `classify` keeps them; the
+    table counts its lookups for the cost guards below."""
+    return CountingTable((fields(row)["header"], row[2]) for row in run_trace
+                         if row[1] == tr.BLOCK_PRODUCED)
 
 
 def stabilization_oracle(run_trace, series, cp_flags):
@@ -287,10 +287,11 @@ def stabilization_oracle(run_trace, series, cp_flags):
     honest = list(run_trace.meta["honest_nodes"])
     table = header_table(run_trace)
     timelines = {}
-    for ev in run_trace.events:
-        if ev.kind == tr.CHAIN_SWITCHED:
-            timelines.setdefault(ev.data["node"], []).append(
-                (ev.slot, ev.data["new"], ev.data["height"]))
+    for row in run_trace:
+        if row[1] == tr.CHAIN_SWITCHED:
+            d = fields(row)
+            timelines.setdefault(d["node"], []).append(
+                (row[0], d["new"], d["height"]))
     result = pv.AuditResult("cp-stabilization", True)
     cps = [(int(series.slots[k]) + series.nu, int(series.block[k]), k + 1)
            for k in range(len(series)) if cp_flags[k]]
@@ -300,7 +301,7 @@ def stabilization_oracle(run_trace, series, cp_flags):
     for p in honest:
         line = timelines.get(p, [])
         for start_slot, block, k in cps:
-            height = table[block]["height"]
+            height = table[block][pv._HEIGHT]
             ok = True
             witness_slot = None
             pos = bisect.bisect_right([s for s, _, _ in line], start_slot) - 1
@@ -340,16 +341,17 @@ def budget_oracle(run_trace, series, cp_flags, c_tilde):
     table = header_table(run_trace)
     fetches = {p: [] for p in honest}
     processed = {}
-    for ev in run_trace.events:
-        if ev.kind == tr.CONTENT_FETCHED:
-            node, header = ev.data["node"], ev.data["header"]
+    for row in run_trace:
+        slot, kind, d = row[0], row[1], fields(row)
+        if kind == tr.CONTENT_FETCHED:
+            node, header = d["node"], d["header"]
             if node in fetches:
-                fetches[node].append((ev.slot, header))
-            processed.setdefault((node, header), ev.slot)
-        elif ev.kind == tr.PRETEND_EMPTY:
-            processed.setdefault((ev.data["node"], ev.data["header"]), ev.slot)
-        elif ev.kind == tr.BLOCK_PRODUCED and ev.data["cls"] == "honest":
-            processed.setdefault((ev.data["producer"], ev.data["header"]), ev.slot)
+                fetches[node].append((slot, header))
+            processed.setdefault((node, header), slot)
+        elif kind == tr.PRETEND_EMPTY:
+            processed.setdefault((d["node"], d["header"]), slot)
+        elif kind == tr.BLOCK_PRODUCED and d["cls"] == "honest":
+            processed.setdefault((d["producer"], d["header"]), slot)
     last_cp_slot = 0
     for k in range(len(series)):
         t = int(series.slots[k])
@@ -363,7 +365,8 @@ def budget_oracle(run_trace, series, cp_flags, c_tilde):
                 for slot, header in fetches[p]:
                     if t <= slot <= deadline:
                         info = table.get(header)
-                        if info is not None and last_cp_slot < info["bpo_slot"] <= t:
+                        if (info is not None
+                                and last_cp_slot < info[pv._BPO_SLOT] <= t):
                             count += 1
                 result.checked += 1
                 if count < math.floor(c_tilde - 1e-9):
@@ -383,15 +386,16 @@ def processed_oracle(run_trace):
     """classify's old pass: the earliest slot per (node, header) at which a
     node produced, fetched or blanked a block, over every event."""
     processed = {}
-    for ev in run_trace.events:
-        if ev.kind == tr.BLOCK_PRODUCED and ev.data["cls"] == "honest":
-            key = (ev.data["producer"], ev.data["header"])
-        elif ev.kind in (tr.CONTENT_FETCHED, tr.PRETEND_EMPTY):
-            key = (ev.data["node"], ev.data["header"])
+    for row in run_trace:
+        slot, kind, d = row[0], row[1], fields(row)
+        if kind == tr.BLOCK_PRODUCED and d["cls"] == "honest":
+            key = (d["producer"], d["header"])
+        elif kind in (tr.CONTENT_FETCHED, tr.PRETEND_EMPTY):
+            key = (d["node"], d["header"])
         else:
             continue
-        if key not in processed or ev.slot < processed[key]:
-            processed[key] = ev.slot
+        if key not in processed or slot < processed[key]:
+            processed[key] = slot
     return processed
 
 
@@ -560,7 +564,7 @@ def misreported_height_run():
     """Node 1 records a switch to the latest block with a doctored height
     of 1: tips are judged by the height their switch recorded."""
     run, blocks = linear_run(n_blocks=3)
-    run.trace.emit(30, tr.CHAIN_SWITCHED, node=1, new=blocks[-1], height=1)
+    run.switch(30, 1, blocks[-1], height=1)
     return run
 
 

@@ -219,6 +219,41 @@ def test_analyze_flags_doctored_trace(tmp_path):
     assert "chain-growth" in failed
 
 
+@pytest.mark.parametrize("kind, field", [
+    (tr.BLOCK_PRODUCED, "height"), (tr.CONTENT_FETCHED, "paid"),
+    (tr.BPO, "s"), (tr.LEDGER_OUTPUT, "node"),
+    (tr.META, "horizon_slots"), (tr.META, "honest_nodes"),
+    (tr.META, "capacity"), (tr.META, "tau")])
+def test_analyze_names_a_missing_field_in_one_error_line(tmp_path, capsys,
+                                                         kind, field):
+    """A trace edited by hand to drop a field that the analysis needs
+    exits 1 with one `error:` line naming the line or the Meta field; no
+    default stands in for the field."""
+    run = MiniRun(nodes=(0, 1), horizon=40)
+    hid = run.produce(2, producer=0)
+    run.fetch(3, 1, hid)
+    run.ledger(4, 0, 1, hid)
+    path = tmp_path / "edited.jsonl"
+    tr.write_jsonl(run.trace, str(path))
+    lines = path.read_text().splitlines()
+    at = next(i for i, text in enumerate(lines)
+              if json.loads(text)["kind"] == kind)
+    record = json.loads(lines[at])
+    del record[field]
+    lines[at] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["analyze", "--trace", str(path), "--c-tilde", "2",
+                     "--kcp", "1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    if kind == tr.META:
+        assert err == f"error: trace Meta has no {field}\n"
+    else:
+        assert err.startswith(f"error: {path}:{at + 1}: {kind} takes the "
+                              f"fields ")
+        assert err.endswith(f": missing {field}\n") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_region_csv(tmp_path, capsys):
     out = tmp_path / "region.csv"
     rc = cli.main(["region", "--capacity", "1.0", "--delta-h", "0.0",

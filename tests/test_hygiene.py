@@ -86,7 +86,6 @@ KEPT_UNREACHED = {
     "liveness_latency_refined": "latency bound that a measured confirmation "
                                 "latency is to be set against",
     "error": "argparse calls `_Parser.error` on a usage error",
-    "to_json": "the reference line form `write_jsonl` must reproduce",
 }
 
 

@@ -2,7 +2,7 @@
 negative controls that the audits must catch."""
 import numpy as np
 import pytest
-from conftest import margin_check, pivot_flags_interval
+from conftest import fields, line, margin_check, pivot_flags_interval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,7 +123,7 @@ def test_lead_metrics_are_the_last_and_largest_sample(attack, beta):
     """A lead that is never recorded does not count: with no attack every
     recorded lead is negative, and so is max_lead."""
     metrics, run_trace = sim.run_scenario(secure_scenario(attack, beta), seed=3)
-    leads = [ev.data["lead"] for ev in run_trace.of_kind(tr.LEAD_SAMPLE)]
+    leads = [lead for _, _, (lead,) in run_trace.of_kind(tr.LEAD_SAMPLE)]
     assert leads
     assert (metrics.final_lead, metrics.max_lead) == (leads[-1], max(leads))
     if attack == pm.ATTACK_NONE:
@@ -138,19 +138,19 @@ def test_half_horizon_is_a_prefix():
         long, sim=dataclasses.replace(long.sim, horizon_slots=1000))
     _, t_long = sim.run_scenario(long, seed=11)
     _, t_short = sim.run_scenario(short, seed=11)
-    long_events = [e.to_json() for e in t_long.events
-                   if e.slot < 1000 and e.kind != tr.META]
-    short_events = [e.to_json() for e in t_short.events
-                    if e.slot < 1000 and e.kind != tr.META]
+    long_events = [line(row) for row in t_long
+                   if row[0] < 1000 and row[1] != tr.META]
+    short_events = [line(row) for row in t_short
+                    if row[0] < 1000 and row[1] != tr.META]
     # the shorter run may emit final bookkeeping at its last slot
     assert short_events[:len(long_events)] == long_events or \
         long_events[:len(short_events)] == short_events
 
 
-def _rebuilt(events):
+def _rebuilt(rows):
     t2 = tr.Trace()
-    for e in events:
-        t2.emit(e.slot, e.kind, **e.data)
+    for row in rows:
+        t2.emit(row[0], row[1], **fields(row))
     return t2
 
 
@@ -161,9 +161,9 @@ def _audit_by_name(report, name):
 def test_doctored_traces_fail_their_audits():
     scenario = secure_scenario()
     _, clean_trace = sim.run_scenario(scenario, seed=9)
-    last = clean_trace.events[-1].slot
-    fetches = [e for e in clean_trace.events if e.kind == tr.CONTENT_FETCHED
-               and e.data.get("via") == "request"]
+    last = list(clean_trace)[-1][0]
+    fetches = [fields(row) for row in clean_trace.of_kind(tr.CONTENT_FETCHED)
+               if fields(row)["via"] == "request"]
     assert fetches
 
     def analyzed(trace):
@@ -175,25 +175,25 @@ def test_doctored_traces_fail_their_audits():
     assert analyzed(clean_trace).passed
 
     # a replayed download breaks the single-fetch discipline
-    dup = _rebuilt(clean_trace.events)
+    dup = _rebuilt(clean_trace)
     src = fetches[0]
-    dup.emit(last, tr.CONTENT_FETCHED, **src.data)
+    dup.emit(last, tr.CONTENT_FETCHED, **src)
     report = analyzed(dup)
     assert not _audit_by_name(report, "single-fetch").passed
 
     # a burst of paid downloads breaks the capacity envelope
-    burst = _rebuilt(clean_trace.events)
+    burst = _rebuilt(clean_trace)
     for _ in range(4):
-        burst.emit(last, tr.CONTENT_FETCHED, node=src.data["node"],
-                   header=src.data["header"] + 1, via="request", paid=1.0)
+        burst.emit(last, tr.CONTENT_FETCHED, node=src["node"],
+                   header=src["header"] + 1, via="request", paid=1.0)
     report = analyzed(burst)
     assert not _audit_by_name(report, "capacity").passed
 
     # erasing one node's adoptions breaks chain growth
     victim = scenario.sim.honest_nodes[-1]
-    pruned = _rebuilt(e for e in clean_trace.events
-                      if not (e.kind == tr.CHAIN_SWITCHED
-                              and e.data["node"] == victim))
+    pruned = _rebuilt(row for row in clean_trace
+                      if not (row[1] == tr.CHAIN_SWITCHED
+                              and fields(row)["node"] == victim))
     report = analyzed(pruned)
     assert not _audit_by_name(report, "chain-growth").passed
 

@@ -3,7 +3,7 @@ confirmed ledger of a single honest node."""
 from collections import Counter
 
 import pytest
-from conftest import Rig
+from conftest import Rig, fields
 
 from nakasim import params as pm
 from nakasim import trace as tr
@@ -79,8 +79,8 @@ def test_a_header_verdict_is_computed_once_per_simulation(monkeypatch):
     sim = Simulation(pm.scenario_from_dict(
         matrix_scenario(pm.PROTOCOL_POS, pm.POLICY_LONGEST_HEADER_CHAIN)))
     sim.run()
-    delivered = Counter(ev.data["header"]
-                        for ev in sim.trace.of_kind(tr.HEADER_DELIVERED))
+    delivered = Counter(fields(row)["header"]
+                        for row in sim.trace.of_kind(tr.HEADER_DELIVERED))
     assert max(delivered.values()) == len(sim.honest_ids)
     assert delivered.keys() <= checked.keys()
     assert set(checked.values()) == {1}
@@ -239,8 +239,8 @@ def test_partial_cache_keeps_ten_newest_tasks():
                          node_id=40 + k, upload=False)
         rig.deliver(lead[-1], slot)
         rig.step(slot)
-    paid = {e.data["header"]: e.data["paid"]
-            for e in rig.trace.of_kind(tr.CONTENT_FETCHED)}
+    paid = {fields(row)["header"]: fields(row)["paid"]
+            for row in rig.trace.of_kind(tr.CONTENT_FETCHED)}
     assert paid[firsts[1].id] == pytest.approx(0.55)
     assert paid[firsts[0].id] == pytest.approx(1.0)
 
@@ -302,7 +302,7 @@ def test_sapos_scheduler_blanks_equivocators_for_free():
     assert rig.env.meters[0].spent_total == pytest.approx(1.0)
     # both twins get blanked for free, on-chain or not
     blanks = rig.trace.of_kind(tr.PRETEND_EMPTY)
-    assert {e.data["header"] for e in blanks} == {off_a.id, off_b.id}
+    assert {fields(row)["header"] for row in blanks} == {off_a.id, off_b.id}
 
 
 def test_ledger_confirms_at_depth():
@@ -311,14 +311,14 @@ def test_ledger_confirms_at_depth():
     rig.deliver(chain, 0)
     rig.step(0)
     outputs = rig.trace.of_kind(tr.LEDGER_OUTPUT)
-    assert outputs[-1].data == {"node": 0, "len": 2, "tip": chain[1].id}
+    assert fields(outputs[-1]) == {"node": 0, "len": 2, "tip": chain[1].id}
     assert rig.node.dchain[:rig.node.confirmed_len] == [h.id for h in chain[:2]]
 
     more = rig.chain(2, start_slot=9, parent=chain[-1])
     rig.deliver(more, 9)
     rig.step(9)
     outputs = rig.trace.of_kind(tr.LEDGER_OUTPUT)
-    assert outputs[-1].data == {"node": 0, "len": 4, "tip": chain[3].id}
+    assert fields(outputs[-1]) == {"node": 0, "len": 4, "tip": chain[3].id}
     assert rig.node.dchain[:rig.node.confirmed_len] == [h.id for h in chain]
 
 

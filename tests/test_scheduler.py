@@ -6,7 +6,7 @@ import math
 from collections import OrderedDict
 
 import pytest
-from conftest import Rig
+from conftest import Rig, line
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -337,8 +337,8 @@ def test_index_matches_the_reference_scheduler(policy, protocol, ops, rate):
     assert new.node.tip_evictions == ref.node.tip_evictions
     assert new.node.dchain == ref.node.dchain
     assert new.node.partial == ref.node.partial
-    assert ([e.to_json() for e in new.rig.trace]
-            == [e.to_json() for e in ref.rig.trace])
+    assert ([line(row) for row in new.rig.trace]
+            == [line(row) for row in ref.rig.trace])
 
 
 # -- cost ------------------------------------------------------------------

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import orjson
 import pytest
+from conftest import fields, line
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_trace_digests import (PINNED_ATTACKS, bench_workloads,
-                                matrix_scenario)
+                                matrix_scenario, write_counting_fallbacks)
 
 from nakasim import params as pm
 from nakasim import pivots as pv
@@ -24,18 +25,19 @@ from nakasim.sim import Simulation
 def small_trace():
     t = tr.Trace()
     t.emit(0, tr.META, scenario={"sim": {"seed": 1}}, seed=1, nu=2)
-    t.emit(3, tr.BPO, node=0, honest=True)
-    t.emit(3, tr.BLOCK_PRODUCED, header=1, parent=0, height=1, node=0)
+    t.emit(3, tr.BPO, h=1, a=0, s=0, winners=[[0, True]])
+    t.emit(3, tr.BLOCK_PRODUCED, producer=0, header=1, parent=0, height=1,
+           bpo_slot=3, bpo_node=0, bpo_seq=0, cls="honest", private=False)
     t.emit(7, tr.CONTENT_FETCHED, node=1, header=1, via="request", paid=1.0)
     return t
 
 
 def test_slot_order_enforced():
     t = tr.Trace()
-    t.emit(5, tr.BPO, node=0)
-    t.emit(5, tr.BPO, node=1)  # equal slots fine
+    t.emit(5, tr.BLANKED, 0, 1)
+    t.emit(5, tr.BLANKED, 1, 1)  # equal slots fine
     with pytest.raises(AssertionError):
-        t.emit(4, tr.BPO, node=2)
+        t.emit(4, tr.BLANKED, 2, 1)
 
 
 def test_disabled_trace_records_nothing():
@@ -50,7 +52,7 @@ def test_meta_is_first_record():
     t = small_trace()
     assert t.meta["seed"] == 1
     bare = tr.Trace()
-    bare.emit(0, tr.BPO, node=0)
+    bare.emit(0, tr.LEAD_SAMPLE, 0)
     with pytest.raises(ValueError):
         bare.meta
 
@@ -60,8 +62,7 @@ def test_round_trip_is_lossless(tmp_path):
     path = tmp_path / "t.jsonl"
     tr.write_jsonl(t, str(path))
     back = tr.read_jsonl(str(path))
-    assert [(e.slot, e.kind, e.data) for e in back] == \
-           [(e.slot, e.kind, e.data) for e in t]
+    assert list(back) == list(t)
     # serialisation is canonical, so a second pass is byte-identical
     path2 = tmp_path / "t2.jsonl"
     tr.write_jsonl(back, str(path2))
@@ -77,7 +78,7 @@ def test_read_rejects_unknown_kind(tmp_path):
 
 def test_read_reports_bad_json_with_line(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"slot":0,"kind":"Bpo"}\n{oops\n')
+    path.write_text(bpo_lines(1)[0] + "{oops\n")
     with pytest.raises(ValueError, match=r"bad\.jsonl:2"):
         tr.read_jsonl(str(path))
 
@@ -115,45 +116,51 @@ SIMULATED = {
 }
 
 
-def records(t):
-    return [(e.slot, e.kind, e.data) for e in t]
-
-
-def assert_index_matches_events(t):
+def assert_index_matches_rows(t):
     for kind in tr.KINDS:
-        assert t.of_kind(kind) == [e for e in t.events if e.kind == kind]
+        assert t.of_kind(kind) == [row for row in t if row[1] == kind]
+
+
+def assert_keeps_no_dict_per_event(t):
+    """Every row of a laid-out kind holds its values as a tuple; only Meta
+    and AdversaryRelease rows hold a dict."""
+    for _, kind, values in t:
+        assert type(values) is (tuple if kind in tr.LAYOUTS else dict)
 
 
 def assert_round_trips(t, tmp_path):
+    """Write, read and write again: the same bytes, and the same rows."""
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     tr.write_jsonl(t, str(first))
     back = tr.read_jsonl(str(first))
     tr.write_jsonl(back, str(second))
     assert first.read_bytes() == second.read_bytes()
-    assert records(back) == records(t)
-    assert_index_matches_events(back)
+    assert list(back) == list(t)
+    assert_index_matches_rows(back)
+    assert_keeps_no_dict_per_event(back)
     return back
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATED))
 def test_simulated_traces_round_trip(name, tmp_path):
     t = SIMULATED[name]()
-    assert_index_matches_events(t)
+    assert_index_matches_rows(t)
+    assert_keeps_no_dict_per_event(t)
     if name == "sapos-pos-teaser":
         assert all(t.of_kind(k) for k in (tr.PRETEND_EMPTY, tr.BLANKED,
                                           tr.PROOF_INCLUDED))
     back = assert_round_trips(t, tmp_path)
 
     # a trace read back keeps its index and its slot order as it grows
-    last = back.events[-1].slot
+    last = list(back)[-1][0]
     with pytest.raises(AssertionError):
-        back.emit(last - 1, tr.BPO, h=1, a=0)
+        back.emit(last - 1, tr.BPO, h=1, a=0, s=0, winners=[])
     for trace in (t, back):
         trace.emit(last, tr.LEAD_SAMPLE, lead=3)
         trace.emit(last + 5, tr.BPO, h=0, a=1, s=0, winners=[[9, False]])
         trace.emit(last + 5, tr.BLANKED, node=0, block=1)
-    assert records(back) == records(t)
-    assert_index_matches_events(back)
+    assert list(back) == list(t)
+    assert_index_matches_rows(back)
     assert_round_trips(back, tmp_path)
 
 
@@ -173,9 +180,13 @@ def test_emit_rejects_an_unknown_kind():
 
 # -- reading in batches ----------------------------------------------------
 
+def bpo_line(slot, a="0"):
+    """A whole Bpo record at `slot`, its `a` field the JSON text `a`."""
+    return f'{{"a":{a},"h":1,"kind":"Bpo","s":0,"slot":{slot},"winners":[]}}\n'
+
+
 def bpo_lines(n, start_slot=0):
-    return [f'{{"a":0,"h":1,"kind":"Bpo","slot":{start_slot + i}}}\n'
-            for i in range(n)]
+    return [bpo_line(start_slot + i) for i in range(n)]
 
 
 @pytest.mark.parametrize("bad_line", [1, 1024, 1025, 4096, 4097, 8193,
@@ -242,15 +253,15 @@ def test_blank_lines_inside_and_between_batches_are_skipped(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text("".join(with_blanks))
     back = tr.read_jsonl(str(path))
-    assert [e.slot for e in back] == list(range(8500))
+    assert [row[0] for row in back] == list(range(8500))
     assert len(back.of_kind(tr.BPO)) == 8500
-    assert all(e.data == {"a": 0, "h": 1} for e in back)
+    assert all(values == (1, 0, 0, []) for _, _, values in back)
 
 
 @pytest.mark.parametrize("at", [5, 1024, 1025, 4096, 4097])
 def test_slots_going_backwards_fail_as_before(tmp_path, at):
     lines = bpo_lines(5000)
-    lines[at - 1] = '{"kind":"Bpo","slot":0}\n'
+    lines[at - 1] = bpo_line(0)
     path = tmp_path / "t.jsonl"
     path.write_text("".join(lines))
     with pytest.raises(AssertionError,
@@ -285,15 +296,15 @@ def test_a_nan_slot_does_not_switch_the_order_check_off(tmp_path):
     """Every comparison with NaN is false, so a NaN slot read as in order
     would let every later slot through: 1 after 5, say."""
     path = tmp_path / "t.jsonl"
-    path.write_text("".join(f'{{"kind":"Bpo","slot":{slot}}}\n'
+    path.write_text("".join(bpo_line(slot)
                             for slot in ("5", "NaN", "1", "true", "2.5")))
     with pytest.raises(ValueError) as raised:
         tr.read_jsonl(str(path))
     assert str(raised.value) == f"{path}:2: slot is not a number: nan"
     t = tr.Trace()
-    t.emit(5, tr.BPO)
+    t.emit(5, tr.LEAD_SAMPLE, 0)
     with pytest.raises(AssertionError, match="went backwards: nan after 5"):
-        t.emit(math.nan, tr.BPO)
+        t.emit(math.nan, tr.LEAD_SAMPLE, 0)
 
 
 def test_importing_the_cli_leaves_orjson_unloaded():
@@ -347,7 +358,7 @@ def test_a_record_orjson_gets_wrong_sends_its_batch_to_json(tmp_path,
     """NaN, which orjson rejects, and an int past 2**64, which it makes a
     float, send their batch, and only that one, to one `json.loads`."""
     lines = lines_with_blanks()
-    lines[3000] = f'{{"a":{odd},"h":1,"kind":"Bpo","slot":3000}}\n'
+    lines[3000] = bpo_line(3000, a=odd)
     path = tmp_path / "t.jsonl"
     path.write_text("".join(lines))
     calls = counted_decoders(monkeypatch)
@@ -358,20 +369,37 @@ def test_a_record_orjson_gets_wrong_sends_its_batch_to_json(tmp_path,
     assert calls["json"][0] > 1000 * len(lines[1])
     # a batch with a long run of digits does not try orjson first
     assert len(calls["orjson"]) == (10 if odd == "NaN" else 9)
-    assert repr(back.events[3000].data["a"]) == repr(json.loads(odd))
+    assert repr(fields(list(back)[3000])["a"]) == repr(json.loads(odd))
+
+
+# layout type -> a value of it, made from an int
+FILLER = {"int": lambda i: i, "bool": lambda i: i % 2 == 0,
+          "str": lambda i: "ü" * (i % 3), "float": lambda i: i / 7,
+          "json": lambda i: [[i, True]]}
+
+
+def emit_filled(t, slot, kind, i):
+    """Emit one event of `kind` whose values are made from `i`: a laid-out
+    kind's positionally, a free-form kind's as keyword data."""
+    if kind in tr.LAYOUTS:
+        t.emit(slot, kind,
+               *(FILLER[of](i) for of in tr.LAYOUTS[kind].values()))
+    else:
+        t.emit(slot, kind, i=i, paid=i / 7, nested=[[i, True]],
+               text="ü" * (i % 3))
 
 
 def test_a_read_event_holds_the_constant_kind(tmp_path):
     t = tr.Trace()
     for slot, kind in enumerate(tr.KINDS):
-        t.emit(slot, kind, i=slot)
+        emit_filled(t, slot, kind, slot)
     path = tmp_path / "t.jsonl"
     tr.write_jsonl(t, str(path))
     back = tr.read_jsonl(str(path))
-    assert [e.kind for e in back] == list(tr.KINDS)
-    assert all(e.kind is kind for e, kind in zip(back, tr.KINDS))
-    assert all(e.kind is kind for kind in tr.KINDS
-               for e in back.of_kind(kind))
+    assert [row[1] for row in back] == list(tr.KINDS)
+    assert all(row[1] is kind for row, kind in zip(back, tr.KINDS))
+    assert all(row[1] is kind for kind in tr.KINDS
+               for row in back.of_kind(kind))
 
 
 # -- the batch decoder against json.loads ------------------------------------
@@ -416,7 +444,8 @@ deep_texts = st.integers(1, 300).map(lambda d: "[" * d + "1" + "]" * d)
 def record_lines(draw):
     """Lines of records in slot order, each with a known kind, the fields of
     its layout (for a laid-out kind) or free keys, and values drawn from the
-    texts above; now and then an invalid line."""
+    texts above; now and then an invalid line, or a laid-out record with a
+    field missing or one too many."""
     slots = sorted(draw(st.lists(
         st.one_of(st.integers(0, 10**6),
                   st.sampled_from([i for i in EDGE_INTS if i > 0])),
@@ -426,6 +455,11 @@ def record_lines(draw):
         kind = draw(st.sampled_from(tr.KINDS))
         keys = list(tr.LAYOUTS.get(kind, ())) or draw(
             st.lists(st.sampled_from(KEYS[:3]), max_size=4))
+        if kind in tr.LAYOUTS and draw(st.integers(0, 30)) == 0:
+            if draw(st.booleans()):
+                keys.remove(draw(st.sampled_from(keys)))
+            else:
+                keys.append(draw(st.sampled_from(KEYS[:3])))
         pairs = [(k, draw(st.one_of(value_texts, deep_texts))) for k in keys]
         pairs += [("slot", str(slot)), ("kind", json.dumps(kind))]
         line = object_text(draw(st.permutations(pairs)))
@@ -440,22 +474,34 @@ def typed(value):
     that NaN equals NaN and -0.0 differs from 0.0) and dicts in key order."""
     if isinstance(value, dict):
         return ("dict", [(k, typed(v)) for k, v in value.items()])
-    if isinstance(value, list):
-        return ("list", [typed(v) for v in value])
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [typed(v) for v in value])
     return (type(value).__name__, repr(value))
 
 
-def decoded_by_json(lines):
-    """The events `read_jsonl` must return, decoding line by line with
-    `json.loads`, or the number of the first line that is invalid JSON."""
-    events = []
-    for line_no, line in enumerate(lines, 1):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            return line_no
-        events.append(typed((rec.pop("slot"), rec.pop("kind"), rec)))
-    return events
+def decoded_by_json(lines, batch):
+    """The rows `read_jsonl` must return, decoding line by line with
+    `json.loads`, or the number of the first bad line and why it is bad:
+    invalid JSON, or a laid-out record without exactly its layout's
+    fields.  The reader decodes `batch` lines before it reads their
+    records, so it names an invalid line of a batch before any record of
+    that batch that lacks a field."""
+    rows = []
+    for first in range(0, len(lines), batch):
+        recs = []
+        for line_no, text in enumerate(lines[first:first + batch], first + 1):
+            try:
+                recs.append(json.loads(text))
+            except json.JSONDecodeError:
+                return line_no, "invalid JSON"
+        for line_no, rec in enumerate(recs, first + 1):
+            slot, kind = rec.pop("slot"), rec.pop("kind")
+            if kind in tr.LAYOUTS:
+                if rec.keys() != tr.LAYOUTS[kind].keys():
+                    return line_no, f"{kind} takes the fields"
+                rec = tuple(rec[f] for f in tr.LAYOUTS[kind])
+            rows.append(typed((slot, kind, rec)))
+    return rows
 
 
 @given(lines=record_lines(), batch=st.integers(1, 5))
@@ -464,17 +510,18 @@ def decoded_by_json(lines):
 def test_the_reader_decodes_as_json_loads(tmp_path, monkeypatch, lines,
                                           batch):
     path = tmp_path / "t.jsonl"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    expected = decoded_by_json(lines)
+    path.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
+    expected = decoded_by_json(lines, batch)
     with monkeypatch.context() as m:
         m.setattr(tr, "_READ_LINES", batch)
-        if isinstance(expected, int):
+        if isinstance(expected, tuple):
+            line_no, what = expected
             with pytest.raises(ValueError,
-                               match=rf"t\.jsonl:{expected}: invalid JSON"):
+                               match=rf"t\.jsonl:{line_no}: {what}"):
                 tr.read_jsonl(str(path))
             return
         back = tr.read_jsonl(str(path))
-    assert [typed((e.slot, e.kind, e.data)) for e in back] == expected
+    assert [typed(row) for row in back] == expected
 
 
 def test_a_record_nested_past_the_recursion_limit_reads(tmp_path):
@@ -492,26 +539,38 @@ def test_a_record_nested_past_the_recursion_limit_reads(tmp_path):
     assert value == []
 
 
-class Untouchable(list):
+class CountedRows(list):
+    """A trace's row list that counts the passes made over it."""
+
+    passes = 0
+
     def __iter__(self):
-        raise AssertionError("events scanned")
-
-    def __getitem__(self, item):
-        raise AssertionError("events indexed")
-
-    def __len__(self):
-        raise AssertionError("events counted")
+        self.passes += 1
+        return super().__iter__()
 
 
-def test_of_kind_does_not_scan_the_events():
-    t = small_trace()
-    expected = {k: [e for e in t.events if e.kind == k] for k in tr.KINDS}
-    t.events = Untouchable()
+def test_of_kind_does_not_scan_the_events(tmp_path):
+    """`classify` reads seven kinds with `of_kind`: the rows are filed by
+    kind in one pass over them, no later call passes over them again, and
+    rows emitted after the filing are filed on the next call, each once."""
+    t = tr.read_jsonl(str(pow_teaser_file(tmp_path)))
+    expected = {k: [row for row in t if row[1] == k] for k in tr.KINDS}
+    t._rows = CountedRows(t._rows)
+    pv.classify(t, t.meta["nu"])
+    assert t._rows.passes == 1
     for kind in tr.KINDS:
         assert t.of_kind(kind) == expected[kind]
+    assert t._rows.passes == 1
+    last = t._rows[-1][0]
+    t.emit(last, tr.BLANKED, 0, 1)
+    t.emit(last + 1, tr.LEAD_SAMPLE, 2)
+    assert t.of_kind(tr.BLANKED) == expected[tr.BLANKED] + [
+        (last, tr.BLANKED, (0, 1))]
+    assert t.of_kind(tr.LEAD_SAMPLE)[-1] == (last + 1, tr.LEAD_SAMPLE, (2,))
+    assert t._rows.passes == 2
 
 
-# -- rows, and the events built from them -----------------------------------
+# -- rows --------------------------------------------------------------------
 
 def test_emit_refuses_values_that_do_not_fit_the_kind():
     t = tr.Trace()
@@ -521,6 +580,13 @@ def test_emit_refuses_values_that_do_not_fit_the_kind():
             (tr.BLANKED, (0,), {},
              r"^Blanked takes 2 values \(node, block\), got 1$"),
             (tr.BLANKED, (0, 1, 2), {}, "got 3"),
+            (tr.BLANKED, (), {"node": 0},
+             r"^Blanked takes the fields node, block: missing block$"),
+            (tr.BLANKED, (), {"node": 0, "block": 1, "at": 2},
+             r"^Blanked takes the fields node, block: extra at$"),
+            (tr.BLANKED, (), {"node": 0, "blok": 1},
+             r": missing block, extra blok$"),
+            (tr.BLANKED, (), {}, r": missing node, missing block$"),
             (tr.META, (1,), {}, "^Meta takes keyword data"),
             (tr.ADVERSARY_RELEASE, ([1],), {"content": None},
              "^AdversaryRelease takes keyword data")]:
@@ -533,97 +599,100 @@ def test_emit_refuses_values_that_do_not_fit_the_kind():
     # nothing refused was recorded, and slots still run on from 2
     assert len(t) == 1
     t.emit(2, tr.BLANKED, 0, 2)
-    assert records(t) == [(2, tr.BLANKED, {"node": 0, "block": 1}),
-                          (2, tr.BLANKED, {"node": 0, "block": 2})]
+    assert list(t) == [(2, tr.BLANKED, (0, 1)), (2, tr.BLANKED, (0, 2))]
 
 
 def test_a_keyword_emit_with_the_layouts_keys_becomes_a_row():
     t = tr.Trace()
     t.emit(1, tr.BLANKED, block=4, node=3)
-    t.emit(1, tr.BLANKED, node=3)
-    t.emit(1, tr.BLANKED, node=3, block=4, extra=0)
+    t.emit(1, tr.LEAD_SAMPLE, lead=2)
     t.emit(1, tr.META, seed=1)
-    assert t._rows == [(1, tr.BLANKED, (3, 4)),
-                       (1, tr.BLANKED, {"node": 3}),
-                       (1, tr.BLANKED, {"node": 3, "block": 4, "extra": 0}),
-                       (1, tr.META, {"seed": 1})]
+    t.emit(1, tr.ADVERSARY_RELEASE, headers=[5], tag="x")
+    assert t._rows == [(1, tr.BLANKED, (3, 4)), (1, tr.LEAD_SAMPLE, (2,)),
+                       (1, tr.META, {"seed": 1}),
+                       (1, tr.ADVERSARY_RELEASE, {"headers": [5], "tag": "x"})]
+
+
+@pytest.mark.parametrize("kind, change, what", [
+    (tr.BLOCK_PRODUCED, "-height", "missing height"),
+    (tr.CONTENT_FETCHED, "-paid", "missing paid"),
+    (tr.BPO, "-s", "missing s"),
+    (tr.LEDGER_OUTPUT, "-node", "missing node"),
+    (tr.BLANKED, "+extra", "extra extra"),
+    (tr.BLANKED, "block>blok", "missing block, extra blok"),
+])
+@pytest.mark.parametrize("line_no", [2, 4098])
+def test_a_record_without_its_layouts_fields_names_its_line(
+        tmp_path, kind, change, what, line_no):
+    """A truncated or padded record is refused: no default stands in for a
+    missing field, and no extra field is dropped."""
+    t = tr.Trace()
+    emit_filled(t, line_no - 1, kind, 7)
+    record = json.loads(line(t._rows[0]))
+    if change[0] == "-":
+        del record[change[1:]]
+    elif change[0] == "+":
+        record[change[1:]] = 0
+    else:
+        old, new = change.split(">")
+        record[new] = record.pop(old)
+    lines = bpo_lines(5000)
+    lines[line_no - 1] = json.dumps(record) + "\n"
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as raised:
+        tr.read_jsonl(str(path))
+    fields_of = ", ".join(tr.LAYOUTS[kind])
+    assert str(raised.value) == (f"{path}:{line_no}: {kind} takes the fields "
+                                 f"{fields_of}: {what}")
 
 
 @pytest.mark.parametrize("name", ["tease", "posspam", "secure-tx"])
 def test_an_emitted_trace_equals_its_read_back(name, tmp_path):
-    """Seed 1 of each benchmark workload at a short horizon: the events
-    built from the emitted rows, in order and by kind, and the length
-    equal those of the trace read back from its file."""
+    """Seed 1 of each benchmark workload at a short horizon: the emitted
+    rows, in order and by kind, and the length equal those of the trace
+    read back from its file, which keeps no dict per laid-out event, and
+    writing the read trace gives the same bytes."""
     config = bench_workloads()[name].config
     config["sim"].update(horizon_slots=800, seed=1)
     sim = Simulation(pm.scenario_from_dict(config))
     sim.run()
     t = sim.trace
-    path = tmp_path / "t.jsonl"
-    tr.write_jsonl(t, str(path))
-    back = tr.read_jsonl(str(path))
+    back = assert_round_trips(t, tmp_path)
     assert len(t) == len(back) > 1000
     assert t.meta == back.meta
-    assert [e.to_json() for e in t] == [e.to_json() for e in back]
+    assert [line(row) for row in t] == [line(row) for row in back]
     for kind in tr.KINDS:
-        assert records(t.of_kind(kind)) == records(back.of_kind(kind))
-    assert len(t) == len(back)
+        assert t.of_kind(kind) == back.of_kind(kind)
 
 
 def test_an_emit_after_the_events_are_built_shows_everywhere(tmp_path,
                                                              monkeypatch):
+    """Rows emitted after `of_kind` has filed the trace show in its
+    iteration, its length, `of_kind` and the file."""
     t = small_trace()
     t.emit(8, tr.BLANKED, 1, 2)
-    built = list(t.events)
+    filed = t.of_kind(tr.BLANKED)
     t.emit(9, tr.BLANKED, 3, 4)
     t.emit(9, tr.ADVERSARY_RELEASE, headers=[5])
-    assert len(t) == len(built) + 2
-    assert t.events[:-2] == built
-    assert records(t.events[-2:]) == [(9, tr.BLANKED, {"node": 3, "block": 4}),
-                                      (9, tr.ADVERSARY_RELEASE,
-                                       {"headers": [5]})]
-    assert records(t.of_kind(tr.BLANKED)) == [
-        (8, tr.BLANKED, {"node": 1, "block": 2}),
-        (9, tr.BLANKED, {"node": 3, "block": 4})]
-    # the same events again, not built anew
-    assert all(a is b for a, b in zip(t.events, built))
+    assert len(t) == 7
+    assert list(t)[-2:] == [(9, tr.BLANKED, (3, 4)),
+                            (9, tr.ADVERSARY_RELEASE, {"headers": [5]})]
+    assert t.of_kind(tr.BLANKED) == filed + [(9, tr.BLANKED, (3, 4))]
     t.emit(10, tr.LEAD_SAMPLE, 1)
     body, _ = written(t, tmp_path / "t.jsonl", monkeypatch)
-    assert body == joined(t.events)
+    assert body == joined(t)
     assert body.decode().splitlines()[-3:] == [
         '{"block":4,"kind":"Blanked","node":3,"slot":9}',
         '{"headers":[5],"kind":"AdversaryRelease","slot":9}',
         '{"kind":"LeadSample","lead":1,"slot":10}']
 
 
-def test_simulating_and_writing_build_no_events(tmp_path, monkeypatch):
-    """Events are built only when asked for: not by a run, `len`, `meta`
-    or `write_jsonl`, and once for all rows when `events` is read."""
-    built = []
+# -- the writer against json.dumps -------------------------------------------
 
-    def counted(*args):
-        built.append(args)
-        return event(*args)
-    event = tr.TraceEvent
-    monkeypatch.setattr(tr, "TraceEvent", counted)
-    sim = Simulation(pm.scenario_from_dict(PINNED_ATTACKS["pow-teaser-spv"][0]))
-    sim.run()
-    n, meta = len(sim.trace), sim.trace.meta
-    tr.write_jsonl(sim.trace, str(tmp_path / "t.jsonl"))
-    assert built == [] and len(sim.trace) == n and sim.trace.meta is meta
-    # the guard sees the build when it happens
-    assert len(sim.trace.events) == len(built) == n
-    assert sim.trace.events[0].data is meta
-    list(sim.trace)
-    sim.trace.of_kind(tr.BPO)
-    assert len(built) == n
-
-
-# -- the shared encoder against json.dumps ---------------------------------
-
-def dumps_oracle(ev):
-    """`to_json` as it was: a new encoder per call."""
-    return json.dumps({"slot": ev.slot, "kind": ev.kind, **ev.data},
+def dumps_oracle(slot, kind, data):
+    """The line of one record, without its newline, by a new encoder."""
+    return json.dumps({"slot": slot, "kind": kind, **data},
                       sort_keys=True, separators=(",", ":"))
 
 
@@ -633,7 +702,7 @@ scalars = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.1 + 0.2, -0.0, 1e-300, 5e-324, 1e300,
                      float("nan"), float("inf"), float("-inf")]),
-    st.text(), st.sampled_from(["ü", "日本語", " ", "\x00", '"\\']))
+    st.text(), st.sampled_from(["ü", "日本語", " ", "\x00", '"\\']))
 values = st.recursive(
     scalars,
     lambda inner: st.one_of(st.lists(inner, max_size=4),
@@ -642,26 +711,8 @@ values = st.recursive(
     max_leaves=20)
 
 
-@given(st.integers(0, 10**6), st.sampled_from(tr.KINDS),
-       st.dictionaries(st.text(max_size=8), values, max_size=6))
-@settings(max_examples=150, deadline=None)
-def test_to_json_matches_json_dumps(slot, kind, data):
-    ev = tr.TraceEvent(slot, kind, data)
-    assert ev.to_json() == dumps_oracle(ev)
-
-
-def test_events_are_slotted():
-    ev = tr.TraceEvent(1, tr.BPO, {})
-    assert not hasattr(ev, "__dict__")
-
-
-# -- the per-file writer against to_json --------------------------------------
-
-PY_ENCODER = tr._encoder_maker(None)   # the writer without the C accelerator
-
-
-def joined(events):
-    return "".join(ev.to_json() + "\n" for ev in events).encode("utf-8")
+def joined(t):
+    return "".join(line(row) + "\n" for row in t).encode("utf-8")
 
 
 class CountingFile:
@@ -681,9 +732,9 @@ class CountingFile:
         return self.fh.__exit__(*exc)
 
 
-def written(events, path, monkeypatch, maker=None):
-    """The bytes `write_jsonl` writes for a `Trace`, or for a one-shot
-    iterator over other `events`, and the sizes of its `write` calls."""
+def written(t, path, monkeypatch, maker=None):
+    """The bytes `write_jsonl` writes for the trace `t`, with the file
+    encoders of `maker` if given, and the sizes of its `write` calls."""
     writes = []
     with monkeypatch.context() as m:
         if maker is not None:
@@ -691,8 +742,7 @@ def written(events, path, monkeypatch, maker=None):
         m.setattr(tr, "open", lambda *a, **kw: CountingFile(open(*a, **kw),
                                                             writes),
                   raising=False)
-        tr.write_jsonl(events if isinstance(events, tr.Trace)
-                       else iter(events), str(path))
+        tr.write_jsonl(t, str(path))
     return path.read_bytes(), writes
 
 
@@ -702,50 +752,69 @@ def test_the_writer_uses_one_c_encoder_per_file():
     assert tr._new_file_encoder() is not tr._new_file_encoder()
 
 
-@pytest.mark.parametrize("maker", [None, PY_ENCODER], ids=["c", "python"])
+# the writer's own file encoders, the C ones
+C_ENCODER = pytest.mark.parametrize("maker", [tr._new_file_encoder],
+                                    ids=["c"])
+
+
+@C_ENCODER
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
 def test_the_writer_matches_to_json_across_batches(tmp_path, monkeypatch,
                                                    maker, n):
-    events = [tr.TraceEvent(i // 3, tr.KINDS[i % len(tr.KINDS)],
-                            {"i": i, "paid": i / 7, "nested": [[i, True]],
-                             "text": "ü" * (i % 3)})
-              for i in range(n)]
-    body, writes = written(events, tmp_path / "t.jsonl", monkeypatch, maker)
-    assert body == joined(events)
+    t = tr.Trace()
+    for i in range(n):
+        emit_filled(t, i // 3, tr.KINDS[i % len(tr.KINDS)], i)
+    body, writes = written(t, tmp_path / "t.jsonl", monkeypatch, maker)
+    assert body == joined(t)
     assert len(writes) == math.ceil(n / tr._BATCH_LINES)
 
 
-@given(st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(tr.KINDS),
+@given(st.lists(st.tuples(st.integers(0, 10**6),
+                          st.sampled_from([tr.META, tr.ADVERSARY_RELEASE]),
                           st.dictionaries(st.text(max_size=8), values,
                                           max_size=6)),
                 max_size=5))
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_the_writer_matches_to_json(tmp_path, monkeypatch, records):
-    events = [tr.TraceEvent(*rec) for rec in records]
-    for maker in (None, PY_ENCODER):
-        body, _ = written(events, tmp_path / "t.jsonl", monkeypatch, maker)
-        assert body == joined(events)
+    """Free-form records with any keys and values are written as
+    `json.dumps` writes them."""
+    records.sort(key=lambda rec: rec[0])
+    t = tr.Trace()
+    for slot, kind, data in records:
+        # `self`, `slot` and `kind` name parameters of `Trace.emit`
+        t.emit(slot, kind, **{k: v for k, v in data.items()
+                              if k not in ("self", "slot", "kind")})
+    body, _ = written(t, tmp_path / "t.jsonl", monkeypatch)
+    assert body == "".join(dumps_oracle(slot, kind, data) + "\n"
+                           for slot, kind, data in t).encode("utf-8")
 
 
-@pytest.mark.parametrize("maker", [None, PY_ENCODER], ids=["c", "python"])
+@C_ENCODER
 def test_circular_data_still_raises(tmp_path, monkeypatch, maker):
     loop = [1]
     loop.append(loop)
     nest = {"a": {}}
     nest["a"]["b"] = nest
-    bpo = {"h": 1, "a": 0, "s": 0}
-    for bad in ({"bad": loop}, {"bad": nest}, {**bpo, "winners": loop}):
-        events = [tr.TraceEvent(0, tr.BPO, {**bpo, "winners": [[1, True]]}),
-                  tr.TraceEvent(1, tr.BPO, bad)]
+    for kind, bad in ((tr.ADVERSARY_RELEASE, {"bad": loop}),
+                      (tr.META, {"bad": nest}),
+                      (tr.BPO, (1, 0, 0, loop))):
+        t = tr.Trace()
+        t.emit(0, tr.BPO, 1, 0, 0, [[1, True]])
+        if type(bad) is tuple:
+            t.emit(1, kind, *bad)
+        else:
+            t.emit(1, kind, **bad)
         with pytest.raises(ValueError, match="Circular reference"):
-            written(events, tmp_path / "t.jsonl", monkeypatch, maker)
+            written(t, tmp_path / "t.jsonl", monkeypatch, maker)
         # the failed write leaves neither the file nor its temp file
         assert list(tmp_path.iterdir()) == []
     # the failed writes leave the next file's encoder unaffected
-    events = [tr.TraceEvent(0, tr.BPO, {"x": [1, [2]]})] * 2
-    assert written(events, tmp_path / "t.jsonl", monkeypatch,
-                   maker)[0] == joined(events)
+    t = tr.Trace()
+    t.emit(0, tr.ADVERSARY_RELEASE, x=[1, [2]])
+    t.emit(0, tr.ADVERSARY_RELEASE, x=[1, [2]])
+    assert written(t, tmp_path / "t.jsonl", monkeypatch,
+                   maker)[0] == joined(t)
 
 
 # -- the compiled line encoders against json.dumps -----------------------------
@@ -778,10 +847,11 @@ MISFITTING = {
 
 
 @st.composite
-def laid_out_events(draw, kind):
-    """An event of a laid-out kind with the layout's keys and fitting
-    values, or with one change that makes it misfit: a key missing, a key
-    extra, a value of another type, or a slot that is not an int."""
+def laid_out_records(draw, kind):
+    """A record `(slot, data)` of a laid-out kind with the layout's keys
+    and fitting values, or with one change that makes it misfit: a key
+    missing, a key extra, a value of another type, or a slot that is not
+    an int."""
     layout = tr.LAYOUTS[kind]
     data = {field: draw(FITTING[of]) for field, of in layout.items()}
     slot = draw(st.integers(0, 10**6))
@@ -800,7 +870,7 @@ def laid_out_events(draw, kind):
         data[field] = draw(MISFITTING[layout[field]])
     elif change == "slot":
         slot = draw(st.sampled_from([True, 1.5, None, "3"]))
-    return tr.TraceEvent(slot, kind, data)
+    return slot, data
 
 
 @pytest.mark.parametrize("kind", sorted(tr.LAYOUTS))
@@ -809,36 +879,57 @@ def laid_out_events(draw, kind):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_the_line_encoders_match_json_dumps(tmp_path, monkeypatch, kind,
                                             data):
-    """Each drawn event is written three ways: as a `TraceEvent`, through a
-    `Trace` filled positionally and through one filled by keyword.  An
-    event whose keys are not the layout's can only be emitted by keyword,
-    and one whose slot does not compare with a number (None, "3") is
-    refused by `emit`, so the traces leave it out."""
-    events = data.draw(st.lists(laid_out_events(kind), min_size=1,
-                                max_size=4))
-    events.sort(key=lambda ev: ev.slot if isinstance(ev.slot, (int, float))
-                else -1)
-    emitted = [ev for ev in events if isinstance(ev.slot, (int, float))]
+    """Each drawn record is written through a `Trace` filled positionally
+    and through one filled by keyword, and both equal `json.dumps`, a
+    misfit value or slot included.  A record whose keys are not the
+    layout's is refused by both emits, and one whose slot does not compare
+    with a number (None, "3") by `emit`, so the traces leave them out."""
+    records = data.draw(st.lists(laid_out_records(kind), min_size=1,
+                                 max_size=4))
+    records.sort(key=lambda rec: rec[0] if isinstance(rec[0], (int, float))
+                 else -1)
     layout = tr.LAYOUTS[kind]
     by_position, by_keyword = tr.Trace(), tr.Trace()
-    for ev in emitted:
-        by_keyword.emit(ev.slot, kind, **ev.data)
-        if ev.data.keys() == layout.keys():
-            by_position.emit(ev.slot, kind, *map(ev.data.get, layout))
-        else:
-            if ev.data:
-                with pytest.raises(TypeError, match=f"{kind} takes"):
-                    by_position.emit(ev.slot, kind, *ev.data.values())
-            by_position.emit(ev.slot, kind, **ev.data)
-    expected = "".join(dumps_oracle(ev) + "\n" for ev in events)
-    expected_emitted = "".join(dumps_oracle(ev) + "\n" for ev in emitted)
-    for maker in (None, PY_ENCODER):
-        body, _ = written(events, tmp_path / "t.jsonl", monkeypatch, maker)
-        assert body == expected.encode("utf-8")
-        for trace in (by_position, by_keyword):
-            body, _ = written(trace, tmp_path / "t.jsonl", monkeypatch, maker)
-            assert body == expected_emitted.encode("utf-8")
-    assert len(by_position._events) == len(by_keyword._events) == 0
+    expected = []
+    for slot, fields_ in records:
+        if not isinstance(slot, (int, float)):
+            continue
+        if fields_.keys() != layout.keys():
+            with pytest.raises(TypeError, match=f"^{kind} takes"):
+                by_keyword.emit(slot, kind, **fields_)
+            with pytest.raises(TypeError, match=f"^{kind} takes"):
+                by_position.emit(slot, kind, *fields_.values())
+            continue
+        by_keyword.emit(slot, kind, **fields_)
+        by_position.emit(slot, kind, *map(fields_.get, layout))
+        expected.append(dumps_oracle(slot, kind, fields_) + "\n")
+    for t in (by_position, by_keyword):
+        body, _ = written(t, tmp_path / "t.jsonl", monkeypatch)
+        assert body == "".join(expected).encode("utf-8")
+
+
+@pytest.mark.parametrize("kind, at, value", [
+    (tr.BLANKED, "block", 1.5),                 # a float for an int
+    (tr.BLANKED, "block", True),                # a bool for an int
+    (tr.CONTENT_FETCHED, "paid", math.inf),     # a non-finite float
+    (tr.CONTENT_FETCHED, "paid", math.nan),
+    (tr.CONTENT_FETCHED, "paid", 1),            # an int for a float
+    (tr.CONTENT_FETCHED, "slot", True),         # a slot that is no int
+])
+def test_a_misfit_value_takes_the_files_encoder(tmp_path, kind, at, value):
+    """A row whose slot or value does not fit its layout is written whole
+    by the file's C encoder, as `json.dumps` writes it."""
+    data = {field: FILLER[of](3) for field, of in tr.LAYOUTS[kind].items()}
+    slot = 3
+    if at == "slot":
+        slot = value
+    else:
+        data[at] = value
+    t = tr.Trace()
+    t.emit(slot, kind, *data.values())
+    path = tmp_path / "t.jsonl"
+    assert write_counting_fallbacks(t, path) == {kind: 1}
+    assert path.read_text() == dumps_oracle(slot, kind, data) + "\n"
 
 
 @pytest.mark.parametrize("kind", sorted(tr.LAYOUTS))
@@ -848,14 +939,13 @@ def test_a_fitting_event_takes_its_line_encoder(kind):
     filler = {"int": 7, "bool": True, "str": "ü\"", "float": 0.1 + 0.2,
               "json": [[1, False]]}
     data = {field: filler[of] for field, of in tr.LAYOUTS[kind].items()}
-    ev = tr.TraceEvent(3, kind, data)
     calls = []
 
     def encode(value, level):
         calls.append(value)
         return (tr._ENCODER.encode(value),)
-    line = tr._LINE_ENCODERS[kind](ev.slot, tuple(data.values()), encode)
-    assert line == dumps_oracle(ev) + "\n"
+    line_of = tr._LINE_ENCODERS[kind](3, tuple(data.values()), encode)
+    assert line_of == dumps_oracle(3, kind, data) + "\n"
     assert calls == [[[1, False]]] * list(tr.LAYOUTS[kind].values()).count(
         "json")
 

@@ -189,8 +189,8 @@ def test_attack_trace_digest_is_pinned(name):
     sim = Simulation(pm.scenario_from_dict(config))
     metrics = sim.run()
     assert metrics.audits["clean"]
-    planted = sum(1 for ev in sim.trace.of_kind(tr.ADVERSARY_RELEASE)
-                  if ev.data.get("sacrifice"))
+    planted = sum(1 for _, _, data in sim.trace.of_kind(tr.ADVERSARY_RELEASE)
+                  if data.get("sacrifice"))
     assert (trace_digest(sim), metrics.tip_evictions, planted,
             metrics.spv_blocks) == (digest, evictions, sacrifices, spv)
 
@@ -298,5 +298,5 @@ def test_only_free_form_events_take_the_files_encoder(name, tmp_path):
     sim = Simulation(pm.scenario_from_dict(config))
     sim.run()
     fallbacks = write_counting_fallbacks(sim.trace, tmp_path / "t.jsonl")
-    assert fallbacks == Counter(ev.kind for ev in sim.trace
-                                if ev.kind in FREE_FORM)
+    assert fallbacks == Counter(kind for _, kind, _ in sim.trace
+                                if kind in FREE_FORM)

@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import fields, line
 
 from nakasim import params as pm
 from nakasim import trace as tr
@@ -113,7 +114,7 @@ class PollingSimulation(Simulation):
 
 
 def trace_bytes(sim):
-    return "".join(ev.to_json() + "\n" for ev in sim.trace).encode("utf-8")
+    return "".join(line(row) + "\n" for row in sim.trace).encode("utf-8")
 
 
 def contents(sim):
@@ -473,7 +474,7 @@ def test_a_pass_that_blanks_and_reorders_tips_replans_next_slot():
                                     protocol=pm.PROTOCOL_SAPOS,
                                     policy=pm.POLICY_GREEDY)
     assert [s for s, n in steps if n == 0] == [1, 2]
-    assert any(ev.slot == 2 for ev in sim.trace.of_kind(tr.PRETEND_EMPTY))
+    assert any(row[0] == 2 for row in sim.trace.of_kind(tr.PRETEND_EMPTY))
     node = sim.nodes[0]
     assert node.partial[script.a1.id] == 0.2
     assert node.throttled == script.c.id
@@ -501,8 +502,8 @@ def test_a_header_ranked_below_the_served_tip_keeps_the_node_asleep():
         push(sim, script.low, 0, 3)
 
     (sim, _), (steps, ref_steps) = run_both(script, rate=0.1, horizon=12)
-    assert any(ev.slot == 3 and ev.data["header"] == script.low.id
-               for ev in sim.trace.of_kind(tr.HEADER_DELIVERED))
+    assert any(row[0] == 3 and fields(row)["header"] == script.low.id
+               for row in sim.trace.of_kind(tr.HEADER_DELIVERED))
     assert 3 not in steps_of_node_0(steps)
     assert 3 in steps_of_node_0(ref_steps)
     assert sim.nodes[0].throttled == script.served[1].id
@@ -555,9 +556,9 @@ def test_a_sapos_twin_of_the_target_wakes_the_node():
     (sim, _), (steps, _) = run_both(script, rate=0.1, horizon=12,
                                     protocol=pm.PROTOCOL_SAPOS)
     assert steps_of_node_0(steps)[:2] == [1, 3]
-    assert [(ev.slot, ev.data["header"])
-            for ev in sim.trace.of_kind(tr.PRETEND_EMPTY)
-            if ev.data["node"] == 0] == [(3, script.served[0].id)]
+    assert [(row[0], fields(row)["header"])
+            for row in sim.trace.of_kind(tr.PRETEND_EMPTY)
+            if fields(row)["node"] == 0] == [(3, script.served[0].id)]
     assert sim.nodes[0].throttled == script.served[1].id
 
 
@@ -568,7 +569,8 @@ def test_an_own_block_ranked_below_the_served_tip_keeps_the_node_asleep():
 
     (sim, _), (steps, _) = run_both(script, rate=0.1, horizon=12)
     node = sim.nodes[0]
-    own = [ev.data["header"] for ev in sim.trace.of_kind(tr.BLOCK_PRODUCED)]
+    own = [fields(row)["header"]
+           for row in sim.trace.of_kind(tr.BLOCK_PRODUCED)]
     assert len(own) == 1 and node.dchain[0] == own[0]
     assert 3 not in steps_of_node_0(steps)
     assert node.throttled == script.served[1].id
