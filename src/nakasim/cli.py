@@ -178,7 +178,11 @@ def _flag_or_meta(value, meta: dict, flag: str, *path: str):
 
 
 def cmd_analyze(args) -> int:
-    run_trace = tr.read_jsonl(args.trace)
+    try:
+        run_trace = tr.read_jsonl(args.trace)
+    except (KeyError, AssertionError) as exc:
+        # a record without its slot or kind, or a slot that goes backwards
+        raise ValueError(*exc.args) from None
     meta = run_trace.meta
     nu = _flag_or_meta(args.nu, meta, "--nu", "nu")
     c_tilde = _flag_or_meta(args.c_tilde, meta, "--c-tilde", "c_tilde")

@@ -13,17 +13,32 @@ builds the tables that every audit reads, and keeps them on the
 `IndexSeries` it returns: the Meta record, the honest nodes, the header
 table, the processed map, the per-node tip timelines, the fetches in trace
 order and per node, and the ledger outputs, proofs and blanks.  The audits
-take the series and read no trace.  They read a row's values by position,
-and take the positions from `trace.LAYOUTS` by field name.
+take the series and read no trace:
+
+- chain growth: the downloaded indices and the honest nodes' tip timelines;
+- stabilization: the combinatorial pivots and their blocks, the tip
+  timelines and the header table;
+- download budget: the good, downloaded and pivot flags, the processed map,
+  the per-node fetch slots and headers, the header table and Meta's policy;
+- single fetch: the fetches in trace order, the header table and Meta's
+  protocol;
+- capacity: the per-node fetch slots and paid amounts, and Meta's
+  capacity and tau;
+- ledger safety: the ledger outputs and the header table;
+- blanking: the proofs, the blanks, the header table and Meta's k_epf.
+
+`classify` touches each row once, and so do the audits: they read a row's
+values by position (the positions come from `trace.LAYOUTS` by field name)
+and an index array as a list, converted once.
 """
 from __future__ import annotations
 
-import bisect
 import csv
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
-from operator import itemgetter
+from itertools import repeat
 from typing import Any, Optional
 
 import numpy as np
@@ -59,13 +74,13 @@ def _at(kind: str, *fields: str) -> tuple[int, ...]:
 (_PRODUCER, _HEADER, _PARENT, _HEIGHT, _BPO_SLOT, _BPO_NODE, _BPO_SEQ,
  _CLS) = _at(tr.BLOCK_PRODUCED, "producer", "header", "parent", "height",
              "bpo_slot", "bpo_node", "bpo_seq", "cls")
-# getters of the fields read from the values of the other kinds' rows
-_bpo_counts = itemgetter(*_at(tr.BPO, "h", "a", "s"))
-_fetched = itemgetter(*_at(tr.CONTENT_FETCHED, "node", "header", "paid"))
-_pretended = itemgetter(*_at(tr.PRETEND_EMPTY, "node", "header"))
-_switched = itemgetter(*_at(tr.CHAIN_SWITCHED, "node", "new", "height"))
-_output = itemgetter(*_at(tr.LEDGER_OUTPUT, "node", "len", "tip"))
-_proved = itemgetter(*_at(tr.PROOF_INCLUDED, "carrier", "target"))
+# the fields read from the values of the other kinds' rows
+_H, _A, _S = _at(tr.BPO, "h", "a", "s")
+_FETCHER, _FETCHED, _PAID = _at(tr.CONTENT_FETCHED, "node", "header", "paid")
+_PRETENDER, _PRETENDED = _at(tr.PRETEND_EMPTY, "node", "header")
+_SWITCHER, _NEW, _NEW_HEIGHT = _at(tr.CHAIN_SWITCHED, "node", "new", "height")
+_OUTPUTTER, _LEN, _TIP = _at(tr.LEDGER_OUTPUT, "node", "len", "tip")
+_CARRIER, _TARGET = _at(tr.PROOF_INCLUDED, "carrier", "target")
 _BLOCK, = _at(tr.BLANKED, "block")
 
 
@@ -85,7 +100,10 @@ class IndexSeries:
     nodes, the header table, the processed map, the per-node tip timelines,
     the fetches in trace order and per node, and the ledger outputs, proofs
     and blanks.  The header table and the row lists hold the trace's own
-    rows and their values tuples, which are read by position."""
+    rows and their values tuples, which are read by position.
+    `node_fetches` holds each node's fetches as three columns in trace
+    order: the slots (the trace's own slot objects, which the budget audit
+    bisects), the headers, and the paid amounts as floats."""
 
     slots: np.ndarray          # t_k
     good: np.ndarray           # G_k (bool)
@@ -102,7 +120,7 @@ class IndexSeries:
     processed: dict[tuple[int, int], int]
     tips: dict[int, list[tuple[int, int, int]]]   # node -> (slot, tip, height)
     fetches: list[tuple]                          # ContentFetched, in order
-    # node -> the slots, headers and paid fractions of its fetches, in order
+    # node -> the columns of its fetches: slots, headers, paid amounts
     node_fetches: dict[int, tuple[list[int], list[int], list[float]]]
     ledger: list[tuple]                           # LedgerOutput rows
     proofs: list[tuple]                           # ProofIncluded rows
@@ -115,73 +133,94 @@ class IndexSeries:
 def classify(run_trace: tr.Trace, nu: int) -> IndexSeries:
     """Read the trace into the tables the audits share, once per kind, and
     build the index series: slot classes from production counts, download
-    success from the processed map, and the pivot flags of both."""
+    success from the processed map, and the pivot flags of both.  The nu
+    slots after a non-empty slot t are empty iff the next non-empty slot
+    is more than nu slots after t, which one `np.diff` over the sorted
+    slots gives for every t."""
     meta = run_trace.meta
     horizon = _meta_field(meta, "horizon_slots")
     honest = list(_meta_field(meta, "honest_nodes"))
 
-    counts: dict[int, tuple[int, int]] = {}
-    for slot, _, values in run_trace.of_kind(tr.BPO):
-        h, a, s = _bpo_counts(values)
-        counts[slot] = (h, a + s)
+    # slot -> the values of its last Bpo row
+    counts = {slot: values for slot, _, values in run_trace.of_kind(tr.BPO)}
 
-    processed: dict[tuple[int, int], int] = {}
-
-    def held(key: tuple[int, int], slot: int) -> None:
-        # the kinds are read one after the other: keep the earliest slot
-        if slot < processed.get(key, slot + 1):
-            processed[key] = slot
-
-    headers: dict[int, tuple] = {}
-    produced_at: dict[int, list[int]] = {}
-    for slot, _, b in run_trace.of_kind(tr.BLOCK_PRODUCED):
-        headers[b[_HEADER]] = b
-        if b[_CLS] == "honest":
-            produced_at.setdefault(b[_BPO_SLOT], []).append(b[_HEADER])
-            held((b[_PRODUCER], b[_HEADER]), slot)
     fetches = run_trace.of_kind(tr.CONTENT_FETCHED)
     node_fetches: dict[int, tuple[list[int], list[int], list[float]]] = {}
     for slot, _, values in fetches:
-        node, header, paid = _fetched(values)
-        at, heads, paids = node_fetches.setdefault(node, ([], [], []))
-        at.append(slot)
-        heads.append(header)
-        paids.append(float(paid))
-        held((node, header), slot)
+        columns = node_fetches.get(values[_FETCHER])
+        if columns is None:
+            node_fetches[values[_FETCHER]] = (
+                [slot], [values[_FETCHED]], [float(values[_PAID])])
+        else:
+            columns[0].append(slot)
+            columns[1].append(values[_FETCHED])
+            columns[2].append(float(values[_PAID]))
+    # A node has a block from the earliest of its honest production, a
+    # fetch and a blank.  A kind's rows come in slot order, so its first row
+    # of a key holds the key (the fetch columns are read backwards for
+    # that); a later kind's row takes it only if earlier.
+    processed: dict[tuple[int, int], int] = {}
+    for node, (fetched_at, heads, _) in node_fetches.items():
+        processed.update(zip(zip(repeat(node), reversed(heads)),
+                             reversed(fetched_at)))
+    hold = processed.setdefault
+    headers: dict[int, tuple] = {}
+    produced_at: dict[int, list[int]] = {}
+    for slot, _, b in run_trace.of_kind(tr.BLOCK_PRODUCED):
+        header = b[_HEADER]
+        headers[header] = b
+        if b[_CLS] == "honest":
+            rivals = produced_at.get(b[_BPO_SLOT])
+            if rivals is None:
+                produced_at[b[_BPO_SLOT]] = [header]
+            else:
+                rivals.append(header)
+            key = (b[_PRODUCER], header)
+            if slot < hold(key, slot):
+                processed[key] = slot
     for slot, _, values in run_trace.of_kind(tr.PRETEND_EMPTY):
-        held(_pretended(values), slot)
+        key = (values[_PRETENDER], values[_PRETENDED])
+        if slot < hold(key, slot):
+            processed[key] = slot
     tips: dict[int, list[tuple[int, int, int]]] = {}
     for slot, _, values in run_trace.of_kind(tr.CHAIN_SWITCHED):
-        node, new, height = _switched(values)
-        tips.setdefault(node, []).append((slot, new, height))
+        change = (slot, values[_NEW], values[_NEW_HEIGHT])
+        line = tips.get(values[_SWITCHER])
+        if line is None:
+            tips[values[_SWITCHER]] = [change]
+        else:
+            line.append(change)
 
     slots = sorted(counts)
-    n = len(slots)
-    good = np.zeros(n, dtype=bool)
-    downloaded = np.zeros(n, dtype=bool)
-    block = np.full(n, -1, dtype=np.int64)
-
-    nonempty = set(slots)
-    for k, t in enumerate(slots):
-        h, a = counts[t]
-        if h != 1 or a != 0:
+    at = np.asarray(slots, dtype=np.int64)
+    quiet = np.ones(len(slots), dtype=bool)
+    quiet[:-1] = np.diff(at) > nu
+    never = horizon + nu + 1
+    good_at, blocks, in_time = [], [], []
+    for k in np.flatnonzero(quiet).tolist():
+        t = slots[k]
+        c = counts[t]
+        if c[_H] != 1 or c[_A] + c[_S] != 0:
             continue
-        if any((t + d) in nonempty for d in range(1, nu + 1)):
+        produced = produced_at.get(t)
+        if produced is None or len(produced) != 1:
             continue
-        blocks = produced_at.get(t, [])
-        if len(blocks) != 1:
-            continue
-        good[k] = True
-        b = blocks[0]
-        block[k] = b
+        b = produced[0]
         deadline = t + nu
-        downloaded[k] = all(processed.get((p, b), horizon + nu + 1) <= deadline
-                            for p in honest)
-    return IndexSeries(np.asarray(slots, dtype=np.int64), good, downloaded,
-                       block, nu, pivot_flags_walk(good),
-                       pivot_flags_walk(downloaded), meta, honest, headers,
-                       processed, tips, fetches, node_fetches,
-                       run_trace.of_kind(tr.LEDGER_OUTPUT),
+        good_at.append(k)
+        blocks.append(b)
+        in_time.append(all(processed.get((p, b), never) <= deadline
+                           for p in honest))
+    good = np.zeros(len(slots), dtype=bool)
+    good[good_at] = True
+    downloaded = np.zeros(len(slots), dtype=bool)
+    downloaded[good_at] = in_time
+    block = np.full(len(slots), -1, dtype=np.int64)
+    block[good_at] = blocks
+    return IndexSeries(at, good, downloaded, block, nu,
+                       pivot_flags_walk(good), pivot_flags_walk(downloaded),
+                       meta, honest, headers, processed, tips, fetches,
+                       node_fetches, run_trace.of_kind(tr.LEDGER_OUTPUT),
                        run_trace.of_kind(tr.PROOF_INCLUDED),
                        run_trace.of_kind(tr.BLANKED))
 
@@ -237,12 +276,11 @@ def audit_chain_growth(series: IndexSeries) -> AuditResult:
         return min(heights.values()) if heights else 0
 
     result = AuditResult("chain-growth", True)
+    slots = series.slots.tolist()
     queries: list[tuple[int, int, int]] = []   # (query slot, kind, k)
-    for k in range(len(series)):
-        if series.downloaded[k]:
-            t = int(series.slots[k])
-            queries.append((t - 1, 0, k))
-            queries.append((t + series.nu, 1, k))
+    for k in np.flatnonzero(series.downloaded).tolist():
+        queries.append((slots[k] - 1, 0, k))
+        queries.append((slots[k] + series.nu, 1, k))
     queries.sort()
     before: dict[int, int] = {}
     for slot, kind, k in queries:
@@ -252,7 +290,7 @@ def audit_chain_growth(series: IndexSeries) -> AuditResult:
             result.checked += 1
             after = lmin_at(slot)
             if after < before[k] + 1:
-                result.fail({"index": k + 1, "slot": int(series.slots[k]),
+                result.fail({"index": k + 1, "slot": slots[k],
                              "lmin_before": before[k], "lmin_after": after})
     return result
 
@@ -287,8 +325,9 @@ def audit_stabilization(series: IndexSeries) -> AuditResult:
     table, a node without tips) goes through the per-tip walk, which also
     finds the witness slot."""
     result = AuditResult("cp-stabilization", True)
-    cps = [(int(series.slots[k]) + series.nu, int(series.block[k]), k + 1)
-           for k in range(len(series)) if series.cp[k]]
+    slots, blocks = series.slots.tolist(), series.block.tolist()
+    cps = [(slots[k] + series.nu, blocks[k], k + 1)
+           for k in np.flatnonzero(series.cp).tolist()]
     if not cps:
         result.inconclusive = True
         return result
@@ -318,7 +357,7 @@ def audit_stabilization(series: IndexSeries) -> AuditResult:
                 # the tip in force at start_slot (the first one if none was
                 # yet), then every later change; a None common[j] matches no
                 # block
-                j = max(bisect.bisect_right(slots, start_slot) - 1, 0)
+                j = max(bisect_right(slots, start_slot) - 1, 0)
                 if (min_height[j] >= height
                         and _ancestor_at(table, common[j], height) == block):
                     continue
@@ -346,54 +385,66 @@ def audit_budget(series: IndexSeries, c_tilde: float) -> AuditResult:
         result.inconclusive = True
         return result
     table, processed = series.headers, series.processed
+    # each honest node with the slots and headers of its fetches
+    columns = [(p, *series.node_fetches.get(p, ((), ()))[:2])
+               for p in series.honest]
 
     required = math.floor(c_tilde - 1e-9)
+    slots, blocks = series.slots.tolist(), series.block.tolist()
+    missed = series.good & ~series.downloaded
+    cps = series.cp.tolist()
+    checked = 0
     last_cp_slot = 0
-    for k in range(len(series)):
-        t = int(series.slots[k])
-        if series.good[k] and not series.downloaded[k]:
-            deadline = t + series.nu
-            b = int(series.block[k])
-            for p in series.honest:
-                if processed.get((p, b), deadline + 1) <= deadline:
-                    continue
-                slots, heads, _ = series.node_fetches.get(p, ([], [], []))
-                lo = bisect.bisect_left(slots, t)
-                hi = bisect.bisect_right(slots, deadline, lo)
-                count = 0
-                for header in heads[lo:hi]:
-                    info = table.get(header)
-                    if info is not None and last_cp_slot < info[_BPO_SLOT] <= t:
-                        count += 1
-                result.checked += 1
-                if count < required:
-                    result.fail({"index": k + 1, "slot": t, "node": p,
-                                 "fetched": count, "required": c_tilde})
-        if series.cp[k]:
+    for k in np.flatnonzero(missed | series.cp).tolist():
+        t = slots[k]
+        if cps[k]:      # a pivot was downloaded: it is never a miss
             last_cp_slot = t
-    if result.checked == 0:
+            continue
+        deadline = t + series.nu
+        b = blocks[k]
+        for p, fetched_at, heads in columns:
+            if processed.get((p, b), deadline + 1) <= deadline:
+                continue
+            lo = bisect_left(fetched_at, t)
+            hi = bisect_right(fetched_at, deadline, lo)
+            count = 0
+            for header in heads[lo:hi]:
+                info = table.get(header)
+                if info is not None and last_cp_slot < info[_BPO_SLOT] <= t:
+                    count += 1
+            checked += 1
+            if count < required:
+                result.fail({"index": k + 1, "slot": t, "node": p,
+                             "fetched": count, "required": c_tilde})
+    result.checked = checked
+    if checked == 0:
         result.inconclusive = True
     return result
 
 
 def audit_single_fetch(series: IndexSeries) -> AuditResult:
     """Each production opportunity's content is fetched at most once per node
-    (per header on plain PoS, where equivocating copies are distinct)."""
-    per_bpo = series.meta.get("protocol") != "pos"
-    table = series.headers
+    (per header on plain PoS, where equivocating copies are distinct).
+
+    A fetch's key is its node and its header's opportunity, from a table
+    built once from the header table; on plain PoS the table is empty, and
+    a header missing from it is keyed by itself, which no opportunity tuple
+    equals.  The fetches are scanned for a repeated key only when some key
+    repeats."""
+    fetches = series.fetches
+    opportunity = {} if series.meta.get("protocol") == "pos" else {
+        header: (b[_BPO_SLOT], b[_BPO_NODE], b[_BPO_SEQ])
+        for header, b in series.headers.items()}
+    result = AuditResult("single-fetch", True, checked=len(fetches))
+    if len({(v[_FETCHER], opportunity.get(v[_FETCHED], v[_FETCHED]))
+            for _, _, v in fetches}) == len(fetches):
+        return result
     seen: set = set()
-    result = AuditResult("single-fetch", True)
-    for slot, _, values in series.fetches:
-        node, header, _ = _fetched(values)
-        if per_bpo:
-            info = table.get(header)
-            key = (node, info[_BPO_SLOT], info[_BPO_NODE], info[_BPO_SEQ]) \
-                if info else (node, header)
-        else:
-            key = (node, header)
-        result.checked += 1
+    for slot, _, v in fetches:
+        key = (v[_FETCHER], opportunity.get(v[_FETCHED], v[_FETCHED]))
         if key in seen:
-            result.fail({"node": node, "header": header, "slot": slot})
+            result.fail({"node": v[_FETCHER], "header": v[_FETCHED],
+                         "slot": slot})
         seen.add(key)
     return result
 
@@ -402,25 +453,39 @@ def audit_capacity(series: IndexSeries) -> AuditResult:
     """Tokens paid out at fetch completions over any window of w slots stay
     within capacity * tau * w + 1 (one block of carry-over).  Partially paid
     downloads settle the remainder at completion, so the paid fraction is
-    what the window bound constrains, not the completion count."""
+    what the window bound constrains, not the completion count.
+
+    paid(i..j) <= rate*(slot_j - slot_i + 1) + 1 for all i <= j reduces to
+    a running-minimum check on b_k = cum_before_k - rate*slot_k, made per
+    node on arrays.  `np.cumsum` adds from a leading 0.0 one term after
+    the other, as a running `cum += paid` does, so every sum is the loop's
+    to the bit.  `np.fmin.accumulate` from a leading inf keeps the running
+    minimum as `if b < run_min` does, skipping NaN, and a window starts at
+    the last index where b fell strictly below the minimum before it, so
+    ties keep the earlier start."""
     rate = (_meta_field(series.meta, "capacity")
             * _meta_field(series.meta, "tau"))
+    bound = rate + 1.0 + 1e-9
     result = AuditResult("capacity", True)
-    for node, (slots, _, paid) in sorted(series.node_fetches.items()):
-        # paid(i..j) <= rate*(slot_j - slot_i + 1) + 1 for all i<=j reduces
-        # to a running-minimum check on b_k = cum_before_k - rate*slot_k.
-        run_min = math.inf
-        min_at = None
-        cum = 0.0
-        for s, w in zip(slots, paid):
-            b = cum - rate * s
-            if b < run_min:
-                run_min = b
-                min_at = s
-            cum += w
-            if (cum - rate * s) - run_min > rate + 1.0 + 1e-9:
-                result.fail({"node": node, "slot": s, "window_start": min_at})
-            result.checked += 1
+    # a non-finite paid amount makes NaNs and infinities, as the loop's
+    # float arithmetic does, without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        for node, (slots, _, paid) in sorted(series.node_fetches.items()):
+            charged = rate * np.asarray(slots, dtype=np.int64)
+            cum = np.cumsum(np.concatenate(([0.0], paid)))
+            b = cum[:-1] - charged
+            run_min = np.fmin.accumulate(np.concatenate(([math.inf], b)))
+            over = np.flatnonzero((cum[1:] - charged) - run_min[1:] > bound)
+            result.checked += len(slots)
+            if not len(over):
+                continue
+            fell = np.flatnonzero(b < run_min[:-1])
+            # the last fall at or before each failing fetch, -1 if none
+            last = np.searchsorted(fell, over, side="right") - 1
+            starts = [slots[i] for i in fell.tolist()]
+            for i, j in zip(over.tolist(), last.tolist()):
+                result.fail({"node": node, "slot": slots[i],
+                             "window_start": starts[j] if j >= 0 else None})
     return result
 
 
@@ -430,7 +495,7 @@ def audit_ledger_safety(series: IndexSeries) -> AuditResult:
     result = AuditResult("ledger-safety", True)
     max_len, max_tip = 0, 0
     for slot, _, values in series.ledger:
-        node, ln, tip = _output(values)
+        node, ln, tip = values[_OUTPUTTER], values[_LEN], values[_TIP]
         result.checked += 1
         if ln <= max_len:
             ok = _ancestor_at(table, max_tip, ln) == tip
@@ -451,7 +516,7 @@ def audit_blanking(series: IndexSeries) -> AuditResult:
     result = AuditResult("blanking", True)
     proof_depth: dict[int, int] = {}
     for _, _, values in series.proofs:
-        carrier_id, target_id = _proved(values)
+        carrier_id, target_id = values[_CARRIER], values[_TARGET]
         carrier, target = table.get(carrier_id), table.get(target_id)
         if carrier and target:
             depth = carrier[_HEIGHT] - target[_HEIGHT] - 1
@@ -574,14 +639,13 @@ def write_report(report: PivotReport, series: IndexSeries, json_path: str,
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    x_prefix = np.cumsum(2 * series.good.astype(np.int64) - 1)
-    y_prefix = np.cumsum(2 * series.downloaded.astype(np.int64) - 1)
+    good = series.good.astype(np.int64)
+    downloaded = series.downloaded.astype(np.int64)
+    columns = np.stack([np.arange(1, len(series) + 1), series.slots, good,
+                        downloaded, np.cumsum(2 * good - 1),
+                        np.cumsum(2 * downloaded - 1), series.pp, series.cp])
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "slot", "good", "downloaded", "x_prefix", "y_prefix",
                     "pp", "cp"])
-        for k in range(len(series)):
-            w.writerow([k + 1, int(series.slots[k]), int(series.good[k]),
-                        int(series.downloaded[k]), int(x_prefix[k]),
-                        int(y_prefix[k]), int(series.pp[k]),
-                        int(series.cp[k])])
+        w.writerows(columns.T.tolist())

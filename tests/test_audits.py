@@ -399,6 +399,74 @@ def processed_oracle(run_trace):
     return processed
 
 
+def fetch_rows(run_trace):
+    """(slot, node, header, paid) of every fetch, in trace order."""
+    return [(row[0], d["node"], d["header"], d["paid"]) for row in run_trace
+            if row[1] == tr.CONTENT_FETCHED for d in [fields(row)]]
+
+
+def capacity_oracle(run_trace):
+    """Per node, in node order: one pass over its fetches with a running
+    sum and a running minimum."""
+    meta = run_trace.meta
+    rate = meta["capacity"] * meta["tau"]
+    per_node = {}
+    for slot, node, _, paid in fetch_rows(run_trace):
+        per_node.setdefault(node, []).append((slot, float(paid)))
+    result = pv.AuditResult("capacity", True)
+    for node, fetches in sorted(per_node.items()):
+        run_min = math.inf
+        min_at = None
+        cum = 0.0
+        for s, w in fetches:
+            b = cum - rate * s
+            if b < run_min:
+                run_min = b
+                min_at = s
+            cum += w
+            if (cum - rate * s) - run_min > rate + 1.0 + 1e-9:
+                result.fail({"node": node, "slot": s, "window_start": min_at})
+            result.checked += 1
+    return result
+
+
+def single_fetch_oracle(run_trace):
+    """Per fetch: its opportunity looked up in a header table of its own
+    (its header on plain PoS, or when the header is unknown)."""
+    table = header_table(run_trace)
+    per_bpo = run_trace.meta.get("protocol") != "pos"
+    seen = set()
+    result = pv.AuditResult("single-fetch", True)
+    for slot, node, header, _ in fetch_rows(run_trace):
+        info = table.get(header) if per_bpo else None
+        if info is not None:
+            key = (node, info[pv._BPO_SLOT], info[pv._BPO_NODE],
+                   info[pv._BPO_SEQ])
+        else:
+            key = (node, header)
+        result.checked += 1
+        if key in seen:
+            result.fail({"node": node, "header": header, "slot": slot})
+        seen.add(key)
+    return result
+
+
+def good_oracle(run_trace, nu):
+    """The good flags by the definition, with one probe per slot d in
+    (t, t + nu]: exactly one honest production at t, no adversary one,
+    and no non-empty slot among the next nu."""
+    counts, honest_at = {}, {}
+    for row in run_trace:
+        d = fields(row)
+        if row[1] == tr.BPO:
+            counts[row[0]] = (d["h"], d["a"] + d["s"])
+        elif row[1] == tr.BLOCK_PRODUCED and d["cls"] == "honest":
+            honest_at[d["bpo_slot"]] = honest_at.get(d["bpo_slot"], 0) + 1
+    return [counts[t] == (1, 0) and honest_at.get(t) == 1
+            and not any(t + d in counts for d in range(1, nu + 1))
+            for t in sorted(counts)]
+
+
 def assert_matches_oracles(run):
     series, cp = series_and_cp(run)
     assert series.processed == processed_oracle(run.trace)
@@ -407,6 +475,8 @@ def assert_matches_oracles(run):
     for c_tilde in (0.5, 1.0, 2.0, 3.0):
         assert pv.audit_budget(series, c_tilde) == \
             budget_oracle(run.trace, series, cp, c_tilde)
+    assert pv.audit_capacity(series) == capacity_oracle(run.trace)
+    assert pv.audit_single_fetch(series) == single_fetch_oracle(run.trace)
     return fast
 
 
@@ -490,10 +560,109 @@ def test_a_block_counts_as_processed_at_its_earliest_slot(first, second):
     assert_matches_oracles(run)
 
 
+def test_a_producer_has_its_block_from_its_production():
+    """Node 0 fetches its own block's content after producing it: the
+    production, read after the fetches, still holds the earlier slot."""
+    run = MiniRun(nodes=(0, 1), horizon=60)
+    b1 = run.produce(2, producer=0)
+    run.fetch(5, 0, b1)
+    run.blank(6, 0, b1)
+    series, _ = series_and_cp(run)
+    assert series.processed[0, b1] == 2
+    assert_matches_oracles(run)
+
+
 @given(histories())
 @settings(max_examples=200, deadline=None)
 def test_linear_audits_match_oracles(run):
     assert_matches_oracles(run)
+
+
+@given(histories(), st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_the_gap_to_the_next_slot_decides_good_as_the_probes_do(run, nu):
+    assert pv.classify(run.trace, nu).good.tolist() == good_oracle(run.trace, nu)
+
+
+def test_every_good_candidate_is_good_at_nu_zero():
+    """Back-to-back non-empty slots: at nu = 0 no later slot is probed, so
+    every slot with one honest production is good; at nu = 1 only the ones
+    followed by an empty slot are."""
+    run = MiniRun(nodes=(0, 1), horizon=40)
+    for slot in (2, 3, 4, 6, 9, 10):
+        run.produce(slot, producer=0)
+    run.busy(11)
+    for nu, good in [(0, [True] * 6 + [False]),
+                     (1, [False, False, True, True, False, False, False])]:
+        assert good_oracle(run.trace, nu) == good
+        assert pv.classify(run.trace, nu).good.tolist() == good
+
+
+@st.composite
+def fetch_tables(draw):
+    """Fetch tables for the capacity and single-fetch audits: blocks with
+    equivocating twins (one opportunity, two headers), then fetches in
+    drawn slots, several to a slot, of known and unknown headers, paid an
+    int, a fraction, or a non-finite amount, at a drawn rate."""
+    capacity, tau = draw(st.sampled_from(
+        [(10.0, 0.1), (5.0, 0.1), (3.0, 0.1), (1, 1), (2, 0.5)]))
+    protocol = draw(st.sampled_from(("pow", "pos")))
+    run = MiniRun(nodes=(0, 1, 2), horizon=400, capacity=capacity, tau=tau,
+                  protocol=protocol)
+    headers = []
+    for slot in range(1, draw(st.integers(1, 6)) + 1):
+        headers.append(run.produce(slot, parent=0, producer=slot % 2))
+        if draw(st.booleans()):     # the same opportunity, another header
+            headers.append(run.produce(slot, parent=0, producer=slot % 2,
+                                       emit_bpo=False))
+    unknown = [100, 101]
+    paid = st.sampled_from((1.0, 1.0, 0.5, 0.25, 2.0, 0.0, 1, 3,
+                            math.inf, math.nan, -math.inf))
+    slot = 10
+    for _ in range(draw(st.integers(0, 40))):
+        slot += draw(st.sampled_from((0, 0, 0, 1, 1, 2, 5)))
+        run.fetch(slot, draw(st.sampled_from((0, 1, 2))),
+                  draw(st.sampled_from(headers + unknown)), paid=draw(paid))
+    return run
+
+
+@given(fetch_tables())
+@settings(max_examples=300, deadline=None)
+def test_capacity_and_single_fetch_match_their_oracles(run):
+    series = tables(run)
+    assert pv.audit_capacity(series) == capacity_oracle(run.trace)
+    assert pv.audit_single_fetch(series) == single_fetch_oracle(run.trace)
+
+
+def crowded_run(protocol="pow"):
+    """Node 1 fetches each of two twins' content in all of 13 slots at
+    three blocks a slot, with ties in the running minimum from the second
+    slot on: 39 fetches, most of them over capacity and repeated."""
+    run = MiniRun(nodes=(0, 1), capacity=10.0, tau=0.1, protocol=protocol)
+    twins = [run.produce(1, parent=0, producer=0),
+             run.produce(1, parent=0, producer=0, emit_bpo=False)]
+    for slot in range(10, 23):
+        for i in range(3):
+            run.fetch(slot, 1, twins[i % 2])
+    return run
+
+
+@pytest.mark.parametrize("protocol", ["pow", "pos"])
+def test_the_audits_keep_the_first_ten_of_many_witnesses(protocol):
+    run = crowded_run(protocol)
+    series = tables(run)
+    capacity = pv.audit_capacity(series)
+    assert capacity == capacity_oracle(run.trace)
+    assert not capacity.passed and capacity.checked == 39
+    assert len(capacity.violations) == 10
+    # the minimum ties from slot 11 on: every window starts at slot 10
+    assert {v["window_start"] for v in capacity.violations} == {10}
+    single = pv.audit_single_fetch(series)
+    assert single == single_fetch_oracle(run.trace)
+    assert not single.passed and single.checked == 39
+    assert len(single.violations) == 10
+    # on PoW both twins are one opportunity; on PoS each is its own key
+    assert single.violations[0]["slot"] == 10 if protocol == "pow" else 11
 
 
 def reorg_run():

@@ -1,8 +1,9 @@
 """The benchmark's per-layer spans (bench/layers.py) patch package methods
 by name for one traced run.  A change that renames or inlines a spanned
 method blanks a per-layer metric without failing the run, so a short
-traced run here checks that every simulate span still fires and that
-every patched attribute is put back."""
+traced run here checks that every simulate span and every pivots step
+still fires, that each step counts what it checked, and that every
+patched attribute is put back."""
 from nakasim import adversary, lottery, netenv, node, pivots, sim
 from nakasim import params as pm
 from nakasim import trace as tr
@@ -29,7 +30,18 @@ def attributes() -> dict:
             for name, value in vars(owner).items()}
 
 
-def test_the_bench_spans_see_a_posspam_run_and_are_undone():
+# pivots step -> the name of the audit whose `checked` it counts
+AUDIT_OF_STEP = {
+    "audit_chain_growth": "chain-growth",
+    "audit_stabilization": "cp-stabilization",
+    "audit_budget": "download-budget",
+    "audit_single_fetch": "single-fetch",
+    "audit_capacity": "capacity",
+    "audit_ledger_safety": "ledger-safety",
+}
+
+
+def test_the_bench_spans_see_a_posspam_run_and_are_undone(tmp_path):
     layers = load_bench("layers")
     config = bench_workloads()["posspam"].config
     config["sim"].update(horizon_slots=200, seed=1)
@@ -37,7 +49,13 @@ def test_the_bench_spans_see_a_posspam_run_and_are_undone():
     tracer = layers.Tracer()
     with layers.instrumented(tracer):
         during = attributes()
-        sim.Simulation(pm.scenario_from_dict(config)).run()
+        simulation = sim.Simulation(pm.scenario_from_dict(config))
+        simulation.run()
+        meta = simulation.trace.meta
+        report, series = pivots.analyze_trace(simulation.trace, meta["nu"],
+                                              meta["c_tilde"], 3)
+        pivots.write_report(report, series, str(tmp_path / "report.json"),
+                            str(tmp_path / "series.csv"))
     assert attributes() == before
     patched = {key for key, value in during.items() if value is not before[key]}
     assert (node.Node, "on_header") in patched
@@ -48,3 +66,16 @@ def test_the_bench_spans_see_a_posspam_run_and_are_undone():
         assert metrics[name] > 0, name
     assert {span: tracer.calls[span] for span in SIMULATE_SPANS
             if not tracer.calls[span]} == {}
+
+    # every pivots step ran once and counted what it checked
+    assert set(layers._PIVOT_STEPS) == {"classify", "write_report",
+                                        *AUDIT_OF_STEP}
+    assert {stem: tracer.calls[stem] for stem in layers._PIVOT_STEPS.values()
+            if tracer.calls[stem] != 1} == {}
+    checked = {a.name: a.checked for a in report.audits}
+    rows = len((tmp_path / "series.csv").read_text().splitlines()) - 1
+    want = {"classify": len(series), "write_report": rows,
+            **{step: checked[name] for step, name in AUDIT_OF_STEP.items()}}
+    assert {step: metrics[f"{stem}_checked"]
+            for step, stem in layers._PIVOT_STEPS.items()} == want
+    assert len(series) > 0 and checked["single-fetch"] > 0

@@ -254,6 +254,35 @@ def test_analyze_names_a_missing_field_in_one_error_line(tmp_path, capsys,
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    ("drop slot", "missing 'slot'"),
+    ("drop kind", "missing 'kind'"),
+    ("rewind", "trace slot went backwards: 1 after 3")])
+def test_analyze_names_an_unreadable_record_in_one_error_line(
+        tmp_path, capsys, edit, message):
+    """A record without its slot or kind, or with a slot before the one of
+    the record above it, exits 1 with one `error:` line naming the line,
+    not with the reader's traceback."""
+    run = MiniRun(nodes=(0, 1), horizon=40)
+    hid = run.produce(2, producer=0)
+    run.fetch(3, 1, hid)
+    path = tmp_path / "edited.jsonl"
+    tr.write_jsonl(run.trace, str(path))
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[-1])      # the fetch, at slot 3
+    if edit == "rewind":
+        lines.append(json.dumps({**record, "slot": 1}))
+    else:
+        del record[edit.split()[1]]
+        lines[-1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["analyze", "--trace", str(path), "--c-tilde", "2",
+                     "--kcp", "1", "--out", str(tmp_path)]) == 1
+    at = len(lines)
+    assert capsys.readouterr().err == f"error: {path}:{at}: {message}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_region_csv(tmp_path, capsys):
     out = tmp_path / "region.csv"
     rc = cli.main(["region", "--capacity", "1.0", "--delta-h", "0.0",

@@ -274,19 +274,32 @@ def bench_workloads() -> dict:
     return load_bench("workloads").WORKLOADS
 
 
+# workload -> sha256 of the series.csv that `write_report` writes for seed 1,
+# which bench/expected.json does not record
+SERIES_CSV = {
+    "tease": "89d5b9772a704be1f4336651c563bcd1235e7030de3bc208114a9ecbc7a14128",
+    "posspam": "ee7ba0985f6bc3ef23f105d7239685b0f1229e4cd2ad93ec98789fa250ea2a71",
+    "secure-tx":
+        "7735796964dcc15d690a0df32dbff01c49b7a490a522f9df6b3fcb696dfbd730",
+}
+
+
 @pytest.mark.parametrize("name", ["tease", "posspam", "secure-tx"])
 def test_seed_one_of_each_workload_writes_its_recorded_outputs(
         name, tmp_path, monkeypatch):
     """The benchmark's oracle, run here: seed 1 of each workload goes
     through bench/run.py's `run_seed`, as the benchmark runs it, and its
     trace and report sha256, audit verdicts and sink state equal those
-    recorded in bench/expected.json.  Loading run.py sets up its search
-    path and environment, which are put back afterwards."""
+    recorded in bench/expected.json, and its series.csv sha256 the one
+    pinned above.  Loading run.py sets up its search path and environment,
+    which are put back afterwards."""
     monkeypatch.setattr(sys, "path", sys.path[:])
     monkeypatch.setattr(os, "environ", dict(os.environ))
     run = load_bench("run")
     got = run.run_seed(bench_workloads()[name], 1, tmp_path)
     assert got.outputs() == run.load_expected()[name]["seeds"]["1"]
+    series = hashlib.sha256((tmp_path / "series.csv").read_bytes())
+    assert series.hexdigest() == SERIES_CSV[name]
 
 
 @pytest.mark.parametrize("name", ["tease", "posspam", "secure-tx"])
