@@ -9,10 +9,12 @@ entry, or two while a partition withholds the header from half the nodes.
 Content is pulled from a shared insert-only cloud and every fetched block
 costs one unit of the requesting node's token budget, refilled at
 capacity * tau per slot with at most one block of carry-over.
-A request for content the node cannot see is free.  The environment keeps
-no record of who asked: each node memoises what it found unavailable, and
-the simulation tells the nodes that memoised it of each accepted upload,
-and every node of the heal.
+A request reads the cloud once, for the content's origin, and tests the
+partition only while there is one; content the node cannot see is free.
+A visible request syncs the node's meter once, in `CapacityMeter.affords`,
+the one fetch test.  The environment keeps no record of who asked: each
+node memoises what it found unavailable, and the simulation tells the
+nodes that memoised it of each accepted upload, and every node of the heal.
 """
 from __future__ import annotations
 
@@ -28,6 +30,12 @@ class RequestOutcome(Enum):
     FETCHED = "fetched"
     UNAVAILABLE = "unavailable"
     THROTTLED = "throttled"
+
+
+# the outcomes as module constants, for the per-request path
+FETCHED = RequestOutcome.FETCHED
+UNAVAILABLE = RequestOutcome.UNAVAILABLE
+THROTTLED = RequestOutcome.THROTTLED
 
 
 class CommitmentMismatch(Exception):
@@ -50,7 +58,11 @@ class CapacityMeter:
     rate, so each is memoized by its inputs: the same float additions in
     the same order, done once per distinct input.  `spend_refills` keeps
     its per-slot loop, because the running `spent_total` it adds to never
-    repeats."""
+    repeats.
+
+    `sync` and `spend` run on every request, and clamp with a comparison
+    where `min` and `max` would give the same float: on CPython 3.11 those
+    builtin calls cost more than the rest of the clamp."""
 
     CARRY_CAP = 1.0
 
@@ -72,7 +84,8 @@ class CapacityMeter:
             if self.tokens >= self.CARRY_CAP:
                 self.tokens = cap
             else:
-                self.tokens = min(self.tokens + elapsed * self.rate, cap)
+                tokens = self.tokens + elapsed * self.rate
+                self.tokens = cap if tokens > cap else tokens
             self._slot = slot
         return self.tokens
 
@@ -124,7 +137,8 @@ class CapacityMeter:
         self.spent_total += amount
         if self.tokens < -1e-9:
             raise AssertionError("capacity meter overdrawn")
-        self.tokens = max(self.tokens, 0.0)
+        if self.tokens < 0.0:
+            self.tokens = 0.0
 
 
 @dataclass
@@ -210,28 +224,30 @@ class Environment:
         self.cloud[content.commitment] = origin
         return True
 
-    def content_visible(self, node: int, commitment: int, slot: int) -> bool:
-        if commitment not in self.cloud:
-            return False
-        return self.partition is None or not self.partition.blocks(
-            self.cloud[commitment], node, slot)
-
     def request_content(self, node: int, header: BlockHeader,
                         already_paid: float, slot: int
                         ) -> tuple[RequestOutcome, float]:
         """Attempt to download `header`'s content. Returns (outcome, newly
-        paid fraction). Unavailable requests cost nothing; a throttled
-        request pays out the remaining budget as partial progress."""
-        if not self.content_visible(node, header.commitment, slot):
-            return RequestOutcome.UNAVAILABLE, 0.0
+        paid fraction). The content is unavailable, at no cost, unless the
+        cloud holds it (one read, for its origin) and no partition withholds
+        it from `node`.  A visible request syncs the meter once, in
+        `affords`; a throttled one pays out the remaining budget as partial
+        progress."""
+        origin = self.cloud.get(header.commitment)
+        if origin is None:
+            return UNAVAILABLE, 0.0
+        part = self.partition
+        if part is not None and part.blocks(origin, node, slot):
+            return UNAVAILABLE, 0.0
         meter = self.meters[node]
         remaining = 1.0 - already_paid
         if meter.affords(remaining, slot):
-            meter.spend(min(remaining, meter.tokens))
+            tokens = meter.tokens
+            meter.spend(tokens if tokens < remaining else remaining)
             self.fetch_count[node] += 1
-            return RequestOutcome.FETCHED, remaining
+            return FETCHED, remaining
         tokens = meter.tokens
         if tokens > 0.0:
             meter.spend(tokens)
-            return RequestOutcome.THROTTLED, tokens
-        return RequestOutcome.THROTTLED, 0.0
+            return THROTTLED, tokens
+        return THROTTLED, 0.0

@@ -26,7 +26,9 @@ same float steps as a per-slot poll.
 The scheduler keeps at most MAX_SCHEDULER_TIPS tips, each under its policy's
 key.  Keys end in the tip's seen order, so no two are equal, and the
 (key, tip) pairs are kept in ascending order: the scheduler walks them from
-the top and eviction drops the bottom one.
+the top and eviction drops the bottom one.  A block is done once it is
+processed or blanked; the walks test that as `x in processed or x in
+blanked`, with the two sets read once per walk.
 
 Headers enter as chains: a delivered header brings its unknown ancestors,
 and the valid prefix of them is inserted in one `_insert_chain`, as is a
@@ -66,7 +68,7 @@ from . import params as pm
 from . import sapos as sp
 from . import trace as tr
 from .lottery import BlockHeader, BpoId, Content, HeaderStore
-from .netenv import Environment, RequestOutcome
+from .netenv import FETCHED, UNAVAILABLE, Environment
 
 if TYPE_CHECKING:
     from .sim import AuditSink
@@ -153,9 +155,6 @@ class Node:
     @property
     def dchain_height(self) -> int:
         return len(self.dchain)
-
-    def is_done(self, header_id: int) -> bool:
-        return header_id in self.processed or header_id in self.blanked
 
     def on_header(self, header: BlockHeader, slot: int) -> list[int]:
         """Insert a delivered header together with any unknown ancestors
@@ -299,19 +298,22 @@ class Node:
     # -- scheduling -------------------------------------------------------
 
     def _build_pending(self, tip_id: int) -> deque:
+        """The tip's chain above its highest processed or blanked block."""
+        processed, blanked, headers = self.processed, self.blanked, self.headers
         stack = []
         cur = tip_id
-        while not self.is_done(cur):
+        while not (cur in processed or cur in blanked):
             stack.append(cur)
-            cur = self.headers[cur].parent_id
+            cur = headers[cur].parent_id
         return deque(reversed(stack))
 
     def _pending_for(self, tip_id: int) -> deque:
+        """The tip's pending queue, its processed or blanked front dropped."""
         dq = self._pending.get(tip_id)
         if dq is None:
-            dq = self._build_pending(tip_id)
-            self._pending[tip_id] = dq
-        while dq and self.is_done(dq[0]):
+            dq = self._pending[tip_id] = self._build_pending(tip_id)
+        processed, blanked = self.processed, self.blanked
+        while dq and (dq[0] in processed or dq[0] in blanked):
             dq.popleft()
         return dq
 
@@ -360,7 +362,8 @@ class Node:
         queue's front are as that step's walk left them."""
         if self._kept is not None:
             return self._kept
-        headers = self.headers
+        headers, processed, blanked = self.headers, self.processed, self.blanked
+        unavailable, sapos = self.unavailable, self.sapos
         while True:
             acted = False
             finished: list[int] = []
@@ -369,9 +372,9 @@ class Node:
                 dq = self._pending_for(tip_id)
                 while dq:
                     front = dq[0]
-                    if self.is_done(front):
+                    if front in processed or front in blanked:
                         dq.popleft()
-                    elif self.sapos and sp.equivocated_in_view(
+                    elif sapos and sp.equivocated_in_view(
                             self, headers[front]):
                         self._mark_blanked(front, slot)
                         dq.popleft()
@@ -382,7 +385,7 @@ class Node:
                     finished.append(tip_id)
                 else:
                     front = headers[dq[0]]
-                    if front.commitment not in self.unavailable:
+                    if front.commitment not in unavailable:
                         target = front
                         self._served = tip_id
                         break
@@ -412,11 +415,11 @@ class Node:
                 return
             paid = self.partial.get(target.id, 0.0)
             outcome, newly = self.env.request_content(self.id, target, paid, slot)
-            if outcome is RequestOutcome.UNAVAILABLE:
+            if outcome is UNAVAILABLE:
                 self._kept = None
                 self.unavailable.add(target.commitment)
                 continue
-            if outcome is RequestOutcome.FETCHED:
+            if outcome is FETCHED:
                 self.partial.pop(target.id, None)
                 self.trace.emit(slot, tr.CONTENT_FETCHED, self.id,
                                 target.id, "request", newly)
@@ -469,7 +472,7 @@ class Node:
 
     def _after_processed(self, header_id: int, slot: int) -> None:
         h = self.headers[header_id]
-        if h.height <= self.dchain_height:
+        if h.height <= len(self.dchain):
             return
         old_tip = self.dchain_tip
         chain = self.dchain
@@ -511,8 +514,8 @@ class Node:
                 del counts[key]
 
     def _update_ledger(self, slot: int) -> None:
-        new_len = max(0, self.dchain_height - self.k_conf)
-        if new_len == 0:
+        new_len = len(self.dchain) - self.k_conf
+        if new_len <= 0:
             return
         new_tip = self.dchain[new_len - 1]
         if new_len == self.confirmed_len and new_tip == self.confirmed_tip:

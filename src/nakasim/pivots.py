@@ -609,6 +609,16 @@ class PivotReport:
 @tr.collector_paused()
 def analyze_trace(run_trace: tr.Trace, nu: int, c_tilde: Optional[float],
                   k_cp: int) -> tuple[PivotReport, IndexSeries]:
+    """Classify the trace's indices and run every audit.  The parameters
+    are held to the bounds a scenario config enforces, before any pass
+    over the trace: k_cp >= 1 (the recurrence steps its windows by k_cp),
+    nu >= 0 and, when given, c_tilde >= 0."""
+    if k_cp < 1:
+        raise ValueError(f"k_cp must be >= 1, got {k_cp}")
+    if nu < 0:
+        raise ValueError(f"nu must be >= 0, got {nu}")
+    if c_tilde is not None and c_tilde < 0.0:
+        raise ValueError(f"c_tilde must be >= 0, got {c_tilde}")
     series = classify(run_trace, nu)
     pp, cp = series.pp, series.cp
     audits = [

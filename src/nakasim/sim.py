@@ -287,10 +287,11 @@ class Simulation:
                         BpoId(slot, SPV_NODE, False, h_cnt + a_cnt + k), slot)
 
             # in honest_ids order: the order of a slot's events in the trace
-            # depends on it
+            # depends on it; only a throttled download has slept slots to pay
             for node in nodes:
                 if node.wake <= slot:
-                    node.settle(slot)
+                    if node.throttled is not None:
+                        node.settle(slot)
                     node.process_step(slot)
                     self._check_non_idleness(node, slot)
 

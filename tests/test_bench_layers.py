@@ -2,8 +2,9 @@
 by name for one traced run.  A change that renames or inlines a spanned
 method blanks a per-layer metric without failing the run, so a short
 traced run here checks that every simulate span and every pivots step
-still fires, that each step counts what it checked, and that every
-patched attribute is put back."""
+still fires, that each step counts what it checked, that the request
+outcomes add up to the requests and the fetches to the environment's
+count, and that every patched attribute is put back."""
 from nakasim import adversary, lottery, netenv, node, pivots, sim
 from nakasim import params as pm
 from nakasim import trace as tr
@@ -66,6 +67,12 @@ def test_the_bench_spans_see_a_posspam_run_and_are_undone(tmp_path):
         assert metrics[name] > 0, name
     assert {span: tracer.calls[span] for span in SIMULATE_SPANS
             if not tracer.calls[span]} == {}
+    # every request is decided, and every fetch counted, inside the
+    # spanned `request_content`
+    assert (metrics["netenv.fetched"] + metrics["netenv.throttled"]
+            + metrics["netenv.unavailable"]) == metrics["netenv.requests"]
+    assert metrics["netenv.fetched"] == sum(
+        simulation.env.fetch_count.values())
 
     # every pivots step ran once and counted what it checked
     assert set(layers._PIVOT_STEPS) == {"classify", "write_report",

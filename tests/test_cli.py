@@ -9,6 +9,7 @@ from conftest import MiniRun
 
 from nakasim import cli
 from nakasim import params as pm
+from nakasim import pivots
 from nakasim import trace as tr
 from nakasim.sim import RunMetrics, run_scenario
 
@@ -280,6 +281,36 @@ def test_analyze_names_an_unreadable_record_in_one_error_line(
                      "--kcp", "1", "--out", str(tmp_path)]) == 1
     at = len(lines)
     assert capsys.readouterr().err == f"error: {path}:{at}: {message}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--kcp", "0"], "k_cp must be >= 1, got 0"),
+    (["--kcp", "-2"], "k_cp must be >= 1, got -2"),
+    (["--nu", "-5"], "nu must be >= 0, got -5"),
+    (["--c-tilde", "-1"], "c_tilde must be >= 0, got -1.0")])
+def test_analyze_rejects_parameters_out_of_bounds(tmp_path, capsys,
+                                                  monkeypatch, flags,
+                                                  message):
+    """The analysis parameters are held to the bounds a config enforces
+    before any pass over the trace: k_cp 0 would step the recurrence's
+    windows by nothing and never return, and k_cp -2 indexed out of
+    range.  Each exits 1 with one `error:` line."""
+    run = MiniRun(nodes=(0, 1, 2), horizon=400)
+    hid = run.produce(2, producer=0)
+    run.fetch(3, 1, hid)
+    path = str(tmp_path / "mini.jsonl")
+    tr.write_jsonl(run.trace, path)
+
+    def classify(*args):
+        pytest.fail("the trace was classified")
+    monkeypatch.setattr(pivots, "classify", classify)
+    args = {"--nu": "4", "--c-tilde": "2", "--kcp": "1"}
+    args.update(zip(flags[::2], flags[1::2]))
+    argv = [x for pair in args.items() for x in pair]
+    assert cli.main(["analyze", "--trace", path, *argv,
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "report.json").exists()
 
 

@@ -1,10 +1,12 @@
 """Delivery deadlines, the content cloud, and token-bucket budgets."""
+import copy
 import heapq
+import math
 import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nakasim import netenv
@@ -161,9 +163,10 @@ def test_partition_withholds_until_heal():
     assert env.deliveries_due(5) == []
     assert env.deliveries_due(10) == [(1, h)]
     env.upload_content(h, c, origin=0)
-    assert not env.content_visible(1, c.commitment, 5)
-    assert env.content_visible(0, c.commitment, 5)
-    assert env.content_visible(1, c.commitment, 10)
+    assert env.request_content(1, h, 0.0, 5) == (RequestOutcome.UNAVAILABLE,
+                                                 0.0)
+    assert env.request_content(0, h, 0.0, 5)[0] is RequestOutcome.FETCHED
+    assert env.request_content(1, h, 0.0, 10)[0] is RequestOutcome.FETCHED
 
 
 def small_sim(**attack):
@@ -239,7 +242,8 @@ def test_the_heal_clears_only_memos_of_content_in_the_cloud():
     sim.upload(across, content_across, slot=2, origin=near)
     memoise_unavailable(sim, [far], across, 3)
     memoise_unavailable(sim, [far], withheld, 3)
-    assert not sim.env.content_visible(far, across.commitment, heal - 1)
+    outcome, _ = sim.env.request_content(far, across, 0.0, heal - 1)
+    assert outcome is RequestOutcome.UNAVAILABLE
     for node in sim.nodes.values():
         node.partition_healed(heal)
     node = sim.nodes[far]
@@ -400,3 +404,137 @@ def test_memoized_replays_equal_slot_by_slot_replays(rate, data):
         got, want = meter.refilled(paid, slots), replayed_refill(
             rate, paid, slots)
         assert got.hex() == want.hex()
+
+
+# -- the request path ---------------------------------------------------------
+
+class ReferenceMeter(CapacityMeter):
+    """The meter's refill and spend as they were written with `min` and
+    `max`.  Kept as the reference the clamps by comparison must equal."""
+
+    def sync(self, slot):
+        if slot > self._slot:
+            elapsed = slot - self._slot
+            cap = self.CARRY_CAP + self.rate
+            if self.tokens >= self.CARRY_CAP:
+                self.tokens = cap
+            else:
+                self.tokens = min(self.tokens + elapsed * self.rate, cap)
+            self._slot = slot
+        return self.tokens
+
+    def spend(self, amount):
+        self.tokens -= amount
+        self.spent_total += amount
+        if self.tokens < -1e-9:
+            raise AssertionError("capacity meter overdrawn")
+        self.tokens = max(self.tokens, 0.0)
+
+
+def request_oracle(env, node, header, already_paid, slot):
+    """The request as composed before it read the cloud inline: a
+    visibility test, then the fetch test (`tokens + FETCH_SLACK >=
+    remaining`, restated here so that a change to it shows) and the spend
+    of `min(remaining, tokens)`.  Kept as the reference `request_content`
+    must equal, on an environment of `ReferenceMeter`s."""
+    cloud, part = env.cloud, env.partition
+    commitment = header.commitment
+    if commitment not in cloud or (
+            part is not None and part.blocks(cloud[commitment], node, slot)):
+        return RequestOutcome.UNAVAILABLE, 0.0
+    meter = env.meters[node]
+    remaining = 1.0 - already_paid
+    if meter.sync(slot) + FETCH_SLACK >= remaining:
+        meter.spend(min(remaining, meter.tokens))
+        env.fetch_count[node] += 1
+        return RequestOutcome.FETCHED, remaining
+    tokens = meter.tokens
+    if tokens > 0.0:
+        meter.spend(tokens)
+        return RequestOutcome.THROTTLED, tokens
+    return RequestOutcome.THROTTLED, 0.0
+
+
+def at_the_edge(meter, slot):
+    """An already-paid fraction whose remainder equals the tokens the meter
+    holds at `slot` plus FETCH_SLACK exactly, where one exists near it, so
+    that the fetch test is decided by its equality case."""
+    probe = copy.copy(meter)
+    edge = probe.sync(slot) + FETCH_SLACK
+    paid = 1.0 - edge
+    if paid < 0.0:
+        return 0.0
+    for candidate in (paid, math.nextafter(paid, 0.0),
+                      math.nextafter(paid, 1.0)):
+        if 0.0 <= candidate < 1.0 and 1.0 - candidate == edge:
+            return candidate
+    return paid
+
+
+def meter_state(env):
+    return {p: (m.tokens.hex(), m.spent_total.hex(), m._slot)
+            for p, m in env.meters.items()}
+
+
+NODES = (0, 1, 2)
+
+request_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("upload"), st.integers(0, 3),
+                  st.sampled_from((-1, *NODES))),
+        st.tuples(st.just("request"), st.sampled_from(NODES),
+                  st.integers(0, 3), st.integers(0, 4),
+                  st.sampled_from(("zero", "edge"))
+                  | st.floats(0.0, 1.0, exclude_max=True))),
+    max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rate=st.sampled_from([0.3333333333333333, 0.1, 0.5, 1.0, 1.5, 2.0])
+       | st.floats(0.01, 3.0),
+       halves=st.none() | st.tuples(st.lists(st.integers(0, 1), min_size=3,
+                                             max_size=3),
+                                    st.integers(0, 15)),
+       steps=request_steps)
+# the fetch test decided by its equality case, and a request across the
+# split in the last slot before the heal and in the heal slot
+@example(rate=0.3333333333333333, halves=None,
+         steps=[("upload", 0, -1), ("request", 0, 0, 0, "edge")])
+@example(rate=0.5, halves=([0, 0, 1], 5),
+         steps=[("upload", 0, 0), ("request", 2, 0, 4, "zero"),
+                ("request", 2, 0, 1, "zero")])
+def test_request_content_equals_the_composed_request(rate, halves, steps):
+    """Two environments driven through the same uploads and requests, by
+    random nodes at rising slots, with and without a partition and its
+    heal: `request_content` on one and `request_oracle` on the other, with
+    reference meters, give the same (outcome, paid) bit for bit, the same
+    fetch counts, and meters whose tokens, spent totals and slots are
+    bit-equal."""
+    partition = None
+    if halves is not None:
+        partition = Partition(dict(zip(NODES, halves[0])), heal_slot=halves[1])
+    env, ref = (Environment(NODES, rate, 0, partition) for _ in range(2))
+    ref.meters = {p: ReferenceMeter(rate) for p in NODES}
+    store = HeaderStore()
+    store.make_content()   # header ids and commitments differ
+    blocks = [mk_header(store, slot=k + 1) for k in range(4)]
+    slot = 0
+    for step in steps:
+        if step[0] == "upload":
+            _, k, origin = step
+            header, content = blocks[k]
+            assert (env.upload_content(header, content, origin)
+                    == ref.upload_content(header, content, origin))
+            continue
+        _, node, k, gap, paid = step
+        slot += gap
+        if paid == "zero":
+            paid = 0.0
+        elif paid == "edge":
+            paid = at_the_edge(ref.meters[node], slot)
+        header = blocks[k][0]
+        got = env.request_content(node, header, paid, slot)
+        want = request_oracle(ref, node, header, paid, slot)
+        assert (got[0], got[1].hex()) == (want[0], want[1].hex())
+        assert env.fetch_count == ref.fetch_count
+        assert meter_state(env) == meter_state(ref)

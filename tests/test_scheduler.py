@@ -17,6 +17,11 @@ from nakasim import trace as tr
 from nakasim.lottery import BpoId
 
 
+def is_done(node, header_id):
+    """Whether the node has processed or blanked the block."""
+    return header_id in node.processed or header_id in node.blanked
+
+
 class ReferenceNode(nd.Node):
     """The scheduler before the sorted tip index and chain intake: a static
     key per tip, a full sorted() whenever the tips or the processed blocks
@@ -98,7 +103,7 @@ class ReferenceNode(nd.Node):
                 dq = self._pending_for(tip_id)
                 while dq:
                     front = dq[0]
-                    if self.is_done(front):
+                    if is_done(self, front):
                         dq.popleft()
                     elif self.sapos and sp.equivocated_in_view(
                             self, self.store.headers[front]):
@@ -433,7 +438,7 @@ def _front(node, tip_id):
     """The first block of the tip's chain that is neither processed nor
     blanked, or None when the whole chain is done."""
     front, cur = None, tip_id
-    while not node.is_done(cur):
+    while not is_done(node, cur):
         front, cur = cur, node.store.headers[cur].parent_id
     return front
 
