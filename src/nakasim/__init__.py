@@ -2,9 +2,9 @@
 consensus when every node can process at most C blocks per second.
 
 The package has three layers: the execution model (`lottery`, `netenv`,
-`node`, `adversary`, `sapos`, `sim`), the trace analysis (`trace`,
-`pivots`), and the closed-form calculations (`security`).  `cli` glues
-them into scenario runs and CSV/JSONL artifacts.
+`node`, `adversary`, `sim`), the trace analysis (`trace`, `pivots`), and
+the closed-form calculations (`security`).  `cli` glues them into
+scenario runs and CSV/JSONL artifacts.
 """
 from .params import (
     AttackConfig,

@@ -178,11 +178,7 @@ def _flag_or_meta(value, meta: dict, flag: str, *path: str):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        run_trace = tr.read_jsonl(args.trace)
-    except (KeyError, AssertionError) as exc:
-        # a record without its slot or kind, or a slot that goes backwards
-        raise ValueError(*exc.args) from None
+    run_trace = tr.read_jsonl(args.trace)
     meta = run_trace.meta
     nu = _flag_or_meta(args.nu, meta, "--nu", "nu")
     c_tilde = _flag_or_meta(args.c_tilde, meta, "--c-tilde", "c_tilde")

@@ -194,7 +194,7 @@ class HeaderStore:
         self.headers: dict[int, BlockHeader] = {GENESIS_ID: self.genesis}
         self.contents: dict[int, Content] = {0: Content(0, (), -1)}
         self.by_bpo: dict[BpoId, list[int]] = {}
-        self._pos_identity: dict[tuple, int] = {}
+        self._pos_identity: dict[tuple, BlockHeader] = {}
         self.verdicts: dict[int, bool] = {}   # header id -> `valid`
         self._next_header = 1
         self._next_commitment = 1
@@ -221,23 +221,14 @@ class HeaderStore:
                proofs: tuple = ()) -> BlockHeader:
         """Mint a header under the run's opportunity rule."""
         if self.protocol == PROTOCOL_POW:
-            return self.pow_extend(bpo, parent_id, commitment, proofs)
-        return self.pos_extend(bpo, parent_id, commitment, proofs)
-
-    def pow_extend(self, bpo: BpoId, parent_id: int, commitment: int,
-                   proofs: tuple = ()) -> BlockHeader:
-        if bpo in self.by_bpo:
-            raise ReusedBpo(f"bpo {tuple(bpo)} already spent")
-        return self._mint(bpo, parent_id, commitment, proofs)
-
-    def pos_extend(self, bpo: BpoId, parent_id: int, commitment: int,
-                   proofs: tuple = ()) -> BlockHeader:
+            if bpo in self.by_bpo:
+                raise ReusedBpo(f"bpo {tuple(bpo)} already spent")
+            return self._mint(bpo, parent_id, commitment, proofs)
         ident = (bpo, parent_id, commitment)
-        existing = self._pos_identity.get(ident)
-        if existing is not None:
-            return self.headers[existing]
-        header = self._mint(bpo, parent_id, commitment, proofs)
-        self._pos_identity[ident] = header.id
+        header = self._pos_identity.get(ident)
+        if header is None:
+            header = self._pos_identity[ident] = self._mint(
+                bpo, parent_id, commitment, proofs)
         return header
 
     def valid(self, h: BlockHeader) -> bool:

@@ -50,15 +50,15 @@ class CapacityMeter:
     to a one-block cap, on top of the current slot's refill.
 
     A node throttled on one download is not polled in the slots it sleeps
-    through; `spend_refills` pays those slots afterwards, in the same float
-    steps as polling would have.
+    through; `spend_refills` pays those slots afterwards, adding each
+    slot's refill to `spent_total` and to the download's banked payment in
+    one loop, the same float steps as polling would have.  It is not
+    memoized: the running `spent_total` it adds to never repeats.
 
-    `completion_slot` and `refilled` replay those steps for a download's
-    banked payment, and their results depend only on their inputs and the
-    rate, so each is memoized by its inputs: the same float additions in
-    the same order, done once per distinct input.  `spend_refills` keeps
-    its per-slot loop, because the running `spent_total` it adds to never
-    repeats.
+    `completion_slot` replays those steps to find the slot a download
+    completes in.  Its result depends only on the banked payment and the
+    rate, so it is memoized by the payment: the same float additions in
+    the same order, done once per distinct payment.
 
     `sync` and `spend` run on every request, and clamp with a comparison
     where `min` and `max` would give the same float: on CPython 3.11 those
@@ -71,10 +71,8 @@ class CapacityMeter:
         self.tokens = rate_per_slot
         self.spent_total = 0.0
         self._slot = 0
-        # memos: paid -> completion_slot(paid, s) - (s + 1), and
-        # (paid, slots) -> refilled(paid, slots)
+        # paid -> completion_slot(paid, s) - (s + 1)
         self._steps: dict[float, int] = {}
-        self._refills: dict[tuple[float, int], float] = {}
 
     def sync(self, slot: int) -> float:
         """Advance the refill clock to `slot` and return available tokens."""
@@ -94,18 +92,22 @@ class CapacityMeter:
         block: the test by which a request fetches."""
         return self.sync(slot) + FETCH_SLACK >= remaining
 
-    def spend_refills(self, through: int) -> int:
+    def spend_refills(self, through: int, paid: float) -> tuple[int, float]:
         """Spend the whole refill of every slot after the last sync up to
         `through`, as a download throttled in each of them does, starting
-        from an empty bucket. Returns the number of slots paid."""
+        from an empty bucket, and bank each refill on `paid` one float add
+        at a time. Returns the number of slots paid and the banked sum."""
         slots = through - self._slot
         if slots <= 0:
-            return 0
+            return 0, paid
+        rate, spent = self.rate, self.spent_total
         for _ in range(slots):
-            self.spent_total += self.rate
+            spent += rate
+            paid += rate
+        self.spent_total = spent
         self.tokens = 0.0
         self._slot = through
-        return slots
+        return slots, paid
 
     def completion_slot(self, paid: float, slot: int) -> int:
         """The slot in which a download left throttled at `slot`, with
@@ -120,17 +122,6 @@ class CapacityMeter:
                 steps += 1
             self._steps[paid] = steps
         return slot + 1 + steps
-
-    def refilled(self, paid: float, slots: int) -> float:
-        """`paid` plus the whole refill of `slots` slots, added one slot at
-        a time as a per-slot poll banks them."""
-        total = self._refills.get((paid, slots))
-        if total is None:
-            total = paid
-            for _ in range(slots):
-                total += self.rate
-            self._refills[(paid, slots)] = total
-        return total
 
     def spend(self, amount: float) -> None:
         self.tokens -= amount

@@ -56,6 +56,18 @@ keeps its own `invalid` set, and mints its blocks through the store's
 `extend`.  Its protocol, and so whether it blanks equivocations and
 attaches proofs, is the store's.  `bpo_seen` lists the headers seen for
 each production opportunity, keyed by the `BpoId` itself.
+
+Under SaPoS a node handles equivocation in two places.  The scheduler
+treats a block whose production opportunity the node has seen twice as
+empty and skips its download.  A producer attaches proofs of the
+equivocations on its recent chain (`_attach_proofs`), which retroactively
+blank the offender's content; a proof must land within k_epf blocks of
+the offense, a deadline the store checks.  The model assumes two rules on
+application payloads that keep pretend-empty safe: no transaction may
+condition on block content that a producer could grind, and every call
+carries a gas deposit large enough to pay for what it could consume.  The
+simulator does not exercise them: its transactions are `(txid, size)`
+tuples with no payload.
 """
 from __future__ import annotations
 
@@ -65,9 +77,9 @@ from collections import OrderedDict, deque
 from typing import TYPE_CHECKING, Optional
 
 from . import params as pm
-from . import sapos as sp
 from . import trace as tr
-from .lottery import BlockHeader, BpoId, Content, HeaderStore
+from .lottery import (BlockHeader, BpoId, Content, EquivocationProof,
+                      HeaderStore)
 from .netenv import FETCHED, UNAVAILABLE, Environment
 
 if TYPE_CHECKING:
@@ -363,7 +375,8 @@ class Node:
         if self._kept is not None:
             return self._kept
         headers, processed, blanked = self.headers, self.processed, self.blanked
-        unavailable, sapos = self.unavailable, self.sapos
+        unavailable, bpo_seen = self.unavailable, self.bpo_seen
+        sapos = self.sapos
         while True:
             acted = False
             finished: list[int] = []
@@ -374,8 +387,7 @@ class Node:
                     front = dq[0]
                     if front in processed or front in blanked:
                         dq.popleft()
-                    elif sapos and sp.equivocated_in_view(
-                            self, headers[front]):
+                    elif sapos and len(bpo_seen[headers[front].bpo]) >= 2:
                         self._mark_blanked(front, slot)
                         dq.popleft()
                         acted = True
@@ -443,11 +455,10 @@ class Node:
         whole refill, banked one float add at a time."""
         if self.throttled is None:
             return
-        meter = self.env.meters[self.id]
-        slept = meter.spend_refills(slot - 1)
+        slept, paid = self.env.meters[self.id].spend_refills(
+            slot - 1, self.partial.get(self.throttled, 0.0))
         if slept:
-            self._bank(self.throttled, meter.refilled(
-                self.partial.get(self.throttled, 0.0), slept))
+            self._bank(self.throttled, paid)
 
     def _bank(self, header_id: int, paid: float) -> None:
         self.partial[header_id] = paid
@@ -546,7 +557,7 @@ class Node:
         """Extend the longest processed chain with a new block; an empty
         feed still yields an (empty) block."""
         txs = self._take_txs(slot)
-        proofs = sp.attach_proofs(self) if self.sapos else ()
+        proofs = self._attach_proofs() if self.sapos else ()
         content = self.store.make_content(txs, producer=self.id)
         header = self.store.extend(bpo, self.dchain_tip, content.commitment,
                                    proofs)
@@ -567,6 +578,24 @@ class Node:
         if self.active and self._replans([header.id]):
             self._wake_now(slot)
         return header, content
+
+    def _attach_proofs(self) -> tuple:
+        """The proofs a producer can still include: equivocations it has
+        seen whose on-chain copy lies within the proof window of the new
+        block and is not already proven.  The caller emits the trace
+        record once the carrying header exists."""
+        chain = self.dchain
+        proofs = []
+        for hid in chain[max(0, len(chain) - self.store.k_epf - 1):]:
+            if hid in self.proofed_targets:
+                continue
+            bpo = self.headers[hid].bpo
+            seen = self.bpo_seen[bpo]
+            if len(seen) >= 2:
+                other = next(x for x in seen if x != hid)
+                proofs.append(EquivocationProof(
+                    bpo_key=bpo, header_a=hid, header_b=other, target=hid))
+        return tuple(proofs)
 
     def _take_txs(self, slot: int) -> tuple:
         """Fill a block, oldest first, from the feed's transactions generated

@@ -329,12 +329,11 @@ def write_jsonl(trace: Trace, path: str) -> None:
 
 @collector_paused()
 def read_jsonl(path: str) -> Trace:
-    """Read a trace written by `write_jsonl`. A bad record raises with the
-    file and line: invalid JSON, a record that is not an object, an unknown
-    kind, a slot that is not a number (NaN included) or a laid-out record
-    whose keys are not exactly its layout's as `ValueError`, a missing
-    `slot` or `kind` as `KeyError`, a slot that goes backwards as
-    `AssertionError`."""
+    """Read a trace written by `write_jsonl`. A bad record raises
+    `ValueError` with the file and line: invalid JSON, a record that is not
+    an object, a missing `slot` or `kind`, an unknown kind, a slot that is
+    not a number (NaN included) or that goes backwards, or a laid-out
+    record whose keys are not exactly its layout's."""
     trace = Trace()
     rows, read_as = trace._rows, _READ_AS
     last_slot = trace._last_slot
@@ -361,7 +360,7 @@ def read_jsonl(path: str) -> Trace:
                         if slot != slot:
                             raise ValueError(
                                 f"slot is not a number: {slot!r}")
-                        raise AssertionError(
+                        raise ValueError(
                             f"trace slot went backwards: {slot} after {last_slot}")
                     last_slot = slot
                     kind, get, width = how
@@ -375,13 +374,13 @@ def read_jsonl(path: str) -> Trace:
                     rows.append((slot, kind, values))
             except KeyError as exc:
                 where = _line_of(batch, first, len(rows) - done)
-                if "slot" in rec and "kind" in rec:     # a field is wrong
-                    raise ValueError(
-                        f"{path}:{where}: {_misfit(kind, rec)}") from None
-                raise KeyError(f"{path}:{where}: missing {exc}") from None
-            except (ValueError, AssertionError) as exc:
+                what = (_misfit(kind, rec)      # a field is wrong
+                        if "slot" in rec and "kind" in rec
+                        else f"missing {exc}")
+                raise ValueError(f"{path}:{where}: {what}") from None
+            except ValueError as exc:
                 where = _line_of(batch, first, len(rows) - done)
-                raise type(exc)(f"{path}:{where}: {exc}") from None
+                raise ValueError(f"{path}:{where}: {exc}") from None
             except TypeError:
                 where = _line_of(batch, first, len(rows) - done)
                 what = _not_an_event(json.loads(batch[where - first]))

@@ -66,12 +66,12 @@ class Rig:
                             policy, k_conf, self.sink, nd.HonestFront())
 
     def grow(self, parent, slot, node_id=1, seq=0, txs=(), upload=True,
-             honest=True, proofs=(), pos=False):
-        """Mint one child of `parent` and (by default) upload its content."""
+             honest=True, proofs=()):
+        """Mint one child of `parent` under the store's protocol and (by
+        default) upload its content."""
         content = self.store.make_content(txs=txs, producer=node_id)
-        mint = self.store.pos_extend if pos else self.store.pow_extend
-        header = mint(BpoId(slot, node_id, honest, seq), parent.id,
-                      content.commitment, proofs)
+        header = self.store.extend(BpoId(slot, node_id, honest, seq),
+                                   parent.id, content.commitment, proofs)
         if upload:
             self.env.upload_content(header, content, origin=node_id)
         return header, content

@@ -221,21 +221,27 @@ def test_the_check_sees_unread_parameters():
 
 # The opportunity rule (PoW refuses a second header per opportunity, PoS
 # dedupes identical ones) is chosen by the header store, which is built with
-# the run's protocol and mints every header through `extend`.  lottery.py
-# defines both rules, and no other module names either.
-RULES = {"pow_extend", "pos_extend"}
+# the run's protocol and mints every header through `extend`.  The rule and
+# the mint behind it live in lottery.py: no other module reaches the store's
+# `_mint` or its PoS dedup table (an attribute of `self`, such as the
+# adversary's own `_mint`, is not the store's).
+RULES = {"_mint", "_pos_identity"}
 
 
 def rule_sites(sources: dict[str, str]) -> list[tuple[str, int, str]]:
-    """(module, line, rule) of every name, attribute or import of a rule in
-    the modules of `sources` (name -> source) other than lottery.py."""
+    """(module, line, rule) of every name, import or attribute of a rule,
+    other than an attribute of `self`, in the modules of `sources` (name ->
+    source) other than lottery.py."""
     out = []
     for module, source in sources.items():
         if module == "lottery.py":
             continue
         for node in ast.walk(ast.parse(source)):
+            own = (isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "self")
             name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.attr if isinstance(node, ast.Attribute) and not own
                     else node.name if isinstance(node, ast.alias) else None)
             if name in RULES:
                 out.append((module, node.lineno, name))
@@ -248,15 +254,16 @@ def test_the_opportunity_rule_is_chosen_once_per_producer():
 
 def test_the_check_sees_opportunity_rules():
     sources = {
-        "lottery.py": "def pow_extend(): pass\ndef pos_extend(): pass\n",
-        "a.py": ("from lottery import pos_extend\n"
-                 "extend = store.pow_extend\n"
-                 "pos_extend(1)\n"
-                 "store.extend(2)\n"),
+        "lottery.py": "def _mint(): pass\n_pos_identity = {}\n",
+        "a.py": ("from lottery import _mint\n"
+                 "table = store._pos_identity\n"
+                 "_mint(1)\n"
+                 "store.extend(2)\n"
+                 "self._mint(3)\n"),
     }
-    assert rule_sites(sources) == [("a.py", 1, "pos_extend"),
-                                   ("a.py", 2, "pow_extend"),
-                                   ("a.py", 3, "pos_extend")]
+    assert rule_sites(sources) == [("a.py", 1, "_mint"),
+                                   ("a.py", 2, "_pos_identity"),
+                                   ("a.py", 3, "_mint")]
 
 
 # trace.collector_paused is the one place that switches the collector

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from nakasim.lottery import (STREAM_ASSIGN, BpoId, EquivocationProof,
                              HeaderStore, ReusedBpo, SlotSampler, _slot_gen)
-from nakasim.params import PROTOCOL_POW, PROTOCOL_SAPOS, PROTOCOLS
+from nakasim.params import (PROTOCOL_POS, PROTOCOL_POW, PROTOCOL_SAPOS,
+                             PROTOCOLS)
 
 
 def make_sampler(seed=7, beta=0.25, rho=0.1, spv=0.0):
@@ -170,9 +171,9 @@ def test_pow_single_spend():
     store = HeaderStore()
     b = BpoId(3, 1, True, 0)
     c = store.make_content()
-    store.pow_extend(b, store.genesis.id, c.commitment)
+    store.extend(b, store.genesis.id, c.commitment)
     with pytest.raises(ReusedBpo):
-        store.pow_extend(b, store.genesis.id, store.make_content().commitment)
+        store.extend(b, store.genesis.id, store.make_content().commitment)
 
 
 def test_extend_applies_the_stores_opportunity_rule():
@@ -207,50 +208,50 @@ def test_an_opportunity_is_its_own_key():
     assert type(copy) is BpoId and copy == b
 
     pow_store = HeaderStore()
-    pow_store.pow_extend(b, 0, pow_store.make_content().commitment)
+    pow_store.extend(b, 0, pow_store.make_content().commitment)
     assert pow_store.by_bpo[(3, 1, True, 0)] == [1]
     with pytest.raises(ReusedBpo, match=r"bpo \(3, 1, True, 0\) already"):
-        pow_store.pow_extend(BpoId(3, 1, True, 0), 0,
-                             pow_store.make_content().commitment)
+        pow_store.extend(BpoId(3, 1, True, 0), 0,
+                         pow_store.make_content().commitment)
 
     store = HeaderStore(PROTOCOL_SAPOS, k_epf=3)
     commitment = store.make_content().commitment
-    a = store.pos_extend(b, 0, commitment)
-    assert store.pos_extend(BpoId(3, 1, True, 0), 0, commitment) is a
-    twin = store.pos_extend(BpoId(3, 1, True, 0), 0,
-                            store.make_content().commitment)
-    other = store.pos_extend(BpoId(3, 1, True, 1), 0,
-                             store.make_content().commitment)
+    a = store.extend(b, 0, commitment)
+    assert store.extend(BpoId(3, 1, True, 0), 0, commitment) is a
+    twin = store.extend(BpoId(3, 1, True, 0), 0,
+                        store.make_content().commitment)
+    other = store.extend(BpoId(3, 1, True, 1), 0,
+                         store.make_content().commitment)
     assert store.by_bpo[b] == [a.id, twin.id]
-    carrier = store.pos_extend(BpoId(5, 2, True, 0), a.id,
-                               store.make_content().commitment)
+    carrier = store.extend(BpoId(5, 2, True, 0), a.id,
+                           store.make_content().commitment)
     for header_b, valid in ((twin, True), (other, False)):
         proof = EquivocationProof(a.bpo, a.id, header_b.id, target=a.id)
         assert store.proof_meets_deadline(carrier, proof) is valid
 
 
 def test_pos_equivocation_and_idempotence():
-    store = HeaderStore()
+    store = HeaderStore(PROTOCOL_POS)
     b = BpoId(3, 1, True, 0)
     c1, c2 = store.make_content(), store.make_content()
-    h1 = store.pos_extend(b, store.genesis.id, c1.commitment)
-    h2 = store.pos_extend(b, store.genesis.id, c2.commitment)
+    h1 = store.extend(b, store.genesis.id, c1.commitment)
+    h2 = store.extend(b, store.genesis.id, c2.commitment)
     assert h1.id != h2.id
     assert store.by_bpo[b] == [h1.id, h2.id]
-    again = store.pos_extend(b, store.genesis.id, c1.commitment)
+    again = store.extend(b, store.genesis.id, c1.commitment)
     assert again.id == h1.id
 
 
 def test_child_opportunity_must_follow_parent():
     store = HeaderStore()
     c = store.make_content()
-    h1 = store.pow_extend(BpoId(5, 1, True, 1), store.genesis.id, c.commitment)
+    h1 = store.extend(BpoId(5, 1, True, 1), store.genesis.id, c.commitment)
     with pytest.raises(ValueError):
-        store.pow_extend(BpoId(5, 2, True, 0), h1.id,
-                         store.make_content().commitment)
+        store.extend(BpoId(5, 2, True, 0), h1.id,
+                     store.make_content().commitment)
     # same slot, higher seq is a legal chain step
-    h2 = store.pow_extend(BpoId(5, 2, True, 2), h1.id,
-                          store.make_content().commitment)
+    h2 = store.extend(BpoId(5, 2, True, 2), h1.id,
+                      store.make_content().commitment)
     assert h2.height == 2
 
 
@@ -258,8 +259,8 @@ def test_chain_helpers_on_a_fork():
     store = HeaderStore()
 
     def mk(slot, parent):
-        return store.pow_extend(BpoId(slot, slot, True, 0), parent,
-                                store.make_content().commitment)
+        return store.extend(BpoId(slot, slot, True, 0), parent,
+                            store.make_content().commitment)
 
     a1 = mk(1, store.genesis.id)
     a2 = mk(2, a1.id)

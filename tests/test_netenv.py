@@ -21,8 +21,8 @@ from test_trace_digests import attack_scenario
 def mk_header(store, slot=1, parent=None):
     parent = parent if parent is not None else store.genesis.id
     c = store.make_content()
-    return store.pow_extend(BpoId(slot, slot, True, 0), parent,
-                            c.commitment), c
+    return store.extend(BpoId(slot, slot, True, 0), parent,
+                        c.commitment), c
 
 
 def test_meter_carry_over_is_one_block():
@@ -220,7 +220,7 @@ def test_a_memoised_commitment_is_not_requested_again():
     sim = small_sim()
     a, _ = mk_header(sim.store, slot=1)
     memoise_unavailable(sim, [0], a, 3)
-    b = sim.store.pow_extend(BpoId(4, 4, True, 0), a.parent_id, a.commitment)
+    b = sim.store.extend(BpoId(4, 4, True, 0), a.parent_id, a.commitment)
     requests = []
     real = sim.env.request_content
     sim.env.request_content = lambda *args: requests.append(args) or real(*args)
@@ -274,9 +274,8 @@ def test_throttled_slots_paid_late_match_per_slot_requests(rate, paid):
         outcome, newly = polled.request_content(0, h, paid, slot)
         assert outcome is RequestOutcome.THROTTLED
         paid += newly
-    assert lazy.meters[0].spend_refills(done - 1) == done - 2
-    for _ in range(done - 2):
-        lazy_paid += rate
+    slept, lazy_paid = lazy.meters[0].spend_refills(done - 1, lazy_paid)
+    assert slept == done - 2
     assert lazy_paid == paid
     assert lazy.meters[0].spent_total == polled.meters[0].spent_total
     for env, p in ((polled, paid), (lazy, lazy_paid)):
@@ -382,10 +381,11 @@ def throttled_paid(rate, slots):
        | st.floats(0.01, 2.0),
        data=st.data())
 def test_memoized_replays_equal_slot_by_slot_replays(rate, data):
-    """`completion_slot` and `refilled` on one meter, asked in turn about
-    paid values that real throttles leave (sums of whole refills from 0.0,
-    the partial of a request) and others, each input asked again after
-    other inputs: every answer equals a slot-by-slot replay bit for bit.
+    """`completion_slot` on one meter, asked in turn about paid values that
+    real throttles leave (sums of whole refills from 0.0, the partial of a
+    request) and others, each input asked again after other inputs, and
+    `spend_refills` banking the same values over the same slots: every
+    answer equals a slot-by-slot replay bit for bit.
     0.1 and 0.2 are rates whose sums round, and rates a hair under 1/n put
     the fetch test at its tolerance."""
     meter = CapacityMeter(rate)
@@ -401,9 +401,11 @@ def test_memoized_replays_equal_slot_by_slot_replays(rate, data):
         paid = paids[i]
         assert meter.completion_slot(paid, slot) == replayed_completion(
             rate, paid, slot)
-        got, want = meter.refilled(paid, slots), replayed_refill(
+        sleeper = CapacityMeter(rate)
+        sleeper.sync(slot)
+        got, want = sleeper.spend_refills(slot + slots, paid), replayed_refill(
             rate, paid, slots)
-        assert got.hex() == want.hex()
+        assert got[0] == slots and got[1].hex() == want.hex()
 
 
 # -- the request path ---------------------------------------------------------

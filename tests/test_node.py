@@ -53,8 +53,8 @@ def test_rogue_header_with_stale_opportunity_rejected():
     assert rig.node.invalid == {999}
     assert 999 not in rig.node.seen_order
     # descendants of an invalid header fall with it
-    child = rig.store.pow_extend(BpoId(7, 3, True, 0), 999,
-                                 rig.store.make_content().commitment)
+    child = rig.store.extend(BpoId(7, 3, True, 0), 999,
+                             rig.store.make_content().commitment)
     assert rig.node.on_header(child, 7) == []
     assert child.id not in rig.node.seen_order
 
@@ -102,8 +102,8 @@ def test_rogue_headers_are_rejected_by_every_node_of_a_simulation(monkeypatch):
     store, k_epf = sim.store, sim.scenario.sapos.k_epf
 
     def mint(parent, slot, node=1, proofs=()):
-        return store.pos_extend(BpoId(slot, node, True, 0), parent.id,
-                                store.make_content().commitment, proofs)
+        return store.extend(BpoId(slot, node, True, 0), parent.id,
+                            store.make_content().commitment, proofs)
 
     offender = mint(store.genesis, 1, node=5)
     twin = mint(store.genesis, 1, node=5)
@@ -273,28 +273,28 @@ def test_reorg_releases_only_the_orphaned_transactions():
 
 def test_sapos_intake_rejects_late_proof():
     rig = Rig(protocol=pm.PROTOCOL_SAPOS, k_epf=2, k_conf=7)
-    off_a, _ = rig.grow(rig.store.genesis, 1, node_id=5, pos=True)
-    off_b, _ = rig.grow(rig.store.genesis, 1, node_id=5, pos=True)
+    off_a, _ = rig.grow(rig.store.genesis, 1, node_id=5)
+    off_b, _ = rig.grow(rig.store.genesis, 1, node_id=5)
     proof = EquivocationProof(off_a.bpo, off_a.id, off_b.id,
                               target=off_a.id)
     chain = [off_a]
     for i in range(4):
-        h, _ = rig.grow(chain[-1], 2 + i, node_id=1, pos=True)
+        h, _ = rig.grow(chain[-1], 2 + i, node_id=1)
         chain.append(h)
-    late, _ = rig.grow(chain[-1], 8, node_id=1, pos=True, proofs=(proof,))
+    late, _ = rig.grow(chain[-1], 8, node_id=1, proofs=(proof,))
     inserted = rig.node.on_header(late, 8)
     assert late.id not in inserted          # ancestors land, the carrier not
     assert late.id not in rig.node.seen_order
     assert rig.node.invalid == {late.id}
-    timely, _ = rig.grow(chain[2], 9, node_id=2, pos=True, proofs=(proof,))
+    timely, _ = rig.grow(chain[2], 9, node_id=2, proofs=(proof,))
     assert timely.id in rig.node.on_header(timely, 9)
 
 
 def test_sapos_scheduler_blanks_equivocators_for_free():
     rig = Rig(rate=1.0, protocol=pm.PROTOCOL_SAPOS, k_epf=4, k_conf=7)
-    off_a, _ = rig.grow(rig.store.genesis, 1, node_id=5, pos=True)
-    off_b, _ = rig.grow(rig.store.genesis, 1, node_id=5, pos=True)
-    child, _ = rig.grow(off_a, 2, node_id=1, pos=True)
+    off_a, _ = rig.grow(rig.store.genesis, 1, node_id=5)
+    off_b, _ = rig.grow(rig.store.genesis, 1, node_id=5)
+    child, _ = rig.grow(off_a, 2, node_id=1)
     rig.deliver([off_a, off_b, child], 2)
     rig.step(2)
     assert off_a.id in rig.node.blanked

@@ -11,16 +11,16 @@ from nakasim.lottery import BpoId, EquivocationProof, HeaderStore
 
 def equivocating_pair(store, slot=3, node=5):
     b = BpoId(slot, node, True, 0)
-    a = store.pos_extend(b, store.genesis.id, store.make_content().commitment)
-    c = store.pos_extend(b, store.genesis.id, store.make_content().commitment)
+    a = store.extend(b, store.genesis.id, store.make_content().commitment)
+    c = store.extend(b, store.genesis.id, store.make_content().commitment)
     return a, c
 
 
 def chain_on(store, parent, length, start_slot):
     out = []
     for i in range(length):
-        h = store.pos_extend(BpoId(start_slot + i, 1, True, 0), parent.id,
-                             store.make_content().commitment)
+        h = store.extend(BpoId(start_slot + i, 1, True, 0), parent.id,
+                         store.make_content().commitment)
         out.append(h)
         parent = h
     return out
@@ -77,16 +77,16 @@ def sapos_rig():
 
 def twins(rig, honest):
     """Two blocks on genesis for one production opportunity, both uploaded."""
-    return [rig.grow(rig.store.genesis, 3, node_id=5, honest=honest,
-                     pos=True)[0] for _ in range(2)]
+    return [rig.grow(rig.store.genesis, 3, node_id=5, honest=honest)[0]
+            for _ in range(2)]
 
 
 def proven(rig, offender, twin):
     """Two blocks on `offender`, the first carrying the proof against it."""
     proof = EquivocationProof(offender.bpo, offender.id, twin.id,
                               target=offender.id)
-    carrier, _ = rig.grow(offender, 10, pos=True, proofs=(proof,))
-    return [carrier, rig.grow(carrier, 11, pos=True)[0]]
+    carrier, _ = rig.grow(offender, 10, proofs=(proof,))
+    return [carrier, rig.grow(carrier, 11)[0]]
 
 
 def run_node(node, headers):
@@ -106,7 +106,7 @@ def blocks(records):
 def test_a_scheduler_blank_without_a_proof_is_missing_content():
     rig = sapos_rig()
     offender, twin = twins(rig, honest=False)
-    chain = rig.chain(2, 10, offender, pos=True)
+    chain = rig.chain(2, 10, offender)
     run_node(rig.node, [offender, twin] + chain)
     assert offender.id in rig.node.blanked
     assert blocks(rig.sink.missing_content) == [offender.id]
@@ -137,7 +137,7 @@ def test_nodes_that_disagree_on_a_blank_are_a_conflict():
                     pm.POLICY_LONGEST_HEADER_CHAIN, 2, rig.sink,
                     nd.HonestFront())
     run_node(rig.node, [offender, twin] + proven(rig, offender, twin))
-    run_node(other, [offender] + rig.chain(2, 20, offender, pos=True))
+    run_node(other, [offender] + rig.chain(2, 20, offender))
     assert offender.id in other.processed
     # (block, the node whose report disagreed, slot)
     assert rig.sink.blank_conflicts == [(offender.id, other.id, 13)]

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from nakasim import node as nd
 from nakasim import params as pm
-from nakasim import sapos as sp
 from nakasim import trace as tr
 from nakasim.lottery import BpoId
 
@@ -105,8 +104,8 @@ class ReferenceNode(nd.Node):
                     front = dq[0]
                     if is_done(self, front):
                         dq.popleft()
-                    elif self.sapos and sp.equivocated_in_view(
-                            self, self.store.headers[front]):
+                    elif self.sapos and len(self.bpo_seen[
+                            self.store.headers[front].bpo]) >= 2:
                         self._mark_blanked(front, slot)
                         dq.popleft()
                         acted = True
@@ -145,7 +144,7 @@ class ReferenceNode(nd.Node):
 
     def try_produce(self, bpo, slot):
         txs = self._take_txs(slot)
-        proofs = sp.attach_proofs(self) if self.sapos else ()
+        proofs = self._attach_proofs() if self.sapos else ()
         content = self.store.make_content(txs, producer=self.id)
         header = self.store.extend(bpo, self.dchain_tip, content.commitment,
                                    proofs)
@@ -206,10 +205,11 @@ class TreeDriver:
     its store, delivering them, withholding and uploading content, minting
     equivocating twins, producing, and stepping the scheduler."""
 
-    def __init__(self, driven: Driven, pos: bool):
+    def __init__(self, driven: Driven):
         self.d = driven
         self.rig = driven.rig
-        self.pos = pos
+        # only PoS and SaPoS stores mint equivocating twins
+        self.pos = driven.rig.store.protocol != pm.PROTOCOL_POW
         self.slot = 0
         self.minted = [self.rig.store.genesis]
         self.withheld: dict[int, object] = {}
@@ -221,8 +221,7 @@ class TreeDriver:
         self.slot += 1
         content = self.rig.store.make_content(producer=7)
         bpo = bpo or BpoId(self.slot, 7, False, 0)
-        mint = self.rig.store.pos_extend if self.pos else self.rig.store.pow_extend
-        header = mint(bpo, parent.id, content.commitment, ())
+        header = self.rig.store.extend(bpo, parent.id, content.commitment)
         if withhold:
             self.withheld[header.id] = content
         else:
@@ -320,10 +319,9 @@ POLICY_PROTOCOLS = [(policy, protocol) for policy in pm.POLICIES
          rate=1.0)
 @settings(max_examples=25, deadline=None)
 def test_index_matches_the_reference_scheduler(policy, protocol, ops, rate):
-    pos = protocol != pm.PROTOCOL_POW
     new = Driven(nd.Node, rate, policy, protocol)
     ref = Driven(ReferenceNode, rate, policy, protocol)
-    new_tree, ref_tree = TreeDriver(new, pos), TreeDriver(ref, pos)
+    new_tree, ref_tree = TreeDriver(new), TreeDriver(ref)
     for op in ops:
         new_tree.apply(op)
         ref_tree.apply(op)
@@ -360,7 +358,7 @@ class CountingKey(tuple):
 def _flooded(node_cls, n_tips):
     """A node holding `n_tips` withheld single-block tips."""
     d = Driven(node_cls, 1.0, pm.POLICY_LONGEST_HEADER_CHAIN, pm.PROTOCOL_POW)
-    tree = TreeDriver(d, pos=False)
+    tree = TreeDriver(d)
     tree.apply(("fan", 0, n_tips, (1 << 16) - 1))
     return d, tree
 
@@ -473,7 +471,7 @@ def test_tip_cap_keeps_the_best_processable_tip(policy, ops, rate):
             assert best in node.tips
 
     d.on_evict = check
-    tree = TreeDriver(d, pos=True)
+    tree = TreeDriver(d)
     for op in ops:
         tree.apply(op)
         assert len(node.tips) <= nd.MAX_SCHEDULER_TIPS

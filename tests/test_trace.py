@@ -231,14 +231,16 @@ def test_unknown_kind_names_its_line(tmp_path):
 
 
 @pytest.mark.parametrize("missing", ["slot", "kind"])
-def test_missing_slot_or_kind_is_a_key_error_with_its_line(tmp_path, missing):
+def test_missing_slot_or_kind_is_a_value_error_with_its_line(tmp_path,
+                                                              missing):
     lines = bpo_lines(4100)
     rec = {"slot": 4098, "kind": "Bpo"}
     del rec[missing]
     lines[4097] = json.dumps(rec) + "\n"
     path = tmp_path / "t.jsonl"
     path.write_text("".join(lines))
-    with pytest.raises(KeyError, match=rf"t\.jsonl:4098: missing '{missing}'"):
+    with pytest.raises(ValueError,
+                       match=rf"t\.jsonl:4098: missing '{missing}'"):
         tr.read_jsonl(str(path))
 
 
@@ -264,7 +266,7 @@ def test_slots_going_backwards_fail_as_before(tmp_path, at):
     lines[at - 1] = bpo_line(0)
     path = tmp_path / "t.jsonl"
     path.write_text("".join(lines))
-    with pytest.raises(AssertionError,
+    with pytest.raises(ValueError,
                        match=rf"t\.jsonl:{at}: trace slot went backwards"):
         tr.read_jsonl(str(path))
 

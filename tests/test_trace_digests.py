@@ -16,6 +16,7 @@ from unittest import mock
 import pytest
 
 from nakasim import params as pm
+from nakasim import pivots
 from nakasim import trace as tr
 from nakasim.sim import Simulation
 
@@ -103,12 +104,20 @@ PINNED = {
 }
 
 
+def pivot_series(sim: Simulation) -> pivots.IndexSeries:
+    """The run's indices as `analyze` classifies them.  Every downloaded
+    index is a good one, so every cp must be a pp."""
+    return pivots.classify(sim.trace, sim.trace.meta["nu"])
+
+
 @pytest.mark.parametrize("protocol,policy", sorted(PINNED))
 def test_trace_digest_is_pinned(protocol, policy):
     sim = Simulation(pm.scenario_from_dict(matrix_scenario(protocol, policy)))
     metrics = sim.run()
     assert metrics.audits["clean"]
     assert (trace_digest(sim), metrics.tip_evictions) == PINNED[protocol, policy]
+    series = pivot_series(sim)
+    assert not (series.cp & ~series.pp).any()
 
 
 def test_the_matrix_reaches_the_tip_cap():
@@ -300,6 +309,21 @@ def test_seed_one_of_each_workload_writes_its_recorded_outputs(
     assert got.outputs() == run.load_expected()[name]["seeds"]["1"]
     series = hashlib.sha256((tmp_path / "series.csv").read_bytes())
     assert series.hexdigest() == SERIES_CSV[name]
+
+
+def test_every_cp_is_a_pp_and_not_every_pp_a_cp():
+    """Fact 1 of Bentov, Pass and Shi (every pp is a cp under bounded
+    delay) fails under bounded capacity, where only the converse holds.
+    The attacked matrix runs above have no pp in 2,000 slots, so the
+    benchmark's secure-tx workload shows both: at 2,000 slots, seed 1, 10
+    of its 57 pps are not cps, and each of its 47 cps is a pp."""
+    config = bench_workloads()["secure-tx"].config
+    config["sim"].update(horizon_slots=2000, seed=1)
+    sim = Simulation(pm.scenario_from_dict(config))
+    sim.run()
+    series = pivot_series(sim)
+    assert (int(series.pp.sum()), int(series.cp.sum())) == (57, 47)
+    assert not (series.cp & ~series.pp).any()
 
 
 @pytest.mark.parametrize("name", ["tease", "posspam", "secure-tx"])
