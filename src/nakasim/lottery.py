@@ -180,10 +180,11 @@ class HeaderStore:
     the run's header rules: it is built with the run's protocol and k_epf.
 
     `extend` mints every header under the protocol's opportunity rule: PoW
-    spends each opportunity on at most one header, PoS and SaPoS permit
-    equivocation but deduplicate identical (bpo, parent, commitment)
-    triples.  `valid` decides once per header whether it may follow its
-    parent, and every node of the run reads that verdict.
+    spends each opportunity on at most one header and keeps the spent ones
+    in `spent`; PoS and SaPoS permit equivocation but deduplicate identical
+    (bpo, parent, commitment) triples.  `valid` decides once per header
+    whether it may follow its parent, and every node of the run reads that
+    verdict.
     """
 
     def __init__(self, protocol: str = PROTOCOL_POW, k_epf: int = 0):
@@ -193,7 +194,7 @@ class HeaderStore:
         self.genesis = BlockHeader(GENESIS_ID, None, genesis_bpo, 0, 0)
         self.headers: dict[int, BlockHeader] = {GENESIS_ID: self.genesis}
         self.contents: dict[int, Content] = {0: Content(0, (), -1)}
-        self.by_bpo: dict[BpoId, list[int]] = {}
+        self.spent: set[BpoId] = set()      # PoW opportunities minted
         self._pos_identity: dict[tuple, BlockHeader] = {}
         self.verdicts: dict[int, bool] = {}   # header id -> `valid`
         self._next_header = 1
@@ -214,16 +215,17 @@ class HeaderStore:
                              parent.height + 1, commitment, proofs)
         self._next_header += 1
         self.headers[header.id] = header
-        self.by_bpo.setdefault(bpo, []).append(header.id)
         return header
 
     def extend(self, bpo: BpoId, parent_id: int, commitment: int,
                proofs: tuple = ()) -> BlockHeader:
         """Mint a header under the run's opportunity rule."""
         if self.protocol == PROTOCOL_POW:
-            if bpo in self.by_bpo:
+            if bpo in self.spent:
                 raise ReusedBpo(f"bpo {tuple(bpo)} already spent")
-            return self._mint(bpo, parent_id, commitment, proofs)
+            header = self._mint(bpo, parent_id, commitment, proofs)
+            self.spent.add(bpo)
+            return header
         ident = (bpo, parent_id, commitment)
         header = self._pos_identity.get(ident)
         if header is None:

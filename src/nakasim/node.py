@@ -27,8 +27,8 @@ The scheduler keeps at most MAX_SCHEDULER_TIPS tips, each under its policy's
 key.  Keys end in the tip's seen order, so no two are equal, and the
 (key, tip) pairs are kept in ascending order: the scheduler walks them from
 the top and eviction drops the bottom one.  A block is done once it is
-processed or blanked; the walks test that as `x in processed or x in
-blanked`, with the two sets read once per walk.
+processed: `processed` holds every done block, and `blanked` the subset
+processed as empty, so the walks test done-ness with one probe.
 
 Headers enter as chains: a delivered header brings its unknown ancestors,
 and the valid prefix of them is inserted in one `_insert_chain`, as is a
@@ -310,22 +310,22 @@ class Node:
     # -- scheduling -------------------------------------------------------
 
     def _build_pending(self, tip_id: int) -> deque:
-        """The tip's chain above its highest processed or blanked block."""
-        processed, blanked, headers = self.processed, self.blanked, self.headers
+        """The tip's chain above its highest processed block."""
+        processed, headers = self.processed, self.headers
         stack = []
         cur = tip_id
-        while not (cur in processed or cur in blanked):
+        while cur not in processed:
             stack.append(cur)
             cur = headers[cur].parent_id
         return deque(reversed(stack))
 
     def _pending_for(self, tip_id: int) -> deque:
-        """The tip's pending queue, its processed or blanked front dropped."""
+        """The tip's pending queue, its processed front dropped."""
         dq = self._pending.get(tip_id)
         if dq is None:
             dq = self._pending[tip_id] = self._build_pending(tip_id)
-        processed, blanked = self.processed, self.blanked
-        while dq and (dq[0] in processed or dq[0] in blanked):
+        processed = self.processed
+        while dq and dq[0] in processed:
             dq.popleft()
         return dq
 
@@ -374,7 +374,7 @@ class Node:
         queue's front are as that step's walk left them."""
         if self._kept is not None:
             return self._kept
-        headers, processed, blanked = self.headers, self.processed, self.blanked
+        headers, processed = self.headers, self.processed
         unavailable, bpo_seen = self.unavailable, self.bpo_seen
         sapos = self.sapos
         while True:
@@ -385,7 +385,7 @@ class Node:
                 dq = self._pending_for(tip_id)
                 while dq:
                     front = dq[0]
-                    if front in processed or front in blanked:
+                    if front in processed:
                         dq.popleft()
                     elif sapos and len(bpo_seen[headers[front].bpo]) >= 2:
                         self._mark_blanked(front, slot)
@@ -470,6 +470,7 @@ class Node:
 
     def _mark_blanked(self, header_id: int, slot: int) -> None:
         self._kept = None
+        self.processed.add(header_id)
         self.blanked.add(header_id)
         self.trace.emit(slot, tr.PRETEND_EMPTY, self.id, header_id)
         self._after_processed(header_id, slot)
@@ -508,11 +509,11 @@ class Node:
 
     def _count_chain_block(self, h: BlockHeader, step: int) -> None:
         """Add (step 1) or remove (step -1) a dchain block's proof targets
-        and, if it was processed, its transactions.  Whether a block is
-        processed or blanked never changes once it is done, so leaving the
+        and, unless it was processed as empty, its transactions.  Whether a
+        block is blanked never changes once it is done, so leaving the
         chain removes exactly what joining added."""
         txs = (self.store.contents[h.commitment].txs
-               if h.id in self.processed else ())
+               if h.id not in self.blanked else ())
         if not (h.proofs or txs):
             return
         marks = [(self.proofed_targets, proof.target) for proof in h.proofs]
@@ -548,7 +549,8 @@ class Node:
             self.trace.emit(slot, tr.BLANKED, self.id, header_id)
         self._ledger_blanked[header_id] = blanked
         self.audit_sink.note_blank_status(self.id, header_id, blanked, slot)
-        if not blanked and header_id not in self.processed:
+        # every dchain block is done: one processed as empty lacks content
+        if not blanked and header_id in self.blanked:
             self.audit_sink.note_missing_content(self.id, header_id, slot)
 
     # -- production ---------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 
 import pytest
 from conftest import MiniRun
+from test_trace_digests import FRONTIER_PIN, PINS
 
 from nakasim import cli
 from nakasim import params as pm
@@ -368,8 +369,8 @@ def test_attack_frontier_output_is_pinned(tmp_path):
                      "--capacity-grid", "0.5,1,2", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[1] == "0.5,teaser,0.0,3,0.21,0.205,0.215,0.17355371900826447"
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "6a31851beaff45a58906a979be176e72c9fc89de95a20d892a69b3e0f4b8d49a")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        PINS[FRONTIER_PIN]["csv_sha256"]
 
 
 def test_equivocating_teases_slow_plain_pos_more_than_sapos(tmp_path):

@@ -2,7 +2,8 @@
 every function, class and method it defines is named elsewhere in it, every
 parameter is read, one module owns switching the cyclic garbage
 collector, and the third-party packages it imports are its declared
-dependencies.
+dependencies.  No test file writes out a digest: every pin is in
+tests/pins.json.
 
 A re-export counts as a use when the module lists the name in `__all__`."""
 import ast
@@ -397,3 +398,31 @@ def test_the_check_sees_emit_misuses():
         "a.py:5 AdversaryRelease: positionally",
         "a.py:6 Blanked: values unpacked",
         "a.py:7 ?: kind is not a trace constant"]
+
+
+TEST_FILES = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+DIGEST = re.compile(r"[0-9a-fA-F]{64}")     # a sha256 written out in hex
+
+
+def digest_literals(sources: dict[str, str]) -> list[str]:
+    """`file:line` of every line in `sources` that holds 64 hex digits in a
+    row."""
+    return [f"{name}:{n}" for name, source in sorted(sources.items())
+            for n, text in enumerate(source.splitlines(), 1)
+            if DIGEST.search(text)]
+
+
+def test_every_pin_is_in_the_ledger():
+    assert digest_literals({path.name: path.read_text(encoding="utf-8")
+                            for path in TEST_FILES}) == []
+
+
+def test_the_check_sees_pinned_digests():
+    digest = "0123456789abcdef" * 4
+    sources = {
+        "a.py": (f'assert h.hexdigest() == (\n    "{digest}")\n'
+                 f"# {digest[1:]}\n"
+                 f'PIN = "{digest.upper()}0"\n'),
+        "b.py": "x = 1\n",
+    }
+    assert digest_literals(sources) == ["a.py:2", "a.py:4"]

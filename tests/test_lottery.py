@@ -188,11 +188,12 @@ def test_extend_applies_the_stores_opportunity_rule():
         if protocol == PROTOCOL_POW:
             with pytest.raises(ReusedBpo):
                 store.extend(b, store.genesis.id, twin_commitment)
-            assert store.by_bpo[b] == [a.id]
+            assert list(store.headers) == [store.genesis.id, a.id]
             continue
         assert store.extend(b, store.genesis.id, commitment) is a
         twin = store.extend(b, store.genesis.id, twin_commitment)
-        assert store.by_bpo[b] == [a.id, twin.id]
+        assert twin.id != a.id and twin.bpo == a.bpo
+        assert not store.spent      # kept under PoW only
 
 
 def test_an_opportunity_is_its_own_key():
@@ -209,7 +210,7 @@ def test_an_opportunity_is_its_own_key():
 
     pow_store = HeaderStore()
     pow_store.extend(b, 0, pow_store.make_content().commitment)
-    assert pow_store.by_bpo[(3, 1, True, 0)] == [1]
+    assert (3, 1, True, 0) in pow_store.spent
     with pytest.raises(ReusedBpo, match=r"bpo \(3, 1, True, 0\) already"):
         pow_store.extend(BpoId(3, 1, True, 0), 0,
                          pow_store.make_content().commitment)
@@ -222,7 +223,7 @@ def test_an_opportunity_is_its_own_key():
                         store.make_content().commitment)
     other = store.extend(BpoId(3, 1, True, 1), 0,
                          store.make_content().commitment)
-    assert store.by_bpo[b] == [a.id, twin.id]
+    assert twin.id != a.id and twin.bpo == a.bpo == b
     carrier = store.extend(BpoId(5, 2, True, 0), a.id,
                            store.make_content().commitment)
     for header_b, valid in ((twin, True), (other, False)):
@@ -236,8 +237,7 @@ def test_pos_equivocation_and_idempotence():
     c1, c2 = store.make_content(), store.make_content()
     h1 = store.extend(b, store.genesis.id, c1.commitment)
     h2 = store.extend(b, store.genesis.id, c2.commitment)
-    assert h1.id != h2.id
-    assert store.by_bpo[b] == [h1.id, h2.id]
+    assert h1.id != h2.id and h1.bpo == h2.bpo == b
     again = store.extend(b, store.genesis.id, c1.commitment)
     assert again.id == h1.id
 
@@ -249,6 +249,9 @@ def test_child_opportunity_must_follow_parent():
     with pytest.raises(ValueError):
         store.extend(BpoId(5, 2, True, 0), h1.id,
                      store.make_content().commitment)
+    # the refused mint spent nothing: its opportunity is still free
+    store.extend(BpoId(5, 2, True, 0), store.genesis.id,
+                 store.make_content().commitment)
     # same slot, higher seq is a legal chain step
     h2 = store.extend(BpoId(5, 2, True, 2), h1.id,
                       store.make_content().commitment)

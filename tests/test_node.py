@@ -292,13 +292,16 @@ def test_sapos_intake_rejects_late_proof():
 
 def test_sapos_scheduler_blanks_equivocators_for_free():
     rig = Rig(rate=1.0, protocol=pm.PROTOCOL_SAPOS, k_epf=4, k_conf=7)
-    off_a, _ = rig.grow(rig.store.genesis, 1, node_id=5)
+    off_a, _ = rig.grow(rig.store.genesis, 1, node_id=5,
+                        txs=(("a", 0.25),))
     off_b, _ = rig.grow(rig.store.genesis, 1, node_id=5)
-    child, _ = rig.grow(off_a, 2, node_id=1)
+    child, _ = rig.grow(off_a, 2, node_id=1, txs=(("c", 0.25),))
     rig.deliver([off_a, off_b, child], 2)
     rig.step(2)
     assert off_a.id in rig.node.blanked
     assert rig.node.dchain == [off_a.id, child.id]
+    # a block processed as empty adds no transactions to the chain
+    assert set(rig.node.included_txids) == {"c"}
     assert rig.env.meters[0].spent_total == pytest.approx(1.0)
     # both twins get blanked for free, on-chain or not
     blanks = rig.trace.of_kind(tr.PRETEND_EMPTY)

@@ -16,11 +16,6 @@ from nakasim import trace as tr
 from nakasim.lottery import BpoId
 
 
-def is_done(node, header_id):
-    """Whether the node has processed or blanked the block."""
-    return header_id in node.processed or header_id in node.blanked
-
-
 class ReferenceNode(nd.Node):
     """The scheduler before the sorted tip index and chain intake: a static
     key per tip, a full sorted() whenever the tips or the processed blocks
@@ -102,7 +97,7 @@ class ReferenceNode(nd.Node):
                 dq = self._pending_for(tip_id)
                 while dq:
                     front = dq[0]
-                    if is_done(self, front):
+                    if front in self.processed:
                         dq.popleft()
                     elif self.sapos and len(self.bpo_seen[
                             self.store.headers[front].bpo]) >= 2:
@@ -132,6 +127,7 @@ class ReferenceNode(nd.Node):
             self._greedy_cache.pop(t, None)
 
     def _mark_blanked(self, header_id, slot):
+        self.processed.add(header_id)
         self.blanked.add(header_id)
         self._done_version += 1
         self.trace.emit(slot, tr.PRETEND_EMPTY, node=self.id, header=header_id)
@@ -433,10 +429,10 @@ def test_reference_scans_every_tip_per_insert_at_the_cap(monkeypatch):
 # -- the tip cap -----------------------------------------------------------
 
 def _front(node, tip_id):
-    """The first block of the tip's chain that is neither processed nor
-    blanked, or None when the whole chain is done."""
+    """The first block of the tip's chain that is not processed (blanked
+    blocks count as processed), or None when the whole chain is done."""
     front, cur = None, tip_id
-    while not is_done(node, cur):
+    while cur not in node.processed:
         front, cur = cur, node.store.headers[cur].parent_id
     return front
 

@@ -13,8 +13,8 @@ import pytest
 from conftest import fields, line
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_trace_digests import (PINNED_ATTACKS, bench_workloads,
-                                matrix_scenario, write_counting_fallbacks)
+from test_trace_digests import (RUNS, bench_workloads, matrix_scenario,
+                                write_counting_fallbacks)
 
 from nakasim import params as pm
 from nakasim import pivots as pv
@@ -1091,7 +1091,7 @@ def test_reading_and_auditing_run_no_collector_pass(tmp_path, collector,
 def test_a_dropped_simulation_is_freed_without_the_collector(collector, name):
     """No reference cycle keeps a finished simulation alive, so the garbage
     a paused run leaves does not wait for a collection."""
-    sim = Simulation(pm.scenario_from_dict(PINNED_ATTACKS[name][0]))
+    sim = Simulation(pm.scenario_from_dict(RUNS[name]))
     sim.run()
     gc.collect()
     del sim

@@ -605,7 +605,7 @@ def rebuilt_chain_state(node):
     for hid in node.dchain:
         h = node.store.headers[hid]
         proofed.update(proof.target for proof in h.proofs)
-        if hid in node.processed:
+        if hid not in node.blanked:
             txids.update(t[0] for t in node.store.contents[h.commitment].txs)
     return proofed, txids
 
