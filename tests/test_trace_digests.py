@@ -11,6 +11,7 @@ A mismatch prints the computed entry as sorted JSON.  A deliberate change
 is re-recorded by copying that entry into the ledger, where its diff shows
 what moved.  Every event of a kind with a layout must take that kind's
 compiled line encoder."""
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -26,7 +27,7 @@ import pytest
 from nakasim import params as pm
 from nakasim import pivots
 from nakasim import trace as tr
-from nakasim.sim import Simulation
+from nakasim.sim import RunMetrics, Simulation
 
 
 def matrix_scenario(protocol: str, policy: str) -> dict:
@@ -224,6 +225,18 @@ def test_every_ledger_entry_is_read_and_every_run_has_one():
 
 def test_the_matrix_reaches_the_tip_cap():
     assert any(PINS[name]["metrics"]["tip_evictions"] for name in MATRIX)
+
+
+@pytest.mark.parametrize("policy", [pm.POLICY_FRESHEST_BLOCK,
+                                    pm.POLICY_GREEDY])
+def test_run_metrics_of_an_evicting_run_are_pinned(policy):
+    """The PoS matrix runs under these policies evict tips, and the ledger
+    pins every field of their `RunMetrics`, which `test_trace_digest_is_pinned`
+    checks in the run's one simulation."""
+    metrics = PINS[f"{pm.PROTOCOL_POS}-{policy}"]["metrics"]
+    assert sorted(metrics) == sorted(f.name for f in
+                                     dataclasses.fields(RunMetrics))
+    assert metrics["tip_evictions"] > 0
 
 
 def test_every_cp_is_a_pp_and_not_every_pp_a_cp():
