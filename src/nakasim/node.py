@@ -28,7 +28,13 @@ key.  Keys end in the tip's seen order, so no two are equal, and the
 (key, tip) pairs are kept in ascending order: the scheduler walks them from
 the top and eviction drops the bottom one.  A block is done once it is
 processed: `processed` holds every done block, and `blanked` the subset
-processed as empty, so the walks test done-ness with one probe.
+processed as empty, so the walks test done-ness with one probe.  Greedy's
+key leads with the tip's processed prefix, and it has one re-key rule:
+the tips whose key changed move after every block that becomes done, a
+fetched block, the node's own block, or the blanks of a scheduler pass.
+Every pass therefore begins under current keys, and a pass that blanked
+is followed by another, so the target a walk returns is the one the keys
+after its blanks choose.
 
 Headers enter as chains: a delivered header brings its unknown ancestors,
 and the valid prefix of them is inserted in one `_insert_chain`, as is a
@@ -132,7 +138,6 @@ class Node:
         self.partial: OrderedDict[int, float] = OrderedDict()
         # the download the last step ended throttled on, None if it idled
         self.throttled: Optional[int] = None
-        self._resorted = False
         # the tip the last walk took its target from, and the target a
         # throttled step keeps until an event can change it
         self._served: Optional[int] = None
@@ -343,35 +348,32 @@ class Node:
             return (done, h.height, order)
         return (h.height, order)
 
-    def _rekey_greedy(self) -> bool:
+    def _rekey_greedy(self) -> None:
         """Greedy keys lead with the processed prefix, which grows when a
-        block is processed or blanked: move the tips whose key changed.
-        Returns whether any tip moved."""
-        moved = False
+        block is processed or blanked: move the tips whose key changed."""
         if not self.greedy:
-            return moved
+            return
         for tip_id, key in list(self.tips.items()):
             new = self._key(tip_id)
             if new != key:
                 self.tips[tip_id] = new
                 del self._order[bisect_left(self._order, (key, tip_id))]
                 insort(self._order, (new, tip_id))
-                moved = True
-        return moved
 
     def schedule_target(self, slot: int) -> Optional[BlockHeader]:
         """Pick the next block to download under the configured policy,
         blanking for free (under SaPoS) the equivocated blocks met on the
         chains as they are considered.  One pass walks the tips from the
         highest key down in the order they had when it began; a pass that
-        blanked something and found no target is followed by another.
+        blanked something is followed by another under the keys the blanks
+        gave, so the walk ends with a pass that blanks nothing.
         Fully processed tips are dropped from the scheduler; they need no
         further work and a later child rebuilds its queue lazily.
 
         The plan kept by the last throttled step is returned without a
-        walk: until an event drops it (a wake, a processed or blanked
-        block, a new memo), the tips above the served one and the served
-        queue's front are as that step's walk left them."""
+        walk: until an event drops it (a wake, a processed block, a new
+        memo), the tips above the served one and the served queue's front
+        are as that step's walk left them."""
         if self._kept is not None:
             return self._kept
         headers, processed = self.headers, self.processed
@@ -403,11 +405,9 @@ class Node:
                         break
             for tip_id in finished:
                 self._drop_tip(tip_id)
-            # a pass that blanked re-keys after choosing: the next pass may
-            # then walk the tips in another order and choose another target
-            self._resorted = acted and self._rekey_greedy()
-            if target is not None or not acted:
+            if not acted:
                 return target
+            self._rekey_greedy()
 
     def process_step(self, slot: int) -> None:
         """Spend this slot's remaining budget on scheduled downloads; called
@@ -416,9 +416,8 @@ class Node:
         slot at which the throttled download completes unless an event
         that can change the plan reaches the node before (see the module
         docstring).  A step that ends throttled keeps its target for the
-        next one, except after a pass that re-sorted the tips, which wakes
-        the node next slot to walk them again.  Slots skipped in between
-        are not paid here: the caller settles them before the next step."""
+        next one.  Slots skipped in between are not paid here: the caller
+        settles them before the next step."""
         while True:
             target = self.schedule_target(slot)
             if target is None:
@@ -441,12 +440,9 @@ class Node:
             if newly > 0.0:
                 self._bank(target.id, paid + newly)
             self.throttled = target.id
-            if self._resorted:
-                self.wake = slot + 1
-            else:
-                self._kept = target
-                self.wake = self.env.meters[self.id].completion_slot(
-                    self.partial.get(target.id, 0.0), slot)
+            self._kept = target
+            self.wake = self.env.meters[self.id].completion_slot(
+                self.partial.get(target.id, 0.0), slot)
             return
 
     def settle(self, slot: int) -> None:
@@ -469,7 +465,6 @@ class Node:
     # -- processing and chain selection ------------------------------------
 
     def _mark_blanked(self, header_id: int, slot: int) -> None:
-        self._kept = None
         self.processed.add(header_id)
         self.blanked.add(header_id)
         self.trace.emit(slot, tr.PRETEND_EMPTY, self.id, header_id)
@@ -566,14 +561,9 @@ class Node:
         for proof in proofs:
             self.trace.emit(slot, tr.PROOF_INCLUDED, self.id, header.id,
                             proof.target, proof.header_b)
-        evictions = self.tip_evictions
         self._insert_chain([header], slot)
         self.processed.add(header.id)
-        # an insert that evicted keyed the new block while it was still
-        # unprocessed; greedy keeps that key until the next block is
-        # processed or blanked, and recorded traces depend on it
-        if self.tip_evictions == evictions:
-            self._rekey_greedy()
+        self._rekey_greedy()
         self._after_processed(header.id, slot)
         # the block is done, but its insert may evict the served tip or
         # rank above it, and a walk would drop it when it meets it

@@ -21,7 +21,9 @@ class InsecureRegime(ValueError):
 
 def p_good(beta: float, rho: float, nu: int) -> float:
     """Probability that a non-empty slot is good: exactly one honest win,
-    no adversary win, and the next nu slots silent."""
+    no adversary win, and the next nu slots silent.  SPV wins are not
+    counted: an SPV win makes a slot bad, so with `attack.spv_rate` > 0
+    this overstates the good fraction."""
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     return (1.0 - beta) * rho * math.exp(-rho * (nu + 1)) / -math.expm1(-rho)
@@ -155,7 +157,10 @@ def choose_k_cp(p_g: float) -> int:
     """Desk-scale recurrence distance: the smallest k with
     exp(-alpha_pivot * k) < K_CP_TAIL_TOL, i.e. the dominant concentration
     factor of the pivot-count tail at full depletion, without union-bound
-    terms.  The full two-term bound needs horizons far beyond desk runs."""
+    terms.  The full two-term bound needs horizons far beyond desk runs.
+    A tumbling window of this k misses a pp far more often than
+    K_CP_TAIL_TOL: at p_g = .806, k = 16 and a window holds no pp with
+    probability about 2.5e-2 (i.i.d. good flags, 2e6 indices)."""
     return max(1, math.ceil(math.log(1.0 / K_CP_TAIL_TOL) / alpha_pivot(p_g)))
 
 

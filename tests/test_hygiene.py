@@ -400,7 +400,59 @@ def test_the_check_sees_emit_misuses():
         "a.py:7 ?: kind is not a trace constant"]
 
 
-TEST_FILES = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+# Trace kinds that the analysis does not read, each written for a reason.
+UNREAD_KINDS = {
+    tr.HEADER_DELIVERED: "when each node got each header; no audit checks "
+                         "header delays against delta_h yet",
+    tr.CONTENT_UPLOADED: "when content became available; no audit counts "
+                         "unavailable requests yet",
+    tr.LEAD_SAMPLE: "the adversary's lead; RunMetrics takes its last and "
+                    "largest value from the run, not from the trace",
+    tr.ADVERSARY_RELEASE: "the adversary's releases; its `content` field "
+                          "is a header id, a commitment or None by release",
+    tr.EQUIVOCATION_SEEN: "when a node saw an equivocation; the blanking "
+                          "audit reads the blanks and proofs instead",
+}
+
+
+def kinds_read(source: str) -> set[str]:
+    """The kinds a module reads: those whose constant it names (`tr.BPO`),
+    and Meta when it reads a trace's `.meta`."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            if node.attr in KIND_CONSTANTS:
+                read.add(KIND_CONSTANTS[node.attr])
+            elif node.attr == "meta":
+                read.add(tr.META)
+    return read
+
+
+def unexplained_kinds(source: str, unread: dict) -> list[str]:
+    """The kinds of `trace.KINDS` that `source` does not read and `unread`
+    does not list."""
+    return [kind for kind in tr.KINDS
+            if kind not in kinds_read(source) and kind not in unread]
+
+
+def test_every_kind_is_read_by_the_analysis_or_listed():
+    source = (PACKAGE / "pivots.py").read_text(encoding="utf-8")
+    assert unexplained_kinds(source, UNREAD_KINDS) == []
+    # a kind the analysis starts reading comes off the list
+    assert not kinds_read(source) & UNREAD_KINDS.keys()
+
+
+def test_the_check_sees_unread_kinds():
+    source = ("meta = run_trace.meta\n"
+              "for row in run_trace.of_kind(tr.BPO):\n"
+              "    pass\n"
+              "print(tr.KINDS, BLANKED)\n")
+    listed = {kind: "" for kind in tr.KINDS
+              if kind not in (tr.META, tr.BPO, tr.BLANKED, tr.LEAD_SAMPLE)}
+    assert unexplained_kinds(source, listed) == [tr.BLANKED, tr.LEAD_SAMPLE]
+
+
+TEST_FILES =sorted(pathlib.Path(__file__).parent.glob("*.py"))
 DIGEST = re.compile(r"[0-9a-fA-F]{64}")     # a sha256 written out in hex
 
 

@@ -19,10 +19,11 @@ from nakasim.lottery import BpoId
 class ReferenceNode(nd.Node):
     """The scheduler before the sorted tip index and chain intake: a static
     key per tip, a full sorted() whenever the tips or the processed blocks
-    change, greedy keys cached per processed-block version, one insert per
-    header of a chain, and a min() over every tip for each eviction at the
-    cap.  Kept as the reference the index and the chain insert must
-    equal."""
+    change, greedy keys cached per processed-block version (which every
+    done block bumps, the node's own included), a walk that sorts again
+    after a pass that blanked, one insert per header of a chain, and a
+    min() over every tip for each eviction at the cap.  Kept as the
+    reference the index and the chain insert must equal."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -93,6 +94,7 @@ class ReferenceNode(nd.Node):
                 ordered = sorted(self.tips, key=key, reverse=True)
                 self._sorted_cache = (self._done_version, self._tips_version,
                                       ordered)
+            target = None
             for tip_id in ordered:
                 dq = self._pending_for(tip_id)
                 while dq:
@@ -111,11 +113,11 @@ class ReferenceNode(nd.Node):
                     continue
                 if self.store.headers[dq[0]].commitment in self.unavailable:
                     continue
-                self._drop_tips(finished)
-                return self.store.headers[dq[0]]
+                target = self.store.headers[dq[0]]
+                break
             self._drop_tips(finished)
             if not acted:
-                return None
+                return target
 
     def _drop_tips(self, tip_ids):
         if tip_ids:
@@ -150,6 +152,7 @@ class ReferenceNode(nd.Node):
                             other=proof.header_b)
         self._insert_chain([header], slot)
         self.processed.add(header.id)
+        self._done_version += 1
         self._after_processed(header.id, slot)
         return header, content
 
@@ -298,7 +301,8 @@ POLICY_PROTOCOLS = [(policy, protocol) for policy in pm.POLICIES
               ("step", 0, 1, 0), ("twin", 6, 1, 0), ("step", 0, 1, 0),
               ("upload", 2, 1, 0), ("step", 0, 1, 0), ("fan", 0, 101, 0)],
          rate=0.3)
-# greedy: the node produces while at the cap, then polls again
+# greedy: the node produces while at the cap, and its block, whose insert
+# evicts a tip, is keyed as processed at once; then it polls again
 @example(ops=[("fan", 0, 101, 0), ("fan", 0, 1, 0), ("fan", 1, 1, 0),
               ("step", 0, 1, 0), ("produce", 0, 1, 0), ("step", 0, 1, 0)],
          rate=0.3)
@@ -495,3 +499,20 @@ def test_withheld_tip_flood_evicts_the_only_processable_tip(policy):
     assert honest.id not in node.processed
     assert not node.active
     assert node.schedule_target(4) is None
+
+
+def test_an_own_block_that_evicts_is_keyed_as_processed_at_once():
+    """Greedy: the node's own block, whose insert at the cap evicts a tip,
+    leads its key with its own height, as every done block does, not with
+    its parent's, the height it had while unprocessed."""
+    rig = Rig(rate=1.0, policy=pm.POLICY_GREEDY)
+    node = rig.node
+    rig.deliver(rig.chain(1, start_slot=1), 1)
+    rig.step(1)
+    assert node.dchain_height == 1 and not node.tips
+    rig.deliver([rig.chain(1, start_slot=2, node_id=100 + i, upload=False)[0]
+                 for i in range(nd.MAX_SCHEDULER_TIPS)], 2)
+    rig.step(2)
+    header, _ = node.try_produce(BpoId(3, 0, True, 0), 3)
+    assert node.tip_evictions == 1
+    assert node.tips[header.id] == (2, 2, -node.seen_order[header.id])

@@ -455,11 +455,12 @@ def test_a_throttle_above_one_block_per_slot_wakes_next_slot():
     assert sim.wakes == [(1, True, 2), (2, True, 3), (3, False, IDLE)]
 
 
-def test_a_pass_that_blanks_and_reorders_tips_replans_next_slot():
-    """Greedy under SaPoS: the pass that ends throttled on a1 first blanks
-    the equivocated top chain, which lifts the processed prefix of two
-    lower tips above a1's tip.  Polling serves one of them next slot, so
-    the node must not sleep until a1's download completes."""
+def test_a_pass_that_blanks_and_reorders_tips_rewalks_in_the_same_slot():
+    """Greedy under SaPoS: the first pass blanks the equivocated top chain
+    and ends on a1, but its blanks lift the processed prefix of c's tip
+    above a1's.  The walk re-keys and walks again in the same slot, so the
+    node serves c from slot 1 and sleeps until c's download completes,
+    past the horizon, with nothing paid on a1."""
     def script(sim):
         top = chain(sim, 4, slot=0)
         twins = [mint(sim, sim.store.headers[h.parent_id], 0, bpo=h.bpo)
@@ -470,14 +471,16 @@ def test_a_pass_that_blanks_and_reorders_tips_replans_next_slot():
             push(sim, h, 0, 1)
         script.a1, script.c = a[0], c
 
-    (sim, _), (steps, _) = run_both(script, rate=0.1, horizon=8,
-                                    protocol=pm.PROTOCOL_SAPOS,
-                                    policy=pm.POLICY_GREEDY)
-    assert [s for s, n in steps if n == 0] == [1, 2]
-    assert any(row[0] == 2 for row in sim.trace.of_kind(tr.PRETEND_EMPTY))
+    (sim, _), (steps, ref_steps) = run_both(script, rate=0.1, horizon=8,
+                                            protocol=pm.PROTOCOL_SAPOS,
+                                            policy=pm.POLICY_GREEDY)
+    assert steps_of_node_0(steps) == [1]
+    assert steps_of_node_0(ref_steps) == list(range(1, 8))
+    assert {row[0] for row in sim.trace.of_kind(tr.PRETEND_EMPTY)} == {1}
     node = sim.nodes[0]
-    assert node.partial[script.a1.id] == 0.2
+    assert script.a1.id not in node.partial
     assert node.throttled == script.c.id
+    assert node.wake > 8
 
 
 # -- what wakes a throttled node ----------------------------------------------
