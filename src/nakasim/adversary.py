@@ -5,14 +5,13 @@ The adversary is omniscient (sees every production instantly), rushing
 headers and contents become visible.  Strategies never forge: every
 adversary header consumes a sampled adversary production opportunity.
 
-The teaser keeps honest nodes grinding on a longer announced chain whose
-content trickles out one block per release, so each honest block costs
-its peers roughly one wasted download.  The equivocating variant re-mints
-the whole withheld chain as fresh blocks per release, which multiplies
-the wasted work under plain proof of stake; scheduler-level blanking
-voids exactly that multiplier, so against a blanking protocol the
-strategy falls back to the single-chain tease and spends occasional
-beaten blocks on equivocations instead.
+Three teases keep honest nodes grinding on a longer announced chain whose
+content trickles out, each release through `TeaserAttack._release`.
+`TeaserAttack` reveals one withheld content per release.  On PoS,
+`make_strategy` picks by protocol: `CopyTeaserAttack` re-mints the prefix
+as a fresh equivocated copy per release; SaPoS blanks copies, so there
+`SacrificeTeaserAttack` teases one chain and, every `sacrifice_every`
+releases (its only reader), equivocates a block it planted.
 
 Every adversary block is minted by `Strategy._block` under the run's
 opportunity rule (`HeaderStore.extend`), and every announcement goes
@@ -97,12 +96,10 @@ class Strategy:
 
     def _announce(self, headers: list[BlockHeader], content: Optional[int],
                   slot: int, **tags) -> None:
-        """Push the top of `headers` to every honest node and record their
-        release; `tags` are added to the record.  `content` names what the
-        release revealed, and what it holds depends on the kind of release:
-        the header id of the block whose content the single-chain tease
-        uploaded (None when it uploaded nothing), the commitment a PoS copy
-        uploaded, and None for a sacrifice."""
+        """Push the top of `headers` to every honest node and record the
+        release with `tags`.  `content` is what it revealed: the header id
+        whose content a single-chain tease uploaded (or None), the
+        commitment a copy uploaded, or None for a sacrifice."""
         self.sim.push_to_honest(headers[-1], slot)
         self.trace.emit(slot, tr.ADVERSARY_RELEASE, headers=[x.id for x in headers],
                         content=content, tip_height=headers[-1].height, **tags)
@@ -146,6 +143,8 @@ class TeaserAttack(Strategy):
     unavailable remainder, and fall back, paying about double for every
     block of their own."""
 
+    RELEASE_TAGS: dict = {}   # added to every release record
+
     def __init__(self, sim) -> None:
         super().__init__(sim)
         self.released_h = 0   # headers announced, from the fork upward
@@ -166,13 +165,20 @@ class TeaserAttack(Strategy):
         if self.lead() >= RELEASE_LEAD:
             self._release(h, slot)
 
-    def _release(self, honest_height: int, slot: int, **tags) -> bool:
-        """Announce the private chain up to one block above the honest
-        front; returns whether anything new was announced.  `tags` are
-        added to the release record."""
+    def _release(self, honest_height: int, slot: int) -> bool:
+        """Announce up to one block above the honest front; returns whether
+        anything new was announced."""
         want = min(honest_height + 1 - self.fork_height, len(self.priv))
         if want <= self.released_h:
             return False
+        headers, content = self._reveal(want, slot)
+        self._announce(headers, content, slot, **self.RELEASE_TAGS)
+        self.releases += 1
+        return True
+
+    def _reveal(self, want: int, slot: int) -> tuple[list[BlockHeader], Optional[int]]:
+        """Upload what a release up to private index `want` reveals; return
+        the headers it announces and the `content` of its record."""
         new_headers = self.priv[self.released_h:want]
         self.released_h = want
         content_id = None
@@ -186,9 +192,7 @@ class TeaserAttack(Strategy):
             self.sim.upload(hdr, self.store.contents[hdr.commitment], slot)
             content_id = hdr.id
             self.released_c += 1
-        self._announce(new_headers, content_id, slot, **tags)
-        self.releases += 1
-        return True
+        return new_headers, content_id
 
     def _give_up(self) -> None:
         self._refork()
@@ -196,24 +200,48 @@ class TeaserAttack(Strategy):
         self.released_c = 0
 
 
-class PosTeaserAttack(TeaserAttack):
-    """Teaser on a proof-of-stake lottery.  Against plain PoS every
-    release re-mints the withheld prefix as a fresh equivocated copy:
-    contents already revealed ripple one position up the copy, so honest
-    nodes re-download the whole revealed prefix per release and growth
-    collapses.  Against a blanking scheduler those copies are voided as
-    soon as a second header per opportunity is seen, so the strategy
-    degrades to the plain single-chain tease; optionally it spends an
-    occasional opportunity on an openly published block that it later
-    equivocates, forcing the proof-and-blank machinery to fire."""
+class CopyTeaserAttack(TeaserAttack):
+    """Teaser on plain PoS: each release re-mints the withheld prefix as a
+    fresh equivocated copy (`released_h` stays 0) whose position j carries
+    the content the j-th latest copy revealed, so honest nodes re-download
+    every revealed content per release and growth collapses."""
+
+    RELEASE_TAGS = {"copy": True}
+
+    def __init__(self, sim) -> None:
+        super().__init__(sim)
+        self.revealed: list[Content] = []   # each copy's first content, oldest first
+
+    def _reveal(self, want: int, slot: int) -> tuple[list[BlockHeader], int]:
+        fresh = self.store.make_content((), producer=self.priv[0].bpo.node)
+        self.revealed.append(fresh)
+        parent = self.fork_id
+        headers = []
+        for j, withheld in enumerate(self.priv[:want], 1):
+            content = (self.revealed[-j] if j <= len(self.revealed)
+                       else self.store.contents[withheld.commitment])
+            hdr = self._block(withheld.bpo, parent, slot, content)
+            headers.append(hdr)
+            parent = hdr.id
+        self.sim.upload(headers[0], fresh, slot)
+        return headers, fresh.commitment
+
+    def _give_up(self) -> None:
+        super()._give_up()
+        self.revealed = []
+
+
+class SacrificeTeaserAttack(TeaserAttack):
+    """Teaser against SaPoS: the single-chain tease, plus, after every
+    `sacrifice_every`-th release (0: never), an openly published plant that
+    it equivocates once the honest front passes it, so that proofs and
+    blanks fire."""
+
+    RELEASE_TAGS = {"copy": False}
 
     def __init__(self, sim, sacrifice_every: int = 0) -> None:
         super().__init__(sim)
-        self.vs_blanking = self.store.protocol == pm.PROTOCOL_SAPOS
         self.sacrifice_every = sacrifice_every
-        self.round = 0
-        self.revealed: list[Content] = []   # round r first-block contents
-        # plant-and-equivocate state
         self._plant_due = False
         self._plant: Optional[BlockHeader] = None
 
@@ -231,44 +259,12 @@ class PosTeaserAttack(TeaserAttack):
             self._equivocate_plant(slot)
         super().on_honest_block(header, slot)
 
-    def _release(self, honest_height: int, slot: int) -> None:
-        if not self.vs_blanking:
-            self._release_copy(honest_height, slot)
-        elif (super()._release(honest_height, slot, copy=False)
-              and self.sacrifice_every > 0
-              and self.releases % self.sacrifice_every == 0):
+    def _release(self, honest_height: int, slot: int) -> bool:
+        released = super()._release(honest_height, slot)
+        if (released and self.sacrifice_every > 0
+                and self.releases % self.sacrifice_every == 0):
             self._plant_due = True
-
-    # fresh equivocated copy: position j of round r carries the content
-    # revealed in round r+1-j, so every already-revealed content reappears
-    # under a never-seen header and must be re-downloaded from scratch,
-    # while the copy outgrows what a node can re-fetch between rounds.
-    def _release_copy(self, honest_height: int, slot: int) -> None:
-        m = min(honest_height + 1 - self.fork_height, len(self.priv))
-        if m <= 0:
-            return
-        self.round += 1
-        fresh = self.store.make_content((), producer=self.priv[0].bpo.node)
-        self.revealed.append(fresh)
-        parent = self.fork_id
-        headers = []
-        for j in range(1, m + 1):
-            withheld = self.priv[j - 1]
-            if j <= self.round:
-                content = self.revealed[self.round - j]
-            else:
-                content = self.store.contents[withheld.commitment]
-            hdr = self._block(withheld.bpo, parent, slot, content)
-            headers.append(hdr)
-            parent = hdr.id
-        self.sim.upload(headers[0], fresh, slot)
-        self._announce(headers, fresh.commitment, slot, copy=True)
-        self.releases += 1
-
-    def _give_up(self) -> None:
-        super()._give_up()
-        self.round = 0
-        self.revealed = []
+        return released
 
     def _plant_block(self, bpo: BpoId, slot: int) -> None:
         """Spend this opportunity on an openly published block on the honest
@@ -293,5 +289,7 @@ def make_strategy(sim, attack: pm.AttackConfig) -> Strategy:
     if name == pm.ATTACK_TEASER:
         return TeaserAttack(sim)
     if name == pm.ATTACK_POS_TEASER:
-        return PosTeaserAttack(sim, attack.sacrifice_every)
+        if sim.store.protocol == pm.PROTOCOL_SAPOS:
+            return SacrificeTeaserAttack(sim, attack.sacrifice_every)
+        return CopyTeaserAttack(sim)
     return Strategy(sim)

@@ -1,9 +1,9 @@
 """Source hygiene: every name a module of the package imports is used in it,
 every function, class and method it defines is named elsewhere in it, every
 parameter is read, one module owns switching the cyclic garbage
-collector, and the third-party packages it imports are its declared
-dependencies.  No test file writes out a digest: every pin is in
-tests/pins.json.
+collector, only `make_strategy` reads the protocol in adversary.py, and
+the third-party packages it imports are its declared dependencies.  No
+test file writes out a digest: every pin is in tests/pins.json.
 
 A re-export counts as a use when the module lists the name in `__all__`."""
 import ast
@@ -265,6 +265,42 @@ def test_the_check_sees_opportunity_rules():
     assert rule_sites(sources) == [("a.py", 1, "_mint"),
                                    ("a.py", 2, "_pos_identity"),
                                    ("a.py", 3, "_mint")]
+
+
+# No adversary strategy branches on the protocol: `make_strategy` picks the
+# strategy class that fits it, and is the one reader of it in adversary.py.
+def protocol_reads(source: str) -> list[str]:
+    """Lines outside `make_strategy` that read the protocol: a `protocol`
+    attribute, or a `PROTOCOL_*` name, attribute or import."""
+    tree = ast.parse(source)
+    picker = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == "make_strategy"
+              for node in ast.walk(top)}
+    out = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if (name is not None and id(node) not in picker
+                and (name == "protocol" or name.startswith("PROTOCOL_"))):
+            out.append(f"line {node.lineno}: {name}")
+    return sorted(out)
+
+
+def test_only_make_strategy_reads_the_protocol():
+    assert protocol_reads((PACKAGE / "adversary.py").read_text("utf-8")) == []
+
+
+def test_the_check_sees_protocol_reads():
+    source = ("from params import PROTOCOL_POS\n"
+              "class Tease:\n"
+              "    def __init__(self, sim):\n"
+              "        self.vs_blanking = self.store.protocol == pm.PROTOCOL_SAPOS\n"
+              "def make_strategy(sim):\n"
+              "    return sim.store.protocol == pm.PROTOCOL_SAPOS\n")
+    assert protocol_reads(source) == ["line 1: PROTOCOL_POS",
+                                      "line 4: PROTOCOL_SAPOS",
+                                      "line 4: protocol"]
 
 
 # trace.collector_paused is the one place that switches the collector
