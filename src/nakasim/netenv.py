@@ -74,16 +74,22 @@ class CapacityMeter:
         # paid -> completion_slot(paid, s) - (s + 1)
         self._steps: dict[float, int] = {}
 
+    def peek(self, slot: int) -> float:
+        """The tokens available at `slot`, as `sync` would leave them; it
+        stores nothing, so a read from outside a request changes no later
+        float sum."""
+        if slot <= self._slot:
+            return self.tokens
+        cap = self.CARRY_CAP + self.rate
+        if self.tokens >= self.CARRY_CAP:
+            return cap
+        tokens = self.tokens + (slot - self._slot) * self.rate
+        return cap if tokens > cap else tokens
+
     def sync(self, slot: int) -> float:
         """Advance the refill clock to `slot` and return available tokens."""
         if slot > self._slot:
-            elapsed = slot - self._slot
-            cap = self.CARRY_CAP + self.rate
-            if self.tokens >= self.CARRY_CAP:
-                self.tokens = cap
-            else:
-                tokens = self.tokens + elapsed * self.rate
-                self.tokens = cap if tokens > cap else tokens
+            self.tokens = self.peek(slot)
             self._slot = slot
         return self.tokens
 

@@ -33,7 +33,7 @@ from . import adversary as adv
 from . import params as pm
 from . import trace as tr
 from .lottery import BpoId, HeaderStore, SlotSampler, _slot_gen, STREAM_ANALYSIS
-from .netenv import Environment, Partition
+from .netenv import FETCH_SLACK, Environment, Partition
 from .node import HonestFront, Node
 
 SPV_NODE = -2   # the producer of header-only blocks
@@ -328,9 +328,10 @@ class Simulation:
         self.strategy.on_external_block(header)
 
     def _check_non_idleness(self, node: Node, slot: int) -> None:
-        # a step that leaves tokens for a whole block, by the test
-        # `request_content` makes, must also leave no target
-        if not self.env.meters[node.id].affords(1.0, slot):
+        # a step that leaves tokens for a whole block, by the fetch test of
+        # `CapacityMeter.affords`, must also leave no target; the audit
+        # peeks, so that it changes no meter state
+        if self.env.meters[node.id].peek(slot) + FETCH_SLACK < 1.0:
             return
         if node.schedule_target(slot) is not None:
             self.sink.note_idle(node.id, slot)

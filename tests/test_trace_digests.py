@@ -219,6 +219,20 @@ def test_trace_digest_is_pinned(name):
         assert any(len(c.txs) >= cap for c in sim.store.contents.values())
 
 
+def test_the_idle_audit_changes_no_run(monkeypatch):
+    """The in-run idle audit only reads the meters: on the pinned run whose
+    meter floats it once moved, a no-op audit writes the same trace bytes
+    as the real one."""
+    def digest():
+        sim = Simulation(pm.scenario_from_dict(RUNS["pow-teaser-spv"]))
+        sim.run()
+        return trace_digest(sim)
+    audited = digest()
+    monkeypatch.setattr(Simulation, "_check_non_idleness",
+                        lambda self, node, slot: None)
+    assert digest() == audited
+
+
 def test_every_ledger_entry_is_read_and_every_run_has_one():
     assert sorted(PINS) == sorted([*RUNS, *BENCH_PINS.values(), FRONTIER_PIN])
 
