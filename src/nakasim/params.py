@@ -135,8 +135,9 @@ class AttackConfig:
     spv_rate: float = 0.0
     partition_duration: float = 15.0   # seconds the network stays split
     run_after: float = 4000.0          # seconds simulated after the split heals
-    sacrifice_every: int = 0           # SaPoS runs: plant an equivocation pair
-                                       # after every n-th content release
+    sacrifice_every: int = 0           # pos-teaser on SaPoS only: plant an
+                                       # equivocation pair after every n-th
+                                       # content release
 
     def __post_init__(self) -> None:
         if self.strategy not in ATTACKS:
@@ -201,7 +202,8 @@ class ScenarioConfig:
     protocol: str = PROTOCOL_POW
     sapos: SaPoSParams = field(default_factory=SaPoSParams)
     txgen: TxGenConfig = field(default_factory=TxGenConfig)
-    k_conf: Optional[int] = None     # PoW/PoS confirmation depth (default 2*k_cp+1)
+    k_conf: Optional[int] = None     # confirmation depth: 2*k_cp+1 by default
+                                     # on PoW/PoS, sapos.k_conf on SaPoS
     repeat: int = 1
     seed_stride: int = 1
 
@@ -222,6 +224,15 @@ class ScenarioConfig:
                                else 2 * self.sapos.k_cp + 1)
         if self.k_conf < 0:
             raise ConfigError("k_conf", "must be >= 0")
+        # below k_epf a block could confirm before its proof can land
+        if self.protocol == PROTOCOL_SAPOS and self.k_conf != self.sapos.k_conf:
+            raise ConfigError("k_conf", f"must equal sapos.k_conf "
+                              f"({self.sapos.k_conf}) under SaPoS")
+        if self.attack.sacrifice_every > 0 and not (
+                self.attack.strategy == ATTACK_POS_TEASER
+                and self.protocol == PROTOCOL_SAPOS):
+            raise ConfigError("attack.sacrifice_every",
+                              "only the pos-teaser on sapos plants sacrifices")
 
 
 def _build(cls, data: Any, path: str):
