@@ -224,7 +224,8 @@ class ScenarioConfig:
                                else 2 * self.sapos.k_cp + 1)
         if self.k_conf < 0:
             raise ConfigError("k_conf", "must be >= 0")
-        # below k_epf a block could confirm before its proof can land
+        # SaPoS runs at the one depth Meta reports: a lower one could
+        # confirm a block before its proof can land
         if self.protocol == PROTOCOL_SAPOS and self.k_conf != self.sapos.k_conf:
             raise ConfigError("k_conf", f"must equal sapos.k_conf "
                               f"({self.sapos.k_conf}) under SaPoS")
