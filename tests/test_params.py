@@ -157,15 +157,15 @@ BASE = {"sim": {"c_tilde": 1.0}}
     ({**BASE, "repeat": 0}, "repeat"),
     ({**BASE, "seed_stride": 0}, "seed_stride"),
     ({**BASE, "k_conf": -1}, "k_conf"),
+    ({**BASE, "bogus": 1}, "bogus"),
+    ({"sim": []}, "sim"),
+    ({}, "sim.nu"),
     ({**BASE, "protocol": "sapos", "k_conf": 3}, "k_conf"),
     ({**BASE, "attack": {"strategy": "teaser", "sacrifice_every": 1}},
      "attack.sacrifice_every"),
     ({**BASE, "protocol": "pos",
       "attack": {"strategy": "pos-teaser", "sacrifice_every": 1}},
      "attack.sacrifice_every"),
-    ({**BASE, "bogus": 1}, "bogus"),
-    ({"sim": []}, "sim"),
-    ({}, "sim.nu"),
 ])
 def test_each_config_error_is_raised_while_parsing(data, path):
     """Every check runs as the config is built, and names its field."""
