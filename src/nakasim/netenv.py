@@ -11,8 +11,8 @@ costs one unit of the requesting node's token budget, refilled at
 capacity * tau per slot with at most one block of carry-over.
 A request reads the cloud once, for the content's origin, and tests the
 partition only while there is one; content the node cannot see is free.
-A visible request syncs the node's meter once, in `CapacityMeter.affords`,
-the one fetch test.  The environment keeps no record of who asked: each
+A visible request makes one meter call, `CapacityMeter.draw`, which
+refills, applies the fetch test and spends.  The environment keeps no record of who asked: each
 node memoises what it found unavailable, and the simulation tells the
 nodes that memoised it of each accepted upload, and every node of the heal.
 """
@@ -60,9 +60,12 @@ class CapacityMeter:
     rate, so it is memoized by the payment: the same float additions in
     the same order, done once per distinct payment.
 
-    `sync` and `spend` run on every request, and clamp with a comparison
-    where `min` and `max` would give the same float: on CPython 3.11 those
-    builtin calls cost more than the rest of the clamp."""
+    `draw` runs on every visible request: it advances the refill clock,
+    applies the fetch test and spends, in one call, and clamps with a
+    comparison where `min` would give the same float: on CPython 3.11 a
+    builtin call costs more than the rest of the clamp.  `peek` and
+    `fetches_block` read the meter and store nothing, so a read from
+    outside a request changes no later float sum."""
 
     CARRY_CAP = 1.0
 
@@ -75,9 +78,8 @@ class CapacityMeter:
         self._steps: dict[float, int] = {}
 
     def peek(self, slot: int) -> float:
-        """The tokens available at `slot`, as `sync` would leave them; it
-        stores nothing, so a read from outside a request changes no later
-        float sum."""
+        """The tokens available at `slot`: the refill formula, which `draw`
+        stores when the slot has advanced."""
         if slot <= self._slot:
             return self.tokens
         cap = self.CARRY_CAP + self.rate
@@ -86,20 +88,38 @@ class CapacityMeter:
         tokens = self.tokens + (slot - self._slot) * self.rate
         return cap if tokens > cap else tokens
 
-    def sync(self, slot: int) -> float:
-        """Advance the refill clock to `slot` and return available tokens."""
-        if slot > self._slot:
-            self.tokens = self.peek(slot)
-            self._slot = slot
-        return self.tokens
+    def fetches_block(self, slot: int) -> bool:
+        """Whether a request for a whole block would fetch at `slot`."""
+        tokens = self.tokens if slot <= self._slot else self.peek(slot)
+        return tokens + FETCH_SLACK >= 1.0
 
-    def affords(self, remaining: float, slot: int) -> bool:
-        """Whether the tokens available at `slot` pay for `remaining` of a
-        block: the test by which a request fetches."""
-        return self.sync(slot) + FETCH_SLACK >= remaining
+    def draw(self, remaining: float, slot: int) -> tuple[RequestOutcome, float]:
+        """One request for `remaining` of a block at `slot`: advance the
+        refill clock, then fetch when `tokens + FETCH_SLACK >= remaining`,
+        spending `min(tokens, remaining)` and paying `remaining`, or else
+        pay out every token as partial progress.  Returns (outcome, newly
+        paid fraction).  Neither spend can leave the bucket below zero, so
+        a balance below zero is a meter something else overdrew."""
+        if slot > self._slot:
+            self.tokens = tokens = self.peek(slot)
+            self._slot = slot
+        else:
+            tokens = self.tokens
+        if tokens + FETCH_SLACK >= remaining:
+            spent = tokens if tokens < remaining else remaining
+            self.tokens = tokens - spent
+            self.spent_total += spent
+            return FETCHED, remaining
+        if tokens > 0.0:
+            self.tokens = 0.0
+            self.spent_total += tokens
+            return THROTTLED, tokens
+        if tokens < -1e-9:
+            raise AssertionError("capacity meter overdrawn")
+        return THROTTLED, 0.0
 
     def spend_refills(self, through: int, paid: float) -> tuple[int, float]:
-        """Spend the whole refill of every slot after the last sync up to
+        """Spend the whole refill of every slot after the last draw up to
         `through`, as a download throttled in each of them does, starting
         from an empty bucket, and bank each refill on `paid` one float add
         at a time. Returns the number of slots paid and the banked sum."""
@@ -128,14 +148,6 @@ class CapacityMeter:
                 steps += 1
             self._steps[paid] = steps
         return slot + 1 + steps
-
-    def spend(self, amount: float) -> None:
-        self.tokens -= amount
-        self.spent_total += amount
-        if self.tokens < -1e-9:
-            raise AssertionError("capacity meter overdrawn")
-        if self.tokens < 0.0:
-            self.tokens = 0.0
 
 
 @dataclass
@@ -227,24 +239,15 @@ class Environment:
         """Attempt to download `header`'s content. Returns (outcome, newly
         paid fraction). The content is unavailable, at no cost, unless the
         cloud holds it (one read, for its origin) and no partition withholds
-        it from `node`.  A visible request syncs the meter once, in
-        `affords`; a throttled one pays out the remaining budget as partial
-        progress."""
+        it from `node`.  A visible request is one `CapacityMeter.draw`; a
+        throttled one pays out the remaining budget as partial progress."""
         origin = self.cloud.get(header.commitment)
         if origin is None:
             return UNAVAILABLE, 0.0
         part = self.partition
         if part is not None and part.blocks(origin, node, slot):
             return UNAVAILABLE, 0.0
-        meter = self.meters[node]
-        remaining = 1.0 - already_paid
-        if meter.affords(remaining, slot):
-            tokens = meter.tokens
-            meter.spend(tokens if tokens < remaining else remaining)
+        result = self.meters[node].draw(1.0 - already_paid, slot)
+        if result[0] is FETCHED:
             self.fetch_count[node] += 1
-            return FETCHED, remaining
-        tokens = meter.tokens
-        if tokens > 0.0:
-            meter.spend(tokens)
-            return THROTTLED, tokens
-        return THROTTLED, 0.0
+        return result

@@ -116,6 +116,7 @@ class Node:
         self.store = store
         self.headers = store.headers
         self.env = env
+        self.meter = env.meters[node_id]
         self.trace = run_trace
         self.policy = policy
         self.sapos = store.protocol == pm.PROTOCOL_SAPOS
@@ -438,11 +439,11 @@ class Node:
                 continue
             # throttled: bank the partial payment, keep the task warm
             if newly > 0.0:
-                self._bank(target.id, paid + newly)
+                paid += newly
+                self._bank(target.id, paid)
             self.throttled = target.id
             self._kept = target
-            self.wake = self.env.meters[self.id].completion_slot(
-                self.partial.get(target.id, 0.0), slot)
+            self.wake = self.meter.completion_slot(paid, slot)
             return
 
     def settle(self, slot: int) -> None:
@@ -451,7 +452,7 @@ class Node:
         whole refill, banked one float add at a time."""
         if self.throttled is None:
             return
-        slept, paid = self.env.meters[self.id].spend_refills(
+        slept, paid = self.meter.spend_refills(
             slot - 1, self.partial.get(self.throttled, 0.0))
         if slept:
             self._bank(self.throttled, paid)

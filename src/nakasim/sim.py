@@ -33,7 +33,7 @@ from . import adversary as adv
 from . import params as pm
 from . import trace as tr
 from .lottery import BpoId, HeaderStore, SlotSampler, _slot_gen, STREAM_ANALYSIS
-from .netenv import FETCH_SLACK, Environment, Partition
+from .netenv import Environment, Partition
 from .node import HonestFront, Node
 
 SPV_NODE = -2   # the producer of header-only blocks
@@ -287,11 +287,10 @@ class Simulation:
                         BpoId(slot, SPV_NODE, False, h_cnt + a_cnt + k), slot)
 
             # in honest_ids order: the order of a slot's events in the trace
-            # depends on it; only a throttled download has slept slots to pay
+            # depends on it
             for node in nodes:
                 if node.wake <= slot:
-                    if node.throttled is not None:
-                        node.settle(slot)
+                    node.settle(slot)
                     node.process_step(slot)
                     self._check_non_idleness(node, slot)
 
@@ -328,12 +327,11 @@ class Simulation:
         self.strategy.on_external_block(header)
 
     def _check_non_idleness(self, node: Node, slot: int) -> None:
-        # a step that leaves tokens for a whole block, by the fetch test of
-        # `CapacityMeter.affords`, must also leave no target; the audit
-        # peeks, so that it changes no meter state
-        if self.env.meters[node.id].peek(slot) + FETCH_SLACK < 1.0:
-            return
-        if node.schedule_target(slot) is not None:
+        # a step that leaves tokens for a whole block must also leave no
+        # target; `fetches_block` stores nothing, so the audit changes no
+        # meter state
+        if (node.meter.fetches_block(slot)
+                and node.schedule_target(slot) is not None):
             self.sink.note_idle(node.id, slot)
 
     def _advance(self, slot: int) -> int:

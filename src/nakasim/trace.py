@@ -13,7 +13,14 @@ byte-identical files; the first record is always the Meta record of the
 scenario that produced the trace.  At import one line encoder is compiled
 per laid-out kind from generated source, as `dataclasses` builds
 `__init__`: `line(slot, values, encode)` returns the whole line as one
-f-string, with the bytes `_ENCODER` gives the record.  A row whose slot or
+f-string, with the bytes `_ENCODER` gives the record.  A run repeats a
+few `str` and `float` field values (a run's `paid` values are mostly whole
+refills), so the encoders look up their JSON text in `_TEXT`, and make
+and store it only on a miss, after the value passed its field's
+exact-type and finiteness test.  Equal keys of those types have the same
+text, except 0.0 and -0.0, which are never stored.  `_TEXT` is cleared
+when it holds `_TEXT_BOUND` values, so its size is bounded whatever the
+trace.  A row whose slot or
 values do not fit its layout (a value of another type, a bool for an int,
 a non-finite float, a slot that is not an int), the `json` fields and the
 free-form kinds are encoded by one C encoder with `_ENCODER`'s settings
@@ -44,7 +51,11 @@ of thousands of objects, none of which can form a reference cycle, so
 `sim.Simulation.run`, `write_jsonl`, `read_jsonl` and
 `pivots.analyze_trace` run under `collector_paused`: the cyclic garbage
 collector makes no passes inside them, and its prior state is restored on
-the way out, also on an exception.
+the way out, also on an exception.  The pause defers the collector's work
+but does not avoid it: the allocation counter keeps counting, so the first
+container allocated after the pause starts a generation-0 pass over every
+container allocated inside it that is still alive.  Only allocating fewer
+containers makes that pass shorter.
 """
 from __future__ import annotations
 
@@ -149,14 +160,39 @@ _GET = {kind: _getter(fields) for kind, fields in _FIELDS.items()}
 _READ_AS = {kind: (kind, _GET.get(kind), (_WIDTH[kind] or 0) + 2)
             for kind in KINDS}
 
+# str or finite float field value -> its JSON text, for the values the
+# line encoders wrote; cleared when it holds _TEXT_BOUND of them
+_TEXT: dict[Any, str] = {}
+_TEXT_BOUND = 4096
+
+
+def _remember(value: Any, text: str) -> str:
+    if len(_TEXT) >= _TEXT_BOUND:
+        _TEXT.clear()
+    _TEXT[value] = text
+    return text
+
+
+def _str_text(value: str) -> str:
+    return _remember(value, _STRING(value))
+
+
+def _float_text(value: float) -> str:
+    # 0.0 and -0.0 are equal keys with different text: neither is kept
+    return _remember(value, repr(value)) if value else repr(value)
+
+
 # layout type -> (the test that local `v` does not hold a value of it, the
-# f-string replacement field that writes the value as `_ENCODER` does)
+# f-string replacement field that writes the value as `_ENCODER` does); a
+# str or float is written from `_TEXT`, or on a miss by the function that
+# makes its text and stores it
 _FIELD_CODE = {
     "int": ("type(%(v)s) is not int", "{%(v)s}"),
     "bool": ("type(%(v)s) is not bool", '{"true" if %(v)s else "false"}'),
-    "str": ("type(%(v)s) is not str", "{_string(%(v)s)}"),
+    "str": ("type(%(v)s) is not str",
+            "{_text(%(v)s) or _str_text(%(v)s)}"),
     "float": ("type(%(v)s) is not float or not _isfinite(%(v)s)",
-              "{%(v)s!r}"),
+              "{_text(%(v)s) or _float_text(%(v)s)}"),
     "json": (None, '{"".join(encode(%(v)s, 0))}'),
 }
 
@@ -186,7 +222,8 @@ def _compile_line_encoder(kind: str, layout: dict[str, str]) -> Callable:
            f"    if type(slot) is not int or {' or '.join(misfits) or 'False'}:\n"
            f"        return None\n"
            f"    return f'{{{{{body}}}}}\\n'\n")
-    namespace = {"_string": _STRING, "_isfinite": math.isfinite}
+    namespace = {"_isfinite": math.isfinite, "_text": _TEXT.get,
+                 "_str_text": _str_text, "_float_text": _float_text}
     exec(src, namespace)
     return namespace[f"line_{kind}"]
 

@@ -68,9 +68,9 @@ def test_capacity_meter_never_overdraws_or_hoards(rate, ops):
     slot = 0
     for dt, frac in ops:
         slot += dt
-        tokens = m.sync(slot)
+        tokens = m.peek(slot)
         assert 0.0 <= tokens <= CapacityMeter.CARRY_CAP + rate + 1e-9
-        m.spend(tokens * frac)
+        m.draw(tokens * frac, slot)
         assert m.tokens >= 0.0
 
 

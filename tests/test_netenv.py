@@ -27,17 +27,18 @@ def mk_header(store, slot=1, parent=None):
 
 def test_meter_carry_over_is_one_block():
     m = CapacityMeter(0.3)
-    assert m.sync(100) == pytest.approx(1.0 + 0.3)
-    m.spend(1.3)
-    assert m.sync(101) == pytest.approx(0.3)
-    assert m.sync(104) == pytest.approx(min(0.3 + 3 * 0.3, 1.3))
+    assert m.peek(100) == pytest.approx(1.0 + 0.3)
+    m.draw(1.3, 100)
+    assert m.peek(101) == pytest.approx(0.3)
+    assert m.peek(104) == pytest.approx(min(0.3 + 3 * 0.3, 1.3))
 
 
 def test_meter_overdraw_is_a_bug():
     m = CapacityMeter(1.0)
-    m.sync(1)
-    with pytest.raises(AssertionError):
-        m.spend(5.0)
+    m.draw(1.0, 1)
+    m.tokens = -5.0     # what a spend of 5.0 would have left
+    with pytest.raises(AssertionError, match="overdrawn"):
+        m.draw(1.0, 1)
 
 
 def test_broadcast_delivers_at_deadline():
@@ -402,7 +403,7 @@ def test_memoized_replays_equal_slot_by_slot_replays(rate, data):
         assert meter.completion_slot(paid, slot) == replayed_completion(
             rate, paid, slot)
         sleeper = CapacityMeter(rate)
-        sleeper.sync(slot)
+        sleeper.draw(0.0, slot)     # advances the clock, spends nothing
         got, want = sleeper.spend_refills(slot + slots, paid), replayed_refill(
             rate, paid, slots)
         assert got[0] == slots and got[1].hex() == want.hex()
@@ -540,3 +541,41 @@ def test_request_content_equals_the_composed_request(rate, halves, steps):
         assert (got[0], got[1].hex()) == (want[0], want[1].hex())
         assert env.fetch_count == ref.fetch_count
         assert meter_state(env) == meter_state(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rate=st.sampled_from([0.1, 0.2, 0.3333333333333333])
+       | st.floats(0.01, 3.0),
+       steps=st.lists(st.tuples(st.integers(0, 4),
+                                st.sampled_from(("zero", "edge"))
+                                | st.floats(0.0, 1.0, exclude_max=True)),
+                      max_size=40))
+@example(rate=0.3333333333333333, steps=[(0, "edge"), (1, "edge")])
+@example(rate=0.1, steps=[(1, "edge"), (0, "edge"), (3, 0.5)])
+@example(rate=0.2, steps=[(2, "edge"), (0, "zero"), (4, "edge")])
+def test_draw_equals_sync_fetch_test_and_spend(rate, steps):
+    """`draw` on one meter and, on a `ReferenceMeter`, `sync`, the fetch
+    test (`tokens + FETCH_SLACK >= remaining`, restated here) and `spend`
+    of `min(remaining, tokens)` or of every token, driven through the same
+    requests at rising slots, some decided by the equality case of the
+    fetch test: the outcome, the paid amount, the tokens, the spent total
+    and the slot are bit-equal after every request."""
+    meter, ref = CapacityMeter(rate), ReferenceMeter(rate)
+    slot = 0
+    for gap, paid in steps:
+        slot += gap
+        if paid == "zero":
+            paid = 0.0
+        elif paid == "edge":
+            paid = at_the_edge(ref, slot)
+        remaining = 1.0 - paid
+        if ref.sync(slot) + FETCH_SLACK >= remaining:
+            ref.spend(min(remaining, ref.tokens))
+            want = (RequestOutcome.FETCHED, remaining)
+        else:
+            want = (RequestOutcome.THROTTLED, ref.tokens)
+            ref.spend(ref.tokens)
+        outcome, got = meter.draw(remaining, slot)
+        assert (outcome, got.hex()) == (want[0], want[1].hex())
+        assert ((meter.tokens.hex(), meter.spent_total.hex(), meter._slot)
+                == (ref.tokens.hex(), ref.spent_total.hex(), ref._slot))

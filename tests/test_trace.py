@@ -952,6 +952,40 @@ def test_a_fitting_event_takes_its_line_encoder(kind):
         "json")
 
 
+class Via(str):
+    """A str subclass: not a `str` field's exact type."""
+
+
+def test_the_memoized_field_text_is_the_encoders(tmp_path):
+    """One file of ContentFetched rows whose `paid` and `via` the line
+    encoders write from `_TEXT`: the two zeros after each other, the
+    smallest subnormal, floats that `repr` writes in exponent form, a
+    value repeated after the memo filled and was cleared, a bool in the
+    float field and a str subclass in the str field.  Every line is
+    `_ENCODER.encode` of its record."""
+    tr._TEXT.clear()
+    paid = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 5e-324, 5e-324, 1e16, 1e16,
+            1e-05, 1e-05, 0.5]
+    via = ["request"] * len(paid)
+    # distinct values past the bound, then the first ones again
+    fill = tr._TEXT_BOUND // 2 + 1
+    paid += [k + 0.25 for k in range(fill)] + [0.5, 1e-05, -0.0, True, 0.5]
+    via += [f"v{k}" for k in range(fill)] + ["request", "v0", "request",
+                                             "request", Via("request")]
+    t = tr.Trace()
+    records = []
+    for slot, (v, p) in enumerate(zip(via, paid)):
+        t.emit(slot, tr.CONTENT_FETCHED, 1, slot, v, p)
+        records.append({"slot": slot, "kind": tr.CONTENT_FETCHED, "node": 1,
+                        "header": slot, "via": v, "paid": p})
+    path = tmp_path / "t.jsonl"
+    tr.write_jsonl(t, str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [tr._ENCODER.encode(rec) for rec in records]
+    assert len(tr._TEXT) <= tr._TEXT_BOUND
+    assert 0.0 not in tr._TEXT
+
+
 # -- the collector is paused while reading and auditing ------------------------
 
 @pytest.fixture
