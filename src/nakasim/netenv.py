@@ -12,9 +12,10 @@ capacity * tau per slot with at most one block of carry-over.
 A request reads the cloud once, for the content's origin, and tests the
 partition only while there is one; content the node cannot see is free.
 A visible request makes one meter call, `CapacityMeter.draw`, which
-refills, applies the fetch test and spends.  The environment keeps no record of who asked: each
-node memoises what it found unavailable, and the simulation tells the
-nodes that memoised it of each accepted upload, and every node of the heal.
+refills, applies the fetch test and spends.  The environment keeps no
+record of who asked: each node memoises what it found unavailable, and
+the simulation tells the nodes that memoised it of each accepted upload,
+and every node of the heal.
 """
 from __future__ import annotations
 
@@ -99,7 +100,7 @@ class CapacityMeter:
         spending `min(tokens, remaining)` and paying `remaining`, or else
         pay out every token as partial progress.  Returns (outcome, newly
         paid fraction).  Neither spend can leave the bucket below zero, so
-        a balance below zero is a meter something else overdrew."""
+        a draw that finds it there raises: something else overdrew it."""
         if slot > self._slot:
             self.tokens = tokens = self.peek(slot)
             self._slot = slot

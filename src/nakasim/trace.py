@@ -13,18 +13,18 @@ byte-identical files; the first record is always the Meta record of the
 scenario that produced the trace.  At import one line encoder is compiled
 per laid-out kind from generated source, as `dataclasses` builds
 `__init__`: `line(slot, values, encode)` returns the whole line as one
-f-string, with the bytes `_ENCODER` gives the record.  A run repeats a
-few `str` and `float` field values (a run's `paid` values are mostly whole
-refills), so the encoders look up their JSON text in `_TEXT`, and make
-and store it only on a miss, after the value passed its field's
-exact-type and finiteness test.  Equal keys of those types have the same
-text, except 0.0 and -0.0, which are never stored.  `_TEXT` is cleared
-when it holds `_TEXT_BOUND` values, so its size is bounded whatever the
-trace.  A row whose slot or
-values do not fit its layout (a value of another type, a bool for an int,
-a non-finite float, a slot that is not an int), the `json` fields and the
-free-form kinds are encoded by one C encoder with `_ENCODER`'s settings
-made per file (`json.encoder`'s `c_make_encoder`, with its own markers
+f-string, with the bytes `_ENCODER` gives the record.  A run writes few
+distinct `str` and `float` field values (seed 1 of each bench workload
+has at most four distinct `paid` values), so the encoders look up their
+JSON text in `_TEXT`, and make and store it only on a miss, after the
+value passed its field's exact-type and finiteness test.  Equal keys of
+those types have the same text, except 0.0 and -0.0, which are never
+stored.  `_TEXT` is cleared when it holds `_TEXT_BOUND` values, so its
+size is bounded whatever the trace.  A row whose slot or values do not
+fit its layout (a value of another type, a bool for an int, a non-finite
+float, a slot that is not an int), the `json` fields and the free-form
+kinds are encoded by one C encoder with `_ENCODER`'s settings made per
+file (`json.encoder`'s `c_make_encoder`, with its own markers
 dict, so a circular value still raises `ValueError`).  `write_jsonl`
 writes 4,096 lines per `write` call, to a temporary file that it renames
 into place, or removes if the write fails.
