@@ -3,9 +3,14 @@
 All scenario inputs are plain dataclasses so configs can round-trip through
 JSON.  A config is checked and completed when it is built: `__post_init__`
 rejects a bad field with a ConfigError that carries the field's path, and
-fills in the values derived from the others (`nu` or `c_tilde`, the SaPoS
-depths, `k_conf`).  A built config is therefore always valid and complete;
-`dataclasses.replace` carries its derived values over as given.
+fills in the fields that the config computes (`init=False`): `k_conf` by
+protocol, the SaPoS depths from `sapos.k_cp`, and the defaults of the unread
+`attack.run_after` and `txgen.burst_window`.  `dataclasses.replace` passes
+inputs only, so it recomputes them, and a config may write one only with
+its computed value, as Meta does.  `sim.nu` and `sim.c_tilde` are inputs,
+either derived when left out: `replace(cfg.sim, capacity=4.0)` on a config
+written with `c_tilde` raises `sim.nu` rather than keep a stale `nu`, and
+`replace(cfg.sim, capacity=4.0, nu=None)` derives it anew.
 """
 from __future__ import annotations
 
@@ -98,6 +103,8 @@ class SimParams:
             raise ConfigError("sim.capacity", "must be positive")
         if self.horizon_slots < 1:
             raise ConfigError("sim.horizon_slots", "must be >= 1")
+        if not self.honest_nodes:
+            raise ConfigError("sim.beta", f"leaves no honest node of {self.n_nodes}")
         # a negative nu given is named as such, before it derives a c_tilde
         if self.nu is not None and self.nu < 0:
             raise ConfigError("sim.nu", "must be >= 0")
@@ -134,7 +141,7 @@ class AttackConfig:
     strategy: str = ATTACK_NONE
     spv_rate: float = 0.0
     partition_duration: float = 15.0   # seconds the network stays split
-    run_after: float = 4000.0          # seconds simulated after the split heals
+    run_after: float = field(init=False, default=4000.0)   # read by no run
     sacrifice_every: int = 0           # pos-teaser on SaPoS only: plant an
                                        # equivocation pair after every n-th
                                        # content release
@@ -146,8 +153,6 @@ class AttackConfig:
             raise ConfigError("attack.spv_rate", "must be non-negative")
         if self.partition_duration < 0.0:
             raise ConfigError("attack.partition_duration", "must be non-negative")
-        if self.run_after < 0.0:
-            raise ConfigError("attack.run_after", "must be non-negative")
         if self.sacrifice_every < 0:
             raise ConfigError("attack.sacrifice_every", "must be non-negative")
 
@@ -158,20 +163,14 @@ class SaPoSParams:
     protocol, tied to the recurrence distance k_cp."""
 
     k_cp: int = 3
-    k_conf: Optional[int] = None
-    k_epf: Optional[int] = None
+    k_conf: int = field(init=False)    # 6*k_cp + 1
+    k_epf: int = field(init=False)     # 4*k_cp
 
     def __post_init__(self) -> None:
         if self.k_cp < 1:
             raise ConfigError("sapos.k_cp", "must be >= 1")
-        if self.k_conf is None:
-            object.__setattr__(self, "k_conf", 6 * self.k_cp + 1)
-        elif self.k_conf != 6 * self.k_cp + 1:
-            raise ConfigError("sapos.k_conf", "must equal 6*k_cp + 1")
-        if self.k_epf is None:
-            object.__setattr__(self, "k_epf", 4 * self.k_cp)
-        elif self.k_epf != 4 * self.k_cp:
-            raise ConfigError("sapos.k_epf", "must equal 4*k_cp")
+        object.__setattr__(self, "k_conf", 6 * self.k_cp + 1)
+        object.__setattr__(self, "k_epf", 4 * self.k_cp)
 
 
 @dataclass(frozen=True)
@@ -180,7 +179,7 @@ class TxGenConfig:
     as fixed-size transactions, aggregated over a burst window."""
 
     sigma: float = 0.0
-    burst_window: float = 0.0   # seconds over which arrivals may bunch
+    burst_window: float = field(init=False, default=0.0)   # read by no run
     tx_size: float = 0.25       # fraction of one block
 
     def __post_init__(self) -> None:
@@ -188,8 +187,6 @@ class TxGenConfig:
             raise ConfigError("txgen.sigma", "must be non-negative")
         if not (0.0 < self.tx_size <= 1.0):
             raise ConfigError("txgen.tx_size", "must lie in (0, 1]")
-        if self.burst_window < 0.0:
-            raise ConfigError("txgen.burst_window", "must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -202,8 +199,8 @@ class ScenarioConfig:
     protocol: str = PROTOCOL_POW
     sapos: SaPoSParams = field(default_factory=SaPoSParams)
     txgen: TxGenConfig = field(default_factory=TxGenConfig)
-    k_conf: Optional[int] = None     # confirmation depth: 2*k_cp+1 by default
-                                     # on PoW/PoS, sapos.k_conf on SaPoS
+    k_conf: int = field(init=False)  # confirmation depth: 2*k_cp+1 on
+                                     # PoW/PoS, sapos.k_conf on SaPoS
     repeat: int = 1
     seed_stride: int = 1
 
@@ -218,17 +215,11 @@ class ScenarioConfig:
             raise ConfigError("repeat", "must be >= 1")
         if self.seed_stride < 1:
             raise ConfigError("seed_stride", "must be >= 1")
-        if self.k_conf is None:
-            object.__setattr__(self, "k_conf",
-                               self.sapos.k_conf if self.protocol == PROTOCOL_SAPOS
-                               else 2 * self.sapos.k_cp + 1)
-        if self.k_conf < 0:
-            raise ConfigError("k_conf", "must be >= 0")
-        # SaPoS runs at the one depth Meta reports: a lower one could
+        # SaPoS confirms at the depth Meta reports: a lower one could
         # confirm a block before its proof can land
-        if self.protocol == PROTOCOL_SAPOS and self.k_conf != self.sapos.k_conf:
-            raise ConfigError("k_conf", f"must equal sapos.k_conf "
-                              f"({self.sapos.k_conf}) under SaPoS")
+        object.__setattr__(self, "k_conf",
+                           self.sapos.k_conf if self.protocol == PROTOCOL_SAPOS
+                           else 2 * self.sapos.k_cp + 1)
         if self.attack.sacrifice_every > 0 and not (
                 self.attack.strategy == ATTACK_POS_TEASER
                 and self.protocol == PROTOCOL_SAPOS):
@@ -239,17 +230,23 @@ class ScenarioConfig:
 def _build(cls, data: Any, path: str):
     if not isinstance(data, dict):
         raise ConfigError(path or "config", "expected a JSON object")
-    names = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
+    inputs = {f.name: f.init for f in dataclasses.fields(cls)}
+    written = {}
     for key, value in data.items():
-        if key not in names:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+        where = f"{path}.{key}" if path else key
+        if key not in inputs:
+            raise ConfigError(where, "unknown field")
         sub = _NESTED.get((cls, key))
-        kwargs[key] = _build(sub, value, f"{path}.{key}" if path else key) if sub else value
+        written[key] = _build(sub, value, where) if sub else value
     try:
-        return cls(**kwargs)
+        built = cls(**{k: v for k, v in written.items() if inputs[k]})
     except TypeError as exc:
         raise ConfigError(path or "config", str(exc)) from exc
+    for key, value in written.items():
+        if not inputs[key] and value != getattr(built, key):
+            raise ConfigError(f"{path}.{key}" if path else key,
+                              f"is computed as {getattr(built, key)!r}, not {value!r}")
+    return built
 
 
 _NESTED = {

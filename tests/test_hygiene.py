@@ -1,12 +1,14 @@
 """Source hygiene: every name a module of the package imports is used in it,
 every function, class and method it defines is named elsewhere in it, every
-parameter is read, one module owns switching the cyclic garbage
-collector, only `make_strategy` reads the protocol in adversary.py, and
-the third-party packages it imports are its declared dependencies.  No
-test file writes out a digest: every pin is in tests/pins.json.
+parameter and every settable config field is read, one module owns
+switching the cyclic garbage collector, only `make_strategy` reads the
+protocol in adversary.py, and the third-party packages it imports are its
+declared dependencies.  No test file writes out a digest: every pin is in
+tests/pins.json.
 
 A re-export counts as a use when the module lists the name in `__all__`."""
 import ast
+import dataclasses
 import pathlib
 import re
 import sys
@@ -15,6 +17,7 @@ from collections import Counter, defaultdict
 import pytest
 
 import nakasim
+from nakasim import params as pm
 from nakasim import trace as tr
 
 PACKAGE = pathlib.Path(nakasim.__file__).parent
@@ -218,6 +221,52 @@ def test_the_check_sees_unread_parameters():
     }
     assert unread_parameters(sources) == [
         "a.py:1 f(b)", "a.py:1 f(args)", "a.py:1 f(kw)", "a.py:7 own(slot)"]
+
+
+# A config field that a config file sets is one that a run reads; a value
+# the config computes is declared `init=False` and cannot be set.
+CONFIGS = (pm.SimParams, pm.AttackConfig, pm.SaPoSParams, pm.TxGenConfig,
+           pm.ScenarioConfig)
+
+
+def unread_fields(sources: dict[str, str],
+                  settable: dict[str, list[str]]) -> list[str]:
+    """`Class.field` of every field of `settable` (class name -> field
+    names) that no attribute load in the modules of `sources` (name ->
+    source) reads, outside its own class's `__post_init__`."""
+    readers = defaultdict(set)   # attribute -> classes whose __post_init__
+                                 # reads it, None for a read elsewhere
+    for source in sources.values():
+        tree = ast.parse(source)
+        checker = {id(node): cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                readers[node.attr].add(checker.get(id(node)))
+    return [f"{cls}.{name}" for cls, names in settable.items()
+            for name in names if not readers[name] - {cls}]
+
+
+def test_every_settable_config_field_is_read():
+    settable = {cls.__name__: [f.name for f in dataclasses.fields(cls) if f.init]
+                for cls in CONFIGS}
+    assert unread_fields(package_sources(), settable) == []
+
+
+def test_the_check_sees_unread_fields():
+    sources = {
+        "a.py": ("class A:\n"
+                 "    def __post_init__(self):\n"
+                 "        check(self.x, self.y)\n"
+                 "class B:\n"
+                 "    def __post_init__(self):\n"
+                 "        check(self.a.z)\n"),
+        "b.py": "use(cfg.y)\ncfg.w = 1\n",
+    }
+    assert unread_fields(sources, {"A": ["x", "y", "z", "w"]}) == ["A.x", "A.w"]
 
 
 # The opportunity rule (PoW refuses a second header per opportunity, PoS

@@ -82,9 +82,11 @@ def test_sapos_depths_follow_k_cp():
     s = pm.SaPoSParams(k_cp=3)
     assert (s.k_conf, s.k_epf) == (19, 12)
     with pytest.raises(pm.ConfigError, match="sapos.k_conf"):
-        pm.SaPoSParams(k_cp=3, k_conf=10)
+        pm.scenario_from_dict({"sim": {"c_tilde": 1.0},
+                               "sapos": {"k_cp": 3, "k_conf": 10}})
     with pytest.raises(pm.ConfigError, match="sapos.k_epf"):
-        pm.SaPoSParams(k_cp=3, k_epf=11)
+        pm.scenario_from_dict({"sim": {"c_tilde": 1.0},
+                               "sapos": {"k_cp": 3, "k_epf": 11}})
 
 
 def test_scenario_defaults_k_conf_by_protocol():
@@ -166,6 +168,7 @@ BASE = {"sim": {"c_tilde": 1.0}}
     ({**BASE, "protocol": "pos",
       "attack": {"strategy": "pos-teaser", "sacrifice_every": 1}},
      "attack.sacrifice_every"),
+    ({"sim": {"n_nodes": 1, "beta": 0.1, "c_tilde": 0.5}}, "sim.beta"),
 ])
 def test_each_config_error_is_raised_while_parsing(data, path):
     """Every check runs as the config is built, and names its field."""
@@ -219,3 +222,53 @@ def test_parse_and_setup_check_the_scenario_once(monkeypatch):
     assert calls == {"check": 1, "replace": 0}
     assert simulation.scenario is scenario
     assert (scenario.sim.nu, scenario.k_conf) == (6, 7)
+
+
+PROTOCOL_CONFIGS = [{"sim": {"c_tilde": 1.0}, "protocol": protocol}
+                    for protocol in pm.PROTOCOLS]
+
+
+@pytest.mark.parametrize("data", PROTOCOL_CONFIGS, ids=pm.PROTOCOLS)
+def test_replace_recomputes_the_depths(data):
+    """`replace` passes inputs only: the depths follow the new k_cp, and a
+    computed field cannot be given."""
+    cfg = pm.scenario_from_dict(data)
+    deeper = dataclasses.replace(cfg, sapos=pm.SaPoSParams(k_cp=5))
+    assert deeper.k_conf == (31 if cfg.protocol == pm.PROTOCOL_SAPOS else 11)
+    assert deeper == pm.scenario_from_dict({**data, "sapos": {"k_cp": 5}})
+    sapos = dataclasses.replace(cfg.sapos, k_cp=5)
+    assert (sapos.k_conf, sapos.k_epf) == (31, 20)
+    with pytest.raises(ValueError, match="k_conf"):
+        dataclasses.replace(cfg, k_conf=9)
+
+
+def test_replace_on_sim_derives_nu_only_when_asked():
+    """A config written with `c_tilde` holds a `nu` that a new capacity
+    contradicts: `replace` refuses it unless `nu` is cleared."""
+    sim = pm.scenario_from_dict({"sim": {"c_tilde": 0.5, "capacity": 1.0,
+                                         "tau": 0.1, "delta_h": 0.2}}).sim
+    with pytest.raises(pm.ConfigError, match="sim.nu"):
+        dataclasses.replace(sim, capacity=4.0)
+    assert dataclasses.replace(sim, capacity=4.0, nu=None).nu == 2
+
+
+COMPUTED = [("k_conf",), ("sapos", "k_conf"), ("sapos", "k_epf"),
+            ("attack", "run_after"), ("txgen", "burst_window")]
+
+
+@pytest.mark.parametrize("data", PROTOCOL_CONFIGS, ids=pm.PROTOCOLS)
+@pytest.mark.parametrize("keys", COMPUTED, ids=".".join)
+def test_a_computed_field_is_written_only_with_its_value(data, keys):
+    """The completed form, as Meta holds it, parses back to an equal config;
+    with one computed field changed, it names that field."""
+    cfg = pm.scenario_from_dict(data)
+    completed = pm.scenario_to_dict(cfg)
+    assert pm.scenario_from_dict(completed) == cfg
+    *outer, key = keys
+    table = completed
+    for name in outer:
+        table = table[name]
+    table[key] += 1
+    with pytest.raises(pm.ConfigError) as info:
+        pm.scenario_from_dict(completed)
+    assert info.value.path == ".".join(keys)

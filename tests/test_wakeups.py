@@ -168,7 +168,7 @@ def matrix_dict(protocol, attack, policy, rate, txgen, seed=7):
                    "beta": 0.0 if attack == pm.ATTACK_NONE else 0.3,
                    "rho": 0.15, "capacity": rate / TAU,
                    "horizon_slots": 1500, "seed": seed},
-           "attack": {"strategy": attack, "run_after": 100.0},
+           "attack": {"strategy": attack},
            "protocol": protocol, "policy": policy}
     if txgen:
         cfg["txgen"] = {"sigma": 12.0, "tx_size": 0.01}
