@@ -59,7 +59,9 @@ class CapacityMeter:
     `completion_slot` replays those steps to find the slot a download
     completes in.  Its result depends only on the banked payment and the
     rate, so it is memoized by the payment: the same float additions in
-    the same order, done once per distinct payment.
+    the same order, done once per distinct payment.  A replay stops at the
+    run's horizon, after which no node is stepped, and returns the
+    horizon; a count it did not finish is not memoized.
 
     `draw` runs on every visible request: it advances the refill clock,
     applies the fetch test and spends, in one call, and clamps with a
@@ -70,8 +72,9 @@ class CapacityMeter:
 
     CARRY_CAP = 1.0
 
-    def __init__(self, rate_per_slot: float):
+    def __init__(self, rate_per_slot: float, horizon_slots: int):
         self.rate = rate_per_slot
+        self.horizon = horizon_slots
         self.tokens = rate_per_slot
         self.spent_total = 0.0
         self._slot = 0
@@ -140,11 +143,15 @@ class CapacityMeter:
         """The slot in which a download left throttled at `slot`, with
         `paid` banked, is fetched when every later slot spends its whole
         refill on it. The sums are replayed slot by slot, so they match
-        the ones a per-slot poll banks bit for bit."""
+        the ones a per-slot poll banks bit for bit.  A replay that reaches the
+        horizon stops there and returns it."""
         steps = self._steps.get(paid)
         if steps is None:
             steps, total = 0, paid
+            last = self.horizon - slot - 1
             while self.rate + FETCH_SLACK < 1.0 - total:
+                if steps >= last:
+                    return self.horizon
                 total += self.rate
                 steps += 1
             self._steps[paid] = steps
@@ -169,11 +176,13 @@ class Environment:
     """Message queues and the content cloud shared by all nodes."""
 
     def __init__(self, node_ids: Iterable[int], rate_per_slot: float,
-                 delay_slots: int, partition: Optional[Partition] = None):
+                 delay_slots: int, horizon_slots: int,
+                 partition: Optional[Partition] = None):
         self.node_ids = tuple(node_ids)
         self.delay_slots = delay_slots
         self.partition = partition
-        self.meters = {p: CapacityMeter(rate_per_slot) for p in self.node_ids}
+        self.meters = {p: CapacityMeter(rate_per_slot, horizon_slots)
+                       for p in self.node_ids}
         self.cloud: dict[int, int] = {}   # commitment -> origin node
         # (deliver_slot, seq, recipients, header) kept in a heap for
         # skip-ahead; seq keeps entries of one slot in the order queued

@@ -7,8 +7,9 @@ costs one unit of download budget; blanked content is free.  Partially paid
 downloads survive preemption in a small LRU cache.
 
 A node is stepped only when it is due: `wake` is the slot at which its
-throttled download completes, or the first slot in which an event can
-change its plan, whichever comes first; IDLE when nothing is fetchable.
+throttled download completes (the run's horizon, if it completes later),
+or the first slot in which an event can change its plan, whichever comes
+first; IDLE when nothing is fetchable.
 A throttled node keeps its plan, the target and the tip it serves, and
 only these events wake it:
   - a header insert (delivered, or its own block) that drops or evicts the

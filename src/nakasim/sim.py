@@ -140,7 +140,7 @@ class Simulation:
             partition = Partition(half, self._heal_slot)
 
         self.env = Environment(self.honest_ids, p.capacity * p.tau,
-                               p.delay_slots, partition)
+                               p.delay_slots, p.horizon_slots, partition)
         self.sink = AuditSink(self.store)
         self.front = HonestFront()
         self.nodes = {

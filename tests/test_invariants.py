@@ -64,7 +64,7 @@ def test_non_pivot_intervals_balance_downloads(good, rnd):
     st.tuples(st.integers(0, 5), st.floats(0.0, 1.0)), max_size=40))
 @settings(max_examples=200)
 def test_capacity_meter_never_overdraws_or_hoards(rate, ops):
-    m = CapacityMeter(rate)
+    m = CapacityMeter(rate, 1_000)
     slot = 0
     for dt, frac in ops:
         slot += dt

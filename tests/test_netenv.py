@@ -1,8 +1,11 @@
-"""Delivery deadlines, the content cloud, and token-bucket budgets."""
+"""Delivery deadlines, the content cloud, and token-bucket budgets.  The
+grouped delivery queue, the request path, the one-call draw and the
+memoized replays are held against their references, `PerRecipientQueue`,
+`request_oracle` and `ReferenceMeter`, which live in tests/reference.py."""
 import copy
-import heapq
 import math
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -15,6 +18,7 @@ from nakasim.lottery import BpoId, Content, HeaderStore
 from nakasim.netenv import (FETCH_SLACK, CapacityMeter, CommitmentMismatch,
                             Environment, Partition, RequestOutcome)
 from nakasim.sim import Simulation
+from reference import PerRecipientQueue, ReferenceMeter, request_oracle
 from test_trace_digests import attack_scenario
 
 
@@ -26,7 +30,7 @@ def mk_header(store, slot=1, parent=None):
 
 
 def test_meter_carry_over_is_one_block():
-    m = CapacityMeter(0.3)
+    m = CapacityMeter(0.3, 200)
     assert m.peek(100) == pytest.approx(1.0 + 0.3)
     m.draw(1.3, 100)
     assert m.peek(101) == pytest.approx(0.3)
@@ -34,7 +38,7 @@ def test_meter_carry_over_is_one_block():
 
 
 def test_meter_overdraw_is_a_bug():
-    m = CapacityMeter(1.0)
+    m = CapacityMeter(1.0, 100)
     m.draw(1.0, 1)
     m.tokens = -5.0     # what a spend of 5.0 would have left
     with pytest.raises(AssertionError, match="overdrawn"):
@@ -43,7 +47,7 @@ def test_meter_overdraw_is_a_bug():
 
 def test_broadcast_delivers_at_deadline():
     store = HeaderStore()
-    env = Environment([0, 1], 1.0, delay_slots=2)
+    env = Environment([0, 1], 1.0, delay_slots=2, horizon_slots=100)
     h, _ = mk_header(store)
     env.broadcast_header(h, origin=0, slot=5)
     assert env.deliveries_due(6) == []
@@ -53,7 +57,7 @@ def test_broadcast_delivers_at_deadline():
 
 def test_zero_delay_delivers_same_slot():
     store = HeaderStore()
-    env = Environment([0, 1], 1.0, delay_slots=0)
+    env = Environment([0, 1], 1.0, delay_slots=0, horizon_slots=100)
     h, _ = mk_header(store)
     env.broadcast_header(h, origin=1, slot=3)
     assert env.deliveries_due(3) == [(0, h)]
@@ -102,7 +106,7 @@ def test_each_broadcast_header_reaches_each_node_once(name):
 
 def test_upload_rejects_mismatched_content():
     store = HeaderStore()
-    env = Environment([0], 1.0, 0)
+    env = Environment([0], 1.0, 0, 100)
     h, _ = mk_header(store)
     wrong = store.make_content()
     with pytest.raises(CommitmentMismatch):
@@ -112,7 +116,7 @@ def test_upload_rejects_mismatched_content():
 
 def test_upload_is_insert_only():
     store = HeaderStore()
-    env = Environment([0], 1.0, 0)
+    env = Environment([0], 1.0, 0, 100)
     h, c = mk_header(store)
     assert env.upload_content(h, c, origin=0) is True
     assert env.upload_content(h, c, origin=0) is False
@@ -121,7 +125,7 @@ def test_upload_is_insert_only():
 
 def test_unavailable_request_is_free():
     store = HeaderStore()
-    env = Environment([0], 1.0, 0)
+    env = Environment([0], 1.0, 0, 100)
     h, c = mk_header(store)
     outcome, paid = env.request_content(0, h, 0.0, slot=0)
     assert outcome is RequestOutcome.UNAVAILABLE and paid == 0.0
@@ -134,7 +138,7 @@ def test_unavailable_request_is_free():
 def test_half_rate_fetch_completes_over_two_slots():
     """rate 0.5/slot: first request banks a partial, the next slot finishes."""
     store = HeaderStore()
-    env = Environment([0], 0.5, 0)
+    env = Environment([0], 0.5, 0, 100)
     h, c = mk_header(store)
     env.upload_content(h, c, origin=0)
     env.meters[0].tokens = 0.5  # start without the initial carry-over
@@ -147,7 +151,7 @@ def test_half_rate_fetch_completes_over_two_slots():
 
 def test_throttled_at_zero_budget_pays_nothing():
     store = HeaderStore()
-    env = Environment([0], 0.5, 0)
+    env = Environment([0], 0.5, 0, 100)
     h, c = mk_header(store)
     env.upload_content(h, c, origin=0)
     env.meters[0].tokens = 0.0
@@ -158,7 +162,8 @@ def test_throttled_at_zero_budget_pays_nothing():
 def test_partition_withholds_until_heal():
     store = HeaderStore()
     part = Partition(half_of={0: 0, 1: 1}, heal_slot=10)
-    env = Environment([0, 1], 1.0, delay_slots=1, partition=part)
+    env = Environment([0, 1], 1.0, delay_slots=1, horizon_slots=100,
+                      partition=part)
     h, c = mk_header(store)
     env.broadcast_header(h, origin=0, slot=2)
     assert env.deliveries_due(5) == []
@@ -263,7 +268,8 @@ def test_the_heal_clears_only_memos_of_content_in_the_cloud():
 def test_throttled_slots_paid_late_match_per_slot_requests(rate, paid):
     store = HeaderStore()
     h, c = mk_header(store)
-    polled, lazy = (Environment([0], rate, delay_slots=0) for _ in range(2))
+    polled, lazy = (Environment([0], rate, delay_slots=0, horizon_slots=100)
+                    for _ in range(2))
     for env in (polled, lazy):
         env.upload_content(h, c, origin=0)
         outcome, newly = env.request_content(0, h, paid, 1)
@@ -285,39 +291,6 @@ def test_throttled_slots_paid_late_match_per_slot_requests(rate, paid):
 
 # -- the grouped delivery queue -----------------------------------------------
 
-class PerRecipientQueue:
-    """The delivery queue before broadcasts were grouped: one heap entry
-    per (recipient, header), in node order.  Kept as the reference."""
-
-    def __init__(self, node_ids, delay_slots, partition):
-        self.node_ids = tuple(node_ids)
-        self.delay_slots = delay_slots
-        self.partition = partition
-        self._queue = []
-        self._seq = 0
-
-    def broadcast_header(self, header, origin, slot):
-        for p in self.node_ids:
-            if p == origin:
-                continue
-            deliver = slot + self.delay_slots
-            if self.partition is not None and self.partition.blocks(
-                    origin, p, slot):
-                deliver = max(deliver, self.partition.heal_slot)
-            heapq.heappush(self._queue, (deliver, self._seq, p, header))
-            self._seq += 1
-
-    def deliveries_due(self, slot):
-        out = []
-        while self._queue and self._queue[0][0] <= slot:
-            _, _, node, header = heapq.heappop(self._queue)
-            out.append((node, header))
-        return out
-
-    def next_delivery_slot(self):
-        return self._queue[0][0] if self._queue else None
-
-
 @settings(max_examples=200, deadline=None)
 @given(n_nodes=st.integers(1, 6), delay=st.integers(0, 4),
        halves=st.none() | st.tuples(st.lists(st.integers(0, 1), min_size=6,
@@ -337,7 +310,7 @@ def test_grouped_queue_delivers_as_per_recipient_entries(n_nodes, delay,
     if halves is not None:
         half_of = {p: halves[0][i] for i, p in enumerate(node_ids)}
         partition = Partition(half_of, heal_slot=halves[1])
-    env = Environment(node_ids, 1.0, delay, partition)
+    env = Environment(node_ids, 1.0, delay, 100, partition)
     ref = PerRecipientQueue(node_ids, delay, partition)
     by_slot = {}
     for k, (slot, origin) in enumerate(sends):
@@ -357,23 +330,12 @@ def test_grouped_queue_delivers_as_per_recipient_entries(n_nodes, delay,
 
 # -- the meter's memoized replays ---------------------------------------------
 
-def replayed_completion(rate, paid, slot):
-    done = slot + 1
-    while rate + FETCH_SLACK < 1.0 - paid:
-        paid += rate
-        done += 1
-    return done
-
-
-def replayed_refill(rate, paid, slots):
-    for _ in range(slots):
-        paid += rate
-    return paid
+REPLAY_HORIZON = 1_000   # past every wait asked below
 
 
 def throttled_paid(rate, slots):
     """What a download banks after `slots` throttled slots from nothing."""
-    return replayed_refill(rate, 0.0, slots)
+    return ReferenceMeter(rate, REPLAY_HORIZON).spend_refills(slots, 0.0)[1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -386,10 +348,11 @@ def test_memoized_replays_equal_slot_by_slot_replays(rate, data):
     real throttles leave (sums of whole refills from 0.0, the partial of a
     request) and others, each input asked again after other inputs, and
     `spend_refills` banking the same values over the same slots: every
-    answer equals a slot-by-slot replay bit for bit.
+    answer equals the reference meter's slot-by-slot replays bit for bit.
     0.1 and 0.2 are rates whose sums round, and rates a hair under 1/n put
     the fetch test at its tolerance."""
-    meter = CapacityMeter(rate)
+    meter = CapacityMeter(rate, REPLAY_HORIZON)
+    ref = ReferenceMeter(rate, REPLAY_HORIZON)
     whole = max(1, int(1.0 / rate))
     paids = data.draw(st.lists(
         st.just(0.0)
@@ -400,63 +363,49 @@ def test_memoized_replays_equal_slot_by_slot_replays(rate, data):
         st.integers(0, 30)), min_size=1, max_size=30))
     for i, slot, slots in asks + asks:
         paid = paids[i]
-        assert meter.completion_slot(paid, slot) == replayed_completion(
-            rate, paid, slot)
-        sleeper = CapacityMeter(rate)
-        sleeper.draw(0.0, slot)     # advances the clock, spends nothing
-        got, want = sleeper.spend_refills(slot + slots, paid), replayed_refill(
-            rate, paid, slots)
-        assert got[0] == slots and got[1].hex() == want.hex()
+        assert meter.completion_slot(paid, slot) == ref.completion_slot(
+            paid, slot)
+        sleeper = CapacityMeter(rate, REPLAY_HORIZON)
+        ref_sleeper = ReferenceMeter(rate, REPLAY_HORIZON)
+        for m in (sleeper, ref_sleeper):
+            m.draw(0.0, slot)     # advances the clock, spends nothing
+        got = sleeper.spend_refills(slot + slots, paid)
+        want = ref_sleeper.spend_refills(slot + slots, paid)
+        assert got[0] == want[0] == slots and got[1].hex() == want[1].hex()
+        assert sleeper.spent_total.hex() == ref_sleeper.spent_total.hex()
+
+
+def test_a_wait_past_the_horizon_returns_the_horizon_unmemoized():
+    """At 0.1 blocks per slot a download throttled with nothing paid is
+    fetched ten slots later.  Asked at slot 5, with the horizon at 12,
+    the replay stops at the horizon, returns it and memoizes nothing; so
+    the same payment asked at slot 1, where the horizon is farther off
+    than the wait, gets the true slot, the reference's."""
+    meter = CapacityMeter(0.1, 12)
+    assert meter.completion_slot(0.0, 5) == 12
+    assert meter._steps == {}
+    assert meter.completion_slot(0.0, 1) == 11
+    assert ReferenceMeter(0.1, 12).completion_slot(0.0, 1) == 11
+    assert meter._steps == {0.0: 9}
+
+
+def test_a_wait_at_a_tiny_capacity_replays_no_further_than_the_horizon():
+    """At C = 1e-6 a throttled download would wait ten million slots.  The
+    replay of each wait stops at the 200-slot horizon, so the run takes
+    milliseconds, and every node ends throttled with the horizon as its
+    wake."""
+    sim = Simulation(pm.scenario_from_dict({
+        "sim": {"n_nodes": 3, "tau": 0.1, "nu": 5, "rho": 0.1,
+                "capacity": 1e-6, "horizon_slots": 200, "seed": 1},
+        "protocol": pm.PROTOCOL_POW}))
+    start = time.perf_counter()
+    sim.run()
+    assert time.perf_counter() - start < 1.0
+    assert all(n.throttled is not None and n.wake == 200
+               for n in sim.nodes.values())
 
 
 # -- the request path ---------------------------------------------------------
-
-class ReferenceMeter(CapacityMeter):
-    """The meter's refill and spend as they were written with `min` and
-    `max`.  Kept as the reference the clamps by comparison must equal."""
-
-    def sync(self, slot):
-        if slot > self._slot:
-            elapsed = slot - self._slot
-            cap = self.CARRY_CAP + self.rate
-            if self.tokens >= self.CARRY_CAP:
-                self.tokens = cap
-            else:
-                self.tokens = min(self.tokens + elapsed * self.rate, cap)
-            self._slot = slot
-        return self.tokens
-
-    def spend(self, amount):
-        self.tokens -= amount
-        self.spent_total += amount
-        if self.tokens < -1e-9:
-            raise AssertionError("capacity meter overdrawn")
-        self.tokens = max(self.tokens, 0.0)
-
-
-def request_oracle(env, node, header, already_paid, slot):
-    """The request as composed before it read the cloud inline: a
-    visibility test, then the fetch test (`tokens + FETCH_SLACK >=
-    remaining`, restated here so that a change to it shows) and the spend
-    of `min(remaining, tokens)`.  Kept as the reference `request_content`
-    must equal, on an environment of `ReferenceMeter`s."""
-    cloud, part = env.cloud, env.partition
-    commitment = header.commitment
-    if commitment not in cloud or (
-            part is not None and part.blocks(cloud[commitment], node, slot)):
-        return RequestOutcome.UNAVAILABLE, 0.0
-    meter = env.meters[node]
-    remaining = 1.0 - already_paid
-    if meter.sync(slot) + FETCH_SLACK >= remaining:
-        meter.spend(min(remaining, meter.tokens))
-        env.fetch_count[node] += 1
-        return RequestOutcome.FETCHED, remaining
-    tokens = meter.tokens
-    if tokens > 0.0:
-        meter.spend(tokens)
-        return RequestOutcome.THROTTLED, tokens
-    return RequestOutcome.THROTTLED, 0.0
-
 
 def at_the_edge(meter, slot):
     """An already-paid fraction whose remainder equals the tokens the meter
@@ -516,8 +465,8 @@ def test_request_content_equals_the_composed_request(rate, halves, steps):
     partition = None
     if halves is not None:
         partition = Partition(dict(zip(NODES, halves[0])), heal_slot=halves[1])
-    env, ref = (Environment(NODES, rate, 0, partition) for _ in range(2))
-    ref.meters = {p: ReferenceMeter(rate) for p in NODES}
+    env, ref = (Environment(NODES, rate, 0, 100, partition) for _ in range(2))
+    ref.meters = {p: ReferenceMeter(rate, 100) for p in NODES}
     store = HeaderStore()
     store.make_content()   # header ids and commitments differ
     blocks = [mk_header(store, slot=k + 1) for k in range(4)]
@@ -554,13 +503,12 @@ def test_request_content_equals_the_composed_request(rate, halves, steps):
 @example(rate=0.1, steps=[(1, "edge"), (0, "edge"), (3, 0.5)])
 @example(rate=0.2, steps=[(2, "edge"), (0, "zero"), (4, "edge")])
 def test_draw_equals_sync_fetch_test_and_spend(rate, steps):
-    """`draw` on one meter and, on a `ReferenceMeter`, `sync`, the fetch
-    test (`tokens + FETCH_SLACK >= remaining`, restated here) and `spend`
-    of `min(remaining, tokens)` or of every token, driven through the same
-    requests at rising slots, some decided by the equality case of the
-    fetch test: the outcome, the paid amount, the tokens, the spent total
-    and the slot are bit-equal after every request."""
-    meter, ref = CapacityMeter(rate), ReferenceMeter(rate)
+    """`draw` on one meter and on a `ReferenceMeter`, which composes `sync`,
+    the fetch test and `spend`, driven through the same requests at rising
+    slots, some decided by the equality case of the fetch test: the
+    outcome, the paid amount, the tokens, the spent total and the slot are
+    bit-equal after every request."""
+    meter, ref = CapacityMeter(rate, 1_000), ReferenceMeter(rate, 1_000)
     slot = 0
     for gap, paid in steps:
         slot += gap
@@ -568,14 +516,8 @@ def test_draw_equals_sync_fetch_test_and_spend(rate, steps):
             paid = 0.0
         elif paid == "edge":
             paid = at_the_edge(ref, slot)
-        remaining = 1.0 - paid
-        if ref.sync(slot) + FETCH_SLACK >= remaining:
-            ref.spend(min(remaining, ref.tokens))
-            want = (RequestOutcome.FETCHED, remaining)
-        else:
-            want = (RequestOutcome.THROTTLED, ref.tokens)
-            ref.spend(ref.tokens)
-        outcome, got = meter.draw(remaining, slot)
+        outcome, got = meter.draw(1.0 - paid, slot)
+        want = ref.draw(1.0 - paid, slot)
         assert (outcome, got.hex()) == (want[0], want[1].hex())
         assert ((meter.tokens.hex(), meter.spent_total.hex(), meter._slot)
                 == (ref.tokens.hex(), ref.spent_total.hex(), ref._slot))

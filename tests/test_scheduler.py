@@ -1,9 +1,9 @@
 """The download scheduler's sorted tip index and chain intake: equal to the
-sorted()/min() scheduler with per-header inserts that they replaced on
-generated header trees, their cost per poll and per delivered chain, and
-their behaviour at the 100-tip cap."""
+sorted()/min() scheduler with per-header inserts that they replaced
+(`ReferenceNode`, which lives in tests/reference.py) on generated header
+trees, their cost per poll and per delivered chain, and their behaviour at
+the 100-tip cap."""
 import math
-from collections import OrderedDict
 
 import pytest
 from conftest import Rig, line
@@ -12,149 +12,8 @@ from hypothesis import strategies as st
 
 from nakasim import node as nd
 from nakasim import params as pm
-from nakasim import trace as tr
 from nakasim.lottery import BpoId
-
-
-class ReferenceNode(nd.Node):
-    """The scheduler before the sorted tip index and chain intake: a static
-    key per tip, a full sorted() whenever the tips or the processed blocks
-    change, greedy keys cached per processed-block version (which every
-    done block bumps, the node's own included), a walk that sorts again
-    after a pass that blanked, one insert per header of a chain, and a
-    min() over every tip for each eviction at the cap.  Kept as the
-    reference the index and the chain insert must equal."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.tips = OrderedDict()
-        self._tip_key = {}
-        self._done_version = 0
-        self._greedy_cache = {}
-        self._tips_version = 0
-        self._sorted_cache = (-1, -1, [])
-
-    def _insert_chain(self, chain, slot):
-        for h in chain:
-            self._insert(h, slot)
-        return [h.id for h in chain]
-
-    def _insert(self, h, slot):
-        self.seen_order[h.id] = len(self.seen_order)
-
-        seen = self.bpo_seen.setdefault(h.bpo, [])
-        seen.append(h.id)
-        if len(seen) == 2:
-            self.trace.emit(slot, tr.EQUIVOCATION_SEEN, node=self.id,
-                            bpo_slot=h.bpo.slot, bpo_node=h.bpo.node,
-                            bpo_seq=h.bpo.seq, headers=list(seen))
-
-        self._tips_version += 1
-        if h.parent_id in self.tips:
-            del self.tips[h.parent_id]
-            self._tip_key.pop(h.parent_id, None)
-            self._greedy_cache.pop(h.parent_id, None)
-            dq = self._pending.pop(h.parent_id, None)
-            if dq is not None:
-                dq.append(h.id)
-            self._pending[h.id] = dq
-        else:
-            self._pending[h.id] = None
-        self.tips[h.id] = None
-        order = -self.seen_order[h.id]
-        if self.policy == pm.POLICY_FRESHEST_BLOCK:
-            self._tip_key[h.id] = (h.bpo.slot, h.height, order)
-        else:
-            self._tip_key[h.id] = (h.height, order)
-        if len(self.tips) > nd.MAX_SCHEDULER_TIPS:
-            self.tip_evictions += 1
-            worst = min(self.tips, key=self._policy_key)
-            self._drop_tips([worst])
-
-    def _policy_key(self, tip_id):
-        base = self._tip_key[tip_id]
-        if self.policy == pm.POLICY_GREEDY:
-            hit = self._greedy_cache.get(tip_id)
-            if hit is not None and hit[0] == self._done_version:
-                return hit[1]
-            dq = self._pending_for(tip_id)
-            full = (base[0] - len(dq),) + base
-            self._greedy_cache[tip_id] = (self._done_version, full)
-            return full
-        return base
-
-    def schedule_target(self, slot):
-        key = (self._tip_key.__getitem__
-               if self.policy != pm.POLICY_GREEDY else self._policy_key)
-        while True:
-            acted = False
-            finished = []
-            done_v, tips_v, ordered = self._sorted_cache
-            if done_v != self._done_version or tips_v != self._tips_version:
-                ordered = sorted(self.tips, key=key, reverse=True)
-                self._sorted_cache = (self._done_version, self._tips_version,
-                                      ordered)
-            target = None
-            for tip_id in ordered:
-                dq = self._pending_for(tip_id)
-                while dq:
-                    front = dq[0]
-                    if front in self.processed:
-                        dq.popleft()
-                    elif self.sapos and len(self.bpo_seen[
-                            self.store.headers[front].bpo]) >= 2:
-                        self._mark_blanked(front, slot)
-                        dq.popleft()
-                        acted = True
-                    else:
-                        break
-                if not dq:
-                    finished.append(tip_id)
-                    continue
-                if self.store.headers[dq[0]].commitment in self.unavailable:
-                    continue
-                target = self.store.headers[dq[0]]
-                break
-            self._drop_tips(finished)
-            if not acted:
-                return target
-
-    def _drop_tips(self, tip_ids):
-        if tip_ids:
-            self._tips_version += 1
-        for t in tip_ids:
-            self.tips.pop(t, None)
-            self._pending.pop(t, None)
-            self._tip_key.pop(t, None)
-            self._greedy_cache.pop(t, None)
-
-    def _mark_blanked(self, header_id, slot):
-        self.processed.add(header_id)
-        self.blanked.add(header_id)
-        self._done_version += 1
-        self.trace.emit(slot, tr.PRETEND_EMPTY, node=self.id, header=header_id)
-        self._after_processed(header_id, slot)
-
-    def _mark_processed(self, header_id, slot):
-        self.processed.add(header_id)
-        self._done_version += 1
-        self._after_processed(header_id, slot)
-
-    def try_produce(self, bpo, slot):
-        txs = self._take_txs(slot)
-        proofs = self._attach_proofs() if self.sapos else ()
-        content = self.store.make_content(txs, producer=self.id)
-        header = self.store.extend(bpo, self.dchain_tip, content.commitment,
-                                   proofs)
-        for proof in proofs:
-            self.trace.emit(slot, tr.PROOF_INCLUDED, node=self.id,
-                            carrier=header.id, target=proof.target,
-                            other=proof.header_b)
-        self._insert_chain([header], slot)
-        self.processed.add(header.id)
-        self._done_version += 1
-        self._after_processed(header.id, slot)
-        return header, content
+from reference import ReferenceNode
 
 
 # -- a recorded rig ----------------------------------------------------------

@@ -1,18 +1,24 @@
-"""Wake slots and kept plans against per-slot polling.
+"""Wake slots and kept plans against per-slot polling, run whole on the
+reference stack.
 
-`PollingSimulation` keeps the loop the simulator had before nodes slept:
-every active node is stepped in every slot and re-plans from its tips in
-each step, nothing is settled, the lottery's busy slots are looked up by
-binary search, and a transaction feed generated slot by slot keeps the loop
-on every slot.  Runs with wake slots and kept plans must produce the same
-trace bytes and the same metrics.
+`PollingSimulation` (tests/reference.py) keeps the loop the simulator had
+before nodes slept, on the reference node, meter, delivery queue and
+request path: every active node is stepped in every slot and walks its
+tips in each step, nothing is settled, the lottery's busy slots are looked
+up by binary search, and a transaction feed generated slot by slot keeps
+the loop on every slot.  Runs with wake slots, kept plans and every other
+fast mechanism must produce the same trace bytes, the same block contents
+and the same metrics; the stack itself must run with each fast mechanism
+raising if called.
 
 The Tier-1 tests run a covering subset of the differential matrix; the
-whole matrix (288 configurations) runs with
+whole matrix (288 configurations) and every pinned run of
+tests/test_trace_digests.py run with
 
     PYTHONPATH=src python tests/test_wakeups.py
 """
 import sys
+from types import MethodType
 
 import numpy as np
 import pytest
@@ -21,96 +27,13 @@ from conftest import fields, line
 from nakasim import params as pm
 from nakasim import trace as tr
 from nakasim.lottery import BpoId
-from nakasim.node import IDLE, MAX_SCHEDULER_TIPS
+from nakasim.netenv import CapacityMeter, Environment
+from nakasim.node import IDLE, MAX_SCHEDULER_TIPS, Node
 from nakasim.sim import Simulation
-from test_trace_digests import matrix_scenario
+from reference import PollingSimulation
+from test_trace_digests import RUNS, matrix_scenario
 
 TAU = 0.1
-
-
-class PollingSimulation(Simulation):
-    """The reference loop: poll every active node in every slot, dropping
-    the plan its last step kept so that each step walks the tips."""
-
-    def run(self):
-        p = self.params
-        horizon = p.horizon_slots
-        tx_log = []
-        for node in self.nodes.values():
-            node.tx_log = tx_log
-        slot = 0
-        tx_seq = 0
-        while slot < horizon:
-            if self._heal_slot is not None and slot >= self._heal_slot:
-                for node in self.nodes.values():
-                    node.partition_healed(slot)
-                self._heal_slot = None
-
-            for node_id, header in self.env.deliveries_due(slot):
-                self._deliver(node_id, header, slot, False)
-
-            h_cnt, a_cnt, s_cnt = self._counts_at(slot)
-            if h_cnt or a_cnt or s_cnt:
-                bpos = self.sampler.assign(slot, h_cnt, a_cnt)
-                self.trace.emit(slot, tr.BPO, h=h_cnt, a=a_cnt, s=s_cnt,
-                                winners=[[b.node, b.honest] for b in bpos])
-                for bpo in bpos:
-                    if bpo.honest:
-                        self._honest_produce(bpo, slot)
-                    else:
-                        self.strategy.on_adversary_bpo(bpo, slot)
-                for k in range(s_cnt):
-                    self._spv_produce(
-                        BpoId(slot, -2, False, h_cnt + a_cnt + k), slot)
-
-            if self._tx_counts is not None and tx_seq < horizon:
-                for _ in range(int(self._tx_counts[slot])):
-                    tx = (f"tx{slot}_{tx_seq}", self.scenario.txgen.tx_size)
-                    tx_seq += 1
-                    tx_log.append((slot, tx))
-
-            for n in self.honest_ids:
-                node = self.nodes[n]
-                if node.active:
-                    node._kept = None
-                    node.process_step(slot)
-                    self._check_non_idleness(node, slot)
-
-            lead = self.strategy.lead()
-            if lead != self._last_lead:
-                self._last_lead = lead
-                if self._max_lead is None or lead > self._max_lead:
-                    self._max_lead = lead
-                self.trace.emit(slot, tr.LEAD_SAMPLE, lead=lead)
-
-            slot = self._advance(slot)
-
-        return self._finalize()
-
-    def _counts_at(self, slot):
-        i = np.searchsorted(self._busy_slots, slot)
-        if i < len(self._busy_slots) and self._busy_slots[i] == slot:
-            return int(self._h[i]), int(self._a[i]), int(self._s[i])
-        return 0, 0, 0
-
-    def _next_busy_slot(self, after):
-        i = np.searchsorted(self._busy_slots, after)
-        if i < len(self._busy_slots):
-            return int(self._busy_slots[i])
-        return self.params.horizon_slots
-
-    def _advance(self, slot):
-        nxt = slot + 1
-        if any(self.nodes[n].active for n in self.honest_ids) \
-                or self._tx_counts is not None:
-            return nxt
-        candidates = [self.params.horizon_slots, self._next_busy_slot(nxt)]
-        nd = self.env.next_delivery_slot()
-        if nd is not None:
-            candidates.append(nd)
-        if self._heal_slot is not None:
-            candidates.append(self._heal_slot)
-        return max(nxt, min(candidates))
 
 
 def trace_bytes(sim):
@@ -205,12 +128,101 @@ def test_wake_slots_match_per_slot_polling(protocol, attack, policy, rate,
     assert_same_run(matrix_config(protocol, attack, policy, rate, txgen))
 
 
+TIP_CAP_RUN = matrix_scenario(pm.PROTOCOL_POS, pm.POLICY_FRESHEST_BLOCK)
+
+
 def test_wake_slots_match_per_slot_polling_at_the_tip_cap():
     """Equivocation spam on plain PoS fills the 100-tip scheduler, so a
     node's own production evicts tips while it sleeps on a download."""
-    sim, _ = assert_same_run(pm.scenario_from_dict(
-        matrix_scenario(pm.PROTOCOL_POS, pm.POLICY_FRESHEST_BLOCK)))
+    sim, _ = assert_same_run(pm.scenario_from_dict(TIP_CAP_RUN))
     assert sum(n.tip_evictions for n in sim.nodes.values()) > 0
+
+
+# -- the stack shares no fast mechanism --------------------------------------
+
+# The fast mechanisms, by the class that holds them: the stack has its own
+# version of each or never reaches it.
+FAST_PATHS = {
+    Simulation: ("run", "_advance"),
+    Node: ("schedule_target", "_insert_chain", "_admit_at_cap",
+           "_rekey_greedy", "_replans", "settle"),
+    CapacityMeter: ("draw", "completion_slot", "spend_refills",
+                    "fetches_block"),
+    Environment: ("broadcast_header", "deliveries_due", "queue_header",
+                  "request_content"),
+}
+
+
+class FastPathCalled(Exception):
+    """A fast mechanism was reached while the guard was on."""
+
+
+def trip(monkeypatch, cls, name):
+    """Make `cls.name` raise if called."""
+    def tripped(*args, **kwargs):
+        raise FastPathCalled(f"{cls.__name__}.{name}")
+    monkeypatch.setattr(cls, name, tripped)
+
+
+def take_fast_layer(ref, cls):
+    """Give the stack `ref`, not yet run, the fast simulator's layer that
+    `cls` holds: its loop, its nodes, its meters, or its delivery queue
+    and request path."""
+    env, p = ref.env, ref.params
+    if cls is Simulation:
+        ref.run = MethodType(Simulation.run, ref)
+        ref._advance = MethodType(Simulation._advance, ref)
+    elif cls is Node:
+        ref.nodes = {n: Node(n, ref.store, env, ref.trace,
+                             ref.scenario.policy, ref.scenario.k_conf,
+                             ref.sink, ref.front) for n in ref.honest_ids}
+        ref._node_list = list(ref.nodes.values())
+    elif cls is CapacityMeter:
+        env.meters = {n: CapacityMeter(p.capacity * p.tau, p.horizon_slots)
+                      for n in env.node_ids}
+        for node in ref.nodes.values():
+            node.meter = env.meters[node.id]
+    else:
+        for name in FAST_PATHS[Environment] + ("next_delivery_slot",):
+            delattr(env, name)
+
+
+@pytest.mark.parametrize("config", [
+    matrix_dict(pm.PROTOCOL_SAPOS, pm.ATTACK_POS_TEASER, pm.POLICY_GREEDY,
+                0.33, False),
+    TIP_CAP_RUN], ids=["covering", "tip-cap"])
+def test_the_stack_runs_with_every_fast_mechanism_raising(config,
+                                                          monkeypatch):
+    """On the covering config with SaPoS, the tease and greedy, and on the
+    run that reaches the tip cap, the stack writes the simulator's run
+    with every fast mechanism raising if called."""
+    scenario = pm.scenario_from_dict(config)
+    sim = Simulation(scenario)
+    metrics = sim.run()
+    for cls, names in FAST_PATHS.items():
+        for name in names:
+            trip(monkeypatch, cls, name)
+    ref = PollingSimulation(scenario)
+    assert ref.run().to_dict() == metrics.to_dict()
+    assert trace_bytes(ref) == trace_bytes(sim)
+
+
+# a stack reaches these only through the fast layers named
+REACHED_THROUGH = {"settle": (Simulation,),
+                   "spend_refills": (Simulation, CapacityMeter)}
+
+
+@pytest.mark.parametrize("cls,name", [(cls, name) for cls, names
+                                      in FAST_PATHS.items()
+                                      for name in names])
+def test_a_stack_that_inherits_a_fast_mechanism_trips_the_guard(
+        cls, name, monkeypatch):
+    trip(monkeypatch, cls, name)
+    ref = PollingSimulation(pm.scenario_from_dict(TIP_CAP_RUN))
+    for layer in REACHED_THROUGH.get(name, (cls,)):
+        take_fast_layer(ref, layer)
+    with pytest.raises(FastPathCalled, match=f"^{cls.__name__}.{name}$"):
+        ref.run()
 
 
 # -- cost guards --------------------------------------------------------------
@@ -480,7 +492,7 @@ def test_a_pass_that_blanks_and_reorders_tips_rewalks_in_the_same_slot():
     node = sim.nodes[0]
     assert script.a1.id not in node.partial
     assert node.throttled == script.c.id
-    assert node.wake > 8
+    assert node.wake == 8     # the horizon
 
 
 # -- what wakes a throttled node ----------------------------------------------
@@ -671,11 +683,21 @@ def test_honest_height_is_the_max_over_the_nodes(protocol, attack, policy,
     assert checks and checks[-1] > 0
 
 
-if __name__ == "__main__":
+def same_runs(configs):
+    """Run each configuration on both sides, printing a line per run, and
+    return how many were the same."""
     same = 0
-    for i, config in enumerate(MATRIX):
-        assert_same_run(matrix_config(*config))
+    for i, (name, config) in enumerate(configs):
+        assert_same_run(config)
         same += 1
-        print(f"{i + 1}/{len(MATRIX)} {config} same", flush=True)
-    print(f"{same}/{len(MATRIX)} same", flush=True)
+        print(f"{i + 1}/{len(configs)} {name} same", flush=True)
+    return same
+
+
+if __name__ == "__main__":
+    matrix = same_runs([(c, matrix_config(*c)) for c in MATRIX])
+    pinned = same_runs([(name, pm.scenario_from_dict(RUNS[name]))
+                        for name in sorted(RUNS)])
+    print(f"{matrix}/{len(MATRIX)} same", flush=True)
+    print(f"{pinned}/{len(RUNS)} same", flush=True)
     sys.exit(0)
