@@ -19,7 +19,8 @@ the loop to every slot either.
 
 The simulation's object graph holds no reference cycle (the adversary
 reaches the simulation through a weak proxy), so a dropped simulation is
-freed by reference counting, and `run` makes no cyclic collector pass.
+freed by reference counting.  `run` makes no cyclic collector pass, and
+leaves none for the next allocation either (`trace.collector_paused`).
 """
 from __future__ import annotations
 

@@ -51,11 +51,18 @@ of thousands of objects, none of which can form a reference cycle, so
 `sim.Simulation.run`, `write_jsonl`, `read_jsonl` and
 `pivots.analyze_trace` run under `collector_paused`: the cyclic garbage
 collector makes no passes inside them, and its prior state is restored on
-the way out, also on an exception.  The pause defers the collector's work
-but does not avoid it: the allocation counter keeps counting, so the first
-container allocated after the pause starts a generation-0 pass over every
-container allocated inside it that is still alive.  Only allocating fewer
-containers makes that pass shorter.
+the way out, also on an exception.  The allocation count keeps rising
+inside a pause, so turning the collector back on alone would leave the
+first container allocated after it to start a generation-0 pass over
+everything the pause left alive.  The outermost pause that found the
+collector on therefore first moves every tracked object into the oldest
+generation (`gc.freeze()` then `gc.unfreeze()`, one splice of the
+generation lists each, which also zeroes the generation-0 count), so no
+young pass rescans them.  They are still freed by reference counting, and
+any cyclic garbage made inside a pause is reclaimed by the next full
+collection.  If the caller holds frozen objects (`gc.get_freeze_count()`
+is not 0), the pause skips the promotion, so it never unfreezes objects
+it did not freeze.
 """
 from __future__ import annotations
 
@@ -258,13 +265,22 @@ def _misuse(kind: str, values: tuple, data: dict) -> TypeError:
 def collector_paused() -> Iterator[None]:
     """Run the block with the cyclic garbage collector disabled, then put
     back the state it had, also when the block raises.  Nests: an inner
-    pause leaves the collector as the outer one set it."""
+    pause leaves the collector as the outer one set it.
+
+    A pause that found the collector on promotes every tracked object to
+    the oldest generation before it turns the collector back on, unless
+    the caller holds frozen objects, so the objects the block left alive
+    start no young pass.  Cyclic garbage made in the block waits for the
+    next full collection."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
         if was_enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

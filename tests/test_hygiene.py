@@ -352,13 +352,15 @@ def test_the_check_sees_protocol_reads():
                                       "line 4: protocol"]
 
 
-# trace.collector_paused is the one place that switches the collector
-GC_SWITCHES = {"enable", "disable"}
+# trace.collector_paused is the one place that switches the collector or
+# moves objects between its generations
+GC_SWITCHES = {"enable", "disable", "freeze", "unfreeze"}
 
 
 def gc_switches(source: str) -> list[str]:
-    """Lines that turn the cyclic collector on or off: `gc.enable`,
-    `gc.disable`, or either imported from `gc`."""
+    """Lines that turn the cyclic collector on or off or move its objects
+    between generations: `gc.enable`, `gc.disable`, `gc.freeze`,
+    `gc.unfreeze`, or any of them imported from `gc`."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Attribute) and node.attr in GC_SWITCHES
@@ -380,9 +382,12 @@ def test_the_check_sees_collector_switches():
     source = ("import gc\n"
               "from gc import disable as off, collect\n"
               "gc.isenabled()\n"
-              "gc.enable()\n")
+              "gc.enable()\n"
+              "gc.get_freeze_count()\n"
+              "gc.freeze()\n")
     assert gc_switches(source) == ["line 2: from gc import disable",
-                                   "line 4: gc.enable"]
+                                   "line 4: gc.enable",
+                                   "line 6: gc.freeze"]
 
 
 def third_party_imports(sources: dict[str, str]) -> set[str]:

@@ -1003,6 +1003,13 @@ def collector():
         gc.disable()
 
 
+def pow_scenario():
+    """A 600-slot run of the pinned digest matrix's 8-node PoW scenario."""
+    cfg = matrix_scenario(pm.PROTOCOL_POW, pm.POLICY_LONGEST_HEADER_CHAIN)
+    cfg["sim"]["horizon_slots"] = 600
+    return pm.scenario_from_dict(cfg)
+
+
 def pow_teaser_file(tmp_path):
     t = simulated(pm.PROTOCOL_POW, pm.ATTACK_TEASER)
     path = tmp_path / "t.jsonl"
@@ -1043,13 +1050,23 @@ def test_a_read_that_raises_restores_the_collector(tmp_path, collector,
     assert gc.isenabled() is enabled
 
 
+def generation_of(obj):
+    """The collector generation that holds `obj`."""
+    return next(g for g in range(3)
+                if any(o is obj for o in gc.get_objects(generation=g)))
+
+
 def test_pauses_nest(collector):
+    """An inner pause leaves the collector off and promotes nothing."""
     gc.enable()
+    gc.collect()
     with tr.collector_paused():
         with tr.collector_paused():
-            pass
+            young = []
         assert not gc.isenabled()
+        assert generation_of(young) == 0
     assert gc.isenabled()
+    assert generation_of(young) == 2
 
 
 def passes_inside(fn, *args):
@@ -1097,9 +1114,7 @@ def test_reading_and_auditing_run_no_collector_pass(tmp_path, collector,
     assert passes == []
 
     # simulating, likewise
-    cfg = matrix_scenario(pm.PROTOCOL_POW, pm.POLICY_LONGEST_HEADER_CHAIN)
-    cfg["sim"]["horizon_slots"] = 600
-    scenario = pm.scenario_from_dict(cfg)
+    scenario = pow_scenario()
     _, passes = passes_inside(inspect.unwrap(Simulation.run),
                               Simulation(scenario))
     assert passes
@@ -1119,6 +1134,107 @@ def test_reading_and_auditing_run_no_collector_pass(tmp_path, collector,
     _, passes = passes_inside(tr.write_jsonl, sim.trace, str(path))
     assert passes == [] and enabled == [False]
     assert gc.isenabled()
+
+
+# -- a pause promotes what it leaves alive -------------------------------------
+
+def paused_call(name, tmp_path):
+    """One of the four paused functions, and fresh arguments for it."""
+    if name == "run":
+        return Simulation.run, (Simulation(pow_scenario()),)
+    path = str(pow_teaser_file(tmp_path))
+    if name == "write_jsonl":
+        return tr.write_jsonl, (tr.read_jsonl(path), str(tmp_path / "w.jsonl"))
+    if name == "read_jsonl":
+        return tr.read_jsonl, (path,)
+    t = tr.read_jsonl(path)
+    return pv.analyze_trace, (t, t.meta["nu"], t.meta["c_tilde"], 50)
+
+
+def bare_paused(fn):
+    """The body of `fn` between a bare `gc.disable()` and `gc.enable()`:
+    the pause without its promotion."""
+    body = inspect.unwrap(fn)
+
+    def paused(*args):
+        gc.disable()
+        try:
+            return body(*args)
+        finally:
+            gc.enable()
+    return paused
+
+
+def passes_after(fn, *args):
+    """Call `fn` with the collector on and return the collector passes
+    that start from the call up to the 50th container allocated after it.
+    The 60 containers allocated just before the call stay below the
+    fixture's threshold of 100, so they start no pass on the way in, but
+    they count towards the next pass unless the call promotes them."""
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+    gc.collect()
+    before = [[] for _ in range(59)]
+    gc.callbacks.append(count)
+    try:
+        fn(*args)
+        after = [[] for _ in range(49)]
+    finally:
+        gc.callbacks.remove(count)
+    del before, after
+    return passes
+
+
+@pytest.mark.parametrize("name", ["run", "write_jsonl", "read_jsonl",
+                                  "analyze_trace"])
+def test_a_pause_leaves_no_collector_pass_behind(tmp_path, collector, name):
+    gc.enable()
+    # the guard: turning the collector back on alone leaves a pass behind
+    fn, args = paused_call(name, tmp_path)
+    assert passes_after(bare_paused(fn), *args)
+    fn, args = paused_call(name, tmp_path)
+    assert passes_after(fn, *args) == []
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_pause_promotes_only_when_it_finds_the_collector_on(collector,
+                                                              enabled):
+    (gc.enable if enabled else gc.disable)()
+    gc.collect()
+    with tr.collector_paused():
+        young = []
+    assert gc.isenabled() is enabled
+    assert generation_of(young) == (2 if enabled else 0)
+
+
+def test_a_pause_leaves_the_callers_frozen_objects_frozen(collector):
+    gc.enable()
+    gc.collect()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        with tr.collector_paused():
+            young = []
+        assert gc.get_freeze_count() == frozen
+        assert generation_of(young) == 0
+    finally:
+        gc.unfreeze()
+
+
+def test_a_cycle_dropped_inside_a_pause_is_still_reclaimed(collector):
+    gc.enable()
+    gc.collect()
+    with tr.collector_paused():
+        a, b = [], []
+        a.append(b)
+        b.append(a)
+        del a, b
+    assert gc.collect() >= 2
 
 
 @pytest.mark.parametrize("name", ["pow-teaser-spv", "pos-partition-spv"])

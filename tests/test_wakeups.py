@@ -11,8 +11,9 @@ fast mechanism must produce the same trace bytes, the same block contents
 and the same metrics; the stack itself must run with each fast mechanism
 raising if called.
 
-The Tier-1 tests run a covering subset of the differential matrix; the
-whole matrix (288 configurations) and every pinned run of
+The Tier-1 tests run a covering subset of the differential matrix, a run
+at the tip cap and the pinned `sapos-sacrifice` run, the one that blanks;
+the whole matrix (288 configurations) and every pinned run of
 tests/test_trace_digests.py run with
 
     PYTHONPATH=src python tests/test_wakeups.py
@@ -108,7 +109,7 @@ def assert_same_run(scenario):
     assert trace_bytes(sim) == trace_bytes(ref)
     assert contents(sim) == contents(ref)
     assert metrics.to_dict() == ref_metrics.to_dict()
-    return sim, ref
+    return sim, metrics
 
 
 def covering_subset():
@@ -136,6 +137,13 @@ def test_wake_slots_match_per_slot_polling_at_the_tip_cap():
     node's own production evicts tips while it sleeps on a download."""
     sim, _ = assert_same_run(pm.scenario_from_dict(TIP_CAP_RUN))
     assert sum(n.tip_evictions for n in sim.nodes.values()) > 0
+
+
+def test_wake_slots_match_per_slot_polling_when_blanking():
+    """The one pinned run that blanks: a SaPoS teaser that sacrifices after
+    every release makes honest nodes blank blocks and evict tips."""
+    _, metrics = assert_same_run(pm.scenario_from_dict(RUNS["sapos-sacrifice"]))
+    assert metrics.scheduler_blanked > 0
 
 
 # -- the stack shares no fast mechanism --------------------------------------
