@@ -144,7 +144,6 @@ class EquivocationProof:
     """Two distinct headers minted from the same production opportunity,
     plus the on-chain header they discredit."""
 
-    bpo_key: BpoId
     header_a: int
     header_b: int
     target: int

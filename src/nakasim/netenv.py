@@ -13,9 +13,9 @@ A request reads the cloud once, for the content's origin, and tests the
 partition only while there is one; content the node cannot see is free.
 A visible request makes one meter call, `CapacityMeter.draw`, which
 refills, applies the fetch test and spends.  The environment keeps no
-record of who asked: each node memoises what it found unavailable, and
-the simulation tells the nodes that memoised it of each accepted upload,
-and every node of the heal.
+per-node record besides the meters: each node counts its fetches and
+memoises what it found unavailable, and the simulation sends the nodes
+that memoised a commitment its upload notice, which the heal also sends.
 """
 from __future__ import annotations
 
@@ -188,7 +188,6 @@ class Environment:
         # skip-ahead; seq keeps entries of one slot in the order queued
         self._queue: list[tuple[int, int, tuple[int, ...], BlockHeader]] = []
         self._seq = 0
-        self.fetch_count = {p: 0 for p in self.node_ids}
 
     # -- headers ------------------------------------------------------------
 
@@ -257,7 +256,4 @@ class Environment:
         part = self.partition
         if part is not None and part.blocks(origin, node, slot):
             return UNAVAILABLE, 0.0
-        result = self.meters[node].draw(1.0 - already_paid, slot)
-        if result[0] is FETCHED:
-            self.fetch_count[node] += 1
-        return result
+        return self.meters[node].draw(1.0 - already_paid, slot)

@@ -15,7 +15,8 @@ only these events wake it:
   - a header insert (delivered, or its own block) that drops or evicts the
     served tip, leaves a tip whose key ranks above the served tip's, or,
     under SaPoS, makes a block's production opportunity seen twice;
-  - an upload or the partition heal that clears an unavailability memo.
+  - an upload notice, which the heal also sends, that clears an
+    unavailability memo.
 Any other insert leaves every tip above the served one as it was, so a
 step would walk them to the same target.  A header that extends the served
 tip becomes the served tip: it inherits the served queue and ranks above
@@ -137,6 +138,7 @@ class Node:
         self._order: list[tuple[tuple, int]] = []   # (key, tip id), ascending
         self._pending: dict[int, Optional[deque]] = {}
         self.tip_evictions = 0
+        self.fetches = 0
         self.partial: OrderedDict[int, float] = OrderedDict()
         # the download the last step ended throttled on, None if it idled
         self.throttled: Optional[int] = None
@@ -298,21 +300,13 @@ class Node:
         return self._pending.pop(tip_id)
 
     def content_uploaded(self, commitment: int, slot: int) -> None:
-        """The simulation calls this for each upload the cloud accepts, on
-        the nodes whose memo holds its commitment.  The node's memo is the
-        only record of what it waits for: if it holds this commitment, the
-        commitment is cleared and the node is due this slot."""
+        """The notice of an upload the cloud accepts, which the heal also
+        sends, to the nodes whose memo holds its commitment.  The memo is
+        the only record of what a node waits for: if it holds `commitment`,
+        the commitment is cleared and the node is due this slot."""
         if commitment in self.unavailable:
             self.unavailable.remove(commitment)
             self._wake_now(slot)
-
-    def partition_healed(self, slot: int) -> None:
-        """At the partition heal, content uploaded across the split becomes
-        visible: clear the memo of every commitment already in the cloud,
-        as its upload would have.  Memos of content not yet uploaded stay."""
-        cloud = self.env.cloud
-        for commitment in [c for c in self.unavailable if c in cloud]:
-            self.content_uploaded(commitment, slot)
 
     # -- scheduling -------------------------------------------------------
 
@@ -433,6 +427,7 @@ class Node:
                 self.unavailable.add(target.commitment)
                 continue
             if outcome is FETCHED:
+                self.fetches += 1
                 self.partial.pop(target.id, None)
                 self.trace.emit(slot, tr.CONTENT_FETCHED, self.id,
                                 target.id, "request", newly)
@@ -588,7 +583,7 @@ class Node:
             if len(seen) >= 2:
                 other = next(x for x in seen if x != hid)
                 proofs.append(EquivocationProof(
-                    bpo_key=bpo, header_a=hid, header_b=other, target=hid))
+                    header_a=hid, header_b=other, target=hid))
         return tuple(proofs)
 
     def _take_txs(self, slot: int) -> tuple:

@@ -17,6 +17,9 @@ slept through are settled just before its next step and at the horizon.
 Transactions come from one feed shared by every node, so they do not pin
 the loop to every slot either.
 
+`nodes` lists the honest nodes, a node's id its index; the heal reaches
+them by the notice an upload sends (`_notify`).
+
 The simulation's object graph holds no reference cycle (the adversary
 reaches the simulation through a weak proxy), so a dropped simulation is
 freed by reference counting.  `run` makes no cyclic collector pass, and
@@ -24,6 +27,7 @@ leaves none for the next allocation either (`trace.collector_paused`).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -130,26 +134,24 @@ class Simulation:
                         protocol=scenario.protocol, policy=scenario.policy,
                         k_epf=scenario.sapos.k_epf)
 
-        self.honest_ids = list(p.honest_nodes)
         partition = None
         attack = scenario.attack
         self._heal_slot = None
         if attack.strategy == pm.ATTACK_PARTITION:
-            half = {n: (0 if i < len(self.honest_ids) // 2 else 1)
-                    for i, n in enumerate(self.honest_ids)}
+            n_h = len(p.honest_nodes)
+            half = {n: (0 if n < n_h // 2 else 1) for n in p.honest_nodes}
             self._heal_slot = math.ceil(attack.partition_duration / p.tau)
             partition = Partition(half, self._heal_slot)
 
-        self.env = Environment(self.honest_ids, p.capacity * p.tau,
+        self.env = Environment(p.honest_nodes, p.capacity * p.tau,
                                p.delay_slots, p.horizon_slots, partition)
         self.sink = AuditSink(self.store)
         self.front = HonestFront()
-        self.nodes = {
-            n: Node(n, self.store, self.env, self.trace, scenario.policy,
-                    scenario.k_conf, self.sink, self.front)
-            for n in self.honest_ids}
-        # the nodes in honest_ids order, for the loops over all of them
-        self._node_list = list(self.nodes.values())
+        # the honest ids are 0..n_h-1
+        self.nodes = [Node(n, self.store, self.env, self.trace,
+                           scenario.policy, scenario.k_conf, self.sink,
+                           self.front)
+                      for n in p.honest_nodes]
 
         spv_rate_slot = attack.spv_rate * p.tau
         self.sampler = SlotSampler(self.seed, p.beta, p.rho, p.honest_nodes,
@@ -168,25 +170,37 @@ class Simulation:
         return self.front.height
 
     def honest_tip(self) -> int:
-        best = max(self._node_list, key=lambda n: n.dchain_height)
-        return best.dchain_tip
+        return max(self.nodes, key=attrgetter("dchain_height")).dchain_tip
 
     def min_honest_height(self) -> int:
-        return min(n.dchain_height for n in self._node_list)
+        return min(n.dchain_height for n in self.nodes)
 
     def _update_announced(self, header) -> None:
         if header.height > self._announced[0]:
             self._announced = (header.height, header.id)
 
     def upload(self, header, content, slot: int, origin: int = -1) -> None:
-        """Store the content in the cloud and, if it was new, tell the nodes
-        whose memo holds its commitment: no other node waits for it."""
+        """Store the content in the cloud and, if it was new, notify."""
         commitment = content.commitment
         if self.env.upload_content(header, content, origin=origin):
-            for node in self._node_list:
-                if commitment in node.unavailable:
-                    node.content_uploaded(commitment, slot)
+            self._notify(commitment, slot)
             self.trace.emit(slot, tr.CONTENT_UPLOADED, commitment, header.id)
+
+    def _notify(self, commitment: int, slot: int) -> None:
+        """The notice that the cloud shows `commitment`, sent to the nodes
+        whose memo holds it: no other node waits for it."""
+        for node in self.nodes:
+            if commitment in node.unavailable:
+                node.content_uploaded(commitment, slot)
+
+    def _heal(self, slot: int) -> None:
+        """At the partition heal, content uploaded across the split becomes
+        visible: the notice of each commitment that the cloud and some
+        node's memo hold.  Memos of content not yet uploaded stay."""
+        memos = set().union(*(node.unavailable for node in self.nodes))
+        for commitment in memos & self.env.cloud.keys():
+            self._notify(commitment, slot)
+        self._heal_slot = None
 
     def broadcast(self, header, slot: int, origin: int = -1) -> None:
         self.env.broadcast_header(header, origin, slot)
@@ -202,15 +216,15 @@ class Simulation:
                         bpo.seq, cls, private)
 
     def push_to_honest(self, header, slot: int) -> None:
-        for n in self.honest_ids:
-            self._deliver(n, header, slot, True)
+        for node in self.nodes:
+            self._deliver(node, header, slot, True)
         self._update_announced(header)
 
-    def _deliver(self, node_id: int, header, slot: int, pushed: bool) -> None:
+    def _deliver(self, node: Node, header, slot: int, pushed: bool) -> None:
         """Hand `header` to one honest node, and trace the delivery if the
         node inserted it."""
-        if header.id in self.nodes[node_id].on_header(header, slot):
-            self.trace.emit(slot, tr.HEADER_DELIVERED, node_id, header.id,
+        if header.id in node.on_header(header, slot):
+            self.trace.emit(slot, tr.HEADER_DELIVERED, node.id, header.id,
                             pushed)
 
     # -- lottery precomputation -------------------------------------------
@@ -257,18 +271,16 @@ class Simulation:
                           self._s.tolist()))
         self._cursor = 0
         tx_log = self._tx_log()
-        nodes = self._node_list
+        nodes = self.nodes
         for node in nodes:
             node.tx_log = tx_log
         slot = 0
         while slot < horizon:
             if self._heal_slot is not None and slot >= self._heal_slot:
-                for node in nodes:
-                    node.partition_healed(slot)
-                self._heal_slot = None
+                self._heal(slot)
 
             for node_id, header in self.env.deliveries_due(slot):
-                self._deliver(node_id, header, slot, False)
+                self._deliver(nodes[node_id], header, slot, False)
 
             # `_advance` never passes a busy slot, so the cursor's slot is
             # this one or a later one
@@ -287,8 +299,8 @@ class Simulation:
                     self._spv_produce(
                         BpoId(slot, SPV_NODE, False, h_cnt + a_cnt + k), slot)
 
-            # in honest_ids order: the order of a slot's events in the trace
-            # depends on it
+            # in id order: the order of a slot's events in the trace depends
+            # on it
             for node in nodes:
                 if node.wake <= slot:
                     node.settle(slot)
@@ -338,7 +350,7 @@ class Simulation:
     def _advance(self, slot: int) -> int:
         nxt = slot + 1
         candidates = [self._busy[self._cursor],
-                      min(map(attrgetter("wake"), self._node_list))]
+                      min(map(attrgetter("wake"), self.nodes))]
         nd = self.env.next_delivery_slot()
         if nd is not None:
             candidates.append(nd)
@@ -349,10 +361,8 @@ class Simulation:
     # -- metrics ------------------------------------------------------------
 
     def agreed_height(self) -> int:
-        tips = [self.nodes[n].dchain_tip for n in self.honest_ids]
-        common = tips[0]
-        for t in tips[1:]:
-            common = self.store.common_ancestor(common, t)
+        common = functools.reduce(self.store.common_ancestor,
+                                  [node.dchain_tip for node in self.nodes])
         return self.store.headers[common].height
 
     def _finalize(self) -> RunMetrics:
@@ -371,6 +381,7 @@ class Simulation:
                 adv_blocks += 1
         util = [m.spent_total / (m.rate * p.horizon_slots)
                 for m in self.env.meters.values() if m.rate > 0]
+        nodes = self.nodes
         return RunMetrics(
             seed=self.seed,
             horizon_slots=p.horizon_slots,
@@ -388,13 +399,10 @@ class Simulation:
             max_lead=0 if self._max_lead is None else self._max_lead,
             releases=self.strategy.releases,
             giveups=self.strategy.giveups,
-            fetches=sum(self.env.fetch_count.values()),
-            scheduler_blanked=sum(len(self.nodes[n].blanked)
-                                  for n in self.honest_ids),
-            invalid_headers=sum(len(self.nodes[n].invalid)
-                                for n in self.honest_ids),
-            tip_evictions=sum(self.nodes[n].tip_evictions
-                              for n in self.honest_ids),
+            fetches=sum(n.fetches for n in nodes),
+            scheduler_blanked=sum(len(n.blanked) for n in nodes),
+            invalid_headers=sum(len(n.invalid) for n in nodes),
+            tip_evictions=sum(n.tip_evictions for n in nodes),
             utilization_mean=float(np.mean(util)) if util else 0.0,
             audits=self.sink.to_dict(),
         )

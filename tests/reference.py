@@ -11,6 +11,7 @@ replaced is kept here as that layer's reference:
   - `ReferenceMeter`, the token bucket as `sync`, the fetch test and
     `spend`, with its replays slot by slot: no memo, no horizon;
   - `request_oracle`, a request as a visibility test and one draw;
+  - the partition heal as each node's scan of its memo against the cloud;
   - `PerRecipientQueue`, the delivery queue with one heap entry per
     recipient.
 
@@ -56,29 +57,27 @@ class PollingSimulation(Simulation):
         env.deliveries_due = queue.deliveries_due
         env.next_delivery_slot = queue.next_delivery_slot
         env.request_content = functools.partial(request_oracle, env)
-        self.nodes = {
-            n: ReferenceNode(n, self.store, env, self.trace,
-                             self.scenario.policy, self.scenario.k_conf,
-                             self.sink, self.front)
-            for n in self.honest_ids}
-        self._node_list = list(self.nodes.values())
+        self.nodes = [ReferenceNode(n, self.store, env, self.trace,
+                                    self.scenario.policy,
+                                    self.scenario.k_conf, self.sink,
+                                    self.front)
+                      for n in p.honest_nodes]
 
     def run(self):
         p = self.params
         horizon = p.horizon_slots
         tx_log = []
-        for node in self.nodes.values():
+        for node in self.nodes:
             node.tx_log = tx_log
         slot = 0
         tx_seq = 0
         while slot < horizon:
             if self._heal_slot is not None and slot >= self._heal_slot:
-                for node in self.nodes.values():
-                    node.partition_healed(slot)
+                self._scan_memos(slot)
                 self._heal_slot = None
 
             for node_id, header in self.env.deliveries_due(slot):
-                self._deliver(node_id, header, slot, False)
+                self._deliver(self.nodes[node_id], header, slot, False)
 
             h_cnt, a_cnt, s_cnt = self._counts_at(slot)
             if h_cnt or a_cnt or s_cnt:
@@ -100,8 +99,7 @@ class PollingSimulation(Simulation):
                     tx_seq += 1
                     tx_log.append((slot, tx))
 
-            for n in self.honest_ids:
-                node = self.nodes[n]
+            for node in self.nodes:
                 if node.active:
                     node.process_step(slot)
                     self._check_non_idleness(node, slot)
@@ -117,6 +115,16 @@ class PollingSimulation(Simulation):
 
         return self._finalize()
 
+    def _scan_memos(self, slot):
+        """The heal as each node's own scan: content uploaded across the
+        split becomes visible, so each node clears the memo of every
+        commitment already in the cloud, as its upload would have.  Memos
+        of content not yet uploaded stay."""
+        cloud = self.env.cloud
+        for node in self.nodes:
+            for commitment in [c for c in node.unavailable if c in cloud]:
+                node.content_uploaded(commitment, slot)
+
     def _counts_at(self, slot):
         i = np.searchsorted(self._busy_slots, slot)
         if i < len(self._busy_slots) and self._busy_slots[i] == slot:
@@ -131,7 +139,7 @@ class PollingSimulation(Simulation):
 
     def _advance(self, slot):
         nxt = slot + 1
-        if any(self.nodes[n].active for n in self.honest_ids) \
+        if any(node.active for node in self.nodes) \
                 or self._tx_counts is not None:
             return nxt
         candidates = [self.params.horizon_slots, self._next_busy_slot(nxt)]
@@ -365,10 +373,7 @@ def request_oracle(env, node, header, already_paid, slot):
     if commitment not in cloud or (
             part is not None and part.blocks(cloud[commitment], node, slot)):
         return RequestOutcome.UNAVAILABLE, 0.0
-    outcome, paid = env.meters[node].draw(1.0 - already_paid, slot)
-    if outcome is RequestOutcome.FETCHED:
-        env.fetch_count[node] += 1
-    return outcome, paid
+    return env.meters[node].draw(1.0 - already_paid, slot)
 
 
 class PerRecipientQueue:

@@ -67,12 +67,12 @@ def test_the_bench_spans_see_a_posspam_run_and_are_undone(tmp_path):
         assert metrics[name] > 0, name
     assert {span: tracer.calls[span] for span in SIMULATE_SPANS
             if not tracer.calls[span]} == {}
-    # every request is decided, and every fetch counted, inside the
-    # spanned `request_content`
+    # every request is decided inside the spanned `request_content`, and
+    # the nodes count each fetch it returns
     assert (metrics["netenv.fetched"] + metrics["netenv.throttled"]
             + metrics["netenv.unavailable"]) == metrics["netenv.requests"]
     assert metrics["netenv.fetched"] == sum(
-        simulation.env.fetch_count.values())
+        n.fetches for n in simulation.nodes)
 
     # every pivots step ran once and counted what it checked
     assert set(layers._PIVOT_STEPS) == {"classify", "write_report",

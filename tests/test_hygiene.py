@@ -2,7 +2,8 @@
 every function, class and method it defines is named elsewhere in it, every
 parameter and every settable config field is read, one module owns
 switching the cyclic garbage collector, only `make_strategy` reads the
-protocol in adversary.py, and the third-party packages it imports are its
+protocol in adversary.py, only netenv.py and sim.py see the environment's
+cloud and partition, and the third-party packages it imports are its
 declared dependencies.  No test file writes out a digest: every pin is in
 tests/pins.json.
 
@@ -350,6 +351,40 @@ def test_the_check_sees_protocol_reads():
     assert protocol_reads(source) == ["line 1: PROTOCOL_POS",
                                       "line 4: PROTOCOL_SAPOS",
                                       "line 4: protocol"]
+
+
+# A node is blind to the partition: it learns what the cloud shows it only
+# from the requests it makes and the notices the simulation sends.
+def environment_reads(source: str) -> list[str]:
+    """Lines that name an environment's content cloud or partition: a
+    `cloud` or `partition` attribute, or the `Partition` class."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ("cloud", "partition")):
+            out.append(f"line {node.lineno}: {node.attr}")
+        elif "Partition" in (getattr(node, "id", None),
+                             getattr(node, "name", None)):
+            out.append(f"line {node.lineno}: Partition")
+    return sorted(out)
+
+
+def test_only_the_environment_and_the_simulation_see_the_cloud():
+    seeing = {path.name for path in MODULES
+              if environment_reads(path.read_text(encoding="utf-8"))}
+    assert seeing == {"netenv.py", "sim.py"}
+
+
+def test_the_check_sees_environment_reads():
+    source = ("from .netenv import Environment, Partition\n"
+              "cloud = {}\n"
+              "memo = self.env.cloud.keys()\n"
+              "env.partition.blocks(0, 1, slot)\n"
+              "duration = attack.partition_duration\n"
+              "x = pm.ATTACK_PARTITION\n")
+    assert environment_reads(source) == ["line 1: Partition",
+                                         "line 3: cloud",
+                                         "line 4: partition"]
 
 
 # trace.collector_paused is the one place that switches the collector or

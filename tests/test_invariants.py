@@ -202,8 +202,7 @@ def test_lamed_scheduler_is_flagged_idle():
     """A node that sits on a full budget while work is pending violates the
     non-idleness invariant; the in-run sink must notice."""
     sim_obj = sim.Simulation(secure_scenario(horizon=1500), seed=4)
-    victim = sim_obj.honest_ids[0]
-    sim_obj.nodes[victim].process_step = lambda slot: None
+    sim_obj.nodes[0].process_step = lambda slot: None
     metrics = sim_obj.run()
     assert metrics.audits["idle_violations"] > 0
     assert not metrics.audits["clean"]

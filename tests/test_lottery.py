@@ -227,7 +227,7 @@ def test_an_opportunity_is_its_own_key():
     carrier = store.extend(BpoId(5, 2, True, 0), a.id,
                            store.make_content().commitment)
     for header_b, valid in ((twin, True), (other, False)):
-        proof = EquivocationProof(a.bpo, a.id, header_b.id, target=a.id)
+        proof = EquivocationProof(a.id, header_b.id, target=a.id)
         assert store.proof_meets_deadline(carrier, proof) is valid
 
 

@@ -130,7 +130,6 @@ def test_unavailable_request_is_free():
     outcome, paid = env.request_content(0, h, 0.0, slot=0)
     assert outcome is RequestOutcome.UNAVAILABLE and paid == 0.0
     assert env.meters[0].spent_total == 0.0
-    assert env.fetch_count[0] == 0
     env.upload_content(h, c, origin=0)
     assert env.request_content(0, h, 0.0, slot=1)[0] is RequestOutcome.FETCHED
 
@@ -146,7 +145,6 @@ def test_half_rate_fetch_completes_over_two_slots():
     assert outcome is RequestOutcome.THROTTLED and paid == pytest.approx(0.5)
     outcome, paid = env.request_content(0, h, 0.5, slot=1)
     assert outcome is RequestOutcome.FETCHED and paid == pytest.approx(0.5)
-    assert env.fetch_count[0] == 1
 
 
 def test_throttled_at_zero_budget_pays_nothing():
@@ -198,7 +196,7 @@ def memoise_unavailable(sim, node_ids, header, slot):
 
 def test_an_upload_wakes_exactly_the_nodes_that_memoised_it():
     sim = small_sim()
-    assert sim.honest_ids == [0, 1, 2, 3]
+    assert [node.id for node in sim.nodes] == [0, 1, 2, 3]
     # a spare content first: header ids and commitments then differ, so a
     # memo keyed by header id would wake node 2 on a's upload
     sim.store.make_content()
@@ -240,7 +238,7 @@ def test_a_memoised_commitment_is_not_requested_again():
 def test_the_heal_clears_only_memos_of_content_in_the_cloud():
     sim = small_sim(strategy=pm.ATTACK_PARTITION, partition_duration=3.0)
     heal = sim._heal_slot
-    far, near = sim.honest_ids[-1], sim.honest_ids[0]
+    far, near = sim.nodes[-1].id, sim.nodes[0].id
     assert sim.env.partition.blocks(near, far, heal - 1)
     sim.store.make_content()   # header ids and commitments differ
     across, content_across = mk_header(sim.store, slot=1)
@@ -250,12 +248,11 @@ def test_the_heal_clears_only_memos_of_content_in_the_cloud():
     memoise_unavailable(sim, [far], withheld, 3)
     outcome, _ = sim.env.request_content(far, across, 0.0, heal - 1)
     assert outcome is RequestOutcome.UNAVAILABLE
-    for node in sim.nodes.values():
-        node.partition_healed(heal)
+    sim._heal(heal)
     node = sim.nodes[far]
     assert node.wake == heal
     assert node.unavailable == {withheld.commitment}
-    assert not any(sim.nodes[n].active for n in sim.honest_ids if n != far)
+    assert not any(n.active for n in sim.nodes if n is not node)
     node.process_step(heal)
     assert across.id in node.processed
 
@@ -402,7 +399,7 @@ def test_a_wait_at_a_tiny_capacity_replays_no_further_than_the_horizon():
     sim.run()
     assert time.perf_counter() - start < 1.0
     assert all(n.throttled is not None and n.wake == 200
-               for n in sim.nodes.values())
+               for n in sim.nodes)
 
 
 # -- the request path ---------------------------------------------------------
@@ -459,9 +456,8 @@ def test_request_content_equals_the_composed_request(rate, halves, steps):
     """Two environments driven through the same uploads and requests, by
     random nodes at rising slots, with and without a partition and its
     heal: `request_content` on one and `request_oracle` on the other, with
-    reference meters, give the same (outcome, paid) bit for bit, the same
-    fetch counts, and meters whose tokens, spent totals and slots are
-    bit-equal."""
+    reference meters, give the same (outcome, paid) bit for bit, and
+    meters whose tokens, spent totals and slots are bit-equal."""
     partition = None
     if halves is not None:
         partition = Partition(dict(zip(NODES, halves[0])), heal_slot=halves[1])
@@ -488,7 +484,6 @@ def test_request_content_equals_the_composed_request(rate, halves, steps):
         got = env.request_content(node, header, paid, slot)
         want = request_oracle(ref, node, header, paid, slot)
         assert (got[0], got[1].hex()) == (want[0], want[1].hex())
-        assert env.fetch_count == ref.fetch_count
         assert meter_state(env) == meter_state(ref)
 
 

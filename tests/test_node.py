@@ -81,10 +81,24 @@ def test_a_header_verdict_is_computed_once_per_simulation(monkeypatch):
     sim.run()
     delivered = Counter(fields(row)["header"]
                         for row in sim.trace.of_kind(tr.HEADER_DELIVERED))
-    assert max(delivered.values()) == len(sim.honest_ids)
+    assert max(delivered.values()) == len(sim.nodes)
     assert delivered.keys() <= checked.keys()
     assert set(checked.values()) == {1}
     assert sim.store.verdicts == dict.fromkeys(checked, True)
+
+
+def test_each_node_counts_the_fetches_it_traces():
+    """A node counts its own fetches: on a PoS teaser run, each node's
+    count is the number of ContentFetched rows it wrote, and the run's
+    `fetches` is their sum."""
+    sim = Simulation(pm.scenario_from_dict(
+        matrix_scenario(pm.PROTOCOL_POS, pm.POLICY_LONGEST_HEADER_CHAIN)))
+    metrics = sim.run()
+    traced = Counter(fields(row)["node"]
+                     for row in sim.trace.of_kind(tr.CONTENT_FETCHED))
+    assert {n.id: n.fetches for n in sim.nodes} == {
+        n.id: traced[n.id] for n in sim.nodes}
+    assert metrics.fetches == sum(traced.values()) > 0
 
 
 def test_rogue_headers_are_rejected_by_every_node_of_a_simulation(monkeypatch):
@@ -107,8 +121,7 @@ def test_rogue_headers_are_rejected_by_every_node_of_a_simulation(monkeypatch):
 
     offender = mint(store.genesis, 1, node=5)
     twin = mint(store.genesis, 1, node=5)
-    proof = EquivocationProof(offender.bpo, offender.id, twin.id,
-                              target=offender.id)
+    proof = EquivocationProof(offender.id, twin.id, target=offender.id)
     chain = [offender]
     for i in range(k_epf + 1):
         chain.append(mint(chain[-1], 2 + i))
@@ -119,7 +132,7 @@ def test_rogue_headers_are_rejected_by_every_node_of_a_simulation(monkeypatch):
     store.headers[stale.id] = stale   # bypasses the store's mint checks
     for header in (stale, late):
         sim.push_to_honest(header, 40)
-    for node in sim.nodes.values():
+    for node in sim.nodes:
         assert node.invalid == {stale.id, late.id}
         assert node.dchain_tip not in node.invalid
         assert not node.invalid & node.seen_order.keys()
@@ -143,8 +156,7 @@ def test_a_carriers_verdict_follows_its_stores_rules():
 
         off_a = mint(store.genesis, 1, node=5)
         off_b = mint(store.genesis, 1, node=5)
-        proof = EquivocationProof(off_a.bpo, off_a.id, off_b.id,
-                                  target=off_a.id)
+        proof = EquivocationProof(off_a.id, off_b.id, target=off_a.id)
         chain = [off_a]
         for slot in (2, 3, 4):
             chain.append(mint(chain[-1], slot))
@@ -275,8 +287,7 @@ def test_sapos_intake_rejects_late_proof():
     rig = Rig(protocol=pm.PROTOCOL_SAPOS, k_epf=2, k_conf=7)
     off_a, _ = rig.grow(rig.store.genesis, 1, node_id=5)
     off_b, _ = rig.grow(rig.store.genesis, 1, node_id=5)
-    proof = EquivocationProof(off_a.bpo, off_a.id, off_b.id,
-                              target=off_a.id)
+    proof = EquivocationProof(off_a.id, off_b.id, target=off_a.id)
     chain = [off_a]
     for i in range(4):
         h, _ = rig.grow(chain[-1], 2 + i, node_id=1)

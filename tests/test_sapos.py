@@ -34,8 +34,7 @@ def test_proof_deadline_boundary():
     k_epf = 3
     store = sapos_store(k_epf)
     offender, twin = equivocating_pair(store)
-    proof = EquivocationProof(offender.bpo, offender.id, twin.id,
-                              target=offender.id)
+    proof = EquivocationProof(offender.id, twin.id, target=offender.id)
     # carriers at depth 0..k_epf above the target are valid, one more is not
     chain = chain_on(store, offender, k_epf + 2, start_slot=10)
     for carrier in chain[:k_epf + 1]:
@@ -46,8 +45,7 @@ def test_proof_deadline_boundary():
 def test_proof_target_must_be_on_carrier_chain():
     store = sapos_store()
     offender, twin = equivocating_pair(store)
-    proof = EquivocationProof(offender.bpo, offender.id, twin.id,
-                              target=offender.id)
+    proof = EquivocationProof(offender.id, twin.id, target=offender.id)
     # carrier extends the twin, not the offender
     side = chain_on(store, twin, 1, start_slot=10)[0]
     assert not store.proof_meets_deadline(side, proof)
@@ -58,14 +56,12 @@ def test_proof_needs_real_equivocation():
     offender, twin = equivocating_pair(store)
     other_block = chain_on(store, store.genesis, 1, start_slot=5)[0]
     carrier = chain_on(store, offender, 1, start_slot=10)[0]
-    same = EquivocationProof(offender.bpo, offender.id, offender.id,
-                             target=offender.id)
+    same = EquivocationProof(offender.id, offender.id, target=offender.id)
     assert not store.proof_meets_deadline(carrier, same)
-    unrelated = EquivocationProof(offender.bpo, offender.id,
-                                  other_block.id, target=offender.id)
+    unrelated = EquivocationProof(offender.id, other_block.id,
+                                  target=offender.id)
     assert not store.proof_meets_deadline(carrier, unrelated)
-    off_target = EquivocationProof(offender.bpo, offender.id, twin.id,
-                                   target=other_block.id)
+    off_target = EquivocationProof(offender.id, twin.id, target=other_block.id)
     assert not store.proof_meets_deadline(carrier, off_target)
 
 
@@ -83,8 +79,7 @@ def twins(rig, honest):
 
 def proven(rig, offender, twin):
     """Two blocks on `offender`, the first carrying the proof against it."""
-    proof = EquivocationProof(offender.bpo, offender.id, twin.id,
-                              target=offender.id)
+    proof = EquivocationProof(offender.id, twin.id, target=offender.id)
     carrier, _ = rig.grow(offender, 10, proofs=(proof,))
     return [carrier, rig.grow(carrier, 11)[0]]
 

@@ -267,23 +267,24 @@ def test_every_cp_is_a_pp_and_not_every_pp_a_cp():
 
 def test_the_partition_heal_clears_memos():
     """The pinned partition run reaches its heal with nodes that memoised
-    content uploaded across the split as unavailable: the heal clears
-    those memos, once per node, and keeps only memos of content not yet
-    in the cloud."""
+    content uploaded across the split as unavailable: the heal, once,
+    clears every memo of content in the cloud, and keeps only memos of
+    content not yet uploaded."""
     sim = Simulation(pm.scenario_from_dict(RUNS["pos-partition-spv"]))
     heal = sim._heal_slot
     healed, cleared = [], []
-    for node in sim.nodes.values():
-        def partition_healed(slot, node=node, inner=node.partition_healed):
-            before = set(node.unavailable)
-            inner(slot)
-            after = set(node.unavailable)
-            assert not after & sim.env.cloud.keys()
-            healed.append((slot, node.id))
-            cleared.extend((node.id, c) for c in before - after)
-        node.partition_healed = partition_healed
+
+    def watched(slot, inner=sim._heal):
+        before = [set(node.unavailable) for node in sim.nodes]
+        inner(slot)
+        cloud = sim.env.cloud.keys()
+        for node, memo in zip(sim.nodes, before):
+            assert node.unavailable == memo - cloud
+            cleared.extend((node.id, c) for c in memo & cloud)
+        healed.append(slot)
+    sim._heal = watched
     sim.run()
-    assert sorted(healed) == [(heal, n) for n in sim.honest_ids]
+    assert healed == [heal]
     assert cleared
 
 

@@ -52,7 +52,7 @@ def record_steps(sim):
     """Record (slot, node) of every process_step call, and every slot the
     loop visits."""
     steps, visited = [], []
-    for n, node in sim.nodes.items():
+    for n, node in enumerate(sim.nodes):
         def step(slot, n=n, inner=node.process_step):
             steps.append((slot, n))
             inner(slot)
@@ -136,7 +136,7 @@ def test_wake_slots_match_per_slot_polling_at_the_tip_cap():
     """Equivocation spam on plain PoS fills the 100-tip scheduler, so a
     node's own production evicts tips while it sleeps on a download."""
     sim, _ = assert_same_run(pm.scenario_from_dict(TIP_CAP_RUN))
-    assert sum(n.tip_evictions for n in sim.nodes.values()) > 0
+    assert sum(n.tip_evictions for n in sim.nodes) > 0
 
 
 def test_wake_slots_match_per_slot_polling_when_blanking():
@@ -151,7 +151,7 @@ def test_wake_slots_match_per_slot_polling_when_blanking():
 # The fast mechanisms, by the class that holds them: the stack has its own
 # version of each or never reaches it.
 FAST_PATHS = {
-    Simulation: ("run", "_advance"),
+    Simulation: ("run", "_advance", "_heal"),
     Node: ("schedule_target", "_insert_chain", "_admit_at_cap",
            "_rekey_greedy", "_replans", "settle"),
     CapacityMeter: ("draw", "completion_slot", "spend_refills",
@@ -178,32 +178,37 @@ def take_fast_layer(ref, cls):
     and request path."""
     env, p = ref.env, ref.params
     if cls is Simulation:
-        ref.run = MethodType(Simulation.run, ref)
-        ref._advance = MethodType(Simulation._advance, ref)
+        for name in FAST_PATHS[Simulation]:
+            setattr(ref, name, MethodType(getattr(Simulation, name), ref))
     elif cls is Node:
-        ref.nodes = {n: Node(n, ref.store, env, ref.trace,
-                             ref.scenario.policy, ref.scenario.k_conf,
-                             ref.sink, ref.front) for n in ref.honest_ids}
-        ref._node_list = list(ref.nodes.values())
+        ref.nodes = [Node(n, ref.store, env, ref.trace, ref.scenario.policy,
+                          ref.scenario.k_conf, ref.sink, ref.front)
+                     for n in p.honest_nodes]
     elif cls is CapacityMeter:
         env.meters = {n: CapacityMeter(p.capacity * p.tau, p.horizon_slots)
                       for n in env.node_ids}
-        for node in ref.nodes.values():
+        for node in ref.nodes:
             node.meter = env.meters[node.id]
     else:
         for name in FAST_PATHS[Environment] + ("next_delivery_slot",):
             delattr(env, name)
 
 
+# the pinned partition run: its heal clears memos of content uploaded
+# across the split, which no matrix config's heal does
+PARTITION_RUN = RUNS["pos-partition-spv"]
+
+
 @pytest.mark.parametrize("config", [
     matrix_dict(pm.PROTOCOL_SAPOS, pm.ATTACK_POS_TEASER, pm.POLICY_GREEDY,
                 0.33, False),
-    TIP_CAP_RUN], ids=["covering", "tip-cap"])
+    TIP_CAP_RUN, PARTITION_RUN], ids=["covering", "tip-cap", "partition"])
 def test_the_stack_runs_with_every_fast_mechanism_raising(config,
                                                           monkeypatch):
-    """On the covering config with SaPoS, the tease and greedy, and on the
-    run that reaches the tip cap, the stack writes the simulator's run
-    with every fast mechanism raising if called."""
+    """On the covering config with SaPoS, the tease and greedy, on the run
+    that reaches the tip cap, and on a partition with its heal, the stack
+    writes the simulator's run with every fast mechanism raising if
+    called."""
     scenario = pm.scenario_from_dict(config)
     sim = Simulation(scenario)
     metrics = sim.run()
@@ -218,6 +223,9 @@ def test_the_stack_runs_with_every_fast_mechanism_raising(config,
 # a stack reaches these only through the fast layers named
 REACHED_THROUGH = {"settle": (Simulation,),
                    "spend_refills": (Simulation, CapacityMeter)}
+# the run that reaches a name, where it is not the tip-cap run: only a
+# partition heals
+RUN_OF = {"_heal": PARTITION_RUN}
 
 
 @pytest.mark.parametrize("cls,name", [(cls, name) for cls, names
@@ -226,7 +234,8 @@ REACHED_THROUGH = {"settle": (Simulation,),
 def test_a_stack_that_inherits_a_fast_mechanism_trips_the_guard(
         cls, name, monkeypatch):
     trip(monkeypatch, cls, name)
-    ref = PollingSimulation(pm.scenario_from_dict(TIP_CAP_RUN))
+    ref = PollingSimulation(pm.scenario_from_dict(RUN_OF.get(name,
+                                                             TIP_CAP_RUN)))
     for layer in REACHED_THROUGH.get(name, (cls,)):
         take_fast_layer(ref, layer)
     with pytest.raises(FastPathCalled, match=f"^{cls.__name__}.{name}$"):
@@ -253,7 +262,7 @@ def noop_steps(sim):
     """Record every step that ends throttled on the download it began on
     and emits nothing: a step that a kept plan makes unnecessary."""
     noops, steps = [], []
-    for n, node in sim.nodes.items():
+    for n, node in enumerate(sim.nodes):
         def step(slot, n=n, node=node, inner=node.process_step):
             before = (node.throttled, len(sim.trace))
             inner(slot)
@@ -289,7 +298,7 @@ def test_a_kept_plan_is_reused_without_walking_the_tips():
         matrix_scenario(pm.PROTOCOL_POW, pm.POLICY_LONGEST_HEADER_CHAIN)))
     walked = [0]
     reuses = []
-    for node in sim.nodes.values():
+    for node in sim.nodes:
         def pending_for(tip_id, inner=node._pending_for):
             walked[0] += 1
             return inner(tip_id)
@@ -319,7 +328,7 @@ def test_the_feed_does_not_pin_the_loop_to_every_slot():
     assert trace_bytes(sim) == trace_bytes(ref)
     assert len(ref_visited) == scenario.sim.horizon_slots
     assert len(visited) < scenario.sim.horizon_slots
-    assert any(n.included_txids for n in sim.nodes.values())
+    assert any(n.included_txids for n in sim.nodes)
 
 
 # -- scripted edges -----------------------------------------------------------
@@ -397,9 +406,9 @@ def run_both(script, **kw):
     sim, ref = sims
     assert trace_bytes(sim) == trace_bytes(ref)
     assert metrics[0] == metrics[1]
-    for n in sim.honest_ids:
-        assert sim.env.meters[n].spent_total == ref.env.meters[n].spent_total
-        assert sim.nodes[n].partial == ref.nodes[n].partial
+    for node, ref_node in zip(sim.nodes, ref.nodes):
+        assert node.meter.spent_total == ref_node.meter.spent_total
+        assert node.partial == ref_node.partial
     return sims, records
 
 
@@ -645,7 +654,7 @@ def test_chain_counts_match_a_rebuild_after_every_switch(protocol, attack,
         cfg["attack"]["sacrifice_every"] = 1
     sim = Simulation(pm.scenario_from_dict(cfg))
     switches = 0
-    for node in sim.nodes.values():
+    for node in sim.nodes:
         def after(header_id, slot, node=node, inner=node._after_processed):
             nonlocal switches
             tip = node.dchain_tip
@@ -657,9 +666,9 @@ def test_chain_counts_match_a_rebuild_after_every_switch(protocol, attack,
         node._after_processed = after
     sim.run()
     assert switches > 0
-    assert any(n.included_txids for n in sim.nodes.values())
+    assert any(n.included_txids for n in sim.nodes)
     if protocol == pm.PROTOCOL_SAPOS:
-        assert any(n.proofed_targets for n in sim.nodes.values())
+        assert any(n.proofed_targets for n in sim.nodes)
 
 
 @pytest.mark.parametrize("protocol,attack,policy,rate,txgen",
@@ -674,7 +683,7 @@ def test_honest_height_is_the_max_over_the_nodes(protocol, attack, policy,
     checks = []
 
     def check():
-        highest = max(n.dchain_height for n in sim.nodes.values())
+        highest = max(n.dchain_height for n in sim.nodes)
         assert sim.front.height == highest
         checks.append(highest)
 
