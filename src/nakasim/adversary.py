@@ -87,11 +87,11 @@ class Strategy:
                private: bool = False) -> BlockHeader:
         """Mint and record one adversary block on `parent` for `bpo`, under
         the run's opportunity rule.  It carries `content`, or else a fresh
-        empty content of the opportunity's node, kept in the store."""
+        empty content, kept in the store."""
         if content is None:
-            content = self.store.make_content((), producer=bpo.node)
+            content = self.store.make_content()
         header = self.store.extend(bpo, parent, content.commitment)
-        self.sim.record_block(header, slot, "adversary", private=private)
+        self.sim.record_block(header, slot, private=private)
         return header
 
     def _announce(self, headers: list[BlockHeader], content: Optional[int],
@@ -213,7 +213,7 @@ class CopyTeaserAttack(TeaserAttack):
         self.revealed: list[Content] = []   # each copy's first content, oldest first
 
     def _reveal(self, want: int, slot: int) -> tuple[list[BlockHeader], int]:
-        fresh = self.store.make_content((), producer=self.priv[0].bpo.node)
+        fresh = self.store.make_content()
         self.revealed.append(fresh)
         parent = self.fork_id
         headers = []

@@ -3,6 +3,8 @@
 Per-slot honest and adversary wins are independent Poisson draws taken from a
 counter-based generator, so the outcome of any slot is a pure function of
 (seed, slot, stream) and runs replay byte-identically.
+
+A block's producer is its header's `bpo.node`, recorded nowhere else.
 """
 from __future__ import annotations
 
@@ -163,7 +165,6 @@ class BlockHeader:
 class Content:
     commitment: int
     txs: tuple = ()
-    producer: int = -1
 
 
 GENESIS_ID = 0
@@ -192,16 +193,14 @@ class HeaderStore:
         genesis_bpo = BpoId(slot=-1, node=-1, honest=True, seq=0)
         self.genesis = BlockHeader(GENESIS_ID, None, genesis_bpo, 0, 0)
         self.headers: dict[int, BlockHeader] = {GENESIS_ID: self.genesis}
-        self.contents: dict[int, Content] = {0: Content(0, (), -1)}
+        self.contents: dict[int, Content] = {0: Content(0)}
         self.spent: set[BpoId] = set()      # PoW opportunities minted
         self._pos_identity: dict[tuple, BlockHeader] = {}
         self.verdicts: dict[int, bool] = {}   # header id -> `valid`
         self._next_header = 1
-        self._next_commitment = 1
 
-    def make_content(self, txs: tuple = (), producer: int = -1) -> Content:
-        c = Content(self._next_commitment, tuple(txs), producer)
-        self._next_commitment += 1
+    def make_content(self, txs: tuple = ()) -> Content:
+        c = Content(len(self.contents), tuple(txs))   # the next commitment
         self.contents[c.commitment] = c
         return c
 

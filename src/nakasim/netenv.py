@@ -9,8 +9,9 @@ entry, or two while a partition withholds the header from half the nodes.
 Content is pulled from a shared insert-only cloud and every fetched block
 costs one unit of the requesting node's token budget, refilled at
 capacity * tau per slot with at most one block of carry-over.
-A request reads the cloud once, for the content's origin, and tests the
-partition only while there is one; content the node cannot see is free.
+The cloud is the set of uploaded commitments, and a block's producer
+(`header.bpo.node`) is the origin that a broadcast skips and a partition
+tests; content the node cannot see is free.
 A visible request makes one meter call, `CapacityMeter.draw`, which
 refills, applies the fetch test and spends.  The environment keeps no
 per-node record besides the meters: each node counts its fetches and
@@ -161,7 +162,8 @@ class CapacityMeter:
 @dataclass
 class Partition:
     """Scenario override: nodes in two halves, cross-half traffic withheld
-    until the heal slot."""
+    until the heal slot.  `half_of` maps the honest nodes; every other
+    producer (the SPV miners, the adversary) is in half 0."""
 
     half_of: dict[int, int]
     heal_slot: int
@@ -183,7 +185,7 @@ class Environment:
         self.partition = partition
         self.meters = {p: CapacityMeter(rate_per_slot, horizon_slots)
                        for p in self.node_ids}
-        self.cloud: dict[int, int] = {}   # commitment -> origin node
+        self.cloud: set[int] = set()   # the commitments uploaded
         # (deliver_slot, seq, recipients, header) kept in a heap for
         # skip-ahead; seq keeps entries of one slot in the order queued
         self._queue: list[tuple[int, int, tuple[int, ...], BlockHeader]] = []
@@ -191,12 +193,13 @@ class Environment:
 
     # -- headers ------------------------------------------------------------
 
-    def broadcast_header(self, header: BlockHeader, origin: int, slot: int) -> None:
-        """Enqueue for every node but the origin; each header is broadcast
+    def broadcast_header(self, header: BlockHeader, slot: int) -> None:
+        """Enqueue for every node but its producer; each header is broadcast
         once, when it is minted.  Delivery happens at the forced deadline,
         or at the partition heal when the split withholds it: one queue
         entry per delivery slot, its recipients in node order."""
         deliver = slot + self.delay_slots
+        origin = header.bpo.node
         others = tuple(p for p in self.node_ids if p != origin)
         part = self.partition
         if part is None or deliver >= part.heal_slot:
@@ -230,8 +233,7 @@ class Environment:
 
     # -- content ------------------------------------------------------------
 
-    def upload_content(self, header: BlockHeader, content: Content,
-                       origin: int) -> bool:
+    def upload_content(self, header: BlockHeader, content: Content) -> bool:
         """Insert-only: returns False when the commitment was already stored.
         Raises CommitmentMismatch when content does not match the header."""
         if content.commitment != header.commitment:
@@ -239,7 +241,7 @@ class Environment:
                 f"content {content.commitment} vs header commitment {header.commitment}")
         if content.commitment in self.cloud:
             return False
-        self.cloud[content.commitment] = origin
+        self.cloud.add(content.commitment)
         return True
 
     def request_content(self, node: int, header: BlockHeader,
@@ -247,13 +249,11 @@ class Environment:
                         ) -> tuple[RequestOutcome, float]:
         """Attempt to download `header`'s content. Returns (outcome, newly
         paid fraction). The content is unavailable, at no cost, unless the
-        cloud holds it (one read, for its origin) and no partition withholds
-        it from `node`.  A visible request is one `CapacityMeter.draw`; a
-        throttled one pays out the remaining budget as partial progress."""
-        origin = self.cloud.get(header.commitment)
-        if origin is None:
-            return UNAVAILABLE, 0.0
+        cloud holds it and no partition withholds it from `node`.  A visible
+        request is one `CapacityMeter.draw`; a throttled one pays out the
+        remaining budget as partial progress."""
         part = self.partition
-        if part is not None and part.blocks(origin, node, slot):
+        if header.commitment not in self.cloud or (
+                part is not None and part.blocks(header.bpo.node, node, slot)):
             return UNAVAILABLE, 0.0
         return self.meters[node].draw(1.0 - already_paid, slot)

@@ -552,7 +552,7 @@ class Node:
         feed still yields an (empty) block."""
         txs = self._take_txs(slot)
         proofs = self._attach_proofs() if self.sapos else ()
-        content = self.store.make_content(txs, producer=self.id)
+        content = self.store.make_content(txs)
         header = self.store.extend(bpo, self.dchain_tip, content.commitment,
                                    proofs)
         for proof in proofs:

@@ -83,10 +83,9 @@ class SimParams:
     def adversary_nodes(self) -> tuple[int, ...]:
         return tuple(range(self.n_nodes - self.n_adversary, self.n_nodes))
 
-    @property
-    def delay_slots(self) -> int:
-        """Forced header delivery delay, in whole slots."""
-        return math.ceil(self.delta_h / self.tau - 1e-12)
+    def slots(self, seconds: float) -> int:
+        """`seconds` rounded up to whole slots; a float error adds no slot."""
+        return math.ceil(seconds / self.tau - 1e-12)
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:

@@ -43,6 +43,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from . import params as pm
 from . import trace as tr
 
 
@@ -169,7 +170,7 @@ def classify(run_trace: tr.Trace, nu: int) -> IndexSeries:
     for slot, _, b in run_trace.of_kind(tr.BLOCK_PRODUCED):
         header = b[_HEADER]
         headers[header] = b
-        if b[_CLS] == "honest":
+        if b[_CLS] == tr.CLS_HONEST:
             rivals = produced_at.get(b[_BPO_SLOT])
             if rivals is None:
                 produced_at[b[_BPO_SLOT]] = [header]
@@ -381,7 +382,7 @@ def audit_budget(series: IndexSeries, c_tilde: float) -> AuditResult:
     the trace is) and a scan of the fetches inside [t, t + nu] only."""
     result = AuditResult("download-budget", True)
     if (c_tilde is None or c_tilde <= 0.0
-            or series.meta.get("policy") != "longest-header-chain"):
+            or series.meta.get("policy") != pm.POLICY_LONGEST_HEADER_CHAIN):
         result.inconclusive = True
         return result
     table, processed = series.headers, series.processed
@@ -432,7 +433,7 @@ def audit_single_fetch(series: IndexSeries) -> AuditResult:
     equals.  The fetches are scanned for a repeated key only when some key
     repeats."""
     fetches = series.fetches
-    opportunity = {} if series.meta.get("protocol") == "pos" else {
+    opportunity = {} if series.meta.get("protocol") == pm.PROTOCOL_POS else {
         header: (b[_BPO_SLOT], b[_BPO_NODE], b[_BPO_SEQ])
         for header, b in series.headers.items()}
     result = AuditResult("single-fetch", True, checked=len(fetches))
@@ -527,7 +528,7 @@ def audit_blanking(series: IndexSeries) -> AuditResult:
     for block in sorted(blanked):
         info = table.get(block)
         result.checked += 1
-        if info is not None and info[_CLS] == "honest":
+        if info is not None and info[_CLS] == tr.CLS_HONEST:
             result.fail({"block": block, "reason": "honest block blanked"})
         if k_epf is not None:
             depth = proof_depth.get(block)
@@ -629,7 +630,7 @@ def analyze_trace(run_trace: tr.Trace, nu: int, c_tilde: Optional[float],
         audit_capacity(series),
         audit_ledger_safety(series),
     ]
-    if series.meta.get("protocol") == "sapos":
+    if series.meta.get("protocol") == pm.PROTOCOL_SAPOS:
         audits.append(audit_blanking(series))
     report = PivotReport(
         nu=nu, c_tilde=c_tilde, k_cp=k_cp,

@@ -7,7 +7,7 @@ A slot's wins go to three producers: honest nodes (`_honest_produce`),
 the adversary strategy (`Strategy.on_adversary_bpo`) and header-only SPV
 miners (`_spv_produce`).  All three mint through `HeaderStore.extend`: the
 store is built with the run's protocol and k_epf, and owns its header
-rules.
+rules.  A block's class (`producer_class`) is read from its header.
 The loop visits only slots where something happens: a lottery win, a queued
 delivery, the partition heal, or a node's wake slot.  The lottery is drawn
 before the run, which walks its busy slots with a cursor.  A node is
@@ -28,7 +28,7 @@ leaves none for the next allocation either (`trace.collector_paused`).
 from __future__ import annotations
 
 import functools
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -42,6 +42,13 @@ from .netenv import Environment, Partition
 from .node import HonestFront, Node
 
 SPV_NODE = -2   # the producer of header-only blocks
+
+
+def producer_class(bpo: BpoId) -> str:
+    """The class of the producer of a block minted on `bpo`."""
+    if bpo.honest:
+        return tr.CLS_HONEST
+    return tr.CLS_SPV if bpo.node == SPV_NODE else tr.CLS_ADVERSARY
 
 
 class AuditSink:
@@ -140,11 +147,11 @@ class Simulation:
         if attack.strategy == pm.ATTACK_PARTITION:
             n_h = len(p.honest_nodes)
             half = {n: (0 if n < n_h // 2 else 1) for n in p.honest_nodes}
-            self._heal_slot = math.ceil(attack.partition_duration / p.tau)
+            self._heal_slot = p.slots(attack.partition_duration)
             partition = Partition(half, self._heal_slot)
 
         self.env = Environment(p.honest_nodes, p.capacity * p.tau,
-                               p.delay_slots, p.horizon_slots, partition)
+                               p.slots(p.delta_h), p.horizon_slots, partition)
         self.sink = AuditSink(self.store)
         self.front = HonestFront()
         # the honest ids are 0..n_h-1
@@ -179,10 +186,10 @@ class Simulation:
         if header.height > self._announced[0]:
             self._announced = (header.height, header.id)
 
-    def upload(self, header, content, slot: int, origin: int = -1) -> None:
+    def upload(self, header, content, slot: int) -> None:
         """Store the content in the cloud and, if it was new, notify."""
         commitment = content.commitment
-        if self.env.upload_content(header, content, origin=origin):
+        if self.env.upload_content(header, content):
             self._notify(commitment, slot)
             self.trace.emit(slot, tr.CONTENT_UPLOADED, commitment, header.id)
 
@@ -198,22 +205,24 @@ class Simulation:
         visible: the notice of each commitment that the cloud and some
         node's memo hold.  Memos of content not yet uploaded stay."""
         memos = set().union(*(node.unavailable for node in self.nodes))
-        for commitment in memos & self.env.cloud.keys():
+        for commitment in memos & self.env.cloud:
             self._notify(commitment, slot)
         self._heal_slot = None
 
-    def broadcast(self, header, slot: int, origin: int = -1) -> None:
-        self.env.broadcast_header(header, origin, slot)
+    def _publish(self, header, content, slot: int) -> None:
+        """Trace an open block, upload its content and broadcast its header."""
+        self.record_block(header, slot)
+        self.upload(header, content, slot)
+        self.env.broadcast_header(header, slot)
         self._update_announced(header)
 
-    def record_block(self, header, slot: int, cls: str,
-                     private: bool = False) -> None:
-        """Trace one production: every field but the producer's class and
-        whether the block is withheld is read from the header."""
+    def record_block(self, header, slot: int, private: bool = False) -> None:
+        """Trace one production: every field but whether the block is
+        withheld is read from the header."""
         bpo = header.bpo
         self.trace.emit(slot, tr.BLOCK_PRODUCED, bpo.node, header.id,
                         header.parent_id, header.height, bpo.slot, bpo.node,
-                        bpo.seq, cls, private)
+                        bpo.seq, producer_class(bpo), private)
 
     def push_to_honest(self, header, slot: int) -> None:
         for node in self.nodes:
@@ -321,22 +330,17 @@ class Simulation:
         return self._finalize()
 
     def _honest_produce(self, bpo: BpoId, slot: int) -> None:
-        node = self.nodes[bpo.node]
-        header, content = node.try_produce(bpo, slot)
-        self.record_block(header, slot, "honest")
-        self.upload(header, content, slot, origin=bpo.node)
-        self.broadcast(header, slot, origin=bpo.node)
+        header, content = self.nodes[bpo.node].try_produce(bpo, slot)
+        self._publish(header, content, slot)
         self.strategy.on_honest_block(header, slot)
 
     def _spv_produce(self, bpo: BpoId, slot: int) -> None:
         """A header-only miner extends the longest announced header chain
         with an empty block, available at once; SPV wins never count as
         honest, and the strategy sees them graft onto its private chain."""
-        content = self.store.make_content((), producer=SPV_NODE)
+        content = self.store.make_content()
         header = self.store.extend(bpo, self._announced[1], content.commitment)
-        self.record_block(header, slot, "spv")
-        self.upload(header, content, slot)
-        self.broadcast(header, slot)
+        self._publish(header, content, slot)
         self.strategy.on_external_block(header)
 
     def _check_non_idleness(self, node: Node, slot: int) -> None:
@@ -371,14 +375,8 @@ class Simulation:
         lam_hon = (1.0 - p.beta) * p.rho / p.tau
         l_min = self.min_honest_height()
         growth = l_min / elapsed
-        honest_blocks = adv_blocks = spv_blocks = 0
-        for hdr in self.store.headers.values():
-            if hdr.bpo.honest:
-                honest_blocks += 1
-            elif hdr.bpo.node == SPV_NODE:
-                spv_blocks += 1
-            else:
-                adv_blocks += 1
+        blocks = Counter(producer_class(hdr.bpo)
+                         for hdr in self.store.headers.values())
         util = [m.spent_total / (m.rate * p.horizon_slots)
                 for m in self.env.meters.values() if m.rate > 0]
         nodes = self.nodes
@@ -390,9 +388,9 @@ class Simulation:
             growth_blocks=l_min,
             lambda_grwth=growth,
             growth_normalized=growth / lam_hon if lam_hon > 0 else 0.0,
-            honest_blocks=honest_blocks,
-            adversary_blocks=adv_blocks,
-            spv_blocks=spv_blocks,
+            honest_blocks=blocks[tr.CLS_HONEST],
+            adversary_blocks=blocks[tr.CLS_ADVERSARY],
+            spv_blocks=blocks[tr.CLS_SPV],
             max_tip_height=self._announced[0],
             agreed_height=self.agreed_height(),
             final_lead=self._last_lead,

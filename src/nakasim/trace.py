@@ -121,6 +121,8 @@ LAYOUTS: dict[str, dict[str, str]] = {
     LEAD_SAMPLE: {"lead": "int"},
     LEDGER_OUTPUT: {"node": "int", "len": "int", "tip": "int"},
 }
+# the producer classes a BlockProduced row's `cls` takes
+CLS_HONEST, CLS_ADVERSARY, CLS_SPV = "honest", "adversary", "spv"
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _STRING = (encode_basestring_ascii if _ENCODER.ensure_ascii

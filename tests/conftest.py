@@ -71,11 +71,11 @@ class Rig:
              honest=True, proofs=()):
         """Mint one child of `parent` under the store's protocol and (by
         default) upload its content."""
-        content = self.store.make_content(txs=txs, producer=node_id)
+        content = self.store.make_content(txs=txs)
         header = self.store.extend(BpoId(slot, node_id, honest, seq),
                                    parent.id, content.commitment, proofs)
         if upload:
-            self.env.upload_content(header, content, origin=node_id)
+            self.env.upload_content(header, content)
         return header, content
 
     def chain(self, length, start_slot=1, parent=None, slot_step=1, **kw):

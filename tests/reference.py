@@ -283,7 +283,7 @@ class ReferenceNode(nd.Node):
     def try_produce(self, bpo, slot):
         txs = self._take_txs(slot)
         proofs = self._attach_proofs() if self.sapos else ()
-        content = self.store.make_content(txs, producer=self.id)
+        content = self.store.make_content(txs)
         header = self.store.extend(bpo, self.dchain_tip, content.commitment,
                                    proofs)
         for proof in proofs:
@@ -365,13 +365,12 @@ class ReferenceMeter(CapacityMeter):
 
 def request_oracle(env, node, header, already_paid, slot):
     """The request as composed before it read the cloud inline: a
-    visibility test, then one `draw` of the node's meter.  Kept as the
-    reference `request_content` must equal, on an environment of
-    `ReferenceMeter`s."""
-    cloud, part = env.cloud, env.partition
-    commitment = header.commitment
-    if commitment not in cloud or (
-            part is not None and part.blocks(cloud[commitment], node, slot)):
+    visibility test of the content and of its producer's half, then one
+    `draw` of the node's meter.  Kept as the reference `request_content`
+    must equal, on an environment of `ReferenceMeter`s."""
+    part = env.partition
+    if header.commitment not in env.cloud or (
+            part is not None and part.blocks(header.bpo.node, node, slot)):
         return RequestOutcome.UNAVAILABLE, 0.0
     return env.meters[node].draw(1.0 - already_paid, slot)
 
@@ -387,7 +386,8 @@ class PerRecipientQueue:
         self._queue = []
         self._seq = 0
 
-    def broadcast_header(self, header, origin, slot):
+    def broadcast_header(self, header, slot):
+        origin = header.bpo.node
         for p in self.node_ids:
             if p == origin:
                 continue

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package imports is used in it,
 every function, class and method it defines is named elsewhere in it, every
-parameter and every settable config field is read, one module owns
+parameter, every settable config field and every field of the lottery's
+records and of the partition is read, one module owns
 switching the cyclic garbage collector, only `make_strategy` reads the
 protocol in adversary.py, only netenv.py and sim.py see the environment's
 cloud and partition, and the third-party packages it imports are its
@@ -18,6 +19,7 @@ from collections import Counter, defaultdict
 import pytest
 
 import nakasim
+from nakasim import lottery, netenv
 from nakasim import params as pm
 from nakasim import trace as tr
 
@@ -268,6 +270,24 @@ def test_the_check_sees_unread_fields():
         "b.py": "use(cfg.y)\ncfg.w = 1\n",
     }
     assert unread_fields(sources, {"A": ["x", "y", "z", "w"]}) == ["A.x", "A.w"]
+
+
+# A field of a run's records that nothing reads states again what another
+# record holds: a block's producer, say, is its header's `bpo.node`.
+RECORDS = (lottery.BpoId, lottery.BlockHeader, lottery.Content,
+           lottery.EquivocationProof, netenv.Partition)
+
+
+def record_fields(cls) -> list[str]:
+    """The field names of a named tuple or a dataclass."""
+    if hasattr(cls, "_fields"):
+        return list(cls._fields)
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def test_every_record_field_is_read():
+    settable = {cls.__name__: record_fields(cls) for cls in RECORDS}
+    assert unread_fields(package_sources(), settable) == []
 
 
 # The opportunity rule (PoW refuses a second header per opportunity, PoS

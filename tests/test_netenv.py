@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from nakasim import netenv
 from nakasim import params as pm
-from nakasim.lottery import BpoId, Content, HeaderStore
+from nakasim.lottery import BlockHeader, BpoId, HeaderStore
 from nakasim.netenv import (FETCH_SLACK, CapacityMeter, CommitmentMismatch,
                             Environment, Partition, RequestOutcome)
 from nakasim.sim import Simulation
@@ -22,10 +22,11 @@ from reference import PerRecipientQueue, ReferenceMeter, request_oracle
 from test_trace_digests import attack_scenario
 
 
-def mk_header(store, slot=1, parent=None):
+def mk_header(store, slot=1, parent=None, producer=0):
+    """A header minted on a win of `producer` in `slot`, and its content."""
     parent = parent if parent is not None else store.genesis.id
     c = store.make_content()
-    return store.extend(BpoId(slot, slot, True, 0), parent,
+    return store.extend(BpoId(slot, producer, True, 0), parent,
                         c.commitment), c
 
 
@@ -49,7 +50,7 @@ def test_broadcast_delivers_at_deadline():
     store = HeaderStore()
     env = Environment([0, 1], 1.0, delay_slots=2, horizon_slots=100)
     h, _ = mk_header(store)
-    env.broadcast_header(h, origin=0, slot=5)
+    env.broadcast_header(h, slot=5)
     assert env.deliveries_due(6) == []
     assert env.deliveries_due(7) == [(1, h)]
     assert env.deliveries_due(8) == []
@@ -58,8 +59,8 @@ def test_broadcast_delivers_at_deadline():
 def test_zero_delay_delivers_same_slot():
     store = HeaderStore()
     env = Environment([0, 1], 1.0, delay_slots=0, horizon_slots=100)
-    h, _ = mk_header(store)
-    env.broadcast_header(h, origin=1, slot=3)
+    h, _ = mk_header(store, producer=1)
+    env.broadcast_header(h, slot=3)
     assert env.deliveries_due(3) == [(0, h)]
 
 
@@ -79,16 +80,17 @@ EVERY_SENDER = {
 @pytest.mark.parametrize("name", sorted(EVERY_SENDER))
 def test_each_broadcast_header_reaches_each_node_once(name):
     """Every broadcast enqueues a freshly minted header, so the queue needs
-    no de-duplication: each (header, node) pair other than the origin's is
-    delivered exactly once, or is still queued at the horizon."""
+    no de-duplication: each (header, node) pair other than the producer's
+    is delivered exactly once, or is still queued at the horizon."""
     sim = Simulation(pm.scenario_from_dict(EVERY_SENDER[name]))
     env = sim.env
     sent, delivered = Counter(), Counter()
     broadcast, due = env.broadcast_header, env.deliveries_due
 
-    def broadcast_header(header, origin, slot):
-        sent.update((header.id, p) for p in env.node_ids if p != origin)
-        broadcast(header, origin, slot)
+    def broadcast_header(header, slot):
+        sent.update((header.id, p) for p in env.node_ids
+                    if p != header.bpo.node)
+        broadcast(header, slot)
 
     def deliveries_due(slot):
         out = due(slot)
@@ -110,17 +112,17 @@ def test_upload_rejects_mismatched_content():
     h, _ = mk_header(store)
     wrong = store.make_content()
     with pytest.raises(CommitmentMismatch):
-        env.upload_content(h, wrong, origin=0)
-    assert env.cloud == {}
+        env.upload_content(h, wrong)
+    assert env.cloud == set()
 
 
 def test_upload_is_insert_only():
     store = HeaderStore()
     env = Environment([0], 1.0, 0, 100)
     h, c = mk_header(store)
-    assert env.upload_content(h, c, origin=0) is True
-    assert env.upload_content(h, c, origin=0) is False
-    assert env.cloud[c.commitment] == 0
+    assert env.upload_content(h, c) is True
+    assert env.upload_content(h, c) is False
+    assert env.cloud == {c.commitment}
 
 
 def test_unavailable_request_is_free():
@@ -130,7 +132,7 @@ def test_unavailable_request_is_free():
     outcome, paid = env.request_content(0, h, 0.0, slot=0)
     assert outcome is RequestOutcome.UNAVAILABLE and paid == 0.0
     assert env.meters[0].spent_total == 0.0
-    env.upload_content(h, c, origin=0)
+    env.upload_content(h, c)
     assert env.request_content(0, h, 0.0, slot=1)[0] is RequestOutcome.FETCHED
 
 
@@ -139,7 +141,7 @@ def test_half_rate_fetch_completes_over_two_slots():
     store = HeaderStore()
     env = Environment([0], 0.5, 0, 100)
     h, c = mk_header(store)
-    env.upload_content(h, c, origin=0)
+    env.upload_content(h, c)
     env.meters[0].tokens = 0.5  # start without the initial carry-over
     outcome, paid = env.request_content(0, h, 0.0, slot=0)
     assert outcome is RequestOutcome.THROTTLED and paid == pytest.approx(0.5)
@@ -151,7 +153,7 @@ def test_throttled_at_zero_budget_pays_nothing():
     store = HeaderStore()
     env = Environment([0], 0.5, 0, 100)
     h, c = mk_header(store)
-    env.upload_content(h, c, origin=0)
+    env.upload_content(h, c)
     env.meters[0].tokens = 0.0
     outcome, paid = env.request_content(0, h, 0.0, slot=0)
     assert outcome is RequestOutcome.THROTTLED and paid == 0.0
@@ -163,10 +165,10 @@ def test_partition_withholds_until_heal():
     env = Environment([0, 1], 1.0, delay_slots=1, horizon_slots=100,
                       partition=part)
     h, c = mk_header(store)
-    env.broadcast_header(h, origin=0, slot=2)
+    env.broadcast_header(h, slot=2)
     assert env.deliveries_due(5) == []
     assert env.deliveries_due(10) == [(1, h)]
-    env.upload_content(h, c, origin=0)
+    env.upload_content(h, c)
     assert env.request_content(1, h, 0.0, 5) == (RequestOutcome.UNAVAILABLE,
                                                  0.0)
     assert env.request_content(0, h, 0.0, 5)[0] is RequestOutcome.FETCHED
@@ -204,7 +206,7 @@ def test_an_upload_wakes_exactly_the_nodes_that_memoised_it():
     b, _ = mk_header(sim.store, slot=2)
     memoise_unavailable(sim, [0, 1], a, 3)
     memoise_unavailable(sim, [2], b, 3)
-    sim.upload(a, content_a, slot=5, origin=-1)
+    sim.upload(a, content_a, slot=5)
     for n in (0, 1):
         node = sim.nodes[n]
         assert node.wake == 5
@@ -214,7 +216,7 @@ def test_an_upload_wakes_exactly_the_nodes_that_memoised_it():
     assert sim.nodes[2].unavailable == {b.commitment}
     # a second upload of the same content is rejected and wakes nobody
     sim.nodes[0].wake = 9
-    sim.upload(a, content_a, slot=6, origin=-1)
+    sim.upload(a, content_a, slot=6)
     assert sim.nodes[0].wake == 9 and not sim.nodes[3].active
 
 
@@ -241,9 +243,9 @@ def test_the_heal_clears_only_memos_of_content_in_the_cloud():
     far, near = sim.nodes[-1].id, sim.nodes[0].id
     assert sim.env.partition.blocks(near, far, heal - 1)
     sim.store.make_content()   # header ids and commitments differ
-    across, content_across = mk_header(sim.store, slot=1)
+    across, content_across = mk_header(sim.store, slot=1, producer=near)
     withheld, _ = mk_header(sim.store, slot=2)
-    sim.upload(across, content_across, slot=2, origin=near)
+    sim.upload(across, content_across, slot=2)
     memoise_unavailable(sim, [far], across, 3)
     memoise_unavailable(sim, [far], withheld, 3)
     outcome, _ = sim.env.request_content(far, across, 0.0, heal - 1)
@@ -268,7 +270,7 @@ def test_throttled_slots_paid_late_match_per_slot_requests(rate, paid):
     polled, lazy = (Environment([0], rate, delay_slots=0, horizon_slots=100)
                     for _ in range(2))
     for env in (polled, lazy):
-        env.upload_content(h, c, origin=0)
+        env.upload_content(h, c)
         outcome, newly = env.request_content(0, h, paid, 1)
         assert outcome is RequestOutcome.THROTTLED
     paid += newly
@@ -297,8 +299,8 @@ def test_throttled_slots_paid_late_match_per_slot_requests(rate, paid):
                       max_size=25))
 def test_grouped_queue_delivers_as_per_recipient_entries(n_nodes, delay,
                                                          halves, sends):
-    """Random broadcasts from random origins (-1 is the adversary or an SPV
-    miner, and origins may be outside the node set), with or without a
+    """Random broadcasts from random producers (-1 is the adversary or an
+    SPV miner, and producers may be outside the node set), with or without a
     partition and its heal: at every slot the grouped queue returns the
     deliveries and the next delivery slot of a per-recipient heap, and
     each broadcast adds one entry per delivery slot."""
@@ -310,14 +312,15 @@ def test_grouped_queue_delivers_as_per_recipient_entries(n_nodes, delay,
     env = Environment(node_ids, 1.0, delay, 100, partition)
     ref = PerRecipientQueue(node_ids, delay, partition)
     by_slot = {}
-    for k, (slot, origin) in enumerate(sends):
-        by_slot.setdefault(slot, []).append((f"h{k}", 2 * origin + 1))
+    for k, (slot, producer) in enumerate(sends):
+        by_slot.setdefault(slot, []).append(BlockHeader(
+            k + 1, 0, BpoId(slot, 2 * producer + 1, False, k), 1, k + 1))
     for slot in range(31 + delay + 26):
         assert env.deliveries_due(slot) == ref.deliveries_due(slot)
-        for header, origin in by_slot.get(slot, ()):
+        for header in by_slot.get(slot, ()):
             before = len(env._queue)
-            env.broadcast_header(header, origin, slot)
-            ref.broadcast_header(header, origin, slot)
+            env.broadcast_header(header, slot)
+            ref.broadcast_header(header, slot)
             slots = {deliver for deliver, _, _, h in ref._queue
                      if h == header}
             assert len(env._queue) - before == len(slots)
@@ -429,8 +432,7 @@ NODES = (0, 1, 2)
 
 request_steps = st.lists(
     st.one_of(
-        st.tuples(st.just("upload"), st.integers(0, 3),
-                  st.sampled_from((-1, *NODES))),
+        st.tuples(st.just("upload"), st.integers(0, 3)),
         st.tuples(st.just("request"), st.sampled_from(NODES),
                   st.integers(0, 3), st.integers(0, 4),
                   st.sampled_from(("zero", "edge"))
@@ -444,17 +446,21 @@ request_steps = st.lists(
        halves=st.none() | st.tuples(st.lists(st.integers(0, 1), min_size=3,
                                              max_size=3),
                                     st.integers(0, 15)),
+       producers=st.lists(st.sampled_from((-1, *NODES)), min_size=4,
+                          max_size=4),
        steps=request_steps)
 # the fetch test decided by its equality case, and a request across the
 # split in the last slot before the heal and in the heal slot
-@example(rate=0.3333333333333333, halves=None,
-         steps=[("upload", 0, -1), ("request", 0, 0, 0, "edge")])
-@example(rate=0.5, halves=([0, 0, 1], 5),
-         steps=[("upload", 0, 0), ("request", 2, 0, 4, "zero"),
+@example(rate=0.3333333333333333, halves=None, producers=[-1, 0, 1, 2],
+         steps=[("upload", 0), ("request", 0, 0, 0, "edge")])
+@example(rate=0.5, halves=([0, 0, 1], 5), producers=[0, 0, 1, 2],
+         steps=[("upload", 0), ("request", 2, 0, 4, "zero"),
                 ("request", 2, 0, 1, "zero")])
-def test_request_content_equals_the_composed_request(rate, halves, steps):
+def test_request_content_equals_the_composed_request(rate, halves, producers,
+                                                     steps):
     """Two environments driven through the same uploads and requests, by
-    random nodes at rising slots, with and without a partition and its
+    random nodes at rising slots, of blocks by random producers (-1 is
+    the adversary or an SPV miner), with and without a partition and its
     heal: `request_content` on one and `request_oracle` on the other, with
     reference meters, give the same (outcome, paid) bit for bit, and
     meters whose tokens, spent totals and slots are bit-equal."""
@@ -465,14 +471,14 @@ def test_request_content_equals_the_composed_request(rate, halves, steps):
     ref.meters = {p: ReferenceMeter(rate, 100) for p in NODES}
     store = HeaderStore()
     store.make_content()   # header ids and commitments differ
-    blocks = [mk_header(store, slot=k + 1) for k in range(4)]
+    blocks = [mk_header(store, slot=k + 1, producer=producer)
+              for k, producer in enumerate(producers)]
     slot = 0
     for step in steps:
         if step[0] == "upload":
-            _, k, origin = step
-            header, content = blocks[k]
-            assert (env.upload_content(header, content, origin)
-                    == ref.upload_content(header, content, origin))
+            header, content = blocks[step[1]]
+            assert (env.upload_content(header, content)
+                    == ref.upload_content(header, content))
             continue
         _, node, k, gap, paid = step
         slot += gap

@@ -172,7 +172,7 @@ def test_longest_header_chain_falls_back_when_content_dries_up():
     adv = rig.chain(3, node_id=2, upload=False)
     # only the first adversary block is backed by content
     first = rig.store.contents[adv[0].commitment]
-    rig.env.upload_content(adv[0], first, origin=2)
+    rig.env.upload_content(adv[0], first)
     rig.deliver([honest] + adv, 0)
     rig.step(0)
     assert adv[0].id in rig.node.processed
@@ -196,7 +196,7 @@ def test_greedy_prefers_the_longer_processed_prefix():
     # both frontiers unavailable; release them and ask again
     for h in (fork_a[5], fork_b[3]):
         content = rig.store.contents[h.commitment]
-        rig.env.upload_content(h, content, origin=9)
+        rig.env.upload_content(h, content)
         rig.node.content_uploaded(content.commitment, 11)
     target = rig.node.schedule_target(11)
     assert target.id == fork_a[5].id   # prefix 5 over height 9
@@ -214,7 +214,7 @@ def test_longest_header_chain_prefers_height_in_the_same_spot():
     rig.step(10)
     for h in (fork_a[5], fork_b[3]):
         content = rig.store.contents[h.commitment]
-        rig.env.upload_content(h, content, origin=9)
+        rig.env.upload_content(h, content)
         rig.node.content_uploaded(content.commitment, 11)
     target = rig.node.schedule_target(11)
     assert target.id == fork_b[3].id   # height 9 over height 6
@@ -234,7 +234,7 @@ def test_partial_cache_keeps_ten_newest_tasks():
     for k in range(1, 12):
         chain = rig.chain(k, node_id=10 + k, upload=False)
         first = rig.store.contents[chain[0].commitment]
-        rig.env.upload_content(chain[0], first, origin=9)
+        rig.env.upload_content(chain[0], first)
         firsts.append(chain[0])
         chains.append(chain)
         rig.deliver(chain, k - 1)

@@ -4,6 +4,7 @@ import dataclasses
 import pytest
 
 from nakasim import params as pm
+from nakasim.sim import Simulation
 
 
 def test_nu_derived_from_c_tilde():
@@ -48,10 +49,21 @@ def test_negative_c_tilde_rejected_given_or_derived():
 
 
 def test_delay_slots_rounds_up_in_whole_slots():
-    assert pm.SimParams(tau=0.1, delta_h=0.0, c_tilde=1.0).delay_slots == 0
-    assert pm.SimParams(tau=0.1, delta_h=0.05, c_tilde=1.0).delay_slots == 1
-    assert pm.SimParams(tau=0.1, delta_h=0.2, c_tilde=1.0).delay_slots == 2
-    assert pm.SimParams(tau=0.1, delta_h=0.21, c_tilde=1.0).delay_slots == 3
+    p = pm.SimParams(tau=0.1, delta_h=0.2, c_tilde=1.0)
+    assert [p.slots(s) for s in (0.0, 0.05, 0.2, 0.21)] == [0, 1, 2, 3]
+
+
+def test_a_split_lasts_as_many_slots_as_a_delay_of_its_seconds():
+    """One seconds-to-slots rule (`SimParams.slots`): at tau 0.3, 2.1 s is
+    7 slots (the float quotient is 7.000000000000001), as a header delay
+    and as the length of a partition."""
+    cfg = pm.scenario_from_dict({
+        "sim": {"n_nodes": 4, "tau": 0.3, "delta_h": 2.1, "c_tilde": 0.5,
+                "horizon_slots": 20},
+        "attack": {"strategy": pm.ATTACK_PARTITION,
+                   "partition_duration": 2.1}})
+    env = Simulation(cfg).env
+    assert env.partition.heal_slot == env.delay_slots == 7
 
 
 def test_adversary_node_split():

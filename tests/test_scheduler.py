@@ -77,13 +77,13 @@ class TreeDriver:
 
     def _mint(self, parent, withhold, bpo=None):
         self.slot += 1
-        content = self.rig.store.make_content(producer=7)
+        content = self.rig.store.make_content()
         bpo = bpo or BpoId(self.slot, 7, False, 0)
         header = self.rig.store.extend(bpo, parent.id, content.commitment)
         if withhold:
             self.withheld[header.id] = content
         else:
-            self.rig.env.upload_content(header, content, origin=7)
+            self.rig.env.upload_content(header, content)
         self.minted.append(header)
         return header
 
@@ -115,14 +115,14 @@ class TreeDriver:
             h = self._pick(sel)
             content = self.withheld.pop(h.id, None)
             if content is not None:
-                self.rig.env.upload_content(h, content, origin=7)
+                self.rig.env.upload_content(h, content)
                 node.content_uploaded(content.commitment, self.slot)
         elif kind == "produce":
             self.slot += 1
             header, content = node.try_produce(
                 BpoId(self.slot, 0, True, 0), self.slot)
             self.minted.append(header)
-            self.rig.env.upload_content(header, content, origin=0)
+            self.rig.env.upload_content(header, content)
         elif kind == "step":
             for _ in range(n):
                 self.slot += 1

@@ -184,9 +184,9 @@ def trace_digest(sim: Simulation) -> str:
 
 
 def contents_digest(sim: Simulation) -> str:
-    """sha256 of every block's (commitment, producer, txs), which the trace
-    does not record."""
-    body = json.dumps([[c.commitment, c.producer, [list(tx) for tx in c.txs]]
+    """sha256 of every block's (commitment, txs), which the trace does not
+    record."""
+    body = json.dumps([[c.commitment, [list(tx) for tx in c.txs]]
                        for c in sim.store.contents.values()],
                       separators=(",", ":"))
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
@@ -277,7 +277,7 @@ def test_the_partition_heal_clears_memos():
     def watched(slot, inner=sim._heal):
         before = [set(node.unavailable) for node in sim.nodes]
         inner(slot)
-        cloud = sim.env.cloud.keys()
+        cloud = sim.env.cloud
         for node, memo in zip(sim.nodes, before):
             assert node.unavailable == memo - cloud
             cleared.extend((node.id, c) for c in memo & cloud)

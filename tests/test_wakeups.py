@@ -12,7 +12,8 @@ and the same metrics; the stack itself must run with each fast mechanism
 raising if called.
 
 The Tier-1 tests run a covering subset of the differential matrix, a run
-at the tip cap and the pinned `sapos-sacrifice` run, the one that blanks;
+at the tip cap, the pinned `sapos-sacrifice` run, the one that blanks,
+and the pinned `pos-partition-spv` run, whose heal clears a memo;
 the whole matrix (288 configurations) and every pinned run of
 tests/test_trace_digests.py run with
 
@@ -44,7 +45,7 @@ def trace_bytes(sim):
 def contents(sim):
     """Block contents, which the trace does not record: the transactions
     each block carries."""
-    return [(c.commitment, c.producer, c.txs)
+    return [(c.commitment, c.txs)
             for c in sim.store.contents.values()]
 
 
@@ -103,8 +104,12 @@ def matrix_config(*args, **kw):
     return pm.scenario_from_dict(matrix_dict(*args, **kw))
 
 
-def assert_same_run(scenario):
+def assert_same_run(scenario, watch=None):
+    """Run `scenario` on both sides, `watch(sim)` first called on the fast
+    one if given; both must agree."""
     sim, ref = Simulation(scenario), PollingSimulation(scenario)
+    if watch is not None:
+        watch(sim)
     metrics, ref_metrics = sim.run(), ref.run()
     assert trace_bytes(sim) == trace_bytes(ref)
     assert contents(sim) == contents(ref)
@@ -144,6 +149,28 @@ def test_wake_slots_match_per_slot_polling_when_blanking():
     every release makes honest nodes blank blocks and evict tips."""
     _, metrics = assert_same_run(pm.scenario_from_dict(RUNS["sapos-sacrifice"]))
     assert metrics.scheduler_blanked > 0
+
+
+# the pinned partition run: its heal clears memos of content uploaded
+# across the split, which no matrix config's heal does
+PARTITION_RUN = RUNS["pos-partition-spv"]
+
+
+def test_wake_slots_match_per_slot_polling_at_the_heal():
+    """The pinned partition run with SPV miners: at the heal the fast side
+    sends the notice of content uploaded across the split, the polling
+    side has each node scan its memo, and some memo is cleared."""
+    cleared = []
+
+    def watch(sim):
+        def heal(slot, inner=sim._heal):
+            memos = sum(len(node.unavailable) for node in sim.nodes)
+            inner(slot)
+            cleared.append(memos - sum(len(node.unavailable)
+                                       for node in sim.nodes))
+        sim._heal = heal
+    assert_same_run(pm.scenario_from_dict(PARTITION_RUN), watch)
+    assert len(cleared) == 1 and cleared[0] > 0
 
 
 # -- the stack shares no fast mechanism --------------------------------------
@@ -192,11 +219,6 @@ def take_fast_layer(ref, cls):
     else:
         for name in FAST_PATHS[Environment] + ("next_delivery_slot",):
             delattr(env, name)
-
-
-# the pinned partition run: its heal clears memos of content uploaded
-# across the split, which no matrix config's heal does
-PARTITION_RUN = RUNS["pos-partition-spv"]
 
 
 @pytest.mark.parametrize("config", [
@@ -345,15 +367,15 @@ def scripted(cls, rate, horizon, attack=pm.ATTACK_NONE, duration=15.0,
         "protocol": protocol, "policy": policy}))
 
 
-def mint(sim, parent, slot, origin=9, bpo=None, upload=True):
-    """One child of `parent` with its content uploaded by `origin`, unless
-    `upload` is False; under proof of stake, passing another header's
-    `bpo` mints its twin."""
-    content = sim.store.make_content(producer=origin)
-    header = sim.store.extend(bpo or BpoId(slot, 100 + origin, False, 0),
+def mint(sim, parent, slot, producer=9, bpo=None, upload=True):
+    """One child of `parent` minted on a win of `producer`, its content
+    uploaded unless `upload` is False; under proof of stake, passing
+    another header's `bpo` mints its twin."""
+    content = sim.store.make_content()
+    header = sim.store.extend(bpo or BpoId(slot, producer, False, 0),
                               parent.id, content.commitment)
     if upload:
-        sim.env.upload_content(header, content, origin=origin)
+        sim.env.upload_content(header, content)
     return header
 
 
@@ -362,10 +384,10 @@ def push(sim, header, node, slot):
     sim.env.queue_header(header, (node,), slot)
 
 
-def chain(sim, length, slot, origin=9, upload=True):
+def chain(sim, length, slot, producer=9, upload=True):
     out, parent = [], sim.store.genesis
     for k in range(length):
-        parent = mint(sim, parent, slot + k, origin, upload=upload)
+        parent = mint(sim, parent, slot + k, producer, upload=upload)
         out.append(parent)
     return out
 
@@ -428,7 +450,7 @@ def test_a_node_throttled_at_the_horizon_pays_every_slot():
 def test_a_header_mid_stretch_preempts_with_the_polled_payment():
     def script(sim):
         first = chain(sim, 1, slot=0)[0]
-        longer = chain(sim, 2, slot=0, origin=8)
+        longer = chain(sim, 2, slot=0, producer=8)
         push(sim, first, 0, 1)
         push(sim, longer[-1], 0, 8)
         script.first = first.id
@@ -449,8 +471,8 @@ def test_partition_heal_wakes_a_sleeping_waiter():
 
     def script(sim):
         # the longer chain's content was uploaded across the split
-        far = chain(sim, 2, slot=0, origin=3)
-        near = chain(sim, 1, slot=0, origin=0)[0]
+        far = chain(sim, 2, slot=0, producer=3)
+        near = chain(sim, 1, slot=0, producer=0)[0]
         push(sim, far[-1], 0, 1)
         push(sim, near, 0, 1)
         script.far, script.near = far, near
@@ -494,8 +516,8 @@ def test_a_pass_that_blanks_and_reorders_tips_rewalks_in_the_same_slot():
         top = chain(sim, 4, slot=0)
         twins = [mint(sim, sim.store.headers[h.parent_id], 0, bpo=h.bpo)
                  for h in top]
-        a = chain(sim, 3, slot=0, origin=8)
-        c = mint(sim, top[0], 5, origin=7)
+        a = chain(sim, 3, slot=0, producer=8)
+        c = mint(sim, top[0], 5, producer=7)
         for h in [top[-1], *twins, a[-1], c]:
             push(sim, h, 0, 1)
         script.a1, script.c = a[0], c
@@ -530,7 +552,7 @@ def steps_of_node_0(steps):
 def test_a_header_ranked_below_the_served_tip_keeps_the_node_asleep():
     def script(sim):
         script.served = served_chain(sim)
-        script.low = chain(sim, 1, slot=0, origin=8)[0]
+        script.low = chain(sim, 1, slot=0, producer=8)[0]
         push(sim, script.low, 0, 3)
 
     (sim, _), (steps, ref_steps) = run_both(script, rate=0.1, horizon=12)
@@ -544,7 +566,7 @@ def test_a_header_ranked_below_the_served_tip_keeps_the_node_asleep():
 def test_a_header_ranked_above_the_served_tip_wakes_the_node():
     def script(sim):
         script.served = served_chain(sim)
-        script.high = chain(sim, 3, slot=0, origin=8)
+        script.high = chain(sim, 3, slot=0, producer=8)
         push(sim, script.high[-1], 0, 3)
 
     (sim, _), (steps, _) = run_both(script, rate=0.1, horizon=12)
@@ -559,7 +581,7 @@ def test_evicting_the_served_tip_at_the_cap_wakes_the_node():
     is withheld; one more withheld tip evicts it."""
     def script(sim):
         script.served = chain(sim, 1, slot=0)[0]
-        flood = [chain(sim, 2, slot=0, origin=20 + i, upload=False)[-1]
+        flood = [chain(sim, 2, slot=0, producer=20 + i, upload=False)[-1]
                  for i in range(MAX_SCHEDULER_TIPS)]
         for h in [script.served, *flood[:-1]]:
             push(sim, h, 0, 1)
@@ -581,7 +603,7 @@ def test_a_sapos_twin_of_the_target_wakes_the_node():
     but makes the target equivocated: the node blanks it at once."""
     def script(sim):
         script.served = served_chain(sim)
-        twin = mint(sim, sim.store.genesis, 0, origin=8,
+        twin = mint(sim, sim.store.genesis, 0, producer=8,
                     bpo=script.served[0].bpo)
         push(sim, twin, 0, 3)
 
@@ -612,14 +634,14 @@ def test_a_cleared_memo_wakes_the_node():
     """The tip above the served one has a withheld front, which the node
     memoised as unavailable in slot 1; its upload in slot 3 wakes it."""
     def script(sim):
-        script.high = chain(sim, 2, slot=0, origin=8, upload=False)
+        script.high = chain(sim, 2, slot=0, producer=8, upload=False)
         script.low = chain(sim, 1, slot=0)[0]
         for h in (script.high[-1], script.low):
             push(sim, h, 0, 1)
         push(sim, script.low, 1, 3)   # makes the loop visit slot 3
         front = script.high[0]
         at_slot(sim, 3, lambda slot: sim.upload(
-            front, sim.store.contents[front.commitment], slot, origin=8))
+            front, sim.store.contents[front.commitment], slot))
 
     (sim, _), (steps, _) = run_both(script, rate=0.1, horizon=12)
     node = sim.nodes[0]
