@@ -12,6 +12,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -46,6 +47,8 @@ def parse_grid(spec: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid {spec!r}: want lo:hi:step")
         lo, hi, step = (float(x) for x in parts)
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise ValueError(f"grid {spec!r}: lo, hi and step must be finite")
         if step <= 0 or hi < lo:
             raise ValueError(f"grid {spec!r}: need step > 0 and hi >= lo")
         n = int(round((hi - lo) / step))
@@ -84,14 +87,11 @@ def bootstrap_ci(values) -> tuple[float, float]:
 def _write_csv(out: str | None, header: list[str], rows: list[list]) -> None:
     """Write `header` and `rows` to the file `out`, replaced atomically, or
     to stdout when `out` is not given."""
-    tmp = f"{out}.tmp"
-    with (open(tmp, "w", encoding="utf-8", newline="") if out
+    with (tr.replaced_atomically(out, newline="") if out
           else contextlib.nullcontext(sys.stdout)) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-    if out:
-        os.replace(tmp, out)
 
 
 # ---------------------------------------------------------------------------

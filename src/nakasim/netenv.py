@@ -1,5 +1,5 @@
-"""Network environment: header delivery queues, the content cloud, and
-per-node download budgets.
+"""Network environment: header delivery queues, the content cloud, the
+partition, and the token bucket that budgets a node's downloads.
 
 Headers travel free of charge and are delivered at the forced deadline
 (enqueue slot + ceil(delta_h / tau)); the adversary's rushing pushes
@@ -7,14 +7,14 @@ bypass the queue (`Simulation.push_to_honest`).  The queue holds one entry
 per broadcast and delivery slot, naming its recipients in node order: one
 entry, or two while a partition withholds the header from half the nodes.
 Content is pulled from a shared insert-only cloud and every fetched block
-costs one unit of the requesting node's token budget, refilled at
-capacity * tau per slot with at most one block of carry-over.
+costs one unit of the requesting node's token budget, its meter, refilled
+at capacity * tau per slot with at most one block of carry-over.
 The cloud is the set of uploaded commitments, and a block's producer
 (`header.bpo.node`) is the origin that a broadcast skips and a partition
 tests; content the node cannot see is free.
-A visible request makes one meter call, `CapacityMeter.draw`, which
-refills, applies the fetch test and spends.  The environment keeps no
-per-node record besides the meters: each node counts its fetches and
+A visible request makes one call of the node's meter, `CapacityMeter.draw`,
+which refills, applies the fetch test and spends.  The environment keeps no
+per-node record: each node holds its meter, counts its fetches and
 memoises what it found unavailable, and the simulation sends the nodes
 that memoised a commitment its upload notice, which the heal also sends.
 """
@@ -23,9 +23,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .lottery import BlockHeader, Content
+
+if TYPE_CHECKING:
+    from .node import Node
 
 
 class RequestOutcome(Enum):
@@ -175,16 +178,13 @@ class Partition:
 
 
 class Environment:
-    """Message queues and the content cloud shared by all nodes."""
+    """The header queue, content cloud and partition shared by all nodes."""
 
-    def __init__(self, node_ids: Iterable[int], rate_per_slot: float,
-                 delay_slots: int, horizon_slots: int,
+    def __init__(self, node_ids: Iterable[int], delay_slots: int,
                  partition: Optional[Partition] = None):
         self.node_ids = tuple(node_ids)
         self.delay_slots = delay_slots
         self.partition = partition
-        self.meters = {p: CapacityMeter(rate_per_slot, horizon_slots)
-                       for p in self.node_ids}
         self.cloud: set[int] = set()   # the commitments uploaded
         # (deliver_slot, seq, recipients, header) kept in a heap for
         # skip-ahead; seq keeps entries of one slot in the order queued
@@ -244,16 +244,17 @@ class Environment:
         self.cloud.add(content.commitment)
         return True
 
-    def request_content(self, node: int, header: BlockHeader,
+    def request_content(self, node: Node, header: BlockHeader,
                         already_paid: float, slot: int
                         ) -> tuple[RequestOutcome, float]:
-        """Attempt to download `header`'s content. Returns (outcome, newly
-        paid fraction). The content is unavailable, at no cost, unless the
-        cloud holds it and no partition withholds it from `node`.  A visible
-        request is one `CapacityMeter.draw`; a throttled one pays out the
-        remaining budget as partial progress."""
+        """`node` attempts to download `header`'s content. Returns (outcome,
+        newly paid fraction). The content is unavailable, at no cost, unless
+        the cloud holds it and no partition withholds it from the node.  A
+        visible request is one `draw` of the node's meter; a throttled one
+        pays out the remaining budget as partial progress."""
         part = self.partition
         if header.commitment not in self.cloud or (
-                part is not None and part.blocks(header.bpo.node, node, slot)):
+                part is not None
+                and part.blocks(header.bpo.node, node.id, slot)):
             return UNAVAILABLE, 0.0
-        return self.meters[node].draw(1.0 - already_paid, slot)
+        return node.meter.draw(1.0 - already_paid, slot)

@@ -3,8 +3,8 @@
 A node keeps every valid header it has seen, downloads content for one block
 at a time according to its scheduling policy, and extends the longest fully
 processed chain when it wins a production opportunity.  Processing one block
-costs one unit of download budget; blanked content is free.  Partially paid
-downloads survive preemption in a small LRU cache.
+costs one unit of the node's download budget, its meter; blanked content is
+free.  Partially paid downloads survive preemption in a small LRU cache.
 
 A node is stepped only when it is due: `wake` is the slot at which its
 throttled download completes (the run's horizon, if it completes later),
@@ -88,7 +88,7 @@ from . import params as pm
 from . import trace as tr
 from .lottery import (BlockHeader, BpoId, Content, EquivocationProof,
                       HeaderStore)
-from .netenv import FETCHED, UNAVAILABLE, Environment
+from .netenv import FETCHED, UNAVAILABLE, CapacityMeter, Environment
 
 if TYPE_CHECKING:
     from .sim import AuditSink
@@ -112,13 +112,13 @@ class HonestFront:
 
 class Node:
     def __init__(self, node_id: int, store: HeaderStore, env: Environment,
-                 run_trace: tr.Trace, policy: str, k_conf: int,
-                 audit_sink: AuditSink, front: HonestFront):
+                 meter: CapacityMeter, run_trace: tr.Trace, policy: str,
+                 k_conf: int, audit_sink: AuditSink, front: HonestFront):
         self.id = node_id
         self.store = store
         self.headers = store.headers
         self.env = env
-        self.meter = env.meters[node_id]
+        self.meter = meter
         self.trace = run_trace
         self.policy = policy
         self.sapos = store.protocol == pm.PROTOCOL_SAPOS
@@ -421,7 +421,7 @@ class Node:
                 self.throttled = None
                 return
             paid = self.partial.get(target.id, 0.0)
-            outcome, newly = self.env.request_content(self.id, target, paid, slot)
+            outcome, newly = self.env.request_content(self, target, paid, slot)
             if outcome is UNAVAILABLE:
                 self._kept = None
                 self.unavailable.add(target.commitment)

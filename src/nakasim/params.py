@@ -10,7 +10,8 @@ inputs only, so it recomputes them, and a config may write one only with
 its computed value, as Meta does.  `sim.nu` and `sim.c_tilde` are inputs,
 either derived when left out: `replace(cfg.sim, capacity=4.0)` on a config
 written with `c_tilde` raises `sim.nu` rather than keep a stale `nu`, and
-`replace(cfg.sim, capacity=4.0, nu=None)` derives it anew.
+`replace(cfg.sim, capacity=4.0, nu=None)` derives it anew.  A NaN or an
+infinity in any field is a bad field.
 """
 from __future__ import annotations
 
@@ -46,6 +47,14 @@ ATTACK_POS_TEASER = "pos-teaser"
 ATTACK_PARTITION = "partition"
 ATTACKS = (ATTACK_NONE, ATTACK_PRIVATE, ATTACK_TEASER, ATTACK_POS_TEASER,
            ATTACK_PARTITION)
+
+
+def _check_finite(cfg, prefix: str) -> None:
+    """Refuse a NaN or an infinity in a field of `cfg`: run first in
+    `__post_init__`, it sees every input."""
+    for name, value in vars(cfg).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(prefix + name, "must be finite")
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,7 @@ class SimParams:
         return math.ceil(seconds / self.tau - 1e-12)
 
     def __post_init__(self) -> None:
+        _check_finite(self, "sim.")
         if self.n_nodes < 1:
             raise ConfigError("sim.n_nodes", "must be >= 1")
         if not (0.0 <= self.beta < 0.5):
@@ -146,6 +156,7 @@ class AttackConfig:
                                        # content release
 
     def __post_init__(self) -> None:
+        _check_finite(self, "attack.")
         if self.strategy not in ATTACKS:
             raise ConfigError("attack.strategy", f"unknown strategy {self.strategy!r}")
         if self.spv_rate < 0.0:
@@ -166,6 +177,7 @@ class SaPoSParams:
     k_epf: int = field(init=False)     # 4*k_cp
 
     def __post_init__(self) -> None:
+        _check_finite(self, "sapos.")
         if self.k_cp < 1:
             raise ConfigError("sapos.k_cp", "must be >= 1")
         object.__setattr__(self, "k_conf", 6 * self.k_cp + 1)
@@ -182,6 +194,7 @@ class TxGenConfig:
     tx_size: float = 0.25       # fraction of one block
 
     def __post_init__(self) -> None:
+        _check_finite(self, "txgen.")
         if self.sigma < 0.0:
             raise ConfigError("txgen.sigma", "must be non-negative")
         if not (0.0 < self.tx_size <= 1.0):
@@ -204,6 +217,7 @@ class ScenarioConfig:
     seed_stride: int = 1
 
     def __post_init__(self) -> None:
+        _check_finite(self, "")
         if self.policy not in POLICIES:
             raise ConfigError("policy", f"unknown policy {self.policy!r}")
         if self.protocol not in PROTOCOLS:

@@ -17,8 +17,8 @@ slept through are settled just before its next step and at the horizon.
 Transactions come from one feed shared by every node, so they do not pin
 the loop to every slot either.
 
-`nodes` lists the honest nodes, a node's id its index; the heal reaches
-them by the notice an upload sends (`_notify`).
+`nodes` lists the honest nodes, a node's id its index, each with its own
+meter; the heal, at the partition's `heal_slot`, notifies them (`_notify`).
 
 The simulation's object graph holds no reference cycle (the adversary
 reaches the simulation through a weak proxy), so a dropped simulation is
@@ -38,7 +38,7 @@ from . import adversary as adv
 from . import params as pm
 from . import trace as tr
 from .lottery import BpoId, HeaderStore, SlotSampler, _slot_gen, STREAM_ANALYSIS
-from .netenv import Environment, Partition
+from .netenv import CapacityMeter, Environment, Partition
 from .node import HonestFront, Node
 
 SPV_NODE = -2   # the producer of header-only blocks
@@ -143,21 +143,19 @@ class Simulation:
 
         partition = None
         attack = scenario.attack
-        self._heal_slot = None
         if attack.strategy == pm.ATTACK_PARTITION:
             n_h = len(p.honest_nodes)
             half = {n: (0 if n < n_h // 2 else 1) for n in p.honest_nodes}
-            self._heal_slot = p.slots(attack.partition_duration)
-            partition = Partition(half, self._heal_slot)
+            partition = Partition(half, p.slots(attack.partition_duration))
 
-        self.env = Environment(p.honest_nodes, p.capacity * p.tau,
-                               p.slots(p.delta_h), p.horizon_slots, partition)
+        self.env = Environment(p.honest_nodes, p.slots(p.delta_h), partition)
         self.sink = AuditSink(self.store)
         self.front = HonestFront()
         # the honest ids are 0..n_h-1
-        self.nodes = [Node(n, self.store, self.env, self.trace,
-                           scenario.policy, scenario.k_conf, self.sink,
-                           self.front)
+        self.nodes = [Node(n, self.store, self.env,
+                           CapacityMeter(p.capacity * p.tau, p.horizon_slots),
+                           self.trace, scenario.policy, scenario.k_conf,
+                           self.sink, self.front)
                       for n in p.honest_nodes]
 
         spv_rate_slot = attack.spv_rate * p.tau
@@ -207,7 +205,6 @@ class Simulation:
         memos = set().union(*(node.unavailable for node in self.nodes))
         for commitment in memos & self.env.cloud:
             self._notify(commitment, slot)
-        self._heal_slot = None
 
     def _publish(self, header, content, slot: int) -> None:
         """Trace an open block, upload its content and broadcast its header."""
@@ -283,9 +280,10 @@ class Simulation:
         nodes = self.nodes
         for node in nodes:
             node.tx_log = tx_log
+        part = self.env.partition
         slot = 0
         while slot < horizon:
-            if self._heal_slot is not None and slot >= self._heal_slot:
+            if part is not None and slot == part.heal_slot:
                 self._heal(slot)
 
             for node_id, header in self.env.deliveries_due(slot):
@@ -358,8 +356,9 @@ class Simulation:
         nd = self.env.next_delivery_slot()
         if nd is not None:
             candidates.append(nd)
-        if self._heal_slot is not None:
-            candidates.append(self._heal_slot)
+        part = self.env.partition
+        if part is not None and part.heal_slot > slot:
+            candidates.append(part.heal_slot)
         return max(nxt, min(candidates))
 
     # -- metrics ------------------------------------------------------------
@@ -377,9 +376,9 @@ class Simulation:
         growth = l_min / elapsed
         blocks = Counter(producer_class(hdr.bpo)
                          for hdr in self.store.headers.values())
-        util = [m.spent_total / (m.rate * p.horizon_slots)
-                for m in self.env.meters.values() if m.rate > 0]
         nodes = self.nodes
+        util = [n.meter.spent_total / (n.meter.rate * p.horizon_slots)
+                for n in nodes if n.meter.rate > 0]
         return RunMetrics(
             seed=self.seed,
             horizon_slots=p.horizon_slots,

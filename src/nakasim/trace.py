@@ -351,35 +351,42 @@ class Trace:
         raise ValueError("trace has no Meta record")
 
 
-@collector_paused()
-def write_jsonl(trace: Trace, path: str) -> None:
-    """Write a trace's rows atomically (temp file + rename), each line the
-    bytes of `_ENCODER.encode` of its record, one `write` per
-    `_BATCH_LINES` rows.  If the write fails, the temp file is removed and
-    the exception re-raised."""
-    encode = _new_file_encoder()
-    line_of = _LINE_ENCODERS
-    rows = iter(trace._rows)
+@contextlib.contextmanager
+def replaced_atomically(path: str, newline: str | None = None):
+    """A text file written beside `path` and renamed to it when the block
+    ends; if the block raises, it is removed and the exception re-raised."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            while batch := list(islice(rows, _BATCH_LINES)):
-                chunks: list[str] = []
-                for slot, kind, values in batch:
-                    if type(values) is tuple:
-                        line = line_of[kind](slot, values, encode)
-                        if line is not None:
-                            chunks.append(line)
-                            continue
-                        values = dict(zip(_FIELDS[kind], values))
-                    chunks += encode({"slot": slot, "kind": kind, **values}, 0)
-                    chunks.append("\n")
-                fh.write("".join(chunks))
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+@collector_paused()
+def write_jsonl(trace: Trace, path: str) -> None:
+    """Write a trace's rows atomically (`replaced_atomically`), each line
+    the bytes of `_ENCODER.encode` of its record, one `write` per
+    `_BATCH_LINES` rows."""
+    encode = _new_file_encoder()
+    line_of = _LINE_ENCODERS
+    rows = iter(trace._rows)
+    with replaced_atomically(path) as fh:
+        while batch := list(islice(rows, _BATCH_LINES)):
+            chunks: list[str] = []
+            for slot, kind, values in batch:
+                if type(values) is tuple:
+                    line = line_of[kind](slot, values, encode)
+                    if line is not None:
+                        chunks.append(line)
+                        continue
+                    values = dict(zip(_FIELDS[kind], values))
+                chunks += encode({"slot": slot, "kind": kind, **values}, 0)
+                chunks.append("\n")
+            fh.write("".join(chunks))
 
 
 @collector_paused()

@@ -59,12 +59,11 @@ class Rig:
                  policy=pm.POLICY_LONGEST_HEADER_CHAIN,
                  protocol=pm.PROTOCOL_POW, k_conf=2, k_epf=4, partition=None):
         self.store = HeaderStore(protocol, k_epf)
-        self.env = netenv.Environment([0], rate, delay_slots,
-                                      horizon_slots=10_000,
-                                      partition=partition)
+        self.env = netenv.Environment([0], delay_slots, partition=partition)
         self.trace = tr.Trace()
         self.sink = AuditSink(self.store)
-        self.node = nd.Node(0, self.store, self.env, self.trace,
+        self.node = nd.Node(0, self.store, self.env,
+                            netenv.CapacityMeter(rate, 10_000), self.trace,
                             policy, k_conf, self.sink, nd.HonestFront())
 
     def grow(self, parent, slot, node_id=1, seq=0, txs=(), upload=True,

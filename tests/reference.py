@@ -47,9 +47,6 @@ class PollingSimulation(Simulation):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         env, p = self.env, self.params
-        # the meters first: a node takes its meter when it is built
-        env.meters = {n: ReferenceMeter(p.capacity * p.tau, p.horizon_slots)
-                      for n in env.node_ids}
         queue = PerRecipientQueue(env.node_ids, env.delay_slots,
                                   env.partition)
         env.broadcast_header = queue.broadcast_header
@@ -57,8 +54,10 @@ class PollingSimulation(Simulation):
         env.deliveries_due = queue.deliveries_due
         env.next_delivery_slot = queue.next_delivery_slot
         env.request_content = functools.partial(request_oracle, env)
-        self.nodes = [ReferenceNode(n, self.store, env, self.trace,
-                                    self.scenario.policy,
+        self.nodes = [ReferenceNode(n, self.store, env,
+                                    ReferenceMeter(p.capacity * p.tau,
+                                                   p.horizon_slots),
+                                    self.trace, self.scenario.policy,
                                     self.scenario.k_conf, self.sink,
                                     self.front)
                       for n in p.honest_nodes]
@@ -69,12 +68,12 @@ class PollingSimulation(Simulation):
         tx_log = []
         for node in self.nodes:
             node.tx_log = tx_log
+        part = self.env.partition
         slot = 0
         tx_seq = 0
         while slot < horizon:
-            if self._heal_slot is not None and slot >= self._heal_slot:
+            if part is not None and slot == part.heal_slot:
                 self._scan_memos(slot)
-                self._heal_slot = None
 
             for node_id, header in self.env.deliveries_due(slot):
                 self._deliver(self.nodes[node_id], header, slot, False)
@@ -146,8 +145,9 @@ class PollingSimulation(Simulation):
         nd = self.env.next_delivery_slot()
         if nd is not None:
             candidates.append(nd)
-        if self._heal_slot is not None:
-            candidates.append(self._heal_slot)
+        part = self.env.partition
+        if part is not None and part.heal_slot > slot:
+            candidates.append(part.heal_slot)
         return max(nxt, min(candidates))
 
 
@@ -367,12 +367,13 @@ def request_oracle(env, node, header, already_paid, slot):
     """The request as composed before it read the cloud inline: a
     visibility test of the content and of its producer's half, then one
     `draw` of the node's meter.  Kept as the reference `request_content`
-    must equal, on an environment of `ReferenceMeter`s."""
+    must equal, for nodes that hold `ReferenceMeter`s."""
     part = env.partition
     if header.commitment not in env.cloud or (
-            part is not None and part.blocks(header.bpo.node, node, slot)):
+            part is not None
+            and part.blocks(header.bpo.node, node.id, slot)):
         return RequestOutcome.UNAVAILABLE, 0.0
-    return env.meters[node].draw(1.0 - already_paid, slot)
+    return node.meter.draw(1.0 - already_paid, slot)
 
 
 class PerRecipientQueue:

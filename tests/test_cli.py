@@ -42,6 +42,33 @@ def test_parse_grid_forms():
         cli.parse_grid("a,b")
 
 
+@pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:0.4:0.1", "0:0.4:nan",
+                                  "0:1:inf"])
+def test_a_grid_with_a_non_finite_bound_is_an_error_line(grid, capsys):
+    """A range grid's lo, hi and step must be finite: the CLI says so on
+    one error line, with no traceback.  A finite range is not bounded in
+    size, so a tiny step is not tried here."""
+    assert cli.main(["region", "--capacity", "1.0", "--delta-h", "0.0",
+                     "--beta-grid", grid]) == 1
+    assert capsys.readouterr().err == (
+        f"error: grid {grid!r}: lo, hi and step must be finite\n")
+
+
+def test_a_failed_csv_write_leaves_no_temp_file(tmp_path):
+    """A write that fails part way removes its temp file, re-raises, and
+    leaves the file it was to replace as it was."""
+    out = tmp_path / "out.csv"
+    out.write_text("old\n")
+
+    def rows():
+        yield [1, 2]
+        raise OSError("disk full")
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_csv(str(out), ["a", "b"], rows())
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert out.read_text() == "old\n"
+
+
 def test_bootstrap_ci():
     import math
     lo, hi = cli.bootstrap_ci([])

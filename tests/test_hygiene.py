@@ -4,8 +4,9 @@ parameter, every settable config field and every field of the lottery's
 records and of the partition is read, one module owns
 switching the cyclic garbage collector, only `make_strategy` reads the
 protocol in adversary.py, only netenv.py and sim.py see the environment's
-cloud and partition, and the third-party packages it imports are its
-declared dependencies.  No test file writes out a digest: every pin is in
+cloud and partition, only sim.py builds a node's capacity meter and no
+module keeps a table of meters, and the third-party packages it imports
+are its declared dependencies.  No test file writes out a digest: every pin is in
 tests/pins.json.
 
 A re-export counts as a use when the module lists the name in `__all__`."""
@@ -405,6 +406,44 @@ def test_the_check_sees_environment_reads():
     assert environment_reads(source) == ["line 1: Partition",
                                          "line 3: cloud",
                                          "line 4: partition"]
+
+
+# A node's meter is built beside the node and held by it alone: sim.py
+# builds one per node, and no module keeps a `meters` table beside them.
+def meter_holders(source: str) -> list[str]:
+    """Lines that build a capacity meter, a call of `CapacityMeter`, or
+    name a `meters` attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "CapacityMeter" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            out.append(f"line {node.lineno}: CapacityMeter()")
+        elif isinstance(node, ast.Attribute) and node.attr == "meters":
+            out.append(f"line {node.lineno}: meters")
+    return sorted(out)
+
+
+def test_only_the_simulation_builds_meters():
+    found = {path.name: meter_holders(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    found = {name: lines for name, lines in found.items() if lines}
+    assert list(found) == ["sim.py"]
+    assert all(line.endswith("CapacityMeter()") for line in found["sim.py"])
+
+
+def test_the_check_sees_meter_holders():
+    source = ("from .netenv import CapacityMeter\n"
+              "meter = CapacityMeter(1.0, 10)\n"
+              "meter = netenv.CapacityMeter(rate, horizon)\n"
+              "self.meters = {}\n"
+              "meter = node.meter\n"
+              "meters = [meter]\n"
+              "env.meters[0].draw(1.0, slot)\n")
+    assert meter_holders(source) == ["line 2: CapacityMeter()",
+                                     "line 3: CapacityMeter()",
+                                     "line 4: meters",
+                                     "line 7: meters"]
 
 
 # trace.collector_paused is the one place that switches the collector or

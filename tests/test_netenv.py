@@ -7,6 +7,7 @@ import math
 import sys
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +31,12 @@ def mk_header(store, slot=1, parent=None, producer=0):
                         c.commitment), c
 
 
+def requester(meter, node_id=0):
+    """A stand-in for the requesting node: the id and the meter that
+    `request_content` reads."""
+    return SimpleNamespace(id=node_id, meter=meter)
+
+
 def test_meter_carry_over_is_one_block():
     m = CapacityMeter(0.3, 200)
     assert m.peek(100) == pytest.approx(1.0 + 0.3)
@@ -48,7 +55,7 @@ def test_meter_overdraw_is_a_bug():
 
 def test_broadcast_delivers_at_deadline():
     store = HeaderStore()
-    env = Environment([0, 1], 1.0, delay_slots=2, horizon_slots=100)
+    env = Environment([0, 1], delay_slots=2)
     h, _ = mk_header(store)
     env.broadcast_header(h, slot=5)
     assert env.deliveries_due(6) == []
@@ -58,7 +65,7 @@ def test_broadcast_delivers_at_deadline():
 
 def test_zero_delay_delivers_same_slot():
     store = HeaderStore()
-    env = Environment([0, 1], 1.0, delay_slots=0, horizon_slots=100)
+    env = Environment([0, 1], delay_slots=0)
     h, _ = mk_header(store, producer=1)
     env.broadcast_header(h, slot=3)
     assert env.deliveries_due(3) == [(0, h)]
@@ -108,7 +115,7 @@ def test_each_broadcast_header_reaches_each_node_once(name):
 
 def test_upload_rejects_mismatched_content():
     store = HeaderStore()
-    env = Environment([0], 1.0, 0, 100)
+    env = Environment([0], 0)
     h, _ = mk_header(store)
     wrong = store.make_content()
     with pytest.raises(CommitmentMismatch):
@@ -118,7 +125,7 @@ def test_upload_rejects_mismatched_content():
 
 def test_upload_is_insert_only():
     store = HeaderStore()
-    env = Environment([0], 1.0, 0, 100)
+    env = Environment([0], 0)
     h, c = mk_header(store)
     assert env.upload_content(h, c) is True
     assert env.upload_content(h, c) is False
@@ -127,52 +134,56 @@ def test_upload_is_insert_only():
 
 def test_unavailable_request_is_free():
     store = HeaderStore()
-    env = Environment([0], 1.0, 0, 100)
+    env = Environment([0], 0)
+    node = requester(CapacityMeter(1.0, 100))
     h, c = mk_header(store)
-    outcome, paid = env.request_content(0, h, 0.0, slot=0)
+    outcome, paid = env.request_content(node, h, 0.0, slot=0)
     assert outcome is RequestOutcome.UNAVAILABLE and paid == 0.0
-    assert env.meters[0].spent_total == 0.0
+    assert node.meter.spent_total == 0.0
     env.upload_content(h, c)
-    assert env.request_content(0, h, 0.0, slot=1)[0] is RequestOutcome.FETCHED
+    assert (env.request_content(node, h, 0.0, slot=1)[0]
+            is RequestOutcome.FETCHED)
 
 
 def test_half_rate_fetch_completes_over_two_slots():
     """rate 0.5/slot: first request banks a partial, the next slot finishes."""
     store = HeaderStore()
-    env = Environment([0], 0.5, 0, 100)
+    env = Environment([0], 0)
+    node = requester(CapacityMeter(0.5, 100))
     h, c = mk_header(store)
     env.upload_content(h, c)
-    env.meters[0].tokens = 0.5  # start without the initial carry-over
-    outcome, paid = env.request_content(0, h, 0.0, slot=0)
+    node.meter.tokens = 0.5  # start without the initial carry-over
+    outcome, paid = env.request_content(node, h, 0.0, slot=0)
     assert outcome is RequestOutcome.THROTTLED and paid == pytest.approx(0.5)
-    outcome, paid = env.request_content(0, h, 0.5, slot=1)
+    outcome, paid = env.request_content(node, h, 0.5, slot=1)
     assert outcome is RequestOutcome.FETCHED and paid == pytest.approx(0.5)
 
 
 def test_throttled_at_zero_budget_pays_nothing():
     store = HeaderStore()
-    env = Environment([0], 0.5, 0, 100)
+    env = Environment([0], 0)
+    node = requester(CapacityMeter(0.5, 100))
     h, c = mk_header(store)
     env.upload_content(h, c)
-    env.meters[0].tokens = 0.0
-    outcome, paid = env.request_content(0, h, 0.0, slot=0)
+    node.meter.tokens = 0.0
+    outcome, paid = env.request_content(node, h, 0.0, slot=0)
     assert outcome is RequestOutcome.THROTTLED and paid == 0.0
 
 
 def test_partition_withholds_until_heal():
     store = HeaderStore()
     part = Partition(half_of={0: 0, 1: 1}, heal_slot=10)
-    env = Environment([0, 1], 1.0, delay_slots=1, horizon_slots=100,
-                      partition=part)
+    env = Environment([0, 1], delay_slots=1, partition=part)
+    near, far = (requester(CapacityMeter(1.0, 100), n) for n in (0, 1))
     h, c = mk_header(store)
     env.broadcast_header(h, slot=2)
     assert env.deliveries_due(5) == []
     assert env.deliveries_due(10) == [(1, h)]
     env.upload_content(h, c)
-    assert env.request_content(1, h, 0.0, 5) == (RequestOutcome.UNAVAILABLE,
-                                                 0.0)
-    assert env.request_content(0, h, 0.0, 5)[0] is RequestOutcome.FETCHED
-    assert env.request_content(1, h, 0.0, 10)[0] is RequestOutcome.FETCHED
+    assert env.request_content(far, h, 0.0, 5) == (RequestOutcome.UNAVAILABLE,
+                                                   0.0)
+    assert env.request_content(near, h, 0.0, 5)[0] is RequestOutcome.FETCHED
+    assert env.request_content(far, h, 0.0, 10)[0] is RequestOutcome.FETCHED
 
 
 def small_sim(**attack):
@@ -239,7 +250,7 @@ def test_a_memoised_commitment_is_not_requested_again():
 
 def test_the_heal_clears_only_memos_of_content_in_the_cloud():
     sim = small_sim(strategy=pm.ATTACK_PARTITION, partition_duration=3.0)
-    heal = sim._heal_slot
+    heal = sim.env.partition.heal_slot
     far, near = sim.nodes[-1].id, sim.nodes[0].id
     assert sim.env.partition.blocks(near, far, heal - 1)
     sim.store.make_content()   # header ids and commitments differ
@@ -248,7 +259,8 @@ def test_the_heal_clears_only_memos_of_content_in_the_cloud():
     sim.upload(across, content_across, slot=2)
     memoise_unavailable(sim, [far], across, 3)
     memoise_unavailable(sim, [far], withheld, 3)
-    outcome, _ = sim.env.request_content(far, across, 0.0, heal - 1)
+    outcome, _ = sim.env.request_content(sim.nodes[far], across, 0.0,
+                                         heal - 1)
     assert outcome is RequestOutcome.UNAVAILABLE
     sim._heal(heal)
     node = sim.nodes[far]
@@ -267,25 +279,26 @@ def test_the_heal_clears_only_memos_of_content_in_the_cloud():
 def test_throttled_slots_paid_late_match_per_slot_requests(rate, paid):
     store = HeaderStore()
     h, c = mk_header(store)
-    polled, lazy = (Environment([0], rate, delay_slots=0, horizon_slots=100)
-                    for _ in range(2))
-    for env in (polled, lazy):
-        env.upload_content(h, c)
-        outcome, newly = env.request_content(0, h, paid, 1)
+    env = Environment([0], delay_slots=0)
+    env.upload_content(h, c)
+    polled, lazy = (requester(CapacityMeter(rate, 100)) for _ in range(2))
+    for node in (polled, lazy):
+        outcome, newly = env.request_content(node, h, paid, 1)
         assert outcome is RequestOutcome.THROTTLED
     paid += newly
-    done = polled.meters[0].completion_slot(paid, 1)
+    done = polled.meter.completion_slot(paid, 1)
     lazy_paid = paid
     for slot in range(2, done):
-        outcome, newly = polled.request_content(0, h, paid, slot)
+        outcome, newly = env.request_content(polled, h, paid, slot)
         assert outcome is RequestOutcome.THROTTLED
         paid += newly
-    slept, lazy_paid = lazy.meters[0].spend_refills(done - 1, lazy_paid)
+    slept, lazy_paid = lazy.meter.spend_refills(done - 1, lazy_paid)
     assert slept == done - 2
     assert lazy_paid == paid
-    assert lazy.meters[0].spent_total == polled.meters[0].spent_total
-    for env, p in ((polled, paid), (lazy, lazy_paid)):
-        assert env.request_content(0, h, p, done)[0] is RequestOutcome.FETCHED
+    assert lazy.meter.spent_total == polled.meter.spent_total
+    for node, p in ((polled, paid), (lazy, lazy_paid)):
+        assert (env.request_content(node, h, p, done)[0]
+                is RequestOutcome.FETCHED)
 
 
 # -- the grouped delivery queue -----------------------------------------------
@@ -309,7 +322,7 @@ def test_grouped_queue_delivers_as_per_recipient_entries(n_nodes, delay,
     if halves is not None:
         half_of = {p: halves[0][i] for i, p in enumerate(node_ids)}
         partition = Partition(half_of, heal_slot=halves[1])
-    env = Environment(node_ids, 1.0, delay, 100, partition)
+    env = Environment(node_ids, delay, partition)
     ref = PerRecipientQueue(node_ids, delay, partition)
     by_slot = {}
     for k, (slot, producer) in enumerate(sends):
@@ -423,9 +436,9 @@ def at_the_edge(meter, slot):
     return paid
 
 
-def meter_state(env):
-    return {p: (m.tokens.hex(), m.spent_total.hex(), m._slot)
-            for p, m in env.meters.items()}
+def meter_state(nodes):
+    return [(node.meter.tokens.hex(), node.meter.spent_total.hex(),
+             node.meter._slot) for node in nodes]
 
 
 NODES = (0, 1, 2)
@@ -461,14 +474,16 @@ def test_request_content_equals_the_composed_request(rate, halves, producers,
     """Two environments driven through the same uploads and requests, by
     random nodes at rising slots, of blocks by random producers (-1 is
     the adversary or an SPV miner), with and without a partition and its
-    heal: `request_content` on one and `request_oracle` on the other, with
-    reference meters, give the same (outcome, paid) bit for bit, and
-    meters whose tokens, spent totals and slots are bit-equal."""
+    heal: `request_content` on one and `request_oracle` on the other, for
+    nodes that hold reference meters, give the same (outcome, paid) bit
+    for bit, and meters whose tokens, spent totals and slots are
+    bit-equal."""
     partition = None
     if halves is not None:
         partition = Partition(dict(zip(NODES, halves[0])), heal_slot=halves[1])
-    env, ref = (Environment(NODES, rate, 0, 100, partition) for _ in range(2))
-    ref.meters = {p: ReferenceMeter(rate, 100) for p in NODES}
+    env, ref = (Environment(NODES, 0, partition) for _ in range(2))
+    nodes = [requester(CapacityMeter(rate, 100), p) for p in NODES]
+    ref_nodes = [requester(ReferenceMeter(rate, 100), p) for p in NODES]
     store = HeaderStore()
     store.make_content()   # header ids and commitments differ
     blocks = [mk_header(store, slot=k + 1, producer=producer)
@@ -485,12 +500,12 @@ def test_request_content_equals_the_composed_request(rate, halves, producers,
         if paid == "zero":
             paid = 0.0
         elif paid == "edge":
-            paid = at_the_edge(ref.meters[node], slot)
+            paid = at_the_edge(ref_nodes[node].meter, slot)
         header = blocks[k][0]
-        got = env.request_content(node, header, paid, slot)
-        want = request_oracle(ref, node, header, paid, slot)
+        got = env.request_content(nodes[node], header, paid, slot)
+        want = request_oracle(ref, ref_nodes[node], header, paid, slot)
         assert (got[0], got[1].hex()) == (want[0], want[1].hex())
-        assert meter_state(env) == meter_state(ref)
+        assert meter_state(nodes) == meter_state(ref_nodes)
 
 
 @settings(max_examples=300, deadline=None)

@@ -29,7 +29,7 @@ def test_budget_two_blocks_per_slot():
     rig.deliver(chain, 0)
     rig.step(0)
     assert rig.node.dchain == [h.id for h in chain]
-    assert rig.env.meters[0].spent_total == pytest.approx(2.0)
+    assert rig.node.meter.spent_total == pytest.approx(2.0)
 
 
 def test_duplicate_delivery_is_a_noop():
@@ -313,7 +313,7 @@ def test_sapos_scheduler_blanks_equivocators_for_free():
     assert rig.node.dchain == [off_a.id, child.id]
     # a block processed as empty adds no transactions to the chain
     assert set(rig.node.included_txids) == {"c"}
-    assert rig.env.meters[0].spent_total == pytest.approx(1.0)
+    assert rig.node.meter.spent_total == pytest.approx(1.0)
     # both twins get blanked for free, on-chain or not
     blanks = rig.trace.of_kind(tr.PRETEND_EMPTY)
     assert {fields(row)["header"] for row in blanks} == {off_a.id, off_b.id}

@@ -154,6 +154,7 @@ def test_json_error_carries_path(tmp_path):
 
 
 BASE = {"sim": {"c_tilde": 1.0}}
+NAN, INF = float("nan"), float("inf")   # what JSON's NaN and Infinity parse to
 
 
 @pytest.mark.parametrize("data,path", [
@@ -181,6 +182,23 @@ BASE = {"sim": {"c_tilde": 1.0}}
       "attack": {"strategy": "pos-teaser", "sacrifice_every": 1}},
      "attack.sacrifice_every"),
     ({"sim": {"n_nodes": 1, "beta": 0.1, "c_tilde": 0.5}}, "sim.beta"),
+    # a NaN or an infinity in any field, before it can reach a run
+    ({"sim": {"capacity": NAN, "nu": 5, "n_nodes": 4, "horizon_slots": 200}},
+     "sim.capacity"),
+    ({"sim": {"capacity": INF, "nu": 5}}, "sim.capacity"),
+    ({"sim": {"tau": NAN, "nu": 5}}, "sim.tau"),
+    ({"sim": {"rho": NAN, "nu": 5}}, "sim.rho"),
+    ({"sim": {"rho": INF, "nu": 5}}, "sim.rho"),
+    ({"sim": {"delta_h": NAN, "nu": 5}}, "sim.delta_h"),
+    ({"sim": {"c_tilde": INF}}, "sim.c_tilde"),
+    ({"sim": {"n_nodes": INF, "nu": 5}}, "sim.n_nodes"),
+    ({**BASE, "attack": {"spv_rate": NAN}}, "attack.spv_rate"),
+    ({**BASE, "attack": {"partition_duration": INF}},
+     "attack.partition_duration"),
+    ({**BASE, "txgen": {"sigma": NAN}}, "txgen.sigma"),
+    ({**BASE, "txgen": {"sigma": INF}}, "txgen.sigma"),
+    ({**BASE, "sapos": {"k_cp": INF}}, "sapos.k_cp"),
+    ({**BASE, "repeat": INF}, "repeat"),
 ])
 def test_each_config_error_is_raised_while_parsing(data, path):
     """Every check runs as the config is built, and names its field."""

@@ -126,10 +126,10 @@ def test_nodes_that_disagree_on_a_blank_are_a_conflict():
     the content it fetched."""
     rig = sapos_rig()
     offender, twin = twins(rig, honest=False)
-    env = netenv.Environment([1], 1.0, 0, 100)
+    env = netenv.Environment([1], 0)
     env.cloud = rig.env.cloud
-    other = nd.Node(1, rig.store, env, rig.trace,
-                    pm.POLICY_LONGEST_HEADER_CHAIN, 2, rig.sink,
+    other = nd.Node(1, rig.store, env, netenv.CapacityMeter(1.0, 100),
+                    rig.trace, pm.POLICY_LONGEST_HEADER_CHAIN, 2, rig.sink,
                     nd.HonestFront())
     run_node(rig.node, [offender, twin] + proven(rig, offender, twin))
     run_node(other, [offender] + rig.chain(2, 20, offender))

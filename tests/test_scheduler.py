@@ -29,8 +29,9 @@ class Driven:
         self.rig = rig = Rig(rate=rate, policy=policy, protocol=protocol,
                              k_conf=3, k_epf=4)
         if node_cls is not nd.Node:
-            rig.node = node_cls(0, rig.store, rig.env, rig.trace, policy,
-                                3, rig.sink, nd.HonestFront())
+            rig.node = node_cls(0, rig.store, rig.env, rig.node.meter,
+                                rig.trace, policy, 3, rig.sink,
+                                nd.HonestFront())
         self.node = node = rig.node
         self.picks: list = []
         self.victims: list = []

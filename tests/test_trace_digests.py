@@ -271,7 +271,7 @@ def test_the_partition_heal_clears_memos():
     clears every memo of content in the cloud, and keeps only memos of
     content not yet uploaded."""
     sim = Simulation(pm.scenario_from_dict(RUNS["pos-partition-spv"]))
-    heal = sim._heal_slot
+    heal = sim.env.partition.heal_slot
     healed, cleared = [], []
 
     def watched(slot, inner=sim._heal):

@@ -173,6 +173,33 @@ def test_wake_slots_match_per_slot_polling_at_the_heal():
     assert len(cleared) == 1 and cleared[0] > 0
 
 
+@pytest.mark.parametrize("seconds,heals", [(0.0, [0]), (200.0, []),
+                                           (250.0, [])],
+                         ids=["at-slot-0", "at-the-horizon", "past-it"])
+def test_the_heal_at_its_edge_slots(seconds, heals):
+    """The pinned partition run, its 2,000 slots of 0.1 s split for 0 s,
+    for the whole horizon, or longer: a split of 0 s heals once, at slot
+    0, one that lasts to the horizon or past it never heals, and the loop
+    still ends at the horizon; the polling side agrees."""
+    config = {**PARTITION_RUN,
+              "attack": {**PARTITION_RUN["attack"],
+                         "partition_duration": seconds}}
+    healed, advanced = [], []
+
+    def watch(sim):
+        def heal(slot, inner=sim._heal):
+            healed.append(slot)
+            inner(slot)
+
+        def advance(slot, inner=sim._advance):
+            advanced.append(inner(slot))
+            return advanced[-1]
+        sim._heal, sim._advance = heal, advance
+    sim, _ = assert_same_run(pm.scenario_from_dict(config), watch)
+    assert healed == heals
+    assert advanced[-1] == sim.params.horizon_slots == 2000
+
+
 # -- the stack shares no fast mechanism --------------------------------------
 
 # The fast mechanisms, by the class that holds them: the stack has its own
@@ -208,14 +235,13 @@ def take_fast_layer(ref, cls):
         for name in FAST_PATHS[Simulation]:
             setattr(ref, name, MethodType(getattr(Simulation, name), ref))
     elif cls is Node:
-        ref.nodes = [Node(n, ref.store, env, ref.trace, ref.scenario.policy,
-                          ref.scenario.k_conf, ref.sink, ref.front)
+        ref.nodes = [Node(n, ref.store, env, ref.nodes[n].meter, ref.trace,
+                          ref.scenario.policy, ref.scenario.k_conf, ref.sink,
+                          ref.front)
                      for n in p.honest_nodes]
     elif cls is CapacityMeter:
-        env.meters = {n: CapacityMeter(p.capacity * p.tau, p.horizon_slots)
-                      for n in env.node_ids}
         for node in ref.nodes:
-            node.meter = env.meters[node.id]
+            node.meter = CapacityMeter(p.capacity * p.tau, p.horizon_slots)
     else:
         for name in FAST_PATHS[Environment] + ("next_delivery_slot",):
             delattr(env, name)
@@ -444,7 +470,7 @@ def test_a_node_throttled_at_the_horizon_pays_every_slot():
     assert node.throttled is not None and node.wake >= 6
     assert [s for s, n in steps if n == 0] == [1]
     assert [s for s, n in ref_steps if n == 0] == [1, 2, 3, 4, 5]
-    assert sim.env.meters[0].spent_total > 0.5
+    assert sim.nodes[0].meter.spent_total > 0.5
 
 
 def test_a_header_mid_stretch_preempts_with_the_polled_payment():
